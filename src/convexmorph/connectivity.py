@@ -1,9 +1,11 @@
 """Connectivity gates: internal 3-connectivity, separation-pair
 classification, and convex-drawability of plane graphs.
 
-three_connected works on abstract adjacency maps; everything else takes a
-PlaneGraph. Flow-based checks are O(n*m) style by construction; asymptotic
-speed is a non-goal here.
+three_connected works on abstract adjacency maps, planar or not; everything
+else takes a PlaneGraph. three_connected deletes each vertex v in turn and
+runs one depth-first lowpoint pass over G - v to check that it is connected
+and has no cut vertex, so it costs O(n*(n+m)). is_internally_3connected runs
+it on the graph plus an apex joined to the outer face.
 """
 
 from __future__ import annotations
@@ -58,74 +60,59 @@ def _components(adj: Dict[int, Iterable[int]], removed: Set[int]) -> List[Set[in
     return comps
 
 
-def _three_vertex_disjoint_paths(adj_sets: Dict[int, Set[int]],
-                                 s: int, t: int) -> bool:
-    """At least three internally vertex-disjoint s-t paths (s,t non-adjacent),
-    via unit-capacity max flow on the vertex-split network."""
-    idx = {v: i for i, v in enumerate(adj_sets)}
-    n = len(idx)
-    # node 2i = in-copy, 2i+1 = out-copy
-    cap = {}
-    arcs = {i: [] for i in range(2 * n)}
-
-    def add_arc(a, b, c):
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            arcs[a].append(b)
-            arcs[b].append(a)
-        cap[(a, b)] += c
-
-    for v, i in idx.items():
-        add_arc(2 * i, 2 * i + 1, 3 if v in (s, t) else 1)
-        for w in adj_sets[v]:
-            add_arc(2 * i + 1, 2 * idx[w], 1)
-    source, sink = 2 * idx[s] + 1, 2 * idx[t]
-    flow = 0
-    while flow < 3:
-        # BFS for an augmenting path
-        parent = {source: None}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in arcs[a]:
-                    if b not in parent and cap.get((a, b), 0) > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            return False
-        b = sink
-        while parent[b] is not None:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
-            b = a
-        flow += 1
-    return True
+def _biconnected_without(nbrs: List[List[int]], removed: int) -> bool:
+    """Whether the graph on 0..n-1 minus the vertex `removed` is connected and
+    has no cut vertex: one iterative DFS lowpoint pass (Tarjan 1972)."""
+    n = len(nbrs)
+    root = 1 if removed == 0 else 0
+    disc = [0] * n          # DFS number, 0 while unvisited
+    low = [0] * n
+    disc[root] = low[root] = visited = 1
+    root_children = 0
+    stack = [(root, -1, iter(nbrs[root]))]
+    while stack:
+        x, parent, it = stack[-1]
+        for w in it:
+            if w == removed or w == parent:
+                continue
+            if disc[w]:
+                if disc[w] < low[x]:
+                    low[x] = disc[w]
+            else:
+                visited += 1
+                disc[w] = low[w] = visited
+                stack.append((w, x, iter(nbrs[w])))
+                break
+        else:
+            stack.pop()
+            if parent == root:
+                # the root is a cut vertex when it has a second DFS child
+                root_children += 1
+                if root_children > 1:
+                    return False
+            elif parent >= 0:
+                # no back edge from x's subtree climbs above parent
+                if low[x] >= disc[parent]:
+                    return False
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
+    return visited == n - 1
 
 
 def three_connected(adj: Dict[int, Iterable[int]]) -> bool:
-    """Whether the abstract graph has no vertex cut of size at most 2.
+    """Whether the abstract graph has n >= 4 and no vertex cut of size at
+    most 2.
 
-    Any cut of size <= 2 misses one of three fixed probe vertices w, and every
-    vertex of a component not containing w is non-adjacent to w; so testing
-    local connectivity from three probes to all their non-neighbors suffices.
+    A cut {a, b} of G makes b a cut vertex of G - a, and a cut {a} leaves
+    G - a disconnected; so G is 3-connected exactly when every G - v is
+    connected and has no cut vertex. The minimum-degree test is a cheap early
+    exit. Duplicate neighbour entries are ignored. O(n*(n+m)).
     """
-    adj_sets = {v: set(ws) for v, ws in adj.items()}
-    if len(adj_sets) < 4:
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in set(ws)] for ws in adj.values()]
+    if len(nbrs) < 4 or any(len(ws) < 3 for ws in nbrs):
         return False
-    if any(len(ws) < 3 for ws in adj_sets.values()):
-        return False
-    probes = sorted(adj_sets)[:3]
-    for w in probes:
-        for t in adj_sets:
-            if t == w or t in adj_sets[w]:
-                continue
-            if not _three_vertex_disjoint_paths(adj_sets, w, t):
-                return False
-    return True
+    return all(_biconnected_without(nbrs, v) for v in range(len(nbrs)))
 
 
 def is_internally_3connected(g: PlaneGraph) -> bool:

@@ -829,7 +829,9 @@ def convexify(d: Drawing) -> MorphSequence:
     if is_convex_outer(d):
         return convexify_convex_outer(d, precheck=False)
     if three_connected(g.adjacency()):
-        return convexify_3connected(d, precheck=False)
+        # every graph between g and its completed hull is a supergraph of g
+        # on the same vertices, so it is 3-connected as well
+        return convexify_3connected(d, precheck=False, hull_certified=True)
 
     d_buf, pockets = augment_buffers(d, precheck=False)
     b = SequenceBuilder(d)

@@ -76,3 +76,13 @@ def random_augment_instance(rng, n_lo=8, n_hi=16, span=30, drop_frac=0.5):
             continue
         g = g2
     return Drawing(g, d.coords)
+
+
+def hidden_component_drawing():
+    """A square whose inner pocket {5, 6} hangs off the 2-cut {1, 2}: a planar
+    drawing of a graph that is not internally 3-connected."""
+    coords = {1: (0, 0), 2: (4, 0), 3: (4, 4), 4: (0, 4), 5: (2, 1), 6: (2, 2)}
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 2), (1, 6), (6, 2),
+             (5, 6)]
+    coords = {v: (rat(x), rat(y)) for v, (x, y) in coords.items()}
+    return Drawing(build_plane_graph_from_points(coords, edges), coords)

@@ -212,14 +212,20 @@ def brute_three_connected(adj: Dict[int, Sequence[int]]) -> bool:
     return True
 
 
-def brute_internally_3connected(adj: Dict[int, Sequence[int]],
-                                outer: Sequence[int]) -> bool:
+def apex_adjacency(adj: Dict[int, Sequence[int]],
+                   outer: Sequence[int]) -> Dict[int, set]:
+    """adj plus a new vertex joined to every vertex of outer."""
     aug = {v: set(ws) for v, ws in adj.items()}
     apex = max(aug) + 1
     aug[apex] = set(outer)
     for v in set(outer):
         aug[v].add(apex)
-    return brute_three_connected(aug)
+    return aug
+
+
+def brute_internally_3connected(adj: Dict[int, Sequence[int]],
+                                outer: Sequence[int]) -> bool:
+    return brute_three_connected(apex_adjacency(adj, outer))
 
 
 def ray_shoot_down(coords: Dict[int, Tuple], segments, start) -> Tuple:

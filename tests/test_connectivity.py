@@ -1,8 +1,14 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexmorph.plane_graph import PlaneGraph, Drawing, build_plane_graph_from_points
+from convexmorph.plane_graph import (
+    EmbeddingInvalid,
+    PlaneGraph,
+    build_plane_graph_from_points,
+)
 from convexmorph.connectivity import (
     Not2Connected,
     PairClass,
@@ -14,7 +20,16 @@ from convexmorph.connectivity import (
     convex_drawability,
 )
 
-from _oracles import brute_three_connected, brute_internally_3connected
+from _instances import (
+    hidden_component_drawing,
+    random_augment_instance,
+    random_triangulation,
+)
+from _oracles import (
+    apex_adjacency,
+    brute_internally_3connected,
+    brute_three_connected,
+)
 
 
 def k4_graph():
@@ -34,11 +49,38 @@ def octahedron_adj():
 
 
 def hidden_component_graph():
-    # square outer face, plus an inner pocket {5,6} reachable only via 1 and 2
-    coords = {1: (0, 0), 2: (4, 0), 3: (4, 4), 4: (0, 4), 5: (2, 1), 6: (2, 2)}
-    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 2), (1, 6), (6, 2),
-             (5, 6)]
-    return build_plane_graph_from_points(coords, edges)
+    return hidden_component_drawing().graph
+
+
+def _adj(edges):
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _k4_edges(a, b, c, d):
+    return [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+
+
+# graphs the random strategy below rarely draws, with the expected answer
+REGRESSION_CASES = [
+    # two K4s glued along the edge 3-4: the 2-cut {3, 4}
+    (_adj(_k4_edges(1, 2, 3, 4) + _k4_edges(3, 4, 5, 6)), False),
+    # minimum degree 3 but disconnected
+    (_adj(_k4_edges(1, 2, 3, 4) + _k4_edges(5, 6, 7, 8)), False),
+    # K3,3: non-planar and 3-connected
+    (_adj([(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]), True),
+    # triangular prism
+    (_adj([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4),
+           (1, 4), (2, 5), (3, 6)]), True),
+    # the only 2-cut {8, 9} avoids the three smallest ids
+    (_adj(_k4_edges(1, 2, 8, 9) + _k4_edges(3, 4, 8, 9)), False),
+    # a repeated neighbour entry must not count towards the degree of 1
+    ({1: (2, 3, 2), 2: (1, 3, 4), 3: (1, 2, 4), 4: (2, 3)}, False),
+    ({1: (2, 3, 4, 2), 2: (1, 3, 4, 1), 3: (1, 2, 4), 4: (1, 2, 3)}, True),
+]
 
 
 def test_three_connected_basics():
@@ -49,6 +91,9 @@ def test_three_connected_basics():
     assert three_connected(octahedron_adj())
     assert brute_three_connected(octahedron_adj())
     assert not three_connected({1: (2, 3), 2: (1, 3), 3: (1, 2)})  # triangle
+    for adj, expected in REGRESSION_CASES:
+        assert brute_three_connected(adj) == expected, adj
+        assert three_connected(adj) == expected, adj
 
 
 @given(st.integers(4, 9), st.randoms())
@@ -67,6 +112,46 @@ def test_three_connected_matches_oracles(n, rng):
     g.add_nodes_from(ids)
     g.add_edges_from(edges)
     assert got == (nx.node_connectivity(g) >= 3)
+
+
+def _nx_three_connected(adj):
+    g = nx.Graph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((v, w) for v, ws in adj.items() for w in ws)
+    return len(adj) >= 4 and nx.node_connectivity(g) >= 3
+
+
+def _first_i3c_breaking_removal(g):
+    """g minus its first inner edge whose removal leaves a 2-cut in the
+    apex graph, as networkx judges it."""
+    outer = g.outer_walk()
+    hull = {frozenset((outer[i - 1], outer[i])) for i in range(len(outer))}
+    for u, v in sorted(g.edges()):
+        if frozenset((u, v)) in hull:
+            continue
+        try:
+            g2 = g.remove_edge(u, v)
+        except EmbeddingInvalid:
+            continue
+        apex_adj = apex_adjacency(g2.adjacency(), g2.outer_walk())
+        if not _nx_three_connected(apex_adj):
+            return g2
+    raise AssertionError("no inner edge removal creates a 2-cut")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connectivity_matches_networkx_on_plane_graphs(seed):
+    rng = random.Random(seed)
+    tri = random_triangulation(rng, 30, 60).graph
+    sparse = random_augment_instance(rng, 30, 60).graph
+    cases = [tri, sparse, _first_i3c_breaking_removal(sparse)]
+    for g in cases:
+        adj = g.adjacency()
+        assert three_connected(adj) == _nx_three_connected(adj)
+        apex_adj = apex_adjacency(adj, g.outer_walk())
+        assert is_internally_3connected(g) == _nx_three_connected(apex_adj)
+    assert is_internally_3connected(tri) and three_connected(tri.adjacency())
+    assert not is_internally_3connected(cases[-1])
 
 
 def test_internally_3connected_examples():
