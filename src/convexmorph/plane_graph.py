@@ -12,6 +12,7 @@ clockwise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -698,13 +699,23 @@ def _segments_conflict(p1, p2, p3, p4, shared: int) -> bool:
     return False
 
 
+def _float_bound(v) -> float:
+    """float(v), or +-inf where v is beyond the float range. Rounding to the
+    nearest float is monotone, so bounding boxes compared as floats never
+    separate two exact boxes that meet."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) -> bool:
     """Exact pairwise check that the labeled segments only meet at shared
     endpoint labels. Each entry is (point, point, (label_a, label_b))."""
     items = []
     for p, q, lab in segments:
-        xs = (float(p[0]), float(q[0]))
-        ys = (float(p[1]), float(q[1]))
+        xs = (_float_bound(p[0]), _float_bound(q[0]))
+        ys = (_float_bound(p[1]), _float_bound(q[1]))
         items.append((min(xs), max(xs), min(ys), max(ys), p, q, lab))
     items.sort(key=lambda t: t[0])
     active = []

@@ -2,12 +2,21 @@
 exact sparse solving of the resulting linear systems, and construction of
 strictly convex boundary polygons compatible with fixed y (or fixed x).
 
+The exact solver works on Python integers. Each equation is scaled once by
+the lcm of its denominators; sparse fraction-free elimination (in the manner
+of Bareiss 1968) with Markowitz pivoting then keeps every row primitive by
+dividing out its gcd, and back-substitution forms one rational per unknown.
+Its solution is the unique exact one, so it equals what elimination over
+rationals gives, at a fraction of the cost of a gcd per entry update.
+
 The horizontal direction is primary; vertical variants transpose coordinates,
-run the horizontal code, and transpose back.
+run the horizontal code, and transpose back. A redraw that keeps y solves
+only for x, since weights taken from y reproduce y exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -147,22 +156,37 @@ def solve_rows(rows: Dict[int, Dict[int, object]],
     """Solve a square sparse system for several right-hand sides at once.
 
     rows maps equation id to {variable id: coefficient}; rhs maps equation id
-    to a list of right-hand-side values. Exact mode uses Markowitz-pivoted
-    elimination over rationals; float mode delegates to scipy's sparse LU.
+    to a list of right-hand-side values, one per column. Returns {variable
+    id: list of values}.
+
+    Exact mode takes int or rational (Fraction, mpq) coefficients. It scales
+    each equation once to integers and eliminates fraction-free: choosing a
+    Markowitz pivot (smallest fill-in estimate, ties to the smallest
+    equation and variable id), it updates every remaining row holding the
+    pivot variable as r <- piv*r - f*r_pivot and divides the row and its
+    right-hand sides by their common gcd. Back-substitution then builds one
+    exact rational per unknown and column. Float mode delegates to scipy's
+    sparse LU.
     """
     if not rows:
         return {}
     if float_mode:
         return _solve_rows_float(rows, rhs)
-    eqs = {e: dict(r) for e, r in rows.items()}
-    b = {e: list(v) for e, v in rhs.items()}
+    eqs: Dict[int, Dict[int, int]] = {}
+    b: Dict[int, List[int]] = {}
+    for e, r in rows.items():
+        terms = [(v, _ratio(c)) for v, c in r.items()]
+        rb = [_ratio(x) for x in rhs[e]]
+        scale = math.lcm(*(q for _, (_, q) in terms), *(q for _, q in rb))
+        eqs[e] = {v: p * (scale // q) for v, (p, q) in terms if p}
+        b[e] = [p * (scale // q) for p, q in rb]
     col_index: Dict[int, set] = {}
     for e, r in eqs.items():
         for v in r:
             col_index.setdefault(v, set()).add(e)
     if len(col_index) != len(eqs):
         raise SingularSystem("system is not square")
-    solved_order = []
+    pivots = []
     remaining = set(eqs)
     while remaining:
         # Markowitz: cheapest fill-in estimate, deterministic tie-break
@@ -170,60 +194,69 @@ def solve_rows(rows: Dict[int, Dict[int, object]],
         for e in remaining:
             re = eqs[e]
             if not re:
-                raise SingularSystem("zero row")
+                raise SingularSystem("zero row: no usable pivot")
             rlen = len(re)
-            for v, c in re.items():
-                if sign_of(c) == 0:
-                    continue
-                cost = (rlen - 1) * (len(col_index[v]) - 1)
-                key = (cost, e, v)
-                if best is None or key < best[0]:
-                    best = (key, e, v)
-        if best is None:
-            raise SingularSystem("no usable pivot")
+            for v in re:
+                key = ((rlen - 1) * (len(col_index[v]) - 1), e, v)
+                if best is None or key < best:
+                    best = key
         _, pe, pv = best
+        remaining.discard(pe)
+        pivots.append((pe, pv))
         prow = eqs[pe]
+        pb = b[pe]
         piv = prow[pv]
-        inv = 1 / piv
-        for v in list(prow):
-            prow[v] *= inv
-        b[pe] = [x * inv for x in b[pe]]
-        prow[pv] = rat(1)
-        for e in list(col_index[pv]):
-            if e == pe:
-                continue
+        for v in prow:
+            col_index[v].discard(pe)
+        for e in col_index.pop(pv):
             r = eqs[e]
             f = r.pop(pv)
-            col_index[pv].discard(e)
-            if sign_of(f) == 0:
-                continue
+            for v in r:
+                r[v] *= piv
             for v, c in prow.items():
                 if v == pv:
                     continue
-                nc = r.get(v, rat(0)) - f * c
-                if sign_of(nc) == 0:
-                    if v in r:
-                        del r[v]
-                        col_index[v].discard(e)
-                else:
+                nc = r.get(v, 0) - f * c
+                if nc:
                     if v not in r:
                         col_index[v].add(e)
                     r[v] = nc
-            b[e] = [x - f * y for x, y in zip(b[e], b[pe])]
-        remaining.discard(pe)
-        solved_order.append((pe, pv))
-    # each pivot was eliminated from every other row, so this just reads off
-    # the values; kept as a loop so partial reductions would still resolve
+                elif v in r:
+                    del r[v]
+                    col_index[v].discard(e)
+            b[e] = [piv * x - f * y for x, y in zip(b[e], pb)]
+            g = math.gcd(*r.values(), *b[e])
+            if g > 1:
+                for v in r:
+                    r[v] //= g
+                b[e] = [x // g for x in b[e]]
+    # back-substitution over integers: each known value is num/den with one
+    # den per unknown, so one pivot row needs one lcm and one reduction
+    nums: Dict[int, List[int]] = {}
+    dens: Dict[int, int] = {}
     values: Dict[int, List] = {}
-    for pe, pv in reversed(solved_order):
-        acc = list(b[pe])
-        for v, c in eqs[pe].items():
-            if v == pv:
-                continue
-            vv = values[v]
-            acc = [x - c * y for x, y in zip(acc, vv)]
-        values[pv] = acc
+    for pe, pv in reversed(pivots):
+        prow = eqs[pe]
+        others = [v for v in prow if v != pv]
+        den = math.lcm(*(dens[v] for v in others))
+        acc = [x * den for x in b[pe]]
+        for v in others:
+            c = prow[v] * (den // dens[v])
+            acc = [a - c * x for a, x in zip(acc, nums[v])]
+        den *= prow[pv]
+        if den < 0:
+            den = -den
+            acc = [-a for a in acc]
+        g = math.gcd(den, *acc)
+        nums[pv] = [a // g for a in acc]
+        dens[pv] = den // g
+        values[pv] = [rat(a, dens[pv]) for a in nums[pv]]
     return values
+
+
+def _ratio(c) -> Tuple[int, int]:
+    """Numerator and denominator of an int or rational as Python ints."""
+    return int(c.numerator), int(c.denominator)
 
 
 def _solve_rows_float(rows, rhs):
@@ -283,9 +316,10 @@ def _is_float(coords) -> bool:
     return isinstance(p[0], float)
 
 
-def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
-                weights: WeightAssignment) -> Drawing:
-    """Solve the pinned barycentric system for both coordinates."""
+def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
+                         weights: WeightAssignment):
+    """Raise ValueError unless boundary is a strictly convex polygon on the
+    outer walk of g and the weights cover exactly the other vertices."""
     boundary.validate()
     if not boundary.matches_outer_walk(g):
         raise ValueError("boundary cycle does not match the outer walk")
@@ -293,6 +327,12 @@ def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
     expected = set(g.rotation) - set(boundary.cycle)
     if internal != expected:
         raise ValueError("weights do not cover exactly the internal vertices")
+
+
+def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
+                weights: WeightAssignment) -> Drawing:
+    """Solve the pinned barycentric system for both coordinates."""
+    _check_pinned_system(g, boundary, weights)
     rows, rhs = tutte_rows(g, weights, boundary.coords)
     sol = solve_rows(rows, rhs, float_mode=_is_float(boundary.coords))
     coords = dict(boundary.coords)
@@ -302,15 +342,22 @@ def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
 
 
 def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
-    """Redraw onto a new boundary polygon without changing any y coordinate."""
+    """Redraw onto a new boundary polygon without changing any y coordinate.
+
+    The weights come from y, so the y system would reproduce y exactly; only
+    the x right-hand side is solved, and every y is kept bit for bit."""
     y = {v: p[1] for v, p in d.coords.items()}
     for v in boundary.cycle:
         if sign_of(boundary.coords[v][1] - y[v]) != 0:
             raise PreconditionViolated(f"boundary changes y of {v}")
     w = weights_from_y(d.graph, y)
-    out = solve_tutte(d.graph, boundary, w)
-    # the y system reproduces its own input; keep the bits identical anyway
-    coords = {v: (out.coords[v][0], y[v]) for v in out.coords}
+    _check_pinned_system(d.graph, boundary, w)
+    rows, rhs = tutte_rows(d.graph, w, boundary.coords)
+    sol = solve_rows(rows, {u: vals[:1] for u, vals in rhs.items()},
+                     float_mode=_is_float(boundary.coords))
+    coords = {v: (p[0], y[v]) for v, p in boundary.coords.items()}
+    for u, (x,) in sol.items():
+        coords[u] = (x, y[u])
     return Drawing(d.graph, coords)
 
 

@@ -3,9 +3,19 @@ import random
 import pytest
 
 from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
+from convexmorph.plane_graph import is_strictly_convex
 from convexmorph.steps import MorphSequence
+from convexmorph.verify import (
+    check_convexity_increasing,
+    check_step_bounds,
+    check_unidirectional_planar,
+)
 
-from _instances import hidden_component_drawing, random_triangulation
+from _instances import (
+    hidden_component_drawing,
+    random_augment_instance,
+    random_triangulation,
+)
 
 
 def test_convexify_rejects_input_that_is_not_internally_3connected():
@@ -20,3 +30,15 @@ def test_convexify_returns_no_events_on_strictly_convex_input(seed):
     assert isinstance(seq, MorphSequence)
     assert seq.events == ()
     assert seq.final is d
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_convexify_certified_on_convex_outer_input(seed):
+    d = random_augment_instance(random.Random(seed), 12, 16)
+    seq = convexify(d)
+    assert seq.step_count >= 1
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, "convex_outer")
+    assert is_strictly_convex(seq.final)
+    assert seq.final.graph == d.graph

@@ -23,6 +23,7 @@ from convexmorph.plane_graph import (
     ShearConstraints,
     choose_safe_shear,
     drawing_is_planar,
+    segments_planar,
     validate_drawing,
     ccw_sector_contains,
     angular_insert_position,
@@ -393,6 +394,18 @@ def test_planarity_basic_conflicts():
     assert not drawing_is_planar(path, {1: (0, 0), 2: (1, 1), 3: (0, 0), 4: (3, 1)})
     # touching at a shared endpoint is allowed
     assert drawing_is_planar(path, {1: (0, 0), 2: (1, 1), 3: (2, 2), 4: (3, 1)})
+
+
+def test_segments_planar_beyond_float_range():
+    # float() of these coordinates overflows; the bounding-box prune must
+    # still let the exact test decide
+    big = rat(2 ** 1100) + rat(1, 3)
+    crossing = [((-big, -big), (big, big), (1, 2)),
+                ((-big, big), (big, -big), (3, 4))]
+    assert not segments_planar(crossing)
+    apart = [((big, big), (big + 1, big + 2), (1, 2)),
+             ((big + 2, big), (big + 3, big + 2), (3, 4))]
+    assert segments_planar(apart)
 
 
 @given(point_sets(min_size=4, max_size=8), st.randoms())

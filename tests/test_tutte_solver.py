@@ -172,6 +172,94 @@ def test_solve_rows_singular_cases():
     assert solve_rows({}, {}) == {}
 
 
+def big_rational(rng):
+    """A rational in (0, 1) whose denominator has 50-90 bits."""
+    bits = rng.randint(50, 90)
+    den = rng.randrange(2 ** (bits - 1), 2 ** bits)
+    return Fraction(rng.randrange(1, den), den)
+
+
+def tutte_shaped_system(rng, ids, columns):
+    """Rows x_e - sum_v w_ev x_v = rhs_e with positive weights of 50-90-bit
+    denominators. Each row also gives weight to a pinned boundary, so the
+    system is strictly diagonally dominant and nonsingular; each variable
+    also appears in the row before its own."""
+    rows, rhs = {}, {}
+    for i, e in enumerate(ids):
+        nbrs = {ids[i - 1]} | {v for v in ids if v != e and rng.random() < 0.3}
+        raw = {v: big_rational(rng) for v in nbrs}
+        pin = big_rational(rng)
+        total = sum(raw.values()) + pin
+        rows[e] = {e: Fraction(1), **{v: -w / total for v, w in raw.items()}}
+        rhs[e] = [pin / total * big_rational(rng) for _ in range(columns)]
+    return rows, rhs
+
+
+def assert_exact_and_equal(got, want):
+    assert set(got) == set(want)
+    exact = type(rat(0))
+    for v in got:
+        assert all(isinstance(x, exact) for x in got[v])
+        assert [Fraction(x) for x in got[v]] == want[v]
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_solve_rows_tutte_shaped_big_denominators(columns):
+    rng = random.Random(2303 + columns)
+    for _ in range(6):
+        ids = rng.sample(range(100), rng.randrange(2, 16))
+        rows, rhs = tutte_shaped_system(rng, ids, columns)
+        assert_exact_and_equal(solve_rows(rows, rhs),
+                               solve_dense_fraction(rows, rhs))
+
+
+def test_solve_rows_update_cancels_an_entry():
+    # rows 1 and 2 are proportional on variables 1 and 2. The Markowitz
+    # tie-break pivots row 1 on variable 1 first, so the update of row 2
+    # cancels its variable-2 entry to zero.
+    rng = random.Random(2404)
+    a, b, c, d, e, f = (big_rational(rng) for _ in range(6))
+    rows = {1: {1: a, 2: b}, 2: {1: 2 * a, 2: 2 * b, 3: c},
+            3: {1: d, 2: e, 3: f}}
+    rhs = {k: [big_rational(rng), -big_rational(rng)] for k in rows}
+    assert_exact_and_equal(solve_rows(rows, rhs),
+                           solve_dense_fraction(rows, rhs))
+
+
+def test_solve_rows_singular_only_partway():
+    rng = random.Random(2505)
+    ids = list(range(10))
+    rows, rhs = tutte_shaped_system(rng, ids, 2)
+    alpha, beta = big_rational(rng), big_rational(rng)
+    combined = {}
+    for r, k in ((rows[2], alpha), (rows[7], beta)):
+        for v, c in r.items():
+            combined[v] = combined.get(v, 0) + k * c
+    rows[5] = {v: c for v, c in combined.items() if c != 0}
+    # square, no zero row, yet rank-deficient: only elimination finds out
+    assert all(rows.values())
+    assert {v for r in rows.values() for v in r} == set(ids)
+    with pytest.raises(ZeroDivisionError):
+        solve_dense_fraction(rows, rhs)
+    with pytest.raises(SingularSystem):
+        solve_rows(rows, rhs)
+
+
+def test_solve_rows_takes_int_of_numerator_and_denominator():
+    # numpy integers are rationals whose numerator is not a Python int
+    # (like gmpy2's mpq); fixed-width products would wrap past 64 bits
+    np = pytest.importorskip("numpy")
+    big = [2 ** 62 - 1, 2 ** 61 + 3, 2 ** 61 - 5, 2 ** 62 - 7]
+    rows = {1: {1: np.int64(big[0]), 2: np.int64(big[1])},
+            2: {1: np.int64(big[2]), 2: np.int64(big[3])}}
+    rhs = {1: [np.int64(1)], 2: [np.int64(2 ** 60)]}
+    want = solve_dense_fraction(
+        {e: {v: Fraction(int(c)) for v, c in r.items()}
+         for e, r in rows.items()},
+        {e: [Fraction(int(x)) for x in vals] for e, vals in rhs.items()})
+    assert_exact_and_equal(solve_rows(rows, rhs), want)
+
+
 # -- solve_tutte -------------------------------------------------------------
 
 
