@@ -1,7 +1,7 @@
 """Convexifying morphs of planar straight-line drawings.
 
-Exact rational arithmetic throughout; an optional float mode trades exactness
-for speed on large instances.
+Exact rational arithmetic throughout; float input coordinates enter as the
+rationals they denote.
 """
 
 __version__ = "0.1.0"

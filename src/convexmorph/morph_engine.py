@@ -23,19 +23,21 @@ Layers, from primitive to general input:
    path first; its apex vertices come back out later, two moves each.
  * convexify: dispatch over the cases above.
 
-Exact mode keeps all arithmetic in rationals.  To stop denominators from
-compounding across alternating solves, the moving coordinate of each
-solver output is snapped to a dyadic grid; the snap is accepted only when
-the snapped drawing is planar, realizes the same embedding, and satisfies
-the step's own postconditions, so it amounts to a slightly different but
-equally valid choice of the same move.
+Every move redraws the drawing onto a strictly convex boundary polygon
+with the fixed axis kept (the Tutte variant of tutte_solver), then shears
+along the moving axis; _redraw_move is that one operation.  All arithmetic
+is exact.  To stop denominators from compounding across alternating solves,
+the moving coordinate of each solver output is snapped to a dyadic grid;
+the snap is accepted only when the snapped drawing is planar, realizes the
+same embedding, and satisfies the step's own postconditions, so it amounts
+to a slightly different but equally valid choice of the same move.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .connectivity import is_internally_3connected, three_connected
 from .monotone_augment import augment_y_monotone
@@ -70,7 +72,6 @@ from .tutte_solver import (
     BoundaryPolygon,
     PolygonOptions,
     ConstraintInfeasible,
-    NotYMonotoneCycle,
     WrongChain,
     convex_polygon_for_x,
     convex_polygon_for_y,
@@ -173,11 +174,9 @@ _SNAP_LIMIT = 1 << 24
 
 
 def _compact(d: Drawing, direction: Direction,
-             require: Optional[Callable[[Drawing], bool]] = None) -> Drawing:
+             require: Callable[[Drawing], bool]) -> Drawing:
     """Snap the moving-axis coordinates to a dyadic grid if they carry
     oversized denominators; keep the exact drawing when no snap validates."""
-    if d.float_mode:
-        return d
     ma = direction.moving_axis
     if max(p[ma].denominator for p in d.coords.values()) <= _COMPACT_LIMIT:
         return d
@@ -194,7 +193,7 @@ def _compact(d: Drawing, direction: Direction,
             continue
         if not _rotations_realized(cand):
             continue
-        if require is not None and not require(cand):
+        if not require(cand):
             continue
         return cand
     return d
@@ -202,7 +201,7 @@ def _compact(d: Drawing, direction: Direction,
 
 def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
     """Replace an ugly exact shear factor by a nearby dyadic one."""
-    if d.float_mode or lam == 0:
+    if lam == 0:
         return lam
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
@@ -219,34 +218,49 @@ def _safe_shear(d: Drawing, axis: str, cons: ShearConstraints) -> Drawing:
     return shear(d, axis, _snap_shear(d, axis, lam, cons))
 
 
-def _scaled(build: Callable[[object], BoundaryPolygon]) -> BoundaryPolygon:
-    """Retry a polygon construction with growing scale: in float mode,
-    nearly equal levels can push corner turns below the sign threshold,
-    and widening the polygon restores them."""
-    last = None
-    for mult in (1, 16, 256, 4096, 1 << 16, 1 << 20, 1 << 24):
-        try:
-            return build(mult)
-        except (WrongChain, ConstraintInfeasible, NotYMonotoneCycle):
-            raise
-        except ValueError as exc:
-            last = exc
-    raise last
+def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
+            note: str, require: Callable[[Drawing], bool]) -> Drawing:
+    """Redraw d onto poly keeping the fixed axis of the direction, snapped
+    by _compact; the drawing returned satisfies require."""
+    if direction is Direction.HORIZONTAL:
+        out = redraw_preserving_y(d, poly)
+    else:
+        out = redraw_preserving_x(d, poly)
+    snapped = _compact(out, direction, require)
+    # _compact checked every snap it returns; the exact output is checked
+    # only when no snap passed and it is emitted itself
+    if snapped is out and not require(out):
+        raise RuntimeError(f"{note}: redraw failed its postcondition")
+    return snapped
+
+
+def _redraw_move(b: SequenceBuilder, direction: Direction,
+                 poly: BoundaryPolygon, note: str,
+                 require: Optional[Callable[[Drawing], bool]] = None,
+                 cons: Optional[ShearConstraints] = None) -> Drawing:
+    """One move from b.current: redraw onto poly (see _redraw; require
+    defaults to strict convexity), then shear along the moving axis under
+    cons (by default, no axis-parallel edge). Both land in b as one step
+    noted note; returns the end drawing."""
+    # the default is looked up per call, so that a rebound module-level
+    # is_strictly_convex (as perfbench/layers.py traces it) is the one used
+    cur = _redraw(b.current, direction, poly, note,
+                  require or is_strictly_convex)
+    b.move(direction, cur, note)
+    axis = "x" if direction is Direction.HORIZONTAL else "y"
+    cur = _safe_shear(cur, axis, cons or ShearConstraints())
+    b.move(direction, cur, note)
+    return cur
 
 
 def _polygon_preserving_x(cycle: Sequence[int],
                           x: Dict[int, object]) -> BoundaryPolygon:
     """Strictly convex polygon on the cycle keeping every x, default shape."""
-    tcycle = tuple(reversed(cycle))
-
-    def build(mult):
-        poly = convex_polygon_for_y(tcycle, x, PolygonOptions(scale=mult))
-        coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
-        out = BoundaryPolygon(tuple(cycle), coords)
-        out.validate()
-        return out
-
-    return _scaled(build)
+    poly = convex_polygon_for_y(tuple(reversed(cycle)), x)
+    coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
+    out = BoundaryPolygon(tuple(cycle), coords)
+    out.validate()
+    return out
 
 
 def _require_planar(d: Drawing):
@@ -284,14 +298,9 @@ def _level_convex_redraw(d: Drawing) -> Drawing:
     then drop the temporary edges."""
     g_aug, _ = augment_y_monotone(d, precheck=False)
     d_aug = Drawing(g_aug, d.coords)
-    walk = g_aug.outer_walk()
-    ymap = _ymap(d)
-    poly = _scaled(lambda m: convex_polygon_for_y(walk, ymap,
-                                                  PolygonOptions(scale=m)))
-    out = redraw_preserving_y(d_aug, poly)
-    if not is_strictly_convex(out):
-        raise RuntimeError("level-preserving redraw was not strictly convex")
-    out = _compact(out, Direction.HORIZONTAL, is_strictly_convex)
+    poly = convex_polygon_for_y(g_aug.outer_walk(), _ymap(d))
+    out = _redraw(d_aug, Direction.HORIZONTAL, poly,
+                  "level-preserving convex redraw", is_strictly_convex)
     return Drawing(d.graph, out.coords)
 
 
@@ -414,23 +423,15 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
     # shear clears horizontal edges without unseating it
     xmap = _xmap(d)
     try:
-        poly1 = _scaled(lambda m: convex_polygon_for_x(outer, xmap, u, "top",
-                                                       scale=m))
+        poly1 = convex_polygon_for_x(outer, xmap, u, "top")
         side = "top"
     except WrongChain:
-        poly1 = _scaled(lambda m: convex_polygon_for_x(outer, xmap, u,
-                                                       "bottom", scale=m))
+        poly1 = convex_polygon_for_x(outer, xmap, u, "bottom")
         side = "bottom"
-    cur = redraw_preserving_x(d, poly1)
-    if not is_strictly_convex(cur):
-        raise RuntimeError("pinned redraw was not strictly convex")
-    cur = _compact(cur, Direction.VERTICAL,
-                   lambda dd: is_strictly_convex(dd)
-                   and _unique_extreme(dd, u, side))
-    b.move(Direction.VERTICAL, cur, "pocket corner to the top")
-    cons1 = ShearConstraints(no_axis_parallel=True, keep_extreme=((u, side),))
-    cur = _safe_shear(cur, "y", cons1)
-    b.move(Direction.VERTICAL, cur, "pocket corner to the top")
+    cur = _redraw_move(
+        b, Direction.VERTICAL, poly1, "pocket corner to the top",
+        lambda dd: is_strictly_convex(dd) and _unique_extreme(dd, u, side),
+        ShearConstraints(no_axis_parallel=True, keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
     if not _x_monotone(path, cur.coords):
@@ -443,25 +444,19 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
         for pins in (((u, "left"), (v, "right")),
                      ((u, "right"), (v, "left"))):
             try:
-                poly2 = _scaled(lambda m: convex_polygon_for_y(
-                    walk2, ymap2, PolygonOptions(scale=m, pins=pins)))
+                poly2 = convex_polygon_for_y(walk2, ymap2,
+                                             PolygonOptions(pins=pins))
                 pins_used = pins
                 break
             except (WrongChain, ConstraintInfeasible):
                 continue
         if poly2 is None:
             raise RuntimeError("no polygon separates the pocket corners")
-        cur = redraw_preserving_y(cur, poly2)
-        if not is_strictly_convex(cur):
-            raise RuntimeError("pinned redraw was not strictly convex")
-        cur = _compact(cur, Direction.HORIZONTAL,
-                       lambda dd: is_strictly_convex(dd)
-                       and all(_unique_extreme(dd, w, s) for w, s in pins_used))
-        b.move(Direction.HORIZONTAL, cur, "pocket corners to the sides")
-        cons2 = ShearConstraints(no_axis_parallel=True,
-                                 keep_extreme=pins_used)
-        cur = _safe_shear(cur, "x", cons2)
-        b.move(Direction.HORIZONTAL, cur, "pocket corners to the sides")
+        cur = _redraw_move(
+            b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
+            lambda dd: is_strictly_convex(dd)
+            and all(_unique_extreme(dd, w, s) for w, s in pins_used),
+            ShearConstraints(no_axis_parallel=True, keep_extreme=pins_used))
         if not _x_monotone(path, cur.coords):
             raise RuntimeError("pocket path still not monotone after "
                                "separating its corners")
@@ -469,15 +464,9 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = Drawing(g_minus, cur.coords)
     b.edit(d_minus, "release pocket edge")
-    new_outer = g_minus.outer_walk()
-    poly3 = _polygon_preserving_x(new_outer, _xmap(d_minus))
-    cur = redraw_preserving_x(d_minus, poly3)
-    if not is_strictly_convex(cur):
-        raise RuntimeError("release redraw was not strictly convex")
-    cur = _compact(cur, Direction.VERTICAL, is_strictly_convex)
-    b.move(Direction.VERTICAL, cur, "pocket path onto the hull")
-    cur = _safe_shear(cur, "y", ShearConstraints(no_axis_parallel=True))
-    b.move(Direction.VERTICAL, cur, "pocket path onto the hull")
+    poly3 = _polygon_preserving_x(g_minus.outer_walk(), _xmap(d_minus))
+    cur = _redraw_move(b, Direction.VERTICAL, poly3,
+                       "pocket path onto the hull")
     return b.build(), cur
 
 
@@ -579,9 +568,7 @@ def _seg_seg_dist_sq(a, b, c, d):
 
 
 def _sqrt_floor(q):
-    """A scalar t with 0 < t <= sqrt(q), exact in rational mode."""
-    if isinstance(q, float):
-        return math.sqrt(q)
+    """A rational t with 0 < t <= sqrt(q), for a positive rational q."""
     return rat(math.isqrt(int(q.numerator * q.denominator)), q.denominator)
 
 
@@ -623,16 +610,12 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
                     rat(1, 2 * kk + 4)) * shrink
     else:
         t_end = rat(1, 2 * kk + 4) * shrink
-    if d.float_mode:
-        t_end = float(t_end)
     first = (e0[0] + t_end * evec[0], e0[1] + t_end * evec[1])
     last = (e1[0] - t_end * evec[0], e1[1] - t_end * evec[1])
 
     if kk == 1:
         m = ((first[0] + last[0]) / 2, (first[1] + last[1]) / 2)
         pull = rat(1, 8) * shrink
-        if d.float_mode:
-            pull = float(pull)
         apex = (m[0] + pull * (pts[1][0] - m[0]),
                 m[1] + pull * (pts[1][1] - m[1]))
         return [first, apex, last], eps_sq
@@ -653,8 +636,6 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
             w = (u2[1], -u2[0])
         wlen_sq = w[0] * w[0] + w[1] * w[1]
         t = _sqrt_floor(eps_sq / (16 * wlen_sq)) * shrink
-        if d.float_mode:
-            t = float(t)
         apexes.append((pv[0] + t * w[0], pv[1] + t * w[1]))
 
     spine = [first]
@@ -780,30 +761,14 @@ def remove_buffer_vertex(d: Drawing, vb: int,
         b.move(Direction.HORIZONTAL, cur, "expose the new corner")
         x_sand = True
 
+    cur = b.current
+    walk = cur.graph.outer_walk()
     if y_sand:
-        cur = b.current
-        walk = cur.graph.outer_walk()
-        ymap = _ymap(cur)
-        poly = _scaled(lambda m: convex_polygon_for_y(
-            walk, ymap, PolygonOptions(scale=m)))
-        out = redraw_preserving_y(cur, poly)
-        if not is_strictly_convex(out):
-            raise RuntimeError("corner redraw was not strictly convex")
-        out = _compact(out, Direction.HORIZONTAL, is_strictly_convex)
-        b.move(Direction.HORIZONTAL, out, "absorb the new corner")
-        out = _safe_shear(out, "x", ShearConstraints(no_axis_parallel=True))
-        b.move(Direction.HORIZONTAL, out, "absorb the new corner")
+        poly = convex_polygon_for_y(walk, _ymap(cur))
+        _redraw_move(b, Direction.HORIZONTAL, poly, "absorb the new corner")
     else:
-        cur = b.current
-        cyc = cur.graph.outer_walk()
-        poly = _polygon_preserving_x(cyc, _xmap(cur))
-        out = redraw_preserving_x(cur, poly)
-        if not is_strictly_convex(out):
-            raise RuntimeError("corner redraw was not strictly convex")
-        out = _compact(out, Direction.VERTICAL, is_strictly_convex)
-        b.move(Direction.VERTICAL, out, "absorb the new corner")
-        out = _safe_shear(out, "y", ShearConstraints(no_axis_parallel=True))
-        b.move(Direction.VERTICAL, out, "absorb the new corner")
+        poly = _polygon_preserving_x(walk, _xmap(cur))
+        _redraw_move(b, Direction.VERTICAL, poly, "absorb the new corner")
     if not is_strictly_convex(b.current):
         raise RuntimeError("buffer removal did not restore strict convexity")
     return b.build()

@@ -22,8 +22,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _mpq
 
-FLOAT_EPS = 1e-9
-
 
 class EmbeddingInvalid(ValueError):
     """Rotation system is not a valid connected planar embedding."""
@@ -50,7 +48,7 @@ class PreconditionViolated(ValueError):
 
 
 def rat(p, q=1):
-    """Exact rational scalar."""
+    """Exact rational scalar. A float becomes the rational it denotes."""
     if isinstance(p, float):
         num, den = p.as_integer_ratio()
         return _mpq(num, den) / q
@@ -58,11 +56,7 @@ def rat(p, q=1):
 
 
 def sign_of(v) -> int:
-    """Sign of a scalar; floats are thresholded at 1e-9, rationals are exact."""
-    if isinstance(v, float):
-        if abs(v) <= FLOAT_EPS:
-            return 0
-        return 1 if v > 0.0 else -1
+    """Exact sign of a scalar: -1, 0 or +1."""
     if v > 0:
         return 1
     if v < 0:
@@ -310,21 +304,17 @@ def trace_faces(g: PlaneGraph) -> List[Tuple[Dart, ...]]:
 class Drawing:
     """Straight-line drawing: a PlaneGraph plus coordinates per vertex.
 
-    Exact mode stores rationals, float mode stores floats; modes never mix.
+    Coordinates are stored as exact rationals through rat, so an int or
+    float coordinate enters as the number it denotes.
     """
 
-    __slots__ = ("graph", "coords", "float_mode")
+    __slots__ = ("graph", "coords")
 
     def __init__(self, graph: PlaneGraph, coords: Dict[int, Tuple]):
         self.graph = graph
         if set(coords) != set(graph.rotation):
             raise EmbeddingInvalid("coords do not match vertex set")
-        some = next(iter(coords.values()))
-        self.float_mode = isinstance(some[0], float)
-        if self.float_mode:
-            self.coords = {v: (float(p[0]), float(p[1])) for v, p in coords.items()}
-        else:
-            self.coords = {v: (rat(p[0]), rat(p[1])) for v, p in coords.items()}
+        self.coords = {v: (rat(p[0]), rat(p[1])) for v, p in coords.items()}
 
     def point(self, v: int) -> Tuple:
         return self.coords[v]
@@ -347,8 +337,7 @@ class Drawing:
                        {v: (p[1], p[0]) for v, p in self.coords.items()})
 
     def __repr__(self):
-        mode = "float" if self.float_mode else "exact"
-        return f"Drawing(n={self.graph.n}, mode={mode})"
+        return f"Drawing(n={self.graph.n})"
 
 
 # -- angles ----------------------------------------------------------------
@@ -548,10 +537,7 @@ def convex_hull(d: Drawing) -> List[int]:
 def shear(d: Drawing, axis: str, lam) -> Drawing:
     """Shear the drawing: axis 'x' maps (x,y)->(x+lam*y,y), axis 'y' maps
     (x,y)->(x,y+lam*x)."""
-    if d.float_mode:
-        lam = float(lam)
-    else:
-        lam = rat(lam)
+    lam = rat(lam)
     if axis == "x":
         coords = {v: (p[0] + lam * p[1], p[1]) for v, p in d.coords.items()}
     elif axis == "y":
@@ -615,7 +601,7 @@ def choose_safe_shear(d: Drawing, axis: str,
     passes."""
     cons = cons or ShearConstraints()
     g = d.graph
-    one = 1.0 if d.float_mode else rat(1)
+    one = rat(1)
     roots = []
 
     def root_of(p_hi, p_lo):

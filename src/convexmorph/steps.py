@@ -54,8 +54,6 @@ class MorphStep:
     def __post_init__(self):
         if self.start.graph != self.end.graph:
             raise PreconditionViolated("step endpoints draw different graphs")
-        if self.start.float_mode != self.end.float_mode:
-            raise PreconditionViolated("step endpoints mix numeric modes")
         ax = self.direction.fixed_axis
         for v, p in self.start.coords.items():
             if p[ax] != self.end.coords[v][ax]:
@@ -69,7 +67,7 @@ class MorphStep:
             return self.start
         if t == 1:
             return self.end
-        tt = float(t) if self.start.float_mode else Fraction(t)
+        tt = Fraction(t)
         s = 1 - tt
         mov = self.direction.moving_axis
         coords = {}
@@ -105,8 +103,6 @@ class GraphEdit:
     label: str = ""
 
     def __post_init__(self):
-        if self.start.float_mode != self.end.float_mode:
-            raise PreconditionViolated("edit endpoints mix numeric modes")
         for v in self.start.coords.keys() & self.end.coords.keys():
             if self.start.coords[v] != self.end.coords[v]:
                 raise PreconditionViolated(

@@ -151,27 +151,23 @@ def weights_from_y(g: PlaneGraph, y: Dict[int, object]) -> WeightAssignment:
 
 
 def solve_rows(rows: Dict[int, Dict[int, object]],
-               rhs: Dict[int, List],
-               float_mode: bool = False) -> Dict[int, List]:
+               rhs: Dict[int, List]) -> Dict[int, List]:
     """Solve a square sparse system for several right-hand sides at once.
 
     rows maps equation id to {variable id: coefficient}; rhs maps equation id
     to a list of right-hand-side values, one per column. Returns {variable
     id: list of values}.
 
-    Exact mode takes int or rational (Fraction, mpq) coefficients. It scales
-    each equation once to integers and eliminates fraction-free: choosing a
-    Markowitz pivot (smallest fill-in estimate, ties to the smallest
-    equation and variable id), it updates every remaining row holding the
-    pivot variable as r <- piv*r - f*r_pivot and divides the row and its
-    right-hand sides by their common gcd. Back-substitution then builds one
-    exact rational per unknown and column. Float mode delegates to scipy's
-    sparse LU.
+    Coefficients and right-hand sides are ints or rationals (Fraction,
+    mpq). The solver scales each equation once to integers and eliminates
+    fraction-free: choosing a Markowitz pivot (smallest fill-in estimate,
+    ties to the smallest equation and variable id), it updates every
+    remaining row holding the pivot variable as r <- piv*r - f*r_pivot and
+    divides the row and its right-hand sides by their common gcd.
+    Back-substitution then builds one exact rational per unknown and column.
     """
     if not rows:
         return {}
-    if float_mode:
-        return _solve_rows_float(rows, rhs)
     eqs: Dict[int, Dict[int, int]] = {}
     b: Dict[int, List[int]] = {}
     for e, r in rows.items():
@@ -259,36 +255,6 @@ def _ratio(c) -> Tuple[int, int]:
     return int(c.numerator), int(c.denominator)
 
 
-def _solve_rows_float(rows, rhs):
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import splu
-
-    eq_ids = sorted(rows)
-    var_ids = sorted({v for r in rows.values() for v in r})
-    if len(eq_ids) != len(var_ids):
-        raise SingularSystem("system is not square")
-    vidx = {v: i for i, v in enumerate(var_ids)}
-    data, ri, ci = [], [], []
-    for i, e in enumerate(eq_ids):
-        for v, c in rows[e].items():
-            ri.append(i)
-            ci.append(vidx[v])
-            data.append(float(c))
-    n = len(eq_ids)
-    mat = csr_matrix((data, (ri, ci)), shape=(n, n)).tocsc()
-    k = len(next(iter(rhs.values())))
-    bmat = np.zeros((n, k))
-    for i, e in enumerate(eq_ids):
-        bmat[i] = [float(x) for x in rhs[e]]
-    try:
-        lu = splu(mat)
-        sol = lu.solve(bmat)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc))
-    return {v: [float(sol[vidx[v], j]) for j in range(k)] for v in var_ids}
-
-
 def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
                boundary_coords: Dict[int, Tuple]):
     """Rows and right-hand sides of the pinned barycentric system (x and y)."""
@@ -296,7 +262,7 @@ def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
     rows = {}
     rhs = {}
     for u in internal:
-        row = {u: rat(1) if not _is_float(boundary_coords) else 1.0}
+        row = {u: rat(1)}
         bx = 0
         by = 0
         for v in g.rotation[u]:
@@ -309,11 +275,6 @@ def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
         rows[u] = row
         rhs[u] = [bx, by]
     return rows, rhs
-
-
-def _is_float(coords) -> bool:
-    p = next(iter(coords.values()))
-    return isinstance(p[0], float)
 
 
 def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
@@ -334,7 +295,7 @@ def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
     """Solve the pinned barycentric system for both coordinates."""
     _check_pinned_system(g, boundary, weights)
     rows, rhs = tutte_rows(g, weights, boundary.coords)
-    sol = solve_rows(rows, rhs, float_mode=_is_float(boundary.coords))
+    sol = solve_rows(rows, rhs)
     coords = dict(boundary.coords)
     for u, vals in sol.items():
         coords[u] = (vals[0], vals[1])
@@ -353,8 +314,7 @@ def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
     w = weights_from_y(d.graph, y)
     _check_pinned_system(d.graph, boundary, w)
     rows, rhs = tutte_rows(d.graph, w, boundary.coords)
-    sol = solve_rows(rows, {u: vals[:1] for u, vals in rhs.items()},
-                     float_mode=_is_float(boundary.coords))
+    sol = solve_rows(rows, {u: vals[:1] for u, vals in rhs.items()})
     coords = {v: (p[0], y[v]) for v, p in boundary.coords.items()}
     for u, (x,) in sol.items():
         coords[u] = (x, y[u])
@@ -375,9 +335,8 @@ def redraw_preserving_x(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
 
 @dataclass(frozen=True)
 class PolygonOptions:
-    """scale stretches x; pins lists (vertex, 'left'|'right') uniqueness
-    constraints, at most one per side."""
-    scale: object = 1
+    """pins lists (vertex, 'left'|'right') uniqueness constraints, at most
+    one per side."""
     pins: Tuple = ()
 
 
@@ -446,26 +405,16 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     a vertex the unique leftmost or rightmost; a pinned vertex must lie on the
     matching chain (or be the bottom/top vertex)."""
     options = options or PolygonOptions()
-    if sign_of(options.scale) <= 0:
-        raise ValueError("scale must be positive")
     left, right = _split_chains(cycle, y)
     bot, top = left[0], left[-1]
 
-    # construct x exactly even for float inputs, emit in the input's mode
-    float_mode = any(isinstance(y[v], float) for v in cycle)
-    ey = {v: rat(y[v]) for v in cycle} if float_mode else y
-    sc = rat(options.scale) if float_mode else options.scale
-
-    def emit_x(x):
-        return float(x) if float_mode else x
-
     if not options.pins:
-        y0, yT = ey[bot], ey[top]
+        y0, yT = y[bot], y[top]
         coords = {}
         for v in left:
-            coords[v] = (emit_x(-sc * (ey[v] - y0) * (yT - ey[v])), y[v])
+            coords[v] = (-(y[v] - y0) * (yT - y[v]), y[v])
         for v in right[1:-1]:
-            coords[v] = (emit_x(sc * (ey[v] - y0) * (yT - ey[v])), y[v])
+            coords[v] = ((y[v] - y0) * (yT - y[v]), y[v])
         poly = BoundaryPolygon(tuple(cycle), coords)
         poly.validate()
         return poly
@@ -492,8 +441,8 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
         raise ConstraintInfeasible("same vertex pinned to both sides")
 
     p, q = len(left) - 1, len(right) - 1
-    a = [ey[left[i]] - ey[left[i - 1]] for i in range(1, p + 1)]
-    h = [ey[right[j]] - ey[right[j - 1]] for j in range(1, q + 1)]
+    a = [y[left[i]] - y[left[i - 1]] for i in range(1, p + 1)]
+    h = [y[right[j]] - y[right[j - 1]] for j in range(1, q + 1)]
 
     def interval(flip, edges, left_side):
         if flip is None:
@@ -528,7 +477,6 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
         for j, v in enumerate(right[1:-1], start=1):
             acc = acc + t[j - 1] * h[j - 1]
             coords[v] = (acc, y[v])
-        coords = {v: (emit_x(sc * x), yy) for v, (x, yy) in coords.items()}
         poly = BoundaryPolygon(tuple(cycle), coords)
         try:
             poly.validate()
@@ -550,16 +498,14 @@ def _is_unique_extreme(coords, v, side) -> bool:
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
-                         extreme_vertex: int, side: str,
-                         scale=1) -> BoundaryPolygon:
+                         extreme_vertex: int, side: str) -> BoundaryPolygon:
     """Strictly convex polygon preserving x, making one vertex the unique
     topmost or bottommost. Transposed call into convex_polygon_for_y."""
     if side not in ("top", "bottom"):
         raise ValueError(f"side {side!r}")
     pin = (extreme_vertex, "right" if side == "top" else "left")
     tcycle = tuple(reversed(cycle))
-    poly = convex_polygon_for_y(tcycle, x, PolygonOptions(scale=scale,
-                                                          pins=(pin,)))
+    poly = convex_polygon_for_y(tcycle, x, PolygonOptions(pins=(pin,)))
     coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
     out = BoundaryPolygon(tuple(cycle), coords)
     out.validate()

@@ -20,35 +20,48 @@ def random_triangulation(rng, n_lo=4, n_hi=12, span=30):
     """A Drawing of a Delaunay triangulation with strictly convex hull."""
     while True:
         n = rng.randrange(n_lo, n_hi + 1)
-        pts = set()
-        while len(pts) < n:
-            pts.add((rng.randrange(-span, span + 1),
-                     rng.randrange(-span, span + 1)))
-        pts = sorted(pts)
-        try:
-            tri = Delaunay(np.array(pts, dtype=float))
-        except Exception:
-            continue
-        edges = set()
-        for simplex in tri.simplices:
-            for i in range(3):
-                a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-                edges.add((min(a, b) + 1, max(a, b) + 1))
-        coords = {i + 1: (rat(x), rat(y) + rat(x, 997))
-                  for i, (x, y) in enumerate(pts)}
-        try:
-            g = build_plane_graph_from_points(coords, edges)
-        except (EmbeddingInvalid, ValueError):
-            continue
-        walk = g.outer_walk()
-        k = len(walk)
-        hull_strict = all(
-            orientation(coords[walk[i - 1]], coords[walk[i]],
-                        coords[walk[(i + 1) % k]]) == -1
-            for i in range(k))
-        if not hull_strict:
-            continue
-        return Drawing(g, coords)
+        d = _try_triangulation(rng, n, span)
+        if d is not None:
+            return d
+
+
+def _try_triangulation(rng, n, span):
+    """A Delaunay triangulation of n random integer points, or None when
+    its hull is not strictly convex or the points are degenerate."""
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(-span, span + 1),
+                 rng.randrange(-span, span + 1)))
+    pts = sorted(pts)
+    try:
+        tri = Delaunay(np.array(pts, dtype=float))
+    except Exception:
+        return None
+    edges = set()
+    for simplex in tri.simplices:
+        for i in range(3):
+            a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
+            edges.add((min(a, b) + 1, max(a, b) + 1))
+    coords = {i + 1: (rat(x), rat(y) + rat(x, 997))
+              for i, (x, y) in enumerate(pts)}
+    try:
+        g = build_plane_graph_from_points(coords, edges)
+    except (EmbeddingInvalid, ValueError):
+        return None
+    walk = g.outer_walk()
+    k = len(walk)
+    hull_strict = all(
+        orientation(coords[walk[i - 1]], coords[walk[i]],
+                    coords[walk[(i + 1) % k]]) == -1
+        for i in range(k))
+    return Drawing(g, coords) if hull_strict else None
+
+
+def _fixed_n_triangulation(rng, n, span):
+    while True:
+        d = _try_triangulation(rng, n, span)
+        if d is not None:
+            return d
 
 
 def random_augment_instance(rng, n_lo=8, n_hi=16, span=30, drop_frac=0.5):
@@ -56,9 +69,13 @@ def random_augment_instance(rng, n_lo=8, n_hi=16, span=30, drop_frac=0.5):
 
     The merged faces are frequently not y-monotone; internal 3-connectivity
     and the strictly convex hull are preserved by construction."""
+    d = random_triangulation(rng, n_lo, n_hi, span)
+    return _drop_inner_edges(rng, d, drop_frac)
+
+
+def _drop_inner_edges(rng, d, drop_frac):
     from convexmorph.connectivity import is_internally_3connected
 
-    d = random_triangulation(rng, n_lo, n_hi, span)
     g = d.graph
     walk = g.outer_walk()
     hull = {frozenset((walk[i], walk[(i + 1) % len(walk)]))
@@ -86,3 +103,94 @@ def hidden_component_drawing():
              (5, 6)]
     coords = {v: (rat(x), rat(y)) for v, (x, y) in coords.items()}
     return Drawing(build_plane_graph_from_points(coords, edges), coords)
+
+
+def same_plane_graph(a, b):
+    """Same rotations up to their starting neighbour, and same outer face."""
+    def key(g):
+        rot = {}
+        for v, nbrs in g.rotation.items():
+            i = nbrs.index(min(nbrs))
+            rot[v] = nbrs[i:] + nbrs[:i]
+        return rot, frozenset(g.faces[g.outer_face_index])
+    return key(a) == key(b)
+
+
+def dent_instance(rng, n, span, max_pulls=8):
+    """A 3-connected triangulation on n points whose hull vertices are
+    pulled toward the centroid, each by the largest of 1/2, 1/4 or 1/8 of
+    the way that keeps the drawing valid with the same embedding, up to
+    max_pulls times while some pull does. The hull loses its strict
+    convexity, so convexify takes its 3-connected branch."""
+    from convexmorph.connectivity import three_connected
+    from convexmorph.plane_graph import NotPlanarInput, validate_drawing
+
+    while True:
+        d = _fixed_n_triangulation(rng, n, span)
+        if three_connected(d.graph.adjacency()):
+            break
+    g = d.graph
+    coords = dict(d.coords)
+    cx = round(sum(p[0] for p in coords.values()) / n)
+    cy = round(sum(p[1] for p in coords.values()) / n)
+    edges = g.edges()
+    hull = list(g.outer_walk())
+    rng.shuffle(hull)
+    for v in hull:
+        for _ in range(max_pulls):
+            moved = False
+            for t in (2, 4, 8):
+                p = coords[v]
+                trial = dict(coords)
+                trial[v] = (p[0] + (cx - p[0]) / t, p[1] + (cy - p[1]) / t)
+                try:
+                    g2 = build_plane_graph_from_points(trial, edges)
+                    validate_drawing(Drawing(g2, trial))
+                except (EmbeddingInvalid, NotPlanarInput, ValueError):
+                    continue
+                if same_plane_graph(g, g2):
+                    coords, moved = trial, True
+                    break
+            if not moved:
+                break
+    return Drawing(build_plane_graph_from_points(coords, edges), coords)
+
+
+def pocket_instance(rng, n, span):
+    """A triangulation on n points with half its inner edges dropped, then
+    outer edges removed, in one pass over the outer walk, whenever internal
+    3-connectivity holds and the outer walk stays a simple cycle. The graph
+    is internally but usually not 3-connected, so convexify takes its
+    buffer-path branch."""
+    from convexmorph.connectivity import is_internally_3connected
+
+    d = _drop_inner_edges(rng, _fixed_n_triangulation(rng, n, span), 0.5)
+    g = d.graph
+    walk = g.outer_walk()
+    k = len(walk)
+    outer = [(walk[i], walk[(i + 1) % k]) for i in range(k)]
+    rng.shuffle(outer)
+    for u, v in outer:
+        if not g.has_edge(u, v):
+            continue
+        if g.degree(u) < 3 or g.degree(v) < 3:
+            continue
+        try:
+            g2 = _remove_outer_edge(g, u, v)
+        except EmbeddingInvalid:
+            continue
+        w2 = g2.outer_walk()
+        if len(set(w2)) == len(w2) and is_internally_3connected(g2):
+            g = g2
+    return Drawing(g, d.coords)
+
+
+def _remove_outer_edge(g, u, v):
+    """remove_edge with the outer dart moved off (u, v) when it carried it."""
+    if set(g.outer_dart) != {u, v}:
+        return g.remove_edge(u, v)
+    walk = g.outer_walk()
+    k = len(walk)
+    dart = next((walk[i], walk[(i + 1) % k]) for i in range(k)
+                if {walk[i], walk[(i + 1) % k]} != {u, v})
+    return g.remove_edge(u, v, outer_dart=dart)

@@ -1,10 +1,23 @@
+import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
-from convexmorph.plane_graph import is_strictly_convex
-from convexmorph.steps import MorphSequence
+from convexmorph.plane_graph import (
+    Drawing,
+    NotPlanarInput,
+    build_plane_graph_from_points,
+    is_convex_outer,
+    is_strictly_convex,
+    rat,
+)
+from convexmorph.steps import Direction, MorphSequence
 from convexmorph.verify import (
     check_convexity_increasing,
     check_step_bounds,
@@ -12,10 +25,50 @@ from convexmorph.verify import (
 )
 
 from _instances import (
+    dent_instance,
     hidden_component_drawing,
+    pocket_instance,
     random_augment_instance,
     random_triangulation,
+    same_plane_graph,
 )
+
+
+def wheel_drawing(hub=(2, 2)):
+    """The wheel on a 4x4 square, its graph embedded with the hub at the
+    centre and drawn with the hub at the given point."""
+    corners = {1: (0, 0), 2: (4, 0), 3: (4, 4), 4: (0, 4)}
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (2, 5), (3, 5), (4, 5)]
+    embed = {v: (rat(x), rat(y)) for v, (x, y) in {**corners, 5: (2, 2)}.items()}
+    g = build_plane_graph_from_points(embed, edges)
+    return Drawing(g, {**embed, 5: (rat(hub[0]), rat(hub[1]))})
+
+
+def test_engine_imports_without_numpy_or_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, convexmorph.morph_engine, convexmorph.verify; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_convexify_rejects_crossing_edges():
+    # the hub outside the square: its spokes cross the square's sides
+    with pytest.raises(NotPlanarInput, match="cross"):
+        convexify(wheel_drawing(hub=(6, 2)))
+
+
+def test_convexify_rejects_unrealized_rotation():
+    # a mirror image is planar but turns every rotation around
+    d = wheel_drawing()
+    mirrored = d.with_coords({v: (-x, y) for v, (x, y) in d.coords.items()})
+    with pytest.raises(NotPlanarInput, match="embedding"):
+        convexify(mirrored)
 
 
 def test_convexify_rejects_input_that_is_not_internally_3connected():
@@ -42,3 +95,46 @@ def test_convexify_certified_on_convex_outer_input(seed):
     assert check_step_bounds(seq, "convex_outer")
     assert is_strictly_convex(seq.final)
     assert seq.final.graph == d.graph
+
+
+# dent: a 3-connected graph whose hull was pulled in (the 3-connected branch,
+# through pop_pocket); pockets: internally but not 3-connected (the buffer
+# branch, through pop_pocket and remove_buffer_vertex)
+FAMILIES = {"dent": (dent_instance, 20, "3conn"),
+            "pockets": (pocket_instance, 12, "general")}
+
+
+@functools.lru_cache(maxsize=None)
+def convexified(family, seed):
+    make, n, _ = FAMILIES[family]
+    d = make(random.Random(seed), n, 20)
+    return d, convexify(d)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_convexify_certified_on_hull_pocket_input(family, seed):
+    d, seq = convexified(family, seed)
+    assert not is_convex_outer(d)
+    assert three_connected(d.graph.adjacency()) == (family == "dent")
+    assert seq.step_count >= 1
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, FAMILIES[family][2])
+    assert is_strictly_convex(seq.final)
+    assert same_plane_graph(seq.final.graph, d.graph)
+
+
+def test_pocket_input_runs_every_redraw():
+    h, v = Direction.HORIZONTAL, Direction.VERTICAL
+    seen = {(step.direction, note)
+            for seed in range(6)
+            for step in convexified("pockets", seed)[1].steps
+            for note in step.provenance.split("; ")}
+    assert seen >= {(h, "convex redraw with straddle shear"),
+                    (v, "convex redraw with straddle shear"),
+                    (v, "pocket corner to the top"),
+                    (h, "pocket corners to the sides"),
+                    (v, "pocket path onto the hull"),
+                    (h, "absorb the new corner"),
+                    (v, "absorb the new corner")}

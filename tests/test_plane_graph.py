@@ -73,7 +73,7 @@ def test_rat_and_sign():
     assert rat(1, 3) + rat(2, 3) == 1
     assert sign_of(rat(-5, 7)) == -1
     assert sign_of(rat(0)) == 0
-    assert sign_of(1e-12) == 0
+    assert sign_of(1e-12) == 1
     assert sign_of(1e-3) == 1
     assert sign_of(-2.5) == -1
 

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from convexmorph.morph_engine import convexify
 from convexmorph.plane_graph import (
     Drawing,
     PreconditionViolated,
@@ -15,6 +17,8 @@ from convexmorph.steps import (
     MorphStep,
     SequenceBuilder,
 )
+
+from _instances import random_augment_instance
 
 
 def square_drawing():
@@ -166,12 +170,30 @@ def test_absorb_merges_at_seam():
         stale.absorb(MorphSequence(f, ()))
 
 
-def test_float_mode_midpoint():
-    coords = {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (4.0, 4.0), 4: (0.0, 4.0)}
+def test_float_input_enters_exactly():
+    # 0.1 enters as the binary fraction it denotes, not as 1/10
+    coords = {1: (0.1, 0.0), 2: (4.0, 0.0), 3: (4.0, 4.0), 4: (0.0, 4.0)}
     g = build_plane_graph_from_points(coords, [(1, 2), (2, 3), (3, 4), (4, 1)])
     d = Drawing(g, coords)
-    e = d.with_coords({v: (x + 2.0, y) for v, (x, y) in coords.items()})
-    step = MorphStep(Direction.HORIZONTAL, d, e)
-    mid = step.at(0.5)
-    assert mid.coords[1] == (1.0, 0.0)
-    assert mid.coords[3][1] == 4.0
+    assert d.coords[1] == (Fraction(0.1), 0)
+    assert d.coords[1][0] != Fraction(1, 10)
+    step = MorphStep(Direction.HORIZONTAL, d, shifted(d, dx=rat(1)))
+    third = step.at(Fraction(1, 3))
+    assert third.coords[1] == (Fraction(0.1) + Fraction(1, 3), 0)
+    assert third.coords[3] == (Fraction(13, 3), 4)
+
+    # a float copy of a drawing morphs exactly like its rational copy
+    exact = random_augment_instance(random.Random(0), 12, 16)
+    floats = {v: (float(x), float(y)) for v, (x, y) in exact.coords.items()}
+    rationals = {v: (Fraction(x), Fraction(y)) for v, (x, y) in floats.items()}
+    from_floats = convexify(Drawing(exact.graph, floats))
+    from_rationals = convexify(Drawing(exact.graph, rationals))
+    assert from_rationals.step_count >= 1
+
+    def events(seq):
+        return [(type(ev), ev.end.graph, ev.end.coords) for ev in seq.events]
+
+    assert events(from_floats) == events(from_rationals)
+    assert all(type(c) is type(rat(0))
+               for ev in from_floats.events
+               for p in ev.end.coords.values() for c in p)

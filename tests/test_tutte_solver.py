@@ -481,15 +481,6 @@ def test_polygon_for_y_square_chain():
     assert poly.coords[3] == (rat(0), rat(2))
 
 
-def test_polygon_for_y_scale():
-    y = {1: rat(0), 2: rat(1), 3: rat(2), 4: rat(1)}
-    poly = convex_polygon_for_y((1, 2, 3, 4), y, PolygonOptions(scale=rat(3)))
-    assert poly.coords[2][0] == rat(-3)
-    assert poly.coords[4][0] == rat(3)
-    with pytest.raises(ValueError):
-        convex_polygon_for_y((1, 2, 3, 4), y, PolygonOptions(scale=0))
-
-
 def test_polygon_for_y_monotonicity_errors():
     with pytest.raises(NotYMonotoneCycle):
         convex_polygon_for_y((1, 2, 3), {1: rat(0), 2: rat(2), 3: rat(2)})
@@ -535,14 +526,6 @@ def test_polygon_for_y_pins(pins):
         assert_unique_pin(poly, v, side)
 
 
-def test_polygon_for_y_pins_with_scale():
-    poly = convex_polygon_for_y(
-        HEX_CYCLE, HEX_Y, PolygonOptions(scale=rat(1, 2), pins=((3, "left"),)))
-    assert_unique_pin(poly, 3, "left")
-    for v in HEX_CYCLE:
-        assert poly.coords[v][1] == HEX_Y[v]
-
-
 def test_polygon_for_y_wrong_chain():
     with pytest.raises(WrongChain):
         convex_polygon_for_y(HEX_CYCLE, HEX_Y,
@@ -579,8 +562,7 @@ def test_polygon_for_y_random_cycles(data):
     pin_right = data.draw(st.sampled_from(right_opts))
     pins = tuple((v, s) for v, s in ((pin_left, "left"), (pin_right, "right"))
                  if v is not None)
-    scale = data.draw(st.sampled_from([1, rat(2), rat(1, 3)]))
-    options = PolygonOptions(scale=scale, pins=pins)
+    options = PolygonOptions(pins=pins)
 
     if pin_left is not None and pin_left == pin_right:
         with pytest.raises(ConstraintInfeasible):
