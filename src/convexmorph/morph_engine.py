@@ -57,6 +57,7 @@ from .plane_graph import (
     choose_safe_shear,
     convex_hull,
     drawing_is_planar,
+    integer_points,
     internal_reflex_angles,
     internal_reflex_count,
     is_convex_outer,
@@ -65,6 +66,7 @@ from .plane_graph import (
     shear,
     sign_of,
     sort_ccw,
+    unique_extreme,
     validate_drawing,
 )
 from .steps import Direction, GraphEdit, MorphSequence, MorphStep, SequenceBuilder
@@ -117,22 +119,15 @@ def _has_vertical_edge(d: Drawing) -> bool:
                for u, v in d.graph.edges())
 
 
-def _unique_extreme(d: Drawing, vtx: int, side: str) -> bool:
-    axis = 0 if side in ("left", "right") else 1
-    want = -1 if side in ("left", "bottom") else 1
-    pv = d.coords[vtx][axis]
-    return all(w == vtx or sign_of(pv - p[axis]) == want
-               for w, p in d.coords.items())
-
-
 def _rotations_realized(d: Drawing) -> bool:
     """Every stored rotation equals the angular order around its vertex."""
+    pts = integer_points(d.coords)
     for v, nbrs in d.graph.rotation.items():
         k = len(nbrs)
         if k <= 2:
             continue
-        pv = d.point(v)
-        dirs = [(d.coords[w][0] - pv[0], d.coords[w][1] - pv[1]) for w in nbrs]
+        pv = pts[v]
+        dirs = [(pts[w][0] - pv[0], pts[w][1] - pv[1]) for w in nbrs]
         order = sort_ccw(dirs)
         shift = order.index(0)
         if any(order[(shift + i) % k] != i for i in range(k)):
@@ -205,10 +200,11 @@ def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
         return lam
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
+    pts = integer_points(d.coords)
     for bits in (24, 32, 48, 64, 96):
         scale = 1 << bits
         cand = rat(round(lam * scale), scale)
-        if _shear_ok(d, axis, cand, cons):
+        if _shear_ok(d.graph, pts, axis, cand, cons):
             return cand
     return lam
 
@@ -430,7 +426,8 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
         side = "bottom"
     cur = _redraw_move(
         b, Direction.VERTICAL, poly1, "pocket corner to the top",
-        lambda dd: is_strictly_convex(dd) and _unique_extreme(dd, u, side),
+        lambda dd: is_strictly_convex(dd)
+        and unique_extreme(dd.coords, u, side),
         ShearConstraints(no_axis_parallel=True, keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
@@ -455,7 +452,7 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
         cur = _redraw_move(
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
             lambda dd: is_strictly_convex(dd)
-            and all(_unique_extreme(dd, w, s) for w, s in pins_used),
+            and all(unique_extreme(dd.coords, w, s) for w, s in pins_used),
             ShearConstraints(no_axis_parallel=True, keep_extreme=pins_used))
         if not _x_monotone(path, cur.coords):
             raise RuntimeError("pocket path still not monotone after "

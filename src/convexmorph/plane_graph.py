@@ -7,6 +7,18 @@ Coordinates live in a separate Drawing so one graph can be drawn many times.
 Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
 clockwise.
+
+Coordinates are exact rationals, but the sign tests over a whole drawing
+(planarity, face orientation, convexity, hull, rotations, shear choice) read
+its integer view: integer_points multiplies every coordinate by one positive
+integer L, the lcm of all their denominators, and returns Python-int pairs.
+A uniform positive scale multiplies every coordinate difference by L and
+every cross and dot product by L^2, so every orientation and dot-product
+sign, every order along an axis and every ratio of differences is the one of
+the rational drawing. Each predicate therefore decides exactly what it would
+decide on the rationals, and a rational it returns (a shear factor built
+from ratios of differences) is the same number. The integers cost no gcd per
+operation, and no float enters any predicate.
 """
 
 from __future__ import annotations
@@ -47,12 +59,40 @@ class PreconditionViolated(ValueError):
     """Input breaks a documented precondition of the operation."""
 
 
+_RATIONAL = type(_mpq(0))
+
+
 def rat(p, q=1):
-    """Exact rational scalar. A float becomes the rational it denotes."""
+    """Exact rational scalar p/q. A value that is already a rational is
+    returned unchanged (when q is 1); a float becomes the rational it
+    denotes."""
+    if isinstance(p, _RATIONAL) and q == 1:
+        return p
     if isinstance(p, float):
         num, den = p.as_integer_ratio()
         return _mpq(num, den) / q
     return _mpq(p, q)
+
+
+def integer_points(coords: Dict[int, Tuple]) -> Dict[int, Tuple[int, int]]:
+    """The integer view of coords: every coordinate times the lcm of all
+    their denominators, as a pair of ints per vertex. Every sign test over
+    the points decides the same on this view (see the module docstring)."""
+    pts = [(v, rat(p[0]), rat(p[1])) for v, p in coords.items()]
+    scale = math.lcm(*(c.denominator for _, x, y in pts for c in (x, y)))
+    return {v: (x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator))
+            for v, x, y in pts}
+
+
+def unique_extreme(coords: Dict[int, Tuple], vtx: int, side: str) -> bool:
+    """Is vtx strictly beyond every other point on side: 'left' or 'right'
+    (in x), 'bottom' or 'top' (in y)?"""
+    axis = 0 if side in ("left", "right") else 1
+    pv = coords[vtx][axis]
+    if side in ("left", "bottom"):
+        return all(w == vtx or pv < p[axis] for w, p in coords.items())
+    return all(w == vtx or pv > p[axis] for w, p in coords.items())
 
 
 def sign_of(v) -> int:
@@ -433,11 +473,12 @@ def all_angle_statuses(d: Drawing) -> Dict[AngleRef, AngleStatus]:
 def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
     """Reflex angles of inner faces, sorted by (apex vertex, face, pos)."""
     g = d.graph
+    ints = integer_points(d.coords)
     found = []
     for fi in g.inner_face_indices():
         walk = g.face_vertices(fi)
         k = len(walk)
-        pts = [d.point(v) for v in walk]
+        pts = [ints[v] for v in walk]
         for pos in range(k):
             st = angle_status_points(pts[(pos - 1) % k], pts[pos],
                                      pts[(pos + 1) % k])
@@ -454,9 +495,10 @@ def internal_reflex_count(d: Drawing) -> int:
 def is_strictly_convex(d: Drawing) -> bool:
     """Every inner angle strictly convex and every outer-face angle reflex."""
     g = d.graph
+    ints = integer_points(d.coords)
     outer = g.outer_face_index
     for fi, walk_darts in enumerate(g.faces):
-        walk = [d.point(t[0]) for t in walk_darts]
+        walk = [ints[t[0]] for t in walk_darts]
         k = len(walk)
         want_reflex = fi == outer
         for pos in range(k):
@@ -475,8 +517,8 @@ def is_strictly_convex(d: Drawing) -> bool:
 
 def is_convex_outer(d: Drawing) -> bool:
     """Outer face angles all at least pi (reflex or straight, measured outside)."""
-    g = d.graph
-    walk = [d.point(v) for v in g.outer_walk()]
+    ints = integer_points(d.coords)
+    walk = [ints[v] for v in d.graph.outer_walk()]
     k = len(walk)
     for pos in range(k):
         try:
@@ -495,7 +537,8 @@ def is_convex_outer(d: Drawing) -> bool:
 def convex_hull(d: Drawing) -> List[int]:
     """Hull vertex ids in counterclockwise order, keeping collinear boundary
     points. Deterministic start: lexicographically smallest point."""
-    pts = sorted(d.coords.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+    pts = sorted(integer_points(d.coords).items(),
+                 key=lambda kv: (kv[1][0], kv[1][1]))
     if len(pts) < 3:
         raise AllCollinear("fewer than three vertices")
     if all(orientation(pts[0][1], pts[1][1], p) == 0 for _, p in pts[2:]):
@@ -563,32 +606,38 @@ class ShearConstraints:
     keep_extreme: Tuple = ()
 
 
-def _shear_ok(d: Drawing, axis: str, lam, cons: ShearConstraints) -> bool:
-    d2 = shear(d, axis, lam)
-    g = d.graph
+def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: str,
+              lam, cons: ShearConstraints) -> bool:
+    """Does the shear by lam along axis of the integer view pts of a
+    drawing of g satisfy cons? For lam = a/b with b > 0 the sheared moving
+    coordinate m + lam*f is taken times b, as b*m + a*f: each test reads
+    the order along one axis only, which a positive scale of that axis
+    keeps."""
+    lam = rat(lam)
+    a, b = lam.numerator, lam.denominator
+    if axis == "x":
+        i = 0
+        sheared = {v: (b * x + a * y, y) for v, (x, y) in pts.items()}
+    elif axis == "y":
+        i = 1
+        sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
+    else:
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if cons.no_axis_parallel:
-        i = 0 if axis == "x" else 1
         for u, v in g.edges():
-            if sign_of(d2.coords[u][i] - d2.coords[v][i]) == 0:
+            if sheared[u][i] == sheared[v][i]:
                 return False
     if cons.make_straddle is not None:
         ref = cons.make_straddle
         walk = g.face_vertices(ref.face)
         k = len(walk)
-        a = d2.point(walk[(ref.pos - 1) % k])
-        v = d2.point(walk[ref.pos % k])
-        b = d2.point(walk[(ref.pos + 1) % k])
-        i = 0 if axis == "x" else 1
-        if sign_of(a[i] - v[i]) * sign_of(b[i] - v[i]) >= 0:
+        pa = sheared[walk[(ref.pos - 1) % k]][i]
+        pv = sheared[walk[ref.pos % k]][i]
+        pb = sheared[walk[(ref.pos + 1) % k]][i]
+        if sign_of(pa - pv) * sign_of(pb - pv) >= 0:
             return False
-    for vtx, side in cons.keep_extreme:
-        i = 0 if side in ("left", "right") else 1
-        want = -1 if side in ("left", "bottom") else 1
-        pv = d2.coords[vtx][i]
-        for w, p in d2.coords.items():
-            if w != vtx and sign_of(pv - p[i]) != want:
-                return False
-    return True
+    return all(unique_extreme(sheared, vtx, side)
+               for vtx, side in cons.keep_extreme)
 
 
 def choose_safe_shear(d: Drawing, axis: str,
@@ -601,46 +650,50 @@ def choose_safe_shear(d: Drawing, axis: str,
     passes."""
     cons = cons or ShearConstraints()
     g = d.graph
+    pts = integer_points(d.coords)
+    for lam in _shear_candidates(g, pts, axis, cons):
+        if _shear_ok(g, pts, axis, lam, cons):
+            return lam
+    raise NoValidShear(f"no usable shear along {axis}")
+
+
+def _shear_candidates(g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
+                      axis: str, cons: ShearConstraints):
+    """choose_safe_shear's candidates in the order tried. The critical
+    factors are gathered only once the ladder is spent."""
     one = rat(1)
+    yield from (one * 0, one, -one, one / 2, -one / 2, 2 * one, -2 * one,
+                one / 4, -one / 4, 4 * one, -4 * one)
     roots = []
-
-    def root_of(p_hi, p_lo):
-        # zero of (hi diff) + lam * (lo diff) for the sheared coordinate
-        if sign_of(p_lo) != 0:
-            roots.append(-p_hi / p_lo)
-
     i_mov, i_fix = (0, 1) if axis == "x" else (1, 0)
+
+    def root_of(u, w):
+        # zero in lam of the sheared moving-axis difference m + lam * f of
+        # u and w; the integer view scales m and f alike
+        f = pts[u][i_fix] - pts[w][i_fix]
+        if f:
+            roots.append(rat(pts[w][i_mov] - pts[u][i_mov], f))
+
     if cons.no_axis_parallel:
         for u, v in g.edges():
-            pu, pv = d.coords[u], d.coords[v]
-            root_of(pu[i_mov] - pv[i_mov], pu[i_fix] - pv[i_fix])
+            root_of(u, v)
     if cons.make_straddle is not None:
         ref = cons.make_straddle
         walk = g.face_vertices(ref.face)
         k = len(walk)
         vtx = walk[ref.pos % k]
         for w in (walk[(ref.pos - 1) % k], walk[(ref.pos + 1) % k]):
-            pw, pv = d.coords[w], d.coords[vtx]
-            root_of(pw[i_mov] - pv[i_mov], pw[i_fix] - pv[i_fix])
+            root_of(w, vtx)
     for vtx, _ in cons.keep_extreme:
-        pv = d.coords[vtx]
-        for w, pw in d.coords.items():
+        for w in pts:
             if w != vtx:
-                root_of(pv[i_mov] - pw[i_mov], pv[i_fix] - pw[i_fix])
-
-    candidates = [one * 0, one, -one, one / 2, -one / 2, 2 * one, -2 * one,
-                  one / 4, -one / 4, 4 * one, -4 * one]
+                root_of(vtx, w)
     if roots:
         rs = sorted(set(roots))
-        lo = rs[0] - one
-        candidates.append(lo)
+        yield rs[0] - one
         for a, b in zip(rs, rs[1:]):
-            candidates.append((a + b) / 2)
-        candidates.append(rs[-1] + one)
-    for lam in candidates:
-        if _shear_ok(d, axis, lam, cons):
-            return lam
-    raise NoValidShear(f"no usable shear along {axis}")
+            yield (a + b) / 2
+        yield rs[-1] + one
 
 
 # -- exact planarity ----------------------------------------------------------
@@ -685,23 +738,14 @@ def _segments_conflict(p1, p2, p3, p4, shared: int) -> bool:
     return False
 
 
-def _float_bound(v) -> float:
-    """float(v), or +-inf where v is beyond the float range. Rounding to the
-    nearest float is monotone, so bounding boxes compared as floats never
-    separate two exact boxes that meet."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) -> bool:
     """Exact pairwise check that the labeled segments only meet at shared
-    endpoint labels. Each entry is (point, point, (label_a, label_b))."""
+    endpoint labels. Each entry is (point, point, (label_a, label_b)), with
+    int or rational coordinates; drawing_is_planar passes integer views."""
     items = []
     for p, q, lab in segments:
-        xs = (_float_bound(p[0]), _float_bound(q[0]))
-        ys = (_float_bound(p[1]), _float_bound(q[1]))
+        xs = (p[0], q[0])
+        ys = (p[1], q[1])
         items.append((min(xs), max(xs), min(ys), max(ys), p, q, lab))
     items.sort(key=lambda t: t[0])
     active = []
@@ -726,14 +770,10 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
 
 def drawing_is_planar(g: PlaneGraph, coords: Dict[int, Tuple]) -> bool:
     """Exact straight-line planarity: distinct vertices, no edge conflicts."""
-    seen = {}
-    for v, p in coords.items():
-        key = (p[0], p[1])
-        if key in seen:
-            return False
-        seen[key] = v
-    segs = [(coords[u], coords[v], (u, v)) for u, v in g.edges()]
-    return segments_planar(segs)
+    pts = integer_points(coords)
+    if len(set(pts.values())) != len(pts):
+        return False
+    return segments_planar([(pts[u], pts[v], (u, v)) for u, v in g.edges()])
 
 
 def validate_drawing(d: Drawing, require_simple_faces: bool = True):
@@ -742,6 +782,7 @@ def validate_drawing(d: Drawing, require_simple_faces: bool = True):
     g = d.graph
     if not drawing_is_planar(g, d.coords):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
+    ints = integer_points(d.coords)
     outer = g.outer_face_index
     for fi, walk_darts in enumerate(g.faces):
         walk = [t[0] for t in walk_darts]
@@ -749,7 +790,7 @@ def validate_drawing(d: Drawing, require_simple_faces: bool = True):
             if require_simple_faces:
                 raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
             continue
-        pts = [d.point(v) for v in walk]
+        pts = [ints[v] for v in walk]
         area2 = sum(_cross(pts[i], pts[(i + 1) % len(pts)])
                     for i in range(len(pts)))
         s = sign_of(area2)
@@ -822,13 +863,14 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
                                   check: bool = True) -> PlaneGraph:
     """Embed a straight-line graph: rotations are angular orders, the outer
     face is found by signed area."""
+    pts = integer_points(coords)
     adj = {v: [] for v in coords}
     for u, v in edge_list:
         adj[u].append(v)
         adj[v].append(u)
     rotation = {}
     for v, nbrs in adj.items():
-        dirs = [_sub(coords[w], coords[v]) for w in nbrs]
+        dirs = [_sub(pts[w], pts[v]) for w in nbrs]
         order = sort_ccw(dirs)
         rotation[v] = tuple(nbrs[i] for i in order)
     some = next(iter(rotation))
@@ -838,9 +880,9 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
     # shoelace over the walk works with repeats; only the outer walk is negative
     negative = []
     for fi, walk_darts in enumerate(g.faces):
-        pts = [coords[t[0]] for t in walk_darts]
-        area2 = sum(_cross(pts[i], pts[(i + 1) % len(pts)])
-                    for i in range(len(pts)))
+        walk = [pts[t[0]] for t in walk_darts]
+        area2 = sum(_cross(walk[i], walk[(i + 1) % len(walk)])
+                    for i in range(len(walk)))
         if sign_of(area2) < 0:
             negative.append(fi)
     if len(negative) != 1:

@@ -24,9 +24,11 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
+    integer_points,
     orientation,
     rat,
     sign_of,
+    unique_extreme,
 )
 
 
@@ -95,7 +97,8 @@ class BoundaryPolygon:
         k = len(self.cycle)
         if k < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        pts = [self.coords[v] for v in self.cycle]
+        ints = integer_points(self.coords)
+        pts = [ints[v] for v in self.cycle]
         minima = 0
         for i in range(k):
             p, c, n = pts[(i - 1) % k], pts[i], pts[(i + 1) % k]
@@ -482,19 +485,9 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
             poly.validate()
         except ValueError:
             continue
-        if all(_is_unique_extreme(coords, v, side) for v, side in options.pins):
+        if all(unique_extreme(coords, v, side) for v, side in options.pins):
             return poly
     raise ConstraintInfeasible("no polygon found for the requested pins")
-
-
-def _is_unique_extreme(coords, v, side) -> bool:
-    if side in ("left", "right"):
-        axis, want = 0, (-1 if side == "left" else 1)
-    else:
-        axis, want = 1, (-1 if side == "bottom" else 1)
-    pv = coords[v][axis]
-    return all(w == v or sign_of(pv - p[axis]) == want
-               for w, p in coords.items())
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],

@@ -254,3 +254,123 @@ def ray_shoot_down(coords: Dict[int, Tuple], segments, start) -> Tuple:
         if best is None or y > best[0]:
             best = (y, kind)
     return best
+
+
+def brute_strictly_convex(coords: Dict[int, Tuple],
+                          face_walks: Sequence[Sequence[int]],
+                          outer: int) -> bool:
+    """Every inner face turns strictly left at each corner, and the outer
+    face walk (interior on its left, so clockwise) strictly right; a corner
+    where a walk folds back or repeats a point fails."""
+    pts = {v: _f(p) for v, p in coords.items()}
+    for fi, walk in enumerate(face_walks):
+        k = len(walk)
+        for i in range(k):
+            a, v, b = (pts[walk[(i - 1) % k]], pts[walk[i]],
+                       pts[walk[(i + 1) % k]])
+            if a == v or b == v:
+                return False
+            turn = _orient(a, v, b)
+            if turn != (-1 if fi == outer else 1):
+                return False
+    return True
+
+
+def _quadrant(d) -> int:
+    """0..3 for the quarter-turn (half-open, counterclockwise from the
+    positive x axis) that holds the nonzero direction d."""
+    x, y = d
+    if x > 0 and y >= 0:
+        return 0
+    if x <= 0 and y > 0:
+        return 1
+    if x < 0 and y <= 0:
+        return 2
+    return 3
+
+
+def _angle_less(a, b) -> bool:
+    """Is the angle of direction a, in [0, 2pi), smaller than that of b?"""
+    qa, qb = _quadrant(a), _quadrant(b)
+    if qa != qb:
+        return qa < qb
+    return a[0] * b[1] - a[1] * b[0] > 0
+
+
+def brute_rotations_realized(coords: Dict[int, Tuple],
+                             rotation: Dict[int, Sequence[int]]) -> bool:
+    """Each rotation of three or more neighbours, walked once around, turns
+    counterclockwise through exactly one full turn: the angle drops below
+    its predecessor exactly once. Assumes the edges at a vertex point in
+    distinct directions."""
+    pts = {v: _f(p) for v, p in coords.items()}
+    for v, nbrs in rotation.items():
+        k = len(nbrs)
+        if k <= 2:
+            continue
+        dirs = [(pts[w][0] - pts[v][0], pts[w][1] - pts[v][1]) for w in nbrs]
+        wraps = sum(_angle_less(dirs[(i + 1) % k], dirs[i]) for i in range(k))
+        if wraps != 1:
+            return False
+    return True
+
+
+def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
+                               no_axis_parallel=True, make_straddle=None,
+                               keep_extreme=()):
+    """The shear choice in plain Fraction arithmetic: the critical factors
+    -dm/df of every constrained pair, a fixed ladder of small factors, then
+    one factor below, between and above the critical ones; each candidate
+    shears every point and tests the constraints on the sheared
+    coordinates. Returns the first factor that passes, or None. g supplies
+    edges() and face_vertices(); make_straddle is (face, pos)."""
+    pts = {v: _f(p) for v, p in coords.items()}
+    i_mov, i_fix = (0, 1) if axis == "x" else (1, 0)
+    pairs = []
+    if no_axis_parallel:
+        pairs += list(g.edges())
+    if make_straddle is not None:
+        face, pos = make_straddle
+        walk = g.face_vertices(face)
+        k = len(walk)
+        apex = walk[pos % k]
+        pairs += [(walk[(pos - 1) % k], apex), (walk[(pos + 1) % k], apex)]
+    for vtx, _ in keep_extreme:
+        pairs += [(vtx, w) for w in pts if w != vtx]
+    roots = sorted({-(pts[u][i_mov] - pts[w][i_mov])
+                    / (pts[u][i_fix] - pts[w][i_fix])
+                    for u, w in pairs if pts[u][i_fix] != pts[w][i_fix]})
+    one = Fraction(1)
+    candidates = [Fraction(0), one, -one, one / 2, -one / 2, 2 * one,
+                  -2 * one, one / 4, -one / 4, 4 * one, -4 * one]
+    if roots:
+        candidates += ([roots[0] - 1]
+                       + [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+                       + [roots[-1] + 1])
+
+    for lam in candidates:
+        sheared = {v: ((x + lam * y, y) if axis == "x" else (x, y + lam * x))
+                   for v, (x, y) in pts.items()}
+        if no_axis_parallel and any(sheared[u][i_mov] == sheared[w][i_mov]
+                                    for u, w in g.edges()):
+            continue
+        if make_straddle is not None:
+            face, pos = make_straddle
+            walk = g.face_vertices(face)
+            k = len(walk)
+            a, v, b = (sheared[walk[(pos - 1) % k]][i_mov],
+                       sheared[walk[pos % k]][i_mov],
+                       sheared[walk[(pos + 1) % k]][i_mov])
+            if not (a < v < b or b < v < a):
+                continue
+        ok = True
+        for vtx, side in keep_extreme:
+            i = 0 if side in ("left", "right") else 1
+            low = side in ("left", "bottom")
+            for w, p in sheared.items():
+                if w != vtx and not (sheared[vtx][i] < p[i] if low
+                                     else sheared[vtx][i] > p[i]):
+                    ok = False
+        if ok:
+            return lam
+    return None

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
@@ -17,7 +19,7 @@ from convexmorph.plane_graph import (
     is_strictly_convex,
     rat,
 )
-from convexmorph.steps import Direction, MorphSequence
+from convexmorph.steps import Direction, MorphSequence, MorphStep
 from convexmorph.verify import (
     check_convexity_increasing,
     check_step_bounds,
@@ -138,3 +140,75 @@ def test_pocket_input_runs_every_redraw():
                     (v, "pocket path onto the hull"),
                     (h, "absorb the new corner"),
                     (v, "absorb the new corner")}
+
+
+def event_digest(seq):
+    """sha256 over every event of seq: its kind, direction and note, and
+    the end drawing's coordinates (by vertex), rotations and outer dart."""
+    h = hashlib.sha256()
+    for ev in seq.events:
+        if isinstance(ev, MorphStep):
+            head = ("step", ev.direction.value, ev.provenance)
+        else:
+            head = ("edit", None, ev.label)
+        d = ev.end
+        coords = [(v, str(x), str(y)) for v, (x, y) in sorted(d.coords.items())]
+        h.update(repr((head, coords, sorted(d.graph.rotation.items()),
+                       d.graph.outer_dart)).encode())
+    return h.hexdigest()
+
+
+def convex_outer_instance(rng, n, span):
+    return random_augment_instance(rng, n, n, span)
+
+
+# event_digest of convexify on two instances of each family (2, 2, 5, 5, 13
+# and 24 events): any change to an exact decision of the pipeline shows here
+GOLDEN = {
+    ("convex_outer", 0):
+        "e978e5232b2a08fd2dc2154463ce346153ea73c2595c8184c82e58a5f72476d9",
+    ("convex_outer", 1):
+        "971b36076ab271af5cd6bb2932a42a81b6e719040539e72d25f66d7b42e25d0b",
+    ("dent", 0):
+        "33cd74097ac218ec38df24883fc7279afe58ebf15f5d1c8c2d9c53267e6f1e87",
+    ("dent", 1):
+        "2430c44614db7d9b35773d402c16f1fa79d3d5f326ec5ab3c60abf13735376dd",
+    ("pockets", 0):
+        "f9fc8351402db1344e0fb3c5462b0768d1f4c5b4f06f5d8d1978933d1ef62bf4",
+    ("pockets", 1):
+        "807fbe0f54690e33974e1a1e63392acef4968715c578d50a9208a8a6a9449b44",
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN))
+def test_convexify_output_unchanged(family, seed):
+    if family == "convex_outer":
+        seq = convexify(convex_outer_instance(random.Random(seed), 14, 20))
+    else:
+        seq = convexified(family, seed)[1]
+    assert event_digest(seq) == GOLDEN[family, seed]
+
+
+SMALL = {"convex_outer": (convex_outer_instance, 10),
+         "dent": (dent_instance, 12),
+         "pockets": (pocket_instance, 10)}
+
+
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, 2 ** 32))
+@settings(max_examples=20, deadline=None)
+def test_convexify_certified_on_small_instances(family, seed):
+    make, n = SMALL[family]
+    d = make(random.Random(seed), n, 20)
+    # the step budget of the dispatcher branch the instance takes
+    if is_convex_outer(d):
+        mode = "convex_outer"
+    elif three_connected(d.graph.adjacency()):
+        mode = "3conn"
+    else:
+        mode = "general"
+    seq = convexify(d)
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, mode)
+    assert is_strictly_convex(seq.final)
+    assert same_plane_graph(seq.final.graph, d.graph)

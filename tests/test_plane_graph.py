@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convexmorph.plane_graph import (
     PlaneGraph,
@@ -35,7 +37,16 @@ from convexmorph.plane_graph import (
     NotPlanarInput,
 )
 
-from _oracles import brute_hull_boundary_ids, brute_planar
+from convexmorph.morph_engine import _rotations_realized
+from convexmorph.plane_graph import integer_points, sort_ccw
+
+from _oracles import (
+    brute_hull_boundary_ids,
+    brute_planar,
+    brute_rotations_realized,
+    brute_strictly_convex,
+    choose_safe_shear_fraction,
+)
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -269,6 +280,37 @@ def point_sets(draw, min_size=3, max_size=12):
     return {i + 1: p for i, p in enumerate(pts)}
 
 
+BEYOND_FLOAT = 2 ** 1100
+
+
+@st.composite
+def rational_point_sets(draw, min_size=3, max_size=10):
+    """point_sets moved off the lattice. About one coordinate in four gets
+    an offset of less than 1/2 with its own denominator, small or up to
+    2^200; a third of the sets are shifted beyond the float range. Lattice
+    points stay distinct, and the unmoved coordinates keep the lattice's
+    collinear and axis-parallel configurations."""
+    base = draw(point_sets(min_size, max_size))
+    shift = draw(st.sampled_from([0, BEYOND_FLOAT, -BEYOND_FLOAT]))
+    dens = st.one_of(st.integers(2, 12), st.integers(2, 2 ** 200))
+
+    def coord(c):
+        value = Fraction(c + shift)
+        if draw(st.integers(0, 3)) == 0:
+            q = draw(dens)
+            half = (q - 1) // 2
+            value += Fraction(draw(st.integers(-half, half)), q)
+        return value
+
+    return {v: (coord(x), coord(y)) for v, (x, y) in base.items()}
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 2 ** 200),
+                               st.integers(1, 2 ** 200))
+rationals = st.builds(Fraction, st.integers(-2 ** 1200, 2 ** 1200),
+                      st.integers(1, 2 ** 200))
+
+
 @given(point_sets())
 @settings(max_examples=120, deadline=None)
 def test_hull_matches_brute_boundary(coords):
@@ -408,8 +450,9 @@ def test_segments_planar_beyond_float_range():
     assert segments_planar(apart)
 
 
-@given(point_sets(min_size=4, max_size=8), st.randoms())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(point_sets(min_size=4, max_size=8),
+                 rational_point_sets(min_size=4, max_size=8)), st.randoms())
+@settings(max_examples=120, deadline=None)
 def test_planarity_matches_brute_oracle(coords, rng):
     ids = sorted(coords)
     pool = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
@@ -508,3 +551,167 @@ def test_fan_triangulation_properties(coords):
     assert is_strictly_convex(d)
     assert tuple(reversed(g.outer_walk())) in {
         tuple(strict[i:] + strict[:i]) for i in range(k)}
+
+
+# -- the integer view ------------------------------------------------------
+#
+# Most tests above draw lattice points, where the integer view's scale is 1.
+# These, like test_planarity_matches_brute_oracle, draw rational_point_sets
+# and compare each predicate with a Fraction oracle.
+
+
+def test_integer_points_scale_by_the_lcm():
+    pts = integer_points({1: (rat(1, 6), 2), 2: (rat(-3, 4), rat(5, 9))})
+    assert pts == {1: (6, 72), 2: (-27, 20)}
+    assert all(type(c) is int for p in pts.values() for c in p)
+    assert integer_points({1: (0.5, 3)}) == {1: (1, 6)}
+
+
+def _strict_hull_order(coords):
+    """Ids of the strict corners of the hull of coords, counterclockwise,
+    or None when the points are collinear."""
+    ids = sorted(coords)
+    everyone = PlaneGraph({v: tuple(w for w in ids if w != v) for v in ids},
+                          (ids[0], ids[1]), check=False)
+    try:
+        hull = convex_hull(Drawing(everyone, coords))
+    except AllCollinear:
+        return None
+    k = len(hull)
+    return [v for i, v in enumerate(hull)
+            if orientation(coords[hull[i - 1]], coords[v],
+                           coords[hull[(i + 1) % k]]) != 0]
+
+
+def _cycle_case(coords, rng):
+    """A cycle through the points, in hull order (a convex polygon) or
+    shuffled, with random shear constraints on it."""
+    order = _strict_hull_order(coords) or sorted(coords)
+    if rng.random() < 0.5:
+        order = sorted(coords)
+        rng.shuffle(order)
+    d = cycle_graph([coords[v] for v in order])
+    g = d.graph
+    straddle = keep = None
+    if rng.random() < 0.5:
+        face = rng.randrange(len(g.faces))
+        straddle = AngleRef(face, rng.randrange(len(g.faces[face])))
+    if rng.random() < 0.5:
+        keep = ((rng.choice(g.vertices),
+                 rng.choice(["left", "right", "bottom", "top"])),)
+    cons = ShearConstraints(no_axis_parallel=rng.random() < 0.7,
+                            make_straddle=straddle, keep_extreme=keep or ())
+    return d, cons
+
+
+def _star(coords, rng):
+    """The star from the lowest id to every other point, its rotation in
+    counterclockwise order up to a random start, and half the time with
+    two spokes swapped; None when two spokes point the same way."""
+    hub, *spokes = sorted(coords)
+    dirs = [(coords[w][0] - coords[hub][0], coords[w][1] - coords[hub][1])
+            for w in spokes]
+    for i, a in enumerate(dirs):
+        for b in dirs[i + 1:]:
+            if a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0:
+                return None
+    order = [spokes[i] for i in sort_ccw(dirs)]
+    shift = rng.randrange(len(order))
+    order = order[shift:] + order[:shift]
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(len(order)), 2)
+        order[i], order[j] = order[j], order[i]
+    rotation = {hub: tuple(order), **{w: (hub,) for w in spokes}}
+    return Drawing(PlaneGraph(rotation, (hub, order[0]), check=False), coords)
+
+
+def _shear_or_none(d, axis, cons):
+    try:
+        return choose_safe_shear(d, axis, cons)
+    except NoValidShear:
+        return None
+
+
+@given(rational_point_sets(), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_strict_convexity_matches_fraction_oracle(coords, rng):
+    d, _ = _cycle_case(coords, rng)
+    g = d.graph
+    walks = [g.face_vertices(i) for i in range(len(g.faces))]
+    assert is_strictly_convex(d) == brute_strictly_convex(
+        d.coords, walks, g.outer_face_index)
+
+
+@given(rational_point_sets(min_size=4), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_rotations_realized_matches_fraction_oracle(coords, rng):
+    d = _star(coords, rng)
+    assume(d is not None)
+    assert _rotations_realized(d) == brute_rotations_realized(
+        d.coords, d.graph.rotation)
+
+
+@given(rational_point_sets(max_size=8), st.randoms(), st.sampled_from("xy"))
+@settings(max_examples=60, deadline=None)
+def test_choose_safe_shear_matches_fraction_oracle(coords, rng, axis):
+    d, cons = _cycle_case(coords, rng)
+    straddle = cons.make_straddle
+    assert _shear_or_none(d, axis, cons) == choose_safe_shear_fraction(
+        d.graph, d.coords, axis, cons.no_axis_parallel,
+        straddle and (straddle.face, straddle.pos), cons.keep_extreme)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(rational_point_sets(max_size=8), st.randoms(), positive_rationals,
+       rationals, rationals)
+@settings(max_examples=40, deadline=None)
+def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
+                                                          tx, ty):
+    d, cons = _cycle_case(coords, rng)
+    star = _star(coords, rng)
+
+    def answers(d, star):
+        return (drawing_is_planar(d.graph, d.coords),
+                _outcome(validate_drawing, d),
+                is_strictly_convex(d),
+                is_convex_outer(d),
+                _outcome(internal_reflex_angles, d),
+                _outcome(convex_hull, d),
+                _shear_or_none(d, "x", cons),
+                _shear_or_none(d, "y", cons),
+                star is None or _rotations_realized(star))
+
+    def moved(d):
+        return d and d.with_coords({v: (s * x + tx, s * y + ty)
+                                    for v, (x, y) in d.coords.items()})
+
+    assert answers(d, star) == answers(moved(d), moved(star))
+
+
+def test_predicates_beyond_float_range():
+    # k4 scaled by 2^1100 and shifted: no coordinate converts to a float,
+    # and the centre sits 2^-1000 (before scaling) off the bottom side
+    big = rat(2 ** 1100)
+    shift = big + rat(1, 3)
+    base = k4()
+
+    def drawn(centre_y):
+        coords = {**base.coords, 4: (rat(2), centre_y)}
+        return base.with_coords({v: (big * x + shift, big * y - shift)
+                                 for v, (x, y) in coords.items()})
+
+    inside = drawn(rat(1, 2 ** 1000))
+    with pytest.raises(OverflowError):
+        float(inside.x(1))
+    assert drawing_is_planar(inside.graph, inside.coords)
+    assert is_strictly_convex(inside)
+    for centre_y in (rat(0), rat(-1, 2 ** 1000)):
+        outside = drawn(centre_y)
+        assert not drawing_is_planar(outside.graph, outside.coords)
+        assert not is_strictly_convex(outside)
