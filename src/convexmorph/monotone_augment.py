@@ -28,7 +28,6 @@ from .plane_graph import (
     PreconditionViolated,
     drawing_is_planar,
     orientation,
-    sign_of,
 )
 
 
@@ -69,7 +68,7 @@ class AugmentingEdge:
 
 def _check_no_horizontal(d: Drawing, exc):
     for u, v in d.graph.edges():
-        if sign_of(d.y(u) - d.y(v)) == 0:
+        if d.y(u) == d.y(v):
             raise exc(f"horizontal edge ({u},{v})")
 
 
@@ -90,7 +89,7 @@ def _first_hit(coords, walk, j):
             continue
         m = (q[1] - p[1]) / (q[0] - p[0])
         y_at = p[1] + (xu - p[0]) * m
-        if sign_of(y_at - yu) >= 0:
+        if y_at >= yu:
             continue
         key = (y_at, -m)
         if best is None or key > best:
@@ -106,7 +105,7 @@ def _descend(coords, walk, edge_idx):
     minimum. Returns (v, darts walked, arrived_in_walk_direction)."""
     k = len(walk)
     p, q = walk[edge_idx], walk[(edge_idx + 1) % k]
-    forward = sign_of(coords[q][1] - coords[p][1]) < 0
+    forward = coords[q][1] < coords[p][1]
     if forward:
         pos, step, darts = (edge_idx + 1) % k, 1, [(p, q)]
     else:
@@ -114,7 +113,7 @@ def _descend(coords, walk, edge_idx):
     while True:
         cur = walk[pos]
         nxt = walk[(pos + step) % k]
-        if sign_of(coords[nxt][1] - coords[cur][1]) > 0:
+        if coords[nxt][1] > coords[cur][1]:
             return cur, tuple(darts), forward
         darts.append((cur, nxt))
         pos = (pos + step) % k
@@ -127,9 +126,9 @@ def _reflex_minima(g: PlaneGraph, coords):
         k = len(walk)
         for j in range(k):
             u, a, b = walk[j], walk[j - 1], walk[(j + 1) % k]
-            if sign_of(coords[a][1] - coords[u][1]) <= 0:
+            if coords[a][1] <= coords[u][1]:
                 continue
-            if sign_of(coords[b][1] - coords[u][1]) <= 0:
+            if coords[b][1] <= coords[u][1]:
                 continue
             if orientation(coords[a], coords[u], coords[b]) == -1:
                 yield f, j

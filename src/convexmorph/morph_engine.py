@@ -110,12 +110,12 @@ def _xmap(d: Drawing) -> Dict[int, object]:
 
 
 def _has_horizontal_edge(d: Drawing) -> bool:
-    return any(sign_of(d.coords[u][1] - d.coords[v][1]) == 0
+    return any(d.coords[u][1] == d.coords[v][1]
                for u, v in d.graph.edges())
 
 
 def _has_vertical_edge(d: Drawing) -> bool:
-    return any(sign_of(d.coords[u][0] - d.coords[v][0]) == 0
+    return any(d.coords[u][0] == d.coords[v][0]
                for u, v in d.graph.edges())
 
 
@@ -306,11 +306,15 @@ def morph_B(d: Drawing, precheck: bool = True) -> Tuple[MorphStep, Drawing]:
     reflex angle has face neighbors on both sides of its apex in x."""
     mid = morph_A(d, precheck=precheck).end
     reflex = internal_reflex_angles(mid)
-    target = None
-    if reflex and not any(ReflexKind.V_REFLEX in st.subtypes
-                          for _, st in reflex):
-        target = reflex[0][0]
-    if target is not None or _has_vertical_edge(mid):
+    straddling = [ref for ref, st in reflex
+                  if ReflexKind.V_REFLEX in st.subtypes]
+    # the next vertical move retires an angle only if it straddles its apex
+    # in x, so a shear that clears vertical edges must keep one straddling
+    if straddling:
+        target = straddling[0]
+    else:
+        target = reflex[0][0] if reflex else None
+    if (reflex and not straddling) or _has_vertical_edge(mid):
         cons = ShearConstraints(no_axis_parallel=True, make_straddle=target)
         end = _safe_shear(mid, "x", cons)
     else:
@@ -386,9 +390,9 @@ def _pocket_path(g: PlaneGraph, u: int, v: int) -> Tuple[int, ...]:
 
 
 def _x_monotone(path: Sequence[int], coords) -> bool:
-    signs = {sign_of(coords[path[i + 1]][0] - coords[path[i]][0])
-             for i in range(len(path) - 1)}
-    return 0 not in signs and len(signs) == 1
+    xs = [coords[v][0] for v in path]
+    steps = list(zip(xs, xs[1:]))
+    return all(a < b for a, b in steps) or all(a > b for a, b in steps)
 
 
 def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,

@@ -280,14 +280,62 @@ def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
     return rows, rhs
 
 
+def tutte_rows_from_y(g: PlaneGraph, y: Dict[int, object],
+                      boundary_x: Dict[int, object]):
+    """Integer rows of the pinned system with weights_from_y's weights, and
+    their x right-hand sides; boundary_x maps each boundary vertex to its x.
+
+    On the integer view Y of y, let an internal vertex u have U neighbors
+    above, with heights summing to Su, and D below, summing to Sd, and let
+    delta = D*Su - U*Sd > 0. Its row
+
+        delta*x_u - sum_up (D*Y_u - Sd)*x_v - sum_down (Su - U*Y_u)*x_v
+
+    is weights_from_y's row times delta, so the system has the same
+    solution, and solve_rows pivots in the same order on it."""
+    yden = math.lcm(*(c.denominator for c in y.values()))
+    ys = {v: c.numerator * (yden // c.denominator) for v, c in y.items()}
+    bden = math.lcm(*(c.denominator for c in boundary_x.values()))
+    bx = {v: c.numerator * (bden // c.denominator)
+          for v, c in boundary_x.items()}
+    rows = {}
+    rhs = {}
+    for u, nbrs in g.rotation.items():
+        if u in bx:
+            continue
+        yu = ys[u]
+        up = [v for v in nbrs if ys[v] > yu]
+        down = [v for v in nbrs if ys[v] < yu]
+        if len(up) + len(down) != len(nbrs):
+            raise PreconditionViolated(f"horizontal edge at {u}")
+        if not up:
+            raise NoNeighborAbove(f"vertex {u}")
+        if not down:
+            raise NoNeighborBelow(f"vertex {u}")
+        s_up = sum(ys[v] for v in up)
+        s_down = sum(ys[v] for v in down)
+        w_up = len(down) * yu - s_down
+        w_down = s_up - len(up) * yu
+        row = {u: len(down) * s_up - len(up) * s_down}
+        b = 0
+        for vs, w in ((up, w_up), (down, w_down)):
+            for v in vs:
+                if v in bx:
+                    b += w * bx[v]
+                else:
+                    row[v] = -w
+        rows[u] = row
+        rhs[u] = [rat(b, bden)]
+    return rows, rhs
+
+
 def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
-                         weights: WeightAssignment):
+                         internal):
     """Raise ValueError unless boundary is a strictly convex polygon on the
-    outer walk of g and the weights cover exactly the other vertices."""
+    outer walk of g and internal holds exactly the other vertices."""
     boundary.validate()
     if not boundary.matches_outer_walk(g):
         raise ValueError("boundary cycle does not match the outer walk")
-    internal = weights.internal_vertices()
     expected = set(g.rotation) - set(boundary.cycle)
     if internal != expected:
         raise ValueError("weights do not cover exactly the internal vertices")
@@ -296,7 +344,7 @@ def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
 def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
                 weights: WeightAssignment) -> Drawing:
     """Solve the pinned barycentric system for both coordinates."""
-    _check_pinned_system(g, boundary, weights)
+    _check_pinned_system(g, boundary, weights.internal_vertices())
     rows, rhs = tutte_rows(g, weights, boundary.coords)
     sol = solve_rows(rows, rhs)
     coords = dict(boundary.coords)
@@ -308,16 +356,17 @@ def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
 def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
     """Redraw onto a new boundary polygon without changing any y coordinate.
 
-    The weights come from y, so the y system would reproduce y exactly; only
-    the x right-hand side is solved, and every y is kept bit for bit."""
+    The weights come from y (tutte_rows_from_y), so the y system would
+    reproduce y exactly; only x is solved, and every y is kept bit for
+    bit."""
     y = {v: p[1] for v, p in d.coords.items()}
     for v in boundary.cycle:
-        if sign_of(boundary.coords[v][1] - y[v]) != 0:
+        if boundary.coords[v][1] != y[v]:
             raise PreconditionViolated(f"boundary changes y of {v}")
-    w = weights_from_y(d.graph, y)
-    _check_pinned_system(d.graph, boundary, w)
-    rows, rhs = tutte_rows(d.graph, w, boundary.coords)
-    sol = solve_rows(rows, {u: vals[:1] for u, vals in rhs.items()})
+    rows, rhs = tutte_rows_from_y(
+        d.graph, y, {v: p[0] for v, p in boundary.coords.items()})
+    _check_pinned_system(d.graph, boundary, set(rows))
+    sol = solve_rows(rows, rhs)
     coords = {v: (p[0], y[v]) for v, p in boundary.coords.items()}
     for u, (x,) in sol.items():
         coords[u] = (x, y[u])
@@ -404,20 +453,25 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
                          ) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving y.
 
-    Default shape is the parabola pair x = -+ s(y - ymin)(ymax - y). Pins make
-    a vertex the unique leftmost or rightmost; a pinned vertex must lie on the
-    matching chain (or be the bottom/top vertex)."""
+    Default shape is the parabola pair x = -+ (y - ymin)(ymax - y)/(ymax -
+    ymin). Dividing by the span keeps every x within a quarter of the span
+    of y; without it x is of the order of the span squared, and since
+    horizontal and vertical redraws alternate, each transposed call would
+    square the magnitude again. Pins make a vertex the unique leftmost or
+    rightmost; a pinned vertex must lie on the matching chain (or be the
+    bottom/top vertex)."""
     options = options or PolygonOptions()
     left, right = _split_chains(cycle, y)
     bot, top = left[0], left[-1]
 
     if not options.pins:
         y0, yT = y[bot], y[top]
+        span = yT - y0
         coords = {}
         for v in left:
-            coords[v] = (-(y[v] - y0) * (yT - y[v]), y[v])
+            coords[v] = (-(y[v] - y0) * (yT - y[v]) / span, y[v])
         for v in right[1:-1]:
-            coords[v] = ((y[v] - y0) * (yT - y[v]), y[v])
+            coords[v] = ((y[v] - y0) * (yT - y[v]) / span, y[v])
         poly = BoundaryPolygon(tuple(cycle), coords)
         poly.validate()
         return poly

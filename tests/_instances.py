@@ -156,32 +156,34 @@ def dent_instance(rng, n, span, max_pulls=8):
     return Drawing(build_plane_graph_from_points(coords, edges), coords)
 
 
-def pocket_instance(rng, n, span):
+def pocket_instance(rng, n, span, passes=1):
     """A triangulation on n points with half its inner edges dropped, then
-    outer edges removed, in one pass over the outer walk, whenever internal
-    3-connectivity holds and the outer walk stays a simple cycle. The graph
-    is internally but usually not 3-connected, so convexify takes its
-    buffer-path branch."""
+    outer edges removed whenever internal 3-connectivity holds and the outer
+    walk stays a simple cycle; each of the passes goes once over the outer
+    walk as it stands when the pass starts. The graph is internally but
+    usually not 3-connected, so convexify takes its buffer-path branch.
+    More passes cut deeper pockets."""
     from convexmorph.connectivity import is_internally_3connected
 
     d = _drop_inner_edges(rng, _fixed_n_triangulation(rng, n, span), 0.5)
     g = d.graph
-    walk = g.outer_walk()
-    k = len(walk)
-    outer = [(walk[i], walk[(i + 1) % k]) for i in range(k)]
-    rng.shuffle(outer)
-    for u, v in outer:
-        if not g.has_edge(u, v):
-            continue
-        if g.degree(u) < 3 or g.degree(v) < 3:
-            continue
-        try:
-            g2 = _remove_outer_edge(g, u, v)
-        except EmbeddingInvalid:
-            continue
-        w2 = g2.outer_walk()
-        if len(set(w2)) == len(w2) and is_internally_3connected(g2):
-            g = g2
+    for _ in range(passes):
+        walk = g.outer_walk()
+        k = len(walk)
+        outer = [(walk[i], walk[(i + 1) % k]) for i in range(k)]
+        rng.shuffle(outer)
+        for u, v in outer:
+            if not g.has_edge(u, v):
+                continue
+            if g.degree(u) < 3 or g.degree(v) < 3:
+                continue
+            try:
+                g2 = _remove_outer_edge(g, u, v)
+            except EmbeddingInvalid:
+                continue
+            w2 = g2.outer_walk()
+            if len(set(w2)) == len(w2) and is_internally_3connected(g2):
+                g = g2
     return Drawing(g, d.coords)
 
 

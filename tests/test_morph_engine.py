@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexmorph import morph_engine
 from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
 from convexmorph.plane_graph import (
@@ -142,6 +143,48 @@ def test_pocket_input_runs_every_redraw():
                     (v, "absorb the new corner")}
 
 
+# After morph_A, one reflex angle already straddles its apex in x, and
+# an edge is vertical. The shear that clears the vertical edge used to be
+# free to end the straddle, and the next vertical move then retired nothing
+# ("alternating move failed to retire a reflex angle").
+@pytest.mark.parametrize("seed", [80, 94])
+def test_convexify_keeps_the_straddle_through_the_shear(seed):
+    d = convex_outer_instance(random.Random(seed), 10, 20)
+    assert is_convex_outer(d)
+    seq = convexify(d)
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, "convex_outer")
+    assert is_strictly_convex(seq.final)
+
+
+# Deep pockets: three passes of outer-edge removal at n = 40. With a
+# default polygon whose width grew with the square of its span, seed 3006
+# raised "no polygon separates the pocket corners" and seed 3009 ran for
+# minutes while its coordinates grew to hundreds of thousands of bits.
+@pytest.mark.parametrize("seed", [3006, 3009])
+def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
+    redraws = []
+    compact = morph_engine._compact
+
+    def spy(d, direction, require):
+        out = compact(d, direction, require)
+        redraws.append(out is not d)
+        return out
+
+    monkeypatch.setattr(morph_engine, "_compact", spy)
+    d = pocket_instance(random.Random(seed), 40, 30, passes=3)
+    assert not three_connected(d.graph.adjacency())
+    seq = convexify(d)
+    # every redraw emitted a snapped drawing, never the exact solution
+    assert redraws and all(redraws)
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, "general")
+    assert is_strictly_convex(seq.final)
+    assert same_plane_graph(seq.final.graph, d.graph)
+
+
 def event_digest(seq):
     """sha256 over every event of seq: its kind, direction and note, and
     the end drawing's coordinates (by vertex), rotations and outer dart."""
@@ -166,17 +209,17 @@ def convex_outer_instance(rng, n, span):
 # and 24 events): any change to an exact decision of the pipeline shows here
 GOLDEN = {
     ("convex_outer", 0):
-        "e978e5232b2a08fd2dc2154463ce346153ea73c2595c8184c82e58a5f72476d9",
+        "9c3f7eb14586ca69645d69c0a2d46bed1dc6661ebc9717a1092ef769d301d665",
     ("convex_outer", 1):
-        "971b36076ab271af5cd6bb2932a42a81b6e719040539e72d25f66d7b42e25d0b",
+        "b57a10c9fd699a7a422b05d9295b953cfb40ad9fd3f67e9ce94e25298b58052f",
     ("dent", 0):
-        "33cd74097ac218ec38df24883fc7279afe58ebf15f5d1c8c2d9c53267e6f1e87",
+        "519928eedfe52e772208eead795bd6e182af6647aa5d6cdbb4932e240eb3a5c1",
     ("dent", 1):
-        "2430c44614db7d9b35773d402c16f1fa79d3d5f326ec5ab3c60abf13735376dd",
+        "675ad1d00c43dd44aa1227d5348f56f9344e2f0ab07e55604d2829c4bb7c317d",
     ("pockets", 0):
-        "f9fc8351402db1344e0fb3c5462b0768d1f4c5b4f06f5d8d1978933d1ef62bf4",
+        "1e236ec56b85234d4555746c442e196401cbecf8836f6422472b1ba829d95321",
     ("pockets", 1):
-        "807fbe0f54690e33974e1a1e63392acef4968715c578d50a9208a8a6a9449b44",
+        "4206b5a5d7f8117709e90ba4dcdb0ea2ac0f26eb9122c979a272fde1329d5444",
 }
 
 

@@ -1,3 +1,4 @@
+import numbers
 import random
 from fractions import Fraction
 
@@ -30,10 +31,13 @@ from convexmorph.tutte_solver import (
     solve_rows,
     solve_tutte,
     tutte_rows,
+    tutte_rows_from_y,
     weights_from_y,
 )
+from convexmorph import morph_engine, tutte_solver
+from convexmorph.morph_engine import _GRID_BITS, _polygon_preserving_x
 
-from _instances import random_triangulation
+from _instances import pocket_instance, random_augment_instance, random_triangulation
 from _oracles import solve_dense_fraction
 
 
@@ -425,6 +429,106 @@ def test_redraw_preserving_x_contract():
             assert out.x(v) == td.x(v)
 
 
+def weight_rows_x(d, boundary):
+    """The x rows and right-hand sides of redraw_preserving_y's system, built
+    from weights_from_y in Fractions: the oracle of tutte_rows_from_y."""
+    w = weights_from_y(d.graph, {v: p[1] for v, p in d.coords.items()})
+    rows, rhs = tutte_rows(d.graph, w, boundary.coords)
+    return rows, {u: vals[:1] for u, vals in rhs.items()}
+
+
+def engine_redraw_systems(monkeypatch):
+    """(drawing, boundary, transposed) of every redraw convexify makes on a
+    few small instances. morph_engine calls redraw_preserving_y for its
+    horizontal redraws; its vertical ones reach the module's own binding
+    through redraw_preserving_x, on the transposed drawing."""
+    calls = []
+    real = tutte_solver.redraw_preserving_y
+
+    def spy(transposed):
+        def redraw(d, boundary):
+            calls.append((d, boundary, transposed))
+            return real(d, boundary)
+        return redraw
+
+    monkeypatch.setattr(morph_engine, "redraw_preserving_y", spy(False))
+    monkeypatch.setattr(tutte_solver, "redraw_preserving_y", spy(True))
+    for seed in range(3):
+        morph_engine.convexify(pocket_instance(random.Random(seed), 12, 20))
+        morph_engine.convexify(
+            random_augment_instance(random.Random(seed), 10, 10, 20))
+    return calls
+
+
+def test_integer_rows_match_weight_rows(monkeypatch):
+    calls = engine_redraw_systems(monkeypatch)
+    assert {t for _, _, t in calls} == {False, True}
+    assert any(len(b.cycle) < len(d.graph.rotation) for d, b, _ in calls)
+    for d, boundary, _ in calls:
+        bx = {v: p[0] for v, p in boundary.coords.items()}
+        y = {v: p[1] for v, p in d.coords.items()}
+        rows, rhs = tutte_rows_from_y(d.graph, y, bx)
+        o_rows, o_rhs = weight_rows_x(d, boundary)
+        assert rows.keys() == o_rows.keys()
+        for u, row in rows.items():
+            assert all(isinstance(c, numbers.Integral) for c in row.values())
+            # a positive multiple of the weight row, right-hand side too
+            k = row[u] / o_rows[u][u]
+            assert k > 0
+            assert row == {v: k * c for v, c in o_rows[u].items()}
+            assert rhs[u] == [k * o_rhs[u][0]]
+        sol = solve_rows(rows, rhs)
+        assert sol == solve_rows(o_rows, o_rhs)
+        out = redraw_preserving_y(d, boundary)
+        assert {u: out.x(u) for u in sol} == {u: x for u, (x,) in sol.items()}
+
+
+def test_integer_rows_errors_match_weights():
+    g = k4_drawing().graph
+    bx = {v: rat(0) for v in g.outer_walk()}
+    for y, exc in (({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(3)},
+                    NoNeighborAbove),
+                   ({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(-1)},
+                    NoNeighborBelow),
+                   ({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(1)},
+                    PreconditionViolated)):
+        with pytest.raises(exc):
+            tutte_rows_from_y(g, y, bx)
+        with pytest.raises(exc):
+            weights_from_y(g, y)
+
+
+def coord_bits(coords):
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for p in coords.values() for c in p)
+
+
+def test_alternating_default_polygons_keep_coordinates_short():
+    # The default polygon for y, then its transpose for x, as horizontal and
+    # vertical redraws alternate. Between calls the new coordinate is
+    # sheared by 1/4 (so that no two vertices are level on the next fixed
+    # axis) and snapped to the first grid of the engine's _compact, as each
+    # redraw's output is. A polygon whose width grows with the square of its
+    # span would double the bits at every call.
+    grid = 1 << _GRID_BITS[0]
+
+    def snap(c):
+        return rat(round(c * grid), grid)
+
+    cycle = (1, 2, 3, 4, 5, 6)
+    coords = {v: (rat(x), rat(y)) for v, (x, y) in {
+        1: (0, 0), 2: (-3, 2), 3: (-2, 7), 4: (2, 9), 5: (5, 6),
+        6: (4, 1)}.items()}
+    limit = coord_bits(coords) + _GRID_BITS[0] + 4
+    for _ in range(6):
+        poly = convex_polygon_for_y(cycle, {v: p[1] for v, p in coords.items()})
+        coords = {v: (snap(x + y / 4), y) for v, (x, y) in poly.coords.items()}
+        assert coord_bits(coords) <= limit
+        poly = _polygon_preserving_x(cycle, {v: p[0] for v, p in coords.items()})
+        coords = {v: (x, snap(y + x / 4)) for v, (x, y) in poly.coords.items()}
+        assert coord_bits(coords) <= limit
+
+
 # -- boundary polygon type ---------------------------------------------------
 
 
@@ -467,16 +571,17 @@ def test_boundary_polygon_matches_outer_walk():
 
 
 def test_polygon_for_y_triangle_parabola():
+    # x = (y - 0)(2 - y)/(2 - 0) on the right chain
     poly = convex_polygon_for_y((1, 2, 3), {1: rat(0), 2: rat(2), 3: rat(1)})
     assert poly.coords == {1: (rat(0), rat(0)), 2: (rat(0), rat(2)),
-                           3: (rat(1), rat(1))}
+                           3: (rat(1, 2), rat(1))}
 
 
 def test_polygon_for_y_square_chain():
     y = {1: rat(0), 2: rat(1), 3: rat(2), 4: rat(1)}
     poly = convex_polygon_for_y((1, 2, 3, 4), y)
-    assert poly.coords[2] == (rat(-1), rat(1))
-    assert poly.coords[4] == (rat(1), rat(1))
+    assert poly.coords[2] == (rat(-1, 2), rat(1))
+    assert poly.coords[4] == (rat(1, 2), rat(1))
     assert poly.coords[1] == (rat(0), rat(0))
     assert poly.coords[3] == (rat(0), rat(2))
 
