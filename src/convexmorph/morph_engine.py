@@ -27,10 +27,17 @@ Every move redraws the drawing onto a strictly convex boundary polygon
 with the fixed axis kept (the Tutte variant of tutte_solver), then shears
 along the moving axis; _redraw_move is that one operation.  All arithmetic
 is exact.  To stop denominators from compounding across alternating solves,
-the moving coordinate of each solver output is snapped to a dyadic grid;
-the snap is accepted only when the snapped drawing is planar, realizes the
-same embedding, and satisfies the step's own postconditions, so it amounts
-to a slightly different but equally valid choice of the same move.
+the moving coordinate of each redraw is snapped to a dyadic grid; the snap
+is accepted only when the snapped drawing is planar, realizes the same
+embedding, and satisfies the step's own postconditions, so it amounts to a
+slightly different but equally valid choice of the same move.  The snapped
+values come from tutte_solver.RoundedSolution, which certifies each
+rounding of the Tutte solution without computing that solution exactly;
+only when it cannot certify one does the exact solve run, so every drawing
+is the one the exact solution would give.
+
+A check that fails on a drawing the pipeline made raises a ConvexifyError
+naming the step and the check.
 """
 
 from __future__ import annotations
@@ -75,10 +82,11 @@ from .tutte_solver import (
     PolygonOptions,
     ConstraintInfeasible,
     WrongChain,
+    RoundedSolution,
     convex_polygon_for_x,
     convex_polygon_for_y,
-    redraw_preserving_x,
-    redraw_preserving_y,
+    redraw_rows,
+    redraw_rows_x,
 )
 
 
@@ -96,6 +104,36 @@ class NonExternalPairCreated(ValueError):
 
 class PlacementFailure(ValueError):
     """No buffer placement validated even after shrinking the offsets."""
+
+
+class ConvexifyError(RuntimeError):
+    """A check of the pipeline failed on a drawing it made. layer names the
+    step (its provenance note) or the function, check the failed check."""
+
+    def __init__(self, layer: str, check: str):
+        super().__init__(f"{layer}: {check}")
+        self.layer = layer
+        self.check = check
+
+
+class PostconditionFailed(ConvexifyError):
+    """A drawing the pipeline made is not what its step promised."""
+
+
+class ReflexNotRetired(ConvexifyError):
+    """An alternating move left as many reflex angles as before."""
+
+
+class MoveBudgetExceeded(ConvexifyError):
+    """The convex-outer phase used up its moves before turning convex."""
+
+
+class PocketNotSeparated(ConvexifyError):
+    """The pocket corners could not be made the leftmost and rightmost."""
+
+
+class GraphNotRestored(ConvexifyError):
+    """The final drawing draws another graph than the input."""
 
 
 # -- small geometric helpers ---------------------------------------------------
@@ -168,20 +206,32 @@ _COMPACT_LIMIT = 1 << 80
 _SNAP_LIMIT = 1 << 24
 
 
-def _compact(d: Drawing, direction: Direction,
-             require: Callable[[Drawing], bool]) -> Drawing:
-    """Snap the moving-axis coordinates to a dyadic grid if they carry
-    oversized denominators; keep the exact drawing when no snap validates."""
+def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
+             solution: RoundedSolution, require: Callable[[Drawing], bool]
+             ) -> Tuple[Drawing, bool]:
+    """The redraw of d whose moving-axis coordinates are fixed (the
+    boundary's) and solution's (the rest): exact when every one has a
+    denominator of at most _COMPACT_LIMIT; otherwise snapped to the first
+    grid of _GRID_BITS whose drawing is planar, realizes the embedding and
+    satisfies require, or exact when none does. Returns the drawing and
+    whether it was snapped."""
     ma = direction.moving_axis
-    if max(p[ma].denominator for p in d.coords.values()) <= _COMPACT_LIMIT:
-        return d
+
+    def drawing(values):
+        return d.with_coords({v: (values[v], p[1]) if ma == 0
+                              else (p[0], values[v])
+                              for v, p in d.coords.items()})
+
+    if max(x.denominator for x in fixed.values()) <= _COMPACT_LIMIT:
+        small = solution.small(_COMPACT_LIMIT)
+        if small is not None:
+            return drawing({**fixed, **small}), False
     for bits in _GRID_BITS:
         scale = 1 << bits
-        coords = {}
-        for v, p in d.coords.items():
-            val = rat(round(p[ma] * scale), scale)
-            coords[v] = (val, p[1]) if ma == 0 else (p[0], val)
-        cand = d.with_coords(coords)
+        values = {v: rat(round(x * scale), scale) for v, x in fixed.items()}
+        for u, j in solution.rounded(bits).items():
+            values[u] = rat(j, scale)
+        cand = drawing(values)
         try:
             validate_drawing(cand)
         except (NotPlanarInput, EmbeddingInvalid):
@@ -190,8 +240,8 @@ def _compact(d: Drawing, direction: Direction,
             continue
         if not require(cand):
             continue
-        return cand
-    return d
+        return cand, True
+    return drawing({**fixed, **solution.exact()}), False
 
 
 def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
@@ -218,16 +268,17 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
             note: str, require: Callable[[Drawing], bool]) -> Drawing:
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
     by _compact; the drawing returned satisfies require."""
-    if direction is Direction.HORIZONTAL:
-        out = redraw_preserving_y(d, poly)
-    else:
-        out = redraw_preserving_x(d, poly)
-    snapped = _compact(out, direction, require)
-    # _compact checked every snap it returns; the exact output is checked
-    # only when no snap passed and it is emitted itself
-    if snapped is out and not require(out):
-        raise RuntimeError(f"{note}: redraw failed its postcondition")
-    return snapped
+    ma = direction.moving_axis
+    system = redraw_rows if direction is Direction.HORIZONTAL else redraw_rows_x
+    rows, rhs = system(d, poly)
+    fixed = {v: p[ma] for v, p in poly.coords.items()}
+    out, snapped = _compact(d, direction, fixed, RoundedSolution(rows, rhs),
+                            require)
+    # _compact checked every snap it returns; an exact drawing is checked
+    # here
+    if not snapped and not require(out):
+        raise PostconditionFailed(note, "redraw failed its postcondition")
+    return out
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,
@@ -359,16 +410,18 @@ def convexify_convex_outer(d: Drawing, precheck: bool = True) -> MorphSequence:
             step, cur = morph_B(cur, precheck=False)
             b.move(Direction.HORIZONTAL, cur, step.provenance)
         else:
-            tstep, tcur = morph_B(cur.transposed(), precheck=False)
+            step, tcur = morph_B(cur.transposed(), precheck=False)
             cur = tcur.transposed()
-            b.move(Direction.VERTICAL, cur, tstep.provenance)
+            b.move(Direction.VERTICAL, cur, step.provenance)
         after = internal_reflex_count(cur)
         if before > 0 and after >= before:
-            raise RuntimeError("alternating move failed to retire a reflex "
-                               "angle")
+            raise ReflexNotRetired(
+                step.provenance,
+                "alternating move failed to retire a reflex angle")
         horizontal = not horizontal
     if not is_strictly_convex(cur):
-        raise RuntimeError("convexification exceeded its move budget")
+        raise MoveBudgetExceeded("convexify_convex_outer",
+                                 "convexification exceeded its move budget")
     return b.build()
 
 
@@ -452,15 +505,17 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
             except (WrongChain, ConstraintInfeasible):
                 continue
         if poly2 is None:
-            raise RuntimeError("no polygon separates the pocket corners")
+            raise PocketNotSeparated("pocket corners to the sides",
+                                     "no polygon separates the pocket corners")
         cur = _redraw_move(
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
             lambda dd: is_strictly_convex(dd)
             and all(unique_extreme(dd.coords, w, s) for w, s in pins_used),
             ShearConstraints(no_axis_parallel=True, keep_extreme=pins_used))
         if not _x_monotone(path, cur.coords):
-            raise RuntimeError("pocket path still not monotone after "
-                               "separating its corners")
+            raise PocketNotSeparated("pocket corners to the sides",
+                                     "pocket path still not monotone after "
+                                     "separating its corners")
 
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = Drawing(g_minus, cur.coords)
@@ -771,7 +826,9 @@ def remove_buffer_vertex(d: Drawing, vb: int,
         poly = _polygon_preserving_x(walk, _xmap(cur))
         _redraw_move(b, Direction.VERTICAL, poly, "absorb the new corner")
     if not is_strictly_convex(b.current):
-        raise RuntimeError("buffer removal did not restore strict convexity")
+        raise PostconditionFailed(
+            "absorb the new corner",
+            "buffer removal did not restore strict convexity")
     return b.build()
 
 
@@ -812,7 +869,9 @@ def convexify(d: Drawing) -> MorphSequence:
     d_final = Drawing(g_final, {v: cur.coords[v] for v in g_final.rotation})
     b.edit(d_final, "drop buffer midpoints")
     if set(g_final.edges()) != set(g.edges()):
-        raise RuntimeError("pipeline did not restore the original graph")
+        raise GraphNotRestored("convexify",
+                               "pipeline did not restore the original graph")
     if not is_strictly_convex(d_final):
-        raise RuntimeError("pipeline did not reach a strictly convex drawing")
+        raise PostconditionFailed(
+            "convexify", "pipeline did not reach a strictly convex drawing")
     return b.build()

@@ -9,6 +9,12 @@ dividing out its gcd, and back-substitution forms one rational per unknown.
 Its solution is the unique exact one, so it equals what elimination over
 rationals gives, at a fraction of the cost of a gcd per entry update.
 
+A redraw needs its solution only rounded to a dyadic grid, so
+RoundedSolution answers those roundings without it: iterative refinement
+with a float LU against exact integer residuals, and a bound that an exact
+M-matrix certificate proves. Where the bound cannot settle an answer, the
+exact solve runs instead, so each answer equals the exact one.
+
 The horizontal direction is primary; vertical variants transpose coordinates,
 run the horizontal code, and transpose back. A redraw that keeps y solves
 only for x, since weights taken from y reproduce y exactly.
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .plane_graph import (
     Drawing,
@@ -258,6 +265,244 @@ def _ratio(c) -> Tuple[int, int]:
     return int(c.numerator), int(c.denominator)
 
 
+# -- certified rounding ------------------------------------------------------
+
+_GUARD_BITS = 16    # scale bits kept below the precision a query asks for
+_EXTRA_BITS = 64    # scale added per retry when the bound is too coarse
+_RETRIES = 2
+
+
+class _Uncertified(Exception):
+    """The certified solve cannot answer; the reason names why."""
+
+
+def _float_lu(rows: Dict[int, Dict[int, float]]):
+    """Sparse LU of a float matrix with diagonal pivots in a min-fill order
+    (smallest Markowitz product, ties to the smallest id). Returns the
+    eliminations as (pivot, pivot row, [(row, multiplier)])."""
+    rows = {e: dict(r) for e, r in rows.items()}
+    col_index: Dict[int, set] = {v: set() for v in rows}
+    for e, r in rows.items():
+        for v in r:
+            col_index[v].add(e)
+    steps = []
+    remaining = set(rows)
+    while remaining:
+        p = min(remaining, key=lambda e: (
+            (len(rows[e]) - 1) * (len(col_index[e]) - 1), e))
+        remaining.discard(p)
+        prow = rows[p]
+        piv = prow[p]
+        for v in prow:
+            col_index[v].discard(p)
+        mults = []
+        for e in col_index.pop(p):
+            r = rows[e]
+            f = r.pop(p) / piv
+            mults.append((e, f))
+            for v, c in prow.items():
+                if v != p:
+                    if v not in r:
+                        r[v] = 0.0
+                        col_index[v].add(e)
+                    r[v] -= f * c
+        steps.append((p, prow, mults))
+    return steps
+
+
+def _lu_solve(steps, rhs: Dict[int, float]) -> Dict[int, float]:
+    x = dict(rhs)
+    for p, _, mults in steps:
+        xp = x[p]
+        for e, f in mults:
+            x[e] -= f * xp
+    for p, prow, _ in reversed(steps):
+        s = x[p]
+        for v, c in prow.items():
+            if v != p:
+                s -= c * x[v]
+        x[p] = s / prow[p]
+    return x
+
+
+class RoundedSolution:
+    """The solution x of a square system rows * x = rhs (one right-hand-side
+    column, as tutte_rows_from_y builds it), read at the precision each
+    query needs instead of exactly.
+
+    Each row e is scaled to integers, A_e x = B_e / d_e. When every
+    diagonal entry is positive and every other entry negative, and an
+    integer V > 0 has A V > 0 (V is the float solve of D^-1 A v = 1,
+    rounded up), A is a nonsingular M-matrix, so A^-1 >= 0 and for every
+    approximation X of x * 2^k
+
+        |x_u 2^k - X_u| <= t / m * V_u,  t = max_e |R_e| / (d_e A_ee),
+                                         m = min_e (A V)_e / A_ee,
+
+    where R = B 2^k - d A X is the exact integer residual. X is improved by
+    iterative refinement against R (Wilkinson 1963; Moler 1967): one
+    float LU of D^-1 A with diagonal pivots (a nonsingular M-matrix needs
+    no numerical pivoting), then X += round(LU^-1 (D^-1 R / d)). Every
+    certificate and bound is checked in integers, so a floating-point
+    mistake can only cost a fallback.
+
+    When the certificate fails, a float is not finite, refinement stalls,
+    a rounding cannot be separated from its tie, or exact() is asked for,
+    the exact solve_rows runs once and answers from then on; fallback
+    names the first reason, or is None while no exact solve ran."""
+
+    def __init__(self, rows: Dict[int, Dict[int, object]],
+                 rhs: Dict[int, List]):
+        self._rows, self._rhs = rows, rhs
+        self.fallback: Optional[str] = None
+        self._exact: Optional[Dict[int, object]] = None
+        try:
+            self._certify()
+        except _Uncertified as exc:
+            self._fall_back(str(exc))
+
+    def _fall_back(self, reason: str):
+        self.fallback = reason
+        self._exact = {u: x for u, (x,) in
+                       solve_rows(self._rows, self._rhs).items()}
+
+    def _certify(self):
+        if not self._rows:
+            raise _Uncertified("empty system")
+        a, b, d = {}, {}, {}
+        for e, r in self._rows.items():
+            terms = [(v, _ratio(c)) for v, c in r.items()]
+            scale = math.lcm(*(q for _, (_, q) in terms))
+            a[e] = {v: p * (scale // q) for v, (p, q) in terms if p}
+            bp, d[e] = _ratio(self._rhs[e][0])
+            b[e] = bp * scale
+            if (a[e].get(e, 0) <= 0 or not a[e].keys() <= self._rows.keys()
+                    or any(c >= 0 for v, c in a[e].items() if v != e)):
+                raise _Uncertified("not an M-matrix sign pattern")
+        self._a, self._b, self._d = a, b, d
+        try:
+            self._lu = _float_lu({e: {v: c / r[e] for v, c in r.items()}
+                                  for e, r in a.items()})
+            vf = _lu_solve(self._lu, dict.fromkeys(a, 1.0))
+            if not all(0 < x < math.inf for x in vf.values()):
+                raise _Uncertified("no positive vector")
+            shift = 52 - math.frexp(max(vf.values()))[1]
+            vv = {e: math.ceil(math.ldexp(x, shift)) for e, x in vf.items()}
+        except (ArithmeticError, ValueError):
+            raise _Uncertified("float overflow") from None
+        av = {e: sum(c * vv[u] for u, c in r.items()) for e, r in a.items()}
+        if min(av.values()) <= 0:
+            raise _Uncertified("A V > 0 fails")
+        self._v = vv
+        self._m = min(Fraction(av[e], a[e][e]) for e in a)
+        # bits of t / m * max V when t is about 1, as after convergence
+        self._lead = (max(vv.values()) // self._m).bit_length() + 2
+        self._k = 0
+        self._x = dict.fromkeys(a, 0)
+
+    def _refine(self, k: int):
+        """Move X up to scale 2^k and refine it until the scaled residual t
+        is below 4; sets _err = t / m, the bound on |x 2^k - X| per unit V."""
+        a, b, d = self._a, self._b, self._d
+        self._x = x = {u: xu << (k - self._k) for u, xu in self._x.items()}
+        self._k = k
+        t = None
+        while True:
+            res = {e: (b[e] << k) - d[e] * sum(c * x[v] for v, c in r.items())
+                   for e, r in a.items()}
+            t_new = max(Fraction(abs(res[e]), d[e] * a[e][e]) for e in a)
+            if t_new < 4:
+                break
+            # a working refinement gains far more than 8 bits a step
+            if t is not None and t_new * 256 > t:
+                raise _Uncertified("refinement stalled")
+            t = t_new
+            try:
+                corr = _lu_solve(self._lu, {e: res[e] / (d[e] * a[e][e])
+                                            for e in a})
+                for u, c in corr.items():
+                    x[u] += round(c)
+            except (ArithmeticError, ValueError):
+                raise _Uncertified("float overflow") from None
+        self._err = t_new / self._m
+
+    def _precise(self, bits: int, ok: Callable[[], bool]):
+        """Refine at scale 2^(bits + lead + guard), then up to _RETRIES
+        times _EXTRA_BITS more, until ok() holds."""
+        k = max(self._k, bits + self._lead + _GUARD_BITS)
+        for _ in range(_RETRIES + 1):
+            if k > self._k:
+                self._refine(k)
+            if ok():
+                return
+            k = self._k + _EXTRA_BITS
+        raise _Uncertified("rounding too close to a tie")
+
+    def small(self, limit: int) -> Optional[Dict[int, object]]:
+        """x exactly when every x_u has a denominator <= limit, else None.
+
+        Certified: two rationals with denominators <= limit are at least
+        1/limit^2 apart, so once the error interval of x_u is narrower, the
+        rational closest to X_u / 2^k (limit_denominator) is the only
+        candidate; a coordinate with none inside rules x out, and candidates
+        everywhere are x exactly when they satisfy every row."""
+        if self._exact is None:
+            spread = 2 * max(self._v.values()) * limit * limit
+            try:
+                self._precise(2 * limit.bit_length(), lambda: (
+                    self._err * spread < (1 << self._k)))
+            except _Uncertified as exc:
+                self._fall_back(str(exc))
+        if self._exact is not None:
+            if all(x.denominator <= limit for x in self._exact.values()):
+                return self._exact
+            return None
+        k, err = self._k, self._err
+        cand = {}
+        for u, xu in self._x.items():
+            c = Fraction(xu, 1 << k).limit_denominator(limit)
+            if abs(c * (1 << k) - xu) > err * self._v[u]:
+                return None
+            cand[u] = c
+        a, b, d = self._a, self._b, self._d
+        for e, r in a.items():
+            if sum(c * cand[v] for v, c in r.items()) * d[e] != b[e]:
+                return None
+        return {u: rat(c.numerator, c.denominator) for u, c in cand.items()}
+
+    def rounded(self, bits: int) -> Dict[int, int]:
+        """round(x_u * 2^bits) for every u (Python's round: half to even)."""
+        if self._exact is None:
+            try:
+                out = {}
+                self._precise(bits, lambda: self._round_into(bits, out))
+                return out
+            except _Uncertified as exc:
+                self._fall_back(str(exc))
+        scale = 1 << bits
+        return {u: round(x * scale) for u, x in self._exact.items()}
+
+    def _round_into(self, bits: int, out: Dict[int, int]) -> bool:
+        """Fill out with the rounding of each X_u / 2^(k - bits) and say
+        whether the error bound keeps every one off its ties."""
+        sh = self._k - bits
+        half = 1 << (sh - 1)
+        p, q = self._err.numerator, self._err.denominator
+        for u, xu in self._x.items():
+            j = (xu + half) >> sh
+            dist = min(xu - (j << sh) + half, (j << sh) + half - xu)
+            if not p * self._v[u] < dist * q:
+                return False
+            out[u] = j
+        return True
+
+    def exact(self) -> Dict[int, object]:
+        """x exactly, from solve_rows."""
+        if self._exact is None:
+            self._fall_back("exact solution asked for")
+        return self._exact
+
+
 def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
                boundary_coords: Dict[int, Tuple]):
     """Rows and right-hand sides of the pinned barycentric system (x and y)."""
@@ -353,12 +598,11 @@ def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
     return Drawing(g, coords)
 
 
-def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
-    """Redraw onto a new boundary polygon without changing any y coordinate.
-
-    The weights come from y (tutte_rows_from_y), so the y system would
-    reproduce y exactly; only x is solved, and every y is kept bit for
-    bit."""
+def redraw_rows(d: Drawing, boundary: BoundaryPolygon):
+    """Rows and x right-hand sides of the system of a redraw of d onto
+    boundary that keeps every y (tutte_rows_from_y), after checking that
+    boundary keeps the y of its vertices and is a strictly convex polygon on
+    the outer walk."""
     y = {v: p[1] for v, p in d.coords.items()}
     for v in boundary.cycle:
         if boundary.coords[v][1] != y[v]:
@@ -366,20 +610,38 @@ def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
     rows, rhs = tutte_rows_from_y(
         d.graph, y, {v: p[0] for v, p in boundary.coords.items()})
     _check_pinned_system(d.graph, boundary, set(rows))
+    return rows, rhs
+
+
+def _transposed(d: Drawing, boundary: BoundaryPolygon):
+    return d.transposed(), BoundaryPolygon(
+        tuple(reversed(boundary.cycle)),
+        {v: (p[1], p[0]) for v, p in boundary.coords.items()})
+
+
+def redraw_rows_x(d: Drawing, boundary: BoundaryPolygon):
+    """redraw_rows of the transposed redraw: one that keeps every x and
+    solves for y."""
+    return redraw_rows(*_transposed(d, boundary))
+
+
+def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
+    """Redraw onto a new boundary polygon without changing any y coordinate.
+
+    The weights come from y (tutte_rows_from_y), so the y system would
+    reproduce y exactly; only x is solved, and every y is kept bit for
+    bit."""
+    rows, rhs = redraw_rows(d, boundary)
     sol = solve_rows(rows, rhs)
-    coords = {v: (p[0], y[v]) for v, p in boundary.coords.items()}
+    coords = {v: (p[0], d.coords[v][1]) for v, p in boundary.coords.items()}
     for u, (x,) in sol.items():
-        coords[u] = (x, y[u])
+        coords[u] = (x, d.coords[u][1])
     return Drawing(d.graph, coords)
 
 
 def redraw_preserving_x(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
     """Vertical variant of redraw_preserving_y via coordinate transposition."""
-    td = d.transposed()
-    tb = BoundaryPolygon(tuple(reversed(boundary.cycle)),
-                         {v: (p[1], p[0]) for v, p in boundary.coords.items()})
-    out = redraw_preserving_y(td, tb)
-    return out.transposed()
+    return redraw_preserving_y(*_transposed(d, boundary)).transposed()
 
 
 # -- boundary polygon construction -------------------------------------------

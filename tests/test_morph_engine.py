@@ -9,11 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexmorph import morph_engine
+from convexmorph import morph_engine, tutte_solver
 from convexmorph.connectivity import three_connected
-from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
+from convexmorph.morph_engine import (
+    ConvexifyError,
+    NotInternallyThreeConnected,
+    PostconditionFailed,
+    convexify,
+)
 from convexmorph.plane_graph import (
     Drawing,
+    EmbeddingInvalid,
     NotPlanarInput,
     build_plane_graph_from_points,
     is_convex_outer,
@@ -21,6 +27,7 @@ from convexmorph.plane_graph import (
     rat,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
+from convexmorph.tutte_solver import convex_polygon_for_y
 from convexmorph.verify import (
     check_convexity_increasing,
     check_step_bounds,
@@ -167,22 +174,61 @@ def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
     redraws = []
     compact = morph_engine._compact
 
-    def spy(d, direction, require):
-        out = compact(d, direction, require)
-        redraws.append(out is not d)
-        return out
+    def spy(*args):
+        out, snapped = compact(*args)
+        redraws.append(snapped)
+        return out, snapped
+
+    exact_solves = []
+    solve_rows = tutte_solver.solve_rows
+
+    def spy_solve(*args):
+        exact_solves.append(args)
+        return solve_rows(*args)
 
     monkeypatch.setattr(morph_engine, "_compact", spy)
+    monkeypatch.setattr(tutte_solver, "solve_rows", spy_solve)
     d = pocket_instance(random.Random(seed), 40, 30, passes=3)
     assert not three_connected(d.graph.adjacency())
     seq = convexify(d)
-    # every redraw emitted a snapped drawing, never the exact solution
+    # every redraw emitted a snapped drawing, never the exact solution, and
+    # every snap came from the certified rounding, with no exact solve
     assert redraws and all(redraws)
+    assert exact_solves == []
     assert all(check_unidirectional_planar(step) for step in seq.steps)
     assert check_convexity_increasing(seq, d.graph)
     assert check_step_bounds(seq, "general")
     assert is_strictly_convex(seq.final)
     assert same_plane_graph(seq.final.graph, d.graph)
+
+
+# Seed 3097 of the same recipe: augment_y_monotone gives face 106 two
+# minimum curves (94->76, 90->80) and one maximum curve (78->88). Each
+# phase's plan validates alone, but the merged plan fails the Euler check
+# in the first morph_B after hull completion.
+@pytest.mark.xfail(strict=True, raises=EmbeddingInvalid,
+                   reason="augment_y_monotone merges an invalid embedding")
+def test_convexify_deep_pocket_3097():
+    d = pocket_instance(random.Random(3097), 40, 30, passes=3)
+    seq = convexify(d)
+    assert is_strictly_convex(seq.final)
+
+
+def test_failed_postcondition_raises_a_typed_error():
+    # a triangle around one vertex; a require that always fails
+    coords = {1: (0, 0), 2: (4, 1), 3: (1, 5), 4: (2, 2)}
+    g = build_plane_graph_from_points(
+        coords, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (3, 4)])
+    d = Drawing(g, coords)
+    poly = convex_polygon_for_y(g.outer_walk(),
+                                {v: p[1] for v, p in d.coords.items()})
+    with pytest.raises(PostconditionFailed) as info:
+        morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step",
+                             lambda dd: False)
+    assert isinstance(info.value, ConvexifyError)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.layer == "a noted step"
+    assert info.value.check == "redraw failed its postcondition"
 
 
 def event_digest(seq):

@@ -26,8 +26,10 @@ from convexmorph.tutte_solver import (
     WrongChain,
     convex_polygon_for_x,
     convex_polygon_for_y,
+    RoundedSolution,
     redraw_preserving_x,
     redraw_preserving_y,
+    redraw_rows,
     solve_rows,
     solve_tutte,
     tutte_rows,
@@ -439,24 +441,25 @@ def weight_rows_x(d, boundary):
 
 def engine_redraw_systems(monkeypatch):
     """(drawing, boundary, transposed) of every redraw convexify makes on a
-    few small instances. morph_engine calls redraw_preserving_y for its
-    horizontal redraws; its vertical ones reach the module's own binding
-    through redraw_preserving_x, on the transposed drawing."""
+    few small instances. morph_engine builds the system of a horizontal
+    redraw with redraw_rows; a vertical one reaches the module's own
+    binding through redraw_rows_x, on the transposed drawing."""
     calls = []
-    real = tutte_solver.redraw_preserving_y
+    real = tutte_solver.redraw_rows
 
     def spy(transposed):
-        def redraw(d, boundary):
+        def rows(d, boundary):
             calls.append((d, boundary, transposed))
             return real(d, boundary)
-        return redraw
+        return rows
 
-    monkeypatch.setattr(morph_engine, "redraw_preserving_y", spy(False))
-    monkeypatch.setattr(tutte_solver, "redraw_preserving_y", spy(True))
-    for seed in range(3):
-        morph_engine.convexify(pocket_instance(random.Random(seed), 12, 20))
-        morph_engine.convexify(
-            random_augment_instance(random.Random(seed), 10, 10, 20))
+    with monkeypatch.context() as m:
+        m.setattr(morph_engine, "redraw_rows", spy(False))
+        m.setattr(tutte_solver, "redraw_rows", spy(True))
+        for seed in range(3):
+            morph_engine.convexify(pocket_instance(random.Random(seed), 12, 20))
+            morph_engine.convexify(
+                random_augment_instance(random.Random(seed), 10, 10, 20))
     return calls
 
 
@@ -496,6 +499,152 @@ def test_integer_rows_errors_match_weights():
             tutte_rows_from_y(g, y, bx)
         with pytest.raises(exc):
             weights_from_y(g, y)
+
+
+# -- certified rounding ------------------------------------------------------
+
+
+LIMIT = morph_engine._COMPACT_LIMIT
+
+
+def exact_answers(rows, rhs):
+    """What RoundedSolution must answer, from solve_rows and Fraction round:
+    small(LIMIT), then rounded(bits) for each grid of the engine."""
+    x = {u: Fraction(v) for u, (v,) in solve_rows(rows, rhs).items()}
+    small = x if all(c.denominator <= LIMIT for c in x.values()) else None
+    return small, [{u: round(c * 2 ** bits) for u, c in x.items()}
+                   for bits in _GRID_BITS]
+
+
+def certified_answers(rows, rhs):
+    sol = RoundedSolution(rows, rhs)
+    small = sol.small(LIMIT)
+    if small is not None:
+        small = {u: Fraction(c) for u, c in small.items()}
+    return sol, (small, [sol.rounded(bits) for bits in _GRID_BITS])
+
+
+def big_value(rng):
+    """A rational in (1/2, 2) whose numerator and denominator have the same
+    number of bits, 30 to 200."""
+    bits = rng.randint(30, 200)
+    top = 1 << (bits - 1)
+    return Fraction(top | rng.getrandbits(bits - 1),
+                    top | rng.getrandbits(bits - 1))
+
+
+def z_matrix_rows(rng, ids):
+    """Rows of a strictly diagonally dominant Z-matrix: each off-diagonal
+    -w < 0, each diagonal the sum of its row's w plus a positive pin."""
+    rows = {}
+    for e in ids:
+        row = {v: -big_value(rng) for v in ids if v != e and rng.random() < 0.5}
+        row[e] = -sum(row.values()) + big_value(rng)
+        rows[e] = row
+    return rows
+
+
+def rhs_for(rows, x):
+    """The right-hand sides for which x solves rows."""
+    return {e: [sum(c * x[v] for v, c in r.items())] for e, r in rows.items()}
+
+
+@given(st.integers(1, 10), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_rounded_solution_matches_exact_rounding(n, seed):
+    rng = random.Random(seed)
+    ids = rng.sample(range(40), n)
+    rows = z_matrix_rows(rng, ids)
+    rhs = {e: [big_value(rng) * rng.choice((-1, 1))] for e in ids}
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback is None
+    assert got == exact_answers(rows, rhs)
+
+
+def test_rounded_solution_certifies_engine_systems(monkeypatch):
+    # every horizontal and transposed redraw system of a few convexify runs:
+    # the certificate holds, and no answer needs the exact solve
+    calls = engine_redraw_systems(monkeypatch)
+    for d, boundary, _ in calls:
+        rows, rhs = redraw_rows(d, boundary)
+        sol, got = certified_answers(rows, rhs)
+        # a redraw with every vertex on the boundary has nothing to solve
+        assert sol.fallback == (None if rows else "empty system")
+        assert got == exact_answers(rows, rhs)
+
+
+def system_with_solution(rng, x):
+    ids = sorted(x)
+    rows = z_matrix_rows(rng, ids)
+    return rows, rhs_for(rows, x)
+
+
+def test_rounded_solution_falls_back_on_a_tie():
+    # x_0 * 2^48 is a rounding tie; its neighbours carry 150-bit
+    # denominators, so no residual vanishes and no bound reaches zero
+    rng = random.Random(4701)
+    x = {0: Fraction(2 * 12345 + 1, 2 ** 49)}
+    x.update({v: Fraction(rng.getrandbits(150), 2 ** 150 - 1 - v)
+              for v in range(1, 6)})
+    rows, rhs = system_with_solution(rng, x)
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback == "rounding too close to a tie"
+    assert got == exact_answers(rows, rhs)
+    assert got[1][0][0] == 12346  # half to even
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_rounded_solution_rounds_a_near_tie(side):
+    rng = random.Random(4702)
+    x = {0: Fraction(2 * 12345 + 1, 2 ** 49) + side * Fraction(1, 2 ** 100)}
+    x.update({v: Fraction(rng.getrandbits(150), 2 ** 150 - 1 - v)
+              for v in range(1, 6)})
+    rows, rhs = system_with_solution(rng, x)
+    # first at the scale the 2^-48 grid asks for, which cannot tell the
+    # value from its tie until refinement raises the scale
+    sol = RoundedSolution(rows, rhs)
+    assert sol.rounded(48)[0] == (12345 if side < 0 else 12346)
+    assert sol.fallback is None
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback is None
+    assert got == exact_answers(rows, rhs)
+
+
+def test_rounded_solution_keeps_an_integer_solution_exactly():
+    rng = random.Random(4703)
+    x = {v: Fraction(rng.randint(-10 ** 6, 10 ** 6)) for v in range(8)}
+    rows, rhs = system_with_solution(rng, x)
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback is None
+    assert got[0] == x
+    assert got == exact_answers(rows, rhs)
+
+
+def test_rounded_solution_rejects_a_close_small_candidate():
+    # x_0 lies 2^-200 from 1: inside the error interval of the small branch,
+    # but its denominator is 2^200, so only the exact row check rules it out
+    rng = random.Random(4704)
+    x = {v: Fraction(rng.randint(-1000, 1000)) for v in range(6)}
+    x[0] = 1 + Fraction(1, 2 ** 200)
+    rows, rhs = system_with_solution(rng, x)
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback is None
+    assert got[0] is None
+    assert got == exact_answers(rows, rhs)
+
+
+def test_rounded_solution_falls_back_off_the_sign_pattern():
+    rng = random.Random(4705)
+    x = {v: big_value(rng) for v in range(5)}
+    rows, rhs = system_with_solution(rng, x)
+    rows[2][3] = abs(big_value(rng))
+    rhs = rhs_for(rows, x)
+    sol, got = certified_answers(rows, rhs)
+    assert sol.fallback == "not an M-matrix sign pattern"
+    assert got == exact_answers(rows, rhs)
+    sol = RoundedSolution({}, {})
+    assert sol.fallback == "empty system"
+    assert sol.rounded(48) == {} and sol.small(LIMIT) == {}
 
 
 def coord_bits(coords):
