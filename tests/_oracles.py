@@ -212,6 +212,61 @@ def brute_three_connected(adj: Dict[int, Sequence[int]]) -> bool:
     return True
 
 
+def _biconnected_without(nbrs: List[List[int]], removed: int) -> bool:
+    """Whether the graph on 0..n-1 minus the vertex `removed` is connected and
+    has no cut vertex: one iterative DFS lowpoint pass (Tarjan 1972)."""
+    n = len(nbrs)
+    root = 1 if removed == 0 else 0
+    disc = [0] * n          # DFS number, 0 while unvisited
+    low = [0] * n
+    disc[root] = low[root] = visited = 1
+    root_children = 0
+    stack = [(root, -1, iter(nbrs[root]))]
+    while stack:
+        x, parent, it = stack[-1]
+        for w in it:
+            if w == removed or w == parent:
+                continue
+            if disc[w]:
+                if disc[w] < low[x]:
+                    low[x] = disc[w]
+            else:
+                visited += 1
+                disc[w] = low[w] = visited
+                stack.append((w, x, iter(nbrs[w])))
+                break
+        else:
+            stack.pop()
+            if parent == root:
+                # the root is a cut vertex when it has a second DFS child
+                root_children += 1
+                if root_children > 1:
+                    return False
+            elif parent >= 0:
+                # no back edge from x's subtree climbs above parent
+                if low[x] >= disc[parent]:
+                    return False
+                if low[x] < low[parent]:
+                    low[parent] = low[x]
+    return visited == n - 1
+
+
+def dfs_three_connected(adj: Dict[int, Sequence[int]]) -> bool:
+    """Whether the abstract graph, planar or not, has n >= 4 and no vertex
+    cut of size at most 2.
+
+    A cut {a, b} of G makes b a cut vertex of G - a, and a cut {a} leaves
+    G - a disconnected; so G is 3-connected exactly when every G - v is
+    connected and has no cut vertex. The minimum-degree test is a cheap early
+    exit. Duplicate neighbour entries are ignored. O(n*(n+m)).
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in set(ws)] for ws in adj.values()]
+    if len(nbrs) < 4 or any(len(ws) < 3 for ws in nbrs):
+        return False
+    return all(_biconnected_without(nbrs, v) for v in range(len(nbrs)))
+
+
 def apex_adjacency(adj: Dict[int, Sequence[int]],
                    outer: Sequence[int]) -> Dict[int, set]:
     """adj plus a new vertex joined to every vertex of outer."""

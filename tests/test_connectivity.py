@@ -8,16 +8,11 @@ from convexmorph.plane_graph import (
     EmbeddingInvalid,
     PlaneGraph,
     build_plane_graph_from_points,
+    rat,
 )
 from convexmorph.connectivity import (
-    Not2Connected,
-    PairClass,
-    Drawability,
-    SeparationPair,
     three_connected,
     is_internally_3connected,
-    classify_separation_pairs,
-    convex_drawability,
 )
 
 from _instances import (
@@ -29,6 +24,7 @@ from _oracles import (
     apex_adjacency,
     brute_internally_3connected,
     brute_three_connected,
+    dfs_three_connected,
 )
 
 
@@ -83,17 +79,21 @@ REGRESSION_CASES = [
 ]
 
 
+# The DFS oracle decides any abstract graph, planar or not and in any
+# neighbour order; the package's test needs a planar rotation system, so
+# these abstract cases check the oracle that the plane-graph tests below use.
 def test_three_connected_basics():
     k4 = {1: (2, 3, 4), 2: (1, 3, 4), 3: (1, 2, 4), 4: (1, 2, 3)}
-    assert three_connected(k4)
+    assert dfs_three_connected(k4)
     k4_minus = {1: (2, 3), 2: (1, 3, 4), 3: (1, 2, 4), 4: (2, 3)}
-    assert not three_connected(k4_minus)
-    assert three_connected(octahedron_adj())
+    assert not dfs_three_connected(k4_minus)
+    assert dfs_three_connected(octahedron_adj())
     assert brute_three_connected(octahedron_adj())
-    assert not three_connected({1: (2, 3), 2: (1, 3), 3: (1, 2)})  # triangle
+    triangle = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+    assert not dfs_three_connected(triangle)
     for adj, expected in REGRESSION_CASES:
         assert brute_three_connected(adj) == expected, adj
-        assert three_connected(adj) == expected, adj
+        assert dfs_three_connected(adj) == expected, adj
 
 
 @given(st.integers(4, 9), st.randoms())
@@ -106,7 +106,7 @@ def test_three_connected_matches_oracles(n, rng):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    got = three_connected(adj)
+    got = dfs_three_connected(adj)
     assert got == brute_three_connected(adj)
     g = nx.Graph()
     g.add_nodes_from(ids)
@@ -169,69 +169,6 @@ def test_internally_3connected_cycles_match_brute(k):
         brute_internally_3connected(g.adjacency(), g.outer_walk())
 
 
-def test_classify_requires_2connected():
-    path = PlaneGraph({1: (2,), 2: (1, 3), 3: (2,)}, (1, 2))
-    with pytest.raises(Not2Connected):
-        classify_separation_pairs(path)
-
-
-def test_classify_square():
-    pairs = classify_separation_pairs(cycle(4))
-    sep = {(p.u, p.v): p for p in pairs}
-    assert set(sep) == {(0, 2), (1, 3)}
-    for p in sep.values():
-        assert p.classification is PairClass.EXTERNAL
-        assert len(p.components) == 2
-        assert all(len(c) == 1 for c in p.components)
-
-
-def test_classify_three_connected_empty():
-    assert classify_separation_pairs(k4_graph()) == []
-
-
-def test_classify_external_with_chord():
-    # hexagon with a long chord: removing its ends leaves two outer arcs
-    coords = {1: (0, 0), 2: (2, -1), 3: (4, 0), 4: (4, 3), 5: (2, 4), 6: (0, 3)}
-    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
-    g = build_plane_graph_from_points(coords, edges)
-    pairs = classify_separation_pairs(g)
-    assert {(p.u, p.v) for p in pairs} == \
-        {(1, 3), (1, 4), (1, 5), (2, 4), (4, 6)}
-    p = next(q for q in pairs if (q.u, q.v) == (1, 4))
-    assert p.classification is PairClass.EXTERNAL
-    assert set(map(frozenset, p.components)) == {frozenset({2, 3}), frozenset({5, 6})}
-    # every external pair: two components, each touching the outer face
-    outer = set(g.outer_walk())
-    for q in pairs:
-        if q.classification is PairClass.EXTERNAL:
-            assert len(q.components) == 2
-            assert all(c & outer for c in q.components)
-
-
-def test_classify_non_external_pocket():
-    g = hidden_component_graph()
-    pairs = classify_separation_pairs(g)
-    sep = {(p.u, p.v): p for p in pairs}
-    assert (1, 2) in sep
-    p = sep[(1, 2)]
-    assert p.classification is PairClass.NON_EXTERNAL
-    assert frozenset({5, 6}) in p.components
-
-
-def test_convex_drawability_classes():
-    assert convex_drawability(k4_graph()) is Drawability.STRICTLY_CONVEX_OK
-    # subdivide the inner edge 1-4 of K4 with vertex 5
-    g = PlaneGraph({1: (2, 5, 3), 2: (3, 4, 1), 3: (1, 4, 2), 4: (3, 5, 2),
-                    5: (1, 4)}, (1, 3))
-    assert convex_drawability(g) is Drawability.CONVEX_ONLY
-    # replace inner edge 1-4 by two parallel 2-paths: smoothing doubles 1-4
-    h = PlaneGraph({1: (2, 6, 5, 3), 2: (3, 4, 1), 3: (1, 4, 2),
-                    4: (3, 5, 6, 2), 5: (1, 4), 6: (4, 1)}, (1, 3))
-    assert convex_drawability(h) is Drawability.NONE
-    # not internally 3-connected and nothing to smooth
-    assert convex_drawability(hidden_component_graph()) is Drawability.NONE
-
-
 def test_inner_edge_insertion_preserves_i3c():
     # chordless cycles are internally 3-connected; adding chords keeps that
     for k in (5, 6, 8):
@@ -244,3 +181,116 @@ def test_inner_edge_insertion_preserves_i3c():
             g2 = g.add_edge(u, v, u_pos=1, v_pos=1)
             assert is_internally_3connected(g2)
             assert brute_internally_3connected(g2.adjacency(), g2.outer_walk())
+
+
+def _drawn(coords, edges):
+    return build_plane_graph_from_points(
+        {v: (rat(x), rat(y)) for v, (x, y) in coords.items()}, edges)
+
+
+def _random_plane_graph(rng, n):
+    """A triangulation on n points with up to half of its edges deleted,
+    each deletion kept only while the graph stays connected: often not
+    2-connected, with degree-1 and degree-2 vertices."""
+    d = random_triangulation(rng, n, n, 12)
+    edges = sorted(d.graph.edges())
+    rng.shuffle(edges)
+    g = d.graph
+    for _ in range(rng.randrange(len(edges) // 2 + 1)):
+        u, v = edges.pop()
+        if g.degree(u) > 1 and g.degree(v) > 1:
+            try:
+                g = build_plane_graph_from_points(d.coords, edges)
+                continue
+            except EmbeddingInvalid:    # disconnected
+                pass
+        edges.insert(0, (u, v))
+    return g
+
+
+@given(st.integers(4, 14), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_face_gates_match_oracles_on_plane_graphs(n, seed):
+    g = _random_plane_graph(random.Random(seed), n)
+    adj, outer = g.adjacency(), g.outer_walk()
+    got = three_connected(adj)
+    assert got == brute_three_connected(adj) == dfs_three_connected(adj)
+    got = is_internally_3connected(g)
+    assert got == brute_internally_3connected(adj, outer)
+    assert got == dfs_three_connected(apex_adjacency(adj, outer))
+
+
+# embedded cases: (graph, three_connected, is_internally_3connected)
+EMBEDDED_CASES = {
+    # two K4s glued along the edge 3-4: uv is an edge, but the outer face
+    # holds both ends as well, so {3, 4} is a 2-cut that the apex repairs
+    "glued_k4s": (_drawn({1: (-6, 3), 2: (-2, 3), 3: (0, 0), 4: (0, 6),
+                          5: (6, 3), 6: (2, 3)},
+                         _k4_edges(1, 2, 3, 4)
+                         + [(3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]),
+                  False, True),
+    # three diamonds between 1 and 2: the non-edge {1, 2} lies on three
+    # faces while every edge lies on exactly two
+    "three_diamonds": (_drawn({1: (0, 10), 2: (0, -10), 3: (-7, 0),
+                               4: (-5, 0), 5: (-1, 0), 6: (1, 0), 7: (5, 0),
+                               8: (7, 0)},
+                              [e for a, b in ((3, 4), (5, 6), (7, 8))
+                               for e in ((1, a), (1, b), (a, b), (a, 2),
+                                         (b, 2))]),
+                       False, False),
+    # K4 with its inner edge 1-4 subdivided by the degree-2 vertex 5
+    "subdivided_inner_edge": (
+        PlaneGraph({1: (2, 5, 3), 2: (3, 4, 1), 3: (1, 4, 2), 4: (3, 5, 2),
+                    5: (1, 4)}, (1, 3)), False, False),
+    # K4 with its outer edge 1-2 subdivided by vertex 5: the apex lifts 5
+    # to degree 3
+    "subdivided_outer_edge": (
+        _drawn({1: (0, 0), 2: (12, 0), 3: (6, 12), 4: (6, 4), 5: (6, -1)},
+               [(1, 5), (5, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]),
+        False, True),
+    "prism": (_drawn({1: (0, 0), 2: (12, 0), 3: (6, 10), 4: (4, 3),
+                      5: (8, 3), 6: (6, 6)},
+                     [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4),
+                      (1, 4), (2, 5), (3, 6)]), True, True),
+    "octahedron": (_drawn({1: (0, 0), 2: (12, 0), 3: (6, 12), 4: (6, 2),
+                           5: (8, 6), 6: (4, 6)},
+                          [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4),
+                           (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (1, 6)]),
+                   True, True),
+    # the apex makes the wheel W4
+    "four_cycle": (cycle(4), False, True),
+    # two triangles sharing vertex 1, which the outer walk visits twice
+    "outer_cut_vertex": (_drawn({1: (0, 0), 2: (-4, -2), 3: (-4, 2),
+                                 4: (4, -2), 5: (4, 2)},
+                                [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5),
+                                 (5, 1)]), False, False),
+    "hidden_component": (hidden_component_graph(), False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDED_CASES))
+def test_face_gates_on_embedded_cases(name):
+    g, tc, i3c = EMBEDDED_CASES[name]
+    adj = g.adjacency()
+    assert three_connected(adj) == tc == brute_three_connected(adj)
+    assert is_internally_3connected(g) == i3c == \
+        brute_internally_3connected(adj, g.outer_walk())
+
+
+def test_three_connected_rejects_an_invalid_rotation():
+    k4 = k4_graph().rotation
+    for bad in (
+            # K4 with the rotation at 1 reversed: genus 1
+            {**k4, 1: tuple(reversed(k4[1]))},
+            # K3,3 has no planar rotation
+            _adj([(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+            # two disjoint K4s
+            _adj(_k4_edges(1, 2, 3, 4) + _k4_edges(5, 6, 7, 8)),
+            # a repeated neighbour
+            {1: (2, 3, 4, 2), 2: (1, 3, 4, 1), 3: (1, 2, 4), 4: (1, 2, 3)}):
+        with pytest.raises(EmbeddingInvalid):
+            three_connected(bad)
+    # a vertex of degree 2 answers False before the rotation is read
+    k33_subdivided = _adj([(u, v) for u in (1, 2, 3) for v in (4, 5, 6)
+                           if (u, v) != (1, 4)] + [(1, 7), (7, 4)])
+    assert not three_connected(k33_subdivided)
