@@ -28,10 +28,11 @@ with the fixed axis kept (the Tutte variant of tutte_solver), then shears
 along the moving axis; _redraw_move is that one operation.  All arithmetic
 is exact.  To stop denominators from compounding across alternating solves,
 the moving coordinate of each redraw is snapped to a dyadic grid; the snap
-is accepted only when the snapped drawing is planar, realizes the same
-embedding, and satisfies the step's own postconditions, so it amounts to a
-slightly different but equally valid choice of the same move.  The snapped
-values come from tutte_solver.RoundedSolution, which certifies each
+is accepted only when the snapped drawing is strictly convex, which
+certifies that it is planar and realizes the same embedding (see
+plane_graph), and meets the step's own extra condition, so it amounts to
+a slightly different but equally valid choice of the same move.  The
+snapped values come from tutte_solver.RoundedSolution, which certifies each
 rounding of the Tutte solution without computing that solution exactly;
 only when it cannot certify one does the exact solve run, so every drawing
 is the one the exact solution would give.
@@ -206,15 +207,25 @@ _COMPACT_LIMIT = 1 << 80
 _SNAP_LIMIT = 1 << 24
 
 
+def _certified(d: Drawing, require) -> bool:
+    """Strictly convex, and meeting require if one is given. The module
+    global is_strictly_convex is read per call, so a rebound one (as
+    perfbench/layers.py traces it) is the one used."""
+    return is_strictly_convex(d) and (require is None or require(d))
+
+
 def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
-             solution: RoundedSolution, require: Callable[[Drawing], bool]
+             solution: RoundedSolution,
+             require: Optional[Callable[[Drawing], bool]]
              ) -> Tuple[Drawing, bool]:
     """The redraw of d whose moving-axis coordinates are fixed (the
     boundary's) and solution's (the rest): exact when every one has a
     denominator of at most _COMPACT_LIMIT; otherwise snapped to the first
-    grid of _GRID_BITS whose drawing is planar, realizes the embedding and
-    satisfies require, or exact when none does. Returns the drawing and
-    whether it was snapped."""
+    grid of _GRID_BITS whose drawing is strictly convex and meets require,
+    or exact when none does. Returns the drawing and whether it was
+    snapped. A strictly convex drawing, each face walk winding once, is
+    planar and realizes its embedding (Floater 2003; see plane_graph), so
+    a snap needs no segment sweep and no rotation check."""
     ma = direction.moving_axis
 
     def drawing(values):
@@ -232,15 +243,8 @@ def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
         for u, j in solution.rounded(bits).items():
             values[u] = rat(j, scale)
         cand = drawing(values)
-        try:
-            validate_drawing(cand)
-        except (NotPlanarInput, EmbeddingInvalid):
-            continue
-        if not _rotations_realized(cand):
-            continue
-        if not require(cand):
-            continue
-        return cand, True
+        if _certified(cand, require):
+            return cand, True
     return drawing({**fixed, **solution.exact()}), False
 
 
@@ -265,9 +269,11 @@ def _safe_shear(d: Drawing, axis: str, cons: ShearConstraints) -> Drawing:
 
 
 def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
-            note: str, require: Callable[[Drawing], bool]) -> Drawing:
+            note: str, require: Optional[Callable[[Drawing], bool]] = None
+            ) -> Drawing:
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
-    by _compact; the drawing returned satisfies require."""
+    by _compact; the drawing returned is strictly convex and meets
+    require, if one is given."""
     ma = direction.moving_axis
     system = redraw_rows if direction is Direction.HORIZONTAL else redraw_rows_x
     rows, rhs = system(d, poly)
@@ -276,7 +282,7 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
                             require)
     # _compact checked every snap it returns; an exact drawing is checked
     # here
-    if not snapped and not require(out):
+    if not snapped and not _certified(out, require):
         raise PostconditionFailed(note, "redraw failed its postcondition")
     return out
 
@@ -285,14 +291,11 @@ def _redraw_move(b: SequenceBuilder, direction: Direction,
                  poly: BoundaryPolygon, note: str,
                  require: Optional[Callable[[Drawing], bool]] = None,
                  cons: Optional[ShearConstraints] = None) -> Drawing:
-    """One move from b.current: redraw onto poly (see _redraw; require
-    defaults to strict convexity), then shear along the moving axis under
-    cons (by default, no axis-parallel edge). Both land in b as one step
-    noted note; returns the end drawing."""
-    # the default is looked up per call, so that a rebound module-level
-    # is_strictly_convex (as perfbench/layers.py traces it) is the one used
-    cur = _redraw(b.current, direction, poly, note,
-                  require or is_strictly_convex)
+    """One move from b.current: redraw onto poly (see _redraw; require is
+    an extra condition on top of strict convexity), then shear along the
+    moving axis under cons (by default, no axis-parallel edge). Both land
+    in b as one step noted note; returns the end drawing."""
+    cur = _redraw(b.current, direction, poly, note, require)
     b.move(direction, cur, note)
     axis = "x" if direction is Direction.HORIZONTAL else "y"
     cur = _safe_shear(cur, axis, cons or ShearConstraints())
@@ -347,7 +350,7 @@ def _level_convex_redraw(d: Drawing) -> Drawing:
     d_aug = Drawing(g_aug, d.coords)
     poly = convex_polygon_for_y(g_aug.outer_walk(), _ymap(d))
     out = _redraw(d_aug, Direction.HORIZONTAL, poly,
-                  "level-preserving convex redraw", is_strictly_convex)
+                  "level-preserving convex redraw")
     return Drawing(d.graph, out.coords)
 
 
@@ -483,8 +486,7 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
         side = "bottom"
     cur = _redraw_move(
         b, Direction.VERTICAL, poly1, "pocket corner to the top",
-        lambda dd: is_strictly_convex(dd)
-        and unique_extreme(dd.coords, u, side),
+        lambda dd: unique_extreme(dd.coords, u, side),
         ShearConstraints(no_axis_parallel=True, keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
@@ -509,8 +511,8 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
                                      "no polygon separates the pocket corners")
         cur = _redraw_move(
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
-            lambda dd: is_strictly_convex(dd)
-            and all(unique_extreme(dd.coords, w, s) for w, s in pins_used),
+            lambda dd: all(unique_extreme(dd.coords, w, s)
+                           for w, s in pins_used),
             ShearConstraints(no_axis_parallel=True, keep_extreme=pins_used))
         if not _x_monotone(path, cur.coords):
             raise PocketNotSeparated("pocket corners to the sides",
@@ -594,16 +596,6 @@ class PocketAugmentation:
     @property
     def corner_vertices(self) -> Tuple[int, int]:
         return (self.buffer_path[0], self.buffer_path[-1])
-
-    @property
-    def triple_of(self) -> Dict[int, Tuple[int, int, int]]:
-        """apex vertex -> (preceding midpoint, shadowed path vertex,
-        following midpoint)."""
-        out = {}
-        for i, vb in enumerate(self.b_vertices):
-            out[vb] = (self.buffer_path[2 * i], self.path[i + 1],
-                       self.buffer_path[2 * i + 2])
-        return out
 
 
 def _pt_seg_dist_sq(p, a, b):
@@ -840,14 +832,17 @@ def convexify(d: Drawing) -> MorphSequence:
     from any planar drawing of an internally 3-connected plane graph to a
     strictly convex drawing; at most 3.5n+2 moves."""
     g = d.graph
-    if not drawing_is_planar(g, d.coords):
+    # a strictly convex drawing is planar and realizes its embedding, so
+    # the sweep and the rotation check run only on other input
+    convex = is_strictly_convex(d)
+    if not convex and not drawing_is_planar(g, d.coords):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
-    if not _rotations_realized(d):
+    if not convex and not _rotations_realized(d):
         raise NotPlanarInput("drawing does not realize its embedding")
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(
             "graph is not internally 3-connected")
-    if is_strictly_convex(d):
+    if convex:
         return MorphSequence(d, ())
     if is_convex_outer(d):
         return convexify_convex_outer(d, precheck=False)

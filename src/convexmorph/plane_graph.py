@@ -19,6 +19,17 @@ the rational drawing. Each predicate therefore decides exactly what it would
 decide on the rationals, and a rational it returns (a shear factor built
 from ratios of differences) is the same number. The integers cost no gcd per
 operation, and no float enters any predicate.
+
+A drawing of a connected plane graph whose inner face walks are strictly
+convex counterclockwise polygons and whose outer walk is a strictly convex
+clockwise one, each winding once, is planar and realizes its rotations:
+every edge is walked once each way, so around a point off the drawing the
+inner walks' winding numbers sum to 1 inside the outer polygon and 0
+outside, and each is 1 inside its own polygon only, so the inner faces
+tile the outer polygon (the degree argument of Floater, "One-to-one
+piecewise linear mappings over triangulations", Math. Comp. 2003).
+is_strictly_convex decides this, so where it holds the segment sweep of
+drawing_is_planar and a rotation check add nothing.
 """
 
 from __future__ import annotations
@@ -368,9 +379,6 @@ class Drawing:
     def with_coords(self, coords: Dict[int, Tuple]) -> "Drawing":
         return Drawing(self.graph, coords)
 
-    def with_graph(self, graph: PlaneGraph) -> "Drawing":
-        return Drawing(graph, {v: self.coords[v] for v in graph.rotation})
-
     def transposed(self) -> "Drawing":
         """Swap x and y. A reflection, so the embedding mirrors."""
         return Drawing(self.graph.mirrored(),
@@ -453,11 +461,6 @@ def angle_status(d: Drawing, ref: AngleRef) -> AngleStatus:
     return angle_status_points(a, v, b)
 
 
-def face_angle_refs(g: PlaneGraph, face: int) -> Iterable[AngleRef]:
-    for pos in range(len(g.faces[face])):
-        yield AngleRef(face, pos)
-
-
 def all_angle_statuses(d: Drawing) -> Dict[AngleRef, AngleStatus]:
     out = {}
     g = d.graph
@@ -493,25 +496,24 @@ def internal_reflex_count(d: Drawing) -> int:
 
 
 def is_strictly_convex(d: Drawing) -> bool:
-    """Every inner angle strictly convex and every outer-face angle reflex."""
+    """Every inner face walk a strictly convex counterclockwise polygon and
+    the outer walk a strictly convex clockwise one, each winding once: a
+    certificate that d is planar and realizes its rotations (Floater 2003;
+    see the module docstring). A walk whose turns are strict, one way and
+    each below a half turn changes half-plane (_half) twice per full turn."""
     g = d.graph
     ints = integer_points(d.coords)
     outer = g.outer_face_index
     for fi, walk_darts in enumerate(g.faces):
-        walk = [ints[t[0]] for t in walk_darts]
-        k = len(walk)
-        want_reflex = fi == outer
-        for pos in range(k):
-            try:
-                st = angle_status_points(walk[(pos - 1) % k], walk[pos],
-                                         walk[(pos + 1) % k])
-            except DegenerateAngle:
-                return False
-            if want_reflex:
-                if st.kind is not AngleKind.REFLEX:
-                    return False
-            elif st.kind is not AngleKind.STRICTLY_CONVEX:
-                return False
+        turn = -1 if fi == outer else 1
+        pts = [ints[t[0]] for t in walk_darts]
+        edges = [_sub(q, p) for p, q in zip(pts, pts[1:] + pts[:1])]
+        corners = list(zip(edges[-1:] + edges[:-1], edges))
+        # a zero edge, a straight angle and a spike all cross to 0
+        if any(_cross(a, b) * turn <= 0 for a, b in corners):
+            return False
+        if sum(_half(a) != _half(b) for a, b in corners) != 2:
+            return False
     return True
 
 
@@ -750,7 +752,7 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
     items.sort(key=lambda t: t[0])
     active = []
     for it in items:
-        xmin, xmax, ymin, ymax, p, q, lab = it
+        xmin, xmax, ymin, ymax, p, q, (a, b) = it
         keep = []
         for ot in active:
             if ot[1] < xmin:
@@ -758,7 +760,7 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
             keep.append(ot)
             if ot[3] < ymin or ymax < ot[2]:
                 continue
-            shared = len(set(lab) & set(ot[6]))
+            shared = (a in ot[6]) + (b in ot[6])
             if shared == 2:
                 return False
             if _segments_conflict(p, q, ot[4], ot[5], shared):
@@ -838,18 +840,19 @@ def angular_insert_position(d: Drawing, v: int, target_point) -> int:
         f"direction at {v} is parallel to an existing edge")
 
 
+def _half(dv) -> int:
+    """0 for a direction at an angle in [0, pi) from the positive x axis,
+    1 for one in [pi, 2 pi)."""
+    return 0 if dv[1] > 0 or (dv[1] == 0 and dv[0] > 0) else 1
+
+
 def sort_ccw(dirs: Sequence[Tuple]) -> List[int]:
     """Indices of the direction vectors in counterclockwise angular order,
     starting at the positive x axis."""
-    def half(dv):
-        if sign_of(dv[1]) > 0 or (sign_of(dv[1]) == 0 and sign_of(dv[0]) > 0):
-            return 0
-        return 1
-
     idx = list(range(len(dirs)))
 
     def cmp(i, j):
-        hi, hj = half(dirs[i]), half(dirs[j])
+        hi, hj = _half(dirs[i]), _half(dirs[j])
         if hi != hj:
             return -1 if hi < hj else 1
         c = sign_of(_cross(dirs[i], dirs[j]))

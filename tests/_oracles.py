@@ -316,18 +316,27 @@ def brute_strictly_convex(coords: Dict[int, Tuple],
                           outer: int) -> bool:
     """Every inner face turns strictly left at each corner, and the outer
     face walk (interior on its left, so clockwise) strictly right; a corner
-    where a walk folds back or repeats a point fails."""
+    where a walk folds back or repeats a point fails. Each walk must also
+    wind once: a strict turn is less than a half turn, so it carries the
+    edge direction across at most two quarter-turn boundaries, and the
+    quadrant index moves by that count mod 4; one full turn crosses four."""
     pts = {v: _f(p) for v, p in coords.items()}
     for fi, walk in enumerate(face_walks):
         k = len(walk)
+        turn_want = -1 if fi == outer else 1
+        crossed = 0
         for i in range(k):
             a, v, b = (pts[walk[(i - 1) % k]], pts[walk[i]],
                        pts[walk[(i + 1) % k]])
             if a == v or b == v:
                 return False
-            turn = _orient(a, v, b)
-            if turn != (-1 if fi == outer else 1):
+            if _orient(a, v, b) != turn_want:
                 return False
+            qa = _quadrant((v[0] - a[0], v[1] - a[1]))
+            qb = _quadrant((b[0] - v[0], b[1] - v[1]))
+            crossed += (qb - qa) * turn_want % 4
+        if crossed != 4:
+            return False
     return True
 
 

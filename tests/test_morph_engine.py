@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexmorph import morph_engine, tutte_solver
+from convexmorph import (monotone_augment, morph_engine, plane_graph,
+                         tutte_solver)
 from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import (
     ConvexifyError,
@@ -25,6 +27,7 @@ from convexmorph.plane_graph import (
     is_convex_outer,
     is_strictly_convex,
     rat,
+    validate_drawing,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
 from convexmorph.tutte_solver import convex_polygon_for_y
@@ -114,10 +117,17 @@ FAMILIES = {"dent": (dent_instance, 20, "3conn"),
             "pockets": (pocket_instance, 12, "general")}
 
 
+def instance(family, seed):
+    """The test drawing of a family (convex_outer or one of FAMILIES)."""
+    if family == "convex_outer":
+        return convex_outer_instance(random.Random(seed), 14, 20)
+    make, n, _ = FAMILIES[family]
+    return make(random.Random(seed), n, 20)
+
+
 @functools.lru_cache(maxsize=None)
 def convexified(family, seed):
-    make, n, _ = FAMILIES[family]
-    d = make(random.Random(seed), n, 20)
+    d = instance(family, seed)
     return d, convexify(d)
 
 
@@ -271,11 +281,78 @@ GOLDEN = {
 
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))
 def test_convexify_output_unchanged(family, seed):
-    if family == "convex_outer":
-        seq = convexify(convex_outer_instance(random.Random(seed), 14, 20))
-    else:
-        seq = convexified(family, seed)[1]
-    assert event_digest(seq) == GOLDEN[family, seed]
+    assert event_digest(convexified(family, seed)[1]) == GOLDEN[family, seed]
+
+
+def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
+    # every redraw of six runs, snapped to grids far coarser than
+    # _compact's: the old acceptance (sweep, rotation check and strict
+    # convexity) and the new one (strict convexity) agree on each snap
+    redraws = []
+    compact = morph_engine._compact
+
+    def spy(*args):
+        redraws.append(args)
+        return compact(*args)
+
+    monkeypatch.setattr(morph_engine, "_compact", spy)
+    for family, seed in sorted(GOLDEN):
+        convexify(instance(family, seed))
+    verdicts = []
+    for d, direction, fixed, solution, require in redraws:
+        ma = direction.moving_axis
+        for bits in range(1, 17):
+            scale = 1 << bits
+            values = {v: rat(round(x * scale), scale) for v, x in fixed.items()}
+            for u, j in solution.rounded(bits).items():
+                values[u] = rat(j, scale)
+            cand = d.with_coords({v: (values[v], p[1]) if ma == 0
+                                  else (p[0], values[v])
+                                  for v, p in d.coords.items()})
+            extra = require is None or require(cand)
+            try:
+                validate_drawing(cand)
+                old = (morph_engine._rotations_realized(cand)
+                       and is_strictly_convex(cand) and extra)
+            except (NotPlanarInput, EmbeddingInvalid):
+                old = False
+            new = is_strictly_convex(cand) and extra
+            assert new == old
+            verdicts.append(new)
+    assert len(redraws) >= 20
+    assert True in verdicts and False in verdicts
+
+
+def planarity_callers(monkeypatch, d):
+    """convexify(d), and for each drawing_is_planar call it made, the
+    names of the calling frames, innermost last."""
+    callers = []
+    real = plane_graph.drawing_is_planar
+
+    def spy(*args):
+        callers.append([f.name for f in traceback.extract_stack()[:-1]])
+        return real(*args)
+
+    for mod in (plane_graph, morph_engine, monotone_augment):
+        monkeypatch.setattr(mod, "drawing_is_planar", spy)
+    convexify(d)
+    return callers
+
+
+@pytest.mark.parametrize("family", ["dent", "pockets"])
+def test_sweep_runs_only_at_the_input_gate_and_buffers(family, monkeypatch):
+    callers = planarity_callers(monkeypatch, instance(family, 0))
+    # the input gate once, then only augment_buffers' placement checks
+    assert callers[0][-1] == "convexify"
+    assert all("augment_buffers" in names for names in callers[1:])
+    assert (len(callers) > 1) == (family == "pockets")
+    assert not any("_compact" in names for names in callers)
+
+
+def test_sweep_never_runs_on_strictly_convex_input(monkeypatch):
+    d = random_triangulation(random.Random(0), 10, 40)
+    assert is_strictly_convex(d)
+    assert planarity_callers(monkeypatch, d) == []
 
 
 SMALL = {"convex_outer": (convex_outer_instance, 10),

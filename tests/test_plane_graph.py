@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,7 @@ from _oracles import (
     brute_strictly_convex,
     choose_safe_shear_fraction,
 )
+from _instances import random_triangulation
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -584,12 +587,16 @@ def _strict_hull_order(coords):
 
 
 def _cycle_case(coords, rng):
-    """A cycle through the points, in hull order (a convex polygon) or
-    shuffled, with random shear constraints on it."""
+    """A cycle through the points, in hull order (a convex polygon), through
+    every second corner of an odd hull (a star polygon, which winds twice)
+    or shuffled, with random shear constraints on it."""
     order = _strict_hull_order(coords) or sorted(coords)
+    k = len(order)
     if rng.random() < 0.5:
         order = sorted(coords)
         rng.shuffle(order)
+    elif k % 2 and k >= 5 and rng.random() < 0.5:
+        order = [order[2 * i % k] for i in range(k)]
     d = cycle_graph([coords[v] for v in order])
     g = d.graph
     straddle = keep = None
@@ -640,6 +647,74 @@ def test_strict_convexity_matches_fraction_oracle(coords, rng):
     walks = [g.face_vertices(i) for i in range(len(g.faces))]
     assert is_strictly_convex(d) == brute_strictly_convex(
         d.coords, walks, g.outer_face_index)
+
+
+def wound_wheel(k, turns):
+    """The wheel on rim vertices 0..k-1 around hub k, embedded as a plane
+    wheel, with rim vertex i drawn at angle 2 pi turns i / k: for turns > 1
+    the rim is a star polygon that winds turns times around the hub."""
+    def rim(t):
+        return {i: (round(20 * math.cos(2 * math.pi * t * i / k)),
+                    round(20 * math.sin(2 * math.pi * t * i / k)))
+                for i in range(k)}
+
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
+    g = build_plane_graph_from_points({**rim(1), k: (0, 0)}, edges)
+    return Drawing(g, {**rim(turns), k: (0, 0)})
+
+
+def test_strictly_convex_rejects_a_pentagram():
+    # C5 through a convex pentagon's corners in the order 0, 2, 4, 1, 3,
+    # and a wheel whose rim is drawn that way: every inner corner turns
+    # left and every outer one right, but the walks wind twice, and
+    # neither drawing is planar
+    pentagon = [(2, 0), (4, 2), (3, 4), (1, 4), (0, 2)]
+    star = cycle_graph([pentagon[2 * i % 5] for i in range(5)])
+    for d in (star, wound_wheel(5, 2)):
+        g = d.graph
+        outer = g.outer_face_index
+        assert all(st.kind is (AngleKind.REFLEX if ref.face == outer
+                               else AngleKind.STRICTLY_CONVEX)
+                   for ref, st in all_angle_statuses(d).items())
+        assert not drawing_is_planar(g, d.coords)
+        assert not is_strictly_convex(d)
+        walks = [g.face_vertices(i) for i in range(len(g.faces))]
+        assert not brute_strictly_convex(d.coords, walks, outer)
+    assert is_strictly_convex(cycle_graph(pentagon))
+    assert is_strictly_convex(wound_wheel(5, 1))
+
+
+@st.composite
+def jittered_triangulations(draw):
+    """A Delaunay triangulation on 4 to 9 points, or a wheel wound one to
+    three times, with about one vertex in three moved by up to 2 along
+    each axis."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        d = random_triangulation(rng, 4, 9, 10)
+    else:
+        d = wound_wheel(*draw(st.sampled_from(
+            [(5, 1), (5, 2), (7, 1), (7, 3), (9, 2)])))
+    coords = {}
+    for v, (x, y) in d.coords.items():
+        if draw(st.integers(0, 2)) == 0:
+            x += draw(st.integers(-2, 2))
+            y += draw(st.integers(-2, 2))
+        coords[v] = (x, y)
+    return d.with_coords(coords)
+
+
+cycle_drawings = st.builds(lambda coords, rng: _cycle_case(coords, rng)[0],
+                           rational_point_sets(), st.randoms())
+
+
+@given(st.one_of(cycle_drawings, jittered_triangulations()))
+@settings(max_examples=150, deadline=None)
+def test_strict_convexity_certifies_planarity(d):
+    # what the engine relies on to skip the segment sweep on every redraw
+    if is_strictly_convex(d):
+        validate_drawing(d)
+        assert _rotations_realized(d)
 
 
 @given(rational_point_sets(min_size=4), st.randoms())
