@@ -16,37 +16,29 @@ nudge directions keep curves of the two phases disjoint even when their
 vertical segments share a line.  The nudge is exact: an edge is hit iff its
 x-span contains the ray as a half-open interval, and ties at a shared endpoint
 go to the edge lying higher just left of it (the smaller slope).
+
+Rays, hits and tie-breaks are decided on the integer view of the drawing
+(plane_graph.integer_points; the rotated frame negates it).  A hit height is
+kept as an integer pair (numerator, dx) with dx > 0, and two heights, or two
+slopes, are compared by cross-multiplication, so each decision is the one of
+the rational drawing.  Only the hit point of each curve is turned back into
+a rational, once, from the drawing's own coordinates.
 """
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Dict, List, Tuple
 
 from .connectivity import is_internally_3connected
 from .plane_graph import (
     Drawing,
+    EmbeddingInvalid,
     PlaneGraph,
     PreconditionViolated,
     drawing_is_planar,
+    integer_points,
     orientation,
 )
-
-
-class HorizontalEdge(ValueError):
-    """The drawing has a horizontal edge, so vertical rays are ill-defined."""
-
-
-@dataclass(frozen=True)
-class RayTarget:
-    """First boundary point seen from a reflex extremum along its ray.
-
-    edge is the face-walk dart whose segment contains the hit; point is the
-    limit hit point (x of the extremum, y on that segment)."""
-
-    vertex: int
-    face: int
-    kind: str
-    edge: Tuple[int, int]
-    point: Tuple
 
 
 @dataclass(frozen=True)
@@ -66,38 +58,39 @@ class AugmentingEdge:
     target_point: Tuple
 
 
-def _check_no_horizontal(d: Drawing, exc):
-    for u, v in d.graph.edges():
-        if d.y(u) == d.y(v):
-            raise exc(f"horizontal edge ({u},{v})")
+def _check_no_horizontal(g: PlaneGraph, pts):
+    for u, v in g.edges():
+        if pts[u][1] == pts[v][1]:
+            raise PreconditionViolated(f"horizontal edge ({u},{v})")
 
 
-def _first_hit(coords, walk, j):
-    """Index of the walk edge first hit below walk[j], with the hit height.
+def _first_hit(wp, j):
+    """Index of the walk edge first hit below wp[j], with the hit height
+    as (numerator, dx), dx > 0, on the integer points wp of the walk.
 
     Implements the left-nudged vertical ray: edges qualify when their x-span
     contains x(u) as (lo, hi], and equal heights at a shared right endpoint
     resolve to the smaller slope (the edge lying higher just left of it)."""
-    k = len(walk)
-    xu, yu = coords[walk[j]]
+    xu, yu = wp[j]
     best = None
-    best_idx = None
-    for i in range(k):
-        p, q = coords[walk[i]], coords[walk[(i + 1) % k]]
-        lo, hi = (p[0], q[0]) if p[0] < q[0] else (q[0], p[0])
-        if not (lo < xu <= hi):
+    for i, (p, q) in enumerate(zip(wp, wp[1:] + wp[:1])):
+        if p[0] > q[0]:
+            p, q = q, p
+        if not p[0] < xu <= q[0]:
             continue
-        m = (q[1] - p[1]) / (q[0] - p[0])
-        y_at = p[1] + (xu - p[0]) * m
-        if y_at >= yu:
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        num = p[1] * dx + (xu - p[0]) * dy
+        if num >= yu * dx:
             continue
-        key = (y_at, -m)
-        if best is None or key > best:
-            best = key
-            best_idx = i
-    if best_idx is None:
+        if best is not None:
+            # key (height, -slope) must beat the best one's
+            c = num * best[1] - best[0] * dx
+            if c < 0 or c == 0 and dy * best[1] >= best[2] * dx:
+                continue
+        best = (num, dx, dy, i)
+    if best is None:
         return None
-    return best_idx, best[0]
+    return best[3], best[:2]
 
 
 def _descend(coords, walk, edge_idx):
@@ -119,23 +112,27 @@ def _descend(coords, walk, edge_idx):
         pos = (pos + step) % k
 
 
-def _reflex_minima(g: PlaneGraph, coords):
-    """(face, walk position) of every reflex local minimum of an inner face."""
-    for f in g.inner_face_indices():
-        walk = g.face_vertices(f)
-        k = len(walk)
-        for j in range(k):
-            u, a, b = walk[j], walk[j - 1], walk[(j + 1) % k]
-            if coords[a][1] <= coords[u][1]:
-                continue
-            if coords[b][1] <= coords[u][1]:
-                continue
-            if orientation(coords[a], coords[u], coords[b]) == -1:
-                yield f, j
+def _reflex_minima(wp):
+    """Walk positions of the reflex local minima of a face with integer
+    points wp (interior on the left)."""
+    k = len(wp)
+    for j in range(k):
+        a, u, b = wp[j - 1], wp[j], wp[(j + 1) % k]
+        if a[1] > u[1] < b[1] and orientation(a, u, b) == -1:
+            yield j
 
 
-def _phase(g: PlaneGraph, coords):
-    """One minima pass: edge records plus per-wedge insertion lists.
+def _height_order(a, b):
+    """Order of two arrivals (height, u), height a pair (numerator, dx)."""
+    (na, da), ua = a
+    (nb, db), ub = b
+    c = na * db - nb * da or ua - ub
+    return (c > 0) - (c < 0)
+
+
+def _phase(g: PlaneGraph, pts):
+    """One minima pass on integer points: edge records plus per-wedge
+    insertion lists.
 
     A wedge is the angle of face f at vertex t; new darts land between the
     face's outgoing and incoming darts at t. Arrivals hugging the walk-forward
@@ -148,29 +145,28 @@ def _phase(g: PlaneGraph, coords):
     def wedge(f, t):
         return wedges.setdefault((f, t), {"fwd": [], "bwd": [], "own": None})
 
-    for f, j in _reflex_minima(g, coords):
+    for f in g.inner_face_indices():
         walk = g.face_vertices(f)
-        u = walk[j]
-        hit = _first_hit(coords, walk, j)
-        if hit is None:
-            raise PreconditionViolated(
-                f"no face boundary below reflex minimum {u}")
-        edge_idx, y_at = hit
-        v, darts, forward = _descend(coords, walk, edge_idx)
-        records.append({
-            "u": u, "v": v, "face": f, "darts": darts,
-            "edge": (walk[edge_idx], walk[(edge_idx + 1) % len(walk)]),
-            "point": (coords[u][0], y_at),
-        })
-        wedge(f, u)["own"] = v
-        wedge(f, v)["fwd" if forward else "bwd"].append((y_at, u))
+        wp = [pts[v] for v in walk]
+        for j in _reflex_minima(wp):
+            u = walk[j]
+            hit = _first_hit(wp, j)
+            if hit is None:
+                raise PreconditionViolated(
+                    f"no face boundary below reflex minimum {u}")
+            edge_idx, height = hit
+            v, darts, forward = _descend(pts, walk, edge_idx)
+            records.append({"u": u, "v": v, "face": f, "darts": darts})
+            wedge(f, u)["own"] = v
+            wedge(f, v)["fwd" if forward else "bwd"].append((height, u))
 
     plans = {}
+    order_key = cmp_to_key(_height_order)
     for key, w in wedges.items():
-        order = [u for _, u in sorted(w["bwd"], reverse=True)]
+        order = [u for _, u in sorted(w["bwd"], key=order_key, reverse=True)]
         if w["own"] is not None:
             order.append(w["own"])
-        order.extend(u for _, u in sorted(w["fwd"]))
+        order.extend(u for _, u in sorted(w["fwd"], key=order_key))
         plans[key] = order
     return records, plans
 
@@ -179,11 +175,15 @@ def _apply_plans(g: PlaneGraph, plans):
     by_vertex: Dict[int, Dict[int, List[int]]] = {}
     for (f, t), order in plans.items():
         walk = g.face_vertices(f)
+        if t not in walk:
+            raise EmbeddingInvalid(f"vertex {t} is not on face {f}")
         j = walk.index(t)
         nxt, prv = walk[(j + 1) % len(walk)], walk[j - 1]
         rot = g.rotation[t]
         i = rot.index(nxt)
-        assert rot[(i + 1) % len(rot)] == prv
+        if rot[(i + 1) % len(rot)] != prv:
+            raise EmbeddingInvalid(
+                f"face {f} has no wedge between {nxt} and {prv} at vertex {t}")
         by_vertex.setdefault(t, {})[i] = order
     new_rot = {}
     for t, rot in g.rotation.items():
@@ -199,34 +199,11 @@ def _apply_plans(g: PlaneGraph, plans):
     return new_rot
 
 
-def trapezoidize(d: Drawing) -> Dict[Tuple[int, str], RayTarget]:
-    """Ray target per reflex local extremum of each inner face.
-
-    Keys are (vertex, kind) with kind 'min' (ray goes down) or 'max' (up);
-    a vertex can be a reflex minimum of at most one face, and likewise for
-    maxima, so the key is unique."""
-    _check_no_horizontal(d, HorizontalEdge)
-    g = d.graph
-    out = {}
-    views = (("min", d.coords),
-             ("max", {v: (-x, -y) for v, (x, y) in d.coords.items()}))
-    for kind, coords in views:
-        for f, j in _reflex_minima(g, coords):
-            walk = g.face_vertices(f)
-            u = walk[j]
-            hit = _first_hit(coords, walk, j)
-            if hit is None:
-                raise PreconditionViolated(
-                    f"no face boundary beyond reflex extremum {u}")
-            edge_idx, y_at = hit
-            point = (coords[u][0], y_at)
-            if kind == "max":
-                point = (-point[0], -point[1])
-            out[(u, kind)] = RayTarget(
-                vertex=u, face=f, kind=kind,
-                edge=(walk[edge_idx], walk[(edge_idx + 1) % len(walk)]),
-                point=point)
-    return out
+def _hit_point(coords, u, dart):
+    """The rational point of segment dart straight below or above u."""
+    (ax, ay), (bx, by) = coords[dart[0]], coords[dart[1]]
+    x = coords[u][0]
+    return (x, ay + (x - ax) * (by - ay) / (bx - ax))
 
 
 def augment_y_monotone(d: Drawing, precheck: bool = True):
@@ -237,17 +214,21 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
     curves are y-monotone, certified by each witness chain). precheck=False
     skips the planarity and connectivity tests for callers that already
     established them."""
-    _check_no_horizontal(d, PreconditionViolated)
     g = d.graph
+    pts = integer_points(d.coords)
+    _check_no_horizontal(g, pts)
     if precheck and not drawing_is_planar(g, d.coords):
         raise PreconditionViolated("drawing is not planar")
     if precheck and not is_internally_3connected(g):
         raise PreconditionViolated("graph is not internally 3-connected")
 
-    rec_min, plans_min = _phase(g, d.coords)
-    rotated = {v: (-x, -y) for v, (x, y) in d.coords.items()}
-    rec_max, plans_max = _phase(g, rotated)
-    assert not (plans_min.keys() & plans_max.keys())
+    rec_min, plans_min = _phase(g, pts)
+    rec_max, plans_max = _phase(g, {v: (-x, -y) for v, (x, y) in pts.items()})
+    both = plans_min.keys() & plans_max.keys()
+    if both:
+        f, t = min(both)
+        raise EmbeddingInvalid(
+            f"face {f} gets curves of both phases at vertex {t}")
 
     new_rot = _apply_plans(g, {**plans_min, **plans_max})
     new_g = PlaneGraph(new_rot, g.outer_dart)
@@ -256,12 +237,11 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
     for kind, recs in (("min", rec_min), ("max", rec_max)):
         for r in recs:
             u, v = r["u"], r["v"]
-            px, py = r["point"]
             added.append(AugmentingEdge(
                 u=u, v=v, face=r["face"], kind=kind,
                 u_pos=new_g.rotation[u].index(v),
                 v_pos=new_g.rotation[v].index(u),
                 witness=r["darts"],
-                target_point=(px, py) if kind == "min" else (-px, -py)))
+                target_point=_hit_point(d.coords, u, r["darts"][0])))
     added.sort(key=lambda e: (e.u, e.v))
     return new_g, added

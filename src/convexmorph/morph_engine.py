@@ -405,10 +405,11 @@ def convexify_convex_outer(d: Drawing, precheck: bool = True) -> MorphSequence:
         cur = _safe_shear(cur, "y", cons)
         b.move(Direction.VERTICAL, cur, "clear horizontal edges")
     horizontal = True
+    # a shear keeps every orientation; later, each move's count is reused
+    before = r0
     for _ in range(max(1, r0) + 1):
         if is_strictly_convex(cur):
             return b.build()
-        before = internal_reflex_count(cur)
         if horizontal:
             step, cur = morph_B(cur, precheck=False)
             b.move(Direction.HORIZONTAL, cur, step.provenance)
@@ -421,6 +422,7 @@ def convexify_convex_outer(d: Drawing, precheck: bool = True) -> MorphSequence:
             raise ReflexNotRetired(
                 step.provenance,
                 "alternating move failed to retire a reflex angle")
+        before = after
         horizontal = not horizontal
     if not is_strictly_convex(cur):
         raise MoveBudgetExceeded("convexify_convex_outer",

@@ -483,8 +483,10 @@ def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
         k = len(walk)
         pts = [ints[v] for v in walk]
         for pos in range(k):
-            st = angle_status_points(pts[(pos - 1) % k], pts[pos],
-                                     pts[(pos + 1) % k])
+            a, v, b = pts[pos - 1], pts[pos], pts[(pos + 1) % k]
+            if _cross(_sub(v, a), _sub(b, v)) > 0:
+                continue
+            st = angle_status_points(a, v, b)
             if st.kind is AngleKind.REFLEX:
                 found.append((AngleRef(fi, pos), st, walk[pos]))
     found.sort(key=lambda t: (t[2], t[0].face, t[0].pos))
@@ -492,6 +494,10 @@ def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
 
 
 def internal_reflex_count(d: Drawing) -> int:
+    """Number of reflex inner-face angles. Counting skips every strictly
+    convex corner (a strict left turn) before building its AngleStatus: such
+    a corner is neither reflex nor degenerate, and the convex-outer loop
+    counts after each move, when most corners are convex."""
     return len(internal_reflex_angles(d))
 
 

@@ -723,17 +723,21 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     rightmost; a pinned vertex must lie on the matching chain (or be the
     bottom/top vertex)."""
     options = options or PolygonOptions()
-    left, right = _split_chains(cycle, y)
+    # the integer view of y on the cycle: every y times one positive scale
+    ys = [rat(y[v]) for v in cycle]
+    scale = math.lcm(*(c.denominator for c in ys))
+    iy = {v: c.numerator * (scale // c.denominator) for v, c in zip(cycle, ys)}
+    left, right = _split_chains(cycle, iy)
     bot, top = left[0], left[-1]
 
     if not options.pins:
-        y0, yT = y[bot], y[top]
-        span = yT - y0
+        y0, yT = iy[bot], iy[top]
+        den = scale * (yT - y0)
         coords = {}
         for v in left:
-            coords[v] = (-(y[v] - y0) * (yT - y[v]) / span, y[v])
+            coords[v] = (rat(-(iy[v] - y0) * (yT - iy[v]), den), y[v])
         for v in right[1:-1]:
-            coords[v] = ((y[v] - y0) * (yT - y[v]) / span, y[v])
+            coords[v] = (rat((iy[v] - y0) * (yT - iy[v]), den), y[v])
         poly = BoundaryPolygon(tuple(cycle), coords)
         poly.validate()
         return poly

@@ -27,6 +27,7 @@ from .plane_graph import (
     angle_status_points,
     drawing_is_planar,
     internal_reflex_count,
+    is_strictly_convex,
 )
 from .steps import Direction, MorphSequence, MorphStep
 
@@ -72,11 +73,16 @@ def _sweep_records(d: Drawing, direction: Direction):
             [tuple(it[-1] for it in items) for items in strip_items])
 
 
+def _planar_end(d: Drawing) -> bool:
+    """Planarity of one end of a step. A strictly convex drawing is planar
+    (Floater 2003; see plane_graph), which a face scan decides, so only an
+    end that is not strictly convex is swept."""
+    return is_strictly_convex(d) or drawing_is_planar(d.graph, d.coords)
+
+
 def check_unidirectional_planar(step: MorphStep) -> bool:
     """Exact planarity of the full interpolation of a one-axis step."""
-    if not drawing_is_planar(step.start.graph, step.start.coords):
-        return False
-    if not drawing_is_planar(step.end.graph, step.end.coords):
+    if not (_planar_end(step.start) and _planar_end(step.end)):
         return False
     return (_sweep_records(step.start, step.direction)
             == _sweep_records(step.end, step.direction))

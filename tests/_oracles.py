@@ -438,3 +438,112 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
         if ok:
             return lam
     return None
+
+
+def _first_hit_fraction(coords, walk, j):
+    """Index of the walk edge first hit by the left-nudged ray down from
+    walk[j], with the hit height: edges whose x-span holds x(u) as (lo, hi],
+    ties at a shared right endpoint to the smaller slope."""
+    k = len(walk)
+    xu, yu = coords[walk[j]]
+    best = None
+    best_idx = None
+    for i in range(k):
+        p, q = coords[walk[i]], coords[walk[(i + 1) % k]]
+        lo, hi = (p[0], q[0]) if p[0] < q[0] else (q[0], p[0])
+        if not (lo < xu <= hi):
+            continue
+        m = (q[1] - p[1]) / (q[0] - p[0])
+        y_at = p[1] + (xu - p[0]) * m
+        if y_at >= yu:
+            continue
+        key = (y_at, -m)
+        if best is None or key > best:
+            best = key
+            best_idx = i
+    if best_idx is None:
+        return None
+    return best_idx, best[0]
+
+
+def _descend_fraction(coords, walk, edge_idx):
+    k = len(walk)
+    p, q = walk[edge_idx], walk[(edge_idx + 1) % k]
+    forward = coords[q][1] < coords[p][1]
+    if forward:
+        pos, step, darts = (edge_idx + 1) % k, 1, [(p, q)]
+    else:
+        pos, step, darts = edge_idx, -1, [(q, p)]
+    while True:
+        cur = walk[pos]
+        nxt = walk[(pos + step) % k]
+        if coords[nxt][1] > coords[cur][1]:
+            return cur, tuple(darts), forward
+        darts.append((cur, nxt))
+        pos = (pos + step) % k
+
+
+def _phase_fraction(g, coords):
+    """One minima pass: a curve record per reflex local minimum of an inner
+    face, and per wedge (face, vertex) the order of the new neighbours."""
+    records = []
+    wedges = {}
+    for f in g.inner_face_indices():
+        walk = g.face_vertices(f)
+        k = len(walk)
+        for j in range(k):
+            u, a, b = walk[j], walk[j - 1], walk[(j + 1) % k]
+            if coords[a][1] <= coords[u][1] or coords[b][1] <= coords[u][1]:
+                continue
+            if _orient(coords[a], coords[u], coords[b]) != -1:
+                continue
+            edge_idx, y_at = _first_hit_fraction(coords, walk, j)
+            v, darts, forward = _descend_fraction(coords, walk, edge_idx)
+            records.append((u, v, f, darts, (coords[u][0], y_at)))
+            wedges.setdefault((f, u), {"fwd": [], "bwd": [], "own": None})
+            wedges[(f, u)]["own"] = v
+            w = wedges.setdefault((f, v), {"fwd": [], "bwd": [], "own": None})
+            w["fwd" if forward else "bwd"].append((y_at, u))
+    plans = {}
+    for key, w in wedges.items():
+        order = [u for _, u in sorted(w["bwd"], reverse=True)]
+        if w["own"] is not None:
+            order.append(w["own"])
+        order.extend(u for _, u in sorted(w["fwd"]))
+        plans[key] = order
+    return records, plans
+
+
+def augment_y_monotone_fraction(g, coords: Dict[int, Tuple]):
+    """The y-monotone augmentation in plain Fraction arithmetic: one curve
+    per reflex local minimum (and, on the drawing turned by 180 degrees, per
+    reflex local maximum) of an inner face, from the left-nudged vertical
+    ray down to the first local minimum below its hit. g supplies rotation,
+    inner_face_indices() and face_vertices(). Returns the augmented rotation
+    and, sorted by (u, v), the tuples (u, v, face, kind, u_pos, v_pos,
+    witness, target_point)."""
+    pts = {v: _f(p) for v, p in coords.items()}
+    rec_min, plans_min = _phase_fraction(g, pts)
+    rec_max, plans_max = _phase_fraction(
+        g, {v: (-x, -y) for v, (x, y) in pts.items()})
+    inserts = {}
+    for (f, t), order in {**plans_min, **plans_max}.items():
+        walk = g.face_vertices(f)
+        j = walk.index(t)
+        rot = g.rotation[t]
+        inserts.setdefault(t, {})[rot.index(walk[(j + 1) % len(walk)])] = order
+    rotation = {}
+    for t, rot in g.rotation.items():
+        out = []
+        for i, nb in enumerate(rot):
+            out.append(nb)
+            out.extend(inserts.get(t, {}).get(i, ()))
+        rotation[t] = tuple(out)
+    added = []
+    for kind, sgn, recs in (("min", 1, rec_min), ("max", -1, rec_max)):
+        for u, v, f, darts, (px, py) in recs:
+            added.append((u, v, f, kind, rotation[u].index(v),
+                          rotation[v].index(u), darts,
+                          (sgn * px, sgn * py)))
+    added.sort(key=lambda e: (e[0], e[1]))
+    return rotation, added

@@ -10,17 +10,24 @@ from fractions import Fraction
 
 import pytest
 
-from _instances import random_augment_instance
-from _oracles import count_reflex_extrema_in_faces, ray_shoot_down
+from _instances import (
+    _drop_inner_edges,
+    dent_instance,
+    pocket_instance,
+    random_augment_instance,
+)
+from _oracles import (
+    augment_y_monotone_fraction,
+    count_reflex_extrema_in_faces,
+    ray_shoot_down,
+)
 from _realize import realize_augmenting_edges
 
-from convexmorph import Drawing, rat
+from convexmorph import (Drawing, EmbeddingInvalid, monotone_augment,
+                         morph_engine, rat)
 from convexmorph.connectivity import is_internally_3connected
-from convexmorph.monotone_augment import (
-    HorizontalEdge,
-    augment_y_monotone,
-    trapezoidize,
-)
+from convexmorph.monotone_augment import _apply_plans, augment_y_monotone
+from convexmorph.morph_engine import convexify
 from convexmorph.plane_graph import (
     PreconditionViolated,
     build_plane_graph_from_points,
@@ -108,36 +115,41 @@ def single_inner_face(g):
 
 
 class TestTrapezoidize:
+    """The rays of the trapezoidization: augment_y_monotone reports each
+    ray's hit edge as witness[0], oriented away from u, and its hit point
+    as target_point."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_comb_has_k_ray_targets(self, k):
         d, tips = hanging_comb(k)
-        targets = trapezoidize(d)
-        assert set(targets) == {(t, "min") for t in tips}
+        _, added = augment_y_monotone(d)
+        assert {(e.u, e.kind) for e in added} == {(t, "min") for t in tips}
         f = single_inner_face(d.graph)
         segs = [(d.coords[a], d.coords[b])
                 for a, b in zip(d.graph.face_vertices(f),
                                 d.graph.face_vertices(f)[1:]
                                 + d.graph.face_vertices(f)[:1])]
-        for t in tips:
-            rt = targets[(t, "min")]
-            assert rt.face == f and rt.kind == "min" and rt.vertex == t
-            assert rt.edge == (1, 2)
-            assert rt.point[0] == d.x(t)
-            y_oracle, hit_kind = ray_shoot_down(d.coords, segs, d.coords[t])
+        for e in added:
+            assert e.face == f
+            assert e.witness[0] == (1, 2)
+            assert e.target_point[0] == d.x(e.u)
+            y_oracle, hit_kind = ray_shoot_down(d.coords, segs, d.coords[e.u])
             assert hit_kind == "interior"
-            assert Fraction(rt.point[1]) == y_oracle
+            assert Fraction(e.target_point[1]) == y_oracle
 
     def test_comb3_frozen_points(self):
         d = ring_drawing(COMB3, COMB3_CYCLE)
-        targets = trapezoidize(d)
-        assert {(u, k): (t.edge, t.point) for (u, k), t in targets.items()} == {
+        _, added = augment_y_monotone(d)
+        assert {(e.u, e.kind): (e.witness[0], e.target_point)
+                for e in added} == {
             (4, "min"): ((1, 2), (rat(10), rat(-5, 6))),
             (6, "min"): ((1, 2), (rat(7), rat(-7, 12))),
             (8, "min"): ((1, 2), (rat(3), rat(-1, 4))),
         }
 
     def test_convex_face_empty(self):
-        assert trapezoidize(ring_drawing(CONVEX, CONVEX_CYCLE)) == {}
+        d = ring_drawing(CONVEX, CONVEX_CYCLE)
+        assert augment_y_monotone(d) == (d.graph, [])
 
     def test_monotone_nonconvex_face_empty(self):
         d = ring_drawing(STAIR, STAIR_CYCLE)
@@ -146,32 +158,33 @@ class TestTrapezoidize:
         assert any(orientation(d.coords[walk[i - 1]], d.coords[walk[i]],
                                d.coords[walk[(i + 1) % len(walk)]]) == -1
                    for i in range(len(walk)))
-        assert trapezoidize(d) == {}
+        assert augment_y_monotone(d)[1] == []
 
     def test_two_extrema_face(self):
         d = ring_drawing(TWO, TWO_CYCLE)
-        targets = trapezoidize(d)
+        _, added = augment_y_monotone(d)
+        targets = {(e.u, e.kind): e for e in added}
         assert set(targets) == {(6, "min"), (2, "max")}
         lo = targets[(6, "min")]
-        assert lo.edge == (3, 4)
-        assert lo.point == (rat(6), rat(-1, 2))
+        assert lo.witness[0] == (4, 3)
+        assert lo.target_point == (rat(6), rat(-1, 2))
         hi = targets[(2, "max")]
-        assert hi.edge == (6, 7)
-        assert hi.point == (rat(3), rat(9))
+        assert hi.witness[0] == (6, 7)
+        assert hi.target_point == (rat(3), rat(9))
 
     def test_spur_tie_takes_smaller_slope_edge(self):
         d = ring_drawing(SPUR, SPUR_CYCLE)
-        targets = trapezoidize(d)
-        assert set(targets) == {(4, "min")}
-        rt = targets[(4, "min")]
-        assert rt.edge == (7, 8)
-        assert rt.point == (rat(2), rat(0))
+        _, added = augment_y_monotone(d)
+        assert [(e.u, e.kind) for e in added] == [(4, "min")]
+        assert added[0].witness[0] == (7, 8)
+        assert added[0].target_point == (rat(2), rat(0))
 
     def test_horizontal_edge_rejected(self):
+        # the check runs even when the caller skips the other prechecks
         square = {1: (0, 0), 2: (2, 0), 3: (2, 2), 4: (0, 2)}
         d = ring_drawing(square, (1, 2, 3, 4))
-        with pytest.raises(HorizontalEdge):
-            trapezoidize(d)
+        with pytest.raises(PreconditionViolated, match="horizontal edge"):
+            augment_y_monotone(d, precheck=False)
 
 
 class TestAugmentFixtures:
@@ -351,18 +364,13 @@ class TestAugmentRandom:
                 assert len(set(rot)) == len(rot)
             for f in new_g.inner_face_indices():
                 assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
-            targets = trapezoidize(d)
-            assert set(targets) == {(e.u, e.kind) for e in added}
             for e in added:
                 assert not g.has_edge(e.u, e.v)
                 assert new_g.has_edge(e.u, e.v)
                 assert new_g.rotation[e.u][e.u_pos] == e.v
                 assert new_g.rotation[e.v][e.v_pos] == e.u
                 check_edge_against_face(d, e, g.face_vertices(e.face))
-                rt = targets[(e.u, e.kind)]
-                assert rt.face == e.face
-                assert rt.point == e.target_point
-                assert e.witness[0] in (rt.edge, rt.edge[::-1])
+            assert_fraction_oracle_agrees(d)
         assert total >= 40
 
     def test_twenty_vertex_instances_become_monotone(self):
@@ -392,3 +400,93 @@ class TestRealization:
             polys = realize_augmenting_edges(d, added)
             drawn += len(polys)
         assert drawn >= 10
+
+
+def assert_fraction_oracle_agrees(d):
+    """The integer-view augmentation gives the Fraction one's rotation and
+    edges; returns the number of edges."""
+    new_g, added = augment_y_monotone(d, precheck=False)
+    rotation, edges = augment_y_monotone_fraction(d.graph, d.coords)
+    assert new_g.rotation == rotation
+    assert [(e.u, e.v, e.face, e.kind, e.u_pos, e.v_pos, e.witness,
+             e.target_point) for e in added] == edges
+    return len(added)
+
+
+def scaled(d):
+    """x -> (x - 17)/3, y -> (y - 23)/5: negative, non-dyadic coordinates
+    with every vertical alignment (and so every ray tie) kept."""
+    return d.with_coords({v: ((x - 17) / 3, (y - 23) / 5)
+                          for v, (x, y) in d.coords.items()})
+
+
+def skewed(d):
+    """scaled, then x -> x + y/7: orientation and heights kept, the rays
+    moved."""
+    return d.with_coords({v: (x + y / 7, y)
+                          for v, (x, y) in scaled(d).coords.items()})
+
+
+FAMILIES = {
+    "convex_outer": lambda rng: random_augment_instance(rng, 14, 14, 20),
+    "dent": lambda rng: dent_instance(rng, 12, 20),
+    "pockets": lambda rng: pocket_instance(rng, 12, 20),
+}
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("coords,cycle", [
+        (COMB3, COMB3_CYCLE), (TWO, TWO_CYCLE), (SPUR, SPUR_CYCLE),
+        (STAIR, STAIR_CYCLE)])
+    def test_rings(self, coords, cycle):
+        d = ring_drawing(coords, cycle)
+        counts = [assert_fraction_oracle_agrees(dd)
+                  for dd in (d, scaled(d), skewed(d))]
+        assert counts[0] == counts[1] == counts[2]
+
+    def test_spur_tie_survives_scaling(self):
+        _, added = augment_y_monotone(scaled(ring_drawing(SPUR, SPUR_CYCLE)))
+        assert added[0].witness[0] == (7, 8)
+        assert added[0].target_point == (rat(-5), rat(-23, 5))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_drawings(self, family, monkeypatch):
+        # each input with and without more of its inner edges, and every
+        # drawing convexify augments; as they are and moved off the grid
+        seen = []
+        real = morph_engine.augment_y_monotone
+
+        def spy(d, precheck=True):
+            seen.append(d)
+            return real(d, precheck)
+
+        monkeypatch.setattr(morph_engine, "augment_y_monotone", spy)
+        for seed in range(2):
+            d = FAMILIES[family](random.Random(seed))
+            seen += [d, _drop_inner_edges(random.Random(seed), d, 0.8)]
+            convexify(d)
+        edges = 0
+        for d in seen:
+            if any(d.y(u) == d.y(v) for u, v in d.graph.edges()):
+                continue
+            edges += assert_fraction_oracle_agrees(d)
+            edges += assert_fraction_oracle_agrees(scaled(d))
+            edges += assert_fraction_oracle_agrees(skewed(d))
+        assert edges > 0
+
+
+class TestApplyPlans:
+    def test_vertex_off_the_face(self):
+        d = ring_drawing(TWO, TWO_CYCLE)
+        f = single_inner_face(d.graph)
+        with pytest.raises(EmbeddingInvalid, match=f"vertex 9 .*face {f}"):
+            _apply_plans(d.graph, {(f, 9): [1]})
+
+    def test_plans_of_both_phases_at_one_wedge(self, monkeypatch):
+        # both passes planning curves into the wedge of face f at vertex 6
+        d = ring_drawing(TWO, TWO_CYCLE)
+        f = single_inner_face(d.graph)
+        monkeypatch.setattr(monotone_augment, "_phase",
+                            lambda g, pts: ([], {(f, 6): [3]}))
+        with pytest.raises(EmbeddingInvalid, match=f"face {f} .*vertex 6"):
+            augment_y_monotone(d)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexmorph import (monotone_augment, morph_engine, plane_graph,
-                         tutte_solver)
+                         tutte_solver, verify)
 from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import (
     ConvexifyError,
@@ -282,6 +282,19 @@ GOLDEN = {
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))
 def test_convexify_output_unchanged(family, seed):
     assert event_digest(convexified(family, seed)[1]) == GOLDEN[family, seed]
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN))
+def test_step_end_verdicts_match_the_sweep(family, seed):
+    # check_unidirectional_planar sweeps only the ends that strict
+    # convexity does not certify; every verdict is the sweep's
+    _, seq = convexified(family, seed)
+    ends = [d for step in seq.steps for d in (step.start, step.end)]
+    assert any(is_strictly_convex(d) for d in ends)
+    assert any(not is_strictly_convex(d) for d in ends)
+    for d in ends:
+        assert verify._planar_end(d) == plane_graph.drawing_is_planar(
+            d.graph, d.coords)
 
 
 def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from convexmorph import verify
 from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.plane_graph import (
     Drawing,
     build_plane_graph_from_points,
+    drawing_is_planar,
     internal_reflex_count,
     rat,
 )
@@ -144,3 +146,21 @@ def test_step_bounds_modes():
     assert not check_step_bounds(seq3, "general", n=0)
     with pytest.raises(ValueError):
         check_step_bounds(seq2, "fast")
+
+
+def test_pentagram_end_is_swept_and_rejected():
+    # C5 drawn through a convex pentagon's corners in the order 0, 2, 4,
+    # 1, 3: every corner turns one way, but the walk winds twice
+    pentagon = [(2, 0), (4, 2), (3, 4), (1, 4), (0, 2)]
+    convex = _drawing(dict(enumerate(pentagon)),
+                      [(i, (i + 1) % 5) for i in range(5)])
+    star = convex.with_coords({i: (rat(pentagon[2 * i % 5][0]),
+                                   rat(pentagon[2 * i % 5][1]))
+                               for i in range(5)})
+    for d, planar in ((convex, True), (star, False)):
+        assert drawing_is_planar(d.graph, d.coords) is planar
+        assert verify._planar_end(d) is planar
+    assert check_unidirectional_planar(
+        MorphStep(Direction.HORIZONTAL, convex, convex))
+    assert not check_unidirectional_planar(
+        MorphStep(Direction.HORIZONTAL, star, star))
