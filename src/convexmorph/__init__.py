@@ -6,27 +6,46 @@ rationals they denote.
 
 __version__ = "0.1.0"
 
-from .plane_graph import (
-    PlaneGraph,
-    Drawing,
-    AngleKind,
-    ReflexKind,
-    AngleStatus,
-    AngleRef,
-    rat,
-    sign_of,
-    orientation,
-    trace_faces,
-    angle_status,
-    is_strictly_convex,
-    convex_hull,
-    shear,
-    choose_safe_shear,
-    ShearConstraints,
-    EmbeddingInvalid,
-    DegenerateAngle,
-    AllCollinear,
-    NoValidShear,
-    NotPlanarInput,
-    PreconditionViolated,
+from .morph_engine import (
+    ConvexifyError,
+    GraphNotRestored,
+    MoveBudgetExceeded,
+    NotInternallyThreeConnected,
+    PocketNotSeparated,
+    PostconditionFailed,
+    ReflexNotRetired,
+    convexify,
 )
+from .plane_graph import (
+    Drawing,
+    EmbeddingInvalid,
+    NotPlanarInput,
+    PlaneGraph,
+    PreconditionViolated,
+    build_plane_graph_from_points,
+    is_strictly_convex,
+    orientation,
+    rat,
+)
+from .steps import Direction, MorphSequence, MorphStep
+from .verify import (
+    check_convexity_increasing,
+    check_step_bounds,
+    check_unidirectional_planar,
+)
+
+__all__ = [
+    # the pipeline
+    "convexify", "MorphSequence", "MorphStep", "Direction", "Drawing",
+    "PlaneGraph", "build_plane_graph_from_points",
+    # its errors
+    "ConvexifyError", "PostconditionFailed", "ReflexNotRetired",
+    "MoveBudgetExceeded", "PocketNotSeparated", "GraphNotRestored",
+    "NotPlanarInput", "NotInternallyThreeConnected", "PreconditionViolated",
+    "EmbeddingInvalid",
+    # the certificates
+    "check_unidirectional_planar", "check_convexity_increasing",
+    "check_step_bounds", "is_strictly_convex",
+    # exact arithmetic
+    "rat", "orientation",
+]

@@ -46,14 +46,12 @@ class AugmentingEdge:
     """Edge joining two local extrema of one original inner face.
 
     witness lists the boundary darts from the ray's hit edge to v, oriented
-    away from u; positions index the augmented rotation orders."""
+    away from u."""
 
     u: int
     v: int
     face: int
     kind: str
-    u_pos: int
-    v_pos: int
     witness: Tuple[Tuple[int, int], ...]
     target_point: Tuple
 
@@ -239,8 +237,6 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
             u, v = r["u"], r["v"]
             added.append(AugmentingEdge(
                 u=u, v=v, face=r["face"], kind=kind,
-                u_pos=new_g.rotation[u].index(v),
-                v_pos=new_g.rotation[v].index(u),
                 witness=r["darts"],
                 target_point=_hit_point(d.coords, u, r["darts"][0])))
     added.sort(key=lambda e: (e.u, e.v))

@@ -6,9 +6,9 @@ and vertical moves, never letting a convex internal angle go reflex again.
 
 Layers, from primitive to general input:
 
- * morph_A / morph_B: one horizontal move of a convex-outer drawing that
-   makes every internal angle whose apex is not a local height extremum of
-   its face strictly convex; morph_B folds in a shear so the result has no
+ * morph_B: one horizontal move of a convex-outer drawing that makes
+   every internal angle whose apex is not a local height extremum of its
+   face strictly convex, with a shear folded in so the result has no
    vertical edge and, when reflex angles remain, one of them straddles its
    apex horizontally (the target of the next vertical move).
  * convexify_convex_outer: alternate morph_B horizontally and vertically
@@ -21,7 +21,9 @@ Layers, from primitive to general input:
  * augment_buffers / remove_buffer_vertex: for inputs where a hull edge
    cannot be added directly, pad each missing hull segment with a buffer
    path first; its apex vertices come back out later, two moves each.
- * convexify: dispatch over the cases above.
+ * convexify: check the input, then dispatch over the cases above. It is
+   the only input gate: each layer trusts that its caller established
+   planarity and connectivity, and checks only what its own step needs.
 
 Every move redraws the drawing onto a strictly convex boundary polygon
 with the fixed axis kept (the Tutte variant of tutte_solver), then shears
@@ -44,8 +46,8 @@ naming the step and the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .connectivity import is_internally_3connected, three_connected
 from .monotone_augment import augment_y_monotone
@@ -67,7 +69,6 @@ from .plane_graph import (
     drawing_is_planar,
     integer_points,
     internal_reflex_angles,
-    internal_reflex_count,
     is_convex_outer,
     is_strictly_convex,
     rat,
@@ -77,10 +78,9 @@ from .plane_graph import (
     unique_extreme,
     validate_drawing,
 )
-from .steps import Direction, GraphEdit, MorphSequence, MorphStep, SequenceBuilder
+from .steps import Direction, MorphSequence, SequenceBuilder
 from .tutte_solver import (
     BoundaryPolygon,
-    PolygonOptions,
     ConstraintInfeasible,
     WrongChain,
     RoundedSolution,
@@ -93,14 +93,6 @@ from .tutte_solver import (
 
 class NotInternallyThreeConnected(ValueError):
     """Input graph is not internally 3-connected."""
-
-
-class RemovalBreaksConnectivity(ValueError):
-    """Removing the requested outer edge destroys internal 3-connectivity."""
-
-
-class NonExternalPairCreated(ValueError):
-    """Hull completion was not certified safe and created a separating pair."""
 
 
 class PlacementFailure(ValueError):
@@ -172,32 +164,6 @@ def _rotations_realized(d: Drawing) -> bool:
         if any(order[(shift + i) % k] != i for i in range(k)):
             return False
     return True
-
-
-def _remove_edge_safe(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
-    """remove_edge that re-anchors the outer dart when e carried it."""
-    if set(g.outer_dart) == {u, v}:
-        walk = g.outer_walk()
-        k = len(walk)
-        for i in range(k):
-            dart = (walk[i], walk[(i + 1) % k])
-            if set(dart) != {u, v}:
-                return g.remove_edge(u, v, outer_dart=dart)
-        raise EmbeddingInvalid("outer face is a single edge")
-    return g.remove_edge(u, v)
-
-
-def _remove_vertex_safe(g: PlaneGraph, w: int) -> PlaneGraph:
-    """remove_vertex that re-anchors the outer dart when w was on it."""
-    if w in g.outer_dart:
-        walk = g.outer_walk()
-        k = len(walk)
-        for i in range(k):
-            dart = (walk[i], walk[(i + 1) % k])
-            if w not in dart:
-                return g.remove_vertex(w, outer_dart=dart)
-        raise EmbeddingInvalid("no outer dart avoids the vertex")
-    return g.remove_vertex(w)
 
 
 # -- coordinate maintenance ----------------------------------------------------
@@ -303,43 +269,7 @@ def _redraw_move(b: SequenceBuilder, direction: Direction,
     return cur
 
 
-def _polygon_preserving_x(cycle: Sequence[int],
-                          x: Dict[int, object]) -> BoundaryPolygon:
-    """Strictly convex polygon on the cycle keeping every x, default shape."""
-    poly = convex_polygon_for_y(tuple(reversed(cycle)), x)
-    coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
-    out = BoundaryPolygon(tuple(cycle), coords)
-    out.validate()
-    return out
-
-
-def _require_planar(d: Drawing):
-    if not drawing_is_planar(d.graph, d.coords):
-        raise PreconditionViolated("drawing is not planar")
-
-
-def _require_i3c(g: PlaneGraph):
-    if not is_internally_3connected(g):
-        raise PreconditionViolated("graph is not internally 3-connected")
-
-
 # -- single horizontal moves ---------------------------------------------------
-
-
-def morph_A(d: Drawing, precheck: bool = True) -> MorphStep:
-    """One horizontal move after which every internal angle whose apex is
-    not a local height extremum of its face is strictly convex and the
-    outer polygon is strictly convex. Preserves every y coordinate."""
-    if precheck:
-        _require_planar(d)
-        _require_i3c(d.graph)
-        if not is_convex_outer(d):
-            raise PreconditionViolated("outer face is not convex")
-    if _has_horizontal_edge(d):
-        raise PreconditionViolated("drawing has a horizontal edge")
-    end = _level_convex_redraw(d)
-    return MorphStep(Direction.HORIZONTAL, d, end,
-                     "level-preserving convex redraw")
 
 
 def _level_convex_redraw(d: Drawing) -> Drawing:
@@ -354,11 +284,21 @@ def _level_convex_redraw(d: Drawing) -> Drawing:
     return Drawing(d.graph, out.coords)
 
 
-def morph_B(d: Drawing, precheck: bool = True) -> Tuple[MorphStep, Drawing]:
-    """morph_A combined with a shear, still one horizontal move: the end
-    drawing has no vertical edge, and if it is not convex yet, at least one
-    reflex angle has face neighbors on both sides of its apex in x."""
-    mid = morph_A(d, precheck=precheck).end
+_MORPH_B = "convex redraw with straddle shear"
+
+
+def morph_B(d: Drawing) -> Tuple[Drawing, int]:
+    """One horizontal move of a convex-outer drawing with no horizontal
+    edge: a redraw that keeps every y and makes strictly convex every
+    internal angle whose apex is not a local height extremum of its face,
+    and the outer polygon, then a shear. The end drawing has no vertical
+    edge, and if it is not convex yet, at least one reflex angle has face
+    neighbors on both sides of its apex in x. Returns the end drawing and
+    its number of internal reflex angles."""
+    if _has_horizontal_edge(d):
+        raise PreconditionViolated("drawing has a horizontal edge")
+    mid = _level_convex_redraw(d)
+    # a shear keeps every orientation, so the count on mid is the end's
     reflex = internal_reflex_angles(mid)
     straddling = [ref for ref, st in reflex
                   if ReflexKind.V_REFLEX in st.subtypes]
@@ -369,26 +309,19 @@ def morph_B(d: Drawing, precheck: bool = True) -> Tuple[MorphStep, Drawing]:
     else:
         target = reflex[0][0] if reflex else None
     if (reflex and not straddling) or _has_vertical_edge(mid):
-        cons = ShearConstraints(no_axis_parallel=True, make_straddle=target)
+        cons = ShearConstraints(make_straddle=target)
         end = _safe_shear(mid, "x", cons)
     else:
         end = mid
-    step = MorphStep(Direction.HORIZONTAL, d, end,
-                     "convex redraw with straddle shear")
-    return step, end
+    return end, len(reflex)
 
 
 # -- convex outer face ----------------------------------------------------------
 
 
-def convexify_convex_outer(d: Drawing, precheck: bool = True) -> MorphSequence:
+def convexify_convex_outer(d: Drawing) -> MorphSequence:
     """Alternating one-axis moves from a convex-outer drawing to a strictly
     convex one; at most max(2, r+1) moves for r internal reflex angles."""
-    if precheck:
-        _require_planar(d)
-        _require_i3c(d.graph)
-        if not is_convex_outer(d):
-            raise PreconditionViolated("outer face is not convex")
     b = SequenceBuilder(d)
     if is_strictly_convex(d):
         return b.build()
@@ -400,28 +333,26 @@ def convexify_convex_outer(d: Drawing, precheck: bool = True) -> MorphSequence:
     if _has_horizontal_edge(cur) or (
             r0 > 0 and not any(ReflexKind.H_REFLEX in st.subtypes
                                for _, st in reflex)):
-        cons = ShearConstraints(no_axis_parallel=True,
-                                make_straddle=reflex[0][0] if r0 else None)
+        cons = ShearConstraints(make_straddle=reflex[0][0] if r0 else None)
         cur = _safe_shear(cur, "y", cons)
         b.move(Direction.VERTICAL, cur, "clear horizontal edges")
     horizontal = True
-    # a shear keeps every orientation; later, each move's count is reused
+    # a shear keeps every orientation, and a transposition mirrors the
+    # embedding with the drawing, so each count carries over unchanged
     before = r0
     for _ in range(max(1, r0) + 1):
         if is_strictly_convex(cur):
             return b.build()
         if horizontal:
-            step, cur = morph_B(cur, precheck=False)
-            b.move(Direction.HORIZONTAL, cur, step.provenance)
+            cur, after = morph_B(cur)
+            b.move(Direction.HORIZONTAL, cur, _MORPH_B)
         else:
-            step, tcur = morph_B(cur.transposed(), precheck=False)
+            tcur, after = morph_B(cur.transposed())
             cur = tcur.transposed()
-            b.move(Direction.VERTICAL, cur, step.provenance)
-        after = internal_reflex_count(cur)
+            b.move(Direction.VERTICAL, cur, _MORPH_B)
         if before > 0 and after >= before:
             raise ReflexNotRetired(
-                step.provenance,
-                "alternating move failed to retire a reflex angle")
+                _MORPH_B, "alternating move failed to retire a reflex angle")
         before = after
         horizontal = not horizontal
     if not is_strictly_convex(cur):
@@ -453,28 +384,21 @@ def _x_monotone(path: Sequence[int], coords) -> bool:
     return all(a < b for a, b in steps) or all(a > b for a, b in steps)
 
 
-def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
-               assume_connected: bool = False,
+def pop_pocket(d: Drawing, e: Tuple[int, int]
                ) -> Tuple[MorphSequence, Drawing]:
-    """Remove outer edge e and hand its pocket path back to the hull,
-    keeping the drawing strictly convex throughout; at most three moves."""
+    """Remove outer edge e of a strictly convex drawing and hand its pocket
+    path back to the hull, keeping the drawing strictly convex throughout;
+    at most three moves. The graph without e must be internally
+    3-connected."""
     g = d.graph
     u, v = min(e), max(e)
-    if not g.has_edge(u, v):
-        raise PreconditionViolated(f"no edge {e}")
     outer = g.outer_walk()
     k = len(outer)
     if not any({outer[i], outer[(i + 1) % k]} == {u, v} for i in range(k)):
         raise PreconditionViolated(f"edge {e} is not on the outer face")
-    if precheck:
-        if not is_strictly_convex(d):
-            raise PreconditionViolated("drawing is not strictly convex")
     if _has_vertical_edge(d):
         raise PreconditionViolated("drawing has a vertical edge")
-    g_minus = _remove_edge_safe(g, u, v)
-    if not assume_connected and not is_internally_3connected(g_minus):
-        raise RemovalBreaksConnectivity(
-            f"graph minus {e} is not internally 3-connected")
+    g_minus = g.remove_edge(u, v)
 
     b = SequenceBuilder(d)
     # one vertical move: u becomes the unique top or bottom vertex, and a
@@ -489,7 +413,7 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
     cur = _redraw_move(
         b, Direction.VERTICAL, poly1, "pocket corner to the top",
         lambda dd: unique_extreme(dd.coords, u, side),
-        ShearConstraints(no_axis_parallel=True, keep_extreme=((u, side),)))
+        ShearConstraints(keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
     if not _x_monotone(path, cur.coords):
@@ -502,8 +426,7 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
         for pins in (((u, "left"), (v, "right")),
                      ((u, "right"), (v, "left"))):
             try:
-                poly2 = convex_polygon_for_y(walk2, ymap2,
-                                             PolygonOptions(pins=pins))
+                poly2 = convex_polygon_for_y(walk2, ymap2, pins=pins)
                 pins_used = pins
                 break
             except (WrongChain, ConstraintInfeasible):
@@ -515,7 +438,7 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
             lambda dd: all(unique_extreme(dd.coords, w, s)
                            for w, s in pins_used),
-            ShearConstraints(no_axis_parallel=True, keep_extreme=pins_used))
+            ShearConstraints(keep_extreme=pins_used))
         if not _x_monotone(path, cur.coords):
             raise PocketNotSeparated("pocket corners to the sides",
                                      "pocket path still not monotone after "
@@ -524,22 +447,19 @@ def pop_pocket(d: Drawing, e: Tuple[int, int], precheck: bool = True,
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = Drawing(g_minus, cur.coords)
     b.edit(d_minus, "release pocket edge")
-    poly3 = _polygon_preserving_x(g_minus.outer_walk(), _xmap(d_minus))
+    poly3 = convex_polygon_for_x(g_minus.outer_walk(), _xmap(d_minus))
     cur = _redraw_move(b, Direction.VERTICAL, poly3,
                        "pocket path onto the hull")
     return b.build(), cur
 
 
-def convexify_3connected(d: Drawing, precheck: bool = True,
-                         hull_certified: bool = False) -> MorphSequence:
+def convexify_3connected(d: Drawing) -> MorphSequence:
     """Convexify by completing the hull with temporary edges, convexifying
     the completed drawing, then popping each temporary edge; at most
-    1.5n+2 moves. hull_certified asserts that removing any subset of the
-    added edges keeps the graph internally 3-connected."""
+    1.5n+2 moves. Removing any subset of the added edges must keep the
+    graph internally 3-connected: so it does when d's graph is 3-connected,
+    and when augment_buffers padded its hull gaps."""
     g = d.graph
-    if precheck:
-        _require_planar(d)
-        _require_i3c(g)
     hull = convex_hull(d)
     h = len(hull)
     missing = sorted(
@@ -547,27 +467,22 @@ def convexify_3connected(d: Drawing, precheck: bool = True,
          if not g.has_edge(hull[i], hull[(i + 1) % h])),
         key=lambda p: (min(p), max(p)))
     if not missing:
-        return convexify_convex_outer(d, precheck=False)
-    assume = hull_certified or three_connected(g.adjacency())
+        return convexify_convex_outer(d)
 
     g_full = build_plane_graph_from_points(
         d.coords, list(g.edges()) + missing)
     d_full = Drawing(g_full, d.coords)
     b = SequenceBuilder(d)
     b.edit(d_full, "complete hull")
-    b.absorb(convexify_convex_outer(d_full, precheck=False))
+    b.absorb(convexify_convex_outer(d_full))
     cur = b.current
     if _has_vertical_edge(cur):
         # only possible when the completed drawing was already strictly
         # convex and no move ran
-        cur = _safe_shear(cur, "x", ShearConstraints(no_axis_parallel=True))
+        cur = _safe_shear(cur, "x", ShearConstraints())
         b.move(Direction.HORIZONTAL, cur, "clear vertical edges")
     for e in missing:
-        try:
-            sub, cur = pop_pocket(cur, e, precheck=False,
-                                  assume_connected=assume)
-        except RemovalBreaksConnectivity as exc:
-            raise NonExternalPairCreated(str(exc)) from exc
+        sub, cur = pop_pocket(cur, e)
         b.absorb(sub)
     return b.build()
 
@@ -582,14 +497,10 @@ class PocketAugmentation:
     interior vertices. buffer_path lists them in walk order; the odd
     positions are the apex vertices (one per interior path vertex), the
     even positions the shared midpoints, whose first and last lie on the
-    hull segment itself. epsilon_sq is the squared clearance used for the
-    apex offsets (None when k == 1)."""
+    hull segment itself."""
 
-    hull_edge: Tuple[int, int]
     path: Tuple[int, ...]
     buffer_path: Tuple[int, ...]
-    placements: Mapping[int, Tuple]
-    epsilon_sq: Optional[object]
 
     @property
     def b_vertices(self) -> Tuple[int, ...]:
@@ -643,7 +554,6 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
     e0, e1 = pts[0], pts[-1]
     evec = (e1[0] - e0[0], e1[1] - e0[1])
     elen_sq = evec[0] * evec[0] + evec[1] * evec[1]
-    eps_sq = None
     if kk >= 2:
         cyc = pts + [pts[0]]
         segs = [(cyc[i], cyc[i + 1]) for i in range(len(pts))]
@@ -668,7 +578,7 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
         pull = rat(1, 8) * shrink
         apex = (m[0] + pull * (pts[1][0] - m[0]),
                 m[1] + pull * (pts[1][1] - m[1]))
-        return [first, apex, last], eps_sq
+        return [first, apex, last]
 
     apexes = []
     for i in range(1, kk + 1):
@@ -695,10 +605,10 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
         if nxt is not None:
             spine.append(((apex[0] + nxt[0]) / 2, (apex[1] + nxt[1]) / 2))
     spine.append(last)
-    return spine, eps_sq
+    return spine
 
 
-def augment_buffers(d: Drawing, precheck: bool = True,
+def augment_buffers(d: Drawing
                     ) -> Tuple[Drawing, Tuple[PocketAugmentation, ...]]:
     """Shadow each missing hull segment's pocket path with a buffer path
     plus spokes, so that the segment between the two new on-hull midpoints
@@ -706,9 +616,6 @@ def augment_buffers(d: Drawing, precheck: bool = True,
     3-connectivity. Offsets shrink geometrically until the placement
     validates; raises PlacementFailure when none does."""
     g = d.graph
-    if precheck:
-        _require_planar(d)
-        _require_i3c(g)
     hull = convex_hull(d)
     h = len(hull)
     gaps = sorted(
@@ -736,18 +643,14 @@ def augment_buffers(d: Drawing, precheck: bool = True,
         coords = dict(d.coords)
         edges = list(g.edges())
         pockets = []
-        for (a, bb), path, spine in zip(gaps, paths, spines):
-            placed, eps_sq = _buffer_geometry(d, path, shrink)
-            placements = dict(zip(spine, placed))
-            coords.update(placements)
+        for path, spine in zip(paths, spines):
+            coords.update(zip(spine, _buffer_geometry(d, path, shrink)))
             chain = (path[0],) + spine + (path[-1],)
             edges.extend(zip(chain, chain[1:]))
             for i in range(1, len(path) - 1):
                 edges.extend((path[i], spine[j])
                              for j in (2 * i - 2, 2 * i - 1, 2 * i))
-            pockets.append(PocketAugmentation(
-                hull_edge=(a, bb), path=path, buffer_path=spine,
-                placements=placements, epsilon_sq=eps_sq))
+            pockets.append(PocketAugmentation(path=path, buffer_path=spine))
         try:
             g_new = build_plane_graph_from_points(coords, edges)
             d_new = Drawing(g_new, coords)
@@ -768,19 +671,13 @@ def augment_buffers(d: Drawing, precheck: bool = True,
     raise PlacementFailure("no buffer placement validated")
 
 
-def remove_buffer_vertex(d: Drawing, vb: int,
-                         precheck: bool = True) -> MorphSequence:
+def remove_buffer_vertex(d: Drawing, vb: int) -> MorphSequence:
     """Drop one buffer apex from a strictly convex drawing and restore
     strict convexity with at most two moves. The shadowed path vertex
     returns to the hull between the apex's two midpoint neighbors."""
     g = d.graph
     if vb not in g.rotation or g.degree(vb) != 3:
         raise PreconditionViolated(f"{vb} is not an intact buffer apex")
-    if precheck:
-        if not is_strictly_convex(d):
-            raise PreconditionViolated("drawing is not strictly convex")
-        if _has_vertical_edge(d) or _has_horizontal_edge(d):
-            raise PreconditionViolated("drawing has an axis-parallel edge")
     outer = g.outer_walk()
     if vb not in outer:
         raise PreconditionViolated(f"{vb} is not on the outer face")
@@ -792,7 +689,7 @@ def remove_buffer_vertex(d: Drawing, vb: int,
         raise PreconditionViolated(f"{vb} does not frame one path vertex")
     vi = inner[0]
 
-    g2 = _remove_vertex_safe(g, vb)
+    g2 = g.remove_vertex(vb)
     d2 = Drawing(g2, {v: d.coords[v] for v in g2.rotation})
     b = SequenceBuilder(d)
     b.edit(d2, "drop buffer apex")
@@ -806,7 +703,7 @@ def remove_buffer_vertex(d: Drawing, vb: int,
         # shear until the new corner's neighbors straddle it in x
         fv = g2.face_vertices(g2.outer_face_index)
         ref = AngleRef(g2.outer_face_index, fv.index(vi))
-        cons = ShearConstraints(no_axis_parallel=True, make_straddle=ref)
+        cons = ShearConstraints(make_straddle=ref)
         cur = _safe_shear(b.current, "x", cons)
         b.move(Direction.HORIZONTAL, cur, "expose the new corner")
         x_sand = True
@@ -817,7 +714,7 @@ def remove_buffer_vertex(d: Drawing, vb: int,
         poly = convex_polygon_for_y(walk, _ymap(cur))
         _redraw_move(b, Direction.HORIZONTAL, poly, "absorb the new corner")
     else:
-        poly = _polygon_preserving_x(walk, _xmap(cur))
+        poly = convex_polygon_for_x(walk, _xmap(cur))
         _redraw_move(b, Direction.VERTICAL, poly, "absorb the new corner")
     if not is_strictly_convex(b.current):
         raise PostconditionFailed(
@@ -847,22 +744,22 @@ def convexify(d: Drawing) -> MorphSequence:
     if convex:
         return MorphSequence(d, ())
     if is_convex_outer(d):
-        return convexify_convex_outer(d, precheck=False)
+        return convexify_convex_outer(d)
     if three_connected(g.adjacency()):
         # every graph between g and its completed hull is a supergraph of g
         # on the same vertices, so it is 3-connected as well
-        return convexify_3connected(d, precheck=False, hull_certified=True)
+        return convexify_3connected(d)
 
-    d_buf, pockets = augment_buffers(d, precheck=False)
+    d_buf, pockets = augment_buffers(d)
     b = SequenceBuilder(d)
     b.edit(d_buf, "insert buffer paths")
-    b.absorb(convexify_3connected(d_buf, precheck=False, hull_certified=True))
+    b.absorb(convexify_3connected(d_buf))
     for vb in sorted(w for pk in pockets for w in pk.b_vertices):
-        b.absorb(remove_buffer_vertex(b.current, vb, precheck=False))
+        b.absorb(remove_buffer_vertex(b.current, vb))
     cur = b.current
     g_final = cur.graph
     for w in sorted(w for pk in pockets for w in pk.buffer_path[::2]):
-        g_final = _remove_vertex_safe(g_final, w)
+        g_final = g_final.remove_vertex(w)
     d_final = Drawing(g_final, {v: cur.coords[v] for v in g_final.rotation})
     b.edit(d_final, "drop buffer midpoints")
     if set(g_final.edges()) != set(g.edges()):

@@ -3,6 +3,9 @@
 A PlaneGraph stores, for every vertex, the counterclockwise cyclic order of its
 neighbors plus one dart (directed edge) that lies on the outer face walk.
 Coordinates live in a separate Drawing so one graph can be drawn many times.
+Removing an edge or vertex that the outer dart runs along moves the dart to
+the first dart of the outer walk that survives, so the outer face stays
+named without the caller choosing a new dart.
 
 Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
@@ -157,19 +160,12 @@ class PlaneGraph:
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def vertices(self) -> List[int]:
-        return sorted(self.rotation)
-
-    @property
     def n(self) -> int:
         return len(self.rotation)
 
     @property
     def m(self) -> int:
         return sum(len(nbrs) for nbrs in self.rotation.values()) // 2
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.rotation[v]
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -282,52 +278,38 @@ class PlaneGraph:
             raise EmbeddingInvalid(f"{dart} is not a dart")
         return g
 
-    def add_edge(self, u: int, v: int, u_pos: int, v_pos: int,
-                 outer_dart: Optional[Dart] = None) -> "PlaneGraph":
-        if self.has_edge(u, v):
-            raise EmbeddingInvalid(f"edge {u},{v} already present")
-        rot = dict(self.rotation)
-        ru, rv = list(rot[u]), list(rot[v])
-        ru.insert(u_pos, v)
-        rv.insert(v_pos, u)
-        rot[u], rot[v] = tuple(ru), tuple(rv)
-        return PlaneGraph(rot, outer_dart or self.outer_dart)
-
     def remove_edge(self, u: int, v: int,
                     outer_dart: Optional[Dart] = None) -> "PlaneGraph":
+        """The graph without edge uv. If uv carried the outer dart, the dart
+        moves to the first dart of the outer walk that avoids uv, unless
+        outer_dart names one (perfbench/make_instances.py passes that same
+        dart)."""
         rot = dict(self.rotation)
         rot[u] = tuple(w for w in rot[u] if w != v)
         rot[v] = tuple(w for w in rot[v] if w != u)
-        dart = outer_dart or self.outer_dart
-        if set(dart) == {u, v} and outer_dart is None:
-            raise EmbeddingInvalid("outer dart removed; pass a replacement")
-        return PlaneGraph(rot, dart)
+        return PlaneGraph(rot, outer_dart or self._outer_dart_avoiding(
+            lambda dart: set(dart) == {u, v}))
 
-    def add_vertex(self, vid: int, anchors: Sequence[Tuple[int, int]],
-                   outer_dart: Optional[Dart] = None) -> "PlaneGraph":
-        """Add vid adjacent to the anchor vertices.
-
-        anchors lists (neighbor, position in that neighbor's rotation) in the
-        counterclockwise order the neighbors shall have around vid.
-        """
-        if vid in self.rotation:
-            raise EmbeddingInvalid(f"vertex {vid} exists")
-        rot = dict(self.rotation)
-        for w, pos in anchors:
-            rw = list(rot[w])
-            rw.insert(pos, vid)
-            rot[w] = tuple(rw)
-        rot[vid] = tuple(w for w, _ in anchors)
-        return PlaneGraph(rot, outer_dart or self.outer_dart)
-
-    def remove_vertex(self, vid: int,
-                      outer_dart: Optional[Dart] = None) -> "PlaneGraph":
+    def remove_vertex(self, vid: int) -> "PlaneGraph":
+        """The graph without vid. If vid was on the outer dart, the dart
+        moves to the first dart of the outer walk that avoids vid."""
         rot = {v: tuple(w for w in nbrs if w != vid)
                for v, nbrs in self.rotation.items() if v != vid}
-        dart = outer_dart or self.outer_dart
-        if vid in dart and outer_dart is None:
-            raise EmbeddingInvalid("outer dart removed; pass a replacement")
-        return PlaneGraph(rot, dart)
+        return PlaneGraph(rot, self._outer_dart_avoiding(
+            lambda dart: vid in dart))
+
+    def _outer_dart_avoiding(self, removed) -> Dart:
+        """The outer dart, or if removed(outer dart) holds, the first dart
+        of the outer walk for which it does not."""
+        if not removed(self.outer_dart):
+            return self.outer_dart
+        walk = self.outer_walk()
+        k = len(walk)
+        for i in range(k):
+            dart = (walk[i], walk[(i + 1) % k])
+            if not removed(dart):
+                return dart
+        raise EmbeddingInvalid("no dart of the outer walk survives")
 
     def mirrored(self) -> "PlaneGraph":
         """Embedding after a reflection: rotations reverse, outer dart flips."""
@@ -347,11 +329,6 @@ class PlaneGraph:
         return f"PlaneGraph(n={self.n}, m={self.m}, outer={self.outer_dart})"
 
 
-def trace_faces(g: PlaneGraph) -> List[Tuple[Dart, ...]]:
-    """All face walks as dart tuples; g.outer_face_index picks the outer one."""
-    return g.faces
-
-
 class Drawing:
     """Straight-line drawing: a PlaneGraph plus coordinates per vertex.
 
@@ -369,12 +346,6 @@ class Drawing:
 
     def point(self, v: int) -> Tuple:
         return self.coords[v]
-
-    def x(self, v: int):
-        return self.coords[v][0]
-
-    def y(self, v: int):
-        return self.coords[v][1]
 
     def with_coords(self, coords: Dict[int, Tuple]) -> "Drawing":
         return Drawing(self.graph, coords)
@@ -409,10 +380,6 @@ class ReflexKind(Enum):
 class AngleStatus:
     kind: AngleKind
     subtypes: frozenset
-
-    @property
-    def is_convex(self) -> bool:
-        return self.kind is not AngleKind.REFLEX
 
 
 @dataclass(frozen=True)
@@ -451,28 +418,6 @@ def angle_status_points(a, v, b) -> AngleStatus:
     return AngleStatus(AngleKind.REFLEX, frozenset(subs))
 
 
-def angle_status(d: Drawing, ref: AngleRef) -> AngleStatus:
-    """Status of the face angle ref in drawing d, measured inside that face."""
-    walk = d.graph.face_vertices(ref.face)
-    k = len(walk)
-    a = d.point(walk[(ref.pos - 1) % k])
-    v = d.point(walk[ref.pos % k])
-    b = d.point(walk[(ref.pos + 1) % k])
-    return angle_status_points(a, v, b)
-
-
-def all_angle_statuses(d: Drawing) -> Dict[AngleRef, AngleStatus]:
-    out = {}
-    g = d.graph
-    for fi, walk_darts in enumerate(g.faces):
-        walk = [d.point(t[0]) for t in walk_darts]
-        k = len(walk)
-        for pos in range(k):
-            out[AngleRef(fi, pos)] = angle_status_points(
-                walk[(pos - 1) % k], walk[pos], walk[(pos + 1) % k])
-    return out
-
-
 def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
     """Reflex angles of inner faces, sorted by (apex vertex, face, pos)."""
     g = d.graph
@@ -491,14 +436,6 @@ def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
                 found.append((AngleRef(fi, pos), st, walk[pos]))
     found.sort(key=lambda t: (t[2], t[0].face, t[0].pos))
     return [(ref, st) for ref, st, _ in found]
-
-
-def internal_reflex_count(d: Drawing) -> int:
-    """Number of reflex inner-face angles. Counting skips every strictly
-    convex corner (a strict left turn) before building its AngleStatus: such
-    a corner is neither reflex nor degenerate, and the convex-outer loop
-    counts after each move, when most corners are convex."""
-    return len(internal_reflex_angles(d))
 
 
 def is_strictly_convex(d: Drawing) -> bool:
@@ -600,16 +537,15 @@ def shear(d: Drawing, axis: str, lam) -> Drawing:
 
 @dataclass
 class ShearConstraints:
-    """Constraints for choose_safe_shear.
+    """Constraints for choose_safe_shear, on top of the one it always
+    keeps: after an x-shear no edge is vertical, after a y-shear none is
+    horizontal.
 
-    no_axis_parallel: after an x-shear no edge may be vertical; after a
-        y-shear no edge may be horizontal.
     make_straddle: angle that must straddle the moved axis afterwards (an
         x-shear makes it v-reflex, a y-shear makes it h-reflex).
     keep_extreme: list of (vertex, side) that must stay unique extremes,
         side in {"left", "right", "top", "bottom"}.
     """
-    no_axis_parallel: bool = True
     make_straddle: Optional[AngleRef] = None
     keep_extreme: Tuple = ()
 
@@ -631,10 +567,9 @@ def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: str,
         sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if cons.no_axis_parallel:
-        for u, v in g.edges():
-            if sheared[u][i] == sheared[v][i]:
-                return False
+    for u, v in g.edges():
+        if sheared[u][i] == sheared[v][i]:
+            return False
     if cons.make_straddle is not None:
         ref = cons.make_straddle
         walk = g.face_vertices(ref.face)
@@ -682,9 +617,8 @@ def _shear_candidates(g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
         if f:
             roots.append(rat(pts[w][i_mov] - pts[u][i_mov], f))
 
-    if cons.no_axis_parallel:
-        for u, v in g.edges():
-            root_of(u, v)
+    for u, v in g.edges():
+        root_of(u, v)
     if cons.make_straddle is not None:
         ref = cons.make_straddle
         walk = g.face_vertices(ref.face)
@@ -784,7 +718,7 @@ def drawing_is_planar(g: PlaneGraph, coords: Dict[int, Tuple]) -> bool:
     return segments_planar([(pts[u], pts[v], (u, v)) for u, v in g.edges()])
 
 
-def validate_drawing(d: Drawing, require_simple_faces: bool = True):
+def validate_drawing(d: Drawing):
     """Raise NotPlanarInput or EmbeddingInvalid unless d is a valid planar
     straight-line drawing matching its embedding and face orientations."""
     g = d.graph
@@ -795,9 +729,7 @@ def validate_drawing(d: Drawing, require_simple_faces: bool = True):
     for fi, walk_darts in enumerate(g.faces):
         walk = [t[0] for t in walk_darts]
         if len(set(walk)) != len(walk):
-            if require_simple_faces:
-                raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
-            continue
+            raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
         pts = [ints[v] for v in walk]
         area2 = sum(_cross(pts[i], pts[(i + 1) % len(pts)])
                     for i in range(len(pts)))
@@ -806,44 +738,6 @@ def validate_drawing(d: Drawing, require_simple_faces: bool = True):
             raise NotPlanarInput("outer face walk is not clockwise")
         if fi != outer and s <= 0:
             raise NotPlanarInput(f"inner face {fi} walk is not counterclockwise")
-
-
-# -- angular insertion ---------------------------------------------------------
-
-
-def ccw_sector_contains(a, x, b) -> bool:
-    """Is direction x strictly inside the ccw sector from direction a to b?"""
-    ca = sign_of(_cross(a, x))
-    cb = sign_of(_cross(x, b))
-    cab = sign_of(_cross(a, b))
-    if cab > 0:
-        return ca > 0 and cb > 0
-    if cab < 0:
-        return ca > 0 or cb > 0
-    if sign_of(_dot(a, b)) < 0:
-        return ca > 0
-    # a and b point the same way: the sector is the full turn
-    return not (ca == 0 and sign_of(_dot(a, x)) > 0)
-
-
-def angular_insert_position(d: Drawing, v: int, target_point) -> int:
-    """Index in rotation[v] where an edge toward target_point belongs so the
-    rotation stays the counterclockwise angular order."""
-    nbrs = d.graph.rotation[v]
-    pv = d.point(v)
-    w_dir = _sub(target_point, pv)
-    if sign_of(w_dir[0]) == 0 and sign_of(w_dir[1]) == 0:
-        raise DegenerateAngle(f"target coincides with vertex {v}")
-    if len(nbrs) == 0:
-        return 0
-    dirs = [_sub(d.point(w), pv) for w in nbrs]
-    if len(nbrs) == 1:
-        return 1
-    for i in range(len(nbrs)):
-        if ccw_sector_contains(dirs[i], w_dir, dirs[(i + 1) % len(nbrs)]):
-            return i + 1
-    raise EmbeddingInvalid(
-        f"direction at {v} is parallel to an existing edge")
 
 
 def _half(dv) -> int:
@@ -868,8 +762,8 @@ def sort_ccw(dirs: Sequence[Tuple]) -> List[int]:
 
 
 def build_plane_graph_from_points(coords: Dict[int, Tuple],
-                                  edge_list: Iterable[Tuple[int, int]],
-                                  check: bool = True) -> PlaneGraph:
+                                  edge_list: Iterable[Tuple[int, int]]
+                                  ) -> PlaneGraph:
     """Embed a straight-line graph: rotations are angular orders, the outer
     face is found by signed area."""
     pts = integer_points(coords)
@@ -883,7 +777,7 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
         order = sort_ccw(dirs)
         rotation[v] = tuple(nbrs[i] for i in order)
     some = next(iter(rotation))
-    g = PlaneGraph(rotation, (some, rotation[some][0]), check=check)
+    g = PlaneGraph(rotation, (some, rotation[some][0]))
     if len(g.faces) == 1:
         return g
     # shoelace over the walk works with repeats; only the outer walk is negative

@@ -80,9 +80,6 @@ class MorphStep:
     def is_identity(self) -> bool:
         return self.start.coords == self.end.coords
 
-    def reversed(self) -> "MorphStep":
-        return MorphStep(self.direction, self.end, self.start, self.provenance)
-
     def merged_with(self, other: "MorphStep") -> "MorphStep":
         """Compose two consecutive moves along the same axis into one step."""
         if self.direction is not other.direction:
@@ -107,24 +104,6 @@ class GraphEdit:
             if self.start.coords[v] != self.end.coords[v]:
                 raise PreconditionViolated(
                     f"vertex {v} moves during a graph edit")
-
-    @property
-    def added_vertices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.end.coords.keys() - self.start.coords.keys()))
-
-    @property
-    def removed_vertices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.start.coords.keys() - self.end.coords.keys()))
-
-    @property
-    def added_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(set(self.end.graph.edges())
-                            - set(self.start.graph.edges())))
-
-    @property
-    def removed_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(set(self.start.graph.edges())
-                            - set(self.end.graph.edges())))
 
 
 Event = Union[MorphStep, GraphEdit]

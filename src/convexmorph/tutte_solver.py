@@ -17,7 +17,9 @@ exact solve runs instead, so each answer equals the exact one.
 
 The horizontal direction is primary; vertical variants transpose coordinates,
 run the horizontal code, and transpose back. A redraw that keeps y solves
-only for x, since weights taken from y reproduce y exactly.
+only for x, since weights taken from y reproduce y exactly: redraw_rows and
+redraw_rows_x build its system, and the engine reads the solution through
+RoundedSolution, so no function here returns a whole redrawn drawing.
 """
 
 from __future__ import annotations
@@ -84,13 +86,6 @@ class WeightAssignment:
 
     def internal_vertices(self):
         return {u for (u, _) in self.weights}
-
-    def consistent_with_y(self, y: Dict[int, object]) -> bool:
-        """Check that the weighted neighbor average reproduces y exactly."""
-        acc = {}
-        for (u, v), w in self.weights.items():
-            acc[u] = acc.get(u, 0) + w * y[v]
-        return all(sign_of(acc[u] - y[u]) == 0 for u in acc)
 
 
 @dataclass(frozen=True)
@@ -503,28 +498,6 @@ class RoundedSolution:
         return self._exact
 
 
-def tutte_rows(g: PlaneGraph, weights: WeightAssignment,
-               boundary_coords: Dict[int, Tuple]):
-    """Rows and right-hand sides of the pinned barycentric system (x and y)."""
-    internal = weights.internal_vertices()
-    rows = {}
-    rhs = {}
-    for u in internal:
-        row = {u: rat(1)}
-        bx = 0
-        by = 0
-        for v in g.rotation[u]:
-            w = weights.weights[(u, v)]
-            if v in internal:
-                row[v] = row.get(v, 0) - w
-            else:
-                bx = bx + w * boundary_coords[v][0]
-                by = by + w * boundary_coords[v][1]
-        rows[u] = row
-        rhs[u] = [bx, by]
-    return rows, rhs
-
-
 def tutte_rows_from_y(g: PlaneGraph, y: Dict[int, object],
                       boundary_x: Dict[int, object]):
     """Integer rows of the pinned system with weights_from_y's weights, and
@@ -586,18 +559,6 @@ def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
         raise ValueError("weights do not cover exactly the internal vertices")
 
 
-def solve_tutte(g: PlaneGraph, boundary: BoundaryPolygon,
-                weights: WeightAssignment) -> Drawing:
-    """Solve the pinned barycentric system for both coordinates."""
-    _check_pinned_system(g, boundary, weights.internal_vertices())
-    rows, rhs = tutte_rows(g, weights, boundary.coords)
-    sol = solve_rows(rows, rhs)
-    coords = dict(boundary.coords)
-    for u, vals in sol.items():
-        coords[u] = (vals[0], vals[1])
-    return Drawing(g, coords)
-
-
 def redraw_rows(d: Drawing, boundary: BoundaryPolygon):
     """Rows and x right-hand sides of the system of a redraw of d onto
     boundary that keeps every y (tutte_rows_from_y), after checking that
@@ -625,33 +586,7 @@ def redraw_rows_x(d: Drawing, boundary: BoundaryPolygon):
     return redraw_rows(*_transposed(d, boundary))
 
 
-def redraw_preserving_y(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
-    """Redraw onto a new boundary polygon without changing any y coordinate.
-
-    The weights come from y (tutte_rows_from_y), so the y system would
-    reproduce y exactly; only x is solved, and every y is kept bit for
-    bit."""
-    rows, rhs = redraw_rows(d, boundary)
-    sol = solve_rows(rows, rhs)
-    coords = {v: (p[0], d.coords[v][1]) for v, p in boundary.coords.items()}
-    for u, (x,) in sol.items():
-        coords[u] = (x, d.coords[u][1])
-    return Drawing(d.graph, coords)
-
-
-def redraw_preserving_x(d: Drawing, boundary: BoundaryPolygon) -> Drawing:
-    """Vertical variant of redraw_preserving_y via coordinate transposition."""
-    return redraw_preserving_y(*_transposed(d, boundary)).transposed()
-
-
 # -- boundary polygon construction -------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolygonOptions:
-    """pins lists (vertex, 'left'|'right') uniqueness constraints, at most
-    one per side."""
-    pins: Tuple = ()
 
 
 def _split_chains(cycle: Sequence[int], y: Dict[int, object]):
@@ -711,18 +646,17 @@ def _chain_slopes(incr: List, flip: Optional[int], target, eta, rising: bool):
 
 
 def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
-                         options: Optional[PolygonOptions] = None
-                         ) -> BoundaryPolygon:
+                         pins: Tuple = ()) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving y.
 
     Default shape is the parabola pair x = -+ (y - ymin)(ymax - y)/(ymax -
     ymin). Dividing by the span keeps every x within a quarter of the span
     of y; without it x is of the order of the span squared, and since
     horizontal and vertical redraws alternate, each transposed call would
-    square the magnitude again. Pins make a vertex the unique leftmost or
+    square the magnitude again. pins lists (vertex, 'left'|'right'), at
+    most one per side, and makes each vertex the unique leftmost or
     rightmost; a pinned vertex must lie on the matching chain (or be the
     bottom/top vertex)."""
-    options = options or PolygonOptions()
     # the integer view of y on the cycle: every y times one positive scale
     ys = [rat(y[v]) for v in cycle]
     scale = math.lcm(*(c.denominator for c in ys))
@@ -730,7 +664,7 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     left, right = _split_chains(cycle, iy)
     bot, top = left[0], left[-1]
 
-    if not options.pins:
+    if not pins:
         y0, yT = iy[bot], iy[top]
         den = scale * (yT - y0)
         coords = {}
@@ -743,7 +677,7 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
         return poly
 
     flips = {}
-    for v, side in options.pins:
+    for v, side in pins:
         if side not in ("left", "right"):
             raise ValueError(f"pin side {side!r}")
         if side in flips:
@@ -760,7 +694,7 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
             if v not in right:
                 raise WrongChain(f"{v} is not on the right chain")
             flips[side] = right.index(v)
-    if len(options.pins) == 2 and options.pins[0][0] == options.pins[1][0]:
+    if len(pins) == 2 and pins[0][0] == pins[1][0]:
         raise ConstraintInfeasible("same vertex pinned to both sides")
 
     p, q = len(left) - 1, len(right) - 1
@@ -805,20 +739,22 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
             poly.validate()
         except ValueError:
             continue
-        if all(unique_extreme(coords, v, side) for v, side in options.pins):
+        if all(unique_extreme(coords, v, side) for v, side in pins):
             return poly
     raise ConstraintInfeasible("no polygon found for the requested pins")
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
-                         extreme_vertex: int, side: str) -> BoundaryPolygon:
-    """Strictly convex polygon preserving x, making one vertex the unique
-    topmost or bottommost. Transposed call into convex_polygon_for_y."""
+                         extreme_vertex: Optional[int] = None,
+                         side: str = "top") -> BoundaryPolygon:
+    """Strictly convex polygon on the given clockwise cycle preserving x:
+    convex_polygon_for_y on the transposed cycle. With extreme_vertex, that
+    vertex becomes the unique topmost or bottommost, as side says."""
     if side not in ("top", "bottom"):
         raise ValueError(f"side {side!r}")
-    pin = (extreme_vertex, "right" if side == "top" else "left")
-    tcycle = tuple(reversed(cycle))
-    poly = convex_polygon_for_y(tcycle, x, PolygonOptions(pins=(pin,)))
+    pins = () if extreme_vertex is None else (
+        (extreme_vertex, "right" if side == "top" else "left"),)
+    poly = convex_polygon_for_y(tuple(reversed(cycle)), x, pins)
     coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
     out = BoundaryPolygon(tuple(cycle), coords)
     out.validate()

@@ -7,10 +7,9 @@ interpolation is planar iff both endpoints are planar and every vertex
 level and every open strip between levels carries the same left-to-right
 sequence of vertices and edges in both endpoint drawings.
 
-check_planarity_sampled spot-checks interior drawings of a step by exact
-segment intersection, check_convexity_increasing tracks angle statuses
-along a whole sequence, and check_step_bounds compares a sequence against
-the guaranteed step-count budget for how it was produced.
+check_convexity_increasing tracks angle statuses along a whole sequence,
+and check_step_bounds compares a sequence against the guaranteed
+step-count budget for how it was produced.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .plane_graph import (
     PreconditionViolated,
     angle_status_points,
     drawing_is_planar,
-    internal_reflex_count,
+    internal_reflex_angles,
     is_strictly_convex,
 )
 from .steps import Direction, MorphSequence, MorphStep
@@ -88,18 +87,6 @@ def check_unidirectional_planar(step: MorphStep) -> bool:
             == _sweep_records(step.end, step.direction))
 
 
-def check_planarity_sampled(step: MorphStep, samples: int = 9) -> bool:
-    """Exact planarity of the interpolated drawing at interior samples
-    t = i/(samples+1). The order check is authoritative; this guards the
-    interpolation itself."""
-    g = step.start.graph
-    for i in range(1, samples + 1):
-        d = step.at(Fraction(i, samples + 1))
-        if not drawing_is_planar(g, d.coords):
-            return False
-    return True
-
-
 def _inner_angle_triples(g: PlaneGraph) -> List[Tuple[int, int, int]]:
     triples = []
     for fi in g.inner_face_indices():
@@ -158,7 +145,7 @@ def check_step_bounds(seq: MorphSequence, mode: str,
         n = seq.initial.graph.n
     if mode == "convex_outer":
         if r is None:
-            r = internal_reflex_count(seq.initial)
+            r = len(internal_reflex_angles(seq.initial))
         bound = max(2, r + 1)
     elif mode == "3conn":
         bound = Fraction(3, 2) * n + 2

@@ -178,7 +178,7 @@ def pocket_instance(rng, n, span, passes=1):
             if g.degree(u) < 3 or g.degree(v) < 3:
                 continue
             try:
-                g2 = _remove_outer_edge(g, u, v)
+                g2 = g.remove_edge(u, v)
             except EmbeddingInvalid:
                 continue
             w2 = g2.outer_walk()
@@ -186,13 +186,3 @@ def pocket_instance(rng, n, span, passes=1):
                 g = g2
     return Drawing(g, d.coords)
 
-
-def _remove_outer_edge(g, u, v):
-    """remove_edge with the outer dart moved off (u, v) when it carried it."""
-    if set(g.outer_dart) != {u, v}:
-        return g.remove_edge(u, v)
-    walk = g.outer_walk()
-    k = len(walk)
-    dart = next((walk[i], walk[(i + 1) % k]) for i in range(k)
-                if {walk[i], walk[(i + 1) % k]} != {u, v})
-    return g.remove_edge(u, v, outer_dart=dart)

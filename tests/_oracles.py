@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is written against the problem statements, not the package
-internals: naive O(n^2) or O(n^3) algorithms over Fraction arithmetic.
+internals: naive O(n^2) or O(n^3) algorithms over Fraction arithmetic. The
+reference paths at the end are the exception: the exact Tutte solve, the
+exact redraw, sampled planarity and rotation inserts, built from package
+pieces for tests to compare the package's own paths against.
 """
 
 from fractions import Fraction
@@ -380,8 +383,7 @@ def brute_rotations_realized(coords: Dict[int, Tuple],
 
 
 def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
-                               no_axis_parallel=True, make_straddle=None,
-                               keep_extreme=()):
+                               make_straddle=None, keep_extreme=()):
     """The shear choice in plain Fraction arithmetic: the critical factors
     -dm/df of every constrained pair, a fixed ladder of small factors, then
     one factor below, between and above the critical ones; each candidate
@@ -390,9 +392,7 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
     edges() and face_vertices(); make_straddle is (face, pos)."""
     pts = {v: _f(p) for v, p in coords.items()}
     i_mov, i_fix = (0, 1) if axis == "x" else (1, 0)
-    pairs = []
-    if no_axis_parallel:
-        pairs += list(g.edges())
+    pairs = list(g.edges())
     if make_straddle is not None:
         face, pos = make_straddle
         walk = g.face_vertices(face)
@@ -415,8 +415,7 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
     for lam in candidates:
         sheared = {v: ((x + lam * y, y) if axis == "x" else (x, y + lam * x))
                    for v, (x, y) in pts.items()}
-        if no_axis_parallel and any(sheared[u][i_mov] == sheared[w][i_mov]
-                                    for u, w in g.edges()):
+        if any(sheared[u][i_mov] == sheared[w][i_mov] for u, w in g.edges()):
             continue
         if make_straddle is not None:
             face, pos = make_straddle
@@ -520,8 +519,8 @@ def augment_y_monotone_fraction(g, coords: Dict[int, Tuple]):
     reflex local maximum) of an inner face, from the left-nudged vertical
     ray down to the first local minimum below its hit. g supplies rotation,
     inner_face_indices() and face_vertices(). Returns the augmented rotation
-    and, sorted by (u, v), the tuples (u, v, face, kind, u_pos, v_pos,
-    witness, target_point)."""
+    and, sorted by (u, v), the tuples (u, v, face, kind, witness,
+    target_point)."""
     pts = {v: _f(p) for v, p in coords.items()}
     rec_min, plans_min = _phase_fraction(g, pts)
     rec_max, plans_max = _phase_fraction(
@@ -542,8 +541,107 @@ def augment_y_monotone_fraction(g, coords: Dict[int, Tuple]):
     added = []
     for kind, sgn, recs in (("min", 1, rec_min), ("max", -1, rec_max)):
         for u, v, f, darts, (px, py) in recs:
-            added.append((u, v, f, kind, rotation[u].index(v),
-                          rotation[v].index(u), darts,
-                          (sgn * px, sgn * py)))
+            added.append((u, v, f, kind, darts, (sgn * px, sgn * py)))
     added.sort(key=lambda e: (e[0], e[1]))
     return rotation, added
+
+
+# -- reference paths the package's redraws and edits are compared against ----
+
+
+def tutte_rows(g, weights, boundary_coords):
+    """Rows and right-hand sides (x and y) of the pinned barycentric system
+    with the given WeightAssignment, unscaled."""
+    internal = weights.internal_vertices()
+    rows = {}
+    rhs = {}
+    for u in internal:
+        row = {u: Fraction(1)}
+        bx = by = 0
+        for v in g.rotation[u]:
+            w = weights.weights[(u, v)]
+            if v in internal:
+                row[v] = row.get(v, 0) - w
+            else:
+                bx += w * boundary_coords[v][0]
+                by += w * boundary_coords[v][1]
+        rows[u] = row
+        rhs[u] = [bx, by]
+    return rows, rhs
+
+
+def solve_tutte(g, boundary, weights):
+    """The Drawing that solves the pinned barycentric system for both
+    coordinates, after the package's check of boundary and weights."""
+    from convexmorph.plane_graph import Drawing
+    from convexmorph.tutte_solver import _check_pinned_system, solve_rows
+
+    _check_pinned_system(g, boundary, weights.internal_vertices())
+    sol = solve_rows(*tutte_rows(g, weights, boundary.coords))
+    coords = dict(boundary.coords)
+    coords.update((u, (x, y)) for u, (x, y) in sol.items())
+    return Drawing(g, coords)
+
+
+def redraw_preserving_y(d, boundary):
+    """The exact redraw of d onto boundary that keeps every y: the package's
+    rows (redraw_rows), solved exactly."""
+    from convexmorph.tutte_solver import redraw_rows, solve_rows
+
+    sol = solve_rows(*redraw_rows(d, boundary))
+    coords = {v: (p[0], d.coords[v][1]) for v, p in boundary.coords.items()}
+    coords.update((u, (x, d.coords[u][1])) for u, (x,) in sol.items())
+    return d.with_coords(coords)
+
+
+def redraw_preserving_x(d, boundary):
+    """redraw_preserving_y of the transposed drawing, transposed back."""
+    from convexmorph.tutte_solver import _transposed
+
+    return redraw_preserving_y(*_transposed(d, boundary)).transposed()
+
+
+def consistent_with_y(weights, y) -> bool:
+    """Does the weighted neighbour average reproduce every internal y?"""
+    acc = {}
+    for (u, v), w in weights.weights.items():
+        acc[u] = acc.get(u, 0) + w * y[v]
+    return all(acc[u] == y[u] for u in acc)
+
+
+def check_planarity_sampled(step, samples=9) -> bool:
+    """Exact planarity of the interpolated drawing of a one-axis step at
+    t = i/(samples+1), i = 1..samples."""
+    from convexmorph.plane_graph import drawing_is_planar
+
+    for i in range(1, samples + 1):
+        d = step.at(Fraction(i, samples + 1))
+        if not drawing_is_planar(step.start.graph, d.coords):
+            return False
+    return True
+
+
+def add_edge(g, u, v, u_pos, v_pos):
+    """g plus edge uv, inserted at u_pos in u's rotation and v_pos in v's."""
+    from convexmorph.plane_graph import EmbeddingInvalid, PlaneGraph
+
+    if g.has_edge(u, v):
+        raise EmbeddingInvalid(f"edge {u},{v} already present")
+    rot = {w: list(nbrs) for w, nbrs in g.rotation.items()}
+    rot[u].insert(u_pos, v)
+    rot[v].insert(v_pos, u)
+    return PlaneGraph(rot, g.outer_dart)
+
+
+def add_vertex(g, vid, anchors):
+    """g plus vertex vid joined to the anchors: (neighbour, position in its
+    rotation) pairs in the counterclockwise order around vid."""
+    from convexmorph.plane_graph import EmbeddingInvalid, PlaneGraph
+
+    if vid in g.rotation:
+        raise EmbeddingInvalid(f"vertex {vid} exists")
+    rot = {w: list(nbrs) for w, nbrs in g.rotation.items()}
+    for w, pos in anchors:
+        rot[w].insert(pos, vid)
+    rot[vid] = [w for w, _ in anchors]
+    return PlaneGraph(rot, g.outer_dart)

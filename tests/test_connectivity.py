@@ -21,6 +21,7 @@ from _instances import (
     random_triangulation,
 )
 from _oracles import (
+    add_edge,
     apex_adjacency,
     brute_internally_3connected,
     brute_three_connected,
@@ -178,7 +179,7 @@ def test_inner_edge_insertion_preserves_i3c():
         walk = g.face_vertices(inner)
         for off in range(2, k - 1):
             u, v = walk[0], walk[off]
-            g2 = g.add_edge(u, v, u_pos=1, v_pos=1)
+            g2 = add_edge(g, u, v, 1, 1)
             assert is_internally_3connected(g2)
             assert brute_internally_3connected(g2.adjacency(), g2.outer_walk())
 

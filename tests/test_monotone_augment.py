@@ -132,7 +132,7 @@ class TestTrapezoidize:
         for e in added:
             assert e.face == f
             assert e.witness[0] == (1, 2)
-            assert e.target_point[0] == d.x(e.u)
+            assert e.target_point[0] == d.coords[e.u][0]
             y_oracle, hit_kind = ray_shoot_down(d.coords, segs, d.coords[e.u])
             assert hit_kind == "interior"
             assert Fraction(e.target_point[1]) == y_oracle
@@ -218,8 +218,6 @@ class TestAugmentFixtures:
         assert cyc(new_g.rotation[7]) == cyc((6, 8, 2))
         assert cyc(new_g.rotation[6]) == cyc((5, 7, 3))
         assert cyc(new_g.rotation[3]) == cyc((2, 4, 6))
-        assert new_g.rotation[up.u][up.u_pos] == up.v
-        assert new_g.rotation[up.v][up.v_pos] == up.u
         inner = new_g.inner_face_indices()
         assert len(inner) == 3
         for f in inner:
@@ -367,8 +365,6 @@ class TestAugmentRandom:
             for e in added:
                 assert not g.has_edge(e.u, e.v)
                 assert new_g.has_edge(e.u, e.v)
-                assert new_g.rotation[e.u][e.u_pos] == e.v
-                assert new_g.rotation[e.v][e.v_pos] == e.u
                 check_edge_against_face(d, e, g.face_vertices(e.face))
             assert_fraction_oracle_agrees(d)
         assert total >= 40
@@ -408,8 +404,8 @@ def assert_fraction_oracle_agrees(d):
     new_g, added = augment_y_monotone(d, precheck=False)
     rotation, edges = augment_y_monotone_fraction(d.graph, d.coords)
     assert new_g.rotation == rotation
-    assert [(e.u, e.v, e.face, e.kind, e.u_pos, e.v_pos, e.witness,
-             e.target_point) for e in added] == edges
+    assert [(e.u, e.v, e.face, e.kind, e.witness, e.target_point)
+            for e in added] == edges
     return len(added)
 
 
@@ -467,7 +463,7 @@ class TestFractionOracle:
             convexify(d)
         edges = 0
         for d in seen:
-            if any(d.y(u) == d.y(v) for u, v in d.graph.edges()):
+            if any(d.coords[u][1] == d.coords[v][1] for u, v in d.graph.edges()):
                 continue
             edges += assert_fraction_oracle_agrees(d)
             edges += assert_fraction_oracle_agrees(scaled(d))

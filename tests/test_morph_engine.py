@@ -160,10 +160,10 @@ def test_pocket_input_runs_every_redraw():
                     (v, "absorb the new corner")}
 
 
-# After morph_A, one reflex angle already straddles its apex in x, and
-# an edge is vertical. The shear that clears the vertical edge used to be
-# free to end the straddle, and the next vertical move then retired nothing
-# ("alternating move failed to retire a reflex angle").
+# After morph_B's redraw, one reflex angle already straddles its apex in
+# x, and an edge is vertical. The shear that clears the vertical edge used
+# to be free to end the straddle, and the next vertical move then retired
+# nothing ("alternating move failed to retire a reflex angle").
 @pytest.mark.parametrize("seed", [80, 94])
 def test_convexify_keeps_the_straddle_through_the_shear(seed):
     d = convex_outer_instance(random.Random(seed), 10, 20)
@@ -173,6 +173,29 @@ def test_convexify_keeps_the_straddle_through_the_shear(seed):
     assert check_convexity_increasing(seq, d.graph)
     assert check_step_bounds(seq, "convex_outer")
     assert is_strictly_convex(seq.final)
+
+
+def test_convex_outer_phase_counts_reflex_angles_once_per_move(monkeypatch):
+    # morph_B returns the count it took on its redraw, which a shear and a
+    # transposition keep, so the loop counts once at the start and once
+    # per move
+    counts, moves = [], []
+    count, move = plane_graph.internal_reflex_angles, morph_engine.morph_B
+
+    def spy_count(d):
+        counts.append(d)
+        return count(d)
+
+    def spy_move(*args, **kwargs):
+        moves.append(args)
+        return move(*args, **kwargs)
+
+    for mod in (plane_graph, morph_engine):
+        monkeypatch.setattr(mod, "internal_reflex_angles", spy_count)
+    monkeypatch.setattr(morph_engine, "morph_B", spy_move)
+    convexify(instance("convex_outer", 0))
+    assert len(moves) >= 2
+    assert len(counts) == len(moves) + 1
 
 
 # Deep pockets: three passes of outer-edge removal at n = 40. With a

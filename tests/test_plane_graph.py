@@ -15,10 +15,7 @@ from convexmorph.plane_graph import (
     rat,
     sign_of,
     orientation,
-    trace_faces,
-    angle_status,
     angle_status_points,
-    all_angle_statuses,
     internal_reflex_angles,
     is_strictly_convex,
     is_convex_outer,
@@ -29,8 +26,6 @@ from convexmorph.plane_graph import (
     drawing_is_planar,
     segments_planar,
     validate_drawing,
-    ccw_sector_contains,
-    angular_insert_position,
     build_plane_graph_from_points,
     EmbeddingInvalid,
     DegenerateAngle,
@@ -43,6 +38,8 @@ from convexmorph.morph_engine import _rotations_realized
 from convexmorph.plane_graph import integer_points, sort_ccw
 
 from _oracles import (
+    add_edge,
+    add_vertex,
     brute_hull_boundary_ids,
     brute_planar,
     brute_rotations_realized,
@@ -104,7 +101,7 @@ def test_k4_faces():
     d = k4()
     g = d.graph
     assert g.n == 4 and g.m == 6
-    faces = trace_faces(g)
+    faces = g.faces
     assert len(faces) == 4
     assert g.n - g.m + len(faces) == 2
     assert sum(len(f) for f in faces) == 2 * g.m
@@ -145,12 +142,28 @@ def test_edit_operations_roundtrip():
     g = d.graph
     g2 = g.remove_edge(1, 4)
     assert not g2.has_edge(1, 4) and g2.m == 5
-    g3 = g2.add_edge(1, 4, u_pos=1, v_pos=1)
+    g3 = add_edge(g2, 1, 4, 1, 1)
     assert g3.rotation == g.rotation
     g4 = g.remove_vertex(4)
     assert g4.n == 3 and g4.m == 3
-    back = g4.add_vertex(4, [(3, 1), (1, 1), (2, 1)])
+    back = add_vertex(g4, 4, [(3, 1), (1, 1), (2, 1)])
     assert back.rotation == g.rotation
+
+
+def test_removal_moves_the_outer_dart_off_what_it_removes():
+    # the outer walk of K4 is 1, 3, 2; its dart (1, 3) moves to the first
+    # walk dart that survives the removal
+    g = k4().graph
+    assert g.outer_dart == (1, 3)
+    no_edge = g.remove_edge(1, 3)
+    assert no_edge.outer_dart == (3, 2)
+    assert set(no_edge.outer_walk()) == {1, 2, 3, 4}
+    no_vertex = g.remove_vertex(1)
+    assert no_vertex.outer_dart == (3, 2)
+    assert set(no_vertex.outer_walk()) == {2, 3, 4}
+    # a dart the removal leaves alone stays
+    assert g.remove_edge(1, 4).outer_dart == (1, 3)
+    assert g.remove_vertex(4).outer_dart == (1, 3)
 
 
 def test_mirrored_flips_faces():
@@ -165,12 +178,24 @@ def test_mirrored_flips_faces():
 
 # -- angles ---------------------------------------------------------------------
 
+def angle_statuses(d):
+    """The status of every face angle of d, outer face included."""
+    out = {}
+    for fi in range(len(d.graph.faces)):
+        walk = [d.coords[v] for v in d.graph.face_vertices(fi)]
+        k = len(walk)
+        for pos in range(k):
+            out[AngleRef(fi, pos)] = angle_status_points(
+                walk[pos - 1], walk[pos], walk[(pos + 1) % k])
+    return out
+
+
 def test_angle_convex_straight_reflex():
     assert angle_status_points((0, 0), (1, 0), (1, 1)).kind is AngleKind.STRICTLY_CONVEX
     st = angle_status_points((0, 0), (1, 0), (2, 0))
-    assert st.kind is AngleKind.STRAIGHT and st.is_convex
+    assert st.kind is AngleKind.STRAIGHT
     st = angle_status_points((0, 0), (1, 0), (2, -1))
-    assert st.kind is AngleKind.REFLEX and not st.is_convex
+    assert st.kind is AngleKind.REFLEX
 
 
 def test_angle_degenerate():
@@ -204,13 +229,13 @@ def test_notch_hexagon_apex():
     assert len(inner) == 1
     walk = g.face_vertices(inner[0])
     pos = walk.index(2)  # vertex at (1,1)
-    st = angle_status(d, AngleRef(inner[0], pos))
+    st = angle_statuses(d)[AngleRef(inner[0], pos)]
     assert st.kind is AngleKind.REFLEX
     assert st.subtypes == frozenset({ReflexKind.V_REFLEX, ReflexKind.EXTREMUM_MAX})
     # seen from the outer face, the same corner is strictly convex
     owalk = g.outer_walk()
     opos = owalk.index(2)
-    ost = angle_status(d, AngleRef(g.outer_face_index, opos))
+    ost = angle_statuses(d)[AngleRef(g.outer_face_index, opos)]
     assert ost.kind is AngleKind.STRICTLY_CONVEX
     refl = internal_reflex_angles(d)
     assert len(refl) == 1 and g.face_vertices(inner[0])[refl[0][0].pos] == 2
@@ -224,7 +249,7 @@ def test_transpose_swaps_straddle_kinds():
     assert len(inner) == 1
     walk = t.graph.face_vertices(inner[0])
     pos = walk.index(2)
-    st = angle_status(t, AngleRef(inner[0], pos))
+    st = angle_statuses(t)[AngleRef(inner[0], pos)]
     assert st.kind is AngleKind.REFLEX
     assert ReflexKind.H_REFLEX in st.subtypes
     assert ReflexKind.V_REFLEX not in st.subtypes
@@ -242,18 +267,6 @@ def test_strict_convexity_predicates():
     assert not is_strictly_convex(flat)
     assert is_convex_outer(flat)
     assert is_strictly_convex(k4())
-
-
-def test_all_angle_statuses_counts():
-    d = k4()
-    sts = all_angle_statuses(d)
-    assert len(sts) == sum(len(f) for f in d.graph.faces)
-    outer = d.graph.outer_face_index
-    for ref, st in sts.items():
-        if ref.face == outer:
-            assert st.kind is AngleKind.REFLEX
-        else:
-            assert st.kind is AngleKind.STRICTLY_CONVEX
 
 
 # -- convex hull ------------------------------------------------------------
@@ -352,12 +365,12 @@ def test_shear_maps():
 
 def test_choose_safe_shear_removes_verticals():
     d = cycle_graph([(0, 0), (2, 0), (2, 2), (0, 2)])
-    lam = choose_safe_shear(d, "x", ShearConstraints(no_axis_parallel=True))
+    lam = choose_safe_shear(d, "x", ShearConstraints())
     s = shear(d, "x", lam)
     for u, v in s.graph.edges():
-        assert sign_of(s.x(u) - s.x(v)) != 0
+        assert sign_of(s.coords[u][0] - s.coords[v][0]) != 0
     # deterministic
-    assert lam == choose_safe_shear(d, "x", ShearConstraints(no_axis_parallel=True))
+    assert lam == choose_safe_shear(d, "x", ShearConstraints())
 
 
 def test_choose_safe_shear_makes_straddle():
@@ -367,23 +380,22 @@ def test_choose_safe_shear_makes_straddle():
     inner = g.inner_face_indices()[0]
     walk = g.face_vertices(inner)
     pos = walk.index(2)
-    st = angle_status(d, AngleRef(inner, pos))
+    st = angle_statuses(d)[AngleRef(inner, pos)]
     assert st.kind is AngleKind.REFLEX
     assert ReflexKind.V_REFLEX not in st.subtypes
-    cons = ShearConstraints(no_axis_parallel=True,
-                            make_straddle=AngleRef(inner, pos))
+    cons = ShearConstraints(make_straddle=AngleRef(inner, pos))
     lam = choose_safe_shear(d, "x", cons)
     s = shear(d, "x", lam)
-    st2 = angle_status(s, AngleRef(inner, pos))
+    st2 = angle_statuses(s)[AngleRef(inner, pos)]
     assert ReflexKind.V_REFLEX in st2.subtypes
 
 
 def test_choose_safe_shear_keeps_extreme():
     d = cycle_graph([(0, 0), (4, 1), (3, 5)])
-    cons = ShearConstraints(no_axis_parallel=True, keep_extreme=((0, "left"),))
+    cons = ShearConstraints(keep_extreme=((0, "left"),))
     lam = choose_safe_shear(d, "x", cons)
     s = shear(d, "x", lam)
-    assert all(sign_of(s.x(0) - s.x(v)) == -1 for v in (1, 2))
+    assert all(sign_of(s.coords[0][0] - s.coords[v][0]) == -1 for v in (1, 2))
 
 
 def test_choose_safe_shear_infeasible():
@@ -391,8 +403,7 @@ def test_choose_safe_shear_infeasible():
     g = PlaneGraph({1: (2,), 2: (1,)}, (1, 2), check=False)
     d = Drawing(g, {1: (0, 1), 2: (0, 2)})
     with pytest.raises(NoValidShear):
-        choose_safe_shear(d, "y", ShearConstraints(no_axis_parallel=False,
-                                                   keep_extreme=((1, "top"),)))
+        choose_safe_shear(d, "y", ShearConstraints(keep_extreme=((1, "top"),)))
 
 
 @given(point_sets(min_size=4, max_size=10),
@@ -412,13 +423,13 @@ def test_shear_preserves_angle_kinds(coords, lam):
     if len(strict) < 3:
         return
     d = cycle_graph([coords[v] for v in strict])
-    before = all_angle_statuses(d)
-    after = all_angle_statuses(shear(d, "x", lam))
+    before = angle_statuses(d)
+    after = angle_statuses(shear(d, "x", lam))
     for ref in before:
         assert before[ref].kind is after[ref].kind
     # translation preserves subtypes too
     moved = d.with_coords({v: (p[0] + 7, p[1] - 3) for v, p in d.coords.items()})
-    assert all_angle_statuses(moved) == before
+    assert angle_statuses(moved) == before
 
 
 # -- planarity -------------------------------------------------------------
@@ -479,34 +490,6 @@ def test_validate_drawing_orientation():
     g = PlaneGraph(rotation, (1, 0))
     with pytest.raises(NotPlanarInput):
         validate_drawing(Drawing(g, dict(enumerate(pts))))
-
-
-# -- angular insertion ------------------------------------------------------
-
-def test_ccw_sector():
-    assert ccw_sector_contains((1, 0), (1, 1), (0, 1))
-    assert not ccw_sector_contains((1, 0), (1, -1), (0, 1))
-    # reflex sector
-    assert ccw_sector_contains((0, 1), (1, -1), (1, 0))
-    assert ccw_sector_contains((0, 1), (0, -1), (1, 0))
-    # opposite directions: the left side counts
-    assert ccw_sector_contains((1, 0), (0, 1), (-1, 0))
-    assert not ccw_sector_contains((1, 0), (0, -1), (-1, 0))
-
-
-def test_angular_insert_position():
-    d = k4()
-    # vertex 4 at (2,1) with rotation (3, 1, 2); a target to the right
-    # belongs between 2 (down-right) and 3 (up): position 0 (equivalently 3)
-    pos = angular_insert_position(d, 4, (10, 1))
-    nbrs = list(d.graph.rotation[4])
-    nbrs.insert(pos, "new")
-    i = nbrs.index("new")
-    assert nbrs[i - 1] == 2 and nbrs[(i + 1) % 4] == 3
-    with pytest.raises(DegenerateAngle):
-        angular_insert_position(d, 4, (2, 1))
-    with pytest.raises(EmbeddingInvalid):
-        angular_insert_position(d, 4, (2, 5))  # parallel to edge 4-3
 
 
 def test_build_plane_graph_from_points_k4():
@@ -604,10 +587,9 @@ def _cycle_case(coords, rng):
         face = rng.randrange(len(g.faces))
         straddle = AngleRef(face, rng.randrange(len(g.faces[face])))
     if rng.random() < 0.5:
-        keep = ((rng.choice(g.vertices),
+        keep = ((rng.choice(sorted(g.rotation)),
                  rng.choice(["left", "right", "bottom", "top"])),)
-    cons = ShearConstraints(no_axis_parallel=rng.random() < 0.7,
-                            make_straddle=straddle, keep_extreme=keep or ())
+    cons = ShearConstraints(make_straddle=straddle, keep_extreme=keep or ())
     return d, cons
 
 
@@ -675,7 +657,7 @@ def test_strictly_convex_rejects_a_pentagram():
         outer = g.outer_face_index
         assert all(st.kind is (AngleKind.REFLEX if ref.face == outer
                                else AngleKind.STRICTLY_CONVEX)
-                   for ref, st in all_angle_statuses(d).items())
+                   for ref, st in angle_statuses(d).items())
         assert not drawing_is_planar(g, d.coords)
         assert not is_strictly_convex(d)
         walks = [g.face_vertices(i) for i in range(len(g.faces))]
@@ -732,8 +714,8 @@ def test_choose_safe_shear_matches_fraction_oracle(coords, rng, axis):
     d, cons = _cycle_case(coords, rng)
     straddle = cons.make_straddle
     assert _shear_or_none(d, axis, cons) == choose_safe_shear_fraction(
-        d.graph, d.coords, axis, cons.no_axis_parallel,
-        straddle and (straddle.face, straddle.pos), cons.keep_extreme)
+        d.graph, d.coords, axis, straddle and (straddle.face, straddle.pos),
+        cons.keep_extreme)
 
 
 def _outcome(f, *args):
@@ -783,7 +765,7 @@ def test_predicates_beyond_float_range():
 
     inside = drawn(rat(1, 2 ** 1000))
     with pytest.raises(OverflowError):
-        float(inside.x(1))
+        float(inside.coords[1][0])
     assert drawing_is_planar(inside.graph, inside.coords)
     assert is_strictly_convex(inside)
     for centre_y in (rat(0), rat(-1, 2 ** 1000)):

@@ -1,0 +1,144 @@
+"""The package's public surface is what the pipeline and the benchmark use.
+
+A public function, class, method, property or declared field (a dataclass
+field, or an annotated self.name in __init__) of convexmorph that no code
+under src/convexmorph or perfbench reads, outside its own definition, is
+surface kept alive by tests alone. The scan is
+syntactic: a module-level name counts as read by a Name or Attribute load,
+a member by an Attribute load of its name, and either by a string constant
+in perfbench (layers.py fetches the functions it traces with getattr). A
+re-export in __init__.py is not a read.
+"""
+
+import ast
+from pathlib import Path
+
+import convexmorph
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "convexmorph"
+BENCH = ROOT / "perfbench"
+
+# read outside src and perfbench only, each for a stated reason:
+# weights_from_y and its WeightAssignment (with its members) are traced by
+# perfbench/layers.py and define the weights that tutte_rows_from_y scales;
+# fallback is the observability hook of RoundedSolution; the ray witness
+# and hit point of AugmentingEdge go with the rewrite of augment_y_monotone
+# into one monotone sweep (ROADMAP item 1)
+ALLOWED = {"weights_from_y", "WeightAssignment", "RoundedSolution.fallback",
+           "AugmentingEdge.witness", "AugmentingEdge.target_point"}
+
+EXPORTS = [
+    # the pipeline
+    "convexify", "MorphSequence", "MorphStep", "Direction", "Drawing",
+    "PlaneGraph", "build_plane_graph_from_points",
+    # its errors
+    "ConvexifyError", "PostconditionFailed", "ReflexNotRetired",
+    "MoveBudgetExceeded", "PocketNotSeparated", "GraphNotRestored",
+    "NotPlanarInput", "NotInternallyThreeConnected", "PreconditionViolated",
+    "EmbeddingInvalid",
+    # the certificates
+    "check_unidirectional_planar", "check_convexity_increasing",
+    "check_step_bounds", "is_strictly_convex",
+    # exact arithmetic
+    "rat", "orientation",
+]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = getattr(target, "id", getattr(target, "attr", None))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _declared_fields(init):
+    """(name, line) of each public self.name that __init__ annotates."""
+    for node in ast.walk(init):
+        t = node.target if isinstance(node, ast.AnnAssign) else None
+        if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                and t.value.id == "self" and _public(t.attr)):
+            yield t.attr, t.lineno
+
+
+def definitions():
+    """(qualified name, file, first line, last line) of every public
+    definition in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and _public(node.name):
+                out.append((node.name, path, node.lineno, node.end_lineno))
+            if not isinstance(node, ast.ClassDef) or not _public(node.name):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    out.append((f"{node.name}.{item.name}", path,
+                                item.lineno, item.end_lineno))
+                elif (isinstance(item, ast.AnnAssign) and _is_dataclass(node)
+                      and isinstance(item.target, ast.Name)
+                      and _public(item.target.id)):
+                    out.append((f"{node.name}.{item.target.id}", path,
+                                item.lineno, item.end_lineno))
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "__init__":
+                    out += [(f"{node.name}.{attr}", path, line, line)
+                            for attr, line in _declared_fields(item)]
+    return out
+
+
+def reads():
+    """name -> [(file, line)] of every read in the package and perfbench."""
+    out = {}
+    files = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    for path in files:
+        for node in ast.walk(_parse(path)):
+            names = ()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = (node.id,)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names = ("." + node.attr,)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path.parent == BENCH):
+                # "f" and "Cls.f" as perfbench/layers.py names its layers
+                names = (node.value, "." + node.value.split(".")[-1])
+            for name in names:
+                out.setdefault(name, []).append((path, node.lineno))
+    return out
+
+
+def test_every_public_definition_is_read_by_src_or_perfbench():
+    seen = reads()
+    unread = []
+    for qual, path, first, last in definitions():
+        if qual in ALLOWED or qual.split(".")[0] in ALLOWED:
+            continue
+        # a member is read as .name, a module-level name also bare
+        keys = (("." + qual.split(".")[1],) if "." in qual
+                else (qual, "." + qual))
+        sites = [s for k in keys for s in seen.get(k, ())]
+        if not any(p != path or not first <= line <= last
+                   for p, line in sites):
+            unread.append(f"{path.name}: {qual}")
+    assert unread == []
+
+
+def test_package_exports_the_pipeline_its_errors_and_certificates():
+    assert convexmorph.__all__ == EXPORTS
+    for name in EXPORTS:
+        assert getattr(convexmorph, name) is not None

@@ -76,8 +76,9 @@ def test_merge_and_reverse():
     merged = s1.merged_with(s2)
     assert merged.start is d and merged.end is f
     assert merged.provenance == "a; b"
-    back = merged.reversed()
-    assert back.start is f and back.end is d
+    # a move merged with its reverse is the identity
+    back = MorphStep(Direction.HORIZONTAL, f, d, "back")
+    assert merged.merged_with(back).is_identity()
     with pytest.raises(PreconditionViolated):
         s1.merged_with(MorphStep(Direction.VERTICAL, e, shifted(e, dy=rat(1))))
     with pytest.raises(PreconditionViolated):
@@ -85,15 +86,14 @@ def test_merge_and_reverse():
 
 
 def test_graph_edit_reports_changes():
+    # an edit reports its change by its two drawings, and freezes every
+    # vertex they share
     d = square_drawing()
     g2 = build_plane_graph_from_points(
         d.coords, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
     edit = GraphEdit(d, Drawing(g2, d.coords), "diagonal")
-    assert edit.added_edges == ((1, 3),)
-    assert edit.removed_edges == ()
-    assert edit.added_vertices == ()
-    back = GraphEdit(Drawing(g2, d.coords), d)
-    assert back.removed_edges == ((1, 3),)
+    assert edit.start is d and edit.end.graph is g2
+    assert edit.label == "diagonal"
     moved = shifted(d, dx=rat(1), only={2})
     with pytest.raises(PreconditionViolated):
         GraphEdit(d, Drawing(g2, moved.coords))

@@ -20,27 +20,29 @@ from convexmorph.tutte_solver import (
     NoNeighborAbove,
     NoNeighborBelow,
     NotYMonotoneCycle,
-    PolygonOptions,
     SingularSystem,
     WeightAssignment,
     WrongChain,
     convex_polygon_for_x,
     convex_polygon_for_y,
     RoundedSolution,
-    redraw_preserving_x,
-    redraw_preserving_y,
     redraw_rows,
     solve_rows,
-    solve_tutte,
-    tutte_rows,
     tutte_rows_from_y,
     weights_from_y,
 )
 from convexmorph import morph_engine, tutte_solver
-from convexmorph.morph_engine import _GRID_BITS, _polygon_preserving_x
+from convexmorph.morph_engine import _GRID_BITS
 
 from _instances import pocket_instance, random_augment_instance, random_triangulation
-from _oracles import solve_dense_fraction
+from _oracles import (
+    consistent_with_y,
+    redraw_preserving_x,
+    redraw_preserving_y,
+    solve_dense_fraction,
+    solve_tutte,
+    tutte_rows,
+)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -80,10 +82,10 @@ def assert_rows_satisfied_exactly(g, weights, d):
     for u in g.rotation:
         if u in outer:
             continue
-        sx = sum(weights.weights[(u, v)] * d.x(v) for v in g.rotation[u])
-        sy = sum(weights.weights[(u, v)] * d.y(v) for v in g.rotation[u])
-        assert d.x(u) == sx
-        assert d.y(u) == sy
+        sx = sum(weights.weights[(u, v)] * d.coords[v][0] for v in g.rotation[u])
+        sy = sum(weights.weights[(u, v)] * d.coords[v][1] for v in g.rotation[u])
+        assert d.coords[u][0] == sx
+        assert d.coords[u][1] == sy
 
 
 # -- weights -----------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_weights_one_above_one_below():
     y = {1: rat(0), 2: rat(2), 3: rat(3), 4: rat(5), 5: rat(1)}
     w = weights_from_y(g, y)
     assert w.weights == {(5, 3): rat(1, 3), (5, 1): rat(2, 3)}
-    assert w.consistent_with_y(y)
+    assert consistent_with_y(w, y)
 
 
 def test_weights_two_above_one_below():
@@ -107,7 +109,7 @@ def test_weights_two_above_one_below():
     assert w.weights[(4, 2)] == rat(1, 4)
     assert w.weights[(4, 3)] == rat(1, 4)
     assert w.weights[(4, 1)] == rat(1, 2)
-    assert w.consistent_with_y(y)
+    assert consistent_with_y(w, y)
 
 
 def test_weights_error_cases():
@@ -135,11 +137,11 @@ def test_weights_random_instances_exact():
     for _ in range(15):
         d = random_triangulation(rng, 5, 16)
         g = d.graph
-        y = {v: d.y(v) for v in g.rotation}
+        y = {v: d.coords[v][1] for v in g.rotation}
         if len(g.rotation) == len(g.outer_walk()):
             continue
         w = weights_from_y(g, y)
-        assert w.consistent_with_y(y)
+        assert consistent_with_y(w, y)
         for u in w.internal_vertices():
             assert sum(w.row(u).values()) == 1
 
@@ -309,7 +311,7 @@ def test_solve_tutte_random_instances():
         d = random_triangulation(rng, 4, 14)
         g = d.graph
         assert is_internally_3connected(g)
-        y = {v: d.y(v) for v in g.rotation}
+        y = {v: d.coords[v][1] for v in g.rotation}
         boundary = hull_polygon(d)
         internal = set(g.rotation) - set(boundary.cycle)
         if not internal:
@@ -323,7 +325,7 @@ def test_solve_tutte_random_instances():
         assert is_strictly_convex(out)
         # the y system reproduces the y the weights came from
         for v in g.rotation:
-            assert out.y(v) == d.y(v)
+            assert out.coords[v][1] == d.coords[v][1]
         rows, rhs = tutte_rows(g, w, boundary.coords)
         want = solve_dense_fraction(rows, rhs)
         for v in internal:
@@ -387,7 +389,7 @@ def test_redraw_preserving_y_same_boundary():
         out = redraw_preserving_y(d, hull_polygon(d))
         assert is_strictly_convex(out)
         for v in d.graph.rotation:
-            assert out.y(v) == d.y(v)
+            assert out.coords[v][1] == d.coords[v][1]
 
 
 def test_redraw_preserving_y_new_polygon():
@@ -397,12 +399,12 @@ def test_redraw_preserving_y_new_polygon():
         g = d.graph
         if len(g.rotation) == len(g.outer_walk()):
             continue
-        y = {v: d.y(v) for v in g.rotation}
+        y = {v: d.coords[v][1] for v in g.rotation}
         poly = convex_polygon_for_y(tuple(g.outer_walk()), y)
         out = redraw_preserving_y(d, poly)
         assert is_strictly_convex(out)
         for v in g.rotation:
-            assert out.y(v) == d.y(v)
+            assert out.coords[v][1] == d.coords[v][1]
         for v in poly.cycle:
             assert out.coords[v] == poly.coords[v]
 
@@ -428,7 +430,7 @@ def test_redraw_preserving_x_contract():
         out = redraw_preserving_x(td, tb)
         assert is_strictly_convex(out)
         for v in td.graph.rotation:
-            assert out.x(v) == td.x(v)
+            assert out.coords[v][0] == td.coords[v][0]
 
 
 def weight_rows_x(d, boundary):
@@ -483,7 +485,7 @@ def test_integer_rows_match_weight_rows(monkeypatch):
         sol = solve_rows(rows, rhs)
         assert sol == solve_rows(o_rows, o_rhs)
         out = redraw_preserving_y(d, boundary)
-        assert {u: out.x(u) for u in sol} == {u: x for u, (x,) in sol.items()}
+        assert {u: out.coords[u][0] for u in sol} == {u: x for u, (x,) in sol.items()}
 
 
 def test_integer_rows_errors_match_weights():
@@ -673,7 +675,7 @@ def test_alternating_default_polygons_keep_coordinates_short():
         poly = convex_polygon_for_y(cycle, {v: p[1] for v, p in coords.items()})
         coords = {v: (snap(x + y / 4), y) for v, (x, y) in poly.coords.items()}
         assert coord_bits(coords) <= limit
-        poly = _polygon_preserving_x(cycle, {v: p[0] for v, p in coords.items()})
+        poly = convex_polygon_for_x(cycle, {v: p[0] for v, p in coords.items()})
         coords = {v: (x, snap(y + x / 4)) for v, (x, y) in poly.coords.items()}
         assert coord_bits(coords) <= limit
 
@@ -772,7 +774,7 @@ def assert_unique_pin(poly, v, side):
     ((2, "left"), (5, "right")),
 ])
 def test_polygon_for_y_pins(pins):
-    poly = convex_polygon_for_y(HEX_CYCLE, HEX_Y, PolygonOptions(pins=pins))
+    poly = convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=pins)
     poly.validate()
     for v in HEX_CYCLE:
         assert poly.coords[v][1] == HEX_Y[v]
@@ -782,20 +784,17 @@ def test_polygon_for_y_pins(pins):
 
 def test_polygon_for_y_wrong_chain():
     with pytest.raises(WrongChain):
-        convex_polygon_for_y(HEX_CYCLE, HEX_Y,
-                             PolygonOptions(pins=((5, "left"),)))
+        convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=((5, "left"),))
     with pytest.raises(WrongChain):
-        convex_polygon_for_y(HEX_CYCLE, HEX_Y,
-                             PolygonOptions(pins=((2, "right"),)))
+        convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=((2, "right"),))
 
 
 def test_polygon_for_y_pin_conflicts():
     with pytest.raises(ConstraintInfeasible):
         convex_polygon_for_y(HEX_CYCLE, HEX_Y,
-                             PolygonOptions(pins=((1, "left"), (1, "right"))))
+                             pins=((1, "left"), (1, "right")))
     with pytest.raises(ConstraintInfeasible):
-        convex_polygon_for_y(HEX_CYCLE, HEX_Y,
-                             PolygonOptions(pins=((2, "left"), (3, "left"))))
+        convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=((2, "left"), (3, "left")))
 
 
 @settings(max_examples=120, deadline=None)
@@ -816,14 +815,13 @@ def test_polygon_for_y_random_cycles(data):
     pin_right = data.draw(st.sampled_from(right_opts))
     pins = tuple((v, s) for v, s in ((pin_left, "left"), (pin_right, "right"))
                  if v is not None)
-    options = PolygonOptions(pins=pins)
 
     if pin_left is not None and pin_left == pin_right:
         with pytest.raises(ConstraintInfeasible):
-            convex_polygon_for_y(cycle, y, options)
+            convex_polygon_for_y(cycle, y, pins=pins)
         return
 
-    poly = convex_polygon_for_y(cycle, y, options)
+    poly = convex_polygon_for_y(cycle, y, pins=pins)
     poly.validate()
     assert poly.cycle == cycle
     for v in cycle:

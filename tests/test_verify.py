@@ -9,18 +9,18 @@ from convexmorph.plane_graph import (
     Drawing,
     build_plane_graph_from_points,
     drawing_is_planar,
-    internal_reflex_count,
+    internal_reflex_angles,
     rat,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
-from convexmorph.tutte_solver import convex_polygon_for_y, redraw_preserving_y
+from convexmorph.tutte_solver import convex_polygon_for_y
 from convexmorph.verify import (
     check_convexity_increasing,
-    check_planarity_sampled,
     check_step_bounds,
     check_unidirectional_planar,
 )
 from _instances import random_augment_instance
+from _oracles import check_planarity_sampled, redraw_preserving_y
 
 
 def _drawing(coords, edges):
@@ -115,11 +115,12 @@ def test_convexity_increasing_on_redraw():
     step = None
     while step is None:
         cand = redraw_step(rng)
-        if internal_reflex_count(cand.start) > 0:
+        if internal_reflex_angles(cand.start):
             step = cand
     seq = MorphSequence(step.start, (step,))
     assert check_convexity_increasing(seq)
-    rev = MorphSequence(step.end, (step.reversed(),))
+    rev = MorphSequence(step.end, (MorphStep(step.direction, step.end,
+                                             step.start),))
     assert not check_convexity_increasing(rev, graph_of_record=step.start.graph)
 
 
