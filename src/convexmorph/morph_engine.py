@@ -29,15 +29,18 @@ Every move redraws the drawing onto a strictly convex boundary polygon
 with the fixed axis kept (the Tutte variant of tutte_solver), then shears
 along the moving axis; _redraw_move is that one operation.  All arithmetic
 is exact.  To stop denominators from compounding across alternating solves,
-the moving coordinate of each redraw is snapped to a dyadic grid; the snap
-is accepted only when the snapped drawing is strictly convex, which
-certifies that it is planar and realizes the same embedding (see
-plane_graph), and meets the step's own extra condition, so it amounts to
-a slightly different but equally valid choice of the same move.  The
+no redraw and no shear factor is emitted exactly: the moving coordinate of
+each redraw, and each shear factor that is not a small rational, is
+snapped to the first grid of one dyadic ladder (_grid_bits: 2^-48, 2^-64,
+2^-96, ... for redraws, from 2^-24 for shears) that keeps the step valid.
+A redraw's snap is accepted only when the snapped drawing is strictly
+convex, which certifies that it is planar and realizes the same embedding
+(see plane_graph), and meets the step's own extra condition, so it amounts
+to a slightly different but equally valid choice of the same move.  The
 snapped values come from tutte_solver.RoundedSolution, which certifies each
 rounding of the Tutte solution without computing that solution exactly;
-only when it cannot certify one does the exact solve run, so every drawing
-is the one the exact solution would give.
+only when it cannot certify one does the exact solve run, so every snap is
+the rounding of the exact solution.
 
 A check that fails on a drawing the pipeline made raises a ConvexifyError
 naming the step and the check.
@@ -168,9 +171,17 @@ def _rotations_realized(d: Drawing) -> bool:
 
 # -- coordinate maintenance ----------------------------------------------------
 
-_GRID_BITS = (48, 64, 96, 128, 192)
-_COMPACT_LIMIT = 1 << 80
+_MAX_GRID_BITS = 1 << 16
 _SNAP_LIMIT = 1 << 24
+
+
+def _grid_bits(first: int):
+    """The snap ladder from first (a power of two or three times one):
+    2^k and 3 * 2^(k-1) in turn, up to _MAX_GRID_BITS."""
+    bits = first
+    while bits <= _MAX_GRID_BITS:
+        yield bits
+        bits = bits * 4 // 3 if bits & (bits - 1) else bits * 3 // 2
 
 
 def _certified(d: Drawing, require) -> bool:
@@ -182,51 +193,50 @@ def _certified(d: Drawing, require) -> bool:
 
 def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
              solution: RoundedSolution,
-             require: Optional[Callable[[Drawing], bool]]
-             ) -> Tuple[Drawing, bool]:
+             require: Optional[Callable[[Drawing], bool]], note: str
+             ) -> Drawing:
     """The redraw of d whose moving-axis coordinates are fixed (the
-    boundary's) and solution's (the rest): exact when every one has a
-    denominator of at most _COMPACT_LIMIT; otherwise snapped to the first
-    grid of _GRID_BITS whose drawing is strictly convex and meets require,
-    or exact when none does. Returns the drawing and whether it was
-    snapped. A strictly convex drawing, each face walk winding once, is
-    planar and realizes its embedding (Floater 2003; see plane_graph), so
-    a snap needs no segment sweep and no rotation check."""
+    boundary's) and solution's (the rest), snapped to the first grid of
+    _grid_bits(48) whose drawing is strictly convex and meets require. A
+    strictly convex drawing, each face walk winding once, is planar and
+    realizes its embedding (Floater 2003; see plane_graph), so a snap needs
+    no segment sweep and no rotation check.
+
+    The exact redraw is strictly convex and both conditions are open, so
+    some grid is fine enough: the ladder runs out only when the exact
+    redraw fails a check or needs a grid finer than 2^-_MAX_GRID_BITS, and
+    then PostconditionFailed names note."""
     ma = direction.moving_axis
-
-    def drawing(values):
-        return d.with_coords({v: (values[v], p[1]) if ma == 0
-                              else (p[0], values[v])
-                              for v, p in d.coords.items()})
-
-    if max(x.denominator for x in fixed.values()) <= _COMPACT_LIMIT:
-        small = solution.small(_COMPACT_LIMIT)
-        if small is not None:
-            return drawing({**fixed, **small}), False
-    for bits in _GRID_BITS:
+    for bits in _grid_bits(48):
         scale = 1 << bits
         values = {v: rat(round(x * scale), scale) for v, x in fixed.items()}
         for u, j in solution.rounded(bits).items():
             values[u] = rat(j, scale)
-        cand = drawing(values)
+        cand = d.with_coords({v: (values[v], p[1]) if ma == 0
+                              else (p[0], values[v])
+                              for v, p in d.coords.items()})
         if _certified(cand, require):
-            return cand, True
-    return drawing({**fixed, **solution.exact()}), False
+            return cand
+    raise PostconditionFailed(
+        note, f"redraw failed its postcondition on every grid to 2^-{bits}")
 
 
 def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
-    """Replace an ugly exact shear factor by a nearby dyadic one."""
+    """Replace an ugly exact shear factor by the first dyadic of the
+    _grid_bits(24) ladder that is safe too. The constraints are open in
+    the factor, so a fine enough grid holds one."""
     if lam == 0:
         return lam
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
     pts = integer_points(d.coords)
-    for bits in (24, 32, 48, 64, 96):
+    for bits in _grid_bits(24):
         scale = 1 << bits
         cand = rat(round(lam * scale), scale)
         if _shear_ok(d.graph, pts, axis, cand, cons):
             return cand
-    return lam
+    raise PostconditionFailed(
+        "_snap_shear", f"no {axis} shear on a grid to 2^-{bits} is safe")
 
 
 def _safe_shear(d: Drawing, axis: str, cons: ShearConstraints) -> Drawing:
@@ -244,13 +254,8 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     system = redraw_rows if direction is Direction.HORIZONTAL else redraw_rows_x
     rows, rhs = system(d, poly)
     fixed = {v: p[ma] for v, p in poly.coords.items()}
-    out, snapped = _compact(d, direction, fixed, RoundedSolution(rows, rhs),
-                            require)
-    # _compact checked every snap it returns; an exact drawing is checked
-    # here
-    if not snapped and not _certified(out, require):
-        raise PostconditionFailed(note, "redraw failed its postcondition")
-    return out
+    return _compact(d, direction, fixed, RoundedSolution(rows, rhs), require,
+                    note)
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,

@@ -9,11 +9,13 @@ dividing out its gcd, and back-substitution forms one rational per unknown.
 Its solution is the unique exact one, so it equals what elimination over
 rationals gives, at a fraction of the cost of a gcd per entry update.
 
-A redraw needs its solution only rounded to a dyadic grid, so
-RoundedSolution answers those roundings without it: iterative refinement
-with a float LU against exact integer residuals, and a bound that an exact
+A redraw needs its solution only rounded to a dyadic grid (the engine
+emits no redraw exactly), so RoundedSolution answers those roundings and
+nothing else, without the exact solution: iterative refinement with a
+float LU against exact integer residuals, and a bound that an exact
 M-matrix certificate proves. Where the bound cannot settle an answer, the
-exact solve runs instead, so each answer equals the exact one.
+exact solve runs instead, so each answer equals the rounding of the exact
+solution.
 
 The horizontal direction is primary; vertical variants transpose coordinates,
 run the horizontal code, and transpose back. A redraw that keeps y solves
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .plane_graph import (
     Drawing,
@@ -322,8 +324,8 @@ def _lu_solve(steps, rhs: Dict[int, float]) -> Dict[int, float]:
 
 class RoundedSolution:
     """The solution x of a square system rows * x = rhs (one right-hand-side
-    column, as tutte_rows_from_y builds it), read at the precision each
-    query needs instead of exactly.
+    column, as tutte_rows_from_y builds it), answered only as the rounding
+    to the dyadic grid each query asks for, not exactly.
 
     Each row e is scaled to integers, A_e x = B_e / d_e. When every
     diagonal entry is positive and every other entry negative, and an
@@ -342,9 +344,9 @@ class RoundedSolution:
     mistake can only cost a fallback.
 
     When the certificate fails, a float is not finite, refinement stalls,
-    a rounding cannot be separated from its tie, or exact() is asked for,
-    the exact solve_rows runs once and answers from then on; fallback
-    names the first reason, or is None while no exact solve ran."""
+    or a rounding cannot be separated from its tie, the exact solve_rows
+    runs once and its solution is rounded from then on; fallback names the
+    reason, or is None while no exact solve ran."""
 
     def __init__(self, rows: Dict[int, Dict[int, object]],
                  rhs: Dict[int, List]):
@@ -421,57 +423,21 @@ class RoundedSolution:
                 raise _Uncertified("float overflow") from None
         self._err = t_new / self._m
 
-    def _precise(self, bits: int, ok: Callable[[], bool]):
-        """Refine at scale 2^(bits + lead + guard), then up to _RETRIES
-        times _EXTRA_BITS more, until ok() holds."""
-        k = max(self._k, bits + self._lead + _GUARD_BITS)
-        for _ in range(_RETRIES + 1):
-            if k > self._k:
-                self._refine(k)
-            if ok():
-                return
-            k = self._k + _EXTRA_BITS
-        raise _Uncertified("rounding too close to a tie")
-
-    def small(self, limit: int) -> Optional[Dict[int, object]]:
-        """x exactly when every x_u has a denominator <= limit, else None.
-
-        Certified: two rationals with denominators <= limit are at least
-        1/limit^2 apart, so once the error interval of x_u is narrower, the
-        rational closest to X_u / 2^k (limit_denominator) is the only
-        candidate; a coordinate with none inside rules x out, and candidates
-        everywhere are x exactly when they satisfy every row."""
-        if self._exact is None:
-            spread = 2 * max(self._v.values()) * limit * limit
-            try:
-                self._precise(2 * limit.bit_length(), lambda: (
-                    self._err * spread < (1 << self._k)))
-            except _Uncertified as exc:
-                self._fall_back(str(exc))
-        if self._exact is not None:
-            if all(x.denominator <= limit for x in self._exact.values()):
-                return self._exact
-            return None
-        k, err = self._k, self._err
-        cand = {}
-        for u, xu in self._x.items():
-            c = Fraction(xu, 1 << k).limit_denominator(limit)
-            if abs(c * (1 << k) - xu) > err * self._v[u]:
-                return None
-            cand[u] = c
-        a, b, d = self._a, self._b, self._d
-        for e, r in a.items():
-            if sum(c * cand[v] for v, c in r.items()) * d[e] != b[e]:
-                return None
-        return {u: rat(c.numerator, c.denominator) for u, c in cand.items()}
-
     def rounded(self, bits: int) -> Dict[int, int]:
-        """round(x_u * 2^bits) for every u (Python's round: half to even)."""
+        """round(x_u * 2^bits) for every u (Python's round: half to even).
+        Refines at scale 2^(bits + lead + guard), then up to _RETRIES times
+        _EXTRA_BITS more, until the bound keeps every rounding off its tie."""
         if self._exact is None:
+            out = {}
+            k = max(self._k, bits + self._lead + _GUARD_BITS)
             try:
-                out = {}
-                self._precise(bits, lambda: self._round_into(bits, out))
-                return out
+                for _ in range(_RETRIES + 1):
+                    if k > self._k:
+                        self._refine(k)
+                    if self._round_into(bits, out):
+                        return out
+                    k = self._k + _EXTRA_BITS
+                raise _Uncertified("rounding too close to a tie")
             except _Uncertified as exc:
                 self._fall_back(str(exc))
         scale = 1 << bits
@@ -490,12 +456,6 @@ class RoundedSolution:
                 return False
             out[u] = j
         return True
-
-    def exact(self) -> Dict[int, object]:
-        """x exactly, from solve_rows."""
-        if self._exact is None:
-            self._fall_back("exact solution asked for")
-        return self._exact
 
 
 def tutte_rows_from_y(g: PlaneGraph, y: Dict[int, object],

@@ -23,7 +23,11 @@ from convexmorph.plane_graph import (
     Drawing,
     EmbeddingInvalid,
     NotPlanarInput,
+    ShearConstraints,
+    _shear_ok,
     build_plane_graph_from_points,
+    choose_safe_shear,
+    integer_points,
     is_convex_outer,
     is_strictly_convex,
     rat,
@@ -198,22 +202,22 @@ def test_convex_outer_phase_counts_reflex_angles_once_per_move(monkeypatch):
     assert len(counts) == len(moves) + 1
 
 
-# Deep pockets: three passes of outer-edge removal at n = 40. With a
-# default polygon whose width grew with the square of its span, seed 3006
-# raised "no polygon separates the pocket corners" and seed 3009 ran for
-# minutes while its coordinates grew to hundreds of thousands of bits.
-@pytest.mark.parametrize("seed", [3006, 3009])
-def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
-    redraws = []
-    compact = morph_engine._compact
+def dyadic(c) -> bool:
+    return c.denominator & (c.denominator - 1) == 0
 
-    def spy(*args):
-        out, snapped = compact(*args)
-        redraws.append(snapped)
-        return out, snapped
 
-    exact_solves = []
-    solve_rows = tutte_solver.solve_rows
+def spy_redraws(monkeypatch):
+    """Two lists that fill as convexify runs: for each redraw _compact
+    emits, whether its moving axis is snapped (every coordinate dyadic);
+    and the arguments of every exact solve_rows call."""
+    redraws, exact_solves = [], []
+    compact, solve_rows = morph_engine._compact, tutte_solver.solve_rows
+
+    def spy(d, direction, *args):
+        out = compact(d, direction, *args)
+        redraws.append(all(dyadic(p[direction.moving_axis])
+                           for p in out.coords.values()))
+        return out
 
     def spy_solve(*args):
         exact_solves.append(args)
@@ -221,6 +225,16 @@ def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
 
     monkeypatch.setattr(morph_engine, "_compact", spy)
     monkeypatch.setattr(tutte_solver, "solve_rows", spy_solve)
+    return redraws, exact_solves
+
+
+# Deep pockets: three passes of outer-edge removal at n = 40. With a
+# default polygon whose width grew with the square of its span, seed 3006
+# raised "no polygon separates the pocket corners" and seed 3009 ran for
+# minutes while its coordinates grew to hundreds of thousands of bits.
+@pytest.mark.parametrize("seed", [3006, 3009])
+def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
+    redraws, exact_solves = spy_redraws(monkeypatch)
     d = pocket_instance(random.Random(seed), 40, 30, passes=3)
     assert not three_connected(d.graph.adjacency())
     seq = convexify(d)
@@ -233,6 +247,45 @@ def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
     assert check_step_bounds(seq, "general")
     assert is_strictly_convex(seq.final)
     assert same_plane_graph(seq.final.graph, d.graph)
+
+
+# Seed 3000 at n = 80: the old ladder, which ended at 2^-192 and then
+# emitted the exact redraw, found no grid for three redraws, and the exact
+# coordinates grew past 279,000 bits. Certifying every step of this run
+# takes about 40 s, so only the end drawing is checked.
+def test_convexify_deep_pocket_at_n80_snaps_every_redraw(monkeypatch):
+    redraws, exact_solves = spy_redraws(monkeypatch)
+    d = pocket_instance(random.Random(3000), 80, 30, passes=3)
+    seq = convexify(d)
+    assert redraws and all(redraws)
+    assert exact_solves == []
+    assert is_strictly_convex(seq.final)
+    assert same_plane_graph(seq.final.graph, d.graph)
+
+
+def test_grid_ladders_extend_the_old_ones():
+    # the old redraw and shear ladders are prefixes of the new ones, so a
+    # snap that an old grid accepted is unchanged
+    ladder = list(morph_engine._grid_bits(48))
+    assert ladder[:8] == [48, 64, 96, 128, 192, 256, 384, 512]
+    assert ladder[-1] == morph_engine._MAX_GRID_BITS == 1 << 16
+    assert list(morph_engine._grid_bits(24))[:5] == [24, 32, 48, 64, 96]
+
+
+def test_snap_shear_finds_a_dyadic_in_a_narrow_window():
+    # keeping vertex 1 leftmost allows N/(3N+1) < lam < N/(3N-1), and edge
+    # 2-3 turns vertical at 1/3 inside that window: choose_safe_shear's
+    # midpoint has a 138-bit denominator, with about 2^-136 of room
+    n = 10 ** 40
+    coords = {1: (0, 0), 2: (n, -(3 * n - 1)), 3: (-n, 3 * n + 1)}
+    g = build_plane_graph_from_points(coords, [(1, 2), (2, 3), (3, 1)])
+    d = Drawing(g, coords)
+    cons = ShearConstraints(keep_extreme=((1, "left"),))
+    lam = choose_safe_shear(d, "x", cons)
+    assert not dyadic(rat(lam))
+    snapped = morph_engine._snap_shear(d, "x", lam, cons)
+    assert dyadic(rat(snapped))
+    assert _shear_ok(g, integer_points(d.coords), "x", snapped, cons)
 
 
 # Seed 3097 of the same recipe: augment_y_monotone gives face 106 two
@@ -261,7 +314,8 @@ def test_failed_postcondition_raises_a_typed_error():
     assert isinstance(info.value, ConvexifyError)
     assert isinstance(info.value, RuntimeError)
     assert info.value.layer == "a noted step"
-    assert info.value.check == "redraw failed its postcondition"
+    assert info.value.check == (
+        "redraw failed its postcondition on every grid to 2^-65536")
 
 
 def event_digest(seq):
@@ -335,7 +389,7 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
     for family, seed in sorted(GOLDEN):
         convexify(instance(family, seed))
     verdicts = []
-    for d, direction, fixed, solution, require in redraws:
+    for d, direction, fixed, solution, require, _ in redraws:
         ma = direction.moving_axis
         for bits in range(1, 17):
             scale = 1 << bits

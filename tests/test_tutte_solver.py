@@ -1,3 +1,4 @@
+import itertools
 import numbers
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from convexmorph.tutte_solver import (
     weights_from_y,
 )
 from convexmorph import morph_engine, tutte_solver
-from convexmorph.morph_engine import _GRID_BITS
+from convexmorph.morph_engine import _grid_bits
 
 from _instances import pocket_instance, random_augment_instance, random_triangulation
 from _oracles import (
@@ -506,24 +507,20 @@ def test_integer_rows_errors_match_weights():
 # -- certified rounding ------------------------------------------------------
 
 
-LIMIT = morph_engine._COMPACT_LIMIT
+# the first five grids of the engine's redraw ladder
+GRIDS = list(itertools.islice(_grid_bits(48), 5))
 
 
 def exact_answers(rows, rhs):
     """What RoundedSolution must answer, from solve_rows and Fraction round:
-    small(LIMIT), then rounded(bits) for each grid of the engine."""
+    rounded(bits) for the first grids of the engine."""
     x = {u: Fraction(v) for u, (v,) in solve_rows(rows, rhs).items()}
-    small = x if all(c.denominator <= LIMIT for c in x.values()) else None
-    return small, [{u: round(c * 2 ** bits) for u, c in x.items()}
-                   for bits in _GRID_BITS]
+    return [{u: round(c * 2 ** bits) for u, c in x.items()} for bits in GRIDS]
 
 
 def certified_answers(rows, rhs):
     sol = RoundedSolution(rows, rhs)
-    small = sol.small(LIMIT)
-    if small is not None:
-        small = {u: Fraction(c) for u, c in small.items()}
-    return sol, (small, [sol.rounded(bits) for bits in _GRID_BITS])
+    return sol, [sol.rounded(bits) for bits in GRIDS]
 
 
 def big_value(rng):
@@ -592,7 +589,7 @@ def test_rounded_solution_falls_back_on_a_tie():
     sol, got = certified_answers(rows, rhs)
     assert sol.fallback == "rounding too close to a tie"
     assert got == exact_answers(rows, rhs)
-    assert got[1][0][0] == 12346  # half to even
+    assert got[0][0] == 12346  # half to even
 
 
 @pytest.mark.parametrize("side", [-1, 1])
@@ -612,29 +609,6 @@ def test_rounded_solution_rounds_a_near_tie(side):
     assert got == exact_answers(rows, rhs)
 
 
-def test_rounded_solution_keeps_an_integer_solution_exactly():
-    rng = random.Random(4703)
-    x = {v: Fraction(rng.randint(-10 ** 6, 10 ** 6)) for v in range(8)}
-    rows, rhs = system_with_solution(rng, x)
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback is None
-    assert got[0] == x
-    assert got == exact_answers(rows, rhs)
-
-
-def test_rounded_solution_rejects_a_close_small_candidate():
-    # x_0 lies 2^-200 from 1: inside the error interval of the small branch,
-    # but its denominator is 2^200, so only the exact row check rules it out
-    rng = random.Random(4704)
-    x = {v: Fraction(rng.randint(-1000, 1000)) for v in range(6)}
-    x[0] = 1 + Fraction(1, 2 ** 200)
-    rows, rhs = system_with_solution(rng, x)
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback is None
-    assert got[0] is None
-    assert got == exact_answers(rows, rhs)
-
-
 def test_rounded_solution_falls_back_off_the_sign_pattern():
     rng = random.Random(4705)
     x = {v: big_value(rng) for v in range(5)}
@@ -646,7 +620,7 @@ def test_rounded_solution_falls_back_off_the_sign_pattern():
     assert got == exact_answers(rows, rhs)
     sol = RoundedSolution({}, {})
     assert sol.fallback == "empty system"
-    assert sol.rounded(48) == {} and sol.small(LIMIT) == {}
+    assert sol.rounded(48) == {}
 
 
 def coord_bits(coords):
@@ -661,7 +635,7 @@ def test_alternating_default_polygons_keep_coordinates_short():
     # axis) and snapped to the first grid of the engine's _compact, as each
     # redraw's output is. A polygon whose width grows with the square of its
     # span would double the bits at every call.
-    grid = 1 << _GRID_BITS[0]
+    grid = 1 << GRIDS[0]
 
     def snap(c):
         return rat(round(c * grid), grid)
@@ -670,7 +644,7 @@ def test_alternating_default_polygons_keep_coordinates_short():
     coords = {v: (rat(x), rat(y)) for v, (x, y) in {
         1: (0, 0), 2: (-3, 2), 3: (-2, 7), 4: (2, 9), 5: (5, 6),
         6: (4, 1)}.items()}
-    limit = coord_bits(coords) + _GRID_BITS[0] + 4
+    limit = coord_bits(coords) + GRIDS[0] + 4
     for _ in range(6):
         poly = convex_polygon_for_y(cycle, {v: p[1] for v, p in coords.items()})
         coords = {v: (snap(x + y / 4), y) for v, (x, y) in poly.coords.items()}
