@@ -25,6 +25,11 @@ Layers, from primitive to general input:
    the only input gate: each layer trusts that its caller established
    planarity and connectivity, and checks only what its own step needs.
 
+convexify makes the one SequenceBuilder of a run and passes it down: every
+layer reads its drawing off b.current and appends its moves and graph edits
+to b, so each move passes through SequenceBuilder.move once, and convexify
+builds the sequence at the end.
+
 Every move redraws the drawing onto a strictly convex boundary polygon
 with the fixed axis kept (the Tutte variant of tutte_solver), then shears
 along the moving axis; _redraw_move is that one operation.  All arithmetic
@@ -90,7 +95,6 @@ from .tutte_solver import (
     convex_polygon_for_x,
     convex_polygon_for_y,
     redraw_rows,
-    redraw_rows_x,
 )
 
 
@@ -251,8 +255,7 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     by _compact; the drawing returned is strictly convex and meets
     require, if one is given."""
     ma = direction.moving_axis
-    system = redraw_rows if direction is Direction.HORIZONTAL else redraw_rows_x
-    rows, rhs = system(d, poly)
+    rows, rhs = redraw_rows(d, poly, direction.fixed_axis)
     fixed = {v: p[ma] for v, p in poly.coords.items()}
     return _compact(d, direction, fixed, RoundedSolution(rows, rhs), require,
                     note)
@@ -261,17 +264,15 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
 def _redraw_move(b: SequenceBuilder, direction: Direction,
                  poly: BoundaryPolygon, note: str,
                  require: Optional[Callable[[Drawing], bool]] = None,
-                 cons: Optional[ShearConstraints] = None) -> Drawing:
+                 cons: Optional[ShearConstraints] = None) -> None:
     """One move from b.current: redraw onto poly (see _redraw; require is
     an extra condition on top of strict convexity), then shear along the
     moving axis under cons (by default, no axis-parallel edge). Both land
-    in b as one step noted note; returns the end drawing."""
+    in b as one move to the sheared end, noted note."""
     cur = _redraw(b.current, direction, poly, note, require)
-    b.move(direction, cur, note)
     axis = "x" if direction is Direction.HORIZONTAL else "y"
-    cur = _safe_shear(cur, axis, cons or ShearConstraints())
-    b.move(direction, cur, note)
-    return cur
+    b.move(direction, _safe_shear(cur, axis, cons or ShearConstraints()),
+           note)
 
 
 # -- single horizontal moves ---------------------------------------------------
@@ -324,13 +325,13 @@ def morph_B(d: Drawing) -> Tuple[Drawing, int]:
 # -- convex outer face ----------------------------------------------------------
 
 
-def convexify_convex_outer(d: Drawing) -> MorphSequence:
-    """Alternating one-axis moves from a convex-outer drawing to a strictly
-    convex one; at most max(2, r+1) moves for r internal reflex angles."""
-    b = SequenceBuilder(d)
-    if is_strictly_convex(d):
-        return b.build()
-    cur = d
+def convexify_convex_outer(b: SequenceBuilder) -> None:
+    """Append to b alternating one-axis moves from its convex-outer current
+    drawing to a strictly convex one; at most max(2, r+1) moves for r
+    internal reflex angles."""
+    cur = b.current
+    if is_strictly_convex(cur):
+        return
     reflex = internal_reflex_angles(cur)
     r0 = len(reflex)
     # a vertical shear first, unless some reflex angle already straddles
@@ -347,7 +348,7 @@ def convexify_convex_outer(d: Drawing) -> MorphSequence:
     before = r0
     for _ in range(max(1, r0) + 1):
         if is_strictly_convex(cur):
-            return b.build()
+            return
         if horizontal:
             cur, after = morph_B(cur)
             b.move(Direction.HORIZONTAL, cur, _MORPH_B)
@@ -363,7 +364,6 @@ def convexify_convex_outer(d: Drawing) -> MorphSequence:
     if not is_strictly_convex(cur):
         raise MoveBudgetExceeded("convexify_convex_outer",
                                  "convexification exceeded its move budget")
-    return b.build()
 
 
 # -- hull pockets ---------------------------------------------------------------
@@ -389,12 +389,12 @@ def _x_monotone(path: Sequence[int], coords) -> bool:
     return all(a < b for a, b in steps) or all(a > b for a, b in steps)
 
 
-def pop_pocket(d: Drawing, e: Tuple[int, int]
-               ) -> Tuple[MorphSequence, Drawing]:
-    """Remove outer edge e of a strictly convex drawing and hand its pocket
-    path back to the hull, keeping the drawing strictly convex throughout;
-    at most three moves. The graph without e must be internally
-    3-connected."""
+def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
+    """Remove outer edge e of b's strictly convex current drawing and hand
+    its pocket path back to the hull, keeping the drawing strictly convex
+    throughout; appends at most three moves to b. The graph without e must
+    be internally 3-connected."""
+    d = b.current
     g = d.graph
     u, v = min(e), max(e)
     outer = g.outer_walk()
@@ -405,7 +405,6 @@ def pop_pocket(d: Drawing, e: Tuple[int, int]
         raise PreconditionViolated("drawing has a vertical edge")
     g_minus = g.remove_edge(u, v)
 
-    b = SequenceBuilder(d)
     # one vertical move: u becomes the unique top or bottom vertex, and a
     # shear clears horizontal edges without unseating it
     xmap = _xmap(d)
@@ -415,23 +414,22 @@ def pop_pocket(d: Drawing, e: Tuple[int, int]
     except WrongChain:
         poly1 = convex_polygon_for_x(outer, xmap, u, "bottom")
         side = "bottom"
-    cur = _redraw_move(
+    _redraw_move(
         b, Direction.VERTICAL, poly1, "pocket corner to the top",
         lambda dd: unique_extreme(dd.coords, u, side),
         ShearConstraints(keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
-    if not _x_monotone(path, cur.coords):
+    if not _x_monotone(path, b.current.coords):
         # one horizontal move: u and v become the unique leftmost and
         # rightmost vertices, so the pocket path must run monotonely
         poly2 = None
         pins_used = None
-        walk2 = cur.graph.outer_walk()
-        ymap2 = _ymap(cur)
+        ymap2 = _ymap(b.current)
         for pins in (((u, "left"), (v, "right")),
                      ((u, "right"), (v, "left"))):
             try:
-                poly2 = convex_polygon_for_y(walk2, ymap2, pins=pins)
+                poly2 = convex_polygon_for_y(outer, ymap2, pins=pins)
                 pins_used = pins
                 break
             except (WrongChain, ConstraintInfeasible):
@@ -439,57 +437,56 @@ def pop_pocket(d: Drawing, e: Tuple[int, int]
         if poly2 is None:
             raise PocketNotSeparated("pocket corners to the sides",
                                      "no polygon separates the pocket corners")
-        cur = _redraw_move(
+        _redraw_move(
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
             lambda dd: all(unique_extreme(dd.coords, w, s)
                            for w, s in pins_used),
             ShearConstraints(keep_extreme=pins_used))
-        if not _x_monotone(path, cur.coords):
+        if not _x_monotone(path, b.current.coords):
             raise PocketNotSeparated("pocket corners to the sides",
                                      "pocket path still not monotone after "
                                      "separating its corners")
 
     # release the edge; the pocket path joins the hull on a fresh polygon
-    d_minus = Drawing(g_minus, cur.coords)
+    d_minus = Drawing(g_minus, b.current.coords)
     b.edit(d_minus, "release pocket edge")
     poly3 = convex_polygon_for_x(g_minus.outer_walk(), _xmap(d_minus))
-    cur = _redraw_move(b, Direction.VERTICAL, poly3,
-                       "pocket path onto the hull")
-    return b.build(), cur
+    _redraw_move(b, Direction.VERTICAL, poly3, "pocket path onto the hull")
 
 
-def convexify_3connected(d: Drawing) -> MorphSequence:
-    """Convexify by completing the hull with temporary edges, convexifying
-    the completed drawing, then popping each temporary edge; at most
-    1.5n+2 moves. Removing any subset of the added edges must keep the
-    graph internally 3-connected: so it does when d's graph is 3-connected,
-    and when augment_buffers padded its hull gaps."""
-    g = d.graph
+def _hull_gaps(d: Drawing) -> list:
+    """The hull segments of d that are not edges, sorted by endpoints."""
     hull = convex_hull(d)
     h = len(hull)
-    missing = sorted(
-        ((hull[i], hull[(i + 1) % h]) for i in range(h)
-         if not g.has_edge(hull[i], hull[(i + 1) % h])),
-        key=lambda p: (min(p), max(p)))
+    return sorted(((hull[i], hull[(i + 1) % h]) for i in range(h)
+                   if not d.graph.has_edge(hull[i], hull[(i + 1) % h])),
+                  key=lambda p: (min(p), max(p)))
+
+
+def convexify_3connected(b: SequenceBuilder) -> None:
+    """Convexify b's current drawing by completing the hull with temporary
+    edges, convexifying the completed drawing, then popping each temporary
+    edge; at most 1.5n+2 moves. Removing any subset of the added edges must
+    keep the graph internally 3-connected: so it does when the graph is
+    3-connected, and when augment_buffers padded its hull gaps."""
+    d = b.current
+    missing = _hull_gaps(d)
     if not missing:
-        return convexify_convex_outer(d)
+        convexify_convex_outer(b)
+        return
 
     g_full = build_plane_graph_from_points(
-        d.coords, list(g.edges()) + missing)
-    d_full = Drawing(g_full, d.coords)
-    b = SequenceBuilder(d)
-    b.edit(d_full, "complete hull")
-    b.absorb(convexify_convex_outer(d_full))
-    cur = b.current
-    if _has_vertical_edge(cur):
+        d.coords, list(d.graph.edges()) + missing)
+    b.edit(Drawing(g_full, d.coords), "complete hull")
+    convexify_convex_outer(b)
+    if _has_vertical_edge(b.current):
         # only possible when the completed drawing was already strictly
         # convex and no move ran
-        cur = _safe_shear(cur, "x", ShearConstraints())
-        b.move(Direction.HORIZONTAL, cur, "clear vertical edges")
+        b.move(Direction.HORIZONTAL,
+               _safe_shear(b.current, "x", ShearConstraints()),
+               "clear vertical edges")
     for e in missing:
-        sub, cur = pop_pocket(cur, e)
-        b.absorb(sub)
-    return b.build()
+        pop_pocket(b, e)
 
 
 # -- buffer paths for incomplete hulls ------------------------------------------
@@ -538,7 +535,7 @@ def _sqrt_floor(q):
     return rat(math.isqrt(int(q.numerator * q.denominator)), q.denominator)
 
 
-def _pocket_descriptor(d: Drawing, outer: Tuple[int, ...],
+def _pocket_descriptor(outer: Tuple[int, ...],
                        h0: int, h1: int) -> Tuple[int, ...]:
     """Pocket path from hull vertex h0 to h1 along the outer walk."""
     k = len(outer)
@@ -621,17 +618,12 @@ def augment_buffers(d: Drawing
     3-connectivity. Offsets shrink geometrically until the placement
     validates; raises PlacementFailure when none does."""
     g = d.graph
-    hull = convex_hull(d)
-    h = len(hull)
-    gaps = sorted(
-        ((hull[i], hull[(i + 1) % h]) for i in range(h)
-         if not g.has_edge(hull[i], hull[(i + 1) % h])),
-        key=lambda p: (min(p), max(p)))
+    gaps = _hull_gaps(d)
     if not gaps:
         return d, ()
     outer = g.outer_walk()
-    paths = [_pocket_descriptor(d, outer, a, bb) for a, bb in gaps]
-    hull_set = set(hull)
+    paths = [_pocket_descriptor(outer, a, bb) for a, bb in gaps]
+    hull_set = set(convex_hull(d))
     for path in paths:
         if any(w in hull_set for w in path[1:-1]):
             raise PreconditionViolated("hull vertex inside a pocket path")
@@ -676,10 +668,12 @@ def augment_buffers(d: Drawing
     raise PlacementFailure("no buffer placement validated")
 
 
-def remove_buffer_vertex(d: Drawing, vb: int) -> MorphSequence:
-    """Drop one buffer apex from a strictly convex drawing and restore
-    strict convexity with at most two moves. The shadowed path vertex
-    returns to the hull between the apex's two midpoint neighbors."""
+def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
+    """Drop one buffer apex from b's strictly convex current drawing and
+    restore strict convexity with at most two more moves to b. The shadowed
+    path vertex returns to the hull between the apex's two midpoint
+    neighbors."""
+    d = b.current
     g = d.graph
     if vb not in g.rotation or g.degree(vb) != 3:
         raise PreconditionViolated(f"{vb} is not an intact buffer apex")
@@ -696,10 +690,9 @@ def remove_buffer_vertex(d: Drawing, vb: int) -> MorphSequence:
 
     g2 = g.remove_vertex(vb)
     d2 = Drawing(g2, {v: d.coords[v] for v in g2.rotation})
-    b = SequenceBuilder(d)
     b.edit(d2, "drop buffer apex")
     if is_strictly_convex(d2):
-        return b.build()
+        return
 
     pa, pv, pc = d.point(side_a), d.point(vi), d.point(side_c)
     y_sand = sign_of(pa[1] - pv[1]) * sign_of(pc[1] - pv[1]) < 0
@@ -709,9 +702,8 @@ def remove_buffer_vertex(d: Drawing, vb: int) -> MorphSequence:
         fv = g2.face_vertices(g2.outer_face_index)
         ref = AngleRef(g2.outer_face_index, fv.index(vi))
         cons = ShearConstraints(make_straddle=ref)
-        cur = _safe_shear(b.current, "x", cons)
-        b.move(Direction.HORIZONTAL, cur, "expose the new corner")
-        x_sand = True
+        b.move(Direction.HORIZONTAL, _safe_shear(d2, "x", cons),
+               "expose the new corner")
 
     cur = b.current
     walk = cur.graph.outer_walk()
@@ -725,7 +717,6 @@ def remove_buffer_vertex(d: Drawing, vb: int) -> MorphSequence:
         raise PostconditionFailed(
             "absorb the new corner",
             "buffer removal did not restore strict convexity")
-    return b.build()
 
 
 # -- dispatch --------------------------------------------------------------------
@@ -746,31 +737,34 @@ def convexify(d: Drawing) -> MorphSequence:
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(
             "graph is not internally 3-connected")
+    b = SequenceBuilder(d)
     if convex:
-        return MorphSequence(d, ())
+        return b.build()
     if is_convex_outer(d):
-        return convexify_convex_outer(d)
-    if three_connected(g.adjacency()):
+        convexify_convex_outer(b)
+    elif three_connected(g.adjacency()):
         # every graph between g and its completed hull is a supergraph of g
         # on the same vertices, so it is 3-connected as well
-        return convexify_3connected(d)
-
-    d_buf, pockets = augment_buffers(d)
-    b = SequenceBuilder(d)
-    b.edit(d_buf, "insert buffer paths")
-    b.absorb(convexify_3connected(d_buf))
-    for vb in sorted(w for pk in pockets for w in pk.b_vertices):
-        b.absorb(remove_buffer_vertex(b.current, vb))
-    cur = b.current
-    g_final = cur.graph
-    for w in sorted(w for pk in pockets for w in pk.buffer_path[::2]):
-        g_final = g_final.remove_vertex(w)
-    d_final = Drawing(g_final, {v: cur.coords[v] for v in g_final.rotation})
-    b.edit(d_final, "drop buffer midpoints")
-    if set(g_final.edges()) != set(g.edges()):
-        raise GraphNotRestored("convexify",
-                               "pipeline did not restore the original graph")
-    if not is_strictly_convex(d_final):
-        raise PostconditionFailed(
-            "convexify", "pipeline did not reach a strictly convex drawing")
+        convexify_3connected(b)
+    else:
+        # pad each hull gap with a buffer path, and take it back out after
+        d_buf, pockets = augment_buffers(d)
+        b.edit(d_buf, "insert buffer paths")
+        convexify_3connected(b)
+        for vb in sorted(w for pk in pockets for w in pk.b_vertices):
+            remove_buffer_vertex(b, vb)
+        cur = b.current
+        g_final = cur.graph
+        for w in sorted(w for pk in pockets for w in pk.buffer_path[::2]):
+            g_final = g_final.remove_vertex(w)
+        d_final = Drawing(g_final,
+                          {v: cur.coords[v] for v in g_final.rotation})
+        b.edit(d_final, "drop buffer midpoints")
+        if set(g_final.edges()) != set(g.edges()):
+            raise GraphNotRestored(
+                "convexify", "pipeline did not restore the original graph")
+        if not is_strictly_convex(d_final):
+            raise PostconditionFailed(
+                "convexify",
+                "pipeline did not reach a strictly convex drawing")
     return b.build()

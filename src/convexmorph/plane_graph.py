@@ -41,12 +41,8 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _mpq
 
 
 class EmbeddingInvalid(ValueError):
@@ -73,19 +69,16 @@ class PreconditionViolated(ValueError):
     """Input breaks a documented precondition of the operation."""
 
 
-_RATIONAL = type(_mpq(0))
-
-
 def rat(p, q=1):
-    """Exact rational scalar p/q. A value that is already a rational is
-    returned unchanged (when q is 1); a float becomes the rational it
-    denotes."""
-    if isinstance(p, _RATIONAL) and q == 1:
+    """Exact rational scalar p/q, a Fraction. A value that is already a
+    Fraction is returned unchanged (when q is 1); a float becomes the
+    rational it denotes."""
+    if isinstance(p, Fraction) and q == 1:
         return p
     if isinstance(p, float):
         num, den = p.as_integer_ratio()
-        return _mpq(num, den) / q
-    return _mpq(p, q)
+        return Fraction(num, den) / q
+    return Fraction(p, q)
 
 
 def integer_points(coords: Dict[int, Tuple]) -> Dict[int, Tuple[int, int]]:
@@ -145,7 +138,7 @@ class PlaneGraph:
     order; outer_dart is a dart (u, v) whose face walk is the outer face.
     """
 
-    __slots__ = ("rotation", "outer_dart", "_faces", "_dart_face", "_prev_idx")
+    __slots__ = ("rotation", "outer_dart", "_faces", "_dart_face")
 
     def __init__(self, rotation: Dict[int, Sequence[int]], outer_dart: Dart,
                  check: bool = True):
@@ -153,7 +146,6 @@ class PlaneGraph:
         self.outer_dart = (outer_dart[0], outer_dart[1])
         self._faces = None
         self._dart_face = None
-        self._prev_idx = None
         if check:
             self._validate()
 
@@ -238,7 +230,6 @@ class PlaneGraph:
                 faces.append(tuple(walk))
         self._faces = faces
         self._dart_face = dart_face
-        self._prev_idx = prev_idx
 
     @property
     def faces(self) -> List[Tuple[Dart, ...]]:
@@ -273,7 +264,6 @@ class PlaneGraph:
         g = PlaneGraph(self.rotation, dart, check=False)
         g._faces = self._faces
         g._dart_face = self._dart_face
-        g._prev_idx = self._prev_idx
         if g._dart_face is not None and dart not in g._dart_face:
             raise EmbeddingInvalid(f"{dart} is not a dart")
         return g

@@ -170,15 +170,5 @@ class SequenceBuilder:
     def edit(self, end: Drawing, label: str = "") -> None:
         self._events.append(GraphEdit(self.current, end, label))
 
-    def absorb(self, seq: MorphSequence) -> None:
-        """Replay another sequence, merging steps across the seam."""
-        if not _same_drawing(seq.initial, self.current):
-            raise PreconditionViolated("absorbed sequence does not chain")
-        for ev in seq.events:
-            if isinstance(ev, MorphStep):
-                self.move(ev.direction, ev.end, ev.provenance)
-            else:
-                self.edit(ev.end, ev.label)
-
     def build(self) -> MorphSequence:
         return MorphSequence(self._initial, tuple(self._events))

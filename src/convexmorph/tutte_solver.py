@@ -17,11 +17,12 @@ M-matrix certificate proves. Where the bound cannot settle an answer, the
 exact solve runs instead, so each answer equals the rounding of the exact
 solution.
 
-The horizontal direction is primary; vertical variants transpose coordinates,
-run the horizontal code, and transpose back. A redraw that keeps y solves
-only for x, since weights taken from y reproduce y exactly: redraw_rows and
-redraw_rows_x build its system, and the engine reads the solution through
-RoundedSolution, so no function here returns a whole redrawn drawing.
+A redraw keeps one axis and solves only for the other, since weights
+taken from the kept coordinates reproduce them exactly. The code speaks of
+keeping y and solving for x; redraw_rows builds the system for either
+fixed axis on the drawing as it is, and the engine reads the solution
+through RoundedSolution, so no function here returns a whole redrawn
+drawing.
 """
 
 from __future__ import annotations
@@ -165,12 +166,12 @@ def solve_rows(rows: Dict[int, Dict[int, object]],
     to a list of right-hand-side values, one per column. Returns {variable
     id: list of values}.
 
-    Coefficients and right-hand sides are ints or rationals (Fraction,
-    mpq). The solver scales each equation once to integers and eliminates
-    fraction-free: choosing a Markowitz pivot (smallest fill-in estimate,
-    ties to the smallest equation and variable id), it updates every
-    remaining row holding the pivot variable as r <- piv*r - f*r_pivot and
-    divides the row and its right-hand sides by their common gcd.
+    Coefficients and right-hand sides are ints or Fractions. The solver
+    scales each equation once to integers and eliminates fraction-free:
+    choosing a Markowitz pivot (smallest fill-in estimate, ties to the
+    smallest equation and variable id), it updates every remaining row
+    holding the pivot variable as r <- piv*r - f*r_pivot and divides the
+    row and its right-hand sides by their common gcd.
     Back-substitution then builds one exact rational per unknown and column.
     """
     if not rows:
@@ -519,31 +520,21 @@ def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
         raise ValueError("weights do not cover exactly the internal vertices")
 
 
-def redraw_rows(d: Drawing, boundary: BoundaryPolygon):
-    """Rows and x right-hand sides of the system of a redraw of d onto
-    boundary that keeps every y (tutte_rows_from_y), after checking that
-    boundary keeps the y of its vertices and is a strictly convex polygon on
-    the outer walk."""
-    y = {v: p[1] for v, p in d.coords.items()}
+def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
+    """Rows and moving-axis right-hand sides of the system of a redraw of d
+    onto boundary that keeps every coordinate on fixed_axis (0 for x, 1
+    for y; tutte_rows_from_y with that axis as the heights), after checking
+    that boundary keeps those coordinates of its vertices and is a strictly
+    convex polygon on the outer walk."""
+    fixed = {v: p[fixed_axis] for v, p in d.coords.items()}
     for v in boundary.cycle:
-        if boundary.coords[v][1] != y[v]:
-            raise PreconditionViolated(f"boundary changes y of {v}")
+        if boundary.coords[v][fixed_axis] != fixed[v]:
+            raise PreconditionViolated(f"boundary moves {v} on the fixed axis")
     rows, rhs = tutte_rows_from_y(
-        d.graph, y, {v: p[0] for v, p in boundary.coords.items()})
+        d.graph, fixed,
+        {v: p[1 - fixed_axis] for v, p in boundary.coords.items()})
     _check_pinned_system(d.graph, boundary, set(rows))
     return rows, rhs
-
-
-def _transposed(d: Drawing, boundary: BoundaryPolygon):
-    return d.transposed(), BoundaryPolygon(
-        tuple(reversed(boundary.cycle)),
-        {v: (p[1], p[0]) for v, p in boundary.coords.items()})
-
-
-def redraw_rows_x(d: Drawing, boundary: BoundaryPolygon):
-    """redraw_rows of the transposed redraw: one that keeps every x and
-    solves for y."""
-    return redraw_rows(*_transposed(d, boundary))
 
 
 # -- boundary polygon construction -------------------------------------------

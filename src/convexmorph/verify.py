@@ -133,20 +133,16 @@ def check_convexity_increasing(seq: MorphSequence,
     return True
 
 
-def check_step_bounds(seq: MorphSequence, mode: str,
-                      n: Optional[int] = None,
-                      r: Optional[int] = None) -> bool:
+def check_step_bounds(seq: MorphSequence, mode: str) -> bool:
     """Step count within the budget for how the sequence was produced:
     3.5n+2 in general, 1.5n+2 from a 3-connected input, max{2, r+1} from
-    a convex-outer input with r internal reflex angles."""
+    a convex-outer input with r internal reflex angles; n and r are those
+    of the sequence's initial drawing."""
     if mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {mode!r}")
-    if n is None:
-        n = seq.initial.graph.n
+    n = seq.initial.graph.n
     if mode == "convex_outer":
-        if r is None:
-            r = len(internal_reflex_angles(seq.initial))
-        bound = max(2, r + 1)
+        bound = max(2, len(internal_reflex_angles(seq.initial)) + 1)
     elif mode == "3conn":
         bound = Fraction(3, 2) * n + 2
     else:

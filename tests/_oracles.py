@@ -583,22 +583,17 @@ def solve_tutte(g, boundary, weights):
     return Drawing(g, coords)
 
 
-def redraw_preserving_y(d, boundary):
-    """The exact redraw of d onto boundary that keeps every y: the package's
-    rows (redraw_rows), solved exactly."""
+def redraw_preserving(d, boundary, fixed_axis):
+    """The exact redraw of d onto boundary that keeps every coordinate on
+    fixed_axis: the package's rows (redraw_rows), solved exactly."""
     from convexmorph.tutte_solver import redraw_rows, solve_rows
 
-    sol = solve_rows(*redraw_rows(d, boundary))
-    coords = {v: (p[0], d.coords[v][1]) for v, p in boundary.coords.items()}
-    coords.update((u, (x, d.coords[u][1])) for u, (x,) in sol.items())
-    return d.with_coords(coords)
-
-
-def redraw_preserving_x(d, boundary):
-    """redraw_preserving_y of the transposed drawing, transposed back."""
-    from convexmorph.tutte_solver import _transposed
-
-    return redraw_preserving_y(*_transposed(d, boundary)).transposed()
+    sol = solve_rows(*redraw_rows(d, boundary, fixed_axis))
+    values = {v: p[1 - fixed_axis] for v, p in boundary.coords.items()}
+    values.update((u, x) for u, (x,) in sol.items())
+    return d.with_coords({v: (values[v], p[1]) if fixed_axis == 1
+                          else (p[0], values[v])
+                          for v, p in d.coords.items()})
 
 
 def consistent_with_y(weights, y) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexmorph import (monotone_augment, morph_engine, plane_graph,
+from convexmorph import (monotone_augment, morph_engine, plane_graph, steps,
                          tutte_solver, verify)
 from convexmorph.connectivity import three_connected
 from convexmorph.morph_engine import (
@@ -359,6 +359,21 @@ GOLDEN = {
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))
 def test_convexify_output_unchanged(family, seed):
     assert event_digest(convexified(family, seed)[1]) == GOLDEN[family, seed]
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN))
+def test_convexify_makes_one_sequence_builder(family, seed, monkeypatch):
+    # every layer appends to the one builder that convexify makes
+    made = []
+    real = steps.SequenceBuilder.__init__
+
+    def spy(self, start):
+        made.append(start)
+        real(self, start)
+
+    monkeypatch.setattr(steps.SequenceBuilder, "__init__", spy)
+    convexify(instance(family, seed))
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))

@@ -24,9 +24,11 @@ BENCH = ROOT / "perfbench"
 # perfbench/layers.py and define the weights that tutte_rows_from_y scales;
 # fallback is the observability hook of RoundedSolution; the ray witness
 # and hit point of AugmentingEdge go with the rewrite of augment_y_monotone
-# into one monotone sweep (ROADMAP item 1)
+# into one monotone sweep (ROADMAP item 1); GraphEdit.label names each graph
+# edit of a returned sequence, as MorphStep.provenance names each step
 ALLOWED = {"weights_from_y", "WeightAssignment", "RoundedSolution.fallback",
-           "AugmentingEdge.witness", "AugmentingEdge.target_point"}
+           "AugmentingEdge.witness", "AugmentingEdge.target_point",
+           "GraphEdit.label"}
 
 EXPORTS = [
     # the pipeline

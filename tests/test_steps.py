@@ -154,22 +154,6 @@ def test_builder_never_merges_across_edits():
         "MorphStep", "GraphEdit", "MorphStep"]
 
 
-def test_absorb_merges_at_seam():
-    d = square_drawing()
-    e = shifted(d, dx=rat(1))
-    f = shifted(d, dx=rat(2))
-    inner = MorphSequence(e, (MorphStep(Direction.HORIZONTAL, e, f),))
-    b = SequenceBuilder(d)
-    b.move(Direction.HORIZONTAL, e)
-    b.absorb(inner)
-    seq = b.build()
-    assert seq.step_count == 1
-    assert seq.steps[0].end.coords == f.coords
-    stale = SequenceBuilder(d)
-    with pytest.raises(PreconditionViolated):
-        stale.absorb(MorphSequence(f, ()))
-
-
 def test_float_input_enters_exactly():
     # 0.1 enters as the binary fraction it denotes, not as 1/10
     coords = {1: (0.1, 0.0), 2: (4.0, 0.0), 3: (4.0, 4.0), 4: (0.0, 4.0)}

@@ -38,8 +38,7 @@ from convexmorph.morph_engine import _grid_bits
 from _instances import pocket_instance, random_augment_instance, random_triangulation
 from _oracles import (
     consistent_with_y,
-    redraw_preserving_x,
-    redraw_preserving_y,
+    redraw_preserving,
     solve_dense_fraction,
     solve_tutte,
     tutte_rows,
@@ -255,8 +254,8 @@ def test_solve_rows_singular_only_partway():
 
 
 def test_solve_rows_takes_int_of_numerator_and_denominator():
-    # numpy integers are rationals whose numerator is not a Python int
-    # (like gmpy2's mpq); fixed-width products would wrap past 64 bits
+    # numpy integers are rationals whose numerator is not a Python int;
+    # fixed-width products would wrap past 64 bits
     np = pytest.importorskip("numpy")
     big = [2 ** 62 - 1, 2 ** 61 + 3, 2 ** 61 - 5, 2 ** 62 - 7]
     rows = {1: {1: np.int64(big[0]), 2: np.int64(big[1])},
@@ -387,7 +386,7 @@ def test_redraw_preserving_y_same_boundary():
         d = random_triangulation(rng, 6, 14)
         if len(d.graph.rotation) == len(d.graph.outer_walk()):
             continue
-        out = redraw_preserving_y(d, hull_polygon(d))
+        out = redraw_preserving(d, hull_polygon(d), 1)
         assert is_strictly_convex(out)
         for v in d.graph.rotation:
             assert out.coords[v][1] == d.coords[v][1]
@@ -402,7 +401,7 @@ def test_redraw_preserving_y_new_polygon():
             continue
         y = {v: d.coords[v][1] for v in g.rotation}
         poly = convex_polygon_for_y(tuple(g.outer_walk()), y)
-        out = redraw_preserving_y(d, poly)
+        out = redraw_preserving(d, poly, 1)
         assert is_strictly_convex(out)
         for v in g.rotation:
             assert out.coords[v][1] == d.coords[v][1]
@@ -416,7 +415,7 @@ def test_redraw_preserving_y_rejects_changed_heights():
     shifted = BoundaryPolygon(poly.cycle, {
         v: (x, y + 1) for v, (x, y) in poly.coords.items()})
     with pytest.raises(PreconditionViolated):
-        redraw_preserving_y(d, shifted)
+        redraw_preserving(d, shifted, 1)
 
 
 def test_redraw_preserving_x_contract():
@@ -428,37 +427,34 @@ def test_redraw_preserving_x_contract():
             continue
         td = d.transposed()
         tb = hull_polygon(td)
-        out = redraw_preserving_x(td, tb)
+        out = redraw_preserving(td, tb, 0)
         assert is_strictly_convex(out)
         for v in td.graph.rotation:
             assert out.coords[v][0] == td.coords[v][0]
 
 
-def weight_rows_x(d, boundary):
-    """The x rows and right-hand sides of redraw_preserving_y's system, built
-    from weights_from_y in Fractions: the oracle of tutte_rows_from_y."""
-    w = weights_from_y(d.graph, {v: p[1] for v, p in d.coords.items()})
+def weight_rows(d, boundary, fixed_axis):
+    """The rows and moving-axis right-hand sides of redraw_preserving's
+    system, built from weights_from_y on the fixed axis in Fractions: the
+    oracle of tutte_rows_from_y."""
+    w = weights_from_y(d.graph,
+                       {v: p[fixed_axis] for v, p in d.coords.items()})
     rows, rhs = tutte_rows(d.graph, w, boundary.coords)
-    return rows, {u: vals[:1] for u, vals in rhs.items()}
+    return rows, {u: [vals[1 - fixed_axis]] for u, vals in rhs.items()}
 
 
 def engine_redraw_systems(monkeypatch):
-    """(drawing, boundary, transposed) of every redraw convexify makes on a
-    few small instances. morph_engine builds the system of a horizontal
-    redraw with redraw_rows; a vertical one reaches the module's own
-    binding through redraw_rows_x, on the transposed drawing."""
+    """(drawing, boundary, fixed axis) of every redraw convexify makes on a
+    few small instances, horizontal (fixed axis 1) and vertical (0)."""
     calls = []
     real = tutte_solver.redraw_rows
 
-    def spy(transposed):
-        def rows(d, boundary):
-            calls.append((d, boundary, transposed))
-            return real(d, boundary)
-        return rows
+    def spy(d, boundary, fixed_axis):
+        calls.append((d, boundary, fixed_axis))
+        return real(d, boundary, fixed_axis)
 
     with monkeypatch.context() as m:
-        m.setattr(morph_engine, "redraw_rows", spy(False))
-        m.setattr(tutte_solver, "redraw_rows", spy(True))
+        m.setattr(morph_engine, "redraw_rows", spy)
         for seed in range(3):
             morph_engine.convexify(pocket_instance(random.Random(seed), 12, 20))
             morph_engine.convexify(
@@ -468,13 +464,11 @@ def engine_redraw_systems(monkeypatch):
 
 def test_integer_rows_match_weight_rows(monkeypatch):
     calls = engine_redraw_systems(monkeypatch)
-    assert {t for _, _, t in calls} == {False, True}
+    assert {axis for _, _, axis in calls} == {0, 1}
     assert any(len(b.cycle) < len(d.graph.rotation) for d, b, _ in calls)
-    for d, boundary, _ in calls:
-        bx = {v: p[0] for v, p in boundary.coords.items()}
-        y = {v: p[1] for v, p in d.coords.items()}
-        rows, rhs = tutte_rows_from_y(d.graph, y, bx)
-        o_rows, o_rhs = weight_rows_x(d, boundary)
+    for d, boundary, axis in calls:
+        rows, rhs = redraw_rows(d, boundary, axis)
+        o_rows, o_rhs = weight_rows(d, boundary, axis)
         assert rows.keys() == o_rows.keys()
         for u, row in rows.items():
             assert all(isinstance(c, numbers.Integral) for c in row.values())
@@ -485,8 +479,9 @@ def test_integer_rows_match_weight_rows(monkeypatch):
             assert rhs[u] == [k * o_rhs[u][0]]
         sol = solve_rows(rows, rhs)
         assert sol == solve_rows(o_rows, o_rhs)
-        out = redraw_preserving_y(d, boundary)
-        assert {u: out.coords[u][0] for u in sol} == {u: x for u, (x,) in sol.items()}
+        out = redraw_preserving(d, boundary, axis)
+        assert {u: out.coords[u][1 - axis] for u in sol} == {
+            u: x for u, (x,) in sol.items()}
 
 
 def test_integer_rows_errors_match_weights():
@@ -561,11 +556,11 @@ def test_rounded_solution_matches_exact_rounding(n, seed):
 
 
 def test_rounded_solution_certifies_engine_systems(monkeypatch):
-    # every horizontal and transposed redraw system of a few convexify runs:
+    # every horizontal and vertical redraw system of a few convexify runs:
     # the certificate holds, and no answer needs the exact solve
     calls = engine_redraw_systems(monkeypatch)
-    for d, boundary, _ in calls:
-        rows, rhs = redraw_rows(d, boundary)
+    for d, boundary, axis in calls:
+        rows, rhs = redraw_rows(d, boundary, axis)
         sol, got = certified_answers(rows, rhs)
         # a redraw with every vertex on the boundary has nothing to solve
         assert sol.fallback == (None if rows else "empty system")

@@ -20,7 +20,7 @@ from convexmorph.verify import (
     check_unidirectional_planar,
 )
 from _instances import random_augment_instance
-from _oracles import check_planarity_sampled, redraw_preserving_y
+from _oracles import check_planarity_sampled, redraw_preserving
 
 
 def _drawing(coords, edges):
@@ -57,7 +57,7 @@ def redraw_step(rng):
     d_aug = Drawing(g_aug, d.coords)
     poly = convex_polygon_for_y(g_aug.outer_walk(),
                                 {v: p[1] for v, p in d.coords.items()})
-    out = redraw_preserving_y(d_aug, poly)
+    out = redraw_preserving(d_aug, poly, 1)
     return MorphStep(Direction.HORIZONTAL, d_aug, out)
 
 
@@ -141,12 +141,38 @@ def test_step_bounds_modes():
     assert check_step_bounds(seq2, "3conn")            # 2 <= 1.5*4+2
     assert check_step_bounds(seq2, "convex_outer")     # r=0: bound 2
     seq3 = MorphSequence(d, (s1, s2, MorphStep(Direction.HORIZONTAL, d, moved)))
-    assert not check_step_bounds(seq3, "convex_outer", r=0)
-    assert check_step_bounds(seq3, "convex_outer", r=4)
-    assert check_step_bounds(seq2, "3conn", n=20)
-    assert not check_step_bounds(seq3, "general", n=0)
+    assert not check_step_bounds(seq3, "convex_outer")  # r=0: bound 2
     with pytest.raises(ValueError):
         check_step_bounds(seq2, "fast")
+
+
+def alternating_moves(d, k):
+    """k moves of d, horizontal and vertical in turn, that translate it
+    around a unit square."""
+    ends = [d.with_coords({v: (x + dx, y + dy)
+                           for v, (x, y) in d.coords.items()})
+            for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    return MorphSequence(d, tuple(
+        MorphStep(Direction.VERTICAL if i % 2 else Direction.HORIZONTAL,
+                  ends[i % 4], ends[(i + 1) % 4]) for i in range(k)))
+
+
+def test_step_bounds_read_n_and_r_off_the_initial_drawing():
+    triangle = _drawing({1: (0, 0), 2: (4, 0), 3: (0, 4)},
+                        [(1, 2), (2, 3), (3, 1)])
+    assert check_step_bounds(alternating_moves(triangle, 12), "general")
+    assert not check_step_bounds(alternating_moves(triangle, 13),
+                                 "general")       # 13 > 3.5*3+2
+    assert check_step_bounds(alternating_moves(triangle, 6), "3conn")
+    assert not check_step_bounds(alternating_moves(triangle, 7),
+                                 "3conn")         # 7 > 1.5*3+2
+    notched = _drawing({1: (0, 0), 2: (2, 1), 3: (4, 0), 4: (4, 4),
+                        5: (2, 3), 6: (0, 4)},
+                       [(i, i % 6 + 1) for i in range(1, 7)])
+    assert len(internal_reflex_angles(notched)) == 2
+    assert check_step_bounds(alternating_moves(notched, 3), "convex_outer")
+    assert not check_step_bounds(alternating_moves(notched, 4),
+                                 "convex_outer")  # r=2: bound 3
 
 
 def test_pentagram_end_is_swept_and_rejected():
