@@ -18,14 +18,15 @@ x-span contains the ray as a half-open interval, and ties at a shared endpoint
 go to the edge lying higher just left of it (the smaller slope).
 
 Rays, hits and tie-breaks are decided on the integer view of the drawing
-(plane_graph.integer_points; the rotated frame negates it).  A hit height is
+(Drawing.ints; the rotated frame negates it).  A hit height is
 kept as an integer pair (numerator, dx) with dx > 0, and two heights, or two
 slopes, are compared by cross-multiplication, so each decision is the one of
 the rational drawing.  Only the hit point of each curve is turned back into
-a rational, once, from the drawing's own coordinates.
+a rational, once, from the integer view and the drawing's den.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Tuple
 
@@ -36,7 +37,6 @@ from .plane_graph import (
     PlaneGraph,
     PreconditionViolated,
     drawing_is_planar,
-    integer_points,
     orientation,
 )
 
@@ -197,11 +197,14 @@ def _apply_plans(g: PlaneGraph, plans):
     return new_rot
 
 
-def _hit_point(coords, u, dart):
+def _hit_point(d: Drawing, u, dart):
     """The rational point of segment dart straight below or above u."""
-    (ax, ay), (bx, by) = coords[dart[0]], coords[dart[1]]
-    x = coords[u][0]
-    return (x, ay + (x - ax) * (by - ay) / (bx - ax))
+    pts = d.ints
+    (ax, ay), (bx, by) = pts[dart[0]], pts[dart[1]]
+    x = pts[u][0]
+    return (Fraction(x, d.den),
+            Fraction(ay * (bx - ax) + (x - ax) * (by - ay),
+                     (bx - ax) * d.den))
 
 
 def augment_y_monotone(d: Drawing, precheck: bool = True):
@@ -213,9 +216,9 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
     skips the planarity and connectivity tests for callers that already
     established them."""
     g = d.graph
-    pts = integer_points(d.coords)
+    pts = d.ints
     _check_no_horizontal(g, pts)
-    if precheck and not drawing_is_planar(g, d.coords):
+    if precheck and not drawing_is_planar(g, pts):
         raise PreconditionViolated("drawing is not planar")
     if precheck and not is_internally_3connected(g):
         raise PreconditionViolated("graph is not internally 3-connected")
@@ -238,6 +241,6 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
             added.append(AugmentingEdge(
                 u=u, v=v, face=r["face"], kind=kind,
                 witness=r["darts"],
-                target_point=_hit_point(d.coords, u, r["darts"][0])))
+                target_point=_hit_point(d, u, r["darts"][0])))
     added.sort(key=lambda e: (e.u, e.v))
     return new_g, added

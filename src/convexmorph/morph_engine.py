@@ -69,13 +69,13 @@ from .plane_graph import (
     PreconditionViolated,
     ReflexKind,
     ShearConstraints,
+    _integer_view,
     _shear_ok,
     angle_status_points,
     build_plane_graph_from_points,
     choose_safe_shear,
     convex_hull,
     drawing_is_planar,
-    integer_points,
     internal_reflex_angles,
     is_convex_outer,
     is_strictly_convex,
@@ -139,27 +139,29 @@ class GraphNotRestored(ConvexifyError):
 # -- small geometric helpers ---------------------------------------------------
 
 
-def _ymap(d: Drawing) -> Dict[int, object]:
-    return {v: p[1] for v, p in d.coords.items()}
+def _ymap(d: Drawing) -> Dict[int, int]:
+    """Every y of d's integer view (over d.den)."""
+    return {v: p[1] for v, p in d.ints.items()}
 
 
-def _xmap(d: Drawing) -> Dict[int, object]:
-    return {v: p[0] for v, p in d.coords.items()}
+def _xmap(d: Drawing) -> Dict[int, int]:
+    """Every x of d's integer view (over d.den)."""
+    return {v: p[0] for v, p in d.ints.items()}
 
 
 def _has_horizontal_edge(d: Drawing) -> bool:
-    return any(d.coords[u][1] == d.coords[v][1]
-               for u, v in d.graph.edges())
+    pts = d.ints
+    return any(pts[u][1] == pts[v][1] for u, v in d.graph.edges())
 
 
 def _has_vertical_edge(d: Drawing) -> bool:
-    return any(d.coords[u][0] == d.coords[v][0]
-               for u, v in d.graph.edges())
+    pts = d.ints
+    return any(pts[u][0] == pts[v][0] for u, v in d.graph.edges())
 
 
 def _rotations_realized(d: Drawing) -> bool:
     """Every stored rotation equals the angular order around its vertex."""
-    pts = integer_points(d.coords)
+    pts = d.ints
     for v, nbrs in d.graph.rotation.items():
         k = len(nbrs)
         if k <= 2:
@@ -195,16 +197,44 @@ def _certified(d: Drawing, require) -> bool:
     return is_strictly_convex(d) and (require is None or require(d))
 
 
-def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
+def _round_div(n: int, q: int) -> int:
+    """round(n / q) for q > 0, half to even, as Fraction rounds."""
+    j, r = divmod(n, q)
+    if 2 * r > q or (2 * r == q and j & 1):
+        j += 1
+    return j
+
+
+def _snapped(d: Drawing, ma: int, poly: BoundaryPolygon,
+             solution: RoundedSolution, bits: int) -> Drawing:
+    """d with its coordinates on axis ma snapped to the grid 2^-bits: the
+    boundary's rounded from poly, the rest solution.rounded(bits). The
+    snapped drawing is over lcm(d.den, 2^bits), so the rounded integers go
+    in as they are."""
+    scale = 1 << bits
+    den = math.lcm(d.den, scale)
+    up, step = den // d.den, den // scale
+    values = {v: _round_div(p[ma] << bits, poly.den) * step
+              for v, p in poly.ints.items()}
+    for u, j in solution.rounded(bits).items():
+        values[u] = j * step
+    if ma == 0:
+        ints = {v: (values[v], y * up) for v, (_, y) in d.ints.items()}
+    else:
+        ints = {v: (x * up, values[v]) for v, (x, _) in d.ints.items()}
+    return Drawing.from_ints(d.graph, ints, den)
+
+
+def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
              solution: RoundedSolution,
              require: Optional[Callable[[Drawing], bool]], note: str
              ) -> Drawing:
-    """The redraw of d whose moving-axis coordinates are fixed (the
-    boundary's) and solution's (the rest), snapped to the first grid of
-    _grid_bits(48) whose drawing is strictly convex and meets require. A
-    strictly convex drawing, each face walk winding once, is planar and
-    realizes its embedding (Floater 2003; see plane_graph), so a snap needs
-    no segment sweep and no rotation check.
+    """The redraw of d whose moving-axis coordinates are poly's (on the
+    boundary) and solution's (the rest), snapped (_snapped) to the first
+    grid of _grid_bits(48) whose drawing is strictly convex and meets
+    require. A strictly convex drawing, each face walk winding once, is
+    planar and realizes its embedding (Floater 2003; see plane_graph), so a
+    snap needs no segment sweep and no rotation check.
 
     The exact redraw is strictly convex and both conditions are open, so
     some grid is fine enough: the ladder runs out only when the exact
@@ -212,13 +242,7 @@ def _compact(d: Drawing, direction: Direction, fixed: Dict[int, object],
     then PostconditionFailed names note."""
     ma = direction.moving_axis
     for bits in _grid_bits(48):
-        scale = 1 << bits
-        values = {v: rat(round(x * scale), scale) for v, x in fixed.items()}
-        for u, j in solution.rounded(bits).items():
-            values[u] = rat(j, scale)
-        cand = d.with_coords({v: (values[v], p[1]) if ma == 0
-                              else (p[0], values[v])
-                              for v, p in d.coords.items()})
+        cand = _snapped(d, ma, poly, solution, bits)
         if _certified(cand, require):
             return cand
     raise PostconditionFailed(
@@ -233,7 +257,7 @@ def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
         return lam
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
-    pts = integer_points(d.coords)
+    pts = d.ints
     for bits in _grid_bits(24):
         scale = 1 << bits
         cand = rat(round(lam * scale), scale)
@@ -254,10 +278,8 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
     by _compact; the drawing returned is strictly convex and meets
     require, if one is given."""
-    ma = direction.moving_axis
     rows, rhs = redraw_rows(d, poly, direction.fixed_axis)
-    fixed = {v: p[ma] for v, p in poly.coords.items()}
-    return _compact(d, direction, fixed, RoundedSolution(rows, rhs), require,
+    return _compact(d, direction, poly, RoundedSolution(rows, rhs), require,
                     note)
 
 
@@ -283,11 +305,10 @@ def _level_convex_redraw(d: Drawing) -> Drawing:
     monotone with temporary edges, solve onto a strictly convex boundary,
     then drop the temporary edges."""
     g_aug, _ = augment_y_monotone(d, precheck=False)
-    d_aug = Drawing(g_aug, d.coords)
-    poly = convex_polygon_for_y(g_aug.outer_walk(), _ymap(d))
-    out = _redraw(d_aug, Direction.HORIZONTAL, poly,
+    poly = convex_polygon_for_y(g_aug.outer_walk(), _ymap(d), den=d.den)
+    out = _redraw(d.with_graph(g_aug), Direction.HORIZONTAL, poly,
                   "level-preserving convex redraw")
-    return Drawing(d.graph, out.coords)
+    return out.with_graph(d.graph)
 
 
 _MORPH_B = "convex redraw with straddle shear"
@@ -383,8 +404,8 @@ def _pocket_path(g: PlaneGraph, u: int, v: int) -> Tuple[int, ...]:
     raise PreconditionViolated(f"edge {u},{v} not on a face walk")
 
 
-def _x_monotone(path: Sequence[int], coords) -> bool:
-    xs = [coords[v][0] for v in path]
+def _x_monotone(path: Sequence[int], d: Drawing) -> bool:
+    xs = [d.ints[v][0] for v in path]
     steps = list(zip(xs, xs[1:]))
     return all(a < b for a, b in steps) or all(a > b for a, b in steps)
 
@@ -409,27 +430,28 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     # shear clears horizontal edges without unseating it
     xmap = _xmap(d)
     try:
-        poly1 = convex_polygon_for_x(outer, xmap, u, "top")
+        poly1 = convex_polygon_for_x(outer, xmap, u, "top", d.den)
         side = "top"
     except WrongChain:
-        poly1 = convex_polygon_for_x(outer, xmap, u, "bottom")
+        poly1 = convex_polygon_for_x(outer, xmap, u, "bottom", d.den)
         side = "bottom"
     _redraw_move(
         b, Direction.VERTICAL, poly1, "pocket corner to the top",
-        lambda dd: unique_extreme(dd.coords, u, side),
+        lambda dd: unique_extreme(dd.ints, u, side),
         ShearConstraints(keep_extreme=((u, side),)))
 
     path = _pocket_path(g, u, v)
-    if not _x_monotone(path, b.current.coords):
+    if not _x_monotone(path, b.current):
         # one horizontal move: u and v become the unique leftmost and
         # rightmost vertices, so the pocket path must run monotonely
         poly2 = None
         pins_used = None
-        ymap2 = _ymap(b.current)
+        cur = b.current
+        ymap2 = _ymap(cur)
         for pins in (((u, "left"), (v, "right")),
                      ((u, "right"), (v, "left"))):
             try:
-                poly2 = convex_polygon_for_y(outer, ymap2, pins=pins)
+                poly2 = convex_polygon_for_y(outer, ymap2, pins, cur.den)
                 pins_used = pins
                 break
             except (WrongChain, ConstraintInfeasible):
@@ -439,18 +461,19 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
                                      "no polygon separates the pocket corners")
         _redraw_move(
             b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
-            lambda dd: all(unique_extreme(dd.coords, w, s)
+            lambda dd: all(unique_extreme(dd.ints, w, s)
                            for w, s in pins_used),
             ShearConstraints(keep_extreme=pins_used))
-        if not _x_monotone(path, b.current.coords):
+        if not _x_monotone(path, b.current):
             raise PocketNotSeparated("pocket corners to the sides",
                                      "pocket path still not monotone after "
                                      "separating its corners")
 
     # release the edge; the pocket path joins the hull on a fresh polygon
-    d_minus = Drawing(g_minus, b.current.coords)
+    d_minus = b.current.with_graph(g_minus)
     b.edit(d_minus, "release pocket edge")
-    poly3 = convex_polygon_for_x(g_minus.outer_walk(), _xmap(d_minus))
+    poly3 = convex_polygon_for_x(g_minus.outer_walk(), _xmap(d_minus),
+                                 den=d_minus.den)
     _redraw_move(b, Direction.VERTICAL, poly3, "pocket path onto the hull")
 
 
@@ -476,8 +499,8 @@ def convexify_3connected(b: SequenceBuilder) -> None:
         return
 
     g_full = build_plane_graph_from_points(
-        d.coords, list(d.graph.edges()) + missing)
-    b.edit(Drawing(g_full, d.coords), "complete hull")
+        d.ints, list(d.graph.edges()) + missing)
+    b.edit(d.with_graph(g_full), "complete hull")
     convexify_convex_outer(b)
     if _has_vertical_edge(b.current):
         # only possible when the completed drawing was already strictly
@@ -513,21 +536,38 @@ class PocketAugmentation:
         return (self.buffer_path[0], self.buffer_path[-1])
 
 
-def _pt_seg_dist_sq(p, a, b):
+def _pt_seg_dist_sq(p, a, b) -> Tuple[int, int]:
+    """Squared distance from p to segment ab, on integer points, as a pair
+    (numerator, denominator) of ints. Inside the segment's span it is
+    cross(ab, ap)^2 / |ab|^2 (Lagrange's identity)."""
     ab = (b[0] - a[0], b[1] - a[1])
     ap = (p[0] - a[0], p[1] - a[1])
+    dot = ap[0] * ab[0] + ap[1] * ab[1]
+    if dot <= 0:
+        return ap[0] * ap[0] + ap[1] * ap[1], 1
     denom = ab[0] * ab[0] + ab[1] * ab[1]
-    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
-    t = max(min(t, 1), 0)
-    dx = ap[0] - t * ab[0]
-    dy = ap[1] - t * ab[1]
-    return dx * dx + dy * dy
+    if dot >= denom:
+        bp = (p[0] - b[0], p[1] - b[1])
+        return bp[0] * bp[0] + bp[1] * bp[1], 1
+    cross = ap[0] * ab[1] - ap[1] * ab[0]
+    return cross * cross, denom
 
 
-def _seg_seg_dist_sq(a, b, c, d):
-    """Squared distance of two non-crossing segments."""
-    return min(_pt_seg_dist_sq(a, c, d), _pt_seg_dist_sq(b, c, d),
-               _pt_seg_dist_sq(c, a, b), _pt_seg_dist_sq(d, a, b))
+def _min_pair(pairs):
+    """The least of (numerator, denominator) pairs with positive
+    denominators, by cross-multiplication."""
+    best = None
+    for n, q in pairs:
+        if best is None or n * best[1] < best[0] * q:
+            best = (n, q)
+    return best
+
+
+def _seg_seg_dist_sq(a, b, c, d) -> Tuple[int, int]:
+    """Squared distance of two non-crossing segments on integer points, as
+    a pair (numerator, denominator)."""
+    return _min_pair((_pt_seg_dist_sq(a, c, d), _pt_seg_dist_sq(b, c, d),
+                      _pt_seg_dist_sq(c, a, b), _pt_seg_dist_sq(d, a, b)))
 
 
 def _sqrt_floor(q):
@@ -557,17 +597,16 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
     evec = (e1[0] - e0[0], e1[1] - e0[1])
     elen_sq = evec[0] * evec[0] + evec[1] * evec[1]
     if kk >= 2:
-        cyc = pts + [pts[0]]
-        segs = [(cyc[i], cyc[i + 1]) for i in range(len(pts))]
+        # the least distance on the integer view, scaled back once
+        ip = [d.ints[v] for v in path]
+        cyc = ip + [ip[0]]
+        segs = [(cyc[i], cyc[i + 1]) for i in range(len(ip))]
         n_seg = len(segs)
-        best = None
-        for i in range(n_seg):
-            for j in range(i + 2, n_seg):
-                if i == 0 and j == n_seg - 1:
-                    continue
-                val = _seg_seg_dist_sq(*segs[i], *segs[j])
-                best = val if best is None else min(best, val)
-        eps_sq = best
+        num, den = _min_pair(
+            _seg_seg_dist_sq(*segs[i], *segs[j])
+            for i in range(n_seg) for j in range(i + 2, n_seg)
+            if not (i == 0 and j == n_seg - 1))
+        eps_sq = rat(num, den * d.den * d.den)
         t_end = min(_sqrt_floor(eps_sq / (16 * elen_sq)),
                     rat(1, 2 * kk + 4)) * shrink
     else:
@@ -610,6 +649,17 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
     return spine
 
 
+def _with_points(d: Drawing, extra: Dict[int, Tuple]):
+    """The integer view (ints, den) of d's points together with the
+    rational points extra of new vertices, over the lcm of both dens."""
+    e_ints, e_den = _integer_view(extra)
+    den = math.lcm(d.den, e_den)
+    up, e_up = den // d.den, den // e_den
+    ints = {v: (x * up, y * up) for v, (x, y) in d.ints.items()}
+    ints.update((v, (x * e_up, y * e_up)) for v, (x, y) in e_ints.items())
+    return ints, den
+
+
 def augment_buffers(d: Drawing
                     ) -> Tuple[Drawing, Tuple[PocketAugmentation, ...]]:
     """Shadow each missing hull segment's pocket path with a buffer path
@@ -637,11 +687,11 @@ def augment_buffers(d: Drawing
 
     for attempt in range(12):
         shrink = rat(1, 1 << attempt)
-        coords = dict(d.coords)
+        extra = {}
         edges = list(g.edges())
         pockets = []
         for path, spine in zip(paths, spines):
-            coords.update(zip(spine, _buffer_geometry(d, path, shrink)))
+            extra.update(zip(spine, _buffer_geometry(d, path, shrink)))
             chain = (path[0],) + spine + (path[-1],)
             edges.extend(zip(chain, chain[1:]))
             for i in range(1, len(path) - 1):
@@ -649,8 +699,9 @@ def augment_buffers(d: Drawing
                              for j in (2 * i - 2, 2 * i - 1, 2 * i))
             pockets.append(PocketAugmentation(path=path, buffer_path=spine))
         try:
-            g_new = build_plane_graph_from_points(coords, edges)
-            d_new = Drawing(g_new, coords)
+            ints, den = _with_points(d, extra)
+            g_new = build_plane_graph_from_points(ints, edges)
+            d_new = Drawing.from_ints(g_new, ints, den)
             validate_drawing(d_new)
         except (EmbeddingInvalid, NotPlanarInput, ValueError):
             continue
@@ -688,13 +739,13 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
         raise PreconditionViolated(f"{vb} does not frame one path vertex")
     vi = inner[0]
 
-    g2 = g.remove_vertex(vb)
-    d2 = Drawing(g2, {v: d.coords[v] for v in g2.rotation})
+    g2 = g.remove_vertex((vb,))
+    d2 = d.with_graph(g2)
     b.edit(d2, "drop buffer apex")
     if is_strictly_convex(d2):
         return
 
-    pa, pv, pc = d.point(side_a), d.point(vi), d.point(side_c)
+    pa, pv, pc = d.ints[side_a], d.ints[vi], d.ints[side_c]
     y_sand = sign_of(pa[1] - pv[1]) * sign_of(pc[1] - pv[1]) < 0
     x_sand = sign_of(pa[0] - pv[0]) * sign_of(pc[0] - pv[0]) < 0
     if not y_sand and not x_sand:
@@ -708,10 +759,10 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
     cur = b.current
     walk = cur.graph.outer_walk()
     if y_sand:
-        poly = convex_polygon_for_y(walk, _ymap(cur))
+        poly = convex_polygon_for_y(walk, _ymap(cur), den=cur.den)
         _redraw_move(b, Direction.HORIZONTAL, poly, "absorb the new corner")
     else:
-        poly = convex_polygon_for_x(walk, _xmap(cur))
+        poly = convex_polygon_for_x(walk, _xmap(cur), den=cur.den)
         _redraw_move(b, Direction.VERTICAL, poly, "absorb the new corner")
     if not is_strictly_convex(b.current):
         raise PostconditionFailed(
@@ -730,7 +781,7 @@ def convexify(d: Drawing) -> MorphSequence:
     # a strictly convex drawing is planar and realizes its embedding, so
     # the sweep and the rotation check run only on other input
     convex = is_strictly_convex(d)
-    if not convex and not drawing_is_planar(g, d.coords):
+    if not convex and not drawing_is_planar(g, d.ints):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     if not convex and not _rotations_realized(d):
         raise NotPlanarInput("drawing does not realize its embedding")
@@ -753,12 +804,9 @@ def convexify(d: Drawing) -> MorphSequence:
         convexify_3connected(b)
         for vb in sorted(w for pk in pockets for w in pk.b_vertices):
             remove_buffer_vertex(b, vb)
-        cur = b.current
-        g_final = cur.graph
-        for w in sorted(w for pk in pockets for w in pk.buffer_path[::2]):
-            g_final = g_final.remove_vertex(w)
-        d_final = Drawing(g_final,
-                          {v: cur.coords[v] for v in g_final.rotation})
+        g_final = b.current.graph.remove_vertex(
+            w for pk in pockets for w in pk.buffer_path[::2])
+        d_final = b.current.with_graph(g_final)
         b.edit(d_final, "drop buffer midpoints")
         if set(g_final.edges()) != set(g.edges()):
             raise GraphNotRestored(

@@ -11,17 +11,22 @@ Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
 clockwise.
 
-Coordinates are exact rationals, but the sign tests over a whole drawing
-(planarity, face orientation, convexity, hull, rotations, shear choice) read
-its integer view: integer_points multiplies every coordinate by one positive
-integer L, the lcm of all their denominators, and returns Python-int pairs.
-A uniform positive scale multiplies every coordinate difference by L and
-every cross and dot product by L^2, so every orientation and dot-product
-sign, every order along an axis and every ratio of differences is the one of
-the rational drawing. Each predicate therefore decides exactly what it would
-decide on the rationals, and a rational it returns (a shear factor built
-from ratios of differences) is the same number. The integers cost no gcd per
-operation, and no float enters any predicate.
+A Drawing stores its coordinates as their integer view: one positive
+integer den and, per vertex, a pair of Python ints, the point being the pair
+over den. den is the lcm of the denominators of all coordinates, so the form
+is canonical (no prime divides den and every coordinate). Every predicate
+over a whole drawing (planarity, face orientation, convexity, hull,
+rotations, shear choice) reads these ints. A uniform positive scale
+multiplies every coordinate difference by den and every cross and dot
+product by den^2, so every orientation and dot-product sign, every order
+along an axis and every ratio of differences is the one of the rational
+drawing. Each predicate therefore decides exactly what it would decide on
+the rationals, and a rational it returns (a shear factor built from ratios
+of differences) is the same number. Shears, snaps and interpolations act on
+the ints and the den directly, and reduce once. The integers cost no gcd per
+operation, no float enters any predicate, and Fractions are built only when
+a caller reads Drawing.coords or Drawing.point. integer_points gives the
+same view of a plain coordinate dict.
 
 A drawing of a connected plane graph whose inner face walks are strictly
 convex counterclockwise polygons and whose outer walk is a strictly convex
@@ -81,15 +86,41 @@ def rat(p, q=1):
     return Fraction(p, q)
 
 
+def _ratio(c) -> Tuple[int, int]:
+    """Numerator and denominator (> 0) of an int, a rational or a float
+    (the rational it denotes) as Python ints."""
+    try:
+        return c.as_integer_ratio()
+    except AttributeError:
+        r = rat(c)
+        return int(r.numerator), int(r.denominator)
+
+
+def _integer_view(coords: Dict[int, Tuple]
+                  ) -> Tuple[Dict[int, Tuple[int, int]], int]:
+    """(ints, den): every coordinate times den, the lcm of all their
+    denominators, as a pair of ints per vertex. No prime divides den and
+    every coordinate of ints, so this is the canonical form of Drawing."""
+    pts = [(v, _ratio(p[0]), _ratio(p[1])) for v, p in coords.items()]
+    scale = math.lcm(*(q for _, (_, qx), (_, qy) in pts for q in (qx, qy)))
+    return {v: (nx * (scale // qx), ny * (scale // qy))
+            for v, (nx, qx), (ny, qy) in pts}, scale
+
+
 def integer_points(coords: Dict[int, Tuple]) -> Dict[int, Tuple[int, int]]:
-    """The integer view of coords: every coordinate times the lcm of all
-    their denominators, as a pair of ints per vertex. Every sign test over
-    the points decides the same on this view (see the module docstring)."""
-    pts = [(v, rat(p[0]), rat(p[1])) for v, p in coords.items()]
-    scale = math.lcm(*(c.denominator for _, x, y in pts for c in (x, y)))
-    return {v: (x.numerator * (scale // x.denominator),
-                y.numerator * (scale // y.denominator))
-            for v, x, y in pts}
+    """The integer view of a plain coordinate dict: every coordinate times
+    the lcm of all their denominators, as a pair of ints per vertex. Every
+    sign test over the points decides the same on this view (see the module
+    docstring). A Drawing stores its own view as ints."""
+    return _integer_view(coords)[0]
+
+
+def _canonical(ints: Dict[int, Tuple[int, int]], den: int):
+    """(ints, den) divided by the gcd of den and every coordinate."""
+    g = math.gcd(den, *(c for p in ints.values() for c in p))
+    if g == 1:
+        return ints, den
+    return {v: (x // g, y // g) for v, (x, y) in ints.items()}, den // g
 
 
 def unique_extreme(coords: Dict[int, Tuple], vtx: int, side: str) -> bool:
@@ -129,6 +160,16 @@ def _sub(a, b):
 
 
 Dart = Tuple[int, int]
+
+
+def _first_dart(walk: Sequence[int], removed) -> Dart:
+    """The first dart of the closed walk for which removed(dart) fails."""
+    k = len(walk)
+    for i in range(k):
+        dart = (walk[i], walk[(i + 1) % k])
+        if not removed(dart):
+            return dart
+    raise EmbeddingInvalid("no dart of the outer walk survives")
 
 
 class PlaneGraph:
@@ -277,29 +318,33 @@ class PlaneGraph:
         rot = dict(self.rotation)
         rot[u] = tuple(w for w in rot[u] if w != v)
         rot[v] = tuple(w for w in rot[v] if w != u)
-        return PlaneGraph(rot, outer_dart or self._outer_dart_avoiding(
-            lambda dart: set(dart) == {u, v}))
+        if outer_dart is None:
+            outer_dart = self.outer_dart
+            if set(outer_dart) == {u, v}:
+                outer_dart = _first_dart(self.outer_walk(),
+                                         lambda dart: set(dart) == {u, v})
+        return PlaneGraph(rot, outer_dart)
 
-    def remove_vertex(self, vid: int) -> "PlaneGraph":
-        """The graph without vid. If vid was on the outer dart, the dart
-        moves to the first dart of the outer walk that avoids vid."""
-        rot = {v: tuple(w for w in nbrs if w != vid)
-               for v, nbrs in self.rotation.items() if v != vid}
-        return PlaneGraph(rot, self._outer_dart_avoiding(
-            lambda dart: vid in dart))
+    def remove_vertex(self, vids: Iterable[int]) -> "PlaneGraph":
+        """The graph without the vertices vids, built and validated once.
+        The outer dart moves as removing them one at a time, in the order
+        given, would move it: whenever it runs through the next vertex, to
+        the first dart avoiding that vertex of the outer walk at that
+        point."""
+        order = list(dict.fromkeys(vids))
+        dart, g = self.outer_dart, self
+        for i, vid in enumerate(order):
+            if vid in dart:
+                if i:
+                    g = PlaneGraph(self._rotation_without(order[:i]), dart,
+                                   check=False)
+                dart = _first_dart(g.outer_walk(), lambda d: vid in d)
+        return PlaneGraph(self._rotation_without(order), dart)
 
-    def _outer_dart_avoiding(self, removed) -> Dart:
-        """The outer dart, or if removed(outer dart) holds, the first dart
-        of the outer walk for which it does not."""
-        if not removed(self.outer_dart):
-            return self.outer_dart
-        walk = self.outer_walk()
-        k = len(walk)
-        for i in range(k):
-            dart = (walk[i], walk[(i + 1) % k])
-            if not removed(dart):
-                return dart
-        raise EmbeddingInvalid("no dart of the outer walk survives")
+    def _rotation_without(self, vids) -> Dict[int, Tuple[int, ...]]:
+        gone = set(vids)
+        return {v: tuple(w for w in nbrs if w not in gone)
+                for v, nbrs in self.rotation.items() if v not in gone}
 
     def mirrored(self) -> "PlaneGraph":
         """Embedding after a reflection: rotations reverse, outer dart flips."""
@@ -322,28 +367,60 @@ class PlaneGraph:
 class Drawing:
     """Straight-line drawing: a PlaneGraph plus coordinates per vertex.
 
-    Coordinates are stored as exact rationals through rat, so an int or
-    float coordinate enters as the number it denotes.
+    The coordinates are stored as their integer view: ints maps each vertex
+    to a pair of ints and den is one positive int, the point of v being
+    ints[v] / den. The form is canonical, gcd(den, every coordinate) == 1,
+    so two drawings of one graph are equal exactly when their (ints, den)
+    are. Drawing(graph, coords) takes ints, Fractions or floats (a float
+    enters as the number it denotes); coords and point build Fractions only
+    when asked.
     """
 
-    __slots__ = ("graph", "coords")
+    __slots__ = ("graph", "ints", "den")
 
     def __init__(self, graph: PlaneGraph, coords: Dict[int, Tuple]):
         self.graph = graph
         if set(coords) != set(graph.rotation):
             raise EmbeddingInvalid("coords do not match vertex set")
-        self.coords = {v: (rat(p[0]), rat(p[1])) for v, p in coords.items()}
+        self.ints, self.den = _integer_view(coords)
 
-    def point(self, v: int) -> Tuple:
-        return self.coords[v]
+    @classmethod
+    def from_ints(cls, graph: PlaneGraph, ints: Dict[int, Tuple[int, int]],
+                  den: int) -> "Drawing":
+        """The drawing of graph with point ints[v] / den for each vertex v
+        (den > 0), brought to canonical form."""
+        return cls._of(graph, *_canonical(ints, den))
 
-    def with_coords(self, coords: Dict[int, Tuple]) -> "Drawing":
-        return Drawing(self.graph, coords)
+    @classmethod
+    def _of(cls, graph, ints, den) -> "Drawing":
+        # ints and den already canonical
+        d = object.__new__(cls)
+        d.graph, d.ints, d.den = graph, ints, den
+        return d
+
+    @property
+    def coords(self) -> Dict[int, Tuple[Fraction, Fraction]]:
+        den = self.den
+        return {v: (Fraction(x, den), Fraction(y, den))
+                for v, (x, y) in self.ints.items()}
+
+    def point(self, v: int) -> Tuple[Fraction, Fraction]:
+        x, y = self.ints[v]
+        return (Fraction(x, self.den), Fraction(y, self.den))
+
+    def with_graph(self, graph: PlaneGraph) -> "Drawing":
+        """This drawing on graph, whose vertices are this drawing's or a
+        subset of them (an augmented or an edited graph)."""
+        if len(graph.rotation) == len(self.ints):
+            return Drawing._of(graph, self.ints, self.den)
+        return Drawing.from_ints(
+            graph, {v: self.ints[v] for v in graph.rotation}, self.den)
 
     def transposed(self) -> "Drawing":
         """Swap x and y. A reflection, so the embedding mirrors."""
-        return Drawing(self.graph.mirrored(),
-                       {v: (p[1], p[0]) for v, p in self.coords.items()})
+        return Drawing._of(self.graph.mirrored(),
+                           {v: (y, x) for v, (x, y) in self.ints.items()},
+                           self.den)
 
     def __repr__(self):
         return f"Drawing(n={self.graph.n})"
@@ -411,7 +488,7 @@ def angle_status_points(a, v, b) -> AngleStatus:
 def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
     """Reflex angles of inner faces, sorted by (apex vertex, face, pos)."""
     g = d.graph
-    ints = integer_points(d.coords)
+    ints = d.ints
     found = []
     for fi in g.inner_face_indices():
         walk = g.face_vertices(fi)
@@ -435,7 +512,7 @@ def is_strictly_convex(d: Drawing) -> bool:
     see the module docstring). A walk whose turns are strict, one way and
     each below a half turn changes half-plane (_half) twice per full turn."""
     g = d.graph
-    ints = integer_points(d.coords)
+    ints = d.ints
     outer = g.outer_face_index
     for fi, walk_darts in enumerate(g.faces):
         turn = -1 if fi == outer else 1
@@ -452,7 +529,7 @@ def is_strictly_convex(d: Drawing) -> bool:
 
 def is_convex_outer(d: Drawing) -> bool:
     """Outer face angles all at least pi (reflex or straight, measured outside)."""
-    ints = integer_points(d.coords)
+    ints = d.ints
     walk = [ints[v] for v in d.graph.outer_walk()]
     k = len(walk)
     for pos in range(k):
@@ -472,7 +549,7 @@ def is_convex_outer(d: Drawing) -> bool:
 def convex_hull(d: Drawing) -> List[int]:
     """Hull vertex ids in counterclockwise order, keeping collinear boundary
     points. Deterministic start: lexicographically smallest point."""
-    pts = sorted(integer_points(d.coords).items(),
+    pts = sorted(d.ints.items(),
                  key=lambda kv: (kv[1][0], kv[1][1]))
     if len(pts) < 3:
         raise AllCollinear("fewer than three vertices")
@@ -514,15 +591,17 @@ def convex_hull(d: Drawing) -> List[int]:
 
 def shear(d: Drawing, axis: str, lam) -> Drawing:
     """Shear the drawing: axis 'x' maps (x,y)->(x+lam*y,y), axis 'y' maps
-    (x,y)->(x,y+lam*x)."""
+    (x,y)->(x,y+lam*x). For lam = a/b with b > 0 the moving coordinate X
+    of the integer view becomes b*X + a*F, F the fixed one, over den*b."""
     lam = rat(lam)
+    a, b = lam.numerator, lam.denominator
     if axis == "x":
-        coords = {v: (p[0] + lam * p[1], p[1]) for v, p in d.coords.items()}
+        ints = {v: (b * x + a * y, b * y) for v, (x, y) in d.ints.items()}
     elif axis == "y":
-        coords = {v: (p[0], p[1] + lam * p[0]) for v, p in d.coords.items()}
+        ints = {v: (b * x, b * y + a * x) for v, (x, y) in d.ints.items()}
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return d.with_coords(coords)
+    return Drawing.from_ints(d.graph, ints, d.den * b)
 
 
 @dataclass
@@ -583,7 +662,7 @@ def choose_safe_shear(d: Drawing, axis: str,
     passes."""
     cons = cons or ShearConstraints()
     g = d.graph
-    pts = integer_points(d.coords)
+    pts = d.ints
     for lam in _shear_candidates(g, pts, axis, cons):
         if _shear_ok(g, pts, axis, lam, cons):
             return lam
@@ -701,7 +780,8 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
 
 
 def drawing_is_planar(g: PlaneGraph, coords: Dict[int, Tuple]) -> bool:
-    """Exact straight-line planarity: distinct vertices, no edge conflicts."""
+    """Exact straight-line planarity: distinct vertices, no edge conflicts.
+    coords is a plain coordinate dict, such as a drawing's ints."""
     pts = integer_points(coords)
     if len(set(pts.values())) != len(pts):
         return False
@@ -712,9 +792,9 @@ def validate_drawing(d: Drawing):
     """Raise NotPlanarInput or EmbeddingInvalid unless d is a valid planar
     straight-line drawing matching its embedding and face orientations."""
     g = d.graph
-    if not drawing_is_planar(g, d.coords):
+    if not drawing_is_planar(g, d.ints):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
-    ints = integer_points(d.coords)
+    ints = d.ints
     outer = g.outer_face_index
     for fi, walk_darts in enumerate(g.faces):
         walk = [t[0] for t in walk_darts]

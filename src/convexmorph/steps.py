@@ -34,7 +34,8 @@ class Direction(enum.Enum):
 
 
 def _same_drawing(a: Drawing, b: Drawing) -> bool:
-    return a.graph == b.graph and a.coords == b.coords
+    # the (ints, den) form is canonical
+    return a.graph == b.graph and a.den == b.den and a.ints == b.ints
 
 
 @dataclass(frozen=True)
@@ -55,30 +56,38 @@ class MorphStep:
         if self.start.graph != self.end.graph:
             raise PreconditionViolated("step endpoints draw different graphs")
         ax = self.direction.fixed_axis
-        for v, p in self.start.coords.items():
-            if p[ax] != self.end.coords[v][ax]:
+        s_den, e_den = self.start.den, self.end.den
+        end = self.end.ints
+        for v, p in self.start.ints.items():
+            if p[ax] * e_den != end[v][ax] * s_den:
                 raise PreconditionViolated(
                     f"vertex {v} moves on the fixed axis of a "
                     f"{self.direction.value} step")
 
     def at(self, t) -> Drawing:
-        """Drawing at parameter t of the straight-line interpolation."""
+        """Drawing at parameter t of the straight-line interpolation. For
+        t = p/q, the moving coordinate of each vertex is
+        (q - p) * start + p * end, over q times both dens."""
         if t == 0:
             return self.start
         if t == 1:
             return self.end
         tt = Fraction(t)
-        s = 1 - tt
+        p, q = tt.numerator, tt.denominator
+        s_den, e_den = self.start.den, self.end.den
+        ws, we = (q - p) * e_den, p * s_den
+        fix = q * e_den
         mov = self.direction.moving_axis
-        coords = {}
-        for v, p in self.start.coords.items():
-            q = self.end.coords[v]
-            val = s * p[mov] + tt * q[mov]
-            coords[v] = (val, p[1]) if mov == 0 else (p[0], val)
-        return self.start.with_coords(coords)
+        end = self.end.ints
+        ints = {}
+        for v, a in self.start.ints.items():
+            val = ws * a[mov] + we * end[v][mov]
+            ints[v] = (val, fix * a[1]) if mov == 0 else (fix * a[0], val)
+        return Drawing.from_ints(self.start.graph, ints, q * s_den * e_den)
 
     def is_identity(self) -> bool:
-        return self.start.coords == self.end.coords
+        return (self.start.den == self.end.den
+                and self.start.ints == self.end.ints)
 
     def merged_with(self, other: "MorphStep") -> "MorphStep":
         """Compose two consecutive moves along the same axis into one step."""
@@ -100,8 +109,11 @@ class GraphEdit:
     label: str = ""
 
     def __post_init__(self):
-        for v in self.start.coords.keys() & self.end.coords.keys():
-            if self.start.coords[v] != self.end.coords[v]:
+        s_den, e_den = self.start.den, self.end.den
+        start, end = self.start.ints, self.end.ints
+        for v in start.keys() & end.keys():
+            (sx, sy), (ex, ey) = start[v], end[v]
+            if sx * e_den != ex * s_den or sy * e_den != ey * s_den:
                 raise PreconditionViolated(
                     f"vertex {v} moves during a graph edit")
 

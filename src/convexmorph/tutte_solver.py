@@ -36,7 +36,8 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
-    integer_points,
+    _integer_view,
+    _ratio,
     orientation,
     rat,
     sign_of,
@@ -91,19 +92,37 @@ class WeightAssignment:
         return {u for (u, _) in self.weights}
 
 
-@dataclass(frozen=True)
 class BoundaryPolygon:
-    """Outer-face vertices in walk order (clockwise) with fixed coordinates."""
+    """Outer-face vertices in walk order (clockwise) with fixed coordinates,
+    stored like a Drawing's: the point of v is ints[v] / den (den > 0, not
+    necessarily reduced). BoundaryPolygon(cycle, coords) takes ints,
+    Fractions or floats; coords builds Fractions when asked."""
 
-    cycle: Tuple[int, ...]
-    coords: Dict[int, Tuple]
+    __slots__ = ("cycle", "ints", "den")
+
+    def __init__(self, cycle: Sequence[int], coords: Dict[int, Tuple]):
+        self.cycle = tuple(cycle)
+        self.ints, self.den = _integer_view(coords)
+
+    @classmethod
+    def from_ints(cls, cycle: Sequence[int],
+                  ints: Dict[int, Tuple[int, int]], den: int
+                  ) -> "BoundaryPolygon":
+        poly = object.__new__(cls)
+        poly.cycle, poly.ints, poly.den = tuple(cycle), ints, den
+        return poly
+
+    @property
+    def coords(self) -> Dict[int, Tuple[Fraction, Fraction]]:
+        den = self.den
+        return {v: (Fraction(x, den), Fraction(y, den))
+                for v, (x, y) in self.ints.items()}
 
     def validate(self):
         k = len(self.cycle)
         if k < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        ints = integer_points(self.coords)
-        pts = [ints[v] for v in self.cycle]
+        pts = [self.ints[v] for v in self.cycle]
         minima = 0
         for i in range(k):
             p, c, n = pts[(i - 1) % k], pts[i], pts[(i + 1) % k]
@@ -258,11 +277,6 @@ def solve_rows(rows: Dict[int, Dict[int, object]],
     return values
 
 
-def _ratio(c) -> Tuple[int, int]:
-    """Numerator and denominator of an int or rational as Python ints."""
-    return int(c.numerator), int(c.denominator)
-
-
 # -- certified rounding ------------------------------------------------------
 
 _GUARD_BITS = 16    # scale bits kept below the precision a query asks for
@@ -392,7 +406,12 @@ class RoundedSolution:
         if min(av.values()) <= 0:
             raise _Uncertified("A V > 0 fails")
         self._v = vv
-        self._m = min(Fraction(av[e], a[e][e]) for e in a)
+        # m = min_e (A V)_e / A_ee, picked by cross-multiplication
+        lo = None
+        for e in a:
+            if lo is None or av[e] * a[lo][lo] < av[lo] * a[e][e]:
+                lo = e
+        self._m = Fraction(av[lo], a[lo][lo])
         # bits of t / m * max V when t is about 1, as after convergence
         self._lead = (max(vv.values()) // self._m).bit_length() + 2
         self._k = 0
@@ -408,13 +427,19 @@ class RoundedSolution:
         while True:
             res = {e: (b[e] << k) - d[e] * sum(c * x[v] for v, c in r.items())
                    for e, r in a.items()}
-            t_new = max(Fraction(abs(res[e]), d[e] * a[e][e]) for e in a)
-            if t_new < 4:
+            # t = max_e |R_e| / (d_e A_ee), as a pair picked by
+            # cross-multiplication
+            tn, td = 0, 1
+            for e in a:
+                rn, rd = abs(res[e]), d[e] * a[e][e]
+                if rn * td > tn * rd:
+                    tn, td = rn, rd
+            if tn < 4 * td:
                 break
             # a working refinement gains far more than 8 bits a step
-            if t is not None and t_new * 256 > t:
+            if t is not None and tn * 256 * t[1] > t[0] * td:
                 raise _Uncertified("refinement stalled")
-            t = t_new
+            t = (tn, td)
             try:
                 corr = _lu_solve(self._lu, {e: res[e] / (d[e] * a[e][e])
                                             for e in a})
@@ -422,7 +447,7 @@ class RoundedSolution:
                     x[u] += round(c)
             except (ArithmeticError, ValueError):
                 raise _Uncertified("float overflow") from None
-        self._err = t_new / self._m
+        self._err = Fraction(tn, td) / self._m
 
     def rounded(self, bits: int) -> Dict[int, int]:
         """round(x_u * 2^bits) for every u (Python's round: half to even).
@@ -459,24 +484,20 @@ class RoundedSolution:
         return True
 
 
-def tutte_rows_from_y(g: PlaneGraph, y: Dict[int, object],
-                      boundary_x: Dict[int, object]):
+def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
+                      bx: Dict[int, int], bden: int):
     """Integer rows of the pinned system with weights_from_y's weights, and
-    their x right-hand sides; boundary_x maps each boundary vertex to its x.
+    their x right-hand sides. ys holds every height times one positive
+    scale, as ints; bx maps each boundary vertex to its x times bden.
 
-    On the integer view Y of y, let an internal vertex u have U neighbors
-    above, with heights summing to Su, and D below, summing to Sd, and let
-    delta = D*Su - U*Sd > 0. Its row
+    Let an internal vertex u have U neighbors above, with heights Y summing
+    to Su, and D below, summing to Sd, and let delta = D*Su - U*Sd > 0. Its
+    row
 
         delta*x_u - sum_up (D*Y_u - Sd)*x_v - sum_down (Su - U*Y_u)*x_v
 
     is weights_from_y's row times delta, so the system has the same
     solution, and solve_rows pivots in the same order on it."""
-    yden = math.lcm(*(c.denominator for c in y.values()))
-    ys = {v: c.numerator * (yden // c.denominator) for v, c in y.items()}
-    bden = math.lcm(*(c.denominator for c in boundary_x.values()))
-    bx = {v: c.numerator * (bden // c.denominator)
-          for v, c in boundary_x.items()}
     rows = {}
     rhs = {}
     for u, nbrs in g.rotation.items():
@@ -504,7 +525,7 @@ def tutte_rows_from_y(g: PlaneGraph, y: Dict[int, object],
                 else:
                     row[v] = -w
         rows[u] = row
-        rhs[u] = [rat(b, bden)]
+        rhs[u] = [Fraction(b, bden)]
     return rows, rhs
 
 
@@ -525,14 +546,20 @@ def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
     onto boundary that keeps every coordinate on fixed_axis (0 for x, 1
     for y; tutte_rows_from_y with that axis as the heights), after checking
     that boundary keeps those coordinates of its vertices and is a strictly
-    convex polygon on the outer walk."""
-    fixed = {v: p[fixed_axis] for v, p in d.coords.items()}
+    convex polygon on the outer walk. The heights are the fixed-axis
+    coordinates times the lcm of their denominators, d's integer view
+    divided by the gcd of d.den and all of them."""
+    ints, den = d.ints, d.den
+    bints, bden = boundary.ints, boundary.den
     for v in boundary.cycle:
-        if boundary.coords[v][fixed_axis] != fixed[v]:
+        if bints[v][fixed_axis] * den != ints[v][fixed_axis] * bden:
             raise PreconditionViolated(f"boundary moves {v} on the fixed axis")
+    ys = {v: p[fixed_axis] for v, p in ints.items()}
+    g = math.gcd(den, *ys.values())
+    if g > 1:
+        ys = {v: y // g for v, y in ys.items()}
     rows, rhs = tutte_rows_from_y(
-        d.graph, fixed,
-        {v: p[1 - fixed_axis] for v, p in boundary.coords.items()})
+        d.graph, ys, {v: p[1 - fixed_axis] for v, p in bints.items()}, bden)
     _check_pinned_system(d.graph, boundary, set(rows))
     return rows, rhs
 
@@ -563,29 +590,36 @@ def _split_chains(cycle: Sequence[int], y: Dict[int, object]):
     return left, right
 
 
-def _chain_slopes(incr: List, flip: Optional[int], target, eta, rising: bool):
+def _chain_slopes(incr: List[int], den: int, flip: Optional[int],
+                  target: int, attempt: int, rising: bool):
     """Slopes for one chain: strictly monotone, optional sign pattern, and
-    weighted sum exactly equal to target.
+    weighted sum exactly equal to target, with eta = 4^-attempt.
 
-    incr: positive y-increments. flip: edges 1..flip get the 'before' sign.
-    rising=True builds an increasing sequence (left chain), else decreasing.
-    Returns None when the knob adjustment would break the sign pattern."""
+    incr: positive y-increments, times den. flip: edges 1..flip get the
+    'before' sign. rising=True builds an increasing sequence (left chain),
+    else decreasing. Returns (S, Q): slope i is S[i] / Q, Q > 0. Returns
+    None when the knob adjustment would break the sign pattern.
+
+    Slope i starts at sgn * eta * (i - center - 1/2) = K_i / E with
+    E = 2 * 4^attempt; the gap N / (E * den) to target is added to one
+    slope as N / (E * incr), so every slope is over E * incr."""
     p = len(incr)
     sgn = 1 if rising else -1
     if p == 1:
-        s = [target / incr[0]]
+        s, q = [target * den], incr[0]
     else:
-        center = rat(flip) if flip is not None else rat(p, 2)
-        s = [sgn * eta * (rat(i) - center - rat(1, 2)) for i in range(1, p + 1)]
-        delta = target - sum(si * ai for si, ai in zip(s, incr))
-        if sign_of(delta) > 0:
-            hi = p - 1 if rising else 0
-            s[hi] = s[hi] + delta / incr[hi]
-        elif sign_of(delta) < 0:
-            lo = 0 if rising else p - 1
-            s[lo] = s[lo] + delta / incr[lo]
+        c2 = 2 * flip if flip is not None else p
+        e = 2 << (2 * attempt)
+        s = [sgn * (2 * i - c2 - 1) for i in range(1, p + 1)]
+        gap = target * e * den - sum(si * ai for si, ai in zip(s, incr))
+        q = e
+        if gap:
+            j = p - 1 if (gap > 0) == rising else 0
+            q = e * incr[j]
+            s = [si * incr[j] for si in s]
+            s[j] += gap
     seq = s if rising else [-v for v in s]
-    if any(sign_of(b - a) <= 0 for a, b in zip(seq, seq[1:])):
+    if any(b <= a for a, b in zip(seq, seq[1:])):
         return None
     if flip is not None:
         before = -1 if rising else 1
@@ -593,12 +627,21 @@ def _chain_slopes(incr: List, flip: Optional[int], target, eta, rising: bool):
             want = before if i <= flip else -before
             if sign_of(v) != want:
                 return None
-    return s
+    return s, q
+
+
+def _int_heights(cycle: Sequence[int], y: Dict[int, object], den: int):
+    """The heights y[v] / den of the cycle as ints over one positive den."""
+    vals = [_ratio(y[v]) for v in cycle]
+    scale = math.lcm(*(q for _, q in vals))
+    return ({v: n * (scale // q) for v, (n, q) in zip(cycle, vals)},
+            den * scale)
 
 
 def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
-                         pins: Tuple = ()) -> BoundaryPolygon:
-    """Strictly convex polygon on the given clockwise cycle preserving y.
+                         pins: Tuple = (), den: int = 1) -> BoundaryPolygon:
+    """Strictly convex polygon on the given clockwise cycle preserving the
+    heights y[v] / den (y holds ints or rationals).
 
     Default shape is the parabola pair x = -+ (y - ymin)(ymax - y)/(ymax -
     ymin). Dividing by the span keeps every x within a quarter of the span
@@ -607,23 +650,22 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     square the magnitude again. pins lists (vertex, 'left'|'right'), at
     most one per side, and makes each vertex the unique leftmost or
     rightmost; a pinned vertex must lie on the matching chain (or be the
-    bottom/top vertex)."""
-    # the integer view of y on the cycle: every y times one positive scale
-    ys = [rat(y[v]) for v in cycle]
-    scale = math.lcm(*(c.denominator for c in ys))
-    iy = {v: c.numerator * (scale // c.denominator) for v, c in zip(cycle, ys)}
+    bottom/top vertex). The pinned widths are not scale-invariant, so
+    the polygon is built from the rational heights (the ints over den),
+    and its coordinates are the same rationals at any scale of y."""
+    iy, den = _int_heights(cycle, y, den)
     left, right = _split_chains(cycle, iy)
     bot, top = left[0], left[-1]
 
     if not pins:
         y0, yT = iy[bot], iy[top]
-        den = scale * (yT - y0)
-        coords = {}
+        span = yT - y0
+        ints = {}
         for v in left:
-            coords[v] = (rat(-(iy[v] - y0) * (yT - iy[v]), den), y[v])
+            ints[v] = (-(iy[v] - y0) * (yT - iy[v]), iy[v] * span)
         for v in right[1:-1]:
-            coords[v] = (rat((iy[v] - y0) * (yT - iy[v]), den), y[v])
-        poly = BoundaryPolygon(tuple(cycle), coords)
+            ints[v] = ((iy[v] - y0) * (yT - iy[v]), iy[v] * span)
+        poly = BoundaryPolygon.from_ints(cycle, ints, den * span)
         poly.validate()
         return poly
 
@@ -649,8 +691,8 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
         raise ConstraintInfeasible("same vertex pinned to both sides")
 
     p, q = len(left) - 1, len(right) - 1
-    a = [y[left[i]] - y[left[i - 1]] for i in range(1, p + 1)]
-    h = [y[right[j]] - y[right[j - 1]] for j in range(1, q + 1)]
+    a = [iy[left[i]] - iy[left[i - 1]] for i in range(1, p + 1)]
+    h = [iy[right[j]] - iy[right[j - 1]] for j in range(1, q + 1)]
 
     def interval(flip, edges, left_side):
         if flip is None:
@@ -665,48 +707,53 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
                         interval(flips.get("right"), q, False)) if s}
     if len(want) > 1:
         raise ConstraintInfeasible("pins force contradictory widths")
-    target = rat(next(iter(want), 0))
+    target = next(iter(want), 0)
 
     for attempt in range(60):
-        eta = rat(1, 4 ** attempt)
-        s = _chain_slopes(a, flips.get("left"), target, eta, rising=True)
-        t = _chain_slopes(h, flips.get("right"), target, eta, rising=False)
-        if s is None or t is None:
+        ls = _chain_slopes(a, den, flips.get("left"), target, attempt,
+                           rising=True)
+        rs = _chain_slopes(h, den, flips.get("right"), target, attempt,
+                           rising=False)
+        if ls is None or rs is None:
             continue
+        (s, sq), (t, tq) = ls, rs
         if p > 1 or q > 1:
-            if sign_of(t[0] - s[0]) <= 0 or sign_of(s[-1] - t[-1]) <= 0:
+            if t[0] * sq <= s[0] * tq or s[-1] * tq <= t[-1] * sq:
                 continue
-        coords = {bot: (rat(0), y[bot])}
-        acc = rat(0)
+        # slope times increment sums to x times sq * den on the left chain
+        # and tq * den on the right; the polygon is over sq * tq * den
+        ints = {bot: (0, iy[bot] * sq * tq)}
+        acc = 0
         for i, v in enumerate(left[1:], start=1):
-            acc = acc + s[i - 1] * a[i - 1]
-            coords[v] = (acc, y[v])
-        acc = rat(0)
+            acc += s[i - 1] * a[i - 1]
+            ints[v] = (acc * tq, iy[v] * sq * tq)
+        acc = 0
         for j, v in enumerate(right[1:-1], start=1):
-            acc = acc + t[j - 1] * h[j - 1]
-            coords[v] = (acc, y[v])
-        poly = BoundaryPolygon(tuple(cycle), coords)
+            acc += t[j - 1] * h[j - 1]
+            ints[v] = (acc * sq, iy[v] * sq * tq)
+        poly = BoundaryPolygon.from_ints(cycle, ints, sq * tq * den)
         try:
             poly.validate()
         except ValueError:
             continue
-        if all(unique_extreme(coords, v, side) for v, side in pins):
+        if all(unique_extreme(ints, v, side) for v, side in pins):
             return poly
     raise ConstraintInfeasible("no polygon found for the requested pins")
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
                          extreme_vertex: Optional[int] = None,
-                         side: str = "top") -> BoundaryPolygon:
-    """Strictly convex polygon on the given clockwise cycle preserving x:
-    convex_polygon_for_y on the transposed cycle. With extreme_vertex, that
-    vertex becomes the unique topmost or bottommost, as side says."""
+                         side: str = "top", den: int = 1) -> BoundaryPolygon:
+    """Strictly convex polygon on the given clockwise cycle preserving
+    x[v] / den: convex_polygon_for_y on the transposed cycle. With
+    extreme_vertex, that vertex becomes the unique topmost or bottommost,
+    as side says."""
     if side not in ("top", "bottom"):
         raise ValueError(f"side {side!r}")
     pins = () if extreme_vertex is None else (
         (extreme_vertex, "right" if side == "top" else "left"),)
-    poly = convex_polygon_for_y(tuple(reversed(cycle)), x, pins)
-    coords = {v: (p[1], p[0]) for v, p in poly.coords.items()}
-    out = BoundaryPolygon(tuple(cycle), coords)
+    poly = convex_polygon_for_y(tuple(reversed(cycle)), x, pins, den)
+    out = BoundaryPolygon.from_ints(
+        cycle, {v: (py, px) for v, (px, py) in poly.ints.items()}, poly.den)
     out.validate()
     return out

@@ -35,18 +35,20 @@ BOUND_MODES = ("general", "3conn", "convex_outer")
 
 def _sweep_records(d: Drawing, direction: Direction):
     """Left-to-right feature order on every vertex level and every open
-    strip between consecutive levels, read along the fixed axis."""
+    strip between consecutive levels, read along the fixed axis. The orders
+    are read on the integer view, times 2 so that each strip's middle level
+    is an int too: a positive scale keeps every order."""
     fa = direction.fixed_axis
     ma = direction.moving_axis
-    coords = d.coords
-    levels = sorted({p[fa] for p in coords.values()})
+    pts = {v: (2 * p[0], 2 * p[1]) for v, p in d.ints.items()}
+    levels = sorted({p[fa] for p in pts.values()})
     index = {lv: i for i, lv in enumerate(levels)}
     level_items: List[list] = [[] for _ in levels]
     strip_items: List[list] = [[] for _ in range(max(len(levels) - 1, 0))]
-    for v, p in coords.items():
+    for v, p in pts.items():
         level_items[index[p[fa]]].append((p[ma], 0, ("v", v)))
     for u, v in d.graph.edges():
-        pu, pv = coords[u], coords[v]
+        pu, pv = pts[u], pts[v]
         if pu[fa] == pv[fa]:
             # lies on a level; keyed by its low end, after that vertex
             level_items[index[pu[fa]]].append(
@@ -57,13 +59,17 @@ def _sweep_records(d: Drawing, direction: Direction):
         lo, hi = index[pu[fa]], index[pv[fa]]
         run = pv[ma] - pu[ma]
         rise = pv[fa] - pu[fa]
+        base = pu[ma] * rise
+
+        def at(level):
+            # the edge's moving coordinate where the fixed one is level
+            return Fraction(base + (level - pu[fa]) * run, rise)
+
         for li in range(lo + 1, hi):
-            t = (levels[li] - pu[fa]) / rise
-            level_items[li].append((pu[ma] + t * run, 2, ("e", u, v)))
+            level_items[li].append((at(levels[li]), 2, ("e", u, v)))
         for si in range(lo, hi):
-            mid = (levels[si] + levels[si + 1]) / 2
-            t = (mid - pu[fa]) / rise
-            strip_items[si].append((pu[ma] + t * run, ("e", u, v)))
+            strip_items[si].append(
+                (at((levels[si] + levels[si + 1]) // 2), ("e", u, v)))
     for items in level_items:
         items.sort()
     for items in strip_items:
@@ -76,7 +82,7 @@ def _planar_end(d: Drawing) -> bool:
     """Planarity of one end of a step. A strictly convex drawing is planar
     (Floater 2003; see plane_graph), which a face scan decides, so only an
     end that is not strictly convex is swept."""
-    return is_strictly_convex(d) or drawing_is_planar(d.graph, d.coords)
+    return is_strictly_convex(d) or drawing_is_planar(d.graph, d.ints)
 
 
 def check_unidirectional_planar(step: MorphStep) -> bool:
@@ -99,13 +105,14 @@ def _inner_angle_triples(g: PlaneGraph) -> List[Tuple[int, int, int]]:
 
 
 def _convex_here(d: Drawing, triple: Tuple[int, int, int]) -> bool:
-    a, v, b = triple
+    pts = d.ints
     for w in triple:
-        if w not in d.coords:
+        if w not in pts:
             raise PreconditionViolated(
                 f"graph-of-record vertex {w} missing from a drawing")
+    a, v, b = triple
     try:
-        st = angle_status_points(d.point(a), d.point(v), d.point(b))
+        st = angle_status_points(pts[a], pts[v], pts[b])
     except DegenerateAngle:
         return False
     return st.kind is not AngleKind.REFLEX
@@ -123,6 +130,7 @@ def check_convexity_increasing(seq: MorphSequence,
     settled = {tri for tri in triples if _convex_here(seq.initial, tri)}
     for ev in seq.events:
         if isinstance(ev, MorphStep):
+            # the midpoint is (start + end) over 2 * both dens
             for d in (ev.at(Fraction(1, 2)), ev.end):
                 for tri in settled:
                     if not _convex_here(d, tri):

@@ -9,10 +9,12 @@ and |dx| < 997 for our coordinate range means two distinct points can never
 end up at equal sheared height.
 """
 
+import hashlib
+
 import numpy as np
 from scipy.spatial import Delaunay
 
-from convexmorph import Drawing, orientation, rat
+from convexmorph import Drawing, MorphStep, orientation, rat
 from convexmorph.plane_graph import EmbeddingInvalid, build_plane_graph_from_points
 
 
@@ -186,3 +188,18 @@ def pocket_instance(rng, n, span, passes=1):
                 g = g2
     return Drawing(g, d.coords)
 
+
+def event_digest(seq):
+    """sha256 over every event of seq: its kind, direction and note, and
+    the end drawing's coordinates (by vertex), rotations and outer dart."""
+    h = hashlib.sha256()
+    for ev in seq.events:
+        if isinstance(ev, MorphStep):
+            head = ("step", ev.direction.value, ev.provenance)
+        else:
+            head = ("edit", None, ev.label)
+        d = ev.end
+        coords = [(v, str(x), str(y)) for v, (x, y) in sorted(d.coords.items())]
+        h.update(repr((head, coords, sorted(d.graph.rotation.items()),
+                       d.graph.outer_dart)).encode())
+    return h.hexdigest()

@@ -586,14 +586,42 @@ def solve_tutte(g, boundary, weights):
 def redraw_preserving(d, boundary, fixed_axis):
     """The exact redraw of d onto boundary that keeps every coordinate on
     fixed_axis: the package's rows (redraw_rows), solved exactly."""
+    from convexmorph.plane_graph import Drawing
     from convexmorph.tutte_solver import redraw_rows, solve_rows
 
     sol = solve_rows(*redraw_rows(d, boundary, fixed_axis))
     values = {v: p[1 - fixed_axis] for v, p in boundary.coords.items()}
     values.update((u, x) for u, (x,) in sol.items())
-    return d.with_coords({v: (values[v], p[1]) if fixed_axis == 1
-                          else (p[0], values[v])
-                          for v, p in d.coords.items()})
+    return Drawing(d.graph, {v: (values[v], p[1]) if fixed_axis == 1
+                             else (p[0], values[v])
+                             for v, p in d.coords.items()})
+
+
+def shear_fraction(d, axis, lam):
+    """plane_graph.shear in plain Fraction arithmetic: every point
+    sheared as a pair of rationals."""
+    from convexmorph.plane_graph import Drawing
+
+    lam = Fraction(lam)
+    return Drawing(d.graph, {
+        v: (x + lam * y, y) if axis == "x" else (x, y + lam * x)
+        for v, (x, y) in d.coords.items()})
+
+
+def snap_fraction(d, ma, poly, solution, bits):
+    """morph_engine._snapped in plain Fraction arithmetic: each moving
+    coordinate on axis ma becomes the rational round(x * 2^bits) / 2^bits
+    of the boundary's, or solution.rounded(bits) / 2^bits."""
+    from convexmorph.plane_graph import Drawing
+
+    scale = 1 << bits
+    values = {v: Fraction(round(p[ma] * scale), scale)
+              for v, p in poly.coords.items()}
+    for u, j in solution.rounded(bits).items():
+        values[u] = Fraction(j, scale)
+    return Drawing(d.graph, {v: (values[v], p[1]) if ma == 0
+                             else (p[0], values[v])
+                             for v, p in d.coords.items()})
 
 
 def consistent_with_y(weights, y) -> bool:
@@ -640,3 +668,50 @@ def add_vertex(g, vid, anchors):
         rot[w].insert(pos, vid)
     rot[vid] = [w for w, _ in anchors]
     return PlaneGraph(rot, g.outer_dart)
+
+
+def seg_seg_dist_sq_fraction(a, b, c, d):
+    """Squared distance of two non-crossing segments in plain Fraction
+    arithmetic, the parameter of the nearest point clamped to [0, 1]: the
+    oracle of morph_engine._seg_seg_dist_sq."""
+    def pt_seg(p, a, b):
+        ab = (b[0] - a[0], b[1] - a[1])
+        ap = (p[0] - a[0], p[1] - a[1])
+        t = Fraction(ap[0] * ab[0] + ap[1] * ab[1],
+                     ab[0] * ab[0] + ab[1] * ab[1])
+        t = max(min(t, 1), 0)
+        dx, dy = ap[0] - t * ab[0], ap[1] - t * ab[1]
+        return dx * dx + dy * dy
+
+    return min(pt_seg(a, c, d), pt_seg(b, c, d),
+               pt_seg(c, a, b), pt_seg(d, a, b))
+
+
+def chain_slopes_fraction(incr, flip, target, eta, rising):
+    """tutte_solver._chain_slopes in Fractions, on the rational increments
+    incr and with eta itself: the oracle of the integer version."""
+    p = len(incr)
+    sgn = 1 if rising else -1
+    if p == 1:
+        s = [target / incr[0]]
+    else:
+        center = Fraction(flip) if flip is not None else Fraction(p, 2)
+        s = [sgn * eta * (i - center - Fraction(1, 2))
+             for i in range(1, p + 1)]
+        delta = target - sum(si * ai for si, ai in zip(s, incr))
+        if delta > 0:
+            hi = p - 1 if rising else 0
+            s[hi] += delta / incr[hi]
+        elif delta < 0:
+            lo = 0 if rising else p - 1
+            s[lo] += delta / incr[lo]
+    seq = s if rising else [-v for v in s]
+    if any(b <= a for a, b in zip(seq, seq[1:])):
+        return None
+    if flip is not None:
+        before = -1 if rising else 1
+        for i, v in enumerate(s, start=1):
+            want = before if i <= flip else -before
+            if (v > 0) - (v < 0) != want:
+                return None
+    return s

@@ -412,15 +412,15 @@ def assert_fraction_oracle_agrees(d):
 def scaled(d):
     """x -> (x - 17)/3, y -> (y - 23)/5: negative, non-dyadic coordinates
     with every vertical alignment (and so every ray tie) kept."""
-    return d.with_coords({v: ((x - 17) / 3, (y - 23) / 5)
-                          for v, (x, y) in d.coords.items()})
+    return Drawing(d.graph, {v: ((x - 17) / 3, (y - 23) / 5)
+                             for v, (x, y) in d.coords.items()})
 
 
 def skewed(d):
     """scaled, then x -> x + y/7: orientation and heights kept, the rays
     moved."""
-    return d.with_coords({v: (x + y / 7, y)
-                          for v, (x, y) in scaled(d).coords.items()})
+    return Drawing(d.graph, {v: (x + y / 7, y)
+                             for v, (x, y) in scaled(d).coords.items()})
 
 
 FAMILIES = {

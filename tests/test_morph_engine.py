@@ -1,14 +1,15 @@
 import functools
-import hashlib
+import math
 import os
 import random
 import subprocess
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from convexmorph import (monotone_augment, morph_engine, plane_graph, steps,
                          tutte_solver, verify)
@@ -31,10 +32,11 @@ from convexmorph.plane_graph import (
     is_convex_outer,
     is_strictly_convex,
     rat,
+    shear,
     validate_drawing,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
-from convexmorph.tutte_solver import convex_polygon_for_y
+from convexmorph.tutte_solver import BoundaryPolygon, convex_polygon_for_y
 from convexmorph.verify import (
     check_convexity_increasing,
     check_step_bounds,
@@ -45,10 +47,12 @@ from _instances import (
     dent_instance,
     hidden_component_drawing,
     pocket_instance,
+    event_digest,
     random_augment_instance,
     random_triangulation,
     same_plane_graph,
 )
+from _oracles import seg_seg_dist_sq_fraction, shear_fraction, snap_fraction
 
 
 def wheel_drawing(hub=(2, 2)):
@@ -83,7 +87,8 @@ def test_convexify_rejects_crossing_edges():
 def test_convexify_rejects_unrealized_rotation():
     # a mirror image is planar but turns every rotation around
     d = wheel_drawing()
-    mirrored = d.with_coords({v: (-x, y) for v, (x, y) in d.coords.items()})
+    mirrored = Drawing(d.graph,
+                       {v: (-x, y) for v, (x, y) in d.coords.items()})
     with pytest.raises(NotPlanarInput, match="embedding"):
         convexify(mirrored)
 
@@ -263,6 +268,70 @@ def test_convexify_deep_pocket_at_n80_snaps_every_redraw(monkeypatch):
     assert same_plane_graph(seq.final.graph, d.graph)
 
 
+# integer shear and snap against the Fraction arithmetic they replace, on
+# arbitrary points of K4 (neither needs a planar drawing)
+K4 = build_plane_graph_from_points(
+    {1: (0, 0), 2: (6, 0), 3: (0, 6), 4: (1, 1)},
+    [(1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (3, 4)])
+dyadics = st.builds(lambda a, k: Fraction(a, 1 << k),
+                    st.integers(-2 ** 60, 2 ** 60), st.integers(0, 200))
+rationals = st.one_of(dyadics, st.fractions(-10 ** 6, 10 ** 6,
+                                            max_denominator=10 ** 12))
+points = st.lists(st.tuples(rationals, rationals), min_size=4, max_size=4)
+
+
+@given(points, st.sampled_from("xy"), rationals)
+@settings(max_examples=150, deadline=None)
+def test_integer_shear_matches_fraction_oracle(pts, axis, lam):
+    d = Drawing(K4, dict(zip((1, 2, 3, 4), pts)))
+    got, want = shear(d, axis, lam), shear_fraction(d, axis, lam)
+    assert (got.ints, got.den) == (want.ints, want.den)
+    assert got.coords == want.coords
+
+
+class FixedRounding:
+    """The rounded(bits) of a RoundedSolution whose one unknown, vertex 4,
+    is value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def rounded(self, bits):
+        return {4: round(self.value * (1 << bits))}
+
+
+# every boundary coordinate and the unknown on a tie of the 2^-1 grid
+TIES = [(Fraction(k, 4), Fraction(-k, 4)) for k in (1, 3, -5, 7)]
+
+
+@given(points, points, st.sampled_from((0, 1)), st.integers(1, 300),
+       rationals)
+@example(TIES, TIES, 0, 1, Fraction(3, 4))
+@example(TIES, TIES, 1, 1, Fraction(-5, 4))
+@settings(max_examples=150, deadline=None)
+def test_integer_snap_matches_fraction_oracle(pts, ring, ma, bits, value):
+    d = Drawing(K4, dict(zip((1, 2, 3, 4), pts)))
+    poly = BoundaryPolygon((1, 3, 2), dict(zip((1, 3, 2), ring)))
+    solution = FixedRounding(value)
+    got = morph_engine._snapped(d, ma, poly, solution, bits)
+    want = snap_fraction(d, ma, poly, solution, bits)
+    assert (got.ints, got.den) == (want.ints, want.den)
+
+
+int_points = st.tuples(st.integers(-10 ** 9, 10 ** 9),
+                       st.integers(-10 ** 9, 10 ** 9))
+
+
+@given(int_points, int_points, int_points, int_points)
+@settings(max_examples=150, deadline=None)
+def test_segment_distance_pairs_match_fraction_oracle(a, b, c, d):
+    # the buffer geometry's distances as integer pairs, compared by
+    # cross-multiplication, are the rationals of the Fraction arithmetic
+    assume(a != b and c != d)
+    num, den = morph_engine._seg_seg_dist_sq(a, b, c, d)
+    assert Fraction(num, den) == seg_seg_dist_sq_fraction(a, b, c, d)
+
+
 def test_grid_ladders_extend_the_old_ones():
     # the old redraw and shear ladders are prefixes of the new ones, so a
     # snap that an old grid accepted is unchanged
@@ -318,22 +387,6 @@ def test_failed_postcondition_raises_a_typed_error():
         "redraw failed its postcondition on every grid to 2^-65536")
 
 
-def event_digest(seq):
-    """sha256 over every event of seq: its kind, direction and note, and
-    the end drawing's coordinates (by vertex), rotations and outer dart."""
-    h = hashlib.sha256()
-    for ev in seq.events:
-        if isinstance(ev, MorphStep):
-            head = ("step", ev.direction.value, ev.provenance)
-        else:
-            head = ("edit", None, ev.label)
-        d = ev.end
-        coords = [(v, str(x), str(y)) for v, (x, y) in sorted(d.coords.items())]
-        h.update(repr((head, coords, sorted(d.graph.rotation.items()),
-                       d.graph.outer_dart)).encode())
-    return h.hexdigest()
-
-
 def convex_outer_instance(rng, n, span):
     return random_augment_instance(rng, n, n, span)
 
@@ -359,6 +412,34 @@ GOLDEN = {
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))
 def test_convexify_output_unchanged(family, seed):
     assert event_digest(convexified(family, seed)[1]) == GOLDEN[family, seed]
+
+
+def canonical(d) -> bool:
+    return d.den > 0 and math.gcd(
+        d.den, *(c for p in d.ints.values() for c in p)) == 1
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN))
+def test_every_emitted_drawing_is_canonical(family, seed):
+    # so comparing (ints, den) decides whether two drawings are equal
+    _, seq = convexified(family, seed)
+    for ev in seq.events:
+        assert canonical(ev.start) and canonical(ev.end)
+        if isinstance(ev, MorphStep):
+            assert canonical(ev.at(Fraction(1, 2)))
+
+
+def test_convexify_builds_no_fraction_coordinates(monkeypatch):
+    # the whole pipeline reads the integer view: Drawing.coords, which
+    # builds Fractions, is never asked for
+    drawings = [instance(family, seed) for family, seed in sorted(GOLDEN)]
+
+    def refuse(self):
+        raise AssertionError("Drawing.coords read inside convexify")
+
+    monkeypatch.setattr(Drawing, "coords", property(refuse))
+    for d in drawings:
+        convexify(d)
 
 
 @pytest.mark.parametrize("family, seed", sorted(GOLDEN))
@@ -404,16 +485,10 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
     for family, seed in sorted(GOLDEN):
         convexify(instance(family, seed))
     verdicts = []
-    for d, direction, fixed, solution, require, _ in redraws:
-        ma = direction.moving_axis
+    for d, direction, poly, solution, require, _ in redraws:
         for bits in range(1, 17):
-            scale = 1 << bits
-            values = {v: rat(round(x * scale), scale) for v, x in fixed.items()}
-            for u, j in solution.rounded(bits).items():
-                values[u] = rat(j, scale)
-            cand = d.with_coords({v: (values[v], p[1]) if ma == 0
-                                  else (p[0], values[v])
-                                  for v, p in d.coords.items()})
+            cand = morph_engine._snapped(d, direction.moving_axis, poly,
+                                         solution, bits)
             extra = require is None or require(cand)
             try:
                 validate_drawing(cand)

@@ -144,7 +144,7 @@ def test_edit_operations_roundtrip():
     assert not g2.has_edge(1, 4) and g2.m == 5
     g3 = add_edge(g2, 1, 4, 1, 1)
     assert g3.rotation == g.rotation
-    g4 = g.remove_vertex(4)
+    g4 = g.remove_vertex((4,))
     assert g4.n == 3 and g4.m == 3
     back = add_vertex(g4, 4, [(3, 1), (1, 1), (2, 1)])
     assert back.rotation == g.rotation
@@ -158,12 +158,34 @@ def test_removal_moves_the_outer_dart_off_what_it_removes():
     no_edge = g.remove_edge(1, 3)
     assert no_edge.outer_dart == (3, 2)
     assert set(no_edge.outer_walk()) == {1, 2, 3, 4}
-    no_vertex = g.remove_vertex(1)
+    no_vertex = g.remove_vertex((1,))
     assert no_vertex.outer_dart == (3, 2)
     assert set(no_vertex.outer_walk()) == {2, 3, 4}
     # a dart the removal leaves alone stays
     assert g.remove_edge(1, 4).outer_dart == (1, 3)
-    assert g.remove_vertex(4).outer_dart == (1, 3)
+    assert g.remove_vertex((4,)).outer_dart == (1, 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_removing_vertices_at_once_matches_one_at_a_time(seed):
+    # the graph and its outer dart, also where the dart runs through a
+    # removed vertex, are those of removing them one by one in order
+    rng = random.Random(seed)
+    g = random_triangulation(rng, 10, 16).graph
+    tried = 0
+    for _ in range(40):
+        outer = g.outer_walk()
+        gone = rng.sample(outer, 2) + rng.sample(sorted(g.rotation), 1)
+        try:
+            one_by_one = g
+            for v in dict.fromkeys(gone):
+                one_by_one = one_by_one.remove_vertex((v,))
+        except EmbeddingInvalid:
+            continue
+        at_once = g.remove_vertex(gone)
+        assert at_once == one_by_one
+        tried += 1
+    assert tried >= 10
 
 
 def test_mirrored_flips_faces():
@@ -428,7 +450,8 @@ def test_shear_preserves_angle_kinds(coords, lam):
     for ref in before:
         assert before[ref].kind is after[ref].kind
     # translation preserves subtypes too
-    moved = d.with_coords({v: (p[0] + 7, p[1] - 3) for v, p in d.coords.items()})
+    moved = Drawing(d.graph,
+                    {v: (p[0] + 7, p[1] - 3) for v, p in d.coords.items()})
     assert angle_statuses(moved) == before
 
 
@@ -683,7 +706,7 @@ def jittered_triangulations(draw):
             x += draw(st.integers(-2, 2))
             y += draw(st.integers(-2, 2))
         coords[v] = (x, y)
-    return d.with_coords(coords)
+    return Drawing(d.graph, coords)
 
 
 cycle_drawings = st.builds(lambda coords, rng: _cycle_case(coords, rng)[0],
@@ -745,8 +768,8 @@ def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
                 star is None or _rotations_realized(star))
 
     def moved(d):
-        return d and d.with_coords({v: (s * x + tx, s * y + ty)
-                                    for v, (x, y) in d.coords.items()})
+        return d and Drawing(d.graph, {v: (s * x + tx, s * y + ty)
+                                       for v, (x, y) in d.coords.items()})
 
     assert answers(d, star) == answers(moved(d), moved(star))
 
@@ -760,8 +783,9 @@ def test_predicates_beyond_float_range():
 
     def drawn(centre_y):
         coords = {**base.coords, 4: (rat(2), centre_y)}
-        return base.with_coords({v: (big * x + shift, big * y - shift)
-                                 for v, (x, y) in coords.items()})
+        return Drawing(base.graph,
+                       {v: (big * x + shift, big * y - shift)
+                        for v, (x, y) in coords.items()})
 
     inside = drawn(rat(1, 2 ** 1000))
     with pytest.raises(OverflowError):

@@ -35,7 +35,7 @@ def shifted(d, dx=0, dy=0, only=None):
             coords[v] = (x + dx, y + dy)
         else:
             coords[v] = (x, y)
-    return d.with_coords(coords)
+    return Drawing(d.graph, coords)
 
 
 def test_horizontal_step_interpolates_exactly():

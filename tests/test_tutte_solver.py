@@ -37,6 +37,7 @@ from convexmorph.morph_engine import _grid_bits
 
 from _instances import pocket_instance, random_augment_instance, random_triangulation
 from _oracles import (
+    chain_slopes_fraction,
     consistent_with_y,
     redraw_preserving,
     solve_dense_fraction,
@@ -486,17 +487,14 @@ def test_integer_rows_match_weight_rows(monkeypatch):
 
 def test_integer_rows_errors_match_weights():
     g = k4_drawing().graph
-    bx = {v: rat(0) for v in g.outer_walk()}
-    for y, exc in (({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(3)},
-                    NoNeighborAbove),
-                   ({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(-1)},
-                    NoNeighborBelow),
-                   ({1: rat(0), 2: rat(1), 3: rat(2), 4: rat(1)},
-                    PreconditionViolated)):
+    bx = {v: 0 for v in g.outer_walk()}
+    for y, exc in (({1: 0, 2: 1, 3: 2, 4: 3}, NoNeighborAbove),
+                   ({1: 0, 2: 1, 3: 2, 4: -1}, NoNeighborBelow),
+                   ({1: 0, 2: 1, 3: 2, 4: 1}, PreconditionViolated)):
         with pytest.raises(exc):
-            tutte_rows_from_y(g, y, bx)
+            tutte_rows_from_y(g, y, bx, 1)
         with pytest.raises(exc):
-            weights_from_y(g, y)
+            weights_from_y(g, {v: rat(c) for v, c in y.items()})
 
 
 # -- certified rounding ------------------------------------------------------
@@ -801,6 +799,29 @@ def test_polygon_for_y_random_cycles(data):
     g = build_plane_graph_from_points(poly.coords, ring)
     assert poly.matches_outer_walk(g)
     assert is_strictly_convex(Drawing(g, poly.coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chain_slopes_match_fraction_oracle(data):
+    # the integer slopes over their common denominator are the rationals
+    # the Fraction construction gives, and fail where it fails
+    incr = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
+                              max_size=7))
+    den = data.draw(st.integers(1, 10 ** 6))
+    flip = data.draw(st.one_of(st.none(), st.integers(0, len(incr))))
+    target = data.draw(st.sampled_from((-1, 0, 1)))
+    attempt = data.draw(st.integers(0, 6))
+    rising = data.draw(st.booleans())
+    got = tutte_solver._chain_slopes(incr, den, flip, target, attempt,
+                                     rising)
+    want = chain_slopes_fraction([Fraction(a, den) for a in incr], flip,
+                                 target, Fraction(1, 4 ** attempt), rising)
+    if want is None:
+        assert got is None
+    else:
+        s, q = got
+        assert [Fraction(x, q) for x in s] == want
 
 
 # -- convex_polygon_for_x ----------------------------------------------------

@@ -39,7 +39,7 @@ def spike_swap_step():
     end.update({5: (6, 8), 6: (6, 3), 7: (4, 0), 8: (4, 5)})
     edges = [(1, 7), (7, 2), (2, 3), (3, 5), (5, 4), (4, 1), (5, 6), (7, 8)]
     d0 = _drawing(start, edges)
-    d1 = d0.with_coords({v: (rat(x), rat(y)) for v, (x, y) in end.items()})
+    d1 = Drawing(d0.graph, {v: (rat(x), rat(y)) for v, (x, y) in end.items()})
     return MorphStep(Direction.HORIZONTAL, d0, d1)
 
 
@@ -47,7 +47,7 @@ def vertex_swap_step():
     start = {1: (3, 7), 2: (5, 7), 3: (4, 0)}
     end = {1: (5, 7), 2: (3, 7), 3: (4, 0)}
     d0 = _drawing(start, [(1, 3), (2, 3)])
-    d1 = d0.with_coords({v: (rat(x), rat(y)) for v, (x, y) in end.items()})
+    d1 = Drawing(d0.graph, {v: (rat(x), rat(y)) for v, (x, y) in end.items()})
     return MorphStep(Direction.HORIZONTAL, d0, d1)
 
 
@@ -104,8 +104,8 @@ def test_redraw_steps_certify_and_sampling_agrees():
 def test_nonplanar_endpoint_rejected():
     d = _drawing({1: (0, 0), 2: (4, 0), 3: (2, 4)}, [(1, 2), (2, 3), (3, 1)])
     # slide vertex 1 onto vertex 2: planar at t=0, degenerate at t=1
-    collapsed = d.with_coords({1: (rat(4), rat(0)), 2: (rat(4), rat(0)),
-                               3: (rat(2), rat(4))})
+    collapsed = Drawing(d.graph, {1: (rat(4), rat(0)), 2: (rat(4), rat(0)),
+                                  3: (rat(2), rat(4))})
     step = MorphStep(Direction.HORIZONTAL, d, collapsed)
     assert not check_unidirectional_planar(step)
 
@@ -132,7 +132,7 @@ def test_convexity_empty_sequence():
 def test_step_bounds_modes():
     d = _drawing({1: (0, 0), 2: (4, 0), 3: (4, 4), 4: (0, 4)},
                  [(1, 2), (2, 3), (3, 4), (4, 1)])
-    moved = d.with_coords({v: (x + 1, y) for v, (x, y) in d.coords.items()})
+    moved = Drawing(d.graph, {v: (x + 1, y) for v, (x, y) in d.coords.items()})
     back = d
     s1 = MorphStep(Direction.HORIZONTAL, d, moved)
     s2 = MorphStep(Direction.HORIZONTAL, moved, back)
@@ -149,8 +149,8 @@ def test_step_bounds_modes():
 def alternating_moves(d, k):
     """k moves of d, horizontal and vertical in turn, that translate it
     around a unit square."""
-    ends = [d.with_coords({v: (x + dx, y + dy)
-                           for v, (x, y) in d.coords.items()})
+    ends = [Drawing(d.graph, {v: (x + dx, y + dy)
+                              for v, (x, y) in d.coords.items()})
             for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
     return MorphSequence(d, tuple(
         MorphStep(Direction.VERTICAL if i % 2 else Direction.HORIZONTAL,
@@ -181,9 +181,9 @@ def test_pentagram_end_is_swept_and_rejected():
     pentagon = [(2, 0), (4, 2), (3, 4), (1, 4), (0, 2)]
     convex = _drawing(dict(enumerate(pentagon)),
                       [(i, (i + 1) % 5) for i in range(5)])
-    star = convex.with_coords({i: (rat(pentagon[2 * i % 5][0]),
-                                   rat(pentagon[2 * i % 5][1]))
-                               for i in range(5)})
+    star = Drawing(convex.graph, {i: (rat(pentagon[2 * i % 5][0]),
+                                      rat(pentagon[2 * i % 5][1]))
+                                  for i in range(5)})
     for d, planar in ((convex, True), (star, False)):
         assert drawing_is_planar(d.graph, d.coords) is planar
         assert verify._planar_end(d) is planar
