@@ -23,6 +23,17 @@ kept as an integer pair (numerator, dx) with dx > 0, and two heights, or two
 slopes, are compared by cross-multiplication, so each decision is the one of
 the rational drawing.  Only the hit point of each curve is turned back into
 a rational, once, from the integer view and the drawing's den.
+
+The heights may be read on either axis: augment_y_monotone(d, 0) makes the
+faces x-monotone.  It runs the same sweep on the points with x and y
+swapped, on the graph as it is.  The swap is a reflection, so in that frame
+every face interior lies right of its walk and a reflex corner turns left
+(+1) instead of right; the rotation by 180 degrees of the maximum phase
+keeps that turn.  Every other step reads only heights and points, or walks
+and rotations, and reversing all walks and rotations together reverses its
+result.  So the result equals augmenting the swapped drawing on its
+reflected embedding (every rotation reversed), with every rotation of the
+result reversed back.
 """
 
 from dataclasses import dataclass
@@ -30,13 +41,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Tuple
 
-from .connectivity import is_internally_3connected
 from .plane_graph import (
     Drawing,
     EmbeddingInvalid,
     PlaneGraph,
     PreconditionViolated,
-    drawing_is_planar,
     orientation,
 )
 
@@ -56,10 +65,10 @@ class AugmentingEdge:
     target_point: Tuple
 
 
-def _check_no_horizontal(g: PlaneGraph, pts):
+def _check_no_level_edge(g: PlaneGraph, pts):
     for u, v in g.edges():
         if pts[u][1] == pts[v][1]:
-            raise PreconditionViolated(f"horizontal edge ({u},{v})")
+            raise PreconditionViolated(f"edge ({u},{v}) is level in height")
 
 
 def _first_hit(wp, j):
@@ -110,13 +119,14 @@ def _descend(coords, walk, edge_idx):
         pos = (pos + step) % k
 
 
-def _reflex_minima(wp):
+def _reflex_minima(wp, turn):
     """Walk positions of the reflex local minima of a face with integer
-    points wp (interior on the left)."""
+    points wp, on whose walk a reflex corner has orientation turn (-1 with
+    the interior on the left)."""
     k = len(wp)
     for j in range(k):
         a, u, b = wp[j - 1], wp[j], wp[(j + 1) % k]
-        if a[1] > u[1] < b[1] and orientation(a, u, b) == -1:
+        if a[1] > u[1] < b[1] and orientation(a, u, b) == turn:
             yield j
 
 
@@ -128,9 +138,9 @@ def _height_order(a, b):
     return (c > 0) - (c < 0)
 
 
-def _phase(g: PlaneGraph, pts):
-    """One minima pass on integer points: edge records plus per-wedge
-    insertion lists.
+def _phase(g: PlaneGraph, pts, turn):
+    """One minima pass on integer points, with reflex turn turn (see
+    _reflex_minima): edge records plus per-wedge insertion lists.
 
     A wedge is the angle of face f at vertex t; new darts land between the
     face's outgoing and incoming darts at t. Arrivals hugging the walk-forward
@@ -146,7 +156,7 @@ def _phase(g: PlaneGraph, pts):
     for f in g.inner_face_indices():
         walk = g.face_vertices(f)
         wp = [pts[v] for v in walk]
-        for j in _reflex_minima(wp):
+        for j in _reflex_minima(wp, turn):
             u = walk[j]
             hit = _first_hit(wp, j)
             if hit is None:
@@ -197,34 +207,34 @@ def _apply_plans(g: PlaneGraph, plans):
     return new_rot
 
 
-def _hit_point(d: Drawing, u, dart):
-    """The rational point of segment dart straight below or above u."""
-    pts = d.ints
+def _hit_point(pts, den: int, u, dart):
+    """The rational point, in the frame of the points pts over den, of
+    segment dart straight below or above u."""
     (ax, ay), (bx, by) = pts[dart[0]], pts[dart[1]]
     x = pts[u][0]
-    return (Fraction(x, d.den),
-            Fraction(ay * (bx - ax) + (x - ax) * (by - ay),
-                     (bx - ax) * d.den))
+    return (Fraction(x, den),
+            Fraction(ay * (bx - ax) + (x - ax) * (by - ay), (bx - ax) * den))
 
 
-def augment_y_monotone(d: Drawing, precheck: bool = True):
-    """Insert an edge per reflex extremum so all inner faces become y-monotone.
+def augment_y_monotone(d: Drawing, axis: int = 1):
+    """Insert an edge per reflex extremum so all inner faces become monotone
+    in the heights on axis (1, y, by default; 0 for x).
 
     Returns the augmented plane graph and the list of added edges. The input
     graph is unchanged; the new edges are combinatorial only (their conceptual
-    curves are y-monotone, certified by each witness chain). precheck=False
-    skips the planarity and connectivity tests for callers that already
-    established them."""
+    curves are monotone, certified by each witness chain). The drawing must
+    be planar and its graph internally 3-connected, as convexify checks on
+    its input; no edge may be level in the heights."""
     g = d.graph
-    pts = d.ints
-    _check_no_horizontal(g, pts)
-    if precheck and not drawing_is_planar(g, pts):
-        raise PreconditionViolated("drawing is not planar")
-    if precheck and not is_internally_3connected(g):
-        raise PreconditionViolated("graph is not internally 3-connected")
+    if axis == 1:
+        pts, turn = d.ints, -1
+    else:
+        pts, turn = {v: (y, x) for v, (x, y) in d.ints.items()}, 1
+    _check_no_level_edge(g, pts)
 
-    rec_min, plans_min = _phase(g, pts)
-    rec_max, plans_max = _phase(g, {v: (-x, -y) for v, (x, y) in pts.items()})
+    rec_min, plans_min = _phase(g, pts, turn)
+    rec_max, plans_max = _phase(
+        g, {v: (-x, -y) for v, (x, y) in pts.items()}, turn)
     both = plans_min.keys() & plans_max.keys()
     if both:
         f, t = min(both)
@@ -238,9 +248,9 @@ def augment_y_monotone(d: Drawing, precheck: bool = True):
     for kind, recs in (("min", rec_min), ("max", rec_max)):
         for r in recs:
             u, v = r["u"], r["v"]
+            hit = _hit_point(pts, d.den, u, r["darts"][0])
             added.append(AugmentingEdge(
-                u=u, v=v, face=r["face"], kind=kind,
-                witness=r["darts"],
-                target_point=_hit_point(d, u, r["darts"][0])))
+                u=u, v=v, face=r["face"], kind=kind, witness=r["darts"],
+                target_point=hit if axis == 1 else hit[::-1]))
     added.sort(key=lambda e: (e.u, e.v))
     return new_g, added

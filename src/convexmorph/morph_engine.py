@@ -6,14 +6,15 @@ and vertical moves, never letting a convex internal angle go reflex again.
 
 Layers, from primitive to general input:
 
- * morph_B: one horizontal move of a convex-outer drawing that makes
-   every internal angle whose apex is not a local height extremum of its
-   face strictly convex, with a shear folded in so the result has no
-   vertical edge and, when reflex angles remain, one of them straddles its
-   apex horizontally (the target of the next vertical move).
+ * morph_B: one move of a convex-outer drawing along one axis that makes
+   every internal angle whose apex is not a local extremum of its face on
+   the fixed axis strictly convex, with a shear folded in so the result has
+   no edge level on the moving axis and, when reflex angles remain, one of
+   them straddles its apex along the moving axis (the target of the next
+   move, along the other axis).
  * convexify_convex_outer: alternate morph_B horizontally and vertically
-   (via transposition) until strictly convex; each alternation retires at
-   least one reflex angle.
+   until strictly convex; each alternation retires at least one reflex
+   angle.
  * pop_pocket: release one temporary hull edge, re-exposing the pocket
    path behind it as a reflex chain of the hull, in at most three moves.
  * convexify_3connected: complete the hull with temporary edges, run the
@@ -53,6 +54,7 @@ naming the step and the check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -67,7 +69,6 @@ from .plane_graph import (
     NotPlanarInput,
     PlaneGraph,
     PreconditionViolated,
-    ReflexKind,
     ShearConstraints,
     _integer_view,
     _shear_ok,
@@ -81,8 +82,8 @@ from .plane_graph import (
     is_strictly_convex,
     rat,
     shear,
-    sign_of,
     sort_ccw,
+    straddles,
     unique_extreme,
     validate_drawing,
 )
@@ -139,24 +140,26 @@ class GraphNotRestored(ConvexifyError):
 # -- small geometric helpers ---------------------------------------------------
 
 
-def _ymap(d: Drawing) -> Dict[int, int]:
-    """Every y of d's integer view (over d.den)."""
-    return {v: p[1] for v, p in d.ints.items()}
+def _axis_map(d: Drawing, axis: int) -> Dict[int, int]:
+    """Every coordinate on axis of d's integer view (over d.den)."""
+    return {v: p[axis] for v, p in d.ints.items()}
 
 
-def _xmap(d: Drawing) -> Dict[int, int]:
-    """Every x of d's integer view (over d.den)."""
-    return {v: p[0] for v, p in d.ints.items()}
-
-
-def _has_horizontal_edge(d: Drawing) -> bool:
+def _has_level_edge(d: Drawing, axis: int) -> bool:
+    """Has d an edge whose ends share their coordinate on axis (a
+    horizontal edge for axis 1, a vertical one for axis 0)?"""
     pts = d.ints
-    return any(pts[u][1] == pts[v][1] for u, v in d.graph.edges())
+    return any(pts[u][axis] == pts[v][axis] for u, v in d.graph.edges())
 
 
-def _has_vertical_edge(d: Drawing) -> bool:
-    pts = d.ints
-    return any(pts[u][0] == pts[v][0] for u, v in d.graph.edges())
+def _default_polygon(d: Drawing, walk: Sequence[int],
+                     direction: Direction) -> BoundaryPolygon:
+    """The default strictly convex polygon on the clockwise walk that keeps
+    d's coordinates on the fixed axis of direction."""
+    kept = _axis_map(d, direction.fixed_axis)
+    if direction is Direction.HORIZONTAL:
+        return convex_polygon_for_y(walk, kept, den=d.den)
+    return convex_polygon_for_x(walk, kept, den=d.den)
 
 
 def _rotations_realized(d: Drawing) -> bool:
@@ -249,7 +252,7 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
         note, f"redraw failed its postcondition on every grid to 2^-{bits}")
 
 
-def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
+def _snap_shear(d: Drawing, axis: int, lam, cons: ShearConstraints):
     """Replace an ugly exact shear factor by the first dyadic of the
     _grid_bits(24) ladder that is safe too. The constraints are open in
     the factor, so a fine enough grid holds one."""
@@ -264,10 +267,11 @@ def _snap_shear(d: Drawing, axis: str, lam, cons: ShearConstraints):
         if _shear_ok(d.graph, pts, axis, cand, cons):
             return cand
     raise PostconditionFailed(
-        "_snap_shear", f"no {axis} shear on a grid to 2^-{bits} is safe")
+        "_snap_shear",
+        f"no shear along axis {axis} on a grid to 2^-{bits} is safe")
 
 
-def _safe_shear(d: Drawing, axis: str, cons: ShearConstraints) -> Drawing:
+def _safe_shear(d: Drawing, axis: int, cons: ShearConstraints) -> Drawing:
     lam = choose_safe_shear(d, axis, cons)
     return shear(d, axis, _snap_shear(d, axis, lam, cons))
 
@@ -278,9 +282,8 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
     by _compact; the drawing returned is strictly convex and meets
     require, if one is given."""
-    rows, rhs = redraw_rows(d, poly, direction.fixed_axis)
-    return _compact(d, direction, poly, RoundedSolution(rows, rhs), require,
-                    note)
+    solution = RoundedSolution(*redraw_rows(d, poly, direction.fixed_axis))
+    return _compact(d, direction, poly, solution, require, note)
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,
@@ -292,21 +295,21 @@ def _redraw_move(b: SequenceBuilder, direction: Direction,
     moving axis under cons (by default, no axis-parallel edge). Both land
     in b as one move to the sheared end, noted note."""
     cur = _redraw(b.current, direction, poly, note, require)
-    axis = "x" if direction is Direction.HORIZONTAL else "y"
-    b.move(direction, _safe_shear(cur, axis, cons or ShearConstraints()),
-           note)
+    b.move(direction, _safe_shear(cur, direction.moving_axis,
+                                  cons or ShearConstraints()), note)
 
 
-# -- single horizontal moves ---------------------------------------------------
+# -- single one-axis moves -----------------------------------------------------
 
 
-def _level_convex_redraw(d: Drawing) -> Drawing:
-    """Redraw with all faces convex and y untouched: make the faces height
-    monotone with temporary edges, solve onto a strictly convex boundary,
-    then drop the temporary edges."""
-    g_aug, _ = augment_y_monotone(d, precheck=False)
-    poly = convex_polygon_for_y(g_aug.outer_walk(), _ymap(d), den=d.den)
-    out = _redraw(d.with_graph(g_aug), Direction.HORIZONTAL, poly,
+def _level_convex_redraw(d: Drawing, direction: Direction) -> Drawing:
+    """Redraw with all faces convex and the fixed axis of direction
+    untouched: make the faces monotone on that axis with temporary edges,
+    solve onto a strictly convex boundary, then drop the temporary
+    edges."""
+    g_aug, _ = augment_y_monotone(d, direction.fixed_axis)
+    poly = _default_polygon(d, g_aug.outer_walk(), direction)
+    out = _redraw(d.with_graph(g_aug), direction, poly,
                   "level-preserving convex redraw")
     return out.with_graph(d.graph)
 
@@ -314,30 +317,30 @@ def _level_convex_redraw(d: Drawing) -> Drawing:
 _MORPH_B = "convex redraw with straddle shear"
 
 
-def morph_B(d: Drawing) -> Tuple[Drawing, int]:
-    """One horizontal move of a convex-outer drawing with no horizontal
-    edge: a redraw that keeps every y and makes strictly convex every
-    internal angle whose apex is not a local height extremum of its face,
-    and the outer polygon, then a shear. The end drawing has no vertical
-    edge, and if it is not convex yet, at least one reflex angle has face
-    neighbors on both sides of its apex in x. Returns the end drawing and
-    its number of internal reflex angles."""
-    if _has_horizontal_edge(d):
-        raise PreconditionViolated("drawing has a horizontal edge")
-    mid = _level_convex_redraw(d)
+def morph_B(d: Drawing, direction: Direction) -> Tuple[Drawing, int]:
+    """One move along direction of a convex-outer drawing with no edge
+    level on the fixed axis: a redraw that keeps every fixed-axis
+    coordinate and makes strictly convex every internal angle whose apex is
+    not a local extremum of its face on that axis, and the outer polygon,
+    then a shear. The end drawing has no edge level on the moving axis, and
+    if it is not convex yet, at least one reflex angle has face neighbors
+    on both sides of its apex along the moving axis. Returns the end
+    drawing and its number of internal reflex angles."""
+    ma = direction.moving_axis
+    if _has_level_edge(d, direction.fixed_axis):
+        raise PreconditionViolated(
+            f"drawing has an edge level on axis {direction.fixed_axis}")
+    mid = _level_convex_redraw(d, direction)
     # a shear keeps every orientation, so the count on mid is the end's
     reflex = internal_reflex_angles(mid)
-    straddling = [ref for ref, st in reflex
-                  if ReflexKind.V_REFLEX in st.subtypes]
-    # the next vertical move retires an angle only if it straddles its apex
-    # in x, so a shear that clears vertical edges must keep one straddling
-    if straddling:
-        target = straddling[0]
-    else:
-        target = reflex[0][0] if reflex else None
-    if (reflex and not straddling) or _has_vertical_edge(mid):
-        cons = ShearConstraints(make_straddle=target)
-        end = _safe_shear(mid, "x", cons)
+    straddling = [ref for ref in reflex
+                  if straddles(mid.graph, mid.ints, ref, ma)]
+    # the next move, along the other axis, retires an angle only if it
+    # straddles its apex on this moving axis, so a shear that clears level
+    # edges must keep one straddling
+    target = (straddling or reflex or [None])[0]
+    if (reflex and not straddling) or _has_level_edge(mid, ma):
+        end = _safe_shear(mid, ma, ShearConstraints(make_straddle=target))
     else:
         end = mid
     return end, len(reflex)
@@ -357,31 +360,24 @@ def convexify_convex_outer(b: SequenceBuilder) -> None:
     r0 = len(reflex)
     # a vertical shear first, unless some reflex angle already straddles
     # its apex in y and no edge is horizontal
-    if _has_horizontal_edge(cur) or (
-            r0 > 0 and not any(ReflexKind.H_REFLEX in st.subtypes
-                               for _, st in reflex)):
-        cons = ShearConstraints(make_straddle=reflex[0][0] if r0 else None)
-        cur = _safe_shear(cur, "y", cons)
+    if _has_level_edge(cur, 1) or (
+            r0 > 0 and not any(straddles(cur.graph, cur.ints, ref, 1)
+                               for ref in reflex)):
+        cons = ShearConstraints(make_straddle=reflex[0] if r0 else None)
+        cur = _safe_shear(cur, 1, cons)
         b.move(Direction.VERTICAL, cur, "clear horizontal edges")
-    horizontal = True
-    # a shear keeps every orientation, and a transposition mirrors the
-    # embedding with the drawing, so each count carries over unchanged
+    # a shear keeps every orientation, so each count carries over unchanged
     before = r0
-    for _ in range(max(1, r0) + 1):
+    turns = itertools.cycle((Direction.HORIZONTAL, Direction.VERTICAL))
+    for _, direction in zip(range(max(1, r0) + 1), turns):
         if is_strictly_convex(cur):
             return
-        if horizontal:
-            cur, after = morph_B(cur)
-            b.move(Direction.HORIZONTAL, cur, _MORPH_B)
-        else:
-            tcur, after = morph_B(cur.transposed())
-            cur = tcur.transposed()
-            b.move(Direction.VERTICAL, cur, _MORPH_B)
+        cur, after = morph_B(cur, direction)
+        b.move(direction, cur, _MORPH_B)
         if before > 0 and after >= before:
             raise ReflexNotRetired(
                 _MORPH_B, "alternating move failed to retire a reflex angle")
         before = after
-        horizontal = not horizontal
     if not is_strictly_convex(cur):
         raise MoveBudgetExceeded("convexify_convex_outer",
                                  "convexification exceeded its move budget")
@@ -422,13 +418,13 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     k = len(outer)
     if not any({outer[i], outer[(i + 1) % k]} == {u, v} for i in range(k)):
         raise PreconditionViolated(f"edge {e} is not on the outer face")
-    if _has_vertical_edge(d):
+    if _has_level_edge(d, 0):
         raise PreconditionViolated("drawing has a vertical edge")
     g_minus = g.remove_edge(u, v)
 
     # one vertical move: u becomes the unique top or bottom vertex, and a
     # shear clears horizontal edges without unseating it
-    xmap = _xmap(d)
+    xmap = _axis_map(d, 0)
     try:
         poly1 = convex_polygon_for_x(outer, xmap, u, "top", d.den)
         side = "top"
@@ -447,7 +443,7 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
         poly2 = None
         pins_used = None
         cur = b.current
-        ymap2 = _ymap(cur)
+        ymap2 = _axis_map(cur, 1)
         for pins in (((u, "left"), (v, "right")),
                      ((u, "right"), (v, "left"))):
             try:
@@ -472,8 +468,8 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = b.current.with_graph(g_minus)
     b.edit(d_minus, "release pocket edge")
-    poly3 = convex_polygon_for_x(g_minus.outer_walk(), _xmap(d_minus),
-                                 den=d_minus.den)
+    poly3 = _default_polygon(d_minus, g_minus.outer_walk(),
+                             Direction.VERTICAL)
     _redraw_move(b, Direction.VERTICAL, poly3, "pocket path onto the hull")
 
 
@@ -502,11 +498,11 @@ def convexify_3connected(b: SequenceBuilder) -> None:
         d.ints, list(d.graph.edges()) + missing)
     b.edit(d.with_graph(g_full), "complete hull")
     convexify_convex_outer(b)
-    if _has_vertical_edge(b.current):
+    if _has_level_edge(b.current, 0):
         # only possible when the completed drawing was already strictly
         # convex and no move ran
         b.move(Direction.HORIZONTAL,
-               _safe_shear(b.current, "x", ShearConstraints()),
+               _safe_shear(b.current, 0, ShearConstraints()),
                "clear vertical edges")
     for e in missing:
         pop_pocket(b, e)
@@ -630,10 +626,10 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
         l2 = u2[0] * u2[0] + u2[1] * u2[1]
         w = (u1[0] / l1 + u2[0] / l2, u1[1] / l1 + u2[1] / l2)
         # the outer walk passes i+1 -> i -> i-1, keeping the pocket left
-        st = angle_status_points(pts[i + 1], pv, pts[i - 1])
-        if st.kind is AngleKind.REFLEX:
+        kind = angle_status_points(pts[i + 1], pv, pts[i - 1])
+        if kind is AngleKind.REFLEX:
             w = (-w[0], -w[1])
-        elif st.kind is AngleKind.STRAIGHT:
+        elif kind is AngleKind.STRAIGHT:
             w = (u2[1], -u2[0])
         wlen_sq = w[0] * w[0] + w[1] * w[1]
         t = _sqrt_floor(eps_sq / (16 * wlen_sq)) * shrink
@@ -745,25 +741,23 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
     if is_strictly_convex(d2):
         return
 
-    pa, pv, pc = d.ints[side_a], d.ints[vi], d.ints[side_c]
-    y_sand = sign_of(pa[1] - pv[1]) * sign_of(pc[1] - pv[1]) < 0
-    x_sand = sign_of(pa[0] - pv[0]) * sign_of(pc[0] - pv[0]) < 0
-    if not y_sand and not x_sand:
-        # shear until the new corner's neighbors straddle it in x
-        fv = g2.face_vertices(g2.outer_face_index)
-        ref = AngleRef(g2.outer_face_index, fv.index(vi))
-        cons = ShearConstraints(make_straddle=ref)
-        b.move(Direction.HORIZONTAL, _safe_shear(d2, "x", cons),
-               "expose the new corner")
-
-    cur = b.current
-    walk = cur.graph.outer_walk()
-    if y_sand:
-        poly = convex_polygon_for_y(walk, _ymap(cur), den=cur.den)
-        _redraw_move(b, Direction.HORIZONTAL, poly, "absorb the new corner")
+    fv = g2.face_vertices(g2.outer_face_index)
+    ref = AngleRef(g2.outer_face_index, fv.index(vi))
+    # the move keeping the axis on which the new corner's outer neighbors
+    # straddle it absorbs the corner; if they straddle it on neither, a
+    # shear first makes them straddle it in x
+    if straddles(g2, d2.ints, ref, 1):
+        direction = Direction.HORIZONTAL
     else:
-        poly = convex_polygon_for_x(walk, _xmap(cur), den=cur.den)
-        _redraw_move(b, Direction.VERTICAL, poly, "absorb the new corner")
+        direction = Direction.VERTICAL
+        if not straddles(g2, d2.ints, ref, 0):
+            cons = ShearConstraints(make_straddle=ref)
+            b.move(Direction.HORIZONTAL, _safe_shear(d2, 0, cons),
+                   "expose the new corner")
+    cur = b.current
+    _redraw_move(b, direction,
+                 _default_polygon(cur, cur.graph.outer_walk(), direction),
+                 "absorb the new corner")
     if not is_strictly_convex(b.current):
         raise PostconditionFailed(
             "absorb the new corner",

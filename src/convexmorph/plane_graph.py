@@ -346,12 +346,6 @@ class PlaneGraph:
         return {v: tuple(w for w in nbrs if w not in gone)
                 for v, nbrs in self.rotation.items() if v not in gone}
 
-    def mirrored(self) -> "PlaneGraph":
-        """Embedding after a reflection: rotations reverse, outer dart flips."""
-        rot = {v: tuple(reversed(nbrs)) for v, nbrs in self.rotation.items()}
-        return PlaneGraph(rot, (self.outer_dart[1], self.outer_dart[0]),
-                          check=False)
-
     def __eq__(self, other):
         return (isinstance(other, PlaneGraph)
                 and self.rotation == other.rotation
@@ -416,12 +410,6 @@ class Drawing:
         return Drawing.from_ints(
             graph, {v: self.ints[v] for v in graph.rotation}, self.den)
 
-    def transposed(self) -> "Drawing":
-        """Swap x and y. A reflection, so the embedding mirrors."""
-        return Drawing._of(self.graph.mirrored(),
-                           {v: (y, x) for v, (x, y) in self.ints.items()},
-                           self.den)
-
     def __repr__(self):
         return f"Drawing(n={self.graph.n})"
 
@@ -435,20 +423,6 @@ class AngleKind(Enum):
     REFLEX = "reflex"
 
 
-class ReflexKind(Enum):
-    H_REFLEX = "h_reflex"          # face neighbors straddle the apex in y
-    V_REFLEX = "v_reflex"          # face neighbors straddle the apex in x
-    EXTREMUM_MIN = "extremum_min"  # both face neighbors strictly above
-    EXTREMUM_MAX = "extremum_max"  # both face neighbors strictly below
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class AngleStatus:
-    kind: AngleKind
-    subtypes: frozenset
-
-
 @dataclass(frozen=True)
 class AngleRef:
     """Angle at walk position pos of face face: apex walk[pos]."""
@@ -456,36 +430,32 @@ class AngleRef:
     pos: int
 
 
-def angle_status_points(a, v, b) -> AngleStatus:
-    """Status of the angle at apex v on a walk a -> v -> b (interior left)."""
+def angle_status_points(a, v, b) -> AngleKind:
+    """Kind of the angle at apex v on a walk a -> v -> b (interior left)."""
     if a == v or b == v:
         raise DegenerateAngle(f"neighbor coincides with apex {v}")
     turn = sign_of(_cross(_sub(v, a), _sub(b, v)))
     if turn > 0:
-        return AngleStatus(AngleKind.STRICTLY_CONVEX, frozenset())
+        return AngleKind.STRICTLY_CONVEX
     if turn == 0:
         if sign_of(_dot(_sub(v, a), _sub(b, v))) > 0:
-            return AngleStatus(AngleKind.STRAIGHT, frozenset())
+            return AngleKind.STRAIGHT
         raise DegenerateAngle(f"zero-area spike at apex {v}")
-    subs = set()
-    sy_a = sign_of(a[1] - v[1])
-    sy_b = sign_of(b[1] - v[1])
-    sx_a = sign_of(a[0] - v[0])
-    sx_b = sign_of(b[0] - v[0])
-    if sy_a * sy_b < 0:
-        subs.add(ReflexKind.H_REFLEX)
-    if sx_a * sx_b < 0:
-        subs.add(ReflexKind.V_REFLEX)
-    if sy_a > 0 and sy_b > 0:
-        subs.add(ReflexKind.EXTREMUM_MIN)
-    if sy_a < 0 and sy_b < 0:
-        subs.add(ReflexKind.EXTREMUM_MAX)
-    if not subs:
-        subs.add(ReflexKind.OTHER)
-    return AngleStatus(AngleKind.REFLEX, frozenset(subs))
+    return AngleKind.REFLEX
 
 
-def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
+def straddles(g: PlaneGraph, pts: Dict[int, Tuple], ref: AngleRef,
+              axis: int) -> bool:
+    """Do the two face neighbors of angle ref lie strictly on either side
+    of its apex along axis (0 for x, 1 for y), in the points pts?"""
+    walk = g.face_vertices(ref.face)
+    k = len(walk)
+    c = pts[walk[ref.pos % k]][axis]
+    return (sign_of(pts[walk[(ref.pos - 1) % k]][axis] - c)
+            * sign_of(pts[walk[(ref.pos + 1) % k]][axis] - c)) < 0
+
+
+def internal_reflex_angles(d: Drawing) -> List[AngleRef]:
     """Reflex angles of inner faces, sorted by (apex vertex, face, pos)."""
     g = d.graph
     ints = d.ints
@@ -498,11 +468,10 @@ def internal_reflex_angles(d: Drawing) -> List[Tuple[AngleRef, AngleStatus]]:
             a, v, b = pts[pos - 1], pts[pos], pts[(pos + 1) % k]
             if _cross(_sub(v, a), _sub(b, v)) > 0:
                 continue
-            st = angle_status_points(a, v, b)
-            if st.kind is AngleKind.REFLEX:
-                found.append((AngleRef(fi, pos), st, walk[pos]))
-    found.sort(key=lambda t: (t[2], t[0].face, t[0].pos))
-    return [(ref, st) for ref, st, _ in found]
+            if angle_status_points(a, v, b) is AngleKind.REFLEX:
+                found.append((walk[pos], fi, pos))
+    found.sort()
+    return [AngleRef(fi, pos) for _, fi, pos in found]
 
 
 def is_strictly_convex(d: Drawing) -> bool:
@@ -534,11 +503,11 @@ def is_convex_outer(d: Drawing) -> bool:
     k = len(walk)
     for pos in range(k):
         try:
-            st = angle_status_points(walk[(pos - 1) % k], walk[pos],
-                                     walk[(pos + 1) % k])
+            kind = angle_status_points(walk[(pos - 1) % k], walk[pos],
+                                       walk[(pos + 1) % k])
         except DegenerateAngle:
             return False
-        if st.kind is AngleKind.STRICTLY_CONVEX:
+        if kind is AngleKind.STRICTLY_CONVEX:
             return False
     return True
 
@@ -589,29 +558,29 @@ def convex_hull(d: Drawing) -> List[int]:
 # -- shears ------------------------------------------------------------------
 
 
-def shear(d: Drawing, axis: str, lam) -> Drawing:
-    """Shear the drawing: axis 'x' maps (x,y)->(x+lam*y,y), axis 'y' maps
-    (x,y)->(x,y+lam*x). For lam = a/b with b > 0 the moving coordinate X
-    of the integer view becomes b*X + a*F, F the fixed one, over den*b."""
+def shear(d: Drawing, axis: int, lam) -> Drawing:
+    """Shear the drawing along the moving axis: axis 0 maps (x,y) to
+    (x+lam*y,y), axis 1 maps (x,y) to (x,y+lam*x). For lam = a/b with b > 0
+    the moving coordinate X of the integer view becomes b*X + a*F, F the
+    fixed one, over den*b."""
     lam = rat(lam)
     a, b = lam.numerator, lam.denominator
-    if axis == "x":
+    if axis == 0:
         ints = {v: (b * x + a * y, b * y) for v, (x, y) in d.ints.items()}
-    elif axis == "y":
-        ints = {v: (b * x, b * y + a * x) for v, (x, y) in d.ints.items()}
     else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        ints = {v: (b * x, b * y + a * x) for v, (x, y) in d.ints.items()}
     return Drawing.from_ints(d.graph, ints, d.den * b)
 
 
 @dataclass
 class ShearConstraints:
     """Constraints for choose_safe_shear, on top of the one it always
-    keeps: after an x-shear no edge is vertical, after a y-shear none is
-    horizontal.
+    keeps: afterwards no edge has its endpoints level on the moving axis
+    (after an x-shear no edge is vertical, after a y-shear none is
+    horizontal).
 
-    make_straddle: angle that must straddle the moved axis afterwards (an
-        x-shear makes it v-reflex, a y-shear makes it h-reflex).
+    make_straddle: angle whose face neighbors must straddle its apex along
+        the moving axis afterwards (see straddles).
     keep_extreme: list of (vertex, side) that must stay unique extremes,
         side in {"left", "right", "top", "bottom"}.
     """
@@ -619,42 +588,33 @@ class ShearConstraints:
     keep_extreme: Tuple = ()
 
 
-def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: str,
+def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: int,
               lam, cons: ShearConstraints) -> bool:
-    """Does the shear by lam along axis of the integer view pts of a
-    drawing of g satisfy cons? For lam = a/b with b > 0 the sheared moving
-    coordinate m + lam*f is taken times b, as b*m + a*f: each test reads
-    the order along one axis only, which a positive scale of that axis
-    keeps."""
+    """Does the shear by lam along the moving axis of the integer view pts
+    of a drawing of g satisfy cons? For lam = a/b with b > 0 the sheared
+    moving coordinate m + lam*f is taken times b, as b*m + a*f: each test
+    reads the order along one axis only, which a positive scale of that
+    axis keeps."""
     lam = rat(lam)
     a, b = lam.numerator, lam.denominator
-    if axis == "x":
-        i = 0
+    if axis == 0:
         sheared = {v: (b * x + a * y, y) for v, (x, y) in pts.items()}
-    elif axis == "y":
-        i = 1
-        sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
     else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
     for u, v in g.edges():
-        if sheared[u][i] == sheared[v][i]:
+        if sheared[u][axis] == sheared[v][axis]:
             return False
-    if cons.make_straddle is not None:
-        ref = cons.make_straddle
-        walk = g.face_vertices(ref.face)
-        k = len(walk)
-        pa = sheared[walk[(ref.pos - 1) % k]][i]
-        pv = sheared[walk[ref.pos % k]][i]
-        pb = sheared[walk[(ref.pos + 1) % k]][i]
-        if sign_of(pa - pv) * sign_of(pb - pv) >= 0:
-            return False
+    if cons.make_straddle is not None and not straddles(
+            g, sheared, cons.make_straddle, axis):
+        return False
     return all(unique_extreme(sheared, vtx, side)
                for vtx, side in cons.keep_extreme)
 
 
-def choose_safe_shear(d: Drawing, axis: str,
+def choose_safe_shear(d: Drawing, axis: int,
                       cons: Optional[ShearConstraints] = None):
-    """Pick a shear factor satisfying the constraints.
+    """Pick a factor for a shear along the moving axis (0 for x, 1 for y)
+    satisfying the constraints.
 
     Gathers the critical factors where any constraint changes sign and tests
     exact candidates: a ladder of small rationals plus midpoints between
@@ -666,18 +626,18 @@ def choose_safe_shear(d: Drawing, axis: str,
     for lam in _shear_candidates(g, pts, axis, cons):
         if _shear_ok(g, pts, axis, lam, cons):
             return lam
-    raise NoValidShear(f"no usable shear along {axis}")
+    raise NoValidShear(f"no usable shear along axis {axis}")
 
 
 def _shear_candidates(g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
-                      axis: str, cons: ShearConstraints):
+                      axis: int, cons: ShearConstraints):
     """choose_safe_shear's candidates in the order tried. The critical
     factors are gathered only once the ladder is spent."""
     one = rat(1)
     yield from (one * 0, one, -one, one / 2, -one / 2, 2 * one, -2 * one,
                 one / 4, -one / 4, 4 * one, -4 * one)
     roots = []
-    i_mov, i_fix = (0, 1) if axis == "x" else (1, 0)
+    i_mov, i_fix = axis, 1 - axis
 
     def root_of(u, w):
         # zero in lam of the sheared moving-axis difference m + lam * f of
@@ -780,12 +740,18 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
 
 
 def drawing_is_planar(g: PlaneGraph, coords: Dict[int, Tuple]) -> bool:
-    """Exact straight-line planarity: distinct vertices, no edge conflicts.
-    coords is a plain coordinate dict, such as a drawing's ints."""
+    """Exact straight-line planarity: distinct vertices, no edge conflicts,
+    no vertex on an edge. coords is a plain coordinate dict, such as a
+    drawing's ints."""
     pts = integer_points(coords)
     if len(set(pts.values())) != len(pts):
         return False
-    return segments_planar([(pts[u], pts[v], (u, v)) for u, v in g.edges()])
+    segments = [(pts[u], pts[v], (u, v)) for u, v in g.edges()]
+    # a vertex without edges enters as a point, which conflicts with any
+    # edge through it
+    segments += [(pts[v], pts[v], (v, v))
+                 for v, nbrs in g.rotation.items() if not nbrs]
+    return segments_planar(segments)
 
 
 def validate_drawing(d: Drawing):

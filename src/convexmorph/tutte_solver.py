@@ -338,11 +338,14 @@ def _lu_solve(steps, rhs: Dict[int, float]) -> Dict[int, float]:
 
 
 class RoundedSolution:
-    """The solution x of a square system rows * x = rhs (one right-hand-side
-    column, as tutte_rows_from_y builds it), answered only as the rounding
-    to the dyadic grid each query asks for, not exactly.
+    """The solution x of a square system rows * x = rhs / den (one
+    right-hand side per row, ints or rationals, over one positive int den,
+    as tutte_rows_from_y builds it), answered only as the rounding to the
+    dyadic grid each query asks for, not exactly.
 
-    Each row e is scaled to integers, A_e x = B_e / d_e. When every
+    Each row e is scaled to integers, A_e x = B_e / d_e with B_e / d_e in
+    lowest terms: a common factor would change neither the bound t below
+    nor any refinement step, only lengthen every residual. When every
     diagonal entry is positive and every other entry negative, and an
     integer V > 0 has A V > 0 (V is the float solve of D^-1 A v = 1,
     rounded up), A is a nonsingular M-matrix, so A^-1 >= 0 and for every
@@ -364,8 +367,8 @@ class RoundedSolution:
     reason, or is None while no exact solve ran."""
 
     def __init__(self, rows: Dict[int, Dict[int, object]],
-                 rhs: Dict[int, List]):
-        self._rows, self._rhs = rows, rhs
+                 rhs: Dict[int, object], den: int):
+        self._rows, self._rhs, self._den = rows, rhs, den
         self.fallback: Optional[str] = None
         self._exact: Optional[Dict[int, object]] = None
         try:
@@ -375,8 +378,9 @@ class RoundedSolution:
 
     def _fall_back(self, reason: str):
         self.fallback = reason
-        self._exact = {u: x for u, (x,) in
-                       solve_rows(self._rows, self._rhs).items()}
+        cols = {e: [c] for e, c in self._rhs.items()}
+        self._exact = {u: x / self._den for u, (x,) in
+                       solve_rows(self._rows, cols).items()}
 
     def _certify(self):
         if not self._rows:
@@ -386,8 +390,9 @@ class RoundedSolution:
             terms = [(v, _ratio(c)) for v, c in r.items()]
             scale = math.lcm(*(q for _, (_, q) in terms))
             a[e] = {v: p * (scale // q) for v, (p, q) in terms if p}
-            bp, d[e] = _ratio(self._rhs[e][0])
-            b[e] = bp * scale
+            bp, bq = _ratio(self._rhs[e])
+            g = math.gcd(bp, bq * self._den)
+            b[e], d[e] = bp // g * scale, bq * self._den // g
             if (a[e].get(e, 0) <= 0 or not a[e].keys() <= self._rows.keys()
                     or any(c >= 0 for v, c in a[e].items() if v != e)):
                 raise _Uncertified("not an M-matrix sign pattern")
@@ -485,10 +490,12 @@ class RoundedSolution:
 
 
 def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
-                      bx: Dict[int, int], bden: int):
+                      bx: Dict[int, int]):
     """Integer rows of the pinned system with weights_from_y's weights, and
-    their x right-hand sides. ys holds every height times one positive
-    scale, as ints; bx maps each boundary vertex to its x times bden.
+    their x right-hand sides, as ints over the scale of bx. ys holds every
+    height times one positive scale, as ints; bx maps each boundary vertex
+    to its x times one positive scale, bden, and the solution of the rows
+    with these right-hand sides is every internal x times bden.
 
     Let an internal vertex u have U neighbors above, with heights Y summing
     to Su, and D below, summing to Sd, and let delta = D*Su - U*Sd > 0. Its
@@ -525,7 +532,7 @@ def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
                 else:
                     row[v] = -w
         rows[u] = row
-        rhs[u] = [Fraction(b, bden)]
+        rhs[u] = b
     return rows, rhs
 
 
@@ -542,13 +549,14 @@ def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
 
 
 def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
-    """Rows and moving-axis right-hand sides of the system of a redraw of d
-    onto boundary that keeps every coordinate on fixed_axis (0 for x, 1
-    for y; tutte_rows_from_y with that axis as the heights), after checking
-    that boundary keeps those coordinates of its vertices and is a strictly
-    convex polygon on the outer walk. The heights are the fixed-axis
-    coordinates times the lcm of their denominators, d's integer view
-    divided by the gcd of d.den and all of them."""
+    """Rows, moving-axis right-hand sides and the one denominator of those
+    (boundary.den) of the system of a redraw of d onto boundary that keeps
+    every coordinate on fixed_axis (0 for x, 1 for y; tutte_rows_from_y
+    with that axis as the heights), as RoundedSolution takes them, after
+    checking that boundary keeps those coordinates of its vertices and is
+    a strictly convex polygon on the outer walk. The heights are the
+    fixed-axis coordinates times the lcm of their denominators, d's integer
+    view divided by the gcd of d.den and all of them."""
     ints, den = d.ints, d.den
     bints, bden = boundary.ints, boundary.den
     for v in boundary.cycle:
@@ -559,9 +567,9 @@ def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
     if g > 1:
         ys = {v: y // g for v, y in ys.items()}
     rows, rhs = tutte_rows_from_y(
-        d.graph, ys, {v: p[1 - fixed_axis] for v, p in bints.items()}, bden)
+        d.graph, ys, {v: p[1 - fixed_axis] for v, p in bints.items()})
     _check_pinned_system(d.graph, boundary, set(rows))
-    return rows, rhs
+    return rows, rhs, bden
 
 
 # -- boundary polygon construction -------------------------------------------
@@ -646,10 +654,10 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     Default shape is the parabola pair x = -+ (y - ymin)(ymax - y)/(ymax -
     ymin). Dividing by the span keeps every x within a quarter of the span
     of y; without it x is of the order of the span squared, and since
-    horizontal and vertical redraws alternate, each transposed call would
-    square the magnitude again. pins lists (vertex, 'left'|'right'), at
-    most one per side, and makes each vertex the unique leftmost or
-    rightmost; a pinned vertex must lie on the matching chain (or be the
+    horizontal and vertical redraws alternate, each call (this one keeping
+    y, convex_polygon_for_x keeping x) would square the magnitude again.
+    pins lists (vertex, 'left'|'right'), at most one per side, and makes
+    each vertex the unique leftmost or rightmost; a pinned vertex must lie on the matching chain (or be the
     bottom/top vertex). The pinned widths are not scale-invariant, so
     the polygon is built from the rational heights (the ints over den),
     and its coordinates are the same rationals at any scale of y."""
@@ -745,9 +753,10 @@ def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
                          extreme_vertex: Optional[int] = None,
                          side: str = "top", den: int = 1) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving
-    x[v] / den: convex_polygon_for_y on the transposed cycle. With
-    extreme_vertex, that vertex becomes the unique topmost or bottommost,
-    as side says."""
+    x[v] / den: convex_polygon_for_y with x as the heights, on the reversed
+    cycle, and its coordinates swapped. The swap is a reflection, so the
+    reversed cycle comes out clockwise again. With extreme_vertex, that
+    vertex becomes the unique topmost or bottommost, as side says."""
     if side not in ("top", "bottom"):
         raise ValueError(f"side {side!r}")
     pins = () if extreme_vertex is None else (

@@ -112,10 +112,10 @@ def _convex_here(d: Drawing, triple: Tuple[int, int, int]) -> bool:
                 f"graph-of-record vertex {w} missing from a drawing")
     a, v, b = triple
     try:
-        st = angle_status_points(pts[a], pts[v], pts[b])
+        kind = angle_status_points(pts[a], pts[v], pts[b])
     except DegenerateAngle:
         return False
-    return st.kind is not AngleKind.REFLEX
+    return kind is not AngleKind.REFLEX
 
 
 def check_convexity_increasing(seq: MorphSequence,

@@ -382,16 +382,17 @@ def brute_rotations_realized(coords: Dict[int, Tuple],
     return True
 
 
-def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
+def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
                                make_straddle=None, keep_extreme=()):
     """The shear choice in plain Fraction arithmetic: the critical factors
     -dm/df of every constrained pair, a fixed ladder of small factors, then
     one factor below, between and above the critical ones; each candidate
     shears every point and tests the constraints on the sheared
-    coordinates. Returns the first factor that passes, or None. g supplies
-    edges() and face_vertices(); make_straddle is (face, pos)."""
+    coordinates. Returns the first factor that passes, or None. axis is the
+    moving one (0 for x); g supplies edges() and face_vertices();
+    make_straddle is (face, pos)."""
     pts = {v: _f(p) for v, p in coords.items()}
-    i_mov, i_fix = (0, 1) if axis == "x" else (1, 0)
+    i_mov, i_fix = axis, 1 - axis
     pairs = list(g.edges())
     if make_straddle is not None:
         face, pos = make_straddle
@@ -413,7 +414,7 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: str,
                        + [roots[-1] + 1])
 
     for lam in candidates:
-        sheared = {v: ((x + lam * y, y) if axis == "x" else (x, y + lam * x))
+        sheared = {v: ((x + lam * y, y) if axis == 0 else (x, y + lam * x))
                    for v, (x, y) in pts.items()}
         if any(sheared[u][i_mov] == sheared[w][i_mov] for u, w in g.edges()):
             continue
@@ -589,7 +590,8 @@ def redraw_preserving(d, boundary, fixed_axis):
     from convexmorph.plane_graph import Drawing
     from convexmorph.tutte_solver import redraw_rows, solve_rows
 
-    sol = solve_rows(*redraw_rows(d, boundary, fixed_axis))
+    rows, rhs, den = redraw_rows(d, boundary, fixed_axis)
+    sol = solve_rows(rows, {u: [Fraction(b, den)] for u, b in rhs.items()})
     values = {v: p[1 - fixed_axis] for v, p in boundary.coords.items()}
     values.update((u, x) for u, (x,) in sol.items())
     return Drawing(d.graph, {v: (values[v], p[1]) if fixed_axis == 1
@@ -599,13 +601,34 @@ def redraw_preserving(d, boundary, fixed_axis):
 
 def shear_fraction(d, axis, lam):
     """plane_graph.shear in plain Fraction arithmetic: every point
-    sheared as a pair of rationals."""
+    sheared along the moving axis (0 for x) as a pair of rationals."""
     from convexmorph.plane_graph import Drawing
 
     lam = Fraction(lam)
     return Drawing(d.graph, {
-        v: (x + lam * y, y) if axis == "x" else (x, y + lam * x)
+        v: (x + lam * y, y) if axis == 0 else (x, y + lam * x)
         for v, (x, y) in d.coords.items()})
+
+
+def mirrored(g):
+    """The embedding of g after a reflection: every rotation reversed and
+    the outer dart flipped, so every face walk runs backwards."""
+    from convexmorph.plane_graph import PlaneGraph
+
+    return PlaneGraph({v: tuple(reversed(nbrs))
+                       for v, nbrs in g.rotation.items()},
+                      (g.outer_dart[1], g.outer_dart[0]), check=False)
+
+
+def transposed(d):
+    """d with x and y swapped. A reflection, so the embedding mirrors; a
+    vertical move of d is a horizontal move of transposed(d), transposed
+    back."""
+    from convexmorph.plane_graph import Drawing
+
+    return Drawing.from_ints(mirrored(d.graph),
+                             {v: (y, x) for v, (x, y) in d.ints.items()},
+                             d.den)
 
 
 def snap_fraction(d, ma, poly, solution, bits):

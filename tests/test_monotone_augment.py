@@ -20,6 +20,7 @@ from _oracles import (
     augment_y_monotone_fraction,
     count_reflex_extrema_in_faces,
     ray_shoot_down,
+    transposed,
 )
 from _realize import realize_augmenting_edges
 
@@ -27,8 +28,9 @@ from convexmorph import (Drawing, EmbeddingInvalid, monotone_augment,
                          morph_engine, rat)
 from convexmorph.connectivity import is_internally_3connected
 from convexmorph.monotone_augment import _apply_plans, augment_y_monotone
-from convexmorph.morph_engine import convexify
+from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
 from convexmorph.plane_graph import (
+    NotPlanarInput,
     PreconditionViolated,
     build_plane_graph_from_points,
     orientation,
@@ -180,11 +182,15 @@ class TestTrapezoidize:
         assert added[0].target_point == (rat(2), rat(0))
 
     def test_horizontal_edge_rejected(self):
-        # the check runs even when the caller skips the other prechecks
-        square = {1: (0, 0), 2: (2, 0), 3: (2, 2), 4: (0, 2)}
-        d = ring_drawing(square, (1, 2, 3, 4))
-        with pytest.raises(PreconditionViolated, match="horizontal edge"):
-            augment_y_monotone(d, precheck=False)
+        # an edge level in the heights is rejected on either axis: the
+        # trapezoid's bases are horizontal, and none of its sides vertical
+        trapezoid = {1: (0, 0), 2: (4, 0), 3: (3, 2), 4: (1, 2)}
+        d = ring_drawing(trapezoid, (1, 2, 3, 4))
+        with pytest.raises(PreconditionViolated, match="level"):
+            augment_y_monotone(d)
+        assert augment_y_monotone(d, 0) == (d.graph, [])
+        with pytest.raises(PreconditionViolated, match="level"):
+            augment_y_monotone(transposed(d), 0)
 
 
 class TestAugmentFixtures:
@@ -248,6 +254,9 @@ class TestPreconditions:
         with pytest.raises(PreconditionViolated):
             augment_y_monotone(ring_drawing(square, (1, 2, 3, 4)))
 
+    # augment_y_monotone trusts its caller for planarity and connectivity;
+    # convexify, the one input gate, rejects these inputs before any layer
+
     def test_not_internally_3connected(self):
         coords = {1: (rat(0), rat(0)), 2: (rat(4), rat(1)),
                   3: (rat(5), rat(4)), 4: (rat(1), rat(5)),
@@ -255,15 +264,15 @@ class TestPreconditions:
         edges = {(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (3, 5)}
         g = build_plane_graph_from_points(coords, edges)
         assert not is_internally_3connected(g)
-        with pytest.raises(PreconditionViolated):
-            augment_y_monotone(Drawing(g, coords))
+        with pytest.raises(NotInternallyThreeConnected):
+            convexify(Drawing(g, coords))
 
     def test_crossing_drawing(self):
         d = ring_drawing(CONVEX, CONVEX_CYCLE)
         bad = dict(d.coords)
         bad[2], bad[5] = bad[5], bad[2]
-        with pytest.raises(PreconditionViolated):
-            augment_y_monotone(Drawing(d.graph, bad))
+        with pytest.raises(NotPlanarInput):
+            convexify(Drawing(d.graph, bad))
 
 
 def reflex_extrema_of_face(g, coords, f):
@@ -401,7 +410,7 @@ class TestRealization:
 def assert_fraction_oracle_agrees(d):
     """The integer-view augmentation gives the Fraction one's rotation and
     edges; returns the number of edges."""
-    new_g, added = augment_y_monotone(d, precheck=False)
+    new_g, added = augment_y_monotone(d)
     rotation, edges = augment_y_monotone_fraction(d.graph, d.coords)
     assert new_g.rotation == rotation
     assert [(e.u, e.v, e.face, e.kind, e.witness, e.target_point)
@@ -448,13 +457,14 @@ class TestFractionOracle:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_family_drawings(self, family, monkeypatch):
         # each input with and without more of its inner edges, and every
-        # drawing convexify augments; as they are and moved off the grid
+        # drawing convexify augments (transposed where it augments in x);
+        # as they are and moved off the grid
         seen = []
         real = morph_engine.augment_y_monotone
 
-        def spy(d, precheck=True):
-            seen.append(d)
-            return real(d, precheck)
+        def spy(d, axis=1):
+            seen.append(d if axis == 1 else transposed(d))
+            return real(d, axis)
 
         monkeypatch.setattr(morph_engine, "augment_y_monotone", spy)
         for seed in range(2):
@@ -483,6 +493,6 @@ class TestApplyPlans:
         d = ring_drawing(TWO, TWO_CYCLE)
         f = single_inner_face(d.graph)
         monkeypatch.setattr(monotone_augment, "_phase",
-                            lambda g, pts: ([], {(f, 6): [3]}))
+                            lambda g, pts, turn: ([], {(f, 6): [3]}))
         with pytest.raises(EmbeddingInvalid, match=f"face {f} .*vertex 6"):
             augment_y_monotone(d)

@@ -11,14 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from convexmorph import (monotone_augment, morph_engine, plane_graph, steps,
-                         tutte_solver, verify)
+from convexmorph import (morph_engine, plane_graph, steps, tutte_solver,
+                         verify)
 from convexmorph.connectivity import three_connected
+from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.morph_engine import (
     ConvexifyError,
     NotInternallyThreeConnected,
     PostconditionFailed,
     convexify,
+    morph_B,
 )
 from convexmorph.plane_graph import (
     Drawing,
@@ -52,7 +54,13 @@ from _instances import (
     random_triangulation,
     same_plane_graph,
 )
-from _oracles import seg_seg_dist_sq_fraction, shear_fraction, snap_fraction
+from _oracles import (
+    mirrored,
+    seg_seg_dist_sq_fraction,
+    shear_fraction,
+    snap_fraction,
+    transposed,
+)
 
 
 def wheel_drawing(hub=(2, 2)):
@@ -185,9 +193,8 @@ def test_convexify_keeps_the_straddle_through_the_shear(seed):
 
 
 def test_convex_outer_phase_counts_reflex_angles_once_per_move(monkeypatch):
-    # morph_B returns the count it took on its redraw, which a shear and a
-    # transposition keep, so the loop counts once at the start and once
-    # per move
+    # morph_B returns the count it took on its redraw, which a shear
+    # keeps, so the loop counts once at the start and once per move
     counts, moves = [], []
     count, move = plane_graph.internal_reflex_angles, morph_engine.morph_B
 
@@ -205,6 +212,49 @@ def test_convex_outer_phase_counts_reflex_angles_once_per_move(monkeypatch):
     convexify(instance("convex_outer", 0))
     assert len(moves) >= 2
     assert len(counts) == len(moves) + 1
+
+
+def reflected_instance(seed):
+    """A convex-outer instance with x and y swapped and its embedding built
+    again from the points: every y an integer, so rays along y meet
+    vertices and each other, and no two x equal."""
+    d = random_augment_instance(random.Random(seed), 10, 14, 20, 0.8)
+    pts = {v: (y, x) for v, (x, y) in d.coords.items()}
+    return Drawing(build_plane_graph_from_points(pts, d.graph.edges()), pts)
+
+
+def _result(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def hit_edges(added, swap=False):
+    return sorted((e.u, e.v, e.kind,
+                   e.target_point[::-1] if swap else e.target_point)
+                  for e in added)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_vertical_moves_mirror_the_transposed_horizontal_ones(seed):
+    # a vertical move runs on the drawing itself; transposing it, moving
+    # horizontally and transposing back must give the same
+    d = reflected_instance(seed)
+    g_aug, added = augment_y_monotone(d, 0)
+    t_aug, t_added = augment_y_monotone(transposed(d))
+    assert same_plane_graph(g_aug, mirrored(t_aug))
+    assert hit_edges(added) == hit_edges(t_added, swap=True)
+    got = _result(morph_B, d, Direction.VERTICAL)
+    want = _result(morph_B, transposed(d), Direction.HORIZONTAL)
+    if isinstance(want, type):
+        assert got is want
+        return
+    (end, count), (t_end, t_count) = got, want
+    back = transposed(t_end)
+    assert (end.ints, end.den, count) == (back.ints, back.den, t_count)
+    assert end.graph == back.graph == d.graph
 
 
 def dyadic(c) -> bool:
@@ -280,7 +330,7 @@ rationals = st.one_of(dyadics, st.fractions(-10 ** 6, 10 ** 6,
 points = st.lists(st.tuples(rationals, rationals), min_size=4, max_size=4)
 
 
-@given(points, st.sampled_from("xy"), rationals)
+@given(points, st.sampled_from((0, 1)), rationals)
 @settings(max_examples=150, deadline=None)
 def test_integer_shear_matches_fraction_oracle(pts, axis, lam):
     d = Drawing(K4, dict(zip((1, 2, 3, 4), pts)))
@@ -350,11 +400,11 @@ def test_snap_shear_finds_a_dyadic_in_a_narrow_window():
     g = build_plane_graph_from_points(coords, [(1, 2), (2, 3), (3, 1)])
     d = Drawing(g, coords)
     cons = ShearConstraints(keep_extreme=((1, "left"),))
-    lam = choose_safe_shear(d, "x", cons)
+    lam = choose_safe_shear(d, 0, cons)
     assert not dyadic(rat(lam))
-    snapped = morph_engine._snap_shear(d, "x", lam, cons)
+    snapped = morph_engine._snap_shear(d, 0, lam, cons)
     assert dyadic(rat(snapped))
-    assert _shear_ok(g, integer_points(d.coords), "x", snapped, cons)
+    assert _shear_ok(g, integer_points(d.coords), 0, snapped, cons)
 
 
 # Seed 3097 of the same recipe: augment_y_monotone gives face 106 two
@@ -513,7 +563,7 @@ def planarity_callers(monkeypatch, d):
         callers.append([f.name for f in traceback.extract_stack()[:-1]])
         return real(*args)
 
-    for mod in (plane_graph, morph_engine, monotone_augment):
+    for mod in (plane_graph, morph_engine):
         monkeypatch.setattr(mod, "drawing_is_planar", spy)
     convexify(d)
     return callers

@@ -9,8 +9,6 @@ from convexmorph.plane_graph import (
     PlaneGraph,
     Drawing,
     AngleKind,
-    ReflexKind,
-    AngleStatus,
     AngleRef,
     rat,
     sign_of,
@@ -21,6 +19,7 @@ from convexmorph.plane_graph import (
     is_convex_outer,
     convex_hull,
     shear,
+    straddles,
     ShearConstraints,
     choose_safe_shear,
     drawing_is_planar,
@@ -45,6 +44,8 @@ from _oracles import (
     brute_rotations_realized,
     brute_strictly_convex,
     choose_safe_shear_fraction,
+    mirrored,
+    transposed,
 )
 from _instances import random_triangulation
 
@@ -190,7 +191,7 @@ def test_removing_vertices_at_once_matches_one_at_a_time(seed):
 
 def test_mirrored_flips_faces():
     d = k4()
-    m = d.graph.mirrored()
+    m = mirrored(d.graph)
     assert m.outer_dart == (3, 1)
     assert set(m.outer_walk()) == {1, 2, 3}
     # mirroring the drawing along x matches the mirrored embedding
@@ -201,7 +202,7 @@ def test_mirrored_flips_faces():
 # -- angles ---------------------------------------------------------------------
 
 def angle_statuses(d):
-    """The status of every face angle of d, outer face included."""
+    """The kind of every face angle of d, outer face included."""
     out = {}
     for fi in range(len(d.graph.faces)):
         walk = [d.coords[v] for v in d.graph.face_vertices(fi)]
@@ -213,11 +214,9 @@ def angle_statuses(d):
 
 
 def test_angle_convex_straight_reflex():
-    assert angle_status_points((0, 0), (1, 0), (1, 1)).kind is AngleKind.STRICTLY_CONVEX
-    st = angle_status_points((0, 0), (1, 0), (2, 0))
-    assert st.kind is AngleKind.STRAIGHT
-    st = angle_status_points((0, 0), (1, 0), (2, -1))
-    assert st.kind is AngleKind.REFLEX
+    assert angle_status_points((0, 0), (1, 0), (1, 1)) is AngleKind.STRICTLY_CONVEX
+    assert angle_status_points((0, 0), (1, 0), (2, 0)) is AngleKind.STRAIGHT
+    assert angle_status_points((0, 0), (1, 0), (2, -1)) is AngleKind.REFLEX
 
 
 def test_angle_degenerate():
@@ -228,20 +227,29 @@ def test_angle_degenerate():
         angle_status_points((0, 0), (2, 0), (1, 0))
 
 
-def test_reflex_subtypes_all_apply():
-    # apex below both neighbors and x-straddled: extremum and v-reflex at once
-    st = angle_status_points((1, 1), (0, 0), (-1, 1))
-    assert st.kind is AngleKind.REFLEX
-    assert st.subtypes == frozenset({ReflexKind.EXTREMUM_MIN, ReflexKind.V_REFLEX})
-    # y-straddle only
-    st = angle_status_points((2, -1), (0, 0), (2, 1))
-    assert st.subtypes == frozenset({ReflexKind.H_REFLEX})
-    # both straddles
-    st = angle_status_points((1, 2), (0, 0), (-2, -1))
-    assert st.subtypes == frozenset({ReflexKind.H_REFLEX, ReflexKind.V_REFLEX})
-    # neither straddle nor extremum
-    st = angle_status_points((2, 0), (0, 0), (0, 2))
-    assert st.subtypes == frozenset({ReflexKind.OTHER})
+# a triangle on 1, 2, 3: in either face walk, vertex 2 sits between 1 and 3
+TRIANGLE = PlaneGraph({1: (2, 3), 2: (3, 1), 3: (1, 2)}, (1, 2))
+
+
+def straddled_axes(g, pts, ref):
+    """The axes along which the face neighbors of angle ref straddle it."""
+    return {axis for axis in (0, 1) if straddles(g, pts, ref, axis)}
+
+
+def test_straddles_on_each_axis():
+    walk = TRIANGLE.face_vertices(0)
+    ref = AngleRef(0, walk.index(2))
+    for a, v, b, axes in (
+            # apex below both neighbors and straddled in x
+            ((1, 1), (0, 0), (-1, 1), {0}),
+            # straddled in y only
+            ((2, -1), (0, 0), (2, 1), {1}),
+            ((1, 2), (0, 0), (-2, -1), {0, 1}),
+            # a neighbor level with the apex straddles on neither axis
+            ((2, 0), (0, 0), (0, 2), set())):
+        assert angle_status_points(a, v, b) is AngleKind.REFLEX
+        pts = {1: a, 2: v, 3: b}
+        assert straddled_axes(TRIANGLE, pts, ref) == axes
 
 
 def test_notch_hexagon_apex():
@@ -251,30 +259,31 @@ def test_notch_hexagon_apex():
     assert len(inner) == 1
     walk = g.face_vertices(inner[0])
     pos = walk.index(2)  # vertex at (1,1)
-    st = angle_statuses(d)[AngleRef(inner[0], pos)]
-    assert st.kind is AngleKind.REFLEX
-    assert st.subtypes == frozenset({ReflexKind.V_REFLEX, ReflexKind.EXTREMUM_MAX})
+    ref = AngleRef(inner[0], pos)
+    assert angle_statuses(d)[ref] is AngleKind.REFLEX
+    # both neighbors lie below the apex, one on each side of it in x
+    assert straddled_axes(g, d.ints, ref) == {0}
+    assert all(d.coords[walk[(pos + i) % len(walk)]][1] < d.coords[2][1]
+               for i in (-1, 1))
     # seen from the outer face, the same corner is strictly convex
     owalk = g.outer_walk()
     opos = owalk.index(2)
     ost = angle_statuses(d)[AngleRef(g.outer_face_index, opos)]
-    assert ost.kind is AngleKind.STRICTLY_CONVEX
+    assert ost is AngleKind.STRICTLY_CONVEX
     refl = internal_reflex_angles(d)
-    assert len(refl) == 1 and g.face_vertices(inner[0])[refl[0][0].pos] == 2
+    assert len(refl) == 1 and g.face_vertices(inner[0])[refl[0].pos] == 2
 
 
 def test_transpose_swaps_straddle_kinds():
     d = notch_hexagon()
-    t = d.transposed()
+    t = transposed(d)
     validate_drawing(t)
     inner = t.graph.inner_face_indices()
     assert len(inner) == 1
     walk = t.graph.face_vertices(inner[0])
-    pos = walk.index(2)
-    st = angle_statuses(t)[AngleRef(inner[0], pos)]
-    assert st.kind is AngleKind.REFLEX
-    assert ReflexKind.H_REFLEX in st.subtypes
-    assert ReflexKind.V_REFLEX not in st.subtypes
+    ref = AngleRef(inner[0], walk.index(2))
+    assert angle_statuses(t)[ref] is AngleKind.REFLEX
+    assert straddled_axes(t.graph, t.ints, ref) == {1}
 
 
 def test_strict_convexity_predicates():
@@ -378,21 +387,21 @@ def test_hull_matches_brute_boundary(coords):
 
 def test_shear_maps():
     d = cycle_graph([(0, 0), (2, 0), (2, 2), (0, 2)])
-    s = shear(d, "x", rat(1, 2))
+    s = shear(d, 0, rat(1, 2))
     assert s.coords[2] == (rat(3), rat(2))
     assert s.coords[1] == (rat(2), rat(0))
-    s = shear(d, "y", -1)
+    s = shear(d, 1, -1)
     assert s.coords[2] == (rat(2), rat(0))
 
 
 def test_choose_safe_shear_removes_verticals():
     d = cycle_graph([(0, 0), (2, 0), (2, 2), (0, 2)])
-    lam = choose_safe_shear(d, "x", ShearConstraints())
-    s = shear(d, "x", lam)
+    lam = choose_safe_shear(d, 0, ShearConstraints())
+    s = shear(d, 0, lam)
     for u, v in s.graph.edges():
         assert sign_of(s.coords[u][0] - s.coords[v][0]) != 0
     # deterministic
-    assert lam == choose_safe_shear(d, "x", ShearConstraints())
+    assert lam == choose_safe_shear(d, 0, ShearConstraints())
 
 
 def test_choose_safe_shear_makes_straddle():
@@ -402,21 +411,20 @@ def test_choose_safe_shear_makes_straddle():
     inner = g.inner_face_indices()[0]
     walk = g.face_vertices(inner)
     pos = walk.index(2)
-    st = angle_statuses(d)[AngleRef(inner, pos)]
-    assert st.kind is AngleKind.REFLEX
-    assert ReflexKind.V_REFLEX not in st.subtypes
-    cons = ShearConstraints(make_straddle=AngleRef(inner, pos))
-    lam = choose_safe_shear(d, "x", cons)
-    s = shear(d, "x", lam)
-    st2 = angle_statuses(s)[AngleRef(inner, pos)]
-    assert ReflexKind.V_REFLEX in st2.subtypes
+    ref = AngleRef(inner, pos)
+    assert angle_statuses(d)[ref] is AngleKind.REFLEX
+    assert not straddles(g, d.ints, ref, 0)
+    cons = ShearConstraints(make_straddle=ref)
+    lam = choose_safe_shear(d, 0, cons)
+    s = shear(d, 0, lam)
+    assert straddles(s.graph, s.ints, ref, 0)
 
 
 def test_choose_safe_shear_keeps_extreme():
     d = cycle_graph([(0, 0), (4, 1), (3, 5)])
     cons = ShearConstraints(keep_extreme=((0, "left"),))
-    lam = choose_safe_shear(d, "x", cons)
-    s = shear(d, "x", lam)
+    lam = choose_safe_shear(d, 0, cons)
+    s = shear(d, 0, lam)
     assert all(sign_of(s.coords[0][0] - s.coords[v][0]) == -1 for v in (1, 2))
 
 
@@ -425,7 +433,7 @@ def test_choose_safe_shear_infeasible():
     g = PlaneGraph({1: (2,), 2: (1,)}, (1, 2), check=False)
     d = Drawing(g, {1: (0, 1), 2: (0, 2)})
     with pytest.raises(NoValidShear):
-        choose_safe_shear(d, "y", ShearConstraints(keep_extreme=((1, "top"),)))
+        choose_safe_shear(d, 1, ShearConstraints(keep_extreme=((1, "top"),)))
 
 
 @given(point_sets(min_size=4, max_size=10),
@@ -446,16 +454,27 @@ def test_shear_preserves_angle_kinds(coords, lam):
         return
     d = cycle_graph([coords[v] for v in strict])
     before = angle_statuses(d)
-    after = angle_statuses(shear(d, "x", lam))
-    for ref in before:
-        assert before[ref].kind is after[ref].kind
-    # translation preserves subtypes too
+    assert angle_statuses(shear(d, 0, lam)) == before
+    # translation keeps every straddle too
     moved = Drawing(d.graph,
                     {v: (p[0] + 7, p[1] - 3) for v, p in d.coords.items()})
     assert angle_statuses(moved) == before
+    assert all(straddled_axes(d.graph, d.ints, ref)
+               == straddled_axes(moved.graph, moved.ints, ref)
+               for ref in before)
 
 
 # -- planarity -------------------------------------------------------------
+
+def test_planarity_rejects_a_vertex_without_edges_on_an_edge():
+    # found by test_planarity_matches_brute_oracle: vertex 3 has no edge
+    # and lies on edge 1-2
+    g = PlaneGraph({1: (2,), 2: (1,), 3: ()}, (1, 2), check=False)
+    assert not drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 2)})
+    assert not drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 3)})
+    assert drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 4)})
+    assert drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (1, 2)})
+
 
 def test_planarity_basic_conflicts():
     path = PlaneGraph({1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}, (1, 2),
@@ -678,9 +697,9 @@ def test_strictly_convex_rejects_a_pentagram():
     for d in (star, wound_wheel(5, 2)):
         g = d.graph
         outer = g.outer_face_index
-        assert all(st.kind is (AngleKind.REFLEX if ref.face == outer
-                               else AngleKind.STRICTLY_CONVEX)
-                   for ref, st in angle_statuses(d).items())
+        assert all(kind is (AngleKind.REFLEX if ref.face == outer
+                            else AngleKind.STRICTLY_CONVEX)
+                   for ref, kind in angle_statuses(d).items())
         assert not drawing_is_planar(g, d.coords)
         assert not is_strictly_convex(d)
         walks = [g.face_vertices(i) for i in range(len(g.faces))]
@@ -731,7 +750,7 @@ def test_rotations_realized_matches_fraction_oracle(coords, rng):
         d.coords, d.graph.rotation)
 
 
-@given(rational_point_sets(max_size=8), st.randoms(), st.sampled_from("xy"))
+@given(rational_point_sets(max_size=8), st.randoms(), st.sampled_from((0, 1)))
 @settings(max_examples=60, deadline=None)
 def test_choose_safe_shear_matches_fraction_oracle(coords, rng, axis):
     d, cons = _cycle_case(coords, rng)
@@ -763,8 +782,8 @@ def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
                 is_convex_outer(d),
                 _outcome(internal_reflex_angles, d),
                 _outcome(convex_hull, d),
-                _shear_or_none(d, "x", cons),
-                _shear_or_none(d, "y", cons),
+                _shear_or_none(d, 0, cons),
+                _shear_or_none(d, 1, cons),
                 star is None or _rotations_realized(star))
 
     def moved(d):

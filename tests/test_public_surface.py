@@ -11,6 +11,7 @@ re-export in __init__.py is not a read.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import convexmorph
@@ -22,13 +23,14 @@ BENCH = ROOT / "perfbench"
 # read outside src and perfbench only, each for a stated reason:
 # weights_from_y and its WeightAssignment (with its members) are traced by
 # perfbench/layers.py and define the weights that tutte_rows_from_y scales;
-# fallback is the observability hook of RoundedSolution; the ray witness
-# and hit point of AugmentingEdge go with the rewrite of augment_y_monotone
-# into one monotone sweep (ROADMAP item 1); GraphEdit.label names each graph
-# edit of a returned sequence, as MorphStep.provenance names each step
+# fallback is the observability hook of RoundedSolution; the ray witness,
+# hit point and phase kind of AugmentingEdge go with the rewrite of
+# augment_y_monotone into one monotone sweep (ROADMAP item 1); GraphEdit.label
+# names each graph edit of a returned sequence, as MorphStep.provenance
+# names each step
 ALLOWED = {"weights_from_y", "WeightAssignment", "RoundedSolution.fallback",
            "AugmentingEdge.witness", "AugmentingEdge.target_point",
-           "GraphEdit.label"}
+           "AugmentingEdge.kind", "GraphEdit.label"}
 
 EXPORTS = [
     # the pipeline
@@ -144,3 +146,26 @@ def test_package_exports_the_pipeline_its_errors_and_certificates():
     assert convexmorph.__all__ == EXPORTS
     for name in EXPORTS:
         assert getattr(convexmorph, name) is not None
+
+
+def traced_layers():
+    """LAYERS of perfbench/layers.py, read from its source."""
+    for node in _parse(BENCH / "layers.py").body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no LAYERS")
+
+
+def test_every_traced_layer_resolves():
+    # the traced bench run (perfbench/run.py --trace 1) rebinds each layer
+    # by its module and qualified name, so a rename in the package breaks it
+    layers = traced_layers()
+    unresolved = []
+    for mod, qual, _, _ in layers:
+        target = importlib.import_module(f"convexmorph.{mod}")
+        for part in qual.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            unresolved.append(f"{mod}.{qual}")
+    assert layers and unresolved == []

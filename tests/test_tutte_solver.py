@@ -42,6 +42,7 @@ from _oracles import (
     redraw_preserving,
     solve_dense_fraction,
     solve_tutte,
+    transposed,
     tutte_rows,
 )
 
@@ -426,7 +427,7 @@ def test_redraw_preserving_x_contract():
         g = d.graph
         if len(g.rotation) == len(g.outer_walk()):
             continue
-        td = d.transposed()
+        td = transposed(d)
         tb = hull_polygon(td)
         out = redraw_preserving(td, tb, 0)
         assert is_strictly_convex(out)
@@ -468,7 +469,7 @@ def test_integer_rows_match_weight_rows(monkeypatch):
     assert {axis for _, _, axis in calls} == {0, 1}
     assert any(len(b.cycle) < len(d.graph.rotation) for d, b, _ in calls)
     for d, boundary, axis in calls:
-        rows, rhs = redraw_rows(d, boundary, axis)
+        rows, rhs, den = redraw_rows(d, boundary, axis)
         o_rows, o_rhs = weight_rows(d, boundary, axis)
         assert rows.keys() == o_rows.keys()
         for u, row in rows.items():
@@ -477,8 +478,9 @@ def test_integer_rows_match_weight_rows(monkeypatch):
             k = row[u] / o_rows[u][u]
             assert k > 0
             assert row == {v: k * c for v, c in o_rows[u].items()}
-            assert rhs[u] == [k * o_rhs[u][0]]
-        sol = solve_rows(rows, rhs)
+            assert isinstance(rhs[u], numbers.Integral)
+            assert Fraction(rhs[u], den) == k * o_rhs[u][0]
+        sol = solve_rows(rows, columns(rhs, den))
         assert sol == solve_rows(o_rows, o_rhs)
         out = redraw_preserving(d, boundary, axis)
         assert {u: out.coords[u][1 - axis] for u in sol} == {
@@ -492,7 +494,7 @@ def test_integer_rows_errors_match_weights():
                    ({1: 0, 2: 1, 3: 2, 4: -1}, NoNeighborBelow),
                    ({1: 0, 2: 1, 3: 2, 4: 1}, PreconditionViolated)):
         with pytest.raises(exc):
-            tutte_rows_from_y(g, y, bx, 1)
+            tutte_rows_from_y(g, y, bx)
         with pytest.raises(exc):
             weights_from_y(g, {v: rat(c) for v, c in y.items()})
 
@@ -511,8 +513,16 @@ def exact_answers(rows, rhs):
     return [{u: round(c * 2 ** bits) for u, c in x.items()} for bits in GRIDS]
 
 
-def certified_answers(rows, rhs):
-    sol = RoundedSolution(rows, rhs)
+def columns(rhs, den):
+    """RoundedSolution's right-hand sides over den as solve_rows takes
+    them: one column of rationals."""
+    return {e: [Fraction(b, den)] for e, b in rhs.items()}
+
+
+def certified_answers(rows, rhs, den=1):
+    """RoundedSolution of rows = rhs / den (rhs one column, as solve_rows
+    takes it, but over den) and its answers on GRIDS."""
+    sol = RoundedSolution(rows, {e: b for e, (b,) in rhs.items()}, den)
     return sol, [sol.rounded(bits) for bits in GRIDS]
 
 
@@ -551,6 +561,12 @@ def test_rounded_solution_matches_exact_rounding(n, seed):
     sol, got = certified_answers(rows, rhs)
     assert sol.fallback is None
     assert got == exact_answers(rows, rhs)
+    # a common factor of the right-hand sides and den changes no answer
+    c = rng.randint(2, 2 ** 40)
+    sol, got_c = certified_answers(
+        rows, {e: [b * c] for e, (b,) in rhs.items()}, c)
+    assert sol.fallback is None
+    assert got_c == got
 
 
 def test_rounded_solution_certifies_engine_systems(monkeypatch):
@@ -558,11 +574,12 @@ def test_rounded_solution_certifies_engine_systems(monkeypatch):
     # the certificate holds, and no answer needs the exact solve
     calls = engine_redraw_systems(monkeypatch)
     for d, boundary, axis in calls:
-        rows, rhs = redraw_rows(d, boundary, axis)
-        sol, got = certified_answers(rows, rhs)
+        rows, rhs, den = redraw_rows(d, boundary, axis)
+        sol, got = certified_answers(rows, {e: [b] for e, b in rhs.items()},
+                                     den)
         # a redraw with every vertex on the boundary has nothing to solve
         assert sol.fallback == (None if rows else "empty system")
-        assert got == exact_answers(rows, rhs)
+        assert got == exact_answers(rows, columns(rhs, den))
 
 
 def system_with_solution(rng, x):
@@ -594,7 +611,7 @@ def test_rounded_solution_rounds_a_near_tie(side):
     rows, rhs = system_with_solution(rng, x)
     # first at the scale the 2^-48 grid asks for, which cannot tell the
     # value from its tie until refinement raises the scale
-    sol = RoundedSolution(rows, rhs)
+    sol = RoundedSolution(rows, {e: b for e, (b,) in rhs.items()}, 1)
     assert sol.rounded(48)[0] == (12345 if side < 0 else 12346)
     assert sol.fallback is None
     sol, got = certified_answers(rows, rhs)
@@ -611,7 +628,7 @@ def test_rounded_solution_falls_back_off_the_sign_pattern():
     sol, got = certified_answers(rows, rhs)
     assert sol.fallback == "not an M-matrix sign pattern"
     assert got == exact_answers(rows, rhs)
-    sol = RoundedSolution({}, {})
+    sol = RoundedSolution({}, {}, 1)
     assert sol.fallback == "empty system"
     assert sol.rounded(48) == {}
 

@@ -20,7 +20,7 @@ from convexmorph.verify import (
     check_unidirectional_planar,
 )
 from _instances import random_augment_instance
-from _oracles import check_planarity_sampled, redraw_preserving
+from _oracles import check_planarity_sampled, redraw_preserving, transposed
 
 
 def _drawing(coords, edges):
@@ -85,11 +85,11 @@ def test_vertex_swap_fails_both_checks():
 def test_vertical_step_transposes():
     step = spike_swap_step()
     flipped = MorphStep(Direction.VERTICAL,
-                        step.start.transposed(), step.end.transposed())
+                        transposed(step.start), transposed(step.end))
     assert not check_unidirectional_planar(flipped)
     ok = redraw_step(random.Random(7))
     flip_ok = MorphStep(Direction.VERTICAL,
-                        ok.start.transposed(), ok.end.transposed())
+                        transposed(ok.start), transposed(ok.end))
     assert check_unidirectional_planar(flip_ok)
 
 
