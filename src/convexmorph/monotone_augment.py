@@ -1,44 +1,71 @@
-"""Make every inner face y-monotone by adding combinatorial edges.
+"""Make every inner face monotone in height by adding combinatorial edges.
 
-A face is y-monotone exactly when it has no reflex local extremum.  For each
-reflex local minimum u of an inner face we shoot a ray straight down from u to
-the face boundary and then follow the boundary downward to the first local
-minimum v; the conceptual curve (vertical segment plus a chain hugging the
-boundary just inside the face) is y-monotone, so inserting the edge (u, v)
-splits the face without creating new extrema.  Reflex local maxima are handled
-by running the same procedure on the drawing rotated by 180 degrees, which
-keeps every rotation order valid because the rotation preserves orientation.
+A face is y-monotone exactly when it has no reflex local extremum.  Every
+edge added here joins two local extrema of one inner face, at least one of
+them reflex; it stands for a y-monotone curve inside the face, and only its
+place in the rotations is decided.
 
-Degeneracies are resolved by nudging each ray infinitesimally: minimum rays
-pass just left of the vertical, maximum rays just right (left in the rotated
-frame).  A nudged ray never hits a vertex or a vertical edge, and the two
-nudge directions keep curves of the two phases disjoint even when their
-vertical segments share a line.  The nudge is exact: an edge is hit iff its
-x-span contains the ray as a half-open interval, and ties at a shared endpoint
-go to the edge lying higher just left of it (the smaller slope).
+The rule, for a reflex local minimum u of an inner face (whose walk keeps
+the interior on its left).  Just below u the interior is one interval,
+bounded by the nearest walk edge on each side; the walk descends along the
+left one and ascends along the right one, and followed downward they give
+the left and the right chain.  Descend level by level, strictly below u,
+until a vertex touches the interval.  It is a local maximum strictly inside
+the interval, a local minimum where one chain ends, or the convex minimum
+where both chains end.  Join u to the touching vertex nearest the
+descending chain, that is, the leftmost.  Reflex maxima get the same rule
+on the points turned by 180 degrees, which keeps every orientation; an
+edge found from both of its ends is added once.
 
-Rays, hits and tie-breaks are decided on the integer view of the drawing
-(Drawing.ints; the rotated frame negates it).  A hit height is
-kept as an integer pair (numerator, dx) with dx > 0, and two heights, or two
-slopes, are compared by cross-multiplication, so each decision is the one of
-the rational drawing.  Only the hit point of each curve is turned back into
-a rational, once, from the integer view and the drawing's den.
+Why no two edges cross.  Cut the face by a horizontal segment through each
+reflex extremum, from walk to walk.  The pieces are the regions: each is
+bounded by a descending and an ascending chain, and above and below by a
+cut or a convex extremum.  The descent from u sweeps the region below u's
+cut down to its bottom level, so each edge runs inside one region, from a
+vertex on its top level to one on its bottom level.  A region sends all of
+its minimum edges to its first bottom vertex and, by the turned rule, all
+of its maximum edges to its last top vertex: a minimum edge starts no
+further right on top, and ends no further right at the bottom, than a
+maximum edge.  So no two edges in a region cross, and regions do not
+overlap.
 
-The heights may be read on either axis: augment_y_monotone(d, 0) makes the
-faces x-monotone.  It runs the same sweep on the points with x and y
-swapped, on the graph as it is.  The swap is a reflection, so in that frame
-every face interior lies right of its walk and a reflex corner turns left
-(+1) instead of right; the rotation by 180 degrees of the maximum phase
-keeps that turn.  Every other step reads only heights and points, or walks
-and rotations, and reversing all walks and rotations together reverses its
-result.  So the result equals augmenting the swapped drawing on its
-reflected embedding (every rotation reversed), with every rotation of the
-result reversed back.
+Why each new face has one minimum and one maximum.  Draw each edge leaving
+its reflex end vertically.  A corner of a new face is the part of an old
+corner between two consecutive darts.  At a reflex extremum the vertical
+into the interior is its own edge's, so no part contains it; a part whose
+two darts both point above the apex, or both below, lies in one sector (see
+below), on one side of the horizontal.  So no corner of a new face is a
+reflex extremum, and a face bounded by y-monotone curves without one has
+one minimum and one maximum.
+
+Placing the new darts.  In the wedge of face f at vertex t, between its
+outgoing and its incoming dart, the new darts go first by sector: the
+branch next to the outgoing dart, the region through the apex, the branch
+next to the incoming dart.  The horizontal through a reflex extremum cuts
+its wedge into these three; a convex extremum's wedge is one region.  An
+edge in its reflex end's own region, or to an inner touching vertex, runs
+in the region through the apex; an edge to a chain's end comes down that
+chain, next to the incoming dart for the left chain and the outgoing one
+for the right.  Within a sector the curves fan out to one level of one
+region, so they go by the x of their other ends: ascending when those ends
+are lower than t, descending when higher.  Turning the points by 180
+degrees flips both heights and x, so the order is the same in either
+frame.
+
+Ties.  Vertices level with u do not touch its interval: they lie on the
+same top level.  So reflex minima at one height over one region all meet
+its first bottom vertex, and several vertices touching at one level
+resolve to the leftmost.  Just below u, edges that meet u's height at one
+point are ordered by where they run below it.
+
+Every decision is an orientation, or a comparison of heights, of x, or of
+slopes, on the integer view of the drawing (Drawing.ints).  The heights may
+be read on either axis: augment_y_monotone(d, 0) turns the points by 90
+degrees, (x, y) to (-y, x), which also keeps every orientation, and reads
+x as the height.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 from .plane_graph import (
@@ -49,20 +76,8 @@ from .plane_graph import (
     orientation,
 )
 
-
-@dataclass(frozen=True)
-class AugmentingEdge:
-    """Edge joining two local extrema of one original inner face.
-
-    witness lists the boundary darts from the ray's hit edge to v, oriented
-    away from u."""
-
-    u: int
-    v: int
-    face: int
-    kind: str
-    witness: Tuple[Tuple[int, int], ...]
-    target_point: Tuple
+# sectors of a wedge, in rotation order from the face's outgoing dart
+_OUT_BRANCH, _REGION, _IN_BRANCH = 0, 1, 2
 
 
 def _check_no_level_edge(g: PlaneGraph, pts):
@@ -71,112 +86,94 @@ def _check_no_level_edge(g: PlaneGraph, pts):
             raise PreconditionViolated(f"edge ({u},{v}) is level in height")
 
 
-def _first_hit(wp, j):
-    """Index of the walk edge first hit below wp[j], with the hit height
-    as (numerator, dx), dx > 0, on the integer points wp of the walk.
-
-    Implements the left-nudged vertical ray: edges qualify when their x-span
-    contains x(u) as (lo, hi], and equal heights at a shared right endpoint
-    resolve to the smaller slope (the edge lying higher just left of it)."""
-    xu, yu = wp[j]
-    best = None
-    for i, (p, q) in enumerate(zip(wp, wp[1:] + wp[:1])):
-        if p[0] > q[0]:
-            p, q = q, p
-        if not p[0] < xu <= q[0]:
-            continue
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        num = p[1] * dx + (xu - p[0]) * dy
-        if num >= yu * dx:
-            continue
-        if best is not None:
-            # key (height, -slope) must beat the best one's
-            c = num * best[1] - best[0] * dx
-            if c < 0 or c == 0 and dy * best[1] >= best[2] * dx:
-                continue
-        best = (num, dx, dy, i)
-    if best is None:
-        return None
-    return best[3], best[:2]
-
-
-def _descend(coords, walk, edge_idx):
-    """Follow the boundary downward from the hit edge to the first local
-    minimum. Returns (v, darts walked, arrived_in_walk_direction)."""
-    k = len(walk)
-    p, q = walk[edge_idx], walk[(edge_idx + 1) % k]
-    forward = coords[q][1] < coords[p][1]
-    if forward:
-        pos, step, darts = (edge_idx + 1) % k, 1, [(p, q)]
-    else:
-        pos, step, darts = edge_idx, -1, [(q, p)]
-    while True:
-        cur = walk[pos]
-        nxt = walk[(pos + step) % k]
-        if coords[nxt][1] > coords[cur][1]:
-            return cur, tuple(darts), forward
-        darts.append((cur, nxt))
-        pos = (pos + step) % k
-
-
-def _reflex_minima(wp, turn):
+def _reflex_minima(wp):
     """Walk positions of the reflex local minima of a face with integer
-    points wp, on whose walk a reflex corner has orientation turn (-1 with
-    the interior on the left)."""
+    points wp."""
     k = len(wp)
     for j in range(k):
         a, u, b = wp[j - 1], wp[j], wp[(j + 1) % k]
-        if a[1] > u[1] < b[1] and orientation(a, u, b) == turn:
+        if a[1] > u[1] < b[1] and orientation(a, u, b) < 0:
             yield j
 
 
-def _height_order(a, b):
-    """Order of two arrivals (height, u), height a pair (numerator, dx)."""
-    (na, da), ua = a
-    (nb, db), ub = b
-    c = na * db - nb * da or ua - ub
-    return (c > 0) - (c < 0)
+def _bounding_edges(wp, j, where):
+    """Walk positions i of the nearest edges (wp[i], wp[i+1]) left and
+    right of wp[j] just below its height."""
+    k = len(wp)
+    xu, yu = wp[j]
+    left = right = None
+    for i in range(k):
+        hi, lo = wp[i], wp[(i + 1) % k]
+        if hi[1] < lo[1]:
+            hi, lo = lo, hi
+        if not lo[1] < yu <= hi[1]:
+            continue
+        # x at yu and the slope below it, each over the edge's rise
+        rise = hi[1] - lo[1]
+        run = lo[0] - hi[0]
+        cand = (hi[0] * rise + (hi[1] - yu) * run, run, rise, i)
+        if cand[0] < xu * rise:
+            if left is None or _further_right(cand, left):
+                left = cand
+        elif right is None or _further_right(right, cand):
+            right = cand
+    if left is None or right is None:
+        raise EmbeddingInvalid(f"{where} has no walk edge on each side below")
+    il, ir = left[3], right[3]
+    if wp[il][1] < wp[(il + 1) % k][1]:
+        raise EmbeddingInvalid(f"the walk does not descend the nearest edge "
+                               f"left of {where}")
+    if wp[ir][1] > wp[(ir + 1) % k][1]:
+        raise EmbeddingInvalid(f"the walk does not ascend the nearest edge "
+                               f"right of {where}")
+    return il, ir
 
 
-def _phase(g: PlaneGraph, pts, turn):
-    """One minima pass on integer points, with reflex turn turn (see
-    _reflex_minima): edge records plus per-wedge insertion lists.
+def _further_right(a, b):
+    """Does edge a lie right of edge b just below their common height?"""
+    c = a[0] * b[2] - b[0] * a[2] or a[1] * b[2] - b[1] * a[2]
+    return c > 0
 
-    A wedge is the angle of face f at vertex t; new darts land between the
-    face's outgoing and incoming darts at t. Arrivals hugging the walk-forward
-    chain end next to the incoming dart, backward arrivals next to the
-    outgoing dart, and t's own ray points straight down between them; within
-    a side, the curve that joined the chain higher hugs closer to it."""
-    records = []
-    wedges: Dict[Tuple[int, int], Dict[str, object]] = {}
 
-    def wedge(f, t):
-        return wedges.setdefault((f, t), {"fwd": [], "bwd": [], "own": None})
-
-    for f in g.inner_face_indices():
-        walk = g.face_vertices(f)
-        wp = [pts[v] for v in walk]
-        for j in _reflex_minima(wp, turn):
-            u = walk[j]
-            hit = _first_hit(wp, j)
-            if hit is None:
-                raise PreconditionViolated(
-                    f"no face boundary below reflex minimum {u}")
-            edge_idx, height = hit
-            v, darts, forward = _descend(pts, walk, edge_idx)
-            records.append({"u": u, "v": v, "face": f, "darts": darts})
-            wedge(f, u)["own"] = v
-            wedge(f, v)["fwd" if forward else "bwd"].append((height, u))
-
-    plans = {}
-    order_key = cmp_to_key(_height_order)
-    for key, w in wedges.items():
-        order = [u for _, u in sorted(w["bwd"], key=order_key, reverse=True)]
-        if w["own"] is not None:
-            order.append(w["own"])
-        order.extend(u for _, u in sorted(w["fwd"], key=order_key))
-        plans[key] = order
-    return records, plans
+def _descend(wp, down, j, where):
+    """The vertex where the descent below the reflex minimum wp[j] stops,
+    with the sector of its wedge the edge enters; down lists the walk
+    positions in descending height."""
+    k = len(wp)
+    il, ir = _bounding_edges(wp, j, where)
+    lo_l, lo_r = (il + 1) % k, ir   # lower ends of the two chains' edges
+    heights = [-wp[i][1] for i in down]
+    pos = bisect_right(heights, -wp[j][1])
+    while pos < len(down):
+        y = wp[down[pos]][1]
+        end = bisect_right(heights, -y, pos)
+        left_end = right_end = False
+        if wp[lo_l][1] == y:
+            nxt = (lo_l + 1) % k
+            if wp[nxt][1] < y:
+                il, lo_l = lo_l, nxt
+            else:
+                left_end = True
+        if wp[lo_r][1] == y:
+            prv = (lo_r - 1) % k
+            if wp[prv][1] < y:
+                ir = lo_r = prv
+            else:
+                right_end = True
+        if left_end:
+            both = right_end and lo_r == lo_l
+            return lo_l, _REGION if both else _IN_BRANCH
+        ld = (wp[il], wp[(il + 1) % k])
+        rd = (wp[ir], wp[(ir + 1) % k])
+        inside = [i for i in down[pos:end]
+                  if orientation(*ld, wp[i]) > 0
+                  and orientation(*rd, wp[i]) > 0]
+        if inside:
+            return min(inside, key=lambda i: wp[i][0]), _REGION
+        if right_end:
+            return lo_r, _OUT_BRANCH
+        pos = end
+    raise EmbeddingInvalid(f"the descent below {where} finds no floor")
 
 
 def _apply_plans(g: PlaneGraph, plans):
@@ -207,50 +204,41 @@ def _apply_plans(g: PlaneGraph, plans):
     return new_rot
 
 
-def _hit_point(pts, den: int, u, dart):
-    """The rational point, in the frame of the points pts over den, of
-    segment dart straight below or above u."""
-    (ax, ay), (bx, by) = pts[dart[0]], pts[dart[1]]
-    x = pts[u][0]
-    return (Fraction(x, den),
-            Fraction(ay * (bx - ax) + (x - ax) * (by - ay), (bx - ax) * den))
-
-
-def augment_y_monotone(d: Drawing, axis: int = 1):
-    """Insert an edge per reflex extremum so all inner faces become monotone
+def augment_y_monotone(d: Drawing, axis: int = 1) -> PlaneGraph:
+    """The plane graph of d with an edge per reflex extremum, or fewer
+    where two extrema find each other, so all inner faces become monotone
     in the heights on axis (1, y, by default; 0 for x).
 
-    Returns the augmented plane graph and the list of added edges. The input
-    graph is unchanged; the new edges are combinatorial only (their conceptual
-    curves are monotone, certified by each witness chain). The drawing must
-    be planar and its graph internally 3-connected, as convexify checks on
-    its input; no edge may be level in the heights."""
+    The input graph is unchanged; the new edges are combinatorial only. The
+    drawing must be planar and its graph internally 3-connected, as
+    convexify checks on its input; no edge may be level in the heights."""
     g = d.graph
     if axis == 1:
-        pts, turn = d.ints, -1
+        pts = d.ints
     else:
-        pts, turn = {v: (y, x) for v, (x, y) in d.ints.items()}, 1
+        pts = {v: (-y, x) for v, (x, y) in d.ints.items()}
     _check_no_level_edge(g, pts)
+    turned = {v: (-x, -y) for v, (x, y) in pts.items()}
 
-    rec_min, plans_min = _phase(g, pts, turn)
-    rec_max, plans_max = _phase(
-        g, {v: (-x, -y) for v, (x, y) in pts.items()}, turn)
-    both = plans_min.keys() & plans_max.keys()
-    if both:
-        f, t = min(both)
-        raise EmbeddingInvalid(
-            f"face {f} gets curves of both phases at vertex {t}")
+    wedges: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for f in g.inner_face_indices():
+        walk = g.face_vertices(f)
+        up = sorted(range(len(walk)), key=lambda i: pts[walk[i]][1])
+        found = set()
+        for frame, down in ((pts, up[::-1]), (turned, up)):
+            wp = [frame[v] for v in walk]
+            for j in _reflex_minima(wp):
+                u = walk[j]
+                i, sector = _descend(wp, down, j, f"vertex {u} of face {f}")
+                v = walk[i]
+                if frozenset((u, v)) in found:
+                    continue
+                found.add(frozenset((u, v)))
+                # x of the other end: ascending below the apex, else descending
+                xu, xv = wp[j][0], wp[i][0]
+                wedges.setdefault((f, u), []).append((_REGION, xv, v))
+                wedges.setdefault((f, v), []).append((sector, -xu, u))
 
-    new_rot = _apply_plans(g, {**plans_min, **plans_max})
-    new_g = PlaneGraph(new_rot, g.outer_dart)
-
-    added = []
-    for kind, recs in (("min", rec_min), ("max", rec_max)):
-        for r in recs:
-            u, v = r["u"], r["v"]
-            hit = _hit_point(pts, d.den, u, r["darts"][0])
-            added.append(AugmentingEdge(
-                u=u, v=v, face=r["face"], kind=kind, witness=r["darts"],
-                target_point=hit if axis == 1 else hit[::-1]))
-    added.sort(key=lambda e: (e.u, e.v))
-    return new_g, added
+    plans = {key: [w for _, _, w in sorted(darts)]
+             for key, darts in wedges.items()}
+    return PlaneGraph(_apply_plans(g, plans), g.outer_dart)

@@ -304,10 +304,11 @@ def _redraw_move(b: SequenceBuilder, direction: Direction,
 
 def _level_convex_redraw(d: Drawing, direction: Direction) -> Drawing:
     """Redraw with all faces convex and the fixed axis of direction
-    untouched: make the faces monotone on that axis with temporary edges,
-    solve onto a strictly convex boundary, then drop the temporary
-    edges."""
-    g_aug, _ = augment_y_monotone(d, direction.fixed_axis)
+    untouched: augment_y_monotone adds temporary edges between local
+    extrema of each face until every face has one minimum and one maximum
+    on that axis, the redraw solves the augmented graph onto a strictly
+    convex boundary, and the temporary edges are dropped again."""
+    g_aug = augment_y_monotone(d, direction.fixed_axis)
     poly = _default_polygon(d, g_aug.outer_walk(), direction)
     out = _redraw(d.with_graph(g_aug), direction, poly,
                   "level-preserving convex redraw")

@@ -286,34 +286,6 @@ def brute_internally_3connected(adj: Dict[int, Sequence[int]],
     return brute_three_connected(apex_adjacency(adj, outer))
 
 
-def ray_shoot_down(coords: Dict[int, Tuple], segments, start) -> Tuple:
-    """First intersection of the vertical ray going down from start with any
-    of the (point, point) segments strictly below; None if nothing is hit.
-    Returns (y, kind) where kind is 'interior' or 'endpoint'."""
-    sx, sy = _f(start)
-    best = None
-    for p, q in segments:
-        p, q = _f(p), _f(q)
-        x1, x2 = sorted((p[0], q[0]))
-        if not (x1 <= sx <= x2):
-            continue
-        if p[0] == q[0]:
-            ys = [yy for yy in (p[1], q[1]) if yy < sy]
-            if not ys:
-                continue
-            y = max(ys)
-            kind = "endpoint"
-        else:
-            t = Fraction(sx - p[0], q[0] - p[0])
-            y = p[1] + t * (q[1] - p[1])
-            if y >= sy:
-                continue
-            kind = "endpoint" if (sx, y) in (p, q) else "interior"
-        if best is None or y > best[0]:
-            best = (y, kind)
-    return best
-
-
 def brute_strictly_convex(coords: Dict[int, Tuple],
                           face_walks: Sequence[Sequence[int]],
                           outer: int) -> bool:
@@ -440,98 +412,87 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
     return None
 
 
-def _first_hit_fraction(coords, walk, j):
-    """Index of the walk edge first hit by the left-nudged ray down from
-    walk[j], with the hit height: edges whose x-span holds x(u) as (lo, hi],
-    ties at a shared right endpoint to the smaller slope."""
-    k = len(walk)
-    xu, yu = coords[walk[j]]
-    best = None
-    best_idx = None
-    for i in range(k):
-        p, q = coords[walk[i]], coords[walk[(i + 1) % k]]
-        lo, hi = (p[0], q[0]) if p[0] < q[0] else (q[0], p[0])
-        if not (lo < xu <= hi):
-            continue
-        m = (q[1] - p[1]) / (q[0] - p[0])
-        y_at = p[1] + (xu - p[0]) * m
-        if y_at >= yu:
-            continue
-        key = (y_at, -m)
-        if best is None or key > best:
-            best = key
-            best_idx = i
-    if best_idx is None:
-        return None
-    return best_idx, best[0]
+def _x_at(e, y):
+    """x of the segment e = (p, q), not level, at height y."""
+    (px, py), (qx, qy) = e
+    return px + (y - py) * (qx - px) / (qy - py)
 
 
-def _descend_fraction(coords, walk, edge_idx):
-    k = len(walk)
-    p, q = walk[edge_idx], walk[(edge_idx + 1) % k]
-    forward = coords[q][1] < coords[p][1]
-    if forward:
-        pos, step, darts = (edge_idx + 1) % k, 1, [(p, q)]
-    else:
-        pos, step, darts = edge_idx, -1, [(q, p)]
-    while True:
-        cur = walk[pos]
-        nxt = walk[(pos + step) % k]
-        if coords[nxt][1] > coords[cur][1]:
-            return cur, tuple(darts), forward
-        darts.append((cur, nxt))
-        pos = (pos + step) % k
+def _crossing(edges, y):
+    """The segments that cross height y, which is no vertex's, left to
+    right."""
+    return sorted((e for e in edges if min(e[0][1], e[1][1]) < y
+                   < max(e[0][1], e[1][1])), key=lambda e: _x_at(e, y))
 
 
-def _phase_fraction(g, coords):
-    """One minima pass: a curve record per reflex local minimum of an inner
-    face, and per wedge (face, vertex) the order of the new neighbours."""
-    records = []
+def _descend_fraction(pts, j):
+    """Where the descent below the reflex minimum pts[j] of the closed walk
+    pts (interior on its left) stops, found by cutting every walk edge at
+    every level: (walk position, sector), sector 0 at the end of the right
+    chain, 2 at the end of the left one, 1 inside or where both end."""
+    k = len(pts)
+    edges = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
+    xu, yu = pts[j]
+    levels = sorted({p[1] for p in pts if p[1] < yu}, reverse=True)
+    # between u and the next level no edge ends, so the edges left of u at
+    # its height come first left to right below it
+    cross = _crossing(edges, (yu + levels[0]) / 2)
+    cut = sum(_x_at(e, yu) < xu for e in cross)
+    left, right = cross[cut - 1], cross[cut]
+    for y, below in zip(levels, levels[1:] + [None]):
+        xl, xr = _x_at(left, y), _x_at(right, y)
+        touch = [i for i in range(k) if pts[i][1] == y
+                 and xl <= pts[i][0] <= xr
+                 and (pts[i - 1][1] > y) == (pts[(i + 1) % k][1] > y)]
+        if touch:
+            i = min(touch, key=lambda i: pts[i][0])
+            at_l, at_r = pts[i][0] == xl, pts[i][0] == xr
+            return i, 2 if at_l and not at_r else 0 if at_r and not at_l else 1
+        # each chain goes on through the point where it meets this level
+        cross = _crossing(edges, (y + below) / 2)
+        left = next(e for e in cross if _x_at(e, y) == xl)
+        right = next(e for e in cross if _x_at(e, y) == xr)
+    raise AssertionError("a descent without a floor")
+
+
+def augment_monotone_fraction(g, coords: Dict[int, Tuple], axis: int = 1):
+    """The monotone augmentation in plain Fraction arithmetic: each reflex
+    local minimum of an inner face (and, on the points turned by 180
+    degrees, each reflex local maximum) joined to the leftmost vertex
+    touching the interval below it, where the descent first meets one, an
+    edge found from both ends once. Heights are on axis, read with the
+    points turned by 90 degrees for x. In each wedge the new darts go by
+    sector, then by the x of their far end, ascending below the apex and
+    descending above it. g supplies rotation, inner_face_indices() and
+    face_vertices(). Returns the augmented rotation."""
+    pts = {v: _f(p) for v, p in coords.items()}
+    if axis == 0:
+        pts = {v: (-y, x) for v, (x, y) in pts.items()}
     wedges = {}
     for f in g.inner_face_indices():
         walk = g.face_vertices(f)
         k = len(walk)
-        for j in range(k):
-            u, a, b = walk[j], walk[j - 1], walk[(j + 1) % k]
-            if coords[a][1] <= coords[u][1] or coords[b][1] <= coords[u][1]:
-                continue
-            if _orient(coords[a], coords[u], coords[b]) != -1:
-                continue
-            edge_idx, y_at = _first_hit_fraction(coords, walk, j)
-            v, darts, forward = _descend_fraction(coords, walk, edge_idx)
-            records.append((u, v, f, darts, (coords[u][0], y_at)))
-            wedges.setdefault((f, u), {"fwd": [], "bwd": [], "own": None})
-            wedges[(f, u)]["own"] = v
-            w = wedges.setdefault((f, v), {"fwd": [], "bwd": [], "own": None})
-            w["fwd" if forward else "bwd"].append((y_at, u))
-    plans = {}
-    for key, w in wedges.items():
-        order = [u for _, u in sorted(w["bwd"], reverse=True)]
-        if w["own"] is not None:
-            order.append(w["own"])
-        order.extend(u for _, u in sorted(w["fwd"]))
-        plans[key] = order
-    return records, plans
-
-
-def augment_y_monotone_fraction(g, coords: Dict[int, Tuple]):
-    """The y-monotone augmentation in plain Fraction arithmetic: one curve
-    per reflex local minimum (and, on the drawing turned by 180 degrees, per
-    reflex local maximum) of an inner face, from the left-nudged vertical
-    ray down to the first local minimum below its hit. g supplies rotation,
-    inner_face_indices() and face_vertices(). Returns the augmented rotation
-    and, sorted by (u, v), the tuples (u, v, face, kind, witness,
-    target_point)."""
-    pts = {v: _f(p) for v, p in coords.items()}
-    rec_min, plans_min = _phase_fraction(g, pts)
-    rec_max, plans_max = _phase_fraction(
-        g, {v: (-x, -y) for v, (x, y) in pts.items()})
+        found = set()
+        for frame in (pts, {v: (-x, -y) for v, (x, y) in pts.items()}):
+            wp = [frame[v] for v in walk]
+            for j in range(k):
+                a, u, b = wp[j - 1], wp[j], wp[(j + 1) % k]
+                if not (a[1] > u[1] < b[1] and _orient(a, u, b) == -1):
+                    continue
+                i, sector = _descend_fraction(wp, j)
+                edge = frozenset((walk[j], walk[i]))
+                if edge in found:
+                    continue
+                found.add(edge)
+                wedges.setdefault((f, walk[j]), []).append(
+                    (1, wp[i][0], walk[i]))
+                wedges.setdefault((f, walk[i]), []).append(
+                    (sector, -wp[j][0], walk[j]))
     inserts = {}
-    for (f, t), order in {**plans_min, **plans_max}.items():
+    for (f, t), darts in wedges.items():
         walk = g.face_vertices(f)
-        j = walk.index(t)
-        rot = g.rotation[t]
-        inserts.setdefault(t, {})[rot.index(walk[(j + 1) % len(walk)])] = order
+        after = g.rotation[t].index(walk[(walk.index(t) + 1) % len(walk)])
+        inserts.setdefault(t, {})[after] = [w for _, _, w in sorted(darts)]
     rotation = {}
     for t, rot in g.rotation.items():
         out = []
@@ -539,12 +500,7 @@ def augment_y_monotone_fraction(g, coords: Dict[int, Tuple]):
             out.append(nb)
             out.extend(inserts.get(t, {}).get(i, ()))
         rotation[t] = tuple(out)
-    added = []
-    for kind, sgn, recs in (("min", 1, rec_min), ("max", -1, rec_max)):
-        for u, v, f, darts, (px, py) in recs:
-            added.append((u, v, f, kind, darts, (sgn * px, sgn * py)))
-    added.sort(key=lambda e: (e[0], e[1]))
-    return rotation, added
+    return rotation
 
 
 # -- reference paths the package's redraws and edits are compared against ----

@@ -33,7 +33,7 @@ DIGESTS = {
     ('buffered', 1):
         "2cd7aad715d4c6af50087f3f0bc972ea856af426b258214ab651093cb0d1ded8",
     ('convex_outer', 0):
-        "0f6d8352e5d47c2207f84de62c7a248e36cf67abafb636b4c2624d2f0f82a37a",
+        "011c48a43c26623e386ccd3f4e3b5424213034586935428b12bf4849c18396f8",
     ('convex_outer', 1):
         "4876441ebe14f2f46fa5b3e439448f5ac0a826f5d2555dfe4f17697487f8737a",
     ('convex_outer', 2):

@@ -1,14 +1,16 @@
-"""Face y-monotonization: ray targets, augmenting edges, rotation placement.
+"""Face monotonization: where each descent stops, the edges it adds, their
+place in the rotations, and the certificate of the result.
 
-Expected hit points in the fixed fixtures were frozen from the brute-force
-ray oracle (Fraction segment arithmetic) before wiring up the package calls;
-random instances are cross-checked against the oracles live.
+The fixed fixtures pin the edges and rotations of the descent rule, worked
+out by hand; random instances are checked against the Fraction oracle
+(which cuts every walk edge at every level) and against the certificate: a
+strictly convex redraw of the augmented graph that keeps the heights.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _instances import (
     _drop_inner_edges,
@@ -17,24 +19,24 @@ from _instances import (
     random_augment_instance,
 )
 from _oracles import (
-    augment_y_monotone_fraction,
+    augment_monotone_fraction,
     count_reflex_extrema_in_faces,
-    ray_shoot_down,
     transposed,
 )
-from _realize import realize_augmenting_edges
 
-from convexmorph import (Drawing, EmbeddingInvalid, monotone_augment,
-                         morph_engine, rat)
+from convexmorph import Drawing, EmbeddingInvalid, morph_engine, rat
 from convexmorph.connectivity import is_internally_3connected
-from convexmorph.monotone_augment import _apply_plans, augment_y_monotone
+from convexmorph.monotone_augment import (_apply_plans, _descend,
+                                          augment_y_monotone)
 from convexmorph.morph_engine import NotInternallyThreeConnected, convexify
 from convexmorph.plane_graph import (
     NotPlanarInput,
     PreconditionViolated,
     build_plane_graph_from_points,
+    is_strictly_convex,
     orientation,
 )
+from convexmorph.steps import Direction
 
 
 def ring_drawing(coords, cycle):
@@ -51,21 +53,29 @@ def cyc(seq):
     return min(t[i:] + t[:i] for i in range(len(t)))
 
 
-def y_extrema_count(walk, coords):
-    """Local extrema of the walk by y alone (adjacent ys always differ)."""
+def y_extrema_count(walk, coords, axis=1):
+    """Local extrema of the walk by height alone (adjacent heights always
+    differ)."""
     k = len(walk)
     n = 0
     for i in range(k):
-        ya = coords[walk[i - 1]][1]
-        yu = coords[walk[i]][1]
-        yb = coords[walk[(i + 1) % k]][1]
+        ya = coords[walk[i - 1]][axis]
+        yu = coords[walk[i]][axis]
+        yb = coords[walk[(i + 1) % k]][axis]
         if (ya > yu) == (yb > yu):
             n += 1
     return n
 
 
+def added_edges(d, new_g):
+    """The edges of new_g that d's graph lacks, as sorted pairs."""
+    return sorted(tuple(sorted(e)) for e in new_g.edges()
+                  if not d.graph.has_edge(*e))
+
+
 # One inner face shaped like a comb with teeth hanging from the ceiling;
-# the tooth tips are reflex local minima shooting rays onto the floor edge.
+# each tooth tip is a reflex minimum whose left chain ends at the next tip
+# (or, for the last, runs down to the floor's convex minimum 2).
 COMB3 = {1: (0, 0), 2: (12, -1), 3: (12, 7), 4: (10, 3), 5: (9, 6),
          6: (7, 2), 7: (5, 5), 8: (3, 1), 9: (0, 6)}
 COMB3_CYCLE = tuple(range(1, 10))
@@ -75,12 +85,31 @@ TWO = {1: (0, 0), 2: (3, 4), 3: (5, -1), 4: (9, 1), 5: (9, 8),
        6: (6, 3), 7: (3, 9), 8: (0, 7)}
 TWO_CYCLE = tuple(range(1, 9))
 
-# Face where the ray from the reflex minimum 4 passes exactly through the
-# boundary vertex 8; the left-nudged ray must resolve to the smaller-slope
-# edge (7, 8) and the descent continues past 8 down to vertex 1.
+# Face where the vertex 8 lies straight below the reflex minimum 4: it is a
+# regular vertex of the left chain, so the descent passes it (and 9) and
+# stops at the convex minimum 1.
 SPUR = {1: (0, -4), 2: (6, -3), 3: (6, 6), 4: (2, 4), 5: (1, 7),
         6: (0, 5), 7: (0, 1), 8: (2, 0), 9: (0, -2)}
 SPUR_CYCLE = tuple(range(1, 10))
+
+# A reflex minimum (3) above a reflex maximum (8) in one region: each is
+# the other's touching vertex, and the edge is added once.
+STACK = {1: (0, 0), 2: (8, 2), 3: (10, 8), 4: (12, 2), 5: (20, 0),
+         6: (21, 20), 7: (12, 18), 8: (10, 12), 9: (8, 18), 10: (-1, 20)}
+STACK_CYCLE = tuple(range(1, 11))
+
+# Two reflex minima (4 and 6) at one height over one region: neither
+# touches the other's interval, and both meet its convex minimum 2.
+TWIN = {1: (0, 0), 2: (12, -1), 3: (12, 10), 4: (9, 3), 5: (7, 8),
+        6: (4, 3), 7: (0, 9)}
+TWIN_CYCLE = tuple(range(1, 8))
+
+# A reflex maximum (2) level with a reflex minimum (7) to its right: both
+# edges at 2 start where the interval below 7 does, and the walk descends
+# the one nearer just below, 2-3.
+LEVEL = {1: (-1, 0), 2: (2, 5), 3: (4, -1), 4: (12, -2), 5: (12, 10),
+         6: (8, 8), 7: (6, 5), 8: (4, 12), 9: (-1, 11)}
+LEVEL_CYCLE = tuple(range(1, 10))
 
 # Strictly y-monotone but nonconvex: reflex vertices that are not extrema.
 STAIR = {1: (0, 0), 2: (6, 1), 3: (4, 3), 4: (7, 5), 5: (5, 8), 6: (0, 9)}
@@ -88,6 +117,10 @@ STAIR_CYCLE = tuple(range(1, 7))
 
 CONVEX = {1: (0, 0), 2: (4, 1), 3: (6, 4), 4: (4, 7), 5: (1, 6), 6: (-1, 3)}
 CONVEX_CYCLE = tuple(range(1, 7))
+
+RINGS = [(COMB3, COMB3_CYCLE), (TWO, TWO_CYCLE), (SPUR, SPUR_CYCLE),
+         (STAIR, STAIR_CYCLE), (STACK, STACK_CYCLE), (TWIN, TWIN_CYCLE),
+         (LEVEL, LEVEL_CYCLE)]
 
 
 def hanging_comb(k):
@@ -116,42 +149,78 @@ def single_inner_face(g):
     return inner[0]
 
 
+def is_extremum(walk, i, h):
+    k = len(walk)
+    return (h[walk[i - 1]] > h[walk[i]]) == (h[walk[(i + 1) % k]] > h[walk[i]])
+
+
+def check_augmentation(d, axis=1, redraw=True):
+    """The certificate of augment_y_monotone(d, axis): every added edge
+    joins two local extrema of one original inner face, at least one of
+    them reflex, and is not level; the graph keeps its outer walk; every
+    inner face has exactly two local extrema; and, if redraw, the redraw
+    keeping the heights onto the default polygon is strictly convex.
+    Returns the number of added edges."""
+    g, pts = d.graph, d.ints
+    h = {v: p[axis] for v, p in pts.items()}
+    new_g = augment_y_monotone(d, axis)
+    added = added_edges(d, new_g)
+    assert new_g.m == g.m + len(added)
+    assert new_g.outer_walk() == g.outer_walk()
+    walks = [g.face_vertices(f) for f in g.inner_face_indices()]
+    for u, v in added:
+        assert h[u] != h[v]
+        assert any(
+            u in walk and v in walk
+            and is_extremum(walk, walk.index(u), h)
+            and is_extremum(walk, walk.index(v), h)
+            and any(orientation(pts[walk[i - 1]], pts[walk[i]],
+                                pts[walk[(i + 1) % len(walk)]]) < 0
+                    for i in (walk.index(u), walk.index(v)))
+            for walk in walks), (u, v)
+    for f in new_g.inner_face_indices():
+        assert y_extrema_count(new_g.face_vertices(f), pts, axis) == 2
+    if redraw:
+        direction = Direction.HORIZONTAL if axis == 1 else Direction.VERTICAL
+        aug = d.with_graph(new_g)
+        poly = morph_engine._default_polygon(aug, new_g.outer_walk(),
+                                             direction)
+        out = morph_engine._redraw(aug, direction, poly, "certificate")
+        assert is_strictly_convex(out)
+        assert {v: p[axis] * d.den for v, p in out.ints.items()} \
+            == {v: p[axis] * out.den for v, p in pts.items()}
+    return len(added)
+
+
 class TestTrapezoidize:
-    """The rays of the trapezoidization: augment_y_monotone reports each
-    ray's hit edge as witness[0], oriented away from u, and its hit point
-    as target_point."""
+    """Where each descent stops: the touching vertex of the region below
+    (or, turned, above) each reflex extremum."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_comb_has_k_ray_targets(self, k):
+        # each tip's descent stops at one lower extremum: a tip where one
+        # of its chains ends, or the floor's convex minimum 2
         d, tips = hanging_comb(k)
-        _, added = augment_y_monotone(d)
-        assert {(e.u, e.kind) for e in added} == {(t, "min") for t in tips}
-        f = single_inner_face(d.graph)
-        segs = [(d.coords[a], d.coords[b])
-                for a, b in zip(d.graph.face_vertices(f),
-                                d.graph.face_vertices(f)[1:]
-                                + d.graph.face_vertices(f)[:1])]
-        for e in added:
-            assert e.face == f
-            assert e.witness[0] == (1, 2)
-            assert e.target_point[0] == d.coords[e.u][0]
-            y_oracle, hit_kind = ray_shoot_down(d.coords, segs, d.coords[e.u])
-            assert hit_kind == "interior"
-            assert Fraction(e.target_point[1]) == y_oracle
+        new_g = augment_y_monotone(d)
+        added = added_edges(d, new_g)
+        assert len(added) == k
+        down = {}
+        for u, v in added:
+            hi, lo = (u, v) if d.coords[u][1] > d.coords[v][1] else (v, u)
+            down[hi] = lo
+        assert sorted(down) == sorted(tips)
+        assert all(lo in tips or lo == 2 for lo in down.values())
+        assert new_g.rotation == augment_monotone_fraction(d.graph, d.coords)
+        check_augmentation(d, redraw=False)
 
     def test_comb3_frozen_points(self):
         d = ring_drawing(COMB3, COMB3_CYCLE)
-        _, added = augment_y_monotone(d)
-        assert {(e.u, e.kind): (e.witness[0], e.target_point)
-                for e in added} == {
-            (4, "min"): ((1, 2), (rat(10), rat(-5, 6))),
-            (6, "min"): ((1, 2), (rat(7), rat(-7, 12))),
-            (8, "min"): ((1, 2), (rat(3), rat(-1, 4))),
-        }
+        assert added_edges(d, augment_y_monotone(d)) == [
+            (2, 8), (4, 6), (6, 8)]
 
     def test_convex_face_empty(self):
         d = ring_drawing(CONVEX, CONVEX_CYCLE)
-        assert augment_y_monotone(d) == (d.graph, [])
+        assert augment_y_monotone(d) == d.graph
 
     def test_monotone_nonconvex_face_empty(self):
         d = ring_drawing(STAIR, STAIR_CYCLE)
@@ -160,26 +229,13 @@ class TestTrapezoidize:
         assert any(orientation(d.coords[walk[i - 1]], d.coords[walk[i]],
                                d.coords[walk[(i + 1) % len(walk)]]) == -1
                    for i in range(len(walk)))
-        assert augment_y_monotone(d)[1] == []
+        assert augment_y_monotone(d) == d.graph
 
     def test_two_extrema_face(self):
+        # the minimum 6 descends to the convex minimum 3, the maximum 2
+        # rises to the convex maximum 7
         d = ring_drawing(TWO, TWO_CYCLE)
-        _, added = augment_y_monotone(d)
-        targets = {(e.u, e.kind): e for e in added}
-        assert set(targets) == {(6, "min"), (2, "max")}
-        lo = targets[(6, "min")]
-        assert lo.witness[0] == (4, 3)
-        assert lo.target_point == (rat(6), rat(-1, 2))
-        hi = targets[(2, "max")]
-        assert hi.witness[0] == (6, 7)
-        assert hi.target_point == (rat(3), rat(9))
-
-    def test_spur_tie_takes_smaller_slope_edge(self):
-        d = ring_drawing(SPUR, SPUR_CYCLE)
-        _, added = augment_y_monotone(d)
-        assert [(e.u, e.kind) for e in added] == [(4, "min")]
-        assert added[0].witness[0] == (7, 8)
-        assert added[0].target_point == (rat(2), rat(0))
+        assert added_edges(d, augment_y_monotone(d)) == [(2, 7), (3, 6)]
 
     def test_horizontal_edge_rejected(self):
         # an edge level in the heights is rejected on either axis: the
@@ -188,38 +244,27 @@ class TestTrapezoidize:
         d = ring_drawing(trapezoid, (1, 2, 3, 4))
         with pytest.raises(PreconditionViolated, match="level"):
             augment_y_monotone(d)
-        assert augment_y_monotone(d, 0) == (d.graph, [])
+        assert augment_y_monotone(d, 0) == d.graph
         with pytest.raises(PreconditionViolated, match="level"):
             augment_y_monotone(transposed(d), 0)
 
 
 class TestAugmentFixtures:
     def test_comb3_edges_and_cluster_order(self):
+        # at 6 the own edge down to 8 comes before the edge from 4, which
+        # comes down the left chain next to the incoming dart 5->6
         d = ring_drawing(COMB3, COMB3_CYCLE)
-        new_g, added = augment_y_monotone(d)
-        assert [(e.u, e.v, e.kind) for e in added] == [
-            (4, 2, "min"), (6, 2, "min"), (8, 2, "min")]
-        assert all(e.witness == ((1, 2),) for e in added)
-        assert [e.target_point for e in added] == [
-            (rat(10), rat(-5, 6)), (rat(7), rat(-7, 12)), (rat(3), rat(-1, 4))]
-        # arrivals at the shared minimum sort by hit height, lowest first
-        assert cyc(new_g.rotation[2]) == cyc((1, 3, 4, 6, 8))
-        assert cyc(new_g.rotation[4]) == cyc((3, 5, 2))
-        assert cyc(new_g.rotation[6]) == cyc((5, 7, 2))
-        assert cyc(new_g.rotation[8]) == cyc((7, 9, 2))
+        new_g = augment_y_monotone(d)
+        assert cyc(new_g.rotation[2]) == cyc((1, 3, 8))
+        assert cyc(new_g.rotation[4]) == cyc((3, 5, 6))
+        assert cyc(new_g.rotation[6]) == cyc((5, 7, 8, 4))
+        assert cyc(new_g.rotation[8]) == cyc((7, 9, 2, 6))
         for f in new_g.inner_face_indices():
             assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
 
     def test_two_extrema_face_augment(self):
         d = ring_drawing(TWO, TWO_CYCLE)
-        new_g, added = augment_y_monotone(d)
-        assert [(e.u, e.v, e.kind) for e in added] == [
-            (2, 7, "max"), (6, 3, "min")]
-        up, down = added
-        assert up.witness == ((6, 7),)
-        assert up.target_point == (rat(3), rat(9))
-        assert down.witness == ((4, 3),)
-        assert down.target_point == (rat(6), rat(-1, 2))
+        new_g = augment_y_monotone(d)
         assert cyc(new_g.rotation[2]) == cyc((1, 3, 7))
         assert cyc(new_g.rotation[7]) == cyc((6, 8, 2))
         assert cyc(new_g.rotation[6]) == cyc((5, 7, 3))
@@ -231,21 +276,44 @@ class TestAugmentFixtures:
 
     def test_spur_descent_passes_tie_vertex(self):
         d = ring_drawing(SPUR, SPUR_CYCLE)
-        new_g, added = augment_y_monotone(d)
-        assert len(added) == 1
-        e = added[0]
-        assert (e.u, e.v, e.kind) == (4, 1, "min")
-        assert e.witness == ((7, 8), (8, 9), (9, 1))
-        assert e.target_point == (rat(2), rat(0))
+        new_g = augment_y_monotone(d)
+        assert added_edges(d, new_g) == [(1, 4)]
         assert cyc(new_g.rotation[1]) == cyc((9, 2, 4))
+        for f in new_g.inner_face_indices():
+            assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
+
+    def test_stacked_extrema_share_one_edge(self):
+        d = ring_drawing(STACK, STACK_CYCLE)
+        new_g = augment_y_monotone(d)
+        assert added_edges(d, new_g) == [(3, 8)]
+        assert cyc(new_g.rotation[3]) == cyc((2, 4, 8))
+        assert cyc(new_g.rotation[8]) == cyc((7, 9, 3))
+        for f in new_g.inner_face_indices():
+            assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
+
+    def test_twin_minima_fan_into_one_vertex(self):
+        # both darts land in the one region of the convex minimum 2, in
+        # descending x of their upper ends: 4 (x 9) before 6 (x 4)
+        d = ring_drawing(TWIN, TWIN_CYCLE)
+        new_g = augment_y_monotone(d)
+        assert added_edges(d, new_g) == [(2, 4), (2, 6)]
+        assert cyc(new_g.rotation[2]) == cyc((1, 3, 4, 6))
+        for f in new_g.inner_face_indices():
+            assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
+
+    def test_level_vertex_beside_apex_takes_the_edge_nearer_below(self):
+        # 1-2 and 2-3 both meet 7's height at x = 2; just below it 2-3
+        # lies further right, so it bounds the interval, and 7 descends to
+        # the convex minimum 4 while 2 rises to the convex maximum 8
+        d = ring_drawing(LEVEL, LEVEL_CYCLE)
+        new_g = augment_y_monotone(d)
+        assert added_edges(d, new_g) == [(2, 8), (4, 7)]
         for f in new_g.inner_face_indices():
             assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
 
     def test_monotone_input_unchanged(self):
         d = ring_drawing(STAIR, STAIR_CYCLE)
-        new_g, added = augment_y_monotone(d)
-        assert added == []
-        assert new_g == d.graph
+        assert augment_y_monotone(d) == d.graph
 
 
 class TestPreconditions:
@@ -275,79 +343,30 @@ class TestPreconditions:
             convexify(Drawing(d.graph, bad))
 
 
-def reflex_extrema_of_face(g, coords, f):
-    """(vertex, kind) pairs for the reflex local extrema of face f."""
-    walk = g.face_vertices(f)
-    k = len(walk)
-    out = set()
-    for i in range(k):
-        a, u, b = walk[i - 1], walk[i], walk[(i + 1) % k]
-        if orientation(coords[a], coords[u], coords[b]) != -1:
-            continue
-        if coords[a][1] > coords[u][1] and coords[b][1] > coords[u][1]:
-            out.add((u, "min"))
-        if coords[a][1] < coords[u][1] and coords[b][1] < coords[u][1]:
-            out.add((u, "max"))
-    return out
+def _down(wp):
+    return sorted(range(len(wp)), key=lambda i: wp[i][1], reverse=True)
 
 
-def walk_extrema(walk, coords, vertex):
-    ys = [coords[v][1] for v in walk]
-    k = len(walk)
-    kinds = set()
-    for i in range(k):
-        if walk[i] != vertex:
-            continue
-        ya, yu, yb = ys[(i - 1) % k], ys[i], ys[(i + 1) % k]
-        if ya > yu and yb > yu:
-            kinds.add("min")
-        if ya < yu and yb < yu:
-            kinds.add("max")
-    return kinds
+class TestImpossibleDescents:
+    """Walks no planar face has: each raises EmbeddingInvalid naming the
+    vertex, also under python -O."""
 
+    def test_no_edge_on_one_side(self):
+        # TWO walked clockwise: its convex minimum 1 turns right, and the
+        # walk has no edge left of it below
+        wp = [TWO[v] for v in reversed(TWO_CYCLE)]
+        j = wp.index(TWO[1])
+        with pytest.raises(EmbeddingInvalid, match="vertex 1 .*each side"):
+            _descend(wp, _down(wp), j, "vertex 1")
 
-SHIFT = Fraction(1, 2 ** 60)
-
-
-def check_edge_against_face(d, e, walk):
-    """Structural checks of one augmenting edge against its original face."""
-    g = d.graph
-    coords = d.coords
-    k = len(walk)
-    darts = {(walk[i], walk[(i + 1) % k]) for i in range(k)}
-    sgn = 1 if e.kind == "min" else -1
-    # endpoints are extrema of the face, u reflexly so
-    assert (e.u, e.kind) in reflex_extrema_of_face(g, coords, e.face)
-    assert e.kind in walk_extrema(walk, coords, e.v)
-    # the witness chain walks the boundary strictly toward v
-    assert e.witness[-1][1] == e.v
-    prev_end = None
-    for a, b in e.witness:
-        assert (a, b) in darts or (b, a) in darts
-        assert sgn * (coords[a][1] - coords[b][1]) > 0
-        if prev_end is not None:
-            assert a == prev_end
-        prev_end = b
-    # the ray target sits on the first witness edge, straight below/above u
-    px, py = e.target_point
-    assert px == coords[e.u][0]
-    assert sgn * (coords[e.u][1] - py) > 0
-    a, b = e.witness[0]
-    assert orientation(coords[a], coords[b], (px, py)) == 0
-    assert min(coords[a][1], coords[b][1]) <= py <= max(coords[a][1], coords[b][1])
-    # oracle: a slightly shifted exact ray must agree with the chosen edge
-    segs = [(coords[p], coords[q]) for p, q in darts]
-    if e.kind == "min":
-        start = (Fraction(coords[e.u][0]) - SHIFT, Fraction(coords[e.u][1]))
-    else:
-        segs = [((-p[0], -p[1]), (-q[0], -q[1])) for p, q in segs]
-        start = (-Fraction(coords[e.u][0]) - SHIFT, -Fraction(coords[e.u][1]))
-    # negating both coordinates preserves the slope, so the shifted hit is
-    # slope * SHIFT below the target in either frame
-    slope = Fraction(coords[b][1] - coords[a][1], coords[b][0] - coords[a][0])
-    got = ray_shoot_down(coords, segs, start)
-    assert got is not None
-    assert got[0] == sgn * Fraction(py) - slope * SHIFT
+    def test_nearest_left_edge_ascends(self):
+        # a walk that crosses itself left of the reflex minimum (6, 5): the
+        # nearest edge left of it below climbs from (2, -5) to (3, 7)
+        wp = [(0, -10), (10, -9), (10, 10), (7, 11), (6, 5), (5, 12),
+              (0, 13), (2, -5), (3, 7), (1, -8)]
+        with pytest.raises(EmbeddingInvalid,
+                           match="does not descend .*left of vertex 6"):
+            _descend(wp, _down(wp), 4, "vertex 6")
 
 
 class TestAugmentRandom:
@@ -357,77 +376,62 @@ class TestAugmentRandom:
             rng = random.Random(3000 + seed)
             d = random_augment_instance(rng, n_lo=12, n_hi=22, drop_frac=0.8)
             g = d.graph
-            inner = g.inner_face_indices()
-            expected = count_reflex_extrema_in_faces(
-                d.coords, [g.face_vertices(f) for f in inner])
-            new_g, added = augment_y_monotone(d)
-            assert len(added) == expected
-            total += len(added)
-            assert new_g.m == g.m + len(added)
-            assert new_g.outer_walk() == g.outer_walk()
+            reflex = count_reflex_extrema_in_faces(
+                d.coords, [g.face_vertices(f) for f in g.inner_face_indices()])
+            # one edge per reflex extremum, but one for two that meet
+            added = check_augmentation(d, redraw=seed % 4 == 0)
+            assert (reflex + 1) // 2 <= added <= reflex
+            new_g = augment_y_monotone(d)
             assert is_internally_3connected(new_g)
-            assert new_g.n - new_g.m + len(new_g.faces) == 2
             for rot in new_g.rotation.values():
                 assert len(set(rot)) == len(rot)
-            for f in new_g.inner_face_indices():
-                assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
-            for e in added:
-                assert not g.has_edge(e.u, e.v)
-                assert new_g.has_edge(e.u, e.v)
-                check_edge_against_face(d, e, g.face_vertices(e.face))
             assert_fraction_oracle_agrees(d)
+            total += added
         assert total >= 40
 
     def test_twenty_vertex_instances_become_monotone(self):
         for seed in range(6):
             rng = random.Random(7100 + seed)
             d = random_augment_instance(rng, n_lo=20, n_hi=20, span=40)
-            new_g, added = augment_y_monotone(d)
+            new_g = augment_y_monotone(d)
             for f in new_g.inner_face_indices():
                 assert y_extrema_count(new_g.face_vertices(f), d.coords) == 2
 
 
 class TestRealization:
-    @pytest.mark.parametrize("coords,cycle", [
-        (COMB3, COMB3_CYCLE), (TWO, TWO_CYCLE), (SPUR, SPUR_CYCLE)])
-    def test_fixture_curves_are_drawable(self, coords, cycle):
-        d = ring_drawing(coords, cycle)
-        _, added = augment_y_monotone(d)
-        polys = realize_augmenting_edges(d, added)
-        assert set(polys) == {(e.u, e.v) for e in added}
-
     def test_random_small_instances_are_drawable(self):
+        # drawable: the augmented graph has a strictly convex drawing with
+        # the same heights, on either axis where no edge is level on it
         drawn = 0
         for seed in range(25):
             rng = random.Random(5200 + seed)
             d = random_augment_instance(rng, n_lo=8, n_hi=13)
-            _, added = augment_y_monotone(d)
-            polys = realize_augmenting_edges(d, added)
-            drawn += len(polys)
+            for axis in (0, 1):
+                if not any(d.ints[u][axis] == d.ints[v][axis]
+                           for u, v in d.graph.edges()):
+                    drawn += check_augmentation(d, axis)
         assert drawn >= 10
 
 
-def assert_fraction_oracle_agrees(d):
-    """The integer-view augmentation gives the Fraction one's rotation and
-    edges; returns the number of edges."""
-    new_g, added = augment_y_monotone(d)
-    rotation, edges = augment_y_monotone_fraction(d.graph, d.coords)
-    assert new_g.rotation == rotation
-    assert [(e.u, e.v, e.face, e.kind, e.witness, e.target_point)
-            for e in added] == edges
-    return len(added)
+def assert_fraction_oracle_agrees(d, axis=1):
+    """The integer-view augmentation gives the Fraction oracle's rotation;
+    returns the number of added edges."""
+    new_g = augment_y_monotone(d, axis)
+    assert new_g.rotation == augment_monotone_fraction(d.graph, d.coords,
+                                                       axis)
+    return new_g.m - d.graph.m
 
 
 def scaled(d):
     """x -> (x - 17)/3, y -> (y - 23)/5: negative, non-dyadic coordinates
-    with every vertical alignment (and so every ray tie) kept."""
+    with every vertical alignment (and so every tie) kept."""
     return Drawing(d.graph, {v: ((x - 17) / 3, (y - 23) / 5)
                              for v, (x, y) in d.coords.items()})
 
 
 def skewed(d):
-    """scaled, then x -> x + y/7: orientation and heights kept, the rays
-    moved."""
+    """scaled, then x -> x + y/7: orientations, heights and the order
+    along x within one height kept, every vertical alignment moved."""
     return Drawing(d.graph, {v: (x + y / 7, y)
                              for v, (x, y) in scaled(d).coords.items()})
 
@@ -440,45 +444,76 @@ FAMILIES = {
 
 
 class TestFractionOracle:
-    @pytest.mark.parametrize("coords,cycle", [
-        (COMB3, COMB3_CYCLE), (TWO, TWO_CYCLE), (SPUR, SPUR_CYCLE),
-        (STAIR, STAIR_CYCLE)])
+    @pytest.mark.parametrize("coords,cycle", RINGS)
     def test_rings(self, coords, cycle):
+        # the rule reads orientations, heights and x within a height
+        # only, so moving the points by either map changes nothing
         d = ring_drawing(coords, cycle)
-        counts = [assert_fraction_oracle_agrees(dd)
-                  for dd in (d, scaled(d), skewed(d))]
-        assert counts[0] == counts[1] == counts[2]
+        for dd in (d, scaled(d), skewed(d)):
+            assert_fraction_oracle_agrees(dd)
+            assert augment_y_monotone(dd) == augment_y_monotone(d)
 
     def test_spur_tie_survives_scaling(self):
-        _, added = augment_y_monotone(scaled(ring_drawing(SPUR, SPUR_CYCLE)))
-        assert added[0].witness[0] == (7, 8)
-        assert added[0].target_point == (rat(-5), rat(-23, 5))
+        # 8 stays straight below 4, and the descent still passes it
+        d = scaled(ring_drawing(SPUR, SPUR_CYCLE))
+        assert d.coords[8][0] == d.coords[4][0] == rat(-5)
+        assert added_edges(d, augment_y_monotone(d)) == [(1, 4)]
+        assert_fraction_oracle_agrees(d)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_family_drawings(self, family, monkeypatch):
         # each input with and without more of its inner edges, and every
-        # drawing convexify augments (transposed where it augments in x);
-        # as they are and moved off the grid
-        seen = []
-        real = morph_engine.augment_y_monotone
-
-        def spy(d, axis=1):
-            seen.append(d if axis == 1 else transposed(d))
-            return real(d, axis)
-
-        monkeypatch.setattr(morph_engine, "augment_y_monotone", spy)
-        for seed in range(2):
-            d = FAMILIES[family](random.Random(seed))
-            seen += [d, _drop_inner_edges(random.Random(seed), d, 0.8)]
-            convexify(d)
+        # drawing convexify augments, on its axis; as they are, and moved
+        # off the grid where the axis is y
+        seen = augmented_drawings(monkeypatch, FAMILIES[family], range(2),
+                                  with_inputs=True)
         edges = 0
-        for d in seen:
-            if any(d.coords[u][1] == d.coords[v][1] for u, v in d.graph.edges()):
+        for d, axis in seen:
+            if any(d.ints[u][axis] == d.ints[v][axis]
+                   for u, v in d.graph.edges()):
                 continue
-            edges += assert_fraction_oracle_agrees(d)
-            edges += assert_fraction_oracle_agrees(scaled(d))
-            edges += assert_fraction_oracle_agrees(skewed(d))
+            edges += assert_fraction_oracle_agrees(d, axis)
+            if axis == 1:
+                edges += assert_fraction_oracle_agrees(scaled(d))
+                edges += assert_fraction_oracle_agrees(skewed(d))
         assert edges > 0
+
+
+def augmented_drawings(mp, make, seeds, with_inputs=False):
+    """(drawing, axis) of every augment_y_monotone call of convexify on
+    make(Random(seed)) for each seed, spied through the monkeypatch mp;
+    with_inputs adds each input with and without more of its inner edges,
+    at axis 1."""
+    seen = []
+    real = morph_engine.augment_y_monotone
+
+    def spy(d, axis=1):
+        seen.append((d, axis))
+        return real(d, axis)
+
+    mp.setattr(morph_engine, "augment_y_monotone", spy)
+    for seed in seeds:
+        d = make(random.Random(seed))
+        if with_inputs:
+            seen += [(d, 1),
+                     (_drop_inner_edges(random.Random(seed), d, 0.8), 1)]
+        convexify(d)
+    mp.undo()
+    return seen
+
+
+CERTIFIED = dict(FAMILIES,
+                 deep_pockets=lambda rng: pocket_instance(rng, 40, 30, 3))
+
+
+@given(st.sampled_from(sorted(CERTIFIED)), st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_augmented_drawings_certify(family, seed):
+    # every drawing convexify augments, on the axis it augments
+    with pytest.MonkeyPatch.context() as mp:
+        seen = augmented_drawings(mp, CERTIFIED[family], [seed])
+    for d, axis in seen:
+        check_augmentation(d, axis)
 
 
 class TestApplyPlans:
@@ -487,12 +522,3 @@ class TestApplyPlans:
         f = single_inner_face(d.graph)
         with pytest.raises(EmbeddingInvalid, match=f"vertex 9 .*face {f}"):
             _apply_plans(d.graph, {(f, 9): [1]})
-
-    def test_plans_of_both_phases_at_one_wedge(self, monkeypatch):
-        # both passes planning curves into the wedge of face f at vertex 6
-        d = ring_drawing(TWO, TWO_CYCLE)
-        f = single_inner_face(d.graph)
-        monkeypatch.setattr(monotone_augment, "_phase",
-                            lambda g, pts, turn: ([], {(f, 6): [3]}))
-        with pytest.raises(EmbeddingInvalid, match=f"face {f} .*vertex 6"):
-            augment_y_monotone(d)

@@ -53,7 +53,7 @@ def vertex_swap_step():
 
 def redraw_step(rng):
     d = random_augment_instance(rng)
-    g_aug, _ = augment_y_monotone(d)
+    g_aug = augment_y_monotone(d)
     d_aug = Drawing(g_aug, d.coords)
     poly = convex_polygon_for_y(g_aug.outer_walk(),
                                 {v: p[1] for v, p in d.coords.items()})
