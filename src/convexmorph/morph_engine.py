@@ -44,9 +44,8 @@ convex, which certifies that it is planar and realizes the same embedding
 (see plane_graph), and meets the step's own extra condition, so it amounts
 to a slightly different but equally valid choice of the same move.  The
 snapped values come from tutte_solver.RoundedSolution, which certifies each
-rounding of the Tutte solution without computing that solution exactly;
-only when it cannot certify one does the exact solve run, so every snap is
-the rounding of the exact solution.
+rounding of the Tutte solution without computing that solution exactly,
+so every snap is the rounding of the exact solution.
 
 A check that fails on a drawing the pipeline made raises a ConvexifyError
 naming the step and the check.
@@ -93,6 +92,7 @@ from .tutte_solver import (
     ConstraintInfeasible,
     WrongChain,
     RoundedSolution,
+    _Uncertified,
     convex_polygon_for_x,
     convex_polygon_for_y,
     redraw_rows,
@@ -209,17 +209,17 @@ def _round_div(n: int, q: int) -> int:
 
 
 def _snapped(d: Drawing, ma: int, poly: BoundaryPolygon,
-             solution: RoundedSolution, bits: int) -> Drawing:
+             rounded: Dict[int, int], bits: int) -> Drawing:
     """d with its coordinates on axis ma snapped to the grid 2^-bits: the
-    boundary's rounded from poly, the rest solution.rounded(bits). The
-    snapped drawing is over lcm(d.den, 2^bits), so the rounded integers go
-    in as they are."""
+    boundary's rounded from poly, the rest given as rounded (each times
+    2^bits, as RoundedSolution.rounded(bits) answers). The snapped drawing
+    is over lcm(d.den, 2^bits), so the rounded integers go in as they are."""
     scale = 1 << bits
     den = math.lcm(d.den, scale)
     up, step = den // d.den, den // scale
     values = {v: _round_div(p[ma] << bits, poly.den) * step
               for v, p in poly.ints.items()}
-    for u, j in solution.rounded(bits).items():
+    for u, j in rounded.items():
         values[u] = j * step
     if ma == 0:
         ints = {v: (values[v], y * up) for v, (_, y) in d.ints.items()}
@@ -234,10 +234,11 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
              ) -> Drawing:
     """The redraw of d whose moving-axis coordinates are poly's (on the
     boundary) and solution's (the rest), snapped (_snapped) to the first
-    grid of _grid_bits(48) whose drawing is strictly convex and meets
-    require. A strictly convex drawing, each face walk winding once, is
-    planar and realizes its embedding (Floater 2003; see plane_graph), so a
-    snap needs no segment sweep and no rotation check.
+    grid of _grid_bits(48) on which solution certifies its rounding and
+    whose drawing is strictly convex and meets require. A strictly convex
+    drawing, each face walk winding once, is planar and realizes its
+    embedding (Floater 2003; see plane_graph), so a snap needs no segment
+    sweep and no rotation check.
 
     The exact redraw is strictly convex and both conditions are open, so
     some grid is fine enough: the ladder runs out only when the exact
@@ -245,7 +246,10 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     then PostconditionFailed names note."""
     ma = direction.moving_axis
     for bits in _grid_bits(48):
-        cand = _snapped(d, ma, poly, solution, bits)
+        rounded = solution.rounded(bits)
+        if rounded is None:
+            continue
+        cand = _snapped(d, ma, poly, rounded, bits)
         if _certified(cand, require):
             return cand
     raise PostconditionFailed(
@@ -281,9 +285,13 @@ def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
             ) -> Drawing:
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
     by _compact; the drawing returned is strictly convex and meets
-    require, if one is given."""
-    solution = RoundedSolution(*redraw_rows(d, poly, direction.fixed_axis))
-    return _compact(d, direction, poly, solution, require, note)
+    require, if one is given. A system RoundedSolution cannot certify
+    raises PostconditionFailed naming note and the reason."""
+    try:
+        solution = RoundedSolution(*redraw_rows(d, poly, direction.fixed_axis))
+        return _compact(d, direction, poly, solution, require, note)
+    except _Uncertified as exc:
+        raise PostconditionFailed(note, str(exc)) from None
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,

@@ -13,9 +13,8 @@ A redraw needs its solution only rounded to a dyadic grid (the engine
 emits no redraw exactly), so RoundedSolution answers those roundings and
 nothing else, without the exact solution: iterative refinement with a
 float LU against exact integer residuals, and a bound that an exact
-M-matrix certificate proves. Where the bound cannot settle an answer, the
-exact solve runs instead, so each answer equals the rounding of the exact
-solution.
+M-matrix certificate proves. An answer the bound cannot settle is not
+given, so every answer equals the rounding of the exact solution.
 
 A redraw keeps one axis and solves only for the other, since weights
 taken from the kept coordinates reproduce them exactly. The code speaks of
@@ -36,7 +35,6 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
-    _integer_view,
     _ratio,
     orientation,
     rat,
@@ -94,23 +92,15 @@ class WeightAssignment:
 
 class BoundaryPolygon:
     """Outer-face vertices in walk order (clockwise) with fixed coordinates,
-    stored like a Drawing's: the point of v is ints[v] / den (den > 0, not
-    necessarily reduced). BoundaryPolygon(cycle, coords) takes ints,
-    Fractions or floats; coords builds Fractions when asked."""
+    stored like a Drawing's: the point of v is ints[v] / den (a pair of ints
+    per vertex, den > 0, not necessarily reduced); coords builds Fractions
+    when asked."""
 
     __slots__ = ("cycle", "ints", "den")
 
-    def __init__(self, cycle: Sequence[int], coords: Dict[int, Tuple]):
-        self.cycle = tuple(cycle)
-        self.ints, self.den = _integer_view(coords)
-
-    @classmethod
-    def from_ints(cls, cycle: Sequence[int],
-                  ints: Dict[int, Tuple[int, int]], den: int
-                  ) -> "BoundaryPolygon":
-        poly = object.__new__(cls)
-        poly.cycle, poly.ints, poly.den = tuple(cycle), ints, den
-        return poly
+    def __init__(self, cycle: Sequence[int],
+                 ints: Dict[int, Tuple[int, int]], den: int):
+        self.cycle, self.ints, self.den = tuple(cycle), ints, den
 
     @property
     def coords(self) -> Dict[int, Tuple[Fraction, Fraction]]:
@@ -280,8 +270,6 @@ def solve_rows(rows: Dict[int, Dict[int, object]],
 # -- certified rounding ------------------------------------------------------
 
 _GUARD_BITS = 16    # scale bits kept below the precision a query asks for
-_EXTRA_BITS = 64    # scale added per retry when the bound is too coarse
-_RETRIES = 2
 
 
 class _Uncertified(Exception):
@@ -338,18 +326,17 @@ def _lu_solve(steps, rhs: Dict[int, float]) -> Dict[int, float]:
 
 
 class RoundedSolution:
-    """The solution x of a square system rows * x = rhs / den (one
-    right-hand side per row, ints or rationals, over one positive int den,
-    as tutte_rows_from_y builds it), answered only as the rounding to the
-    dyadic grid each query asks for, not exactly.
+    """The solution x of a square system rows * x = rhs / den (integer rows
+    and right-hand sides over one positive int den, as tutte_rows_from_y
+    builds them), answered only as the rounding to the dyadic grid each
+    query asks for, not exactly.
 
-    Each row e is scaled to integers, A_e x = B_e / d_e with B_e / d_e in
-    lowest terms: a common factor would change neither the bound t below
-    nor any refinement step, only lengthen every residual. When every
-    diagonal entry is positive and every other entry negative, and an
-    integer V > 0 has A V > 0 (V is the float solve of D^-1 A v = 1,
-    rounded up), A is a nonsingular M-matrix, so A^-1 >= 0 and for every
-    approximation X of x * 2^k
+    Row e reads A_e x = B_e / d_e with B_e / d_e in lowest terms: a common
+    factor would change neither the bound t below nor any refinement step,
+    only lengthen every residual. When every diagonal entry is positive and
+    every other entry negative, and an integer V > 0 has A V > 0 (V is the
+    float solve of D^-1 A v = 1, rounded up), A is a nonsingular M-matrix,
+    so A^-1 >= 0 and for every approximation X of x * 2^k
 
         |x_u 2^k - X_u| <= t / m * V_u,  t = max_e |R_e| / (d_e A_ee),
                                          m = min_e (A V)_e / A_ee,
@@ -359,44 +346,25 @@ class RoundedSolution:
     float LU of D^-1 A with diagonal pivots (a nonsingular M-matrix needs
     no numerical pivoting), then X += round(LU^-1 (D^-1 R / d)). Every
     certificate and bound is checked in integers, so a floating-point
-    mistake can only cost a fallback.
+    mistake cannot give a wrong answer.
 
-    When the certificate fails, a float is not finite, refinement stalls,
-    or a rounding cannot be separated from its tie, the exact solve_rows
-    runs once and its solution is rounded from then on; fallback names the
-    reason, or is None while no exact solve ran."""
+    An empty system answers {}. When the certificate fails, a float is not
+    finite or refinement stalls, _Uncertified names the reason."""
 
-    def __init__(self, rows: Dict[int, Dict[int, object]],
-                 rhs: Dict[int, object], den: int):
-        self._rows, self._rhs, self._den = rows, rhs, den
-        self.fallback: Optional[str] = None
-        self._exact: Optional[Dict[int, object]] = None
-        try:
-            self._certify()
-        except _Uncertified as exc:
-            self._fall_back(str(exc))
-
-    def _fall_back(self, reason: str):
-        self.fallback = reason
-        cols = {e: [c] for e, c in self._rhs.items()}
-        self._exact = {u: x / self._den for u, (x,) in
-                       solve_rows(self._rows, cols).items()}
-
-    def _certify(self):
-        if not self._rows:
-            raise _Uncertified("empty system")
-        a, b, d = {}, {}, {}
-        for e, r in self._rows.items():
-            terms = [(v, _ratio(c)) for v, c in r.items()]
-            scale = math.lcm(*(q for _, (_, q) in terms))
-            a[e] = {v: p * (scale // q) for v, (p, q) in terms if p}
-            bp, bq = _ratio(self._rhs[e])
-            g = math.gcd(bp, bq * self._den)
-            b[e], d[e] = bp // g * scale, bq * self._den // g
-            if (a[e].get(e, 0) <= 0 or not a[e].keys() <= self._rows.keys()
-                    or any(c >= 0 for v, c in a[e].items() if v != e)):
+    def __init__(self, rows: Dict[int, Dict[int, int]],
+                 rhs: Dict[int, int], den: int):
+        a, b, d = rows, {}, {}
+        for e, r in a.items():
+            g = math.gcd(rhs[e], den)
+            b[e], d[e] = rhs[e] // g, den // g
+            if (r.get(e, 0) <= 0 or not r.keys() <= a.keys()
+                    or any(c >= 0 for v, c in r.items() if v != e)):
                 raise _Uncertified("not an M-matrix sign pattern")
         self._a, self._b, self._d = a, b, d
+        self._k = 0
+        self._x = dict.fromkeys(a, 0)
+        if not a:
+            return
         try:
             self._lu = _float_lu({e: {v: c / r[e] for v, c in r.items()}
                                   for e, r in a.items()})
@@ -419,8 +387,6 @@ class RoundedSolution:
         self._m = Fraction(av[lo], a[lo][lo])
         # bits of t / m * max V when t is about 1, as after convergence
         self._lead = (max(vv.values()) // self._m).bit_length() + 2
-        self._k = 0
-        self._x = dict.fromkeys(a, 0)
 
     def _refine(self, k: int):
         """Move X up to scale 2^k and refine it until the scaled residual t
@@ -445,48 +411,39 @@ class RoundedSolution:
             if t is not None and tn * 256 * t[1] > t[0] * td:
                 raise _Uncertified("refinement stalled")
             t = (tn, td)
+            # each correction is at most t / m * V_u < t * 2^lead; the float
+            # solve takes the residual over 2^sh, so none overflows
+            sh = max(0, (tn // td).bit_length() + self._lead - 960)
             try:
-                corr = _lu_solve(self._lu, {e: res[e] / (d[e] * a[e][e])
-                                            for e in a})
+                corr = _lu_solve(self._lu, {
+                    e: res[e] / ((d[e] * a[e][e]) << sh) for e in a})
                 for u, c in corr.items():
-                    x[u] += round(c)
+                    x[u] += round(c) << sh
             except (ArithmeticError, ValueError):
                 raise _Uncertified("float overflow") from None
         self._err = Fraction(tn, td) / self._m
 
-    def rounded(self, bits: int) -> Dict[int, int]:
-        """round(x_u * 2^bits) for every u (Python's round: half to even).
-        Refines at scale 2^(bits + lead + guard), then up to _RETRIES times
-        _EXTRA_BITS more, until the bound keeps every rounding off its tie."""
-        if self._exact is None:
-            out = {}
-            k = max(self._k, bits + self._lead + _GUARD_BITS)
-            try:
-                for _ in range(_RETRIES + 1):
-                    if k > self._k:
-                        self._refine(k)
-                    if self._round_into(bits, out):
-                        return out
-                    k = self._k + _EXTRA_BITS
-                raise _Uncertified("rounding too close to a tie")
-            except _Uncertified as exc:
-                self._fall_back(str(exc))
-        scale = 1 << bits
-        return {u: round(x * scale) for u, x in self._exact.items()}
-
-    def _round_into(self, bits: int, out: Dict[int, int]) -> bool:
-        """Fill out with the rounding of each X_u / 2^(k - bits) and say
-        whether the error bound keeps every one off its ties."""
+    def rounded(self, bits: int) -> Optional[Dict[int, int]]:
+        """round(x_u * 2^bits) for every u (Python's round: half to even),
+        refined at scale 2^(bits + lead + guard) if not finer already; None
+        when the bound there cannot keep every rounding off its tie. A tie
+        of one grid is a point of the next, far from that grid's ties, so
+        the next grid of a ladder answers."""
+        if not self._x:
+            return {}
+        if bits + self._lead + _GUARD_BITS > self._k:
+            self._refine(bits + self._lead + _GUARD_BITS)
         sh = self._k - bits
         half = 1 << (sh - 1)
         p, q = self._err.numerator, self._err.denominator
+        out = {}
         for u, xu in self._x.items():
             j = (xu + half) >> sh
             dist = min(xu - (j << sh) + half, (j << sh) + half - xu)
             if not p * self._v[u] < dist * q:
-                return False
+                return None
             out[u] = j
-        return True
+        return out
 
 
 def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
@@ -575,7 +532,7 @@ def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
 # -- boundary polygon construction -------------------------------------------
 
 
-def _split_chains(cycle: Sequence[int], y: Dict[int, object]):
+def _split_chains(cycle: Sequence[int], y: Dict[int, int]):
     """Split a clockwise outer cycle at its unique bottom and top vertex.
 
     Returns (left, right), both ordered bottom to top; the clockwise walk
@@ -584,16 +541,16 @@ def _split_chains(cycle: Sequence[int], y: Dict[int, object]):
     bot = min(range(k), key=lambda i: (y[cycle[i]], i))
     top = max(range(k), key=lambda i: (y[cycle[i]], -i))
     for i in range(k):
-        if i != bot and sign_of(y[cycle[i]] - y[cycle[bot]]) == 0:
+        if i != bot and y[cycle[i]] == y[cycle[bot]]:
             raise NotYMonotoneCycle("bottom vertex not unique")
-        if i != top and sign_of(y[cycle[i]] - y[cycle[top]]) == 0:
+        if i != top and y[cycle[i]] == y[cycle[top]]:
             raise NotYMonotoneCycle("top vertex not unique")
     left = [cycle[(bot + i) % k] for i in range(((top - bot) % k) + 1)]
     right = [cycle[(top + i) % k] for i in range(((bot - top) % k) + 1)]
     right.reverse()
     for chain in (left, right):
         for a, b in zip(chain, chain[1:]):
-            if sign_of(y[b] - y[a]) <= 0:
+            if y[b] <= y[a]:
                 raise NotYMonotoneCycle("chain not strictly increasing")
     return left, right
 
@@ -638,18 +595,10 @@ def _chain_slopes(incr: List[int], den: int, flip: Optional[int],
     return s, q
 
 
-def _int_heights(cycle: Sequence[int], y: Dict[int, object], den: int):
-    """The heights y[v] / den of the cycle as ints over one positive den."""
-    vals = [_ratio(y[v]) for v in cycle]
-    scale = math.lcm(*(q for _, q in vals))
-    return ({v: n * (scale // q) for v, (n, q) in zip(cycle, vals)},
-            den * scale)
-
-
-def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
+def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
                          pins: Tuple = (), den: int = 1) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving the
-    heights y[v] / den (y holds ints or rationals).
+    heights y[v] / den (y holds ints, den > 0).
 
     Default shape is the parabola pair x = -+ (y - ymin)(ymax - y)/(ymax -
     ymin). Dividing by the span keeps every x within a quarter of the span
@@ -657,23 +606,23 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     horizontal and vertical redraws alternate, each call (this one keeping
     y, convex_polygon_for_x keeping x) would square the magnitude again.
     pins lists (vertex, 'left'|'right'), at most one per side, and makes
-    each vertex the unique leftmost or rightmost; a pinned vertex must lie on the matching chain (or be the
-    bottom/top vertex). The pinned widths are not scale-invariant, so
-    the polygon is built from the rational heights (the ints over den),
-    and its coordinates are the same rationals at any scale of y."""
-    iy, den = _int_heights(cycle, y, den)
-    left, right = _split_chains(cycle, iy)
+    each vertex the unique leftmost or rightmost; a pinned vertex must lie
+    on the matching chain (or be the bottom/top vertex). The pinned widths
+    are not scale-invariant, so the polygon is built from the rational
+    heights (the ints over den), and its coordinates are the same
+    rationals at any scale of y."""
+    left, right = _split_chains(cycle, y)
     bot, top = left[0], left[-1]
 
     if not pins:
-        y0, yT = iy[bot], iy[top]
+        y0, yT = y[bot], y[top]
         span = yT - y0
         ints = {}
         for v in left:
-            ints[v] = (-(iy[v] - y0) * (yT - iy[v]), iy[v] * span)
+            ints[v] = (-(y[v] - y0) * (yT - y[v]), y[v] * span)
         for v in right[1:-1]:
-            ints[v] = ((iy[v] - y0) * (yT - iy[v]), iy[v] * span)
-        poly = BoundaryPolygon.from_ints(cycle, ints, den * span)
+            ints[v] = ((y[v] - y0) * (yT - y[v]), y[v] * span)
+        poly = BoundaryPolygon(cycle, ints, den * span)
         poly.validate()
         return poly
 
@@ -699,8 +648,8 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
         raise ConstraintInfeasible("same vertex pinned to both sides")
 
     p, q = len(left) - 1, len(right) - 1
-    a = [iy[left[i]] - iy[left[i - 1]] for i in range(1, p + 1)]
-    h = [iy[right[j]] - iy[right[j - 1]] for j in range(1, q + 1)]
+    a = [y[left[i]] - y[left[i - 1]] for i in range(1, p + 1)]
+    h = [y[right[j]] - y[right[j - 1]] for j in range(1, q + 1)]
 
     def interval(flip, edges, left_side):
         if flip is None:
@@ -730,16 +679,16 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
                 continue
         # slope times increment sums to x times sq * den on the left chain
         # and tq * den on the right; the polygon is over sq * tq * den
-        ints = {bot: (0, iy[bot] * sq * tq)}
+        ints = {bot: (0, y[bot] * sq * tq)}
         acc = 0
         for i, v in enumerate(left[1:], start=1):
             acc += s[i - 1] * a[i - 1]
-            ints[v] = (acc * tq, iy[v] * sq * tq)
+            ints[v] = (acc * tq, y[v] * sq * tq)
         acc = 0
         for j, v in enumerate(right[1:-1], start=1):
             acc += t[j - 1] * h[j - 1]
-            ints[v] = (acc * sq, iy[v] * sq * tq)
-        poly = BoundaryPolygon.from_ints(cycle, ints, sq * tq * den)
+            ints[v] = (acc * sq, y[v] * sq * tq)
+        poly = BoundaryPolygon(cycle, ints, sq * tq * den)
         try:
             poly.validate()
         except ValueError:
@@ -749,7 +698,7 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, object],
     raise ConstraintInfeasible("no polygon found for the requested pins")
 
 
-def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
+def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, int],
                          extreme_vertex: Optional[int] = None,
                          side: str = "top", den: int = 1) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving
@@ -762,7 +711,7 @@ def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, object],
     pins = () if extreme_vertex is None else (
         (extreme_vertex, "right" if side == "top" else "left"),)
     poly = convex_polygon_for_y(tuple(reversed(cycle)), x, pins, den)
-    out = BoundaryPolygon.from_ints(
+    out = BoundaryPolygon(
         cycle, {v: (py, px) for v, (px, py) in poly.ints.items()}, poly.den)
     out.validate()
     return out

@@ -587,16 +587,16 @@ def transposed(d):
                              d.den)
 
 
-def snap_fraction(d, ma, poly, solution, bits):
+def snap_fraction(d, ma, poly, rounded, bits):
     """morph_engine._snapped in plain Fraction arithmetic: each moving
     coordinate on axis ma becomes the rational round(x * 2^bits) / 2^bits
-    of the boundary's, or solution.rounded(bits) / 2^bits."""
+    of the boundary's, or rounded[u] / 2^bits."""
     from convexmorph.plane_graph import Drawing
 
     scale = 1 << bits
     values = {v: Fraction(round(p[ma] * scale), scale)
               for v, p in poly.coords.items()}
-    for u, j in solution.rounded(bits).items():
+    for u, j in rounded.items():
         values[u] = Fraction(j, scale)
     return Drawing(d.graph, {v: (values[v], p[1]) if ma == 0
                              else (p[0], values[v])

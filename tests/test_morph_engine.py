@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import random
@@ -27,6 +28,7 @@ from convexmorph.plane_graph import (
     EmbeddingInvalid,
     NotPlanarInput,
     ShearConstraints,
+    _integer_view,
     _shear_ok,
     build_plane_graph_from_points,
     choose_safe_shear,
@@ -256,11 +258,10 @@ def dyadic(c) -> bool:
 
 
 def spy_redraws(monkeypatch):
-    """Two lists that fill as convexify runs: for each redraw _compact
-    emits, whether its moving axis is snapped (every coordinate dyadic);
-    and the arguments of every exact solve_rows call."""
-    redraws, exact_solves = [], []
-    compact, solve_rows = morph_engine._compact, tutte_solver.solve_rows
+    """A list that fills as convexify runs: for each redraw _compact
+    emits, whether its moving axis is snapped (every coordinate dyadic)."""
+    redraws = []
+    compact = morph_engine._compact
 
     def spy(d, direction, *args):
         out = compact(d, direction, *args)
@@ -268,13 +269,8 @@ def spy_redraws(monkeypatch):
                            for p in out.coords.values()))
         return out
 
-    def spy_solve(*args):
-        exact_solves.append(args)
-        return solve_rows(*args)
-
     monkeypatch.setattr(morph_engine, "_compact", spy)
-    monkeypatch.setattr(tutte_solver, "solve_rows", spy_solve)
-    return redraws, exact_solves
+    return redraws
 
 
 # Deep pockets: three passes of outer-edge removal at n = 40. With a
@@ -283,14 +279,12 @@ def spy_redraws(monkeypatch):
 # minutes while its coordinates grew to hundreds of thousands of bits.
 @pytest.mark.parametrize("seed", [3006, 3009])
 def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
-    redraws, exact_solves = spy_redraws(monkeypatch)
+    redraws = spy_redraws(monkeypatch)
     d = pocket_instance(random.Random(seed), 40, 30, passes=3)
     assert not three_connected(d.graph.adjacency())
     seq = convexify(d)
-    # every redraw emitted a snapped drawing, never the exact solution, and
-    # every snap came from the certified rounding, with no exact solve
+    # every redraw emitted a snapped drawing, never the exact solution
     assert redraws and all(redraws)
-    assert exact_solves == []
     assert all(check_unidirectional_planar(step) for step in seq.steps)
     assert check_convexity_increasing(seq, d.graph)
     assert check_step_bounds(seq, "general")
@@ -303,11 +297,10 @@ def test_convexify_certified_on_deep_pockets(seed, monkeypatch):
 # coordinates grew past 279,000 bits. Certifying every step of this run
 # takes about 40 s, so only the end drawing is checked.
 def test_convexify_deep_pocket_at_n80_snaps_every_redraw(monkeypatch):
-    redraws, exact_solves = spy_redraws(monkeypatch)
+    redraws = spy_redraws(monkeypatch)
     d = pocket_instance(random.Random(3000), 80, 30, passes=3)
     seq = convexify(d)
     assert redraws and all(redraws)
-    assert exact_solves == []
     assert is_strictly_convex(seq.final)
     assert same_plane_graph(seq.final.graph, d.graph)
 
@@ -333,17 +326,6 @@ def test_integer_shear_matches_fraction_oracle(pts, axis, lam):
     assert got.coords == want.coords
 
 
-class FixedRounding:
-    """The rounded(bits) of a RoundedSolution whose one unknown, vertex 4,
-    is value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def rounded(self, bits):
-        return {4: round(self.value * (1 << bits))}
-
-
 # every boundary coordinate and the unknown on a tie of the 2^-1 grid
 TIES = [(Fraction(k, 4), Fraction(-k, 4)) for k in (1, 3, -5, 7)]
 
@@ -355,10 +337,12 @@ TIES = [(Fraction(k, 4), Fraction(-k, 4)) for k in (1, 3, -5, 7)]
 @settings(max_examples=150, deadline=None)
 def test_integer_snap_matches_fraction_oracle(pts, ring, ma, bits, value):
     d = Drawing(K4, dict(zip((1, 2, 3, 4), pts)))
-    poly = BoundaryPolygon((1, 3, 2), dict(zip((1, 3, 2), ring)))
-    solution = FixedRounding(value)
-    got = morph_engine._snapped(d, ma, poly, solution, bits)
-    want = snap_fraction(d, ma, poly, solution, bits)
+    ints, den = _integer_view(dict(zip((1, 3, 2), ring)))
+    poly = BoundaryPolygon((1, 3, 2), ints, den)
+    # the rounding of the one unknown, vertex 4, at value
+    rounded = {4: round(value * (1 << bits))}
+    got = morph_engine._snapped(d, ma, poly, rounded, bits)
+    want = snap_fraction(d, ma, poly, rounded, bits)
     assert (got.ints, got.den) == (want.ints, want.den)
 
 
@@ -423,14 +407,22 @@ def test_convexify_deep_pocket_80(seed):
     assert same_plane_graph(seq.final.graph, d.graph)
 
 
-def test_failed_postcondition_raises_a_typed_error():
-    # a triangle around one vertex; a require that always fails
+def one_vertex_triangle():
+    """A triangle around one vertex, and the default polygon of a
+    horizontal redraw of it."""
     coords = {1: (0, 0), 2: (4, 1), 3: (1, 5), 4: (2, 2)}
     g = build_plane_graph_from_points(
         coords, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (3, 4)])
     d = Drawing(g, coords)
     poly = convex_polygon_for_y(g.outer_walk(),
-                                {v: p[1] for v, p in d.coords.items()})
+                                {v: p[1] for v, p in d.ints.items()},
+                                den=d.den)
+    return d, poly
+
+
+def test_failed_postcondition_raises_a_typed_error():
+    # a require that always fails
+    d, poly = one_vertex_triangle()
     with pytest.raises(PostconditionFailed) as info:
         morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step",
                              lambda dd: False)
@@ -439,6 +431,62 @@ def test_failed_postcondition_raises_a_typed_error():
     assert info.value.layer == "a noted step"
     assert info.value.check == (
         "redraw failed its postcondition on every grid to 2^-65536")
+
+
+def test_compact_skips_a_grid_without_a_certified_rounding(monkeypatch):
+    # a rounding too close to its tie answers None; _compact moves on to
+    # the next grid of its ladder
+    d, poly = one_vertex_triangle()
+    solution = tutte_solver.RoundedSolution(*tutte_solver.redraw_rows(
+        d, poly, 1))
+    want = morph_engine._snapped(d, 0, poly, solution.rounded(64), 64)
+    asked = []
+    rounded = tutte_solver.RoundedSolution.rounded
+
+    def none_at_48(self, bits):
+        asked.append(bits)
+        return None if bits == 48 else rounded(self, bits)
+
+    monkeypatch.setattr(tutte_solver.RoundedSolution, "rounded", none_at_48)
+    out = morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step")
+    assert asked == [48, 64]
+    assert (out.ints, out.den) == (want.ints, want.den)
+    # on the 2^-64 grid, not on the 2^-48 one
+    assert (1 << 64) % out.den == 0 and (1 << 48) % out.den != 0
+    assert is_strictly_convex(out)
+
+
+def test_uncertified_system_raises_a_typed_error(monkeypatch):
+    # a system off the M-matrix sign pattern (its diagonal negated) has no
+    # certified rounding; _redraw names the step and the reason
+    d, poly = one_vertex_triangle()
+    real = morph_engine.redraw_rows
+
+    def negated(*args):
+        rows, rhs, den = real(*args)
+        return ({e: {v: -c if v == e else c for v, c in r.items()}
+                 for e, r in rows.items()}, rhs, den)
+
+    monkeypatch.setattr(morph_engine, "redraw_rows", negated)
+    with pytest.raises(PostconditionFailed) as info:
+        morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step")
+    assert info.value.layer == "a noted step"
+    assert info.value.check == "not an M-matrix sign pattern"
+
+
+# sha256 over the event digests of convexify on deep pockets 3000-3019 at
+# n = 40 (the recipe above): the pinned outputs include long buffer-removal
+# runs, whose coordinates reach hundreds of bits
+DEEP_POCKETS_40 = (
+    "3913d51e7b933eece5ddae67c1327642477ae837d58bc7379642e9c65918fba6")
+
+
+def test_convexify_on_deep_pockets_unchanged():
+    digests = "".join(
+        event_digest(convexify(pocket_instance(random.Random(seed), 40, 30,
+                                               passes=3)))
+        for seed in range(3000, 3020))
+    assert hashlib.sha256(digests.encode()).hexdigest() == DEEP_POCKETS_40
 
 
 def convex_outer_instance(rng, n, span):
@@ -541,8 +589,12 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
     verdicts = []
     for d, direction, poly, solution, require, _ in redraws:
         for bits in range(1, 17):
+            # a grid whose rounding solution cannot certify gets no snap
+            rounded = solution.rounded(bits)
+            if rounded is None:
+                continue
             cand = morph_engine._snapped(d, direction.moving_axis, poly,
-                                         solution, bits)
+                                         rounded, bits)
             extra = require is None or require(cand)
             try:
                 validate_drawing(cand)

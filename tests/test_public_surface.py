@@ -21,18 +21,17 @@ PACKAGE = ROOT / "src" / "convexmorph"
 BENCH = ROOT / "perfbench"
 
 # read outside src and perfbench only, each for a stated reason:
-# weights_from_y and its WeightAssignment (with its members) are traced by
-# perfbench/layers.py and define the weights that tutte_rows_from_y scales;
-# fallback is the observability hook of RoundedSolution; GraphEdit.label
+# weights_from_y and its WeightAssignment (with its members) stay as the
+# reference that perfbench/layers.py traces and the tests compare against:
+# they define the weights that tutte_rows_from_y scales; GraphEdit.label
 # names each graph edit of a returned sequence, as MorphStep.provenance
 # names each step
-ALLOWED = {"weights_from_y", "WeightAssignment", "RoundedSolution.fallback",
-           "GraphEdit.label"}
+ALLOWED = {"weights_from_y", "WeightAssignment", "GraphEdit.label"}
 
 # member names that more than one public class declares: a read of any of
 # them counts for every such class, so the scan cannot tell whether each
 # class's own member is read. A new shared name shows up here first.
-SHARED = {"from_ints", "coords", "start", "end"}
+SHARED = {"coords", "start", "end"}
 
 EXPORTS = [
     # the pipeline

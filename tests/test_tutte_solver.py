@@ -1,4 +1,5 @@
 import itertools
+import math
 import numbers
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from convexmorph.tutte_solver import (
     convex_polygon_for_x,
     convex_polygon_for_y,
     RoundedSolution,
+    _Uncertified,
     redraw_rows,
     solve_rows,
     tutte_rows_from_y,
@@ -69,7 +71,7 @@ def wheel_drawing(rim_pts):
 
 def hull_polygon(d):
     walk = tuple(d.graph.outer_walk())
-    return BoundaryPolygon(walk, {v: d.coords[v] for v in walk})
+    return BoundaryPolygon(walk, {v: d.ints[v] for v in walk}, d.den)
 
 
 def uniform_weights(g):
@@ -374,7 +376,7 @@ def test_solve_tutte_input_validation():
     with pytest.raises(ValueError):
         solve_tutte(d.graph, boundary, WeightAssignment({}))
     bad_cycle = BoundaryPolygon(tuple(reversed(boundary.cycle)),
-                                boundary.coords)
+                                boundary.ints, boundary.den)
     with pytest.raises(ValueError):
         solve_tutte(d.graph, bad_cycle, uniform_weights(d.graph))
 
@@ -401,8 +403,8 @@ def test_redraw_preserving_y_new_polygon():
         g = d.graph
         if len(g.rotation) == len(g.outer_walk()):
             continue
-        y = {v: d.coords[v][1] for v in g.rotation}
-        poly = convex_polygon_for_y(tuple(g.outer_walk()), y)
+        y = {v: p[1] for v, p in d.ints.items()}
+        poly = convex_polygon_for_y(tuple(g.outer_walk()), y, den=d.den)
         out = redraw_preserving(d, poly, 1)
         assert is_strictly_convex(out)
         for v in g.rotation:
@@ -415,7 +417,7 @@ def test_redraw_preserving_y_rejects_changed_heights():
     d = k4_drawing()
     poly = hull_polygon(d)
     shifted = BoundaryPolygon(poly.cycle, {
-        v: (x, y + 1) for v, (x, y) in poly.coords.items()})
+        v: (x, y + poly.den) for v, (x, y) in poly.ints.items()}, poly.den)
     with pytest.raises(PreconditionViolated):
         redraw_preserving(d, shifted, 1)
 
@@ -519,11 +521,17 @@ def columns(rhs, den):
     return {e: [Fraction(b, den)] for e, b in rhs.items()}
 
 
-def certified_answers(rows, rhs, den=1):
-    """RoundedSolution of rows = rhs / den (rhs one column, as solve_rows
-    takes it, but over den) and its answers on GRIDS."""
-    sol = RoundedSolution(rows, {e: b for e, (b,) in rhs.items()}, den)
-    return sol, [sol.rounded(bits) for bits in GRIDS]
+def over_one_den(rhs):
+    """One column of rational right-hand sides, as solve_rows takes them,
+    as RoundedSolution takes them: ints over their least common den."""
+    den = math.lcm(*(Fraction(b).denominator for (b,) in rhs.values()))
+    return {e: int(b * den) for e, (b,) in rhs.items()}, den
+
+
+def certified_answers(rows, rhs, den):
+    """The answers on GRIDS of RoundedSolution(rows, rhs, den)."""
+    sol = RoundedSolution(rows, rhs, den)
+    return [sol.rounded(bits) for bits in GRIDS]
 
 
 def big_value(rng):
@@ -536,13 +544,15 @@ def big_value(rng):
 
 
 def z_matrix_rows(rng, ids):
-    """Rows of a strictly diagonally dominant Z-matrix: each off-diagonal
-    -w < 0, each diagonal the sum of its row's w plus a positive pin."""
+    """Integer rows of a strictly diagonally dominant Z-matrix: each
+    off-diagonal -w < 0, each diagonal the sum of its row's w plus a
+    positive pin, the row scaled by the lcm of its denominators."""
     rows = {}
     for e in ids:
         row = {v: -big_value(rng) for v in ids if v != e and rng.random() < 0.5}
         row[e] = -sum(row.values()) + big_value(rng)
-        rows[e] = row
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        rows[e] = {v: int(c * scale) for v, c in row.items()}
     return rows
 
 
@@ -558,28 +568,39 @@ def test_rounded_solution_matches_exact_rounding(n, seed):
     ids = rng.sample(range(40), n)
     rows = z_matrix_rows(rng, ids)
     rhs = {e: [big_value(rng) * rng.choice((-1, 1))] for e in ids}
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback is None
+    ints, den = over_one_den(rhs)
+    got = certified_answers(rows, ints, den)
     assert got == exact_answers(rows, rhs)
     # a common factor of the right-hand sides and den changes no answer
     c = rng.randint(2, 2 ** 40)
-    sol, got_c = certified_answers(
-        rows, {e: [b * c] for e, (b,) in rhs.items()}, c)
-    assert sol.fallback is None
-    assert got_c == got
+    assert certified_answers(rows, {e: b * c for e, b in ints.items()},
+                             den * c) == got
+
+
+def test_rounded_solution_answers_far_finer_grids():
+    # from the 2^-48 grid straight to 2^-4096 and 2^-65536: the residual of
+    # X shifted up by thousands of bits is far past the float range, and the
+    # refinement still answers the exact rounding
+    rng = random.Random(4703)
+    ids = list(range(6))
+    rows = z_matrix_rows(rng, ids)
+    rhs = {e: [big_value(rng)] for e in ids}
+    sol = RoundedSolution(rows, *over_one_den(rhs))
+    x = {u: Fraction(v) for u, (v,) in solve_rows(rows, rhs).items()}
+    for bits in (48, 4096, 65536):
+        assert sol.rounded(bits) == {u: round(c * 2 ** bits)
+                                     for u, c in x.items()}
 
 
 def test_rounded_solution_certifies_engine_systems(monkeypatch):
     # every horizontal and vertical redraw system of a few convexify runs:
-    # the certificate holds, and no answer needs the exact solve
+    # the certificate holds and every grid gets its exact rounding (a
+    # redraw with every vertex on the boundary answers {})
     calls = engine_redraw_systems(monkeypatch)
     for d, boundary, axis in calls:
         rows, rhs, den = redraw_rows(d, boundary, axis)
-        sol, got = certified_answers(rows, {e: [b] for e, b in rhs.items()},
-                                     den)
-        # a redraw with every vertex on the boundary has nothing to solve
-        assert sol.fallback == (None if rows else "empty system")
-        assert got == exact_answers(rows, columns(rhs, den))
+        assert certified_answers(rows, rhs, den) == exact_answers(
+            rows, columns(rhs, den))
 
 
 def system_with_solution(rng, x):
@@ -588,54 +609,62 @@ def system_with_solution(rng, x):
     return rows, rhs_for(rows, x)
 
 
-def test_rounded_solution_falls_back_on_a_tie():
-    # x_0 * 2^48 is a rounding tie; its neighbours carry 150-bit
-    # denominators, so no residual vanishes and no bound reaches zero
-    rng = random.Random(4701)
-    x = {0: Fraction(2 * 12345 + 1, 2 ** 49)}
+def near_tie_system(seed, offset):
+    """A system whose x_0 * 2^48 is a rounding tie plus offset * 2^48; its
+    neighbours carry 150-bit denominators, so no residual vanishes and no
+    bound reaches zero."""
+    rng = random.Random(seed)
+    x = {0: Fraction(2 * 12345 + 1, 2 ** 49) + offset}
     x.update({v: Fraction(rng.getrandbits(150), 2 ** 150 - 1 - v)
               for v in range(1, 6)})
-    rows, rhs = system_with_solution(rng, x)
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback == "rounding too close to a tie"
-    assert got == exact_answers(rows, rhs)
-    assert got[0][0] == 12346  # half to even
+    return system_with_solution(rng, x)
+
+
+def test_rounded_solution_answers_none_on_a_tie():
+    # no bound keeps a tie off itself, so the 2^-48 grid gets no answer;
+    # the tie is a point of the 2^-64 grid, which gets the exact rounding
+    rows, rhs = near_tie_system(4701, 0)
+    sol = RoundedSolution(rows, *over_one_den(rhs))
+    assert sol.rounded(48) is None
+    want = exact_answers(rows, rhs)
+    assert GRIDS[1] == 64
+    assert [sol.rounded(bits) for bits in GRIDS[1:]] == want[1:]
+    assert want[0][0] == 12346  # half to even
 
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_rounded_solution_rounds_a_near_tie(side):
-    rng = random.Random(4702)
-    x = {0: Fraction(2 * 12345 + 1, 2 ** 49) + side * Fraction(1, 2 ** 100)}
-    x.update({v: Fraction(rng.getrandbits(150), 2 ** 150 - 1 - v)
-              for v in range(1, 6)})
-    rows, rhs = system_with_solution(rng, x)
-    # first at the scale the 2^-48 grid asks for, which cannot tell the
-    # value from its tie until refinement raises the scale
-    sol = RoundedSolution(rows, {e: b for e, (b,) in rhs.items()}, 1)
-    assert sol.rounded(48)[0] == (12345 if side < 0 else 12346)
-    assert sol.fallback is None
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback is None
-    assert got == exact_answers(rows, rhs)
+    # 2^-100 off the tie: the scale the 2^-48 grid asks for cannot tell the
+    # value from its tie, and the 2^-64 grid rounds it onto the tie
+    rows, rhs = near_tie_system(4702, side * Fraction(1, 2 ** 100))
+    sol = RoundedSolution(rows, *over_one_den(rhs))
+    assert sol.rounded(48) is None
+    want = exact_answers(rows, rhs)
+    assert want[0][0] == (12345 if side < 0 else 12346)
+    assert [sol.rounded(bits) for bits in GRIDS[1:]] == want[1:]
+    assert want[1][0] == (2 * 12345 + 1) << 15
 
 
-def test_rounded_solution_falls_back_off_the_sign_pattern():
+def test_rounded_solution_rejects_off_the_sign_pattern():
     rng = random.Random(4705)
     x = {v: big_value(rng) for v in range(5)}
-    rows, rhs = system_with_solution(rng, x)
-    rows[2][3] = abs(big_value(rng))
-    rhs = rhs_for(rows, x)
-    sol, got = certified_answers(rows, rhs)
-    assert sol.fallback == "not an M-matrix sign pattern"
-    assert got == exact_answers(rows, rhs)
-    sol = RoundedSolution({}, {}, 1)
-    assert sol.fallback == "empty system"
-    assert sol.rounded(48) == {}
+    rows, _ = system_with_solution(rng, x)
+    rows[2][3] = 1
+    with pytest.raises(_Uncertified, match="not an M-matrix sign pattern"):
+        RoundedSolution(rows, *over_one_den(rhs_for(rows, x)))
+    assert RoundedSolution({}, {}, 1).rounded(48) == {}
 
 
 def coord_bits(coords):
     return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
                for p in coords.values() for c in p)
+
+
+def axis_over_one_den(coords, axis):
+    """The rational coordinates on axis as ints over their least common
+    den, as the polygon builders take them."""
+    den = math.lcm(*(p[axis].denominator for p in coords.values()))
+    return {v: int(p[axis] * den) for v, p in coords.items()}, den
 
 
 def test_alternating_default_polygons_keep_coordinates_short():
@@ -656,10 +685,12 @@ def test_alternating_default_polygons_keep_coordinates_short():
         6: (4, 1)}.items()}
     limit = coord_bits(coords) + GRIDS[0] + 4
     for _ in range(6):
-        poly = convex_polygon_for_y(cycle, {v: p[1] for v, p in coords.items()})
+        ys, den = axis_over_one_den(coords, 1)
+        poly = convex_polygon_for_y(cycle, ys, den=den)
         coords = {v: (snap(x + y / 4), y) for v, (x, y) in poly.coords.items()}
         assert coord_bits(coords) <= limit
-        poly = convex_polygon_for_x(cycle, {v: p[0] for v, p in coords.items()})
+        xs, den = axis_over_one_den(coords, 0)
+        poly = convex_polygon_for_x(cycle, xs, den=den)
         coords = {v: (x, snap(y + x / 4)) for v, (x, y) in poly.coords.items()}
         assert coord_bits(coords) <= limit
 
@@ -669,16 +700,16 @@ def test_alternating_default_polygons_keep_coordinates_short():
 
 def test_boundary_polygon_validate():
     ok = BoundaryPolygon((1, 2, 3, 4), {1: (0, 0), 2: (0, 2),
-                                        3: (2, 2), 4: (2, 0)})
+                                        3: (2, 2), 4: (2, 0)}, 1)
     ok.validate()
     with pytest.raises(ValueError):
-        BoundaryPolygon((1, 2), {1: (0, 0), 2: (1, 1)}).validate()
+        BoundaryPolygon((1, 2), {1: (0, 0), 2: (1, 1)}, 1).validate()
     with pytest.raises(ValueError):
         BoundaryPolygon((1, 2, 3, 4, 5), {1: (0, 0), 2: (0, 1), 3: (0, 2),
-                                          4: (2, 2), 5: (2, 0)}).validate()
+                                          4: (2, 2), 5: (2, 0)}, 1).validate()
     with pytest.raises(ValueError):
         BoundaryPolygon((4, 3, 2, 1), {1: (0, 0), 2: (0, 2),
-                                       3: (2, 2), 4: (2, 0)}).validate()
+                                       3: (2, 2), 4: (2, 0)}, 1).validate()
 
 
 def test_boundary_polygon_rejects_double_winding():
@@ -687,7 +718,7 @@ def test_boundary_polygon_rejects_double_winding():
     pts = {1: (0, 0), 2: (2, 3), 3: (4, 0),
            4: (0, 0), 5: (2, 3), 6: (4, 0)}
     with pytest.raises(ValueError):
-        BoundaryPolygon((1, 2, 3, 4, 5, 6), pts).validate()
+        BoundaryPolygon((1, 2, 3, 4, 5, 6), pts, 1).validate()
 
 
 def test_boundary_polygon_matches_outer_walk():
@@ -696,10 +727,10 @@ def test_boundary_polygon_matches_outer_walk():
                                       {(1, 2), (2, 3), (3, 4), (4, 1)})
     walk = g.outer_walk()
     rotated = tuple(walk[2:] + walk[:2])
-    assert BoundaryPolygon(rotated, coords).matches_outer_walk(g)
+    assert BoundaryPolygon(rotated, coords, 1).matches_outer_walk(g)
     reflected = tuple(reversed(walk))
-    assert not BoundaryPolygon(reflected, coords).matches_outer_walk(g)
-    assert not BoundaryPolygon((1, 2, 3), coords).matches_outer_walk(g)
+    assert not BoundaryPolygon(reflected, coords, 1).matches_outer_walk(g)
+    assert not BoundaryPolygon((1, 2, 3), coords, 1).matches_outer_walk(g)
 
 
 # -- convex_polygon_for_y ----------------------------------------------------
@@ -707,13 +738,13 @@ def test_boundary_polygon_matches_outer_walk():
 
 def test_polygon_for_y_triangle_parabola():
     # x = (y - 0)(2 - y)/(2 - 0) on the right chain
-    poly = convex_polygon_for_y((1, 2, 3), {1: rat(0), 2: rat(2), 3: rat(1)})
+    poly = convex_polygon_for_y((1, 2, 3), {1: 0, 2: 2, 3: 1})
     assert poly.coords == {1: (rat(0), rat(0)), 2: (rat(0), rat(2)),
                            3: (rat(1, 2), rat(1))}
 
 
 def test_polygon_for_y_square_chain():
-    y = {1: rat(0), 2: rat(1), 3: rat(2), 4: rat(1)}
+    y = {1: 0, 2: 1, 3: 2, 4: 1}
     poly = convex_polygon_for_y((1, 2, 3, 4), y)
     assert poly.coords[2] == (rat(-1, 2), rat(1))
     assert poly.coords[4] == (rat(1, 2), rat(1))
@@ -723,17 +754,16 @@ def test_polygon_for_y_square_chain():
 
 def test_polygon_for_y_monotonicity_errors():
     with pytest.raises(NotYMonotoneCycle):
-        convex_polygon_for_y((1, 2, 3), {1: rat(0), 2: rat(2), 3: rat(2)})
+        convex_polygon_for_y((1, 2, 3), {1: 0, 2: 2, 3: 2})
     with pytest.raises(NotYMonotoneCycle):
         convex_polygon_for_y((1, 2, 3, 4),
-                             {1: rat(0), 2: rat(1), 3: rat(1), 4: rat(2)})
+                             {1: 0, 2: 1, 3: 1, 4: 2})
     with pytest.raises(NotYMonotoneCycle):
         convex_polygon_for_y((1, 2, 3, 4, 5),
-                             {1: rat(0), 2: rat(3), 3: rat(1),
-                              4: rat(4), 5: rat(2)})
+                             {1: 0, 2: 3, 3: 1, 4: 4, 5: 2})
 
 
-HEX_Y = {1: rat(0), 2: rat(1), 3: rat(3), 4: rat(5), 5: rat(4), 6: rat(2)}
+HEX_Y = {1: 0, 2: 1, 3: 3, 4: 5, 5: 4, 6: 2}
 HEX_CYCLE = (1, 2, 3, 4, 5, 6)
 
 
@@ -788,7 +818,7 @@ def test_polygon_for_y_random_cycles(data):
     ys = sorted(data.draw(st.lists(st.integers(-40, 40), min_size=k,
                                    max_size=k, unique=True)))
     flags = data.draw(st.lists(st.booleans(), min_size=k - 2, max_size=k - 2))
-    y = {i + 1: rat(v) for i, v in enumerate(ys)}
+    y = {i + 1: v for i, v in enumerate(ys)}
     left_int = [i + 1 for i in range(1, k - 1) if flags[i - 1]]
     right_int = [i + 1 for i in range(1, k - 1) if not flags[i - 1]]
     cycle = tuple([1] + left_int + [k] + list(reversed(right_int)))
@@ -853,7 +883,7 @@ def assert_unique_vertical_extreme(poly, v, side):
 
 
 def test_polygon_for_x_triangle_top():
-    x = {1: rat(0), 2: rat(2), 3: rat(4)}
+    x = {1: 0, 2: 2, 3: 4}
     poly = convex_polygon_for_x((1, 2, 3), x, 2, "top")
     poly.validate()
     for v in (1, 2, 3):
@@ -862,14 +892,14 @@ def test_polygon_for_x_triangle_top():
 
 
 def test_polygon_for_x_endpoint_rule():
-    x = {1: rat(0), 2: rat(2), 3: rat(4)}
+    x = {1: 0, 2: 2, 3: 4}
     poly = convex_polygon_for_x((1, 2, 3), x, 1, "top")
     assert_unique_vertical_extreme(poly, 1, "top")
     poly = convex_polygon_for_x((1, 2, 3), x, 3, "bottom")
     assert_unique_vertical_extreme(poly, 3, "bottom")
 
 
-QUAD_X = {1: rat(0), 2: rat(1), 3: rat(3), 4: rat(2)}
+QUAD_X = {1: 0, 2: 1, 3: 3, 4: 2}
 QUAD_CYCLE = (1, 4, 3, 2)   # 4 on the upper chain, 2 on the lower chain
 
 

@@ -56,7 +56,8 @@ def redraw_step(rng):
     g_aug = augment_y_monotone(d)
     d_aug = Drawing(g_aug, d.coords)
     poly = convex_polygon_for_y(g_aug.outer_walk(),
-                                {v: p[1] for v, p in d.coords.items()})
+                                {v: p[1] for v, p in d.ints.items()},
+                                den=d.den)
     out = redraw_preserving(d_aug, poly, 1)
     return MorphStep(Direction.HORIZONTAL, d_aug, out)
 
