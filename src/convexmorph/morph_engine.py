@@ -31,21 +31,26 @@ layer reads its drawing off b.current and appends its moves and graph edits
 to b, so each move passes through SequenceBuilder.move once, and convexify
 builds the sequence at the end.
 
-Every move redraws the drawing onto a strictly convex boundary polygon
-with the fixed axis kept (the Tutte variant of tutte_solver), then shears
-along the moving axis; _redraw_move is that one operation.  All arithmetic
-is exact.  To stop denominators from compounding across alternating solves,
-no redraw and no shear factor is emitted exactly: the moving coordinate of
-each redraw, and each shear factor that is not a small rational, is
-snapped to the first grid of one dyadic ladder (_grid_bits: 2^-48, 2^-64,
-2^-96, ... for redraws, from 2^-24 for shears) that keeps the step valid.
-A redraw's snap is accepted only when the snapped drawing is strictly
-convex, which certifies that it is planar and realizes the same embedding
-(see plane_graph), and meets the step's own extra condition, so it amounts
-to a slightly different but equally valid choice of the same move.  The
-snapped values come from tutte_solver.RoundedSolution, which certifies each
-rounding of the Tutte solution without computing that solution exactly,
-so every snap is the rounding of the exact solution.
+Every move redraws the drawing onto a strictly convex boundary polygon with
+the fixed axis kept (the Tutte variant of tutte_solver), then shears along
+the moving axis.  _redraw_move is that move under a step's pins, the
+(vertex, side) pairs it keeps unique extremes; _straddle_shear is the one
+straddle rule, the shear that ends morph_B and clears level edges before
+the convex-outer phase and the pockets.  A shear that moves nothing has
+factor 0 and SequenceBuilder.move drops the identity move, so only
+remove_buffer_vertex, whose target is an outer-face angle, tests whether to
+shear.  All arithmetic is exact.  To stop denominators from compounding
+across alternating solves, no redraw and no shear factor is emitted
+exactly: the moving coordinate of each redraw, and each shear factor that
+is not a small rational, is snapped to the first grid of one dyadic ladder
+(_grid_bits: 2^-48, 2^-64, 2^-96, ... for redraws, from 2^-24 for shears)
+that keeps the step valid.  A redraw's snap is accepted only when the
+snapped drawing is strictly convex, which certifies that it is planar and
+realizes the same embedding (see plane_graph), and keeps the step's pins,
+so it amounts to a slightly different but equally valid choice of the same
+move.  The snapped values come from tutte_solver.RoundedSolution, which
+certifies each rounding of the Tutte solution without computing that
+solution exactly, so every snap is the rounding of the exact solution.
 
 A check that fails on a drawing the pipeline made raises a ConvexifyError
 naming the step and the check.
@@ -55,8 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .connectivity import is_internally_3connected, three_connected
 from .monotone_augment import augment_y_monotone
@@ -103,10 +107,6 @@ class NotInternallyThreeConnected(ValueError):
     """Input graph is not internally 3-connected."""
 
 
-class PlacementFailure(ValueError):
-    """No buffer placement validated even after shrinking the offsets."""
-
-
 class ConvexifyError(RuntimeError):
     """A check of the pipeline failed on a drawing it made. layer names the
     step (its provenance note) or the function, check the failed check."""
@@ -130,7 +130,12 @@ class MoveBudgetExceeded(ConvexifyError):
 
 
 class PocketNotSeparated(ConvexifyError):
-    """The pocket corners could not be made the leftmost and rightmost."""
+    """No polygon makes the pocket corners unique extremes, or the pocket
+    path stayed non-monotone after they were."""
+
+
+class PlacementFailure(ConvexifyError):
+    """No buffer placement validated even after shrinking the offsets."""
 
 
 class GraphNotRestored(ConvexifyError):
@@ -140,11 +145,6 @@ class GraphNotRestored(ConvexifyError):
 # -- small geometric helpers ---------------------------------------------------
 
 
-def _axis_map(d: Drawing, axis: int) -> Dict[int, int]:
-    """Every coordinate on axis of d's integer view (over d.den)."""
-    return {v: p[axis] for v, p in d.ints.items()}
-
-
 def _has_level_edge(d: Drawing, axis: int) -> bool:
     """Has d an edge whose ends share their coordinate on axis (a
     horizontal edge for axis 1, a vertical one for axis 0)?"""
@@ -152,14 +152,28 @@ def _has_level_edge(d: Drawing, axis: int) -> bool:
     return any(pts[u][axis] == pts[v][axis] for u, v in d.graph.edges())
 
 
-def _default_polygon(d: Drawing, walk: Sequence[int],
-                     direction: Direction) -> BoundaryPolygon:
-    """The default strictly convex polygon on the clockwise walk that keeps
-    d's coordinates on the fixed axis of direction."""
-    kept = _axis_map(d, direction.fixed_axis)
+def _default_polygon(d: Drawing, walk: Sequence[int], direction: Direction,
+                     pins: Tuple) -> BoundaryPolygon:
+    """The strictly convex polygon on the clockwise walk that keeps d's
+    coordinates on the fixed axis of direction and makes each pinned
+    (vertex, side) a unique extreme on the moving axis."""
+    kept = {v: p[direction.fixed_axis] for v, p in d.ints.items()}
     if direction is Direction.HORIZONTAL:
-        return convex_polygon_for_y(walk, kept, den=d.den)
-    return convex_polygon_for_x(walk, kept, den=d.den)
+        return convex_polygon_for_y(walk, kept, pins, d.den)
+    return convex_polygon_for_x(walk, kept, pins, d.den)
+
+
+def _pinned_polygon(d: Drawing, walk: Sequence[int], direction: Direction,
+                    choices: Sequence[Tuple], note: str
+                    ) -> Tuple[BoundaryPolygon, Tuple]:
+    """_default_polygon and its pins for the first pins of choices that a
+    polygon can meet; PocketNotSeparated names note when none can."""
+    for pins in choices:
+        try:
+            return _default_polygon(d, walk, direction, pins), pins
+        except (WrongChain, ConstraintInfeasible):
+            continue
+    raise PocketNotSeparated(note, "no polygon meets any choice of pins")
 
 
 def _rotations_realized(d: Drawing) -> bool:
@@ -193,11 +207,12 @@ def _grid_bits(first: int):
         bits = bits * 4 // 3 if bits & (bits - 1) else bits * 3 // 2
 
 
-def _certified(d: Drawing, require) -> bool:
-    """Strictly convex, and meeting require if one is given. The module
-    global is_strictly_convex is read per call, so a rebound one (as
-    perfbench/layers.py traces it) is the one used."""
-    return is_strictly_convex(d) and (require is None or require(d))
+def _certified(d: Drawing, pins: Tuple) -> bool:
+    """Strictly convex, with each pinned (vertex, side) a unique extreme.
+    The module global is_strictly_convex is read per call, so a rebound
+    one (as perfbench/layers.py traces it) is the one used."""
+    return is_strictly_convex(d) and all(
+        unique_extreme(d.ints, v, side) for v, side in pins)
 
 
 def _round_div(n: int, q: int) -> int:
@@ -229,13 +244,11 @@ def _snapped(d: Drawing, ma: int, poly: BoundaryPolygon,
 
 
 def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
-             solution: RoundedSolution,
-             require: Optional[Callable[[Drawing], bool]], note: str
-             ) -> Drawing:
+             solution: RoundedSolution, pins: Tuple, note: str) -> Drawing:
     """The redraw of d whose moving-axis coordinates are poly's (on the
     boundary) and solution's (the rest), snapped (_snapped) to the first
     grid of _grid_bits(48) on which solution certifies its rounding and
-    whose drawing is strictly convex and meets require. A strictly convex
+    whose drawing is strictly convex and keeps the pins. A strictly convex
     drawing, each face walk winding once, is planar and realizes its
     embedding (Floater 2003; see plane_graph), so a snap needs no segment
     sweep and no rotation check.
@@ -250,7 +263,7 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
         if rounded is None:
             continue
         cand = _snapped(d, ma, poly, rounded, bits)
-        if _certified(cand, require):
+        if _certified(cand, pins):
             return cand
     raise PostconditionFailed(
         note, f"redraw failed its postcondition on every grid to 2^-{bits}")
@@ -260,8 +273,6 @@ def _snap_shear(d: Drawing, axis: int, lam, cons: ShearConstraints):
     """Replace an ugly exact shear factor by the first dyadic of the
     _grid_bits(24) ladder that is safe too. The constraints are open in
     the factor, so a fine enough grid holds one."""
-    if lam == 0:
-        return lam
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
     pts = d.ints
@@ -281,46 +292,42 @@ def _safe_shear(d: Drawing, axis: int, cons: ShearConstraints) -> Drawing:
 
 
 def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
-            note: str, require: Optional[Callable[[Drawing], bool]] = None
-            ) -> Drawing:
+            pins: Tuple, note: str) -> Drawing:
     """Redraw d onto poly keeping the fixed axis of the direction, snapped
-    by _compact; the drawing returned is strictly convex and meets
-    require, if one is given. A system RoundedSolution cannot certify
-    raises PostconditionFailed naming note and the reason."""
+    by _compact; the drawing returned is strictly convex and keeps each
+    pinned (vertex, side) a unique extreme. A system RoundedSolution cannot
+    certify raises PostconditionFailed naming note and the reason."""
     try:
         solution = RoundedSolution(*redraw_rows(d, poly, direction.fixed_axis))
-        return _compact(d, direction, poly, solution, require, note)
+        return _compact(d, direction, poly, solution, pins, note)
     except _Uncertified as exc:
         raise PostconditionFailed(note, str(exc)) from None
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,
-                 poly: BoundaryPolygon, note: str,
-                 require: Optional[Callable[[Drawing], bool]] = None,
-                 cons: Optional[ShearConstraints] = None) -> None:
-    """One move from b.current: redraw onto poly (see _redraw; require is
-    an extra condition on top of strict convexity), then shear along the
-    moving axis under cons (by default, no axis-parallel edge). Both land
-    in b as one move to the sheared end, noted note."""
-    cur = _redraw(b.current, direction, poly, note, require)
+                 poly: BoundaryPolygon, pins: Tuple, note: str) -> None:
+    """One move from b.current, noted note: redraw onto poly under the
+    pins (see _redraw), then shear along the moving axis keeping the pins
+    and leaving no edge level on it."""
+    cur = _redraw(b.current, direction, poly, pins, note)
     b.move(direction, _safe_shear(cur, direction.moving_axis,
-                                  cons or ShearConstraints()), note)
+                                  ShearConstraints(keep_extreme=pins)), note)
+
+
+def _straddle_shear(d: Drawing, axis: int) -> Tuple[Drawing, int]:
+    """d sheared along axis so that no edge is level on it and one internal
+    reflex angle, if any, straddles its apex along it (the first that does
+    already, else the first), as the next move needs; and d's number of
+    internal reflex angles, which a shear keeps."""
+    reflex = internal_reflex_angles(d)
+    straddling = [ref for ref in reflex
+                  if straddles(d.graph, d.ints, ref, axis)]
+    target = (straddling or reflex or [None])[0]
+    return (_safe_shear(d, axis, ShearConstraints(make_straddle=target)),
+            len(reflex))
 
 
 # -- single one-axis moves -----------------------------------------------------
-
-
-def _level_convex_redraw(d: Drawing, direction: Direction) -> Drawing:
-    """Redraw with all faces convex and the fixed axis of direction
-    untouched: augment_y_monotone adds temporary edges between local
-    extrema of each face until every face has one minimum and one maximum
-    on that axis, the redraw solves the augmented graph onto a strictly
-    convex boundary, and the temporary edges are dropped again."""
-    g_aug = augment_y_monotone(d, direction.fixed_axis)
-    poly = _default_polygon(d, g_aug.outer_walk(), direction)
-    out = _redraw(d.with_graph(g_aug), direction, poly,
-                  "level-preserving convex redraw")
-    return out.with_graph(d.graph)
 
 
 _MORPH_B = "convex redraw with straddle shear"
@@ -334,25 +341,21 @@ def morph_B(d: Drawing, direction: Direction) -> Tuple[Drawing, int]:
     then a shear. The end drawing has no edge level on the moving axis, and
     if it is not convex yet, at least one reflex angle has face neighbors
     on both sides of its apex along the moving axis. Returns the end
-    drawing and its number of internal reflex angles."""
-    ma = direction.moving_axis
-    if _has_level_edge(d, direction.fixed_axis):
-        raise PreconditionViolated(
-            f"drawing has an edge level on axis {direction.fixed_axis}")
-    mid = _level_convex_redraw(d, direction)
-    # a shear keeps every orientation, so the count on mid is the end's
-    reflex = internal_reflex_angles(mid)
-    straddling = [ref for ref in reflex
-                  if straddles(mid.graph, mid.ints, ref, ma)]
-    # the next move, along the other axis, retires an angle only if it
-    # straddles its apex on this moving axis, so a shear that clears level
-    # edges must keep one straddling
-    target = (straddling or reflex or [None])[0]
-    if (reflex and not straddling) or _has_level_edge(mid, ma):
-        end = _safe_shear(mid, ma, ShearConstraints(make_straddle=target))
-    else:
-        end = mid
-    return end, len(reflex)
+    drawing and its number of internal reflex angles.
+
+    The redraw: augment_y_monotone adds temporary edges between local
+    extrema of each face until every face has one minimum and one maximum
+    on the fixed axis, the augmented graph is redrawn onto a strictly
+    convex boundary, and the temporary edges are dropped again; then
+    _straddle_shear."""
+    fa = direction.fixed_axis
+    if _has_level_edge(d, fa):
+        raise PreconditionViolated(f"drawing has an edge level on axis {fa}")
+    g_aug = augment_y_monotone(d, fa)
+    poly = _default_polygon(d, g_aug.outer_walk(), direction, ())
+    mid = _redraw(d.with_graph(g_aug), direction, poly, (),
+                  "level-preserving convex redraw")
+    return _straddle_shear(mid.with_graph(d.graph), direction.moving_axis)
 
 
 # -- convex outer face ----------------------------------------------------------
@@ -365,17 +368,10 @@ def convexify_convex_outer(b: SequenceBuilder) -> None:
     cur = b.current
     if is_strictly_convex(cur):
         return
-    reflex = internal_reflex_angles(cur)
-    r0 = len(reflex)
-    # a vertical shear first, unless some reflex angle already straddles
-    # its apex in y and no edge is horizontal
-    if _has_level_edge(cur, 1) or (
-            r0 > 0 and not any(straddles(cur.graph, cur.ints, ref, 1)
-                               for ref in reflex)):
-        cons = ShearConstraints(make_straddle=reflex[0] if r0 else None)
-        cur = _safe_shear(cur, 1, cons)
-        b.move(Direction.VERTICAL, cur, "clear horizontal edges")
-    # a shear keeps every orientation, so each count carries over unchanged
+    # a vertical shear first; it is the identity, and b drops it, when some
+    # reflex angle already straddles its apex in y and no edge is horizontal
+    cur, r0 = _straddle_shear(cur, 1)
+    b.move(Direction.VERTICAL, cur, "clear horizontal edges")
     before = r0
     turns = itertools.cycle((Direction.HORIZONTAL, Direction.VERTICAL))
     for _, direction in zip(range(max(1, r0) + 1), turns):
@@ -431,55 +427,32 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
         raise PreconditionViolated("drawing has a vertical edge")
     g_minus = g.remove_edge(u, v)
 
-    # one vertical move: u becomes the unique top or bottom vertex, and a
-    # shear clears horizontal edges without unseating it
-    xmap = _axis_map(d, 0)
-    try:
-        poly1 = convex_polygon_for_x(outer, xmap, u, "top", d.den)
-        side = "top"
-    except WrongChain:
-        poly1 = convex_polygon_for_x(outer, xmap, u, "bottom", d.den)
-        side = "bottom"
-    _redraw_move(
-        b, Direction.VERTICAL, poly1, "pocket corner to the top",
-        lambda dd: unique_extreme(dd.ints, u, side),
-        ShearConstraints(keep_extreme=((u, side),)))
+    # one vertical move: u becomes the unique top or bottom vertex, and the
+    # shear keeps it there
+    note = "pocket corner to the top"
+    poly, pins = _pinned_polygon(d, outer, Direction.VERTICAL,
+                                 (((u, "top"),), ((u, "bottom"),)), note)
+    _redraw_move(b, Direction.VERTICAL, poly, pins, note)
 
     path = _pocket_path(g, u, v)
     if not _x_monotone(path, b.current):
         # one horizontal move: u and v become the unique leftmost and
         # rightmost vertices, so the pocket path must run monotonely
-        poly2 = None
-        pins_used = None
-        cur = b.current
-        ymap2 = _axis_map(cur, 1)
-        for pins in (((u, "left"), (v, "right")),
-                     ((u, "right"), (v, "left"))):
-            try:
-                poly2 = convex_polygon_for_y(outer, ymap2, pins, cur.den)
-                pins_used = pins
-                break
-            except (WrongChain, ConstraintInfeasible):
-                continue
-        if poly2 is None:
-            raise PocketNotSeparated("pocket corners to the sides",
-                                     "no polygon separates the pocket corners")
-        _redraw_move(
-            b, Direction.HORIZONTAL, poly2, "pocket corners to the sides",
-            lambda dd: all(unique_extreme(dd.ints, w, s)
-                           for w, s in pins_used),
-            ShearConstraints(keep_extreme=pins_used))
+        note = "pocket corners to the sides"
+        poly, pins = _pinned_polygon(
+            b.current, outer, Direction.HORIZONTAL,
+            (((u, "left"), (v, "right")), ((u, "right"), (v, "left"))), note)
+        _redraw_move(b, Direction.HORIZONTAL, poly, pins, note)
         if not _x_monotone(path, b.current):
-            raise PocketNotSeparated("pocket corners to the sides",
-                                     "pocket path still not monotone after "
-                                     "separating its corners")
+            raise PocketNotSeparated(note, "pocket path still not monotone "
+                                           "after separating its corners")
 
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = b.current.with_graph(g_minus)
     b.edit(d_minus, "release pocket edge")
-    poly3 = _default_polygon(d_minus, g_minus.outer_walk(),
-                             Direction.VERTICAL)
-    _redraw_move(b, Direction.VERTICAL, poly3, "pocket path onto the hull")
+    poly = _default_polygon(d_minus, g_minus.outer_walk(),
+                            Direction.VERTICAL, ())
+    _redraw_move(b, Direction.VERTICAL, poly, (), "pocket path onto the hull")
 
 
 def _hull_gaps(d: Drawing) -> list:
@@ -507,38 +480,16 @@ def convexify_3connected(b: SequenceBuilder) -> None:
         d.ints, list(d.graph.edges()) + missing)
     b.edit(d.with_graph(g_full), "complete hull")
     convexify_convex_outer(b)
-    if _has_level_edge(b.current, 0):
-        # only possible when the completed drawing was already strictly
-        # convex and no move ran
-        b.move(Direction.HORIZONTAL,
-               _safe_shear(b.current, 0, ShearConstraints()),
-               "clear vertical edges")
+    # the drawing is strictly convex, so the shear is the identity, and b
+    # drops it, unless an edge is vertical: possible only when the completed
+    # drawing was already strictly convex and no move ran
+    b.move(Direction.HORIZONTAL, _straddle_shear(b.current, 0)[0],
+           "clear vertical edges")
     for e in missing:
         pop_pocket(b, e)
 
 
 # -- buffer paths for incomplete hulls ------------------------------------------
-
-
-@dataclass(frozen=True)
-class PocketAugmentation:
-    """One buffered hull gap: the original pocket path from hull vertex
-    path[0] to path[-1], and the 2k+1 buffer vertices shadowing its k
-    interior vertices. buffer_path lists them in walk order; the odd
-    positions are the apex vertices (one per interior path vertex), the
-    even positions the shared midpoints, whose first and last lie on the
-    hull segment itself."""
-
-    path: Tuple[int, ...]
-    buffer_path: Tuple[int, ...]
-
-    @property
-    def b_vertices(self) -> Tuple[int, ...]:
-        return self.buffer_path[1::2]
-
-    @property
-    def corner_vertices(self) -> Tuple[int, int]:
-        return (self.buffer_path[0], self.buffer_path[-1])
 
 
 def _pt_seg_dist_sq(p, a, b) -> Tuple[int, int]:
@@ -666,12 +617,18 @@ def _with_points(d: Drawing, extra: Dict[int, Tuple]):
 
 
 def augment_buffers(d: Drawing
-                    ) -> Tuple[Drawing, Tuple[PocketAugmentation, ...]]:
+                    ) -> Tuple[Drawing, Tuple[Tuple[int, ...], ...]]:
     """Shadow each missing hull segment's pocket path with a buffer path
     plus spokes, so that the segment between the two new on-hull midpoints
     can be added, and later removed again, without ever touching internal
     3-connectivity. Offsets shrink geometrically until the placement
-    validates; raises PlacementFailure when none does."""
+    validates; raises PlacementFailure when none does.
+
+    Returns the padded drawing and, per hull gap, its buffer path: the 2k+1
+    vertices shadowing the k interior vertices of the pocket path, in walk
+    order. Its odd positions are the apex vertices (one per interior path
+    vertex), its even positions the shared midpoints, whose first and last
+    lie on the hull segment itself."""
     g = d.graph
     gaps = _hull_gaps(d)
     if not gaps:
@@ -694,7 +651,6 @@ def augment_buffers(d: Drawing
         shrink = rat(1, 1 << attempt)
         extra = {}
         edges = list(g.edges())
-        pockets = []
         for path, spine in zip(paths, spines):
             extra.update(zip(spine, _buffer_geometry(d, path, shrink)))
             chain = (path[0],) + spine + (path[-1],)
@@ -702,7 +658,6 @@ def augment_buffers(d: Drawing
             for i in range(1, len(path) - 1):
                 edges.extend((path[i], spine[j])
                              for j in (2 * i - 2, 2 * i - 1, 2 * i))
-            pockets.append(PocketAugmentation(path=path, buffer_path=spine))
         try:
             ints, den = _with_points(d, extra)
             g_new = build_plane_graph_from_points(ints, edges)
@@ -713,15 +668,14 @@ def augment_buffers(d: Drawing
         if not is_internally_3connected(g_new):
             continue
         if set(convex_hull(d_new)) != hull_set.union(
-                *(pk.corner_vertices for pk in pockets)):
+                *((sp[0], sp[-1]) for sp in spines)):
             continue
         ow = set(g_new.outer_walk())
-        ok = all(set(pk.buffer_path) <= ow
-                 and not any(w in ow for w in pk.path[1:-1])
-                 for pk in pockets)
-        if ok:
-            return d_new, tuple(pockets)
-    raise PlacementFailure("no buffer placement validated")
+        if all(set(sp) <= ow and not any(w in ow for w in path[1:-1])
+               for path, sp in zip(paths, spines)):
+            return d_new, tuple(spines)
+    raise PlacementFailure("insert buffer paths",
+                           "no buffer placement validated")
 
 
 def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
@@ -765,8 +719,8 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
                    "expose the new corner")
     cur = b.current
     _redraw_move(b, direction,
-                 _default_polygon(cur, cur.graph.outer_walk(), direction),
-                 "absorb the new corner")
+                 _default_polygon(cur, cur.graph.outer_walk(), direction, ()),
+                 (), "absorb the new corner")
     if not is_strictly_convex(b.current):
         raise PostconditionFailed(
             "absorb the new corner",
@@ -802,13 +756,13 @@ def convexify(d: Drawing) -> MorphSequence:
         convexify_3connected(b)
     else:
         # pad each hull gap with a buffer path, and take it back out after
-        d_buf, pockets = augment_buffers(d)
+        d_buf, spines = augment_buffers(d)
         b.edit(d_buf, "insert buffer paths")
         convexify_3connected(b)
-        for vb in sorted(w for pk in pockets for w in pk.b_vertices):
+        for vb in sorted(w for sp in spines for w in sp[1::2]):
             remove_buffer_vertex(b, vb)
         g_final = b.current.graph.remove_vertex(
-            w for pk in pockets for w in pk.buffer_path[::2])
+            w for sp in spines for w in sp[::2])
         d_final = b.current.with_graph(g_final)
         b.edit(d_final, "drop buffer midpoints")
         if set(g_final.edges()) != set(g.edges()):

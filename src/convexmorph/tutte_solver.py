@@ -699,18 +699,18 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, int],
-                         extreme_vertex: Optional[int] = None,
-                         side: str = "top", den: int = 1) -> BoundaryPolygon:
+                         pins: Tuple = (), den: int = 1) -> BoundaryPolygon:
     """Strictly convex polygon on the given clockwise cycle preserving
     x[v] / den: convex_polygon_for_y with x as the heights, on the reversed
     cycle, and its coordinates swapped. The swap is a reflection, so the
-    reversed cycle comes out clockwise again. With extreme_vertex, that
-    vertex becomes the unique topmost or bottommost, as side says."""
-    if side not in ("top", "bottom"):
-        raise ValueError(f"side {side!r}")
-    pins = () if extreme_vertex is None else (
-        (extreme_vertex, "right" if side == "top" else "left"),)
-    poly = convex_polygon_for_y(tuple(reversed(cycle)), x, pins, den)
+    reversed cycle comes out clockwise again. pins lists (vertex,
+    'top'|'bottom'), at most one per side, and makes each vertex the unique
+    topmost or bottommost: the rightmost or leftmost before the swap."""
+    if any(side not in ("top", "bottom") for _, side in pins):
+        raise ValueError(f"pin sides {pins!r}")
+    y_pins = tuple((v, "right" if side == "top" else "left")
+                   for v, side in pins)
+    poly = convex_polygon_for_y(tuple(reversed(cycle)), x, y_pins, den)
     out = BoundaryPolygon(
         cycle, {v: (py, px) for v, (px, py) in poly.ints.items()}, poly.den)
     out.validate()

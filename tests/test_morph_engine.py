@@ -19,6 +19,7 @@ from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.morph_engine import (
     ConvexifyError,
     NotInternallyThreeConnected,
+    PocketNotSeparated,
     PostconditionFailed,
     convexify,
     morph_B,
@@ -33,10 +34,13 @@ from convexmorph.plane_graph import (
     build_plane_graph_from_points,
     choose_safe_shear,
     integer_points,
+    internal_reflex_angles,
     is_convex_outer,
     is_strictly_convex,
     rat,
     shear,
+    straddles,
+    unique_extreme,
     validate_drawing,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
@@ -421,11 +425,12 @@ def one_vertex_triangle():
 
 
 def test_failed_postcondition_raises_a_typed_error():
-    # a require that always fails
+    # a pin no redraw can keep: 4 lies inside the triangle 1, 2, 3, so it
+    # is never the unique leftmost vertex
     d, poly = one_vertex_triangle()
     with pytest.raises(PostconditionFailed) as info:
-        morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step",
-                             lambda dd: False)
+        morph_engine._redraw(d, Direction.HORIZONTAL, poly, ((4, "left"),),
+                             "a noted step")
     assert isinstance(info.value, ConvexifyError)
     assert isinstance(info.value, RuntimeError)
     assert info.value.layer == "a noted step"
@@ -448,7 +453,8 @@ def test_compact_skips_a_grid_without_a_certified_rounding(monkeypatch):
         return None if bits == 48 else rounded(self, bits)
 
     monkeypatch.setattr(tutte_solver.RoundedSolution, "rounded", none_at_48)
-    out = morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step")
+    out = morph_engine._redraw(d, Direction.HORIZONTAL, poly, (),
+                               "a noted step")
     assert asked == [48, 64]
     assert (out.ints, out.den) == (want.ints, want.den)
     # on the 2^-64 grid, not on the 2^-48 one
@@ -469,9 +475,86 @@ def test_uncertified_system_raises_a_typed_error(monkeypatch):
 
     monkeypatch.setattr(morph_engine, "redraw_rows", negated)
     with pytest.raises(PostconditionFailed) as info:
-        morph_engine._redraw(d, Direction.HORIZONTAL, poly, "a noted step")
+        morph_engine._redraw(d, Direction.HORIZONTAL, poly, (),
+                             "a noted step")
     assert info.value.layer == "a noted step"
     assert info.value.check == "not an M-matrix sign pattern"
+
+
+def test_placement_failure_raises_a_typed_error(monkeypatch):
+    # no buffer placement validates: augment_buffers names the edit it
+    # could not make
+    def refuse(d):
+        raise EmbeddingInvalid("refused")
+
+    monkeypatch.setattr(morph_engine, "validate_drawing", refuse)
+    with pytest.raises(ConvexifyError) as info:
+        convexify(instance("pockets", 0))
+    assert info.value.layer == "insert buffer paths"
+    assert info.value.check == "no buffer placement validated"
+
+
+def test_pocket_corner_without_a_polygon_raises_a_typed_error(monkeypatch):
+    # no pinned vertical polygon exists: pop_pocket's first move names
+    # itself instead of letting the solver's error through
+    real = morph_engine.convex_polygon_for_x
+    pinned = []
+
+    def no_pinned_polygon(*args, **kwargs):
+        if len(args) > 2 and args[2] != ():
+            pinned.append(args[2])
+            raise tutte_solver.ConstraintInfeasible("refused")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(morph_engine, "convex_polygon_for_x",
+                        no_pinned_polygon)
+    with pytest.raises(PocketNotSeparated) as info:
+        convexify(instance("dent", 0))
+    assert info.value.layer == "pocket corner to the top"
+    # both choices were tried: the corner on top, then at the bottom
+    assert [side for (_, side), in pinned] == ["top", "bottom"]
+
+
+def test_no_vertical_shear_when_a_first_reflex_angle_straddles():
+    # no horizontal edge, and the first reflex angle straddles its apex in
+    # y: the shear before the convex-outer phase is the identity, and no
+    # step is noted for it
+    d = instance("convex_outer", 1)
+    reflex = internal_reflex_angles(d)
+    assert is_convex_outer(d) and reflex
+    assert not any(d.ints[u][1] == d.ints[v][1] for u, v in d.graph.edges())
+    assert straddles(d.graph, d.ints, reflex[0], 1)
+    seq = convexify(d)
+    assert seq.steps
+    assert all(step.provenance != "clear horizontal edges"
+               for step in seq.steps)
+
+
+def test_straddle_shear_keeps_an_angle_that_already_straddles():
+    # the middle face 1, 2, 3, 5, 4, 7 of a square has two reflex angles:
+    # at 5, whose face neighbors 4 and 3 both lie above it, and at 7,
+    # whose face neighbors 1 and 4 straddle it in y; edges 1-2, 3-4 and
+    # 7-8 are horizontal
+    coords = {1: (0, 0), 2: (40, 0), 3: (40, 40), 4: (0, 40),
+              5: (20, 30), 6: (20, 35), 7: (20, 20), 8: (5, 20)}
+    g = build_plane_graph_from_points(
+        coords, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 4), (5, 3), (5, 6),
+                 (6, 4), (6, 3), (7, 1), (7, 4), (7, 8), (8, 1), (8, 4)])
+    d = Drawing(g, coords)
+    first, second = internal_reflex_angles(d)
+    assert [g.face_vertices(r.face)[r.pos] for r in (first, second)] == [5, 7]
+    assert not straddles(g, d.ints, first, 1)
+    assert straddles(g, d.ints, second, 1)
+
+    end, count = morph_engine._straddle_shear(d, 1)
+    assert count == 2
+    assert not any(end.ints[u][1] == end.ints[v][1] for u, v in g.edges())
+    assert straddles(g, end.ints, second, 1)
+    # a shear that made the first angle straddle would have unseated the
+    # second: y + 2x takes 7 above 4
+    lam = choose_safe_shear(d, 1, ShearConstraints(make_straddle=first))
+    forced = shear(d, 1, lam)
+    assert lam == 2 and not straddles(g, forced.ints, second, 1)
 
 
 # sha256 over the event digests of convexify on deep pockets 3000-3019 at
@@ -587,7 +670,7 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
     for family, seed in sorted(GOLDEN):
         convexify(instance(family, seed))
     verdicts = []
-    for d, direction, poly, solution, require, _ in redraws:
+    for d, direction, poly, solution, pins, _ in redraws:
         for bits in range(1, 17):
             # a grid whose rounding solution cannot certify gets no snap
             rounded = solution.rounded(bits)
@@ -595,7 +678,8 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
                 continue
             cand = morph_engine._snapped(d, direction.moving_axis, poly,
                                          rounded, bits)
-            extra = require is None or require(cand)
+            extra = all(unique_extreme(cand.ints, v, side)
+                        for v, side in pins)
             try:
                 validate_drawing(cand)
                 old = (morph_engine._rotations_realized(cand)

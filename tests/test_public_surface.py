@@ -8,6 +8,10 @@ syntactic: a module-level name counts as read by a Name or Attribute load,
 a member by an Attribute load of its name, and either by a string constant
 in perfbench (layers.py fetches the functions it traces with getattr). A
 re-export in __init__.py is not a read.
+
+A module-level private function, class or constant (a name with one
+leading underscore) that no code there reads, outside its own definition,
+is dead: a helper a change left behind.
 """
 
 import ast
@@ -105,6 +109,30 @@ def definitions():
     return out
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions():
+    """(name, file, first line, last line) of every module-level private
+    function, class and constant of the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [(name, path, node.lineno, node.end_lineno)
+                    for name in names if _private(name)]
+    return out
+
+
 def reads():
     """name -> [(file, line)] of every read in the package and perfbench."""
     out = {}
@@ -127,20 +155,30 @@ def reads():
     return out
 
 
-def test_every_public_definition_is_read_by_src_or_perfbench():
+def unread(defs):
+    """The definitions of defs that nothing reads outside themselves."""
     seen = reads()
-    unread = []
-    for qual, path, first, last in definitions():
-        if qual in ALLOWED or qual.split(".")[0] in ALLOWED:
-            continue
+    out = []
+    for qual, path, first, last in defs:
         # a member is read as .name, a module-level name also bare
         keys = (("." + qual.split(".")[1],) if "." in qual
                 else (qual, "." + qual))
         sites = [s for k in keys for s in seen.get(k, ())]
         if not any(p != path or not first <= line <= last
                    for p, line in sites):
-            unread.append(f"{path.name}: {qual}")
-    assert unread == []
+            out.append(f"{path.name}: {qual}")
+    return out
+
+
+def test_every_public_definition_is_read_by_src_or_perfbench():
+    assert unread(d for d in definitions()
+                  if d[0] not in ALLOWED
+                  and d[0].split(".")[0] not in ALLOWED) == []
+
+
+def test_every_private_module_level_definition_is_read():
+    defs = private_definitions()
+    assert defs and unread(defs) == []
 
 
 def test_shared_member_names_are_the_known_ones():

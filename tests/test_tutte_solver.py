@@ -884,7 +884,7 @@ def assert_unique_vertical_extreme(poly, v, side):
 
 def test_polygon_for_x_triangle_top():
     x = {1: 0, 2: 2, 3: 4}
-    poly = convex_polygon_for_x((1, 2, 3), x, 2, "top")
+    poly = convex_polygon_for_x((1, 2, 3), x, ((2, "top"),))
     poly.validate()
     for v in (1, 2, 3):
         assert poly.coords[v][0] == x[v]
@@ -893,9 +893,9 @@ def test_polygon_for_x_triangle_top():
 
 def test_polygon_for_x_endpoint_rule():
     x = {1: 0, 2: 2, 3: 4}
-    poly = convex_polygon_for_x((1, 2, 3), x, 1, "top")
+    poly = convex_polygon_for_x((1, 2, 3), x, ((1, "top"),))
     assert_unique_vertical_extreme(poly, 1, "top")
-    poly = convex_polygon_for_x((1, 2, 3), x, 3, "bottom")
+    poly = convex_polygon_for_x((1, 2, 3), x, ((3, "bottom"),))
     assert_unique_vertical_extreme(poly, 3, "bottom")
 
 
@@ -904,18 +904,18 @@ QUAD_CYCLE = (1, 4, 3, 2)   # 4 on the upper chain, 2 on the lower chain
 
 
 def test_polygon_for_x_quad_sides():
-    poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, 4, "top")
+    poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((4, "top"),))
     assert_unique_vertical_extreme(poly, 4, "top")
     for v in QUAD_CYCLE:
         assert poly.coords[v][0] == QUAD_X[v]
-    poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, 2, "bottom")
+    poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((2, "bottom"),))
     assert_unique_vertical_extreme(poly, 2, "bottom")
 
 
 def test_polygon_for_x_wrong_chain():
     with pytest.raises(WrongChain):
-        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, 2, "top")
+        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((2, "top"),))
     with pytest.raises(WrongChain):
-        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, 4, "bottom")
+        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((4, "bottom"),))
     with pytest.raises(ValueError):
-        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, 4, "sideways")
+        convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((4, "sideways"),))
