@@ -18,36 +18,61 @@ exactly two do and uv is not an edge (an edge uv lies on exactly two faces,
 and the curve around it encloses no vertex). So a 2-connected plane graph
 with n >= 4 and minimum degree 3 is 3-connected exactly when the pairs of
 vertices that share two faces are its m edges and no pair shares three.
-Counting the pairs face by face costs O(sum of |f|^2 over the faces).
 
-is_internally_3connected runs the same count on g plus an apex in the outer
+_no_small_cut decides this on the diagonals of the faces, the pairs of
+non-consecutive vertices of a walk: it answers False when a walk repeats a
+vertex, when a diagonal is an edge, or when one diagonal lies on two
+faces. That is the pair count. Consecutive walk vertices are edges, and
+when every walk is a cycle each edge lies on exactly two faces as
+consecutive vertices, so a pair that shares two or more faces and is not
+an edge, and an edge on a third face, are each a diagonal caught above;
+conversely, when none is caught, every edge shares exactly two faces and
+every other pair at most one. Triangles have no diagonals. The test costs
+O(sum of |f|^2 over the faces), and on a triangle only the repeat check.
+
+is_internally_3connected runs the same test on g plus an apex in the outer
 face, joined to every outer vertex. When the outer walk is a cycle, the apex
 triangulates the outer face: the faces of the apex graph are g's inner
-faces plus one triangle per outer edge, read from g's cached faces. When the
-outer walk repeats a vertex c, a curve through the outer face and c meets
-the apex graph only at c and the apex and has vertices on both sides, so the
-answer is False.
+faces plus one triangle per outer edge. The triangles have no diagonals,
+and a diagonal of an inner face joins two vertices of g, an edge of the
+apex graph exactly when it is one of g, so the test reads g's cached inner
+walks and g's rotation only. When the outer walk repeats a vertex c, a
+curve through the outer face and c meets the apex graph only at c and the
+apex and has vertices on both sides, so the answer is False.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
 from typing import Dict, Iterable, Sequence
 
 from .plane_graph import PlaneGraph
 
 
-def _no_small_cut(faces: Iterable[Sequence[int]], m: int) -> bool:
-    """Whether a connected plane graph with n >= 4, minimum degree 3, m
-    edges and the given face walks (as vertex sequences) is 3-connected."""
-    shared = Counter()
+def _no_small_cut(faces: Iterable[Sequence[int]],
+                  adj: Dict[int, Sequence[int]]) -> bool:
+    """Whether a connected plane graph with n >= 4, minimum degree 3,
+    adjacency adj and the given face walks (as vertex sequences) is
+    3-connected: no walk repeats a vertex, no face diagonal is an edge and
+    no diagonal lies on two faces (see the module docstring)."""
+    diagonals = set()
     for f in faces:
-        if len(set(f)) < len(f):
+        k = len(f)
+        if len(set(f)) < k:
             return False            # a repeated vertex is a cut vertex
-        shared.update(combinations(sorted(f), 2))
-    faces_per_pair = Counter(shared.values())
-    return max(faces_per_pair) <= 2 and faces_per_pair[2] == m
+        for i in range(k - 2):
+            u = f[i]
+            nbrs = adj[u]
+            # f[i] and f[j] are consecutive for j = i + 1, and for j = k - 1
+            # when i = 0
+            for j in range(i + 2, k - 1 if i == 0 else k):
+                v = f[j]
+                if v in nbrs:
+                    return False
+                pair = (u, v) if u < v else (v, u)
+                if pair in diagonals:
+                    return False
+                diagonals.add(pair)
+    return True
 
 
 def three_connected(adj: Dict[int, Sequence[int]]) -> bool:
@@ -57,8 +82,7 @@ def three_connected(adj: Dict[int, Sequence[int]]) -> bool:
         return False
     u = next(iter(adj))
     g = PlaneGraph(adj, (u, next(iter(adj[u]))))
-    return _no_small_cut((g.face_vertices(i) for i in range(len(g.faces))),
-                         g.m)
+    return _no_small_cut(map(g.face_vertices, range(len(g.faces))), adj)
 
 
 def is_internally_3connected(g: PlaneGraph) -> bool:
@@ -71,7 +95,6 @@ def is_internally_3connected(g: PlaneGraph) -> bool:
     # on a cycle every outer vertex has degree 2, plus 1 to the apex
     if any(len(ws) < 3 for v, ws in g.rotation.items() if v not in outer):
         return False
-    apex = max(g.rotation) + 1
-    faces = [g.face_vertices(i) for i in g.inner_face_indices()]
-    faces += [(walk[i - 1], walk[i], apex) for i in range(len(walk))]
-    return _no_small_cut(faces, g.m + len(walk))
+    # the apex triangles have no diagonals (see the module docstring)
+    return _no_small_cut(map(g.face_vertices, g.inner_face_indices()),
+                         g.rotation)

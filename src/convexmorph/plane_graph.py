@@ -7,6 +7,12 @@ Removing an edge or vertex that the outer dart runs along moves the dart to
 the first dart of the outer walk that survives, so the outer face stays
 named without the caller choosing a new dart.
 
+A PlaneGraph traces its faces once, on first use, and caches each face's
+darts (faces), the face of every dart, and each face's vertex walk, the
+tuple face_vertices returns on every call; with_outer shares all three.
+The per-face loops (is_strictly_convex, internal_reflex_angles, the
+connectivity gates) read these walks.
+
 Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
 clockwise.
@@ -179,7 +185,7 @@ class PlaneGraph:
     order; outer_dart is a dart (u, v) whose face walk is the outer face.
     """
 
-    __slots__ = ("rotation", "outer_dart", "_faces", "_dart_face")
+    __slots__ = ("rotation", "outer_dart", "_faces", "_dart_face", "_walks")
 
     def __init__(self, rotation: Dict[int, Sequence[int]], outer_dart: Dart,
                  check: bool = True):
@@ -187,6 +193,7 @@ class PlaneGraph:
         self.outer_dart = (outer_dart[0], outer_dart[1])
         self._faces = None
         self._dart_face = None
+        self._walks = None
         if check:
             self._validate()
 
@@ -251,25 +258,34 @@ class PlaneGraph:
     # -- face tracing --------------------------------------------------------
 
     def _build_faces(self):
-        prev_idx = {}
+        # the dart after (u, v) leaves v towards the neighbour before u in
+        # v's counterclockwise order, keeping the interior left
+        succ = {}
         for v, nbrs in self.rotation.items():
-            for i, w in enumerate(nbrs):
-                prev_idx[(v, w)] = nbrs[i - 1]
+            before = nbrs[-1] if nbrs else None
+            for u in nbrs:
+                succ[(u, v)] = (v, before)
+                before = u
         faces = []
+        walks = []
         dart_face = {}
         for start in sorted(self.rotation):
             for w in self.rotation[start]:
-                if (start, w) in dart_face:
-                    continue
-                walk = []
                 d = (start, w)
+                if d in dart_face:
+                    continue
+                fi = len(faces)
+                darts = []
+                walk = []
                 while d not in dart_face:
-                    dart_face[d] = len(faces)
-                    walk.append(d)
-                    # next dart continues past the head, keeping interior left
-                    d = (d[1], prev_idx[(d[1], d[0])])
-                faces.append(tuple(walk))
+                    dart_face[d] = fi
+                    darts.append(d)
+                    walk.append(d[0])
+                    d = succ[d]
+                faces.append(tuple(darts))
+                walks.append(tuple(walk))
         self._faces = faces
+        self._walks = walks
         self._dart_face = dart_face
 
     @property
@@ -290,7 +306,11 @@ class PlaneGraph:
         return self._dart_face[d]
 
     def face_vertices(self, idx: int) -> Tuple[int, ...]:
-        return tuple(d[0] for d in self.faces[idx])
+        """The vertices of face idx in walk order, the tails of its darts.
+        The tuple is the one _build_faces cached: every call returns it."""
+        if self._walks is None:
+            self._build_faces()
+        return self._walks[idx]
 
     def inner_face_indices(self) -> List[int]:
         out = self.outer_face_index
@@ -305,6 +325,7 @@ class PlaneGraph:
         g = PlaneGraph(self.rotation, dart, check=False)
         g._faces = self._faces
         g._dart_face = self._dart_face
+        g._walks = self._walks
         if g._dart_face is not None and dart not in g._dart_face:
             raise EmbeddingInvalid(f"{dart} is not a dart")
         return g
@@ -463,13 +484,17 @@ def internal_reflex_angles(d: Drawing) -> List[AngleRef]:
     for fi in g.inner_face_indices():
         walk = g.face_vertices(fi)
         k = len(walk)
-        pts = [ints[v] for v in walk]
+        ux, uy = ints[walk[-1]]
+        vx, vy = ints[walk[0]]
+        ax, ay = vx - ux, vy - uy
         for pos in range(k):
-            a, v, b = pts[pos - 1], pts[pos], pts[(pos + 1) % k]
-            if _cross(_sub(v, a), _sub(b, v)) > 0:
-                continue
-            if angle_status_points(a, v, b) is AngleKind.REFLEX:
+            wx, wy = ints[walk[pos + 1 - k]]
+            bx, by = wx - vx, wy - vy
+            if ax * by - ay * bx <= 0 and angle_status_points(
+                    ints[walk[pos - 1]], (vx, vy),
+                    (wx, wy)) is AngleKind.REFLEX:
                 found.append((walk[pos], fi, pos))
+            vx, vy, ax, ay = wx, wy, bx, by
     found.sort()
     return [AngleRef(fi, pos) for _, fi, pos in found]
 
@@ -479,19 +504,29 @@ def is_strictly_convex(d: Drawing) -> bool:
     the outer walk a strictly convex clockwise one, each winding once: a
     certificate that d is planar and realizes its rotations (Floater 2003;
     see the module docstring). A walk whose turns are strict, one way and
-    each below a half turn changes half-plane (_half) twice per full turn."""
+    each below a half turn changes half-plane (_half) twice per full turn.
+    One pass per cached walk carries the previous edge and its half-plane;
+    a zero edge, a straight angle and a spike all cross to 0."""
     g = d.graph
     ints = d.ints
-    outer = g.outer_face_index
-    for fi, walk_darts in enumerate(g.faces):
+    outer = g.outer_face_index          # builds the walks
+    for fi, walk in enumerate(g._walks):
         turn = -1 if fi == outer else 1
-        pts = [ints[t[0]] for t in walk_darts]
-        edges = [_sub(q, p) for p, q in zip(pts, pts[1:] + pts[:1])]
-        corners = list(zip(edges[-1:] + edges[:-1], edges))
-        # a zero edge, a straight angle and a spike all cross to 0
-        if any(_cross(a, b) * turn <= 0 for a, b in corners):
-            return False
-        if sum(_half(a) != _half(b) for a, b in corners) != 2:
+        ux, uy = ints[walk[-1]]
+        vx, vy = ints[walk[0]]
+        ax, ay = vx - ux, vy - uy
+        upper = ay > 0 or (ay == 0 and ax > 0)
+        changes = 0
+        for w in walk[1:] + walk[:1]:
+            wx, wy = ints[w]
+            bx, by = wx - vx, wy - vy
+            if (ax * by - ay * bx) * turn <= 0:
+                return False
+            b_upper = by > 0 or (by == 0 and bx > 0)
+            if b_upper is not upper:
+                changes += 1
+            vx, vy, ax, ay, upper = wx, wy, bx, by, b_upper
+        if changes != 2:
             return False
     return True
 
@@ -562,7 +597,9 @@ def shear(d: Drawing, axis: int, lam) -> Drawing:
     """Shear the drawing along the moving axis: axis 0 maps (x,y) to
     (x+lam*y,y), axis 1 maps (x,y) to (x,y+lam*x). For lam = a/b with b > 0
     the moving coordinate X of the integer view becomes b*X + a*F, F the
-    fixed one, over den*b."""
+    fixed one, over den*b. A factor of 0 returns d itself."""
+    if lam == 0:
+        return d
     lam = rat(lam)
     a, b = lam.numerator, lam.denominator
     if axis == 0:
@@ -594,10 +631,12 @@ def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: int,
     of a drawing of g satisfy cons? For lam = a/b with b > 0 the sheared
     moving coordinate m + lam*f is taken times b, as b*m + a*f: each test
     reads the order along one axis only, which a positive scale of that
-    axis keeps."""
+    axis keeps. A factor of 0 is tested on pts as they are."""
     lam = rat(lam)
     a, b = lam.numerator, lam.denominator
-    if axis == 0:
+    if a == 0:
+        sheared = pts
+    elif axis == 0:
         sheared = {v: (b * x + a * y, y) for v, (x, y) in pts.items()}
     else:
         sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
@@ -629,13 +668,18 @@ def choose_safe_shear(d: Drawing, axis: int,
     raise NoValidShear(f"no usable shear along axis {axis}")
 
 
+# the small factors choose_safe_shear tries first, in order
+_SHEAR_LADDER = tuple(Fraction(p, q) for p, q in (
+    (0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 4),
+    (-1, 4), (4, 1), (-4, 1)))
+
+
 def _shear_candidates(g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
                       axis: int, cons: ShearConstraints):
     """choose_safe_shear's candidates in the order tried. The critical
     factors are gathered only once the ladder is spent."""
+    yield from _SHEAR_LADDER
     one = rat(1)
-    yield from (one * 0, one, -one, one / 2, -one / 2, 2 * one, -2 * one,
-                one / 4, -one / 4, 4 * one, -4 * one)
     roots = []
     i_mov, i_fix = axis, 1 - axis
 

@@ -7,6 +7,8 @@ exact redraw, sampled planarity and rotation inserts, built from package
 pieces for tests to compare the package's own paths against.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -202,7 +204,6 @@ def _connected_after_removal(adj: Dict[int, Sequence[int]], removed) -> bool:
 def brute_three_connected(adj: Dict[int, Sequence[int]]) -> bool:
     """Definition check: n >= 4 and removing any <= 2 vertices leaves the
     graph connected."""
-    import itertools
     ids = sorted(adj)
     if len(ids) < 4:
         return False
@@ -284,6 +285,21 @@ def apex_adjacency(adj: Dict[int, Sequence[int]],
 def brute_internally_3connected(adj: Dict[int, Sequence[int]],
                                 outer: Sequence[int]) -> bool:
     return brute_three_connected(apex_adjacency(adj, outer))
+
+
+def pair_count_no_small_cut(faces: Sequence[Sequence[int]], m: int) -> bool:
+    """The face-pair count of Chiba & Nishizeki (1985), as
+    connectivity._no_small_cut once ran it: whether a connected plane graph
+    with n >= 4, minimum degree 3, m edges and the given face walks is
+    3-connected. No walk repeats a vertex, no pair of vertices shares
+    three faces, and the pairs that share two are exactly m."""
+    shared = Counter()
+    for f in faces:
+        if len(set(f)) < len(f):
+            return False
+        shared.update(itertools.combinations(sorted(f), 2))
+    faces_per_pair = Counter(shared.values())
+    return max(faces_per_pair) <= 2 and faces_per_pair[2] == m
 
 
 def brute_strictly_convex(coords: Dict[int, Tuple],

@@ -11,6 +11,7 @@ from convexmorph.plane_graph import (
     rat,
 )
 from convexmorph.connectivity import (
+    _no_small_cut,
     three_connected,
     is_internally_3connected,
 )
@@ -26,6 +27,7 @@ from _oracles import (
     brute_internally_3connected,
     brute_three_connected,
     dfs_three_connected,
+    pair_count_no_small_cut,
 )
 
 
@@ -219,6 +221,16 @@ def test_face_gates_match_oracles_on_plane_graphs(n, seed):
     got = is_internally_3connected(g)
     assert got == brute_internally_3connected(adj, outer)
     assert got == dfs_three_connected(apex_adjacency(adj, outer))
+    # the diagonal test answers as the pair count, on g's walks and on the
+    # apex graph's, read from the darts rather than the cached walks
+    walks = [tuple(t[0] for t in f) for f in g.faces]
+    assert _no_small_cut(walks, adj) == pair_count_no_small_cut(walks, g.m)
+    if len(set(outer)) == len(outer):
+        apex = max(adj) + 1
+        faces = [walks[i] for i in g.inner_face_indices()]
+        faces += [(outer[i - 1], outer[i], apex) for i in range(len(outer))]
+        assert _no_small_cut(faces, apex_adjacency(adj, outer)) == \
+            pair_count_no_small_cut(faces, g.m + len(outer))
 
 
 # embedded cases: (graph, three_connected, is_internally_3connected)
@@ -239,6 +251,15 @@ EMBEDDED_CASES = {
                                for e in ((1, a), (1, b), (a, b), (a, 2),
                                          (b, 2))]),
                        False, False),
+    # two diamonds between 1 and 2: the non-edge {1, 2} lies on exactly two
+    # faces, the quadrilateral between the diamonds and the outer face, and
+    # no diagonal is an edge; the apex splits the outer face into triangles
+    "two_diamonds": (_drawn({1: (0, 10), 2: (0, -10), 3: (-5, 0),
+                             4: (-1, 0), 5: (1, 0), 6: (5, 0)},
+                            [e for a, b in ((3, 4), (5, 6))
+                             for e in ((1, a), (1, b), (a, b), (a, 2),
+                                       (b, 2))]),
+                     False, True),
     # K4 with its inner edge 1-4 subdivided by the degree-2 vertex 5
     "subdivided_inner_edge": (
         PlaneGraph({1: (2, 5, 3), 2: (3, 4, 1), 3: (1, 4, 2), 4: (3, 5, 2),

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from convexmorph.plane_graph import (
     Drawing,
     EmbeddingInvalid,
     NotPlanarInput,
+    PlaneGraph,
     ShearConstraints,
     _integer_view,
     _shear_ok,
@@ -51,6 +53,7 @@ from convexmorph.verify import (
     check_unidirectional_planar,
 )
 
+from test_bench_outputs import DIGESTS, bench_drawing
 from _instances import (
     dent_instance,
     hidden_component_drawing,
@@ -61,6 +64,7 @@ from _instances import (
     same_plane_graph,
 )
 from _oracles import (
+    brute_strictly_convex,
     mirrored,
     seg_seg_dist_sq_fraction,
     shear_fraction,
@@ -691,6 +695,53 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
             verdicts.append(new)
     assert len(redraws) >= 20
     assert True in verdicts and False in verdicts
+
+
+def test_certified_snaps_match_the_fraction_oracle(monkeypatch):
+    # every drawing _compact asks _certified about, on the bench drawings
+    # and on deep pockets: the one-pass certificate on the cached walks and
+    # the Fraction oracle on walks read from the darts agree
+    verdicts = []
+    certified = morph_engine._certified
+
+    def spy(d, pins):
+        g = d.graph
+        walks = [tuple(t[0] for t in darts) for darts in g.faces]
+        got = is_strictly_convex(d)
+        assert got == brute_strictly_convex(d.coords, walks,
+                                            g.outer_face_index)
+        verdicts.append(got)
+        return certified(d, pins)
+
+    monkeypatch.setattr(morph_engine, "_certified", spy)
+    for workload, i in sorted(DIGESTS):
+        convexify(bench_drawing(workload, i))
+    for seed in range(3000, 3005):
+        convexify(pocket_instance(random.Random(seed), 40, 30, passes=3))
+    assert len(verdicts) >= 100
+    assert True in verdicts and False in verdicts
+
+
+def test_strictly_convex_input_reads_only_cached_walks(monkeypatch):
+    # a strictly convex drawing passes both gates and returns: each gate
+    # runs once, and no face is traced again after the drawing is built
+    d = bench_drawing("already_convex", 0)
+    calls = Counter()
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+        return spy
+
+    for name in ("is_strictly_convex", "is_internally_3connected"):
+        monkeypatch.setattr(morph_engine, name,
+                            counted(name, getattr(morph_engine, name)))
+    monkeypatch.setattr(PlaneGraph, "_build_faces",
+                        counted("_build_faces", PlaneGraph._build_faces))
+    seq = convexify(d)
+    assert seq.events == ()
+    assert calls == {"is_strictly_convex": 1, "is_internally_3connected": 1}
 
 
 def planarity_callers(monkeypatch, d):

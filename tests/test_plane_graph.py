@@ -33,6 +33,7 @@ from convexmorph.plane_graph import (
     NotPlanarInput,
 )
 
+from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.morph_engine import _rotations_realized
 from convexmorph.plane_graph import integer_points, sort_ccw
 
@@ -47,7 +48,7 @@ from _oracles import (
     mirrored,
     transposed,
 )
-from _instances import random_triangulation
+from _instances import random_augment_instance, random_triangulation
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -121,6 +122,35 @@ def test_chorded_square_faces():
     inner = {frozenset(g.face_vertices(i)) for i in g.inner_face_indices()}
     assert inner == {frozenset({1, 2, 3}), frozenset({1, 3, 4})}
     assert set(g.outer_walk()) == {1, 2, 3, 4}
+
+
+def dart_walks(g):
+    """The vertex walk of every face, read from its darts."""
+    return [tuple(t[0] for t in darts) for darts in g.faces]
+
+
+def test_face_walks_are_cached():
+    # a graph from points, with another outer face, without an edge, without
+    # a vertex, and augmented: each face's walk is its darts' tails, built
+    # once
+    d = random_augment_instance(random.Random(5))
+    d = shear(d, 1, choose_safe_shear(d, 1))
+    g = d.graph
+    aug = augment_y_monotone(d)
+    assert aug.m > g.m
+    inner = g.inner_face_indices()[0]
+    moved = g.with_outer(g.faces[inner][0])
+    u = next(v for v in g.rotation if v not in g.outer_walk())
+    for h in (g, moved, g.remove_edge(*g.edges()[0]), g.remove_vertex([u]),
+              aug):
+        walks = dart_walks(h)
+        assert len(walks) == len(h.faces)
+        for i, walk in enumerate(walks):
+            assert h.face_vertices(i) == walk
+            assert h.face_vertices(i) is h.face_vertices(i)
+    assert moved.outer_walk() == dart_walks(g)[inner]
+    assert all(moved.face_vertices(i) is g.face_vertices(i)
+               for i in range(len(g.faces)))
 
 
 def test_embedding_rejects_bad_rotations():
@@ -392,6 +422,12 @@ def test_shear_maps():
     assert s.coords[1] == (rat(2), rat(0))
     s = shear(d, 1, -1)
     assert s.coords[2] == (rat(2), rat(0))
+
+
+def test_shear_by_zero_is_the_drawing_itself():
+    d = k4()
+    assert shear(d, 0, 0) is d
+    assert shear(d, 1, rat(0)) is d
 
 
 def test_choose_safe_shear_removes_verticals():
@@ -668,9 +704,8 @@ def _shear_or_none(d, axis, cons):
 def test_strict_convexity_matches_fraction_oracle(coords, rng):
     d, _ = _cycle_case(coords, rng)
     g = d.graph
-    walks = [g.face_vertices(i) for i in range(len(g.faces))]
     assert is_strictly_convex(d) == brute_strictly_convex(
-        d.coords, walks, g.outer_face_index)
+        d.coords, dart_walks(g), g.outer_face_index)
 
 
 def wound_wheel(k, turns):
@@ -702,8 +737,7 @@ def test_strictly_convex_rejects_a_pentagram():
                    for ref, kind in angle_statuses(d).items())
         assert not drawing_is_planar(g, d.coords)
         assert not is_strictly_convex(d)
-        walks = [g.face_vertices(i) for i in range(len(g.faces))]
-        assert not brute_strictly_convex(d.coords, walks, outer)
+        assert not brute_strictly_convex(d.coords, dart_walks(g), outer)
     assert is_strictly_convex(cycle_graph(pentagon))
     assert is_strictly_convex(wound_wheel(5, 1))
 
