@@ -347,11 +347,9 @@ def morph_B(d: Drawing, direction: Direction) -> Tuple[Drawing, int]:
     extrema of each face until every face has one minimum and one maximum
     on the fixed axis, the augmented graph is redrawn onto a strictly
     convex boundary, and the temporary edges are dropped again; then
-    _straddle_shear."""
-    fa = direction.fixed_axis
-    if _has_level_edge(d, fa):
-        raise PreconditionViolated(f"drawing has an edge level on axis {fa}")
-    g_aug = augment_y_monotone(d, fa)
+    _straddle_shear. augment_y_monotone raises PreconditionViolated on an
+    edge level on the fixed axis."""
+    g_aug = augment_y_monotone(d, direction.fixed_axis)
     poly = _default_polygon(d, g_aug.outer_walk(), direction, ())
     mid = _redraw(d.with_graph(g_aug), direction, poly, (),
                   "level-preserving convex redraw")

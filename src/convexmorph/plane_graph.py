@@ -28,11 +28,14 @@ product by den^2, so every orientation and dot-product sign, every order
 along an axis and every ratio of differences is the one of the rational
 drawing. Each predicate therefore decides exactly what it would decide on
 the rationals, and a rational it returns (a shear factor built from ratios
-of differences) is the same number. Shears, snaps and interpolations act on
-the ints and the den directly, and reduce once. The integers cost no gcd per
-operation, no float enters any predicate, and Fractions are built only when
-a caller reads Drawing.coords or Drawing.point. integer_points gives the
-same view of a plain coordinate dict.
+of differences) is the same number. Shears and snaps act on the ints and
+the den directly, and reduce once. The integers cost no gcd per operation
+and no float enters any predicate. Fractions remain where a number is not
+a coordinate or is read one point at a time: shear factors are Fractions
+(shear, _shear_ok and _shear_candidates take or build them),
+morph_engine._buffer_geometry reads Drawing.point, and Drawing.coords
+builds them for a caller that asks. integer_points gives the same view of
+a plain coordinate dict.
 
 A drawing of a connected plane graph whose inner face walks are strictly
 convex counterclockwise polygons and whose outer walk is a strictly convex
@@ -650,8 +653,7 @@ def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: int,
                for vtx, side in cons.keep_extreme)
 
 
-def choose_safe_shear(d: Drawing, axis: int,
-                      cons: Optional[ShearConstraints] = None):
+def choose_safe_shear(d: Drawing, axis: int, cons: ShearConstraints):
     """Pick a factor for a shear along the moving axis (0 for x, 1 for y)
     satisfying the constraints.
 
@@ -659,7 +661,6 @@ def choose_safe_shear(d: Drawing, axis: int,
     exact candidates: a ladder of small rationals plus midpoints between
     consecutive critical values. Deterministic; raises NoValidShear if nothing
     passes."""
-    cons = cons or ShearConstraints()
     g = d.graph
     pts = d.ints
     for lam in _shear_candidates(g, pts, axis, cons):

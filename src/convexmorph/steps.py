@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .plane_graph import Drawing, PreconditionViolated
@@ -63,27 +62,6 @@ class MorphStep:
                 raise PreconditionViolated(
                     f"vertex {v} moves on the fixed axis of a "
                     f"{self.direction.value} step")
-
-    def at(self, t) -> Drawing:
-        """Drawing at parameter t of the straight-line interpolation. For
-        t = p/q, the moving coordinate of each vertex is
-        (q - p) * start + p * end, over q times both dens."""
-        if t == 0:
-            return self.start
-        if t == 1:
-            return self.end
-        tt = Fraction(t)
-        p, q = tt.numerator, tt.denominator
-        s_den, e_den = self.start.den, self.end.den
-        ws, we = (q - p) * e_den, p * s_den
-        fix = q * e_den
-        mov = self.direction.moving_axis
-        end = self.end.ints
-        ints = {}
-        for v, a in self.start.ints.items():
-            val = ws * a[mov] + we * end[v][mov]
-            ints[v] = (val, fix * a[1]) if mov == 0 else (fix * a[0], val)
-        return Drawing.from_ints(self.start.graph, ints, q * s_den * e_den)
 
     def is_identity(self) -> bool:
         return (self.start.den == self.end.den

@@ -1,13 +1,14 @@
-"""Generalized Tutte machinery: barycentric weights chosen from y-coordinates,
-exact sparse solving of the resulting linear systems, and construction of
-strictly convex boundary polygons compatible with fixed y (or fixed x).
+"""Generalized Tutte machinery: barycentric weights chosen from the
+heights on one axis, the integer linear systems they give, certified
+rounding of their solutions, and strictly convex boundary polygons that
+keep y (or x).
 
-The exact solver works on Python integers. Each equation is scaled once by
-the lcm of its denominators; sparse fraction-free elimination (in the manner
-of Bareiss 1968) with Markowitz pivoting then keeps every row primitive by
-dividing out its gcd, and back-substitution forms one rational per unknown.
-Its solution is the unique exact one, so it equals what elimination over
-rationals gives, at a fraction of the cost of a gcd per entry update.
+A redraw keeps one axis and solves only for the other, since weights
+taken from the kept coordinates reproduce them exactly. The code speaks of
+keeping y and solving for x; redraw_rows builds the system for either
+fixed axis on the drawing as it is, and the engine reads the solution
+through RoundedSolution, so no function here returns a whole redrawn
+drawing.
 
 A redraw needs its solution only rounded to a dyadic grid (the engine
 emits no redraw exactly), so RoundedSolution answers those roundings and
@@ -16,12 +17,14 @@ float LU against exact integer residuals, and a bound that an exact
 M-matrix certificate proves. An answer the bound cannot settle is not
 given, so every answer equals the rounding of the exact solution.
 
-A redraw keeps one axis and solves only for the other, since weights
-taken from the kept coordinates reproduce them exactly. The code speaks of
-keeping y and solving for x; redraw_rows builds the system for either
-fixed axis on the drawing as it is, and the engine reads the solution
-through RoundedSolution, so no function here returns a whole redrawn
-drawing.
+solve_rows is the exact reference that convexify never calls: it is kept
+for the tests and for the traced bench layers until the exact solver
+leaves the package. It scales each equation once by the lcm of its
+denominators; sparse fraction-free elimination (in the manner of Bareiss
+1968) with Markowitz pivoting then keeps every row primitive by dividing
+out its gcd, and back-substitution forms one rational per unknown. Its
+solution is the unique exact one, so it equals what elimination over
+rationals gives, at a fraction of the cost of a gcd per entry update.
 """
 
 from __future__ import annotations
@@ -93,20 +96,13 @@ class WeightAssignment:
 class BoundaryPolygon:
     """Outer-face vertices in walk order (clockwise) with fixed coordinates,
     stored like a Drawing's: the point of v is ints[v] / den (a pair of ints
-    per vertex, den > 0, not necessarily reduced); coords builds Fractions
-    when asked."""
+    per vertex, den > 0, not necessarily reduced)."""
 
     __slots__ = ("cycle", "ints", "den")
 
     def __init__(self, cycle: Sequence[int],
                  ints: Dict[int, Tuple[int, int]], den: int):
         self.cycle, self.ints, self.den = tuple(cycle), ints, den
-
-    @property
-    def coords(self) -> Dict[int, Tuple[Fraction, Fraction]]:
-        den = self.den
-        return {v: (Fraction(x, den), Fraction(y, den))
-                for v, (x, y) in self.ints.items()}
 
     def validate(self):
         k = len(self.cycle)
@@ -556,43 +552,52 @@ def _split_chains(cycle: Sequence[int], y: Dict[int, int]):
 
 
 def _chain_slopes(incr: List[int], den: int, flip: Optional[int],
-                  target: int, attempt: int, rising: bool):
-    """Slopes for one chain: strictly monotone, optional sign pattern, and
-    weighted sum exactly equal to target, with eta = 4^-attempt.
+                  target: int, e: int, rising: bool):
+    """Slopes for one chain, strictly monotone, whose weighted sum is
+    exactly target.
 
     incr: positive y-increments, times den. flip: edges 1..flip get the
     'before' sign. rising=True builds an increasing sequence (left chain),
-    else decreasing. Returns (S, Q): slope i is S[i] / Q, Q > 0. Returns
-    None when the knob adjustment would break the sign pattern.
+    else decreasing. Returns (S, Q): slope i is S[i] / Q, Q > 0.
 
-    Slope i starts at sgn * eta * (i - center - 1/2) = K_i / E with
-    E = 2 * 4^attempt; the gap N / (E * den) to target is added to one
-    slope as N / (E * incr), so every slope is over E * incr."""
+    Slope i starts at sgn * (2i - c2 - 1) / e, c2 = 2 * flip (p without a
+    flip), which is strictly monotone and has the sign pattern of flip;
+    the gap N / (e * den) to target is added to one end slope as
+    N / (e * incr), so every slope is over e * incr. The end slope moved is
+    the one whose move keeps the sequence monotone, so only a slope at a
+    pinned end (flip 0 or p) can lose its sign; convex_polygon_for_y picks
+    e large enough that it does not."""
     p = len(incr)
-    sgn = 1 if rising else -1
     if p == 1:
-        s, q = [target * den], incr[0]
-    else:
-        c2 = 2 * flip if flip is not None else p
-        e = 2 << (2 * attempt)
-        s = [sgn * (2 * i - c2 - 1) for i in range(1, p + 1)]
-        gap = target * e * den - sum(si * ai for si, ai in zip(s, incr))
-        q = e
-        if gap:
-            j = p - 1 if (gap > 0) == rising else 0
-            q = e * incr[j]
-            s = [si * incr[j] for si in s]
-            s[j] += gap
-    seq = s if rising else [-v for v in s]
-    if any(b <= a for a, b in zip(seq, seq[1:])):
-        return None
-    if flip is not None:
-        before = -1 if rising else 1
-        for i, v in enumerate(s, start=1):
-            want = before if i <= flip else -before
-            if sign_of(v) != want:
-                return None
-    return s, q
+        return [target * den], incr[0]
+    sgn = 1 if rising else -1
+    c2 = 2 * flip if flip is not None else p
+    s = [sgn * (2 * i - c2 - 1) for i in range(1, p + 1)]
+    gap = target * e * den - sum(si * ai for si, ai in zip(s, incr))
+    if not gap:
+        return s, e
+    j = p - 1 if (gap > 0) == rising else 0
+    s = [si * incr[j] for si in s]
+    s[j] += gap
+    return s, e * incr[j]
+
+
+def _pin_bound(incr: List[int], flip: Optional[int]) -> int:
+    """The bound e * den must exceed for _chain_slopes to keep a chain's
+    sign pattern; 0 unless the chain has two or more edges and is pinned
+    at its bottom (flip 0) or top (flip p).
+
+    Number the edges k = 1..p from the pinned end. The pin sets the target
+    to +-1 so that the uncorrected numerators are target * s_k = 2k - 1,
+    and target times the gap is g = e * den - sum (2k - 1) * a_k. When g is
+    negative the correction goes to edge 1, whose slope keeps its sign
+    exactly when a_1 + g > 0, that is, when e * den exceeds the sum over
+    k >= 2 of (2k - 1) * a_k."""
+    p = len(incr)
+    if p < 2 or flip not in (0, p):
+        return 0
+    from_pin = incr if flip == 0 else incr[::-1]
+    return sum((2 * k - 1) * a for k, a in enumerate(from_pin[1:], start=2))
 
 
 def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
@@ -610,7 +615,18 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
     on the matching chain (or be the bottom/top vertex). The pinned widths
     are not scale-invariant, so the polygon is built from the rational
     heights (the ints over den), and its coordinates are the same
-    rationals at any scale of y."""
+    rationals at any scale of y.
+
+    With pins, the bottom sits at x = 0 and both chains end at the top's
+    x = target: 1 when a pin makes the bottom the leftmost or the top the
+    rightmost, -1 for the mirror case, else 0. Each chain takes the slopes
+    of _chain_slopes, at the least e = 2 * 4^k for which e * den exceeds
+    both chains' _pin_bound. Then the left chain's slopes increase and
+    the right chain's decrease between the same two ends, so the walk is
+    strictly convex and winds once, and each pinned vertex is where its
+    chain's slopes change sign, or an end both chains leave away from its
+    side: the unique extreme. validate and the pin test confirm this, and raise
+    ConstraintInfeasible if they ever do not."""
     left, right = _split_chains(cycle, y)
     bot, top = left[0], left[-1]
 
@@ -646,56 +662,42 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
             flips[side] = right.index(v)
     if len(pins) == 2 and pins[0][0] == pins[1][0]:
         raise ConstraintInfeasible("same vertex pinned to both sides")
+    targets = {1 if (side == "left") == (v == bot) else -1
+               for v, side in pins if v in (bot, top)}
+    if len(targets) > 1:
+        raise ConstraintInfeasible("pins force contradictory widths")
+    target = targets.pop() if targets else 0
 
     p, q = len(left) - 1, len(right) - 1
     a = [y[left[i]] - y[left[i - 1]] for i in range(1, p + 1)]
     h = [y[right[j]] - y[right[j - 1]] for j in range(1, q + 1)]
-
-    def interval(flip, edges, left_side):
-        if flip is None:
-            return None
-        if flip == 0:
-            return 1 if left_side else -1   # all slopes point away from bottom
-        if flip == edges:
-            return -1 if left_side else 1
-        return None
-
-    want = {s for s in (interval(flips.get("left"), p, True),
-                        interval(flips.get("right"), q, False)) if s}
-    if len(want) > 1:
-        raise ConstraintInfeasible("pins force contradictory widths")
-    target = next(iter(want), 0)
-
-    for attempt in range(60):
-        ls = _chain_slopes(a, den, flips.get("left"), target, attempt,
-                           rising=True)
-        rs = _chain_slopes(h, den, flips.get("right"), target, attempt,
-                           rising=False)
-        if ls is None or rs is None:
-            continue
-        (s, sq), (t, tq) = ls, rs
-        if p > 1 or q > 1:
-            if t[0] * sq <= s[0] * tq or s[-1] * tq <= t[-1] * sq:
-                continue
-        # slope times increment sums to x times sq * den on the left chain
-        # and tq * den on the right; the polygon is over sq * tq * den
-        ints = {bot: (0, y[bot] * sq * tq)}
-        acc = 0
-        for i, v in enumerate(left[1:], start=1):
-            acc += s[i - 1] * a[i - 1]
-            ints[v] = (acc * tq, y[v] * sq * tq)
-        acc = 0
-        for j, v in enumerate(right[1:-1], start=1):
-            acc += t[j - 1] * h[j - 1]
-            ints[v] = (acc * sq, y[v] * sq * tq)
-        poly = BoundaryPolygon(cycle, ints, sq * tq * den)
-        try:
-            poly.validate()
-        except ValueError:
-            continue
-        if all(unique_extreme(ints, v, side) for v, side in pins):
-            return poly
-    raise ConstraintInfeasible("no polygon found for the requested pins")
+    fl, fr = flips.get("left"), flips.get("right")
+    bound = max(_pin_bound(a, fl), _pin_bound(h, fr))
+    e = 2
+    while e * den <= bound:
+        e <<= 2
+    s, sq = _chain_slopes(a, den, fl, target, e, rising=True)
+    t, tq = _chain_slopes(h, den, fr, target, e, rising=False)
+    # slope times increment sums to x times sq * den on the left chain
+    # and tq * den on the right; the polygon is over sq * tq * den
+    ints = {bot: (0, y[bot] * sq * tq)}
+    acc = 0
+    for i, v in enumerate(left[1:], start=1):
+        acc += s[i - 1] * a[i - 1]
+        ints[v] = (acc * tq, y[v] * sq * tq)
+    acc = 0
+    for j, v in enumerate(right[1:-1], start=1):
+        acc += t[j - 1] * h[j - 1]
+        ints[v] = (acc * sq, y[v] * sq * tq)
+    poly = BoundaryPolygon(cycle, ints, sq * tq * den)
+    try:
+        poly.validate()
+    except ValueError as exc:
+        raise ConstraintInfeasible(f"pinned polygon: {exc}") from None
+    for v, side in pins:
+        if not unique_extreme(ints, v, side):
+            raise ConstraintInfeasible(f"{v} is not the unique {side}most")
+    return poly
 
 
 def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, int],
@@ -703,7 +705,8 @@ def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, int],
     """Strictly convex polygon on the given clockwise cycle preserving
     x[v] / den: convex_polygon_for_y with x as the heights, on the reversed
     cycle, and its coordinates swapped. The swap is a reflection, so the
-    reversed cycle comes out clockwise again. pins lists (vertex,
+    reversed cycle comes out clockwise again, strictly convex and winding
+    once, as convex_polygon_for_y validated it. pins lists (vertex,
     'top'|'bottom'), at most one per side, and makes each vertex the unique
     topmost or bottommost: the rightmost or leftmost before the swap."""
     if any(side not in ("top", "bottom") for _, side in pins):
@@ -711,7 +714,5 @@ def convex_polygon_for_x(cycle: Sequence[int], x: Dict[int, int],
     y_pins = tuple((v, "right" if side == "top" else "left")
                    for v, side in pins)
     poly = convex_polygon_for_y(tuple(reversed(cycle)), x, y_pins, den)
-    out = BoundaryPolygon(
+    return BoundaryPolygon(
         cycle, {v: (py, px) for v, (px, py) in poly.ints.items()}, poly.den)
-    out.validate()
-    return out

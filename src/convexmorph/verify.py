@@ -122,19 +122,29 @@ def check_convexity_increasing(seq: MorphSequence,
                                graph_of_record: Optional[PlaneGraph] = None,
                                ) -> bool:
     """Once an internal angle of the graph of record is convex or straight
-    at an event endpoint, it must stay so at every later step midpoint and
-    endpoint. Angles are read off the drawings by apex and face neighbors,
-    so later graph edits may split them without ending the tracking."""
+    at an event endpoint, it must stay so at every later step endpoint.
+    Angles are read off the drawings by apex and face neighbors, so later
+    graph edits may split them without ending the tracking.
+
+    The endpoints decide the whole step. A one-axis step keeps every
+    fixed-axis coordinate, so for an angle a, v, b the cross product of
+    v - a and b - v is affine in t. An angle that is not reflex at both
+    ends has a cross product >= 0 at both, so >= 0 throughout, and > 0 on
+    the open step if it is > 0 at either end. An angle straight at both
+    ends stays collinear, and its apex stays strictly between its
+    neighbours: along a line that is not level on the fixed axis the apex
+    keeps its fixed-axis coordinate between theirs, and on a level the
+    differences of the moving coordinates are affine too, so they keep
+    their signs unless the apex meets a neighbour, which no step that
+    check_unidirectional_planar accepts does."""
     g = graph_of_record if graph_of_record is not None else seq.initial.graph
     triples = _inner_angle_triples(g)
     settled = {tri for tri in triples if _convex_here(seq.initial, tri)}
     for ev in seq.events:
         if isinstance(ev, MorphStep):
-            # the midpoint is (start + end) over 2 * both dens
-            for d in (ev.at(Fraction(1, 2)), ev.end):
-                for tri in settled:
-                    if not _convex_here(d, tri):
-                        return False
+            for tri in settled:
+                if not _convex_here(ev.end, tri):
+                    return False
         for tri in triples:
             if tri not in settled and _convex_here(ev.end, tri):
                 settled.add(tri)

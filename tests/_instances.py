@@ -27,9 +27,11 @@ def random_triangulation(rng, n_lo=4, n_hi=12, span=30):
             return d
 
 
-def _try_triangulation(rng, n, span):
+def _try_triangulation(rng, n, span, sheared=True):
     """A Delaunay triangulation of n random integer points, or None when
-    its hull is not strictly convex or the points are degenerate."""
+    its hull is not strictly convex or the points are degenerate. Without
+    the shear (sheared=False) the points stay on the integer grid, so
+    edges may be level on either axis."""
     pts = set()
     while len(pts) < n:
         pts.add((rng.randrange(-span, span + 1),
@@ -44,7 +46,7 @@ def _try_triangulation(rng, n, span):
         for i in range(3):
             a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
             edges.add((min(a, b) + 1, max(a, b) + 1))
-    coords = {i + 1: (rat(x), rat(y) + rat(x, 997))
+    coords = {i + 1: (rat(x), rat(y) + rat(x, 997) if sheared else rat(y))
               for i, (x, y) in enumerate(pts)}
     try:
         g = build_plane_graph_from_points(coords, edges)
@@ -59,9 +61,9 @@ def _try_triangulation(rng, n, span):
     return Drawing(g, coords) if hull_strict else None
 
 
-def _fixed_n_triangulation(rng, n, span):
+def _fixed_n_triangulation(rng, n, span, sheared=True):
     while True:
-        d = _try_triangulation(rng, n, span)
+        d = _try_triangulation(rng, n, span, sheared)
         if d is not None:
             return d
 
@@ -118,17 +120,18 @@ def same_plane_graph(a, b):
     return key(a) == key(b)
 
 
-def dent_instance(rng, n, span, max_pulls=8):
+def dent_instance(rng, n, span, max_pulls=8, sheared=True):
     """A 3-connected triangulation on n points whose hull vertices are
     pulled toward the centroid, each by the largest of 1/2, 1/4 or 1/8 of
     the way that keeps the drawing valid with the same embedding, up to
     max_pulls times while some pull does. The hull loses its strict
-    convexity, so convexify takes its 3-connected branch."""
+    convexity, so convexify takes its 3-connected branch. sheared=False
+    starts from points on the integer grid."""
     from convexmorph.connectivity import three_connected
     from convexmorph.plane_graph import NotPlanarInput, validate_drawing
 
     while True:
-        d = _fixed_n_triangulation(rng, n, span)
+        d = _fixed_n_triangulation(rng, n, span, sheared)
         if three_connected(d.graph.adjacency()):
             break
     g = d.graph
@@ -158,16 +161,18 @@ def dent_instance(rng, n, span, max_pulls=8):
     return Drawing(build_plane_graph_from_points(coords, edges), coords)
 
 
-def pocket_instance(rng, n, span, passes=1):
+def pocket_instance(rng, n, span, passes=1, sheared=True):
     """A triangulation on n points with half its inner edges dropped, then
     outer edges removed whenever internal 3-connectivity holds and the outer
     walk stays a simple cycle; each of the passes goes once over the outer
     walk as it stands when the pass starts. The graph is internally but
     usually not 3-connected, so convexify takes its buffer-path branch.
-    More passes cut deeper pockets."""
+    More passes cut deeper pockets. sheared=False starts from points on
+    the integer grid."""
     from convexmorph.connectivity import is_internally_3connected
 
-    d = _drop_inner_edges(rng, _fixed_n_triangulation(rng, n, span), 0.5)
+    d = _drop_inner_edges(rng, _fixed_n_triangulation(rng, n, span, sheared),
+                          0.5)
     g = d.graph
     for _ in range(passes):
         walk = g.outer_walk()

@@ -522,6 +522,13 @@ def augment_monotone_fraction(g, coords: Dict[int, Tuple], axis: int = 1):
 # -- reference paths the package's redraws and edits are compared against ----
 
 
+def polygon_coords(poly):
+    """The points of a BoundaryPolygon as pairs of Fractions."""
+    den = poly.den
+    return {v: (Fraction(x, den), Fraction(y, den))
+            for v, (x, y) in poly.ints.items()}
+
+
 def tutte_rows(g, weights, boundary_coords):
     """Rows and right-hand sides (x and y) of the pinned barycentric system
     with the given WeightAssignment, unscaled."""
@@ -550,8 +557,8 @@ def solve_tutte(g, boundary, weights):
     from convexmorph.tutte_solver import _check_pinned_system, solve_rows
 
     _check_pinned_system(g, boundary, weights.internal_vertices())
-    sol = solve_rows(*tutte_rows(g, weights, boundary.coords))
-    coords = dict(boundary.coords)
+    sol = solve_rows(*tutte_rows(g, weights, polygon_coords(boundary)))
+    coords = dict(polygon_coords(boundary))
     coords.update((u, (x, y)) for u, (x, y) in sol.items())
     return Drawing(g, coords)
 
@@ -564,7 +571,8 @@ def redraw_preserving(d, boundary, fixed_axis):
 
     rows, rhs, den = redraw_rows(d, boundary, fixed_axis)
     sol = solve_rows(rows, {u: [Fraction(b, den)] for u, b in rhs.items()})
-    values = {v: p[1 - fixed_axis] for v, p in boundary.coords.items()}
+    values = {v: p[1 - fixed_axis]
+              for v, p in polygon_coords(boundary).items()}
     values.update((u, x) for u, (x,) in sol.items())
     return Drawing(d.graph, {v: (values[v], p[1]) if fixed_axis == 1
                              else (p[0], values[v])
@@ -611,7 +619,7 @@ def snap_fraction(d, ma, poly, rounded, bits):
 
     scale = 1 << bits
     values = {v: Fraction(round(p[ma] * scale), scale)
-              for v, p in poly.coords.items()}
+              for v, p in polygon_coords(poly).items()}
     for u, j in rounded.items():
         values[u] = Fraction(j, scale)
     return Drawing(d.graph, {v: (values[v], p[1]) if ma == 0
@@ -627,13 +635,72 @@ def consistent_with_y(weights, y) -> bool:
     return all(acc[u] == y[u] for u in acc)
 
 
+def step_at(step, t):
+    """The Drawing at parameter t of the straight-line interpolation of a
+    MorphStep. For t = p/q, the moving coordinate of each vertex is
+    (q - p) * start + p * end, over q times both dens."""
+    from convexmorph.plane_graph import Drawing
+
+    if t == 0:
+        return step.start
+    if t == 1:
+        return step.end
+    tt = Fraction(t)
+    p, q = tt.numerator, tt.denominator
+    s_den, e_den = step.start.den, step.end.den
+    ws, we = (q - p) * e_den, p * s_den
+    fix = q * e_den
+    mov = step.direction.moving_axis
+    end = step.end.ints
+    ints = {}
+    for v, a in step.start.ints.items():
+        val = ws * a[mov] + we * end[v][mov]
+        ints[v] = (val, fix * a[1]) if mov == 0 else (fix * a[0], val)
+    return Drawing.from_ints(step.start.graph, ints, q * s_den * e_den)
+
+
+def convexity_increasing_sampled(seq, graph_of_record=None) -> bool:
+    """verify.check_convexity_increasing with each step's midpoint tested
+    as well as its end: once an inner angle of the graph of record is
+    convex or straight at an event end, it must stay so at every later
+    step's midpoint and end. An angle a, v, b is convex or straight when
+    neither neighbour is at the apex and the walk turns left at v, or goes
+    straight on."""
+    from convexmorph.steps import MorphStep
+
+    g = graph_of_record if graph_of_record is not None else seq.initial.graph
+    triples = []
+    for f in g.inner_face_indices():
+        walk = g.face_vertices(f)
+        k = len(walk)
+        triples += [(walk[i - 1], walk[i], walk[(i + 1) % k])
+                    for i in range(k)]
+
+    def convex(d, tri):
+        a, v, b = (d.coords[w] for w in tri)
+        if a == v or b == v:
+            return False
+        turn = _orient(a, v, b)
+        dot = (v[0] - a[0]) * (b[0] - v[0]) + (v[1] - a[1]) * (b[1] - v[1])
+        return turn > 0 or (turn == 0 and dot > 0)
+
+    settled = {tri for tri in triples if convex(seq.initial, tri)}
+    for ev in seq.events:
+        if isinstance(ev, MorphStep):
+            for d in (step_at(ev, Fraction(1, 2)), ev.end):
+                if not all(convex(d, tri) for tri in settled):
+                    return False
+        settled |= {tri for tri in triples if convex(ev.end, tri)}
+    return True
+
+
 def check_planarity_sampled(step, samples=9) -> bool:
     """Exact planarity of the interpolated drawing of a one-axis step at
     t = i/(samples+1), i = 1..samples."""
     from convexmorph.plane_graph import drawing_is_planar
 
     for i in range(1, samples + 1):
-        d = step.at(Fraction(i, samples + 1))
+        d = step_at(step, Fraction(i, samples + 1))
         if not drawing_is_planar(step.start.graph, d.coords):
             return False
     return True
@@ -684,29 +751,33 @@ def seg_seg_dist_sq_fraction(a, b, c, d):
 
 def chain_slopes_fraction(incr, flip, target, eta, rising):
     """tutte_solver._chain_slopes in Fractions, on the rational increments
-    incr and with eta itself: the oracle of the integer version."""
+    incr and with the tilt eta = 2 / e as a Fraction: the oracle of the
+    integer version."""
     p = len(incr)
     sgn = 1 if rising else -1
     if p == 1:
-        s = [target / incr[0]]
-    else:
-        center = Fraction(flip) if flip is not None else Fraction(p, 2)
-        s = [sgn * eta * (i - center - Fraction(1, 2))
-             for i in range(1, p + 1)]
-        delta = target - sum(si * ai for si, ai in zip(s, incr))
-        if delta > 0:
-            hi = p - 1 if rising else 0
-            s[hi] += delta / incr[hi]
-        elif delta < 0:
-            lo = 0 if rising else p - 1
-            s[lo] += delta / incr[lo]
+        return [target / incr[0]]
+    center = Fraction(flip) if flip is not None else Fraction(p, 2)
+    s = [sgn * eta * (i - center - Fraction(1, 2)) for i in range(1, p + 1)]
+    delta = target - sum(si * ai for si, ai in zip(s, incr))
+    if delta > 0:
+        hi = p - 1 if rising else 0
+        s[hi] += delta / incr[hi]
+    elif delta < 0:
+        lo = 0 if rising else p - 1
+        s[lo] += delta / incr[lo]
+    return s
+
+
+def chain_shape_kept(s, flip, rising) -> bool:
+    """Are the slopes s strictly increasing (rising) or decreasing, and
+    do slopes 1..flip point one way and the rest the other: left (negative)
+    first on a rising chain, right first on a falling one?"""
     seq = s if rising else [-v for v in s]
     if any(b <= a for a, b in zip(seq, seq[1:])):
-        return None
-    if flip is not None:
-        before = -1 if rising else 1
-        for i, v in enumerate(s, start=1):
-            want = before if i <= flip else -before
-            if (v > 0) - (v < 0) != want:
-                return None
-    return s
+        return False
+    if flip is None:
+        return True
+    before = -1 if rising else 1
+    return all((v > 0) - (v < 0) == (before if i <= flip else -before)
+               for i, v in enumerate(s, start=1))

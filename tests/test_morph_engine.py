@@ -30,6 +30,7 @@ from convexmorph.plane_graph import (
     EmbeddingInvalid,
     NotPlanarInput,
     PlaneGraph,
+    PreconditionViolated,
     ShearConstraints,
     _integer_view,
     _shear_ok,
@@ -55,6 +56,8 @@ from convexmorph.verify import (
 
 from test_bench_outputs import DIGESTS, bench_drawing
 from _instances import (
+    _drop_inner_edges,
+    _fixed_n_triangulation,
     dent_instance,
     hidden_component_drawing,
     pocket_instance,
@@ -69,6 +72,7 @@ from _oracles import (
     seg_seg_dist_sq_fraction,
     shear_fraction,
     snap_fraction,
+    step_at,
     transposed,
 )
 
@@ -172,6 +176,33 @@ def test_convexify_certified_on_hull_pocket_input(family, seed):
     assert same_plane_graph(seq.final.graph, d.graph)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), span=st.sampled_from((4, 10)))
+def test_convexify_certified_on_unsheared_grid_input(seed, span):
+    # Delaunay drawings on the 9 x 9 and 21 x 21 integer grids without the
+    # y += x/997 shear, so edges and vertex pairs may be level on either
+    # axis: inner edges dropped (convex outer), outer edges removed too
+    # (buffer paths), and a dented hull (the 3-connected branch)
+    rng = random.Random(seed)
+    n = rng.randint(6, 12) if span == 4 else rng.randint(8, 20)
+    drawings = [
+        _drop_inner_edges(rng, _fixed_n_triangulation(rng, n, span, False),
+                          0.5),
+        pocket_instance(rng, n, span, sheared=False),
+        dent_instance(rng, n, span, sheared=False),
+    ]
+    for d in drawings:
+        seq = convexify(d)
+        mode = ("convex_outer" if is_convex_outer(d)
+                else "3conn" if three_connected(d.graph.adjacency())
+                else "general")
+        assert all(check_unidirectional_planar(step) for step in seq.steps)
+        assert check_convexity_increasing(seq, d.graph)
+        assert check_step_bounds(seq, mode)
+        assert is_strictly_convex(seq.final)
+        assert same_plane_graph(seq.final.graph, d.graph)
+
+
 def test_pocket_input_runs_every_redraw():
     h, v = Direction.HORIZONTAL, Direction.VERTICAL
     seen = {(step.direction, note)
@@ -222,6 +253,14 @@ def test_convex_outer_phase_counts_reflex_angles_once_per_move(monkeypatch):
     convexify(instance("convex_outer", 0))
     assert len(moves) >= 2
     assert len(counts) == len(moves) + 1
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_morph_B_rejects_an_edge_level_on_the_fixed_axis(direction):
+    # the square's sides are level on both axes; augment_y_monotone states
+    # the precondition for morph_B
+    with pytest.raises(PreconditionViolated, match="level"):
+        morph_B(wheel_drawing(hub=(1, 3)), direction)
 
 
 def reflected_instance(seed):
@@ -615,7 +654,7 @@ def test_every_emitted_drawing_is_canonical(family, seed):
     for ev in seq.events:
         assert canonical(ev.start) and canonical(ev.end)
         if isinstance(ev, MorphStep):
-            assert canonical(ev.at(Fraction(1, 2)))
+            assert canonical(step_at(ev, Fraction(1, 2)))
 
 
 def test_convexify_builds_no_fraction_coordinates(monkeypatch):

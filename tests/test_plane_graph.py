@@ -134,7 +134,7 @@ def test_face_walks_are_cached():
     # a vertex, and augmented: each face's walk is its darts' tails, built
     # once
     d = random_augment_instance(random.Random(5))
-    d = shear(d, 1, choose_safe_shear(d, 1))
+    d = shear(d, 1, choose_safe_shear(d, 1, ShearConstraints()))
     g = d.graph
     aug = augment_y_monotone(d)
     assert aug.m > g.m

@@ -35,7 +35,7 @@ ALLOWED = {"weights_from_y", "WeightAssignment", "GraphEdit.label"}
 # member names that more than one public class declares: a read of any of
 # them counts for every such class, so the scan cannot tell whether each
 # class's own member is read. A new shared name shows up here first.
-SHARED = {"coords", "start", "end"}
+SHARED = {"start", "end"}
 
 EXPORTS = [
     # the pipeline

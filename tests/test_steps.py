@@ -19,6 +19,7 @@ from convexmorph.steps import (
 )
 
 from _instances import random_augment_instance
+from _oracles import step_at
 
 
 def square_drawing():
@@ -42,12 +43,12 @@ def test_horizontal_step_interpolates_exactly():
     d = square_drawing()
     e = shifted(d, dx=rat(3))
     step = MorphStep(Direction.HORIZONTAL, d, e)
-    mid = step.at(Fraction(1, 3))
+    mid = step_at(step, Fraction(1, 3))
     for v in d.coords:
         assert mid.coords[v][1] == d.coords[v][1]
         assert mid.coords[v][0] == d.coords[v][0] + 1
-    assert step.at(0) is d
-    assert step.at(1) is e
+    assert step_at(step, 0) is d
+    assert step_at(step, 1) is e
 
 
 def test_fixed_axis_must_not_move():
@@ -162,7 +163,7 @@ def test_float_input_enters_exactly():
     assert d.coords[1] == (Fraction(0.1), 0)
     assert d.coords[1][0] != Fraction(1, 10)
     step = MorphStep(Direction.HORIZONTAL, d, shifted(d, dx=rat(1)))
-    third = step.at(Fraction(1, 3))
+    third = step_at(step, Fraction(1, 3))
     assert third.coords[1] == (Fraction(0.1) + Fraction(1, 3), 0)
     assert third.coords[3] == (Fraction(13, 3), 4)
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexmorph import (
@@ -39,8 +39,10 @@ from convexmorph.morph_engine import _grid_bits
 
 from _instances import pocket_instance, random_augment_instance, random_triangulation
 from _oracles import (
+    chain_shape_kept,
     chain_slopes_fraction,
     consistent_with_y,
+    polygon_coords,
     redraw_preserving,
     solve_dense_fraction,
     solve_tutte,
@@ -301,7 +303,7 @@ def test_solve_tutte_five_wheel_matches_dense_oracle():
                               for i, v in enumerate(g.rotation[hub])})
         boundary = hull_polygon(d)
         out = solve_tutte(g, boundary, w)
-        rows, rhs = tutte_rows(g, w, boundary.coords)
+        rows, rhs = tutte_rows(g, w, polygon_coords(boundary))
         want = solve_dense_fraction(rows, rhs)
         assert [Fraction(c) for c in out.coords[hub]] == want[hub]
         assert_rows_satisfied_exactly(g, w, out)
@@ -330,7 +332,7 @@ def test_solve_tutte_random_instances():
         # the y system reproduces the y the weights came from
         for v in g.rotation:
             assert out.coords[v][1] == d.coords[v][1]
-        rows, rhs = tutte_rows(g, w, boundary.coords)
+        rows, rhs = tutte_rows(g, w, polygon_coords(boundary))
         want = solve_dense_fraction(rows, rhs)
         for v in internal:
             assert [Fraction(c) for c in out.coords[v]] == want[v]
@@ -348,7 +350,7 @@ def test_solve_tutte_uniform_weights_agree_with_dense():
             continue
         w = uniform_weights(g)
         out = solve_tutte(g, boundary, w)
-        rows, rhs = tutte_rows(g, w, boundary.coords)
+        rows, rhs = tutte_rows(g, w, polygon_coords(boundary))
         want = solve_dense_fraction(rows, rhs)
         for v in internal:
             assert [Fraction(c) for c in out.coords[v]] == want[v]
@@ -410,7 +412,7 @@ def test_redraw_preserving_y_new_polygon():
         for v in g.rotation:
             assert out.coords[v][1] == d.coords[v][1]
         for v in poly.cycle:
-            assert out.coords[v] == poly.coords[v]
+            assert out.coords[v] == polygon_coords(poly)[v]
 
 
 def test_redraw_preserving_y_rejects_changed_heights():
@@ -443,7 +445,7 @@ def weight_rows(d, boundary, fixed_axis):
     oracle of tutte_rows_from_y."""
     w = weights_from_y(d.graph,
                        {v: p[fixed_axis] for v, p in d.coords.items()})
-    rows, rhs = tutte_rows(d.graph, w, boundary.coords)
+    rows, rhs = tutte_rows(d.graph, w, polygon_coords(boundary))
     return rows, {u: [vals[1 - fixed_axis]] for u, vals in rhs.items()}
 
 
@@ -687,11 +689,13 @@ def test_alternating_default_polygons_keep_coordinates_short():
     for _ in range(6):
         ys, den = axis_over_one_den(coords, 1)
         poly = convex_polygon_for_y(cycle, ys, den=den)
-        coords = {v: (snap(x + y / 4), y) for v, (x, y) in poly.coords.items()}
+        coords = {v: (snap(x + y / 4), y)
+                  for v, (x, y) in polygon_coords(poly).items()}
         assert coord_bits(coords) <= limit
         xs, den = axis_over_one_den(coords, 0)
         poly = convex_polygon_for_x(cycle, xs, den=den)
-        coords = {v: (x, snap(y + x / 4)) for v, (x, y) in poly.coords.items()}
+        coords = {v: (x, snap(y + x / 4))
+                  for v, (x, y) in polygon_coords(poly).items()}
         assert coord_bits(coords) <= limit
 
 
@@ -739,17 +743,18 @@ def test_boundary_polygon_matches_outer_walk():
 def test_polygon_for_y_triangle_parabola():
     # x = (y - 0)(2 - y)/(2 - 0) on the right chain
     poly = convex_polygon_for_y((1, 2, 3), {1: 0, 2: 2, 3: 1})
-    assert poly.coords == {1: (rat(0), rat(0)), 2: (rat(0), rat(2)),
-                           3: (rat(1, 2), rat(1))}
+    assert polygon_coords(poly) == {1: (rat(0), rat(0)),
+                                    2: (rat(0), rat(2)),
+                                    3: (rat(1, 2), rat(1))}
 
 
 def test_polygon_for_y_square_chain():
     y = {1: 0, 2: 1, 3: 2, 4: 1}
     poly = convex_polygon_for_y((1, 2, 3, 4), y)
-    assert poly.coords[2] == (rat(-1, 2), rat(1))
-    assert poly.coords[4] == (rat(1, 2), rat(1))
-    assert poly.coords[1] == (rat(0), rat(0))
-    assert poly.coords[3] == (rat(0), rat(2))
+    assert polygon_coords(poly)[2] == (rat(-1, 2), rat(1))
+    assert polygon_coords(poly)[4] == (rat(1, 2), rat(1))
+    assert polygon_coords(poly)[1] == (rat(0), rat(0))
+    assert polygon_coords(poly)[3] == (rat(0), rat(2))
 
 
 def test_polygon_for_y_monotonicity_errors():
@@ -768,7 +773,7 @@ HEX_CYCLE = (1, 2, 3, 4, 5, 6)
 
 
 def assert_unique_pin(poly, v, side):
-    xs = {w: p[0] for w, p in poly.coords.items()}
+    xs = {w: p[0] for w, p in polygon_coords(poly).items()}
     if side == "left":
         assert all(w == v or xs[v] < xs[w] for w in xs)
     else:
@@ -791,7 +796,7 @@ def test_polygon_for_y_pins(pins):
     poly = convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=pins)
     poly.validate()
     for v in HEX_CYCLE:
-        assert poly.coords[v][1] == HEX_Y[v]
+        assert polygon_coords(poly)[v][1] == HEX_Y[v]
     for v, side in pins:
         assert_unique_pin(poly, v, side)
 
@@ -811,9 +816,9 @@ def test_polygon_for_y_pin_conflicts():
         convex_polygon_for_y(HEX_CYCLE, HEX_Y, pins=((2, "left"), (3, "left")))
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_polygon_for_y_random_cycles(data):
+def draw_cycle(data):
+    """A y-monotone clockwise cycle on vertices 1..k, numbered by height:
+    (k, heights, cycle, inner left vertices, inner right vertices)."""
     k = data.draw(st.integers(min_value=3, max_value=9))
     ys = sorted(data.draw(st.lists(st.integers(-40, 40), min_size=k,
                                    max_size=k, unique=True)))
@@ -822,7 +827,13 @@ def test_polygon_for_y_random_cycles(data):
     left_int = [i + 1 for i in range(1, k - 1) if flags[i - 1]]
     right_int = [i + 1 for i in range(1, k - 1) if not flags[i - 1]]
     cycle = tuple([1] + left_int + [k] + list(reversed(right_int)))
+    return k, y, cycle, left_int, right_int
 
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_polygon_for_y_random_cycles(data):
+    k, y, cycle, left_int, right_int = draw_cycle(data)
     left_opts = [None, 1, k] + left_int
     right_opts = [None, 1, k] + right_int
     pin_left = data.draw(st.sampled_from(left_opts))
@@ -839,43 +850,84 @@ def test_polygon_for_y_random_cycles(data):
     poly.validate()
     assert poly.cycle == cycle
     for v in cycle:
-        assert poly.coords[v][1] == y[v]
+        assert polygon_coords(poly)[v][1] == y[v]
     for v, side in pins:
         assert_unique_pin(poly, v, side)
     ring = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    g = build_plane_graph_from_points(poly.coords, ring)
+    g = build_plane_graph_from_points(polygon_coords(poly), ring)
     assert poly.matches_outer_walk(g)
-    assert is_strictly_convex(Drawing(g, poly.coords))
+    assert is_strictly_convex(Drawing(g, polygon_coords(poly)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_chain_slopes_match_fraction_oracle(data):
     # the integer slopes over their common denominator are the rationals
-    # the Fraction construction gives, and fail where it fails
+    # the Fraction construction gives, and strictly monotone
     incr = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
                               max_size=7))
     den = data.draw(st.integers(1, 10 ** 6))
     flip = data.draw(st.one_of(st.none(), st.integers(0, len(incr))))
     target = data.draw(st.sampled_from((-1, 0, 1)))
-    attempt = data.draw(st.integers(0, 6))
+    e = data.draw(st.integers(1, 2 * 4 ** 6))
     rising = data.draw(st.booleans())
-    got = tutte_solver._chain_slopes(incr, den, flip, target, attempt,
-                                     rising)
+    s, q = tutte_solver._chain_slopes(incr, den, flip, target, e, rising)
     want = chain_slopes_fraction([Fraction(a, den) for a in incr], flip,
-                                 target, Fraction(1, 4 ** attempt), rising)
-    if want is None:
-        assert got is None
-    else:
-        s, q = got
-        assert [Fraction(x, q) for x in s] == want
+                                 target, Fraction(2, e), rising)
+    assert q > 0
+    assert [Fraction(x, q) for x in s] == want
+    assert chain_shape_kept(want, None, rising)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pinned_polygon_takes_the_least_scale_that_keeps_the_pins(data):
+    # each chain of a pinned polygon has the Fraction oracle's slopes at
+    # the least eta = 4^-k for which both chains keep their sign patterns
+    k, y, cycle, left_int, right_int = draw_cycle(data)
+    den = data.draw(st.integers(1, 10 ** 4))
+    left, right = [1] + left_int + [k], [1] + right_int + [k]
+    pin_left = data.draw(st.sampled_from([None] + left))
+    pin_right = data.draw(st.sampled_from([None] + right))
+    assume(pin_left is not None or pin_right is not None)
+    assume(pin_left is None or pin_left != pin_right)
+    pins = tuple((v, s) for v, s in ((pin_left, "left"), (pin_right, "right"))
+                 if v is not None)
+    fl = left.index(pin_left) if pin_left is not None else None
+    fr = right.index(pin_right) if pin_right is not None else None
+    # x of the top minus x of the bottom: a pinned end lies one unit
+    # beyond the other end on its side
+    target = 0
+    if pin_left in (1, k):
+        target = 1 if pin_left == 1 else -1
+    if pin_right in (1, k):
+        target = 1 if pin_right == k else -1
+
+    def incr(chain):
+        return [Fraction(y[b] - y[a], den) for a, b in zip(chain, chain[1:])]
+
+    for j in itertools.count():
+        eta = Fraction(1, 4 ** j)
+        sl = chain_slopes_fraction(incr(left), fl, target, eta, True)
+        sr = chain_slopes_fraction(incr(right), fr, target, eta, False)
+        if chain_shape_kept(sl, fl, True) and chain_shape_kept(sr, fr, False):
+            break
+    want = {}
+    for chain, slopes in ((left, sl), (right, sr)):
+        x = Fraction(0)
+        want[chain[0]] = (x, Fraction(y[chain[0]], den))
+        for v, m, a in zip(chain[1:], slopes, incr(chain)):
+            x += m * a
+            want[v] = (x, Fraction(y[v], den))
+    poly = convex_polygon_for_y(cycle, y, pins, den)
+    assert polygon_coords(poly) == want
 
 
 # -- convex_polygon_for_x ----------------------------------------------------
 
 
 def assert_unique_vertical_extreme(poly, v, side):
-    ys = {w: p[1] for w, p in poly.coords.items()}
+    ys = {w: p[1] for w, p in polygon_coords(poly).items()}
     if side == "top":
         assert all(w == v or ys[v] > ys[w] for w in ys)
     else:
@@ -887,7 +939,7 @@ def test_polygon_for_x_triangle_top():
     poly = convex_polygon_for_x((1, 2, 3), x, ((2, "top"),))
     poly.validate()
     for v in (1, 2, 3):
-        assert poly.coords[v][0] == x[v]
+        assert polygon_coords(poly)[v][0] == x[v]
     assert_unique_vertical_extreme(poly, 2, "top")
 
 
@@ -907,7 +959,7 @@ def test_polygon_for_x_quad_sides():
     poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((4, "top"),))
     assert_unique_vertical_extreme(poly, 4, "top")
     for v in QUAD_CYCLE:
-        assert poly.coords[v][0] == QUAD_X[v]
+        assert polygon_coords(poly)[v][0] == QUAD_X[v]
     poly = convex_polygon_for_x(QUAD_CYCLE, QUAD_X, ((2, "bottom"),))
     assert_unique_vertical_extreme(poly, 2, "bottom")
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexmorph import verify
 from convexmorph.monotone_augment import augment_y_monotone
@@ -11,6 +12,7 @@ from convexmorph.plane_graph import (
     drawing_is_planar,
     internal_reflex_angles,
     rat,
+    shear,
 )
 from convexmorph.steps import Direction, MorphSequence, MorphStep
 from convexmorph.tutte_solver import convex_polygon_for_y
@@ -19,8 +21,17 @@ from convexmorph.verify import (
     check_step_bounds,
     check_unidirectional_planar,
 )
-from _instances import random_augment_instance
-from _oracles import check_planarity_sampled, redraw_preserving, transposed
+from _instances import (
+    _drop_inner_edges,
+    _fixed_n_triangulation,
+    random_augment_instance,
+)
+from _oracles import (
+    check_planarity_sampled,
+    convexity_increasing_sampled,
+    redraw_preserving,
+    transposed,
+)
 
 
 def _drawing(coords, edges):
@@ -192,3 +203,51 @@ def test_pentagram_end_is_swept_and_rejected():
         MorphStep(Direction.HORIZONTAL, convex, convex))
     assert not check_unidirectional_planar(
         MorphStep(Direction.HORIZONTAL, star, star))
+
+
+def random_steps(rng, d, count):
+    """A sequence of count one-axis steps from d, each a shear, a move of
+    one vertex, or a move of every vertex by a small random amount."""
+    events = []
+    cur = d
+    for _ in range(count):
+        direction = rng.choice(list(Direction))
+        ma = direction.moving_axis
+        kind = rng.randrange(3)
+        if kind == 0:
+            lam = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            end = shear(cur, ma, lam)
+        else:
+            coords = dict(cur.coords)
+            movers = [rng.choice(sorted(coords))] if kind == 1 else coords
+            for v in movers:
+                p = list(coords[v])
+                p[ma] += Fraction(rng.randint(-4, 4), 2)
+                coords[v] = tuple(p)
+            end = Drawing(cur.graph, coords)
+        events.append(MorphStep(direction, cur, end))
+        cur = end
+    return MorphSequence(d, tuple(events))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), grid=st.booleans(),
+       count=st.integers(1, 3))
+def test_convexity_verdict_from_step_ends_matches_midpoints(seed, grid, count):
+    # testing a step's midpoint adds nothing to its ends when the step is
+    # planar, since each angle's cross product is affine in t (see
+    # check_convexity_increasing); on the integer grid, edges and straight
+    # angles may be level on either axis
+    rng = random.Random(seed)
+    if grid:
+        d = _drop_inner_edges(
+            rng, _fixed_n_triangulation(rng, rng.randint(5, 10), 4, False),
+            0.5)
+    else:
+        d = random_augment_instance(rng, 5, 10)
+    seq = random_steps(rng, d, count)
+    ends = check_convexity_increasing(seq)
+    sampled = convexity_increasing_sampled(seq)
+    assert sampled <= ends
+    if all(check_unidirectional_planar(step) for step in seq.steps):
+        assert sampled == ends
