@@ -68,11 +68,11 @@ from .plane_graph import (
     AngleKind,
     AngleRef,
     Drawing,
-    EmbeddingInvalid,
     NotPlanarInput,
     PlaneGraph,
     PreconditionViolated,
     ShearConstraints,
+    _cross,
     _integer_view,
     _shear_ok,
     angle_status_points,
@@ -135,7 +135,8 @@ class PocketNotSeparated(ConvexifyError):
 
 
 class PlacementFailure(ConvexifyError):
-    """No buffer placement validated even after shrinking the offsets."""
+    """The buffer placement augment_buffers computes fails one of its
+    checks, or no shrink lets every pocket vertex's spokes fan out."""
 
 
 class GraphNotRestored(ConvexifyError):
@@ -190,6 +191,14 @@ def _rotations_realized(d: Drawing) -> bool:
         if any(order[(shift + i) % k] != i for i in range(k)):
             return False
     return True
+
+
+def _outer_area2(d: Drawing) -> int:
+    """Twice the signed area of d's outer walk on the integer view (the
+    shoelace sum): negative when the walk is clockwise, as the outer face
+    of a planar drawing that realizes its rotations is."""
+    walk = [d.ints[v] for v in d.graph.outer_walk()]
+    return sum(_cross(p, q) for p, q in zip(walk, walk[1:] + walk[:1]))
 
 
 # -- coordinate maintenance ----------------------------------------------------
@@ -541,10 +550,18 @@ def _pocket_descriptor(outer: Tuple[int, ...],
     return tuple(reversed(arc))
 
 
-def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
-    """Coordinates for one pocket's buffer vertices at the given shrink
-    factor: apexes off each interior path vertex toward the hull segment,
-    midpoints between consecutive apexes, end midpoints on the segment."""
+def _buffer_geometry(d: Drawing, path: Tuple[int, ...]):
+    """One pocket's buffer vertices in spine order, each as a pair (base,
+    offset) of rational points: at shrink s the vertex is base + s * offset.
+    Apexes go off each interior path vertex toward the hull segment,
+    midpoints lie between consecutive apexes, and the end midpoints on the
+    segment.
+
+    Every base next to an interior path vertex P_i is P_i itself (its apex)
+    or lies on a path edge at P_i (the midpoints, and the end midpoints,
+    whose bases are the path's ends), which _shrink_bits relies on. In a
+    one-vertex pocket the end offsets cancel in their midpoint m, and the
+    apex is m + (s/8)(P_1 - m)."""
     pts = [d.point(v) for v in path]
     kk = len(path) - 2
     e0, e1 = pts[0], pts[-1]
@@ -562,18 +579,16 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
             if not (i == 0 and j == n_seg - 1))
         eps_sq = rat(num, den * d.den * d.den)
         t_end = min(_sqrt_floor(eps_sq / (16 * elen_sq)),
-                    rat(1, 2 * kk + 4)) * shrink
+                    rat(1, 2 * kk + 4))
     else:
-        t_end = rat(1, 2 * kk + 4) * shrink
-    first = (e0[0] + t_end * evec[0], e0[1] + t_end * evec[1])
-    last = (e1[0] - t_end * evec[0], e1[1] - t_end * evec[1])
+        t_end = rat(1, 2 * kk + 4)
+    first = (e0, (t_end * evec[0], t_end * evec[1]))
+    last = (e1, (-t_end * evec[0], -t_end * evec[1]))
 
     if kk == 1:
-        m = ((first[0] + last[0]) / 2, (first[1] + last[1]) / 2)
-        pull = rat(1, 8) * shrink
-        apex = (m[0] + pull * (pts[1][0] - m[0]),
-                m[1] + pull * (pts[1][1] - m[1]))
-        return [first, apex, last]
+        m = ((e0[0] + e1[0]) / 2, (e0[1] + e1[1]) / 2)
+        return [first, (m, ((pts[1][0] - m[0]) / 8, (pts[1][1] - m[1]) / 8)),
+                last]
 
     apexes = []
     for i in range(1, kk + 1):
@@ -590,17 +605,65 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...], shrink):
         elif kind is AngleKind.STRAIGHT:
             w = (u2[1], -u2[0])
         wlen_sq = w[0] * w[0] + w[1] * w[1]
-        t = _sqrt_floor(eps_sq / (16 * wlen_sq)) * shrink
-        apexes.append((pv[0] + t * w[0], pv[1] + t * w[1]))
+        t = _sqrt_floor(eps_sq / (16 * wlen_sq))
+        apexes.append((pv, (t * w[0], t * w[1])))
 
     spine = [first]
-    for i, apex in enumerate(apexes):
-        spine.append(apex)
-        nxt = apexes[i + 1] if i + 1 < len(apexes) else None
-        if nxt is not None:
-            spine.append(((apex[0] + nxt[0]) / 2, (apex[1] + nxt[1]) / 2))
+    for (pa, da), (pb, db) in zip(apexes, apexes[1:]):
+        spine.append((pa, da))
+        spine.append((((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2),
+                      ((da[0] + db[0]) / 2, (da[1] + db[1]) / 2)))
+    spine.append(apexes[-1])
     spine.append(last)
     return spine
+
+
+def _shrink_bits(d: Drawing, paths, geometry) -> int:
+    """The least k such that at shrink s = 2^-k every interior pocket
+    vertex P_i sees its fan P_{i+1}, S_{2i}, S_{2i-1}, S_{2i-2}, P_{i-1}
+    turn clockwise at each consecutive pair, S being the pocket's spine
+    placed by geometry (per path, _buffer_geometry's pairs).
+
+    Seen from P_i a fan member points along p + s * q, up to a factor that
+    is positive for 0 < s <= 1: a path neighbour along its edge (q = 0), a
+    spine vertex along base - P_i + s * offset, and the apex of a
+    one-vertex pocket, (1 - s/8)(m - P_1) away, along m - P_1. The cross
+    product of two members is c0 + c1 s + c2 s^2. Every base but that
+    apex's is P_i or on a path edge at P_i, so two consecutive bases are
+    collinear with P_i and c0 = 0, unless one member is that apex, whose
+    q = 0 makes c2 = 0. Either way each pair asks a + b s < 0 (after
+    dividing by s when c0 = 0), a half-line of s, and all pairs together an
+    open interval (lo, hi). 2^-k is the largest power of two below hi;
+    PlacementFailure when it is not above lo."""
+    lo, hi = 0, None
+    for path, geo in zip(paths, geometry):
+        pts = [d.point(v) for v in path]
+        kk = len(path) - 2
+        for i in range(1, kk + 1):
+            p = pts[i]
+            fan = [(pts[i + 1], (0, 0)), geo[2 * i], geo[2 * i - 1],
+                   geo[2 * i - 2], (pts[i - 1], (0, 0))]
+            if kk == 1:
+                fan[2] = (fan[2][0], (0, 0))
+            dirs = [((b[0] - p[0], b[1] - p[1]), q) for b, q in fan]
+            for (u, du), (w, dw) in zip(dirs, dirs[1:]):
+                c0, c2 = _cross(u, w), _cross(du, dw)
+                c1 = _cross(u, dw) + _cross(du, w)
+                a, b = (c0, c1) if c0 else (c1, c2)
+                if b > 0:
+                    hi = -a / b if hi is None else min(hi, -a / b)
+                elif b < 0:
+                    lo = max(lo, -a / b)
+                elif a >= 0:
+                    hi = 0
+    k = 0
+    if hi is not None and hi > lo:
+        k = (hi.denominator // hi.numerator).bit_length()
+    if (hi is not None and hi <= lo) or lo * (1 << k) >= 1:
+        raise PlacementFailure(
+            "insert buffer paths",
+            "no shrink 2^-k turns every pocket fan clockwise")
+    return k
 
 
 def _with_points(d: Drawing, extra: Dict[int, Tuple]):
@@ -619,8 +682,10 @@ def augment_buffers(d: Drawing
     """Shadow each missing hull segment's pocket path with a buffer path
     plus spokes, so that the segment between the two new on-hull midpoints
     can be added, and later removed again, without ever touching internal
-    3-connectivity. Offsets shrink geometrically until the placement
-    validates; raises PlacementFailure when none does.
+    3-connectivity. Every offset is scaled by one shrink 2^-k, the largest
+    at which each pocket vertex's spokes fan out between its path edges
+    (_shrink_bits); the placement is then built and checked once, and a
+    check that fails raises PlacementFailure naming it.
 
     Returns the padded drawing and, per hull gap, its buffer path: the 2k+1
     vertices shadowing the k interior vertices of the pocket path, in walk
@@ -638,42 +703,47 @@ def augment_buffers(d: Drawing
         if any(w in hull_set for w in path[1:-1]):
             raise PreconditionViolated("hull vertex inside a pocket path")
 
+    geometry = [_buffer_geometry(d, path) for path in paths]
+    shrink = rat(1, 1 << _shrink_bits(d, paths, geometry))
     next_id = max(g.rotation) + 1
     spines = []
-    for path in paths:
-        kk = len(path) - 2
-        spines.append(tuple(range(next_id, next_id + 2 * kk + 1)))
-        next_id += 2 * kk + 1
+    extra = {}
+    edges = list(g.edges())
+    for path, geo in zip(paths, geometry):
+        spine = tuple(range(next_id, next_id + len(geo)))
+        next_id += len(geo)
+        spines.append(spine)
+        extra.update((v, (b[0] + shrink * q[0], b[1] + shrink * q[1]))
+                     for v, (b, q) in zip(spine, geo))
+        chain = (path[0],) + spine + (path[-1],)
+        edges.extend(zip(chain, chain[1:]))
+        for i in range(1, len(path) - 1):
+            edges.extend((path[i], spine[j])
+                         for j in (2 * i - 2, 2 * i - 1, 2 * i))
 
-    for attempt in range(12):
-        shrink = rat(1, 1 << attempt)
-        extra = {}
-        edges = list(g.edges())
-        for path, spine in zip(paths, spines):
-            extra.update(zip(spine, _buffer_geometry(d, path, shrink)))
-            chain = (path[0],) + spine + (path[-1],)
-            edges.extend(zip(chain, chain[1:]))
-            for i in range(1, len(path) - 1):
-                edges.extend((path[i], spine[j])
-                             for j in (2 * i - 2, 2 * i - 1, 2 * i))
-        try:
-            ints, den = _with_points(d, extra)
-            g_new = build_plane_graph_from_points(ints, edges)
-            d_new = Drawing.from_ints(g_new, ints, den)
-            validate_drawing(d_new)
-        except (EmbeddingInvalid, NotPlanarInput, ValueError):
-            continue
-        if not is_internally_3connected(g_new):
-            continue
-        if set(convex_hull(d_new)) != hull_set.union(
-                *((sp[0], sp[-1]) for sp in spines)):
-            continue
-        ow = set(g_new.outer_walk())
-        if all(set(sp) <= ow and not any(w in ow for w in path[1:-1])
+    def fail(check):
+        return PlacementFailure("insert buffer paths", check)
+
+    ints, den = _with_points(d, extra)
+    try:
+        g_new = build_plane_graph_from_points(ints, edges)
+    except ValueError as exc:
+        raise fail(f"placement is not a plane graph: {exc}") from exc
+    d_new = Drawing.from_ints(g_new, ints, den)
+    try:
+        validate_drawing(d_new)
+    except ValueError as exc:
+        raise fail(f"placement fails validate_drawing: {exc}") from exc
+    if not is_internally_3connected(g_new):
+        raise fail("padded graph is not internally 3-connected")
+    if set(convex_hull(d_new)) != hull_set.union(
+            *((sp[0], sp[-1]) for sp in spines)):
+        raise fail("hull is not the old hull plus the spine ends")
+    ow = set(g_new.outer_walk())
+    if not all(set(sp) <= ow and not any(w in ow for w in path[1:-1])
                for path, sp in zip(paths, spines)):
-            return d_new, tuple(spines)
-    raise PlacementFailure("insert buffer paths",
-                           "no buffer placement validated")
+        raise fail("a spine is off the outer walk or a pocket vertex on it")
+    return d_new, tuple(spines)
 
 
 def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
@@ -740,6 +810,8 @@ def convexify(d: Drawing) -> MorphSequence:
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     if not convex and not _rotations_realized(d):
         raise NotPlanarInput("drawing does not realize its embedding")
+    if not convex and _outer_area2(d) >= 0:
+        raise NotPlanarInput("outer dart names a bounded face")
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(
             "graph is not internally 3-connected")

@@ -14,7 +14,6 @@ step-count budget for how it was produced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .plane_graph import (
@@ -37,22 +36,34 @@ def _sweep_records(d: Drawing, direction: Direction):
     """Left-to-right feature order on every vertex level and every open
     strip between consecutive levels, read along the fixed axis. The orders
     are read on the integer view, times 2 so that each strip's middle level
-    is an int too: a positive scale keeps every order."""
+    is an int too: a positive scale keeps every order.
+
+    Each item is keyed by floor(x * 2^k), x its moving coordinate, with
+    k = 2 * bitlen(maxrise) + 1 and maxrise the largest fixed-axis extent of
+    an edge: a vertex by p << k, a crossing of an edge of rise r by
+    (num << k) // r. Two distinct positions have denominators of at most
+    maxrise, so they lie more than 1/maxrise^2 > 2^-k apart and get keys in
+    their order, while equal positions get equal keys and fall to the
+    tie-breaks."""
     fa = direction.fixed_axis
     ma = direction.moving_axis
     pts = {v: (2 * p[0], 2 * p[1]) for v, p in d.ints.items()}
+    edges = list(d.graph.edges())
+    maxrise = max((abs(pts[u][fa] - pts[v][fa]) for u, v in edges),
+                  default=0)
+    k = 2 * maxrise.bit_length() + 1
     levels = sorted({p[fa] for p in pts.values()})
     index = {lv: i for i, lv in enumerate(levels)}
     level_items: List[list] = [[] for _ in levels]
     strip_items: List[list] = [[] for _ in range(max(len(levels) - 1, 0))]
     for v, p in pts.items():
-        level_items[index[p[fa]]].append((p[ma], 0, ("v", v)))
-    for u, v in d.graph.edges():
+        level_items[index[p[fa]]].append((p[ma] << k, 0, ("v", v)))
+    for u, v in edges:
         pu, pv = pts[u], pts[v]
         if pu[fa] == pv[fa]:
             # lies on a level; keyed by its low end, after that vertex
             level_items[index[pu[fa]]].append(
-                (min(pu[ma], pv[ma]), 1, ("h", u, v)))
+                (min(pu[ma], pv[ma]) << k, 1, ("h", u, v)))
             continue
         if pu[fa] > pv[fa]:
             pu, pv = pv, pu
@@ -62,8 +73,8 @@ def _sweep_records(d: Drawing, direction: Direction):
         base = pu[ma] * rise
 
         def at(level):
-            # the edge's moving coordinate where the fixed one is level
-            return Fraction(base + (level - pu[fa]) * run, rise)
+            # floor(2^k x), x the edge's moving coordinate at the level
+            return ((base + (level - pu[fa]) * run) << k) // rise
 
         for li in range(lo + 1, hi):
             level_items[li].append((at(levels[li]), 2, ("e", u, v)))
@@ -160,9 +171,8 @@ def check_step_bounds(seq: MorphSequence, mode: str) -> bool:
         raise ValueError(f"unknown bound mode {mode!r}")
     n = seq.initial.graph.n
     if mode == "convex_outer":
-        bound = max(2, len(internal_reflex_angles(seq.initial)) + 1)
-    elif mode == "3conn":
-        bound = Fraction(3, 2) * n + 2
-    else:
-        bound = Fraction(7, 2) * n + 2
-    return seq.step_count <= bound
+        r = len(internal_reflex_angles(seq.initial))
+        return seq.step_count <= max(2, r + 1)
+    # twice each side, so that the budget stays an integer
+    bound2 = 3 * n + 4 if mode == "3conn" else 7 * n + 4
+    return 2 * seq.step_count <= bound2

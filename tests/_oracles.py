@@ -781,3 +781,145 @@ def chain_shape_kept(s, flip, rising) -> bool:
     before = -1 if rising else 1
     return all((v > 0) - (v < 0) == (before if i <= flip else -before)
                for i, v in enumerate(s, start=1))
+
+
+def buffer_geometry_at(d, path, shrink):
+    """One pocket's buffer points at the given shrink, each offset scaled
+    as it is built: the oracle of morph_engine._buffer_geometry, whose
+    (base, offset) pairs give base + shrink * offset."""
+    from convexmorph.morph_engine import (
+        _min_pair, _seg_seg_dist_sq, _sqrt_floor)
+    from convexmorph.plane_graph import AngleKind, angle_status_points
+
+    pts = [d.point(v) for v in path]
+    kk = len(path) - 2
+    e0, e1 = pts[0], pts[-1]
+    evec = (e1[0] - e0[0], e1[1] - e0[1])
+    elen_sq = evec[0] * evec[0] + evec[1] * evec[1]
+    if kk >= 2:
+        ip = [d.ints[v] for v in path]
+        cyc = ip + [ip[0]]
+        segs = [(cyc[i], cyc[i + 1]) for i in range(len(ip))]
+        n_seg = len(segs)
+        num, den = _min_pair(
+            _seg_seg_dist_sq(*segs[i], *segs[j])
+            for i in range(n_seg) for j in range(i + 2, n_seg)
+            if not (i == 0 and j == n_seg - 1))
+        eps_sq = Fraction(num, den * d.den * d.den)
+        t_end = min(_sqrt_floor(eps_sq / (16 * elen_sq)),
+                    Fraction(1, 2 * kk + 4)) * shrink
+    else:
+        t_end = Fraction(1, 2 * kk + 4) * shrink
+    first = (e0[0] + t_end * evec[0], e0[1] + t_end * evec[1])
+    last = (e1[0] - t_end * evec[0], e1[1] - t_end * evec[1])
+    if kk == 1:
+        m = ((first[0] + last[0]) / 2, (first[1] + last[1]) / 2)
+        pull = Fraction(1, 8) * shrink
+        return [first, (m[0] + pull * (pts[1][0] - m[0]),
+                        m[1] + pull * (pts[1][1] - m[1])), last]
+    apexes = []
+    for i in range(1, kk + 1):
+        pv = pts[i]
+        u1 = (pts[i - 1][0] - pv[0], pts[i - 1][1] - pv[1])
+        u2 = (pts[i + 1][0] - pv[0], pts[i + 1][1] - pv[1])
+        l1 = u1[0] * u1[0] + u1[1] * u1[1]
+        l2 = u2[0] * u2[0] + u2[1] * u2[1]
+        w = (u1[0] / l1 + u2[0] / l2, u1[1] / l1 + u2[1] / l2)
+        kind = angle_status_points(pts[i + 1], pv, pts[i - 1])
+        if kind is AngleKind.REFLEX:
+            w = (-w[0], -w[1])
+        elif kind is AngleKind.STRAIGHT:
+            w = (u2[1], -u2[0])
+        t = _sqrt_floor(eps_sq / (16 * (w[0] * w[0] + w[1] * w[1]))) * shrink
+        apexes.append((pv[0] + t * w[0], pv[1] + t * w[1]))
+    spine = [first]
+    for a, b in zip(apexes, apexes[1:]):
+        spine += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
+    return spine + [apexes[-1], last]
+
+
+def buffer_shrink_ladder(d, rungs=12):
+    """The buffer placement found by halving every offset: for k = 0, 1,
+    ... below rungs, place the buffer paths at shrink 2^-k, rebuild the
+    padded graph from its points and run every check of
+    morph_engine.augment_buffers; the first k that passes all of them.
+    (k, padded drawing, spines), or None when no rung passes."""
+    from convexmorph.connectivity import is_internally_3connected
+    from convexmorph.morph_engine import (
+        _hull_gaps, _pocket_descriptor, _with_points)
+    from convexmorph.plane_graph import (
+        Drawing, build_plane_graph_from_points, convex_hull, validate_drawing)
+
+    g = d.graph
+    outer = g.outer_walk()
+    paths = [_pocket_descriptor(outer, a, b) for a, b in _hull_gaps(d)]
+    hull_set = set(convex_hull(d))
+    next_id = max(g.rotation) + 1
+    spines = []
+    for path in paths:
+        spines.append(tuple(range(next_id, next_id + 2 * len(path) - 3)))
+        next_id += 2 * len(path) - 3
+    for k in range(rungs):
+        extra = {}
+        edges = list(g.edges())
+        for path, spine in zip(paths, spines):
+            extra.update(zip(spine, buffer_geometry_at(
+                d, path, Fraction(1, 1 << k))))
+            chain = (path[0],) + spine + (path[-1],)
+            edges.extend(zip(chain, chain[1:]))
+            for i in range(1, len(path) - 1):
+                edges.extend((path[i], spine[j])
+                             for j in (2 * i - 2, 2 * i - 1, 2 * i))
+        try:
+            ints, den = _with_points(d, extra)
+            g_new = build_plane_graph_from_points(ints, edges)
+            d_new = Drawing.from_ints(g_new, ints, den)
+            validate_drawing(d_new)
+        except ValueError:
+            continue
+        if not is_internally_3connected(g_new):
+            continue
+        if set(convex_hull(d_new)) != hull_set.union(
+                *((sp[0], sp[-1]) for sp in spines)):
+            continue
+        ow = set(g_new.outer_walk())
+        if all(set(sp) <= ow and not any(w in ow for w in path[1:-1])
+               for path, sp in zip(paths, spines)):
+            return k, d_new, tuple(spines)
+    return None
+
+
+def sweep_records_fraction(d, direction):
+    """verify._sweep_records with every crossing keyed by its exact
+    Fraction position: the oracle of the integer keys."""
+    fa = direction.fixed_axis
+    ma = direction.moving_axis
+    pts = {v: (2 * p[0], 2 * p[1]) for v, p in d.ints.items()}
+    levels = sorted({p[fa] for p in pts.values()})
+    index = {lv: i for i, lv in enumerate(levels)}
+    level_items = [[] for _ in levels]
+    strip_items = [[] for _ in range(max(len(levels) - 1, 0))]
+    for v, p in pts.items():
+        level_items[index[p[fa]]].append((p[ma], 0, ("v", v)))
+    for u, v in d.graph.edges():
+        pu, pv = pts[u], pts[v]
+        if pu[fa] == pv[fa]:
+            level_items[index[pu[fa]]].append(
+                (min(pu[ma], pv[ma]), 1, ("h", u, v)))
+            continue
+        if pu[fa] > pv[fa]:
+            pu, pv = pv, pu
+        lo, hi = index[pu[fa]], index[pv[fa]]
+        run = pv[ma] - pu[ma]
+        rise = pv[fa] - pu[fa]
+
+        def at(level):
+            return Fraction(pu[ma] * rise + (level - pu[fa]) * run, rise)
+
+        for li in range(lo + 1, hi):
+            level_items[li].append((at(levels[li]), 2, ("e", u, v)))
+        for si in range(lo, hi):
+            strip_items[si].append(
+                (at((levels[si] + levels[si + 1]) // 2), ("e", u, v)))
+    return ([tuple(it[-1] for it in sorted(items)) for items in level_items],
+            [tuple(it[-1] for it in sorted(items)) for items in strip_items])

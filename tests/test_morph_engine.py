@@ -20,6 +20,7 @@ from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.morph_engine import (
     ConvexifyError,
     NotInternallyThreeConnected,
+    PlacementFailure,
     PocketNotSeparated,
     PostconditionFailed,
     convexify,
@@ -68,6 +69,7 @@ from _instances import (
 )
 from _oracles import (
     brute_strictly_convex,
+    buffer_shrink_ladder,
     mirrored,
     seg_seg_dist_sq_fraction,
     shear_fraction,
@@ -113,6 +115,17 @@ def test_convexify_rejects_unrealized_rotation():
                        {v: (-x, y) for v, (x, y) in d.coords.items()})
     with pytest.raises(NotPlanarInput, match="embedding"):
         convexify(mirrored)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_convexify_rejects_an_outer_dart_on_a_bounded_face(seed):
+    # the same drawing with its outer dart on an inner face: planar, every
+    # rotation realized, but the named outer walk runs counterclockwise
+    d = random_triangulation(random.Random(seed), 10, 40)
+    g = d.graph
+    for fi in sorted({g.inner_face_indices()[0], g.inner_face_indices()[-1]}):
+        with pytest.raises(NotPlanarInput, match="bounded face"):
+            convexify(Drawing(g.with_outer(g.faces[fi][0]), d.coords))
 
 
 def test_convexify_rejects_input_that_is_not_internally_3connected():
@@ -524,17 +537,140 @@ def test_uncertified_system_raises_a_typed_error(monkeypatch):
     assert info.value.check == "not an M-matrix sign pattern"
 
 
-def test_placement_failure_raises_a_typed_error(monkeypatch):
-    # no buffer placement validates: augment_buffers names the edit it
-    # could not make
-    def refuse(d):
-        raise EmbeddingInvalid("refused")
+def refuse(*args):
+    raise EmbeddingInvalid("refused")
 
-    monkeypatch.setattr(morph_engine, "validate_drawing", refuse)
-    with pytest.raises(ConvexifyError) as info:
-        convexify(instance("pockets", 0))
-    assert info.value.layer == "insert buffer paths"
-    assert info.value.check == "no buffer placement validated"
+
+def fail_check(check, mp, n):
+    """Make one check of augment_buffers fail, through the monkeypatch mp,
+    on a drawing with n vertices (the placement has more), and return the
+    text it raises."""
+    patch = functools.partial(mp.setattr, morph_engine)
+    if check == "build":
+        patch("build_plane_graph_from_points", refuse)
+        return "placement is not a plane graph: refused"
+    if check == "validate":
+        patch("validate_drawing", refuse)
+        return "placement fails validate_drawing: refused"
+    if check == "3-connected":
+        patch("is_internally_3connected", lambda g: False)
+        return "padded graph is not internally 3-connected"
+    if check == "hull":
+        hull = morph_engine.convex_hull
+        patch("convex_hull",
+              lambda d: hull(d)[1:] if d.graph.n > n else hull(d))
+        return "hull is not the old hull plus the spine ends"
+    if check == "outer walk":
+        # the connectivity test reads the outer walk too
+        walk = PlaneGraph.outer_walk
+        patch("is_internally_3connected", lambda g: True)
+        mp.setattr(PlaneGraph, "outer_walk",
+                   lambda g: () if g.n > n else walk(g))
+        return "a spine is off the outer walk or a pocket vertex on it"
+    # every offset pointing the other way: each end midpoint leaves the
+    # hull segment, and no shrink fans the spokes out
+    geometry = morph_engine._buffer_geometry
+    patch("_buffer_geometry", lambda d, path: [
+        (b, (-q[0], -q[1])) for b, q in geometry(d, path)])
+    return "no shrink 2^-k turns every pocket fan clockwise"
+
+
+def test_placement_failure_raises_a_typed_error(monkeypatch):
+    # a placement that fails one check: augment_buffers names the edit it
+    # could not make and the check, and convexify lets the error through
+    d = instance("pockets", 0)
+    for check in ("build", "validate", "3-connected", "hull", "outer walk",
+                  "fan"):
+        with monkeypatch.context() as mp:
+            text = fail_check(check, mp, d.graph.n)
+            with pytest.raises(PlacementFailure) as info:
+                morph_engine.augment_buffers(d)
+            assert info.value.layer == "insert buffer paths"
+            assert info.value.check == text
+    with monkeypatch.context() as mp:
+        text = fail_check("validate", mp, d.graph.n)
+        with pytest.raises(ConvexifyError) as info:
+            convexify(d)
+        assert (info.value.layer, info.value.check) == (
+            "insert buffer paths", text)
+
+
+def placed(d):
+    """augment_buffers(d) and the shrink exponent it placed at."""
+    paths = [morph_engine._pocket_descriptor(d.graph.outer_walk(), a, b)
+             for a, b in morph_engine._hull_gaps(d)]
+    k = morph_engine._shrink_bits(
+        d, paths, [morph_engine._buffer_geometry(d, p) for p in paths])
+    return k, morph_engine.augment_buffers(d)
+
+
+def assert_ladder_rung(d, rungs=12):
+    """Wherever the old ladder of rungs finds a placement, augment_buffers
+    computes its rung and places every buffer vertex bit for bit the same;
+    the rung, or None."""
+    ladder = buffer_shrink_ladder(d, rungs)
+    if ladder is None:
+        return None
+    k, (d_buf, spines) = placed(d)
+    assert k == ladder[0]
+    assert (d_buf.ints, d_buf.den) == (ladder[1].ints, ladder[1].den)
+    assert d_buf.graph.rotation == ladder[1].graph.rotation
+    assert d_buf.graph.outer_dart == ladder[1].graph.outer_dart
+    assert spines == ladder[2]
+    return k
+
+
+@given(sheared=st.booleans(), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_buffer_shrink_is_the_ladders_rung(sheared, seed):
+    rng = random.Random(seed)
+    if sheared:
+        d = pocket_instance(rng, rng.choice((12, 20)), 30, rng.randint(1, 2))
+    else:
+        d = pocket_instance(rng, rng.choice((10, 30)), rng.choice((6, 10)),
+                            rng.randint(2, 3), sheared=False)
+    if morph_engine._hull_gaps(d):
+        assert_ladder_rung(d)
+
+
+@pytest.mark.parametrize("i, rung", [(0, 0), (1, 3)])
+def test_buffer_shrink_on_bench_drawings(i, rung):
+    assert assert_ladder_rung(bench_drawing("buffered", i)) == rung
+
+
+def test_buffer_placement_is_built_once(monkeypatch):
+    # bench buffered drawing 1 needs shrink 2^-3; the ladder rebuilt its
+    # graph on each of rungs 0-3, and failed the first three
+    built = []
+    real = morph_engine.build_plane_graph_from_points
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(morph_engine, "build_plane_graph_from_points",
+                        counted)
+    morph_engine.augment_buffers(bench_drawing("buffered", 1))
+    assert len(built) == 1
+
+
+def test_buffer_shrink_past_the_old_ladder():
+    # a one-pass pocket drawing stretched 10^4 times along x: the apexes
+    # keep their Euclidean construction, so the spokes fan out only at
+    # shrink 2^-15. The twelve rungs of the old ladder all fail; the
+    # computed shrink is the one a longer ladder finds, and convexify is
+    # certified
+    d = pocket_instance(random.Random(10), 12, 30, 1)
+    d = Drawing(d.graph, {v: (x * 10 ** 4, y)
+                          for v, (x, y) in d.coords.items()})
+    assert buffer_shrink_ladder(d) is None
+    assert assert_ladder_rung(d, 16) == 15
+    seq = convexify(d)
+    assert all(check_unidirectional_planar(step) for step in seq.steps)
+    assert check_convexity_increasing(seq, d.graph)
+    assert check_step_bounds(seq, "general")
+    assert is_strictly_convex(seq.final)
+    assert same_plane_graph(seq.final.graph, d.graph)
 
 
 def test_pocket_corner_without_a_polygon_raises_a_typed_error(monkeypatch):

@@ -30,6 +30,7 @@ from _oracles import (
     check_planarity_sampled,
     convexity_increasing_sampled,
     redraw_preserving,
+    sweep_records_fraction,
     transposed,
 )
 
@@ -251,3 +252,40 @@ def test_convexity_verdict_from_step_ends_matches_midpoints(seed, grid, count):
     assert sampled <= ends
     if all(check_unidirectional_planar(step) for step in seq.steps):
         assert sampled == ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), grid=st.booleans(),
+       count=st.integers(1, 3))
+def test_integer_sweep_keys_match_fraction_positions(seed, grid, count):
+    # floor(x 2^k) keys order every level and strip as the exact positions
+    # do, on random steps whether or not they cross, along either axis
+    rng = random.Random(seed)
+    if grid:
+        d = _drop_inner_edges(
+            rng, _fixed_n_triangulation(rng, rng.randint(5, 10), 4, False),
+            0.5)
+    else:
+        d = random_augment_instance(rng, 5, 10)
+    seq = random_steps(rng, d, count)
+    for step in seq.steps:
+        for end in (step.start, step.end):
+            assert (verify._sweep_records(end, step.direction)
+                    == sweep_records_fraction(end, step.direction))
+        assert check_unidirectional_planar(step) == (
+            verify._planar_end(step.start) and verify._planar_end(step.end)
+            and sweep_records_fraction(step.start, step.direction)
+            == sweep_records_fraction(step.end, step.direction))
+
+
+def test_integer_sweep_keys_reject_the_crossing_steps():
+    # both ends of each swap are planar, so only the records reject it
+    for step in (spike_swap_step(), vertex_swap_step()):
+        assert verify._planar_end(step.start) and verify._planar_end(step.end)
+        assert (verify._sweep_records(step.end, step.direction)
+                == sweep_records_fraction(step.end, step.direction))
+        assert not check_unidirectional_planar(step)
+
+
+def test_verify_computes_without_fractions():
+    assert "Fraction" not in vars(verify)
