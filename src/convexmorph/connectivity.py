@@ -27,8 +27,9 @@ when every walk is a cycle each edge lies on exactly two faces as
 consecutive vertices, so a pair that shares two or more faces and is not
 an edge, and an edge on a third face, are each a diagonal caught above;
 conversely, when none is caught, every edge shares exactly two faces and
-every other pair at most one. Triangles have no diagonals. The test costs
-O(sum of |f|^2 over the faces), and on a triangle only the repeat check.
+every other pair at most one. A walk of three darts in a simple graph has
+three distinct vertices and no diagonal, so the test skips triangles. It
+costs O(sum of |f|^2 over the faces that are not triangles).
 
 is_internally_3connected runs the same test on g plus an apex in the outer
 face, joined to every outer vertex. When the outer walk is a cycle, the apex
@@ -53,10 +54,13 @@ def _no_small_cut(faces: Iterable[Sequence[int]],
     """Whether a connected plane graph with n >= 4, minimum degree 3,
     adjacency adj and the given face walks (as vertex sequences) is
     3-connected: no walk repeats a vertex, no face diagonal is an edge and
-    no diagonal lies on two faces (see the module docstring)."""
+    no diagonal lies on two faces (see the module docstring). A triangle
+    repeats no vertex and has no diagonal, so it is skipped."""
     diagonals = set()
     for f in faces:
         k = len(f)
+        if k == 3:
+            continue
         if len(set(f)) < k:
             return False            # a repeated vertex is a cut vertex
         for i in range(k - 2):

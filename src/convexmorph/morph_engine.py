@@ -72,9 +72,9 @@ from .plane_graph import (
     PlaneGraph,
     PreconditionViolated,
     ShearConstraints,
+    _ShearSpace,
     _cross,
     _integer_view,
-    _shear_ok,
     angle_status_points,
     build_plane_graph_from_points,
     choose_safe_shear,
@@ -280,16 +280,17 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
 
 def _snap_shear(d: Drawing, axis: int, lam, cons: ShearConstraints):
     """Replace an ugly exact shear factor by the first dyadic of the
-    _grid_bits(24) ladder that is safe too. The constraints are open in
-    the factor, so a fine enough grid holds one."""
+    _grid_bits(24) ladder that is safe too, each tested as
+    choose_safe_shear tests a candidate. The constraints are open in the
+    factor, so a fine enough grid holds one."""
     if rat(lam).denominator <= _SNAP_LIMIT:
         return lam
-    pts = d.ints
+    space = _ShearSpace(d.graph, d.ints, axis, cons)
     for bits in _grid_bits(24):
         scale = 1 << bits
-        cand = rat(round(lam * scale), scale)
-        if _shear_ok(d.graph, pts, axis, cand, cons):
-            return cand
+        num = round(lam * scale)
+        if space.ok(num, scale):
+            return rat(num, scale)
     raise PostconditionFailed(
         "_snap_shear",
         f"no shear along axis {axis} on a grid to 2^-{bits} is safe")
@@ -462,9 +463,9 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     _redraw_move(b, Direction.VERTICAL, poly, (), "pocket path onto the hull")
 
 
-def _hull_gaps(d: Drawing) -> list:
-    """The hull segments of d that are not edges, sorted by endpoints."""
-    hull = convex_hull(d)
+def _hull_gaps(d: Drawing, hull: Sequence[int]) -> list:
+    """The segments of d's hull, convex_hull(d), that are not edges, sorted
+    by endpoints."""
     h = len(hull)
     return sorted(((hull[i], hull[(i + 1) % h]) for i in range(h)
                    if not d.graph.has_edge(hull[i], hull[(i + 1) % h])),
@@ -478,7 +479,7 @@ def convexify_3connected(b: SequenceBuilder) -> None:
     keep the graph internally 3-connected: so it does when the graph is
     3-connected, and when augment_buffers padded its hull gaps."""
     d = b.current
-    missing = _hull_gaps(d)
+    missing = _hull_gaps(d, convex_hull(d))
     if not missing:
         convexify_convex_outer(b)
         return
@@ -693,12 +694,13 @@ def augment_buffers(d: Drawing
     vertex), its even positions the shared midpoints, whose first and last
     lie on the hull segment itself."""
     g = d.graph
-    gaps = _hull_gaps(d)
+    hull = convex_hull(d)
+    gaps = _hull_gaps(d, hull)
     if not gaps:
         return d, ()
     outer = g.outer_walk()
     paths = [_pocket_descriptor(outer, a, bb) for a, bb in gaps]
-    hull_set = set(convex_hull(d))
+    hull_set = set(hull)
     for path in paths:
         if any(w in hull_set for w in path[1:-1]):
             raise PreconditionViolated("hull vertex inside a pocket path")

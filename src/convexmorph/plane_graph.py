@@ -32,7 +32,7 @@ of differences) is the same number. Shears and snaps act on the ints and
 the den directly, and reduce once. The integers cost no gcd per operation
 and no float enters any predicate. Fractions remain where a number is not
 a coordinate or is read one point at a time: shear factors are Fractions
-(shear, _shear_ok and _shear_candidates take or build them),
+(shear takes them and choose_safe_shear returns them),
 morph_engine._buffer_geometry reads Drawing.point, and Drawing.coords
 builds them for a caller that asks. integer_points gives the same view of
 a plain coordinate dict.
@@ -52,6 +52,7 @@ drawing_is_planar and a rotation check add nothing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -509,12 +510,19 @@ def is_strictly_convex(d: Drawing) -> bool:
     see the module docstring). A walk whose turns are strict, one way and
     each below a half turn changes half-plane (_half) twice per full turn.
     One pass per cached walk carries the previous edge and its half-plane;
-    a zero edge, a straight angle and a spike all cross to 0."""
+    a zero edge, a straight angle and a spike all cross to 0. A triangle's
+    three corners cross alike, to twice its signed area, and a triangle
+    that turns one way winds once, so one cross product decides it."""
     g = d.graph
     ints = d.ints
     outer = g.outer_face_index          # builds the walks
     for fi, walk in enumerate(g._walks):
         turn = -1 if fi == outer else 1
+        if len(walk) == 3:
+            (ux, uy), (vx, vy), (wx, wy) = map(ints.__getitem__, walk)
+            if ((vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)) * turn <= 0:
+                return False
+            continue
         ux, uy = ints[walk[-1]]
         vx, vy = ints[walk[0]]
         ax, ay = vx - ux, vy - uy
@@ -555,9 +563,11 @@ def is_convex_outer(d: Drawing) -> bool:
 
 def convex_hull(d: Drawing) -> List[int]:
     """Hull vertex ids in counterclockwise order, keeping collinear boundary
-    points. Deterministic start: lexicographically smallest point."""
-    pts = sorted(d.ints.items(),
-                 key=lambda kv: (kv[1][0], kv[1][1]))
+    points, of a drawing whose points are distinct. Deterministic start:
+    lexicographically smallest point. Andrew's monotone chain that pops
+    only on a strict right turn, so a point on a hull edge stays on the
+    chain, in order along the edge."""
+    pts = sorted(d.ints.items(), key=lambda kv: kv[1])
     if len(pts) < 3:
         raise AllCollinear("fewer than three vertices")
     if all(orientation(pts[0][1], pts[1][1], p) == 0 for _, p in pts[2:]):
@@ -566,31 +576,12 @@ def convex_hull(d: Drawing) -> List[int]:
     def chain(points):
         out = []
         for vid, p in points:
-            while len(out) >= 2 and orientation(out[-2][1], out[-1][1], p) <= 0:
+            while len(out) >= 2 and orientation(out[-2][1], out[-1][1], p) < 0:
                 out.pop()
             out.append((vid, p))
         return out
 
-    lower = chain(pts)
-    upper = chain(list(reversed(pts)))
-    strict = lower[:-1] + upper[:-1]
-    hull_pts = [p for _, p in strict]
-    # re-insert collinear points lying on hull edges, ordered along each edge
-    on_hull = {vid for vid, _ in strict}
-    result = []
-    for i, (vid, p) in enumerate(strict):
-        q = hull_pts[(i + 1) % len(strict)]
-        result.append(vid)
-        between = []
-        for wid, r in pts:
-            if wid in on_hull:
-                continue
-            if orientation(p, q, r) == 0 and \
-               sign_of(_dot(_sub(r, p), _sub(q, r))) > 0:
-                between.append((wid, r))
-        between.sort(key=lambda kv: _dot(_sub(kv[1], p), _sub(q, p)))
-        result.extend(w for w, _ in between)
-    return result
+    return [vid for vid, _ in chain(pts)[:-1] + chain(pts[::-1])[:-1]]
 
 
 # -- shears ------------------------------------------------------------------
@@ -628,88 +619,157 @@ class ShearConstraints:
     keep_extreme: Tuple = ()
 
 
-def _shear_ok(g: PlaneGraph, pts: Dict[int, Tuple[int, int]], axis: int,
-              lam, cons: ShearConstraints) -> bool:
-    """Does the shear by lam along the moving axis of the integer view pts
-    of a drawing of g satisfy cons? For lam = a/b with b > 0 the sheared
-    moving coordinate m + lam*f is taken times b, as b*m + a*f: each test
-    reads the order along one axis only, which a positive scale of that
-    axis keeps. A factor of 0 is tested on pts as they are."""
-    lam = rat(lam)
-    a, b = lam.numerator, lam.denominator
-    if a == 0:
-        sheared = pts
-    elif axis == 0:
-        sheared = {v: (b * x + a * y, y) for v, (x, y) in pts.items()}
-    else:
-        sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
-    for u, v in g.edges():
-        if sheared[u][axis] == sheared[v][axis]:
+def _below(r, s) -> bool:
+    """r < s for rationals given as int pairs (p, q), q > 0."""
+    return r[0] * s[1] < s[0] * r[1]
+
+
+def _cut(iv, m: int, f: int):
+    """The open interval iv of factors, a pair (lo, hi) of ends (p, q) as in
+    _below or None where unbounded, cut to the factors lam with
+    m + lam*f < 0; None when nothing is left (or iv is None)."""
+    if iv is None:
+        return None
+    lo, hi = iv
+    if f > 0 and (hi is None or _below((-m, f), hi)):
+        hi = (-m, f)
+    elif f < 0 and (lo is None or _below(lo, (m, -f))):
+        lo = (m, -f)
+    elif f == 0 and m >= 0:
+        return None
+    if lo is not None and hi is not None and not _below(lo, hi):
+        return None
+    return lo, hi
+
+
+class _ShearSpace:
+    """The factors lam of a shear along the moving axis of the integer view
+    pts of a drawing of g that satisfy cons (see choose_safe_shear), read
+    off pts once. For lam = a/b with b > 0 the sheared moving coordinate
+    m + lam*f is taken times b, as b*m + a*f, so each condition is a sign
+    of b*m + a*f for a pair (m, f) of differences along the moving and the
+    fixed axis, linear in lam and changing sign only at its root -m/f:
+
+     * edges: each edge's pair, whose sign must not be 0 (an edge turns
+       level at its root alone);
+     * straddle: the pairs of the angle's face neighbours less its apex,
+       whose signs must differ;
+     * pins: the pairs of each pinned vertex less every other vertex,
+       negated for a right or top pin, all of which must be negative;
+     * span: the open interval that the pins on the moving axis allow, as
+       in _cut, or None when it is empty or a pin on the fixed axis fails
+       (a shear keeps that axis)."""
+
+    __slots__ = ("edges", "straddle", "span", "pins")
+
+    def __init__(self, g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
+                 axis: int, cons: ShearConstraints):
+        ma, fa = axis, 1 - axis
+        self.edges = [(pts[u][ma] - pts[v][ma], pts[u][fa] - pts[v][fa])
+                      for u, v in g.edges()]
+        self.straddle = None
+        if cons.make_straddle is not None:
+            ref = cons.make_straddle
+            walk = g.face_vertices(ref.face)
+            k = len(walk)
+            c = pts[walk[ref.pos % k]]
+            self.straddle = tuple(
+                (p[ma] - c[ma], p[fa] - c[fa])
+                for p in (pts[walk[(ref.pos - 1) % k]],
+                          pts[walk[(ref.pos + 1) % k]]))
+        span = (None, None)
+        self.pins = []
+        for vtx, side in cons.keep_extreme:
+            s = 1 if side in ("left", "bottom") else -1
+            c = pts[vtx]
+            pairs = [(s * (c[ma] - p[ma]), s * (c[fa] - p[fa]))
+                     for w, p in pts.items() if w != vtx]
+            if (0 if side in ("left", "right") else 1) == ma:
+                for m, f in pairs:
+                    span = _cut(span, m, f)
+            elif any(f >= 0 for _, f in pairs):
+                span = None
+            self.pins += pairs
+        self.span = span
+
+    def ok(self, a: int, b: int) -> bool:
+        """Does the factor a/b (b > 0) satisfy every condition?"""
+        if self.span is None:
             return False
-    if cons.make_straddle is not None and not straddles(
-            g, sheared, cons.make_straddle, axis):
-        return False
-    return all(unique_extreme(sheared, vtx, side)
-               for vtx, side in cons.keep_extreme)
+        lo, hi = self.span
+        if (lo is not None and lo[0] * b >= a * lo[1]
+                or hi is not None and a * hi[1] >= hi[0] * b):
+            return False
+        if self.straddle is not None:
+            (m1, f1), (m2, f2) = self.straddle
+            if (b * m1 + a * f1) * (b * m2 + a * f2) >= 0:
+                return False
+        return all(b * m + a * f for m, f in self.edges)
+
+    def first_gap(self) -> Optional[Fraction]:
+        """The first of choose_safe_shear's critical candidates that
+        satisfies every condition, or None. The candidates are one factor
+        in each open gap between consecutive roots of all the pairs: the
+        least root less 1, the midpoint of two consecutive roots, the
+        greatest plus 1. No condition changes inside a gap, and an edge
+        fails at its root alone, so the first passing gap is the one that
+        starts at the lower end L of the feasible set: the span cut to
+        where the straddle's two signs differ, one open interval for each
+        way round. The gap runs from L to the next root, and from below
+        the least root when L is unbounded."""
+        parts = [self.span]
+        if self.straddle is not None:
+            (m1, f1), (m2, f2) = self.straddle
+            parts = [_cut(_cut(self.span, m1, f1), -m2, -f2),
+                     _cut(_cut(self.span, -m1, -f1), m2, f2)]
+        lows = [j[0] for j in parts if j is not None]
+        if not lows:
+            return None
+        low = lows[0]
+        for r in lows[1:]:
+            if low is not None and (r is None or _below(r, low)):
+                low = r
+        nxt = None          # the least root above low (of all, if None)
+        for m, f in itertools.chain(self.edges, self.straddle or (),
+                                    self.pins):
+            if f:
+                r = (-m, f) if f > 0 else (m, -f)
+                if ((low is None or _below(low, r))
+                        and (nxt is None or _below(r, nxt))):
+                    nxt = r
+            elif not m:
+                return None     # an edge with coinciding ends
+        if nxt is None:
+            return None if low is None else Fraction(low[0] + low[1], low[1])
+        if low is None:
+            return Fraction(nxt[0] - nxt[1], nxt[1])
+        return Fraction(low[0] * nxt[1] + nxt[0] * low[1],
+                        2 * low[1] * nxt[1])
 
 
 def choose_safe_shear(d: Drawing, axis: int, cons: ShearConstraints):
     """Pick a factor for a shear along the moving axis (0 for x, 1 for y)
     satisfying the constraints.
 
-    Gathers the critical factors where any constraint changes sign and tests
-    exact candidates: a ladder of small rationals plus midpoints between
-    consecutive critical values. Deterministic; raises NoValidShear if nothing
-    passes."""
-    g = d.graph
-    pts = d.ints
-    for lam in _shear_candidates(g, pts, axis, cons):
-        if _shear_ok(g, pts, axis, lam, cons):
+    Tries a ladder of small rationals, then one factor in each open gap
+    between consecutive critical factors, where some constraint changes
+    sign, in ascending order; the constraints are read off d once
+    (_ShearSpace), and each candidate tested without shearing d.
+    Deterministic; raises NoValidShear if nothing passes."""
+    space = _ShearSpace(d.graph, d.ints, axis, cons)
+    for lam in _SHEAR_LADDER:
+        if space.ok(lam.numerator, lam.denominator):
             return lam
-    raise NoValidShear(f"no usable shear along axis {axis}")
+    lam = space.first_gap()
+    if lam is None:
+        raise NoValidShear(f"no usable shear along axis {axis}")
+    return lam
 
 
 # the small factors choose_safe_shear tries first, in order
 _SHEAR_LADDER = tuple(Fraction(p, q) for p, q in (
     (0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 4),
     (-1, 4), (4, 1), (-4, 1)))
-
-
-def _shear_candidates(g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
-                      axis: int, cons: ShearConstraints):
-    """choose_safe_shear's candidates in the order tried. The critical
-    factors are gathered only once the ladder is spent."""
-    yield from _SHEAR_LADDER
-    one = rat(1)
-    roots = []
-    i_mov, i_fix = axis, 1 - axis
-
-    def root_of(u, w):
-        # zero in lam of the sheared moving-axis difference m + lam * f of
-        # u and w; the integer view scales m and f alike
-        f = pts[u][i_fix] - pts[w][i_fix]
-        if f:
-            roots.append(rat(pts[w][i_mov] - pts[u][i_mov], f))
-
-    for u, v in g.edges():
-        root_of(u, v)
-    if cons.make_straddle is not None:
-        ref = cons.make_straddle
-        walk = g.face_vertices(ref.face)
-        k = len(walk)
-        vtx = walk[ref.pos % k]
-        for w in (walk[(ref.pos - 1) % k], walk[(ref.pos + 1) % k]):
-            root_of(w, vtx)
-    for vtx, _ in cons.keep_extreme:
-        for w in pts:
-            if w != vtx:
-                root_of(vtx, w)
-    if roots:
-        rs = sorted(set(roots))
-        yield rs[0] - one
-        for a, b in zip(rs, rs[1:]):
-            yield (a + b) / 2
-        yield rs[-1] + one
 
 
 # -- exact planarity ----------------------------------------------------------

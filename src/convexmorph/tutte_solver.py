@@ -29,6 +29,7 @@ rationals gives, at a fraction of the cost of a gcd per entry update.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,18 +276,27 @@ class _Uncertified(Exception):
 def _float_lu(rows: Dict[int, Dict[int, float]]):
     """Sparse LU of a float matrix with diagonal pivots in a min-fill order
     (smallest Markowitz product, ties to the smallest id). Returns the
-    eliminations as (pivot, pivot row, [(row, multiplier)])."""
+    eliminations as (pivot, pivot row, [(row, multiplier)]). The pivots
+    come from a lazy heap of (product, id): an elimination changes the
+    product of the rows of its pivot row's columns and of the rows it
+    updates only, so those are pushed again, and an entry whose row is
+    gone or whose product has changed since is skipped."""
     rows = {e: dict(r) for e, r in rows.items()}
     col_index: Dict[int, set] = {v: set() for v in rows}
     for e, r in rows.items():
         for v in r:
             col_index[v].add(e)
+
+    def product(e):
+        return (len(rows[e]) - 1) * (len(col_index[e]) - 1)
+
+    heap = [(product(e), e) for e in rows]
+    heapq.heapify(heap)
     steps = []
-    remaining = set(rows)
-    while remaining:
-        p = min(remaining, key=lambda e: (
-            (len(rows[e]) - 1) * (len(col_index[e]) - 1), e))
-        remaining.discard(p)
+    while heap:
+        key, p = heapq.heappop(heap)
+        if p not in col_index or key != product(p):
+            continue
         prow = rows[p]
         piv = prow[p]
         for v in prow:
@@ -303,6 +313,8 @@ def _float_lu(rows: Dict[int, Dict[int, float]]):
                         col_index[v].add(e)
                     r[v] -= f * c
         steps.append((p, prow, mults))
+        for e in {*prow, *(u for u, _ in mults)} - {p}:
+            heapq.heappush(heap, (product(e), e))
     return steps
 
 

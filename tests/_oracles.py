@@ -852,8 +852,10 @@ def buffer_shrink_ladder(d, rungs=12):
 
     g = d.graph
     outer = g.outer_walk()
-    paths = [_pocket_descriptor(outer, a, b) for a, b in _hull_gaps(d)]
-    hull_set = set(convex_hull(d))
+    hull = convex_hull(d)
+    paths = [_pocket_descriptor(outer, a, b)
+             for a, b in _hull_gaps(d, hull)]
+    hull_set = set(hull)
     next_id = max(g.rotation) + 1
     spines = []
     for path in paths:
@@ -923,3 +925,159 @@ def sweep_records_fraction(d, direction):
                 (at((levels[si] + levels[si + 1]) // 2), ("e", u, v)))
     return ([tuple(it[-1] for it in sorted(items)) for items in level_items],
             [tuple(it[-1] for it in sorted(items)) for items in strip_items])
+
+
+def shear_ok(g, pts, axis, lam, cons) -> bool:
+    """Does the shear by lam along the moving axis of the integer view pts
+    of a drawing of g satisfy cons? The whole drawing is sheared, with the
+    moving coordinate m + lam*f of lam = a/b taken times b, as b*m + a*f,
+    and each constraint tested on the sheared points: the test
+    choose_safe_shear once ran on each candidate."""
+    from convexmorph.plane_graph import rat, straddles, unique_extreme
+
+    lam = rat(lam)
+    a, b = lam.numerator, lam.denominator
+    if a == 0:
+        sheared = pts
+    elif axis == 0:
+        sheared = {v: (b * x + a * y, y) for v, (x, y) in pts.items()}
+    else:
+        sheared = {v: (x, b * y + a * x) for v, (x, y) in pts.items()}
+    for u, v in g.edges():
+        if sheared[u][axis] == sheared[v][axis]:
+            return False
+    if cons.make_straddle is not None and not straddles(
+            g, sheared, cons.make_straddle, axis):
+        return False
+    return all(unique_extreme(sheared, vtx, side)
+               for vtx, side in cons.keep_extreme)
+
+
+def shear_candidates(g, pts, axis, cons):
+    """choose_safe_shear's candidates in the order tried: its ladder of
+    small factors, then the least critical factor less 1, the midpoints of
+    consecutive critical factors and the greatest plus 1, each a Fraction,
+    sorted once."""
+    from convexmorph.plane_graph import _SHEAR_LADDER
+
+    yield from _SHEAR_LADDER
+    roots = []
+    i_mov, i_fix = axis, 1 - axis
+
+    def root_of(u, w):
+        f = pts[u][i_fix] - pts[w][i_fix]
+        if f:
+            roots.append(Fraction(pts[w][i_mov] - pts[u][i_mov], f))
+
+    for u, v in g.edges():
+        root_of(u, v)
+    if cons.make_straddle is not None:
+        ref = cons.make_straddle
+        walk = g.face_vertices(ref.face)
+        k = len(walk)
+        vtx = walk[ref.pos % k]
+        for w in (walk[(ref.pos - 1) % k], walk[(ref.pos + 1) % k]):
+            root_of(w, vtx)
+    for vtx, _ in cons.keep_extreme:
+        for w in pts:
+            if w != vtx:
+                root_of(vtx, w)
+    if roots:
+        rs = sorted(set(roots))
+        yield rs[0] - 1
+        for a, b in zip(rs, rs[1:]):
+            yield (a + b) / 2
+        yield rs[-1] + 1
+
+
+def choose_safe_shear_scan(d, axis, cons):
+    """The first of shear_candidates that shear_ok accepts, or None: the
+    scan that choose_safe_shear replaced."""
+    for lam in shear_candidates(d.graph, d.ints, axis, cons):
+        if shear_ok(d.graph, d.ints, axis, lam, cons):
+            return lam
+    return None
+
+
+def snap_shear_scan(d, axis, lam, cons):
+    """morph_engine._snap_shear with each rung tested by shear_ok: the
+    first dyadic of the ladder from 2^-24 that is safe, or None."""
+    from convexmorph.morph_engine import _SNAP_LIMIT, _grid_bits
+
+    if Fraction(lam).denominator <= _SNAP_LIMIT:
+        return lam
+    for bits in _grid_bits(24):
+        cand = Fraction(round(lam * (1 << bits)), 1 << bits)
+        if shear_ok(d.graph, d.ints, axis, cand, cons):
+            return cand
+    return None
+
+
+def float_lu_scan(rows):
+    """tutte_solver._float_lu picking each pivot by a scan of every
+    remaining row for the least (Markowitz product, id): the pivot order
+    the heap must reproduce, and the same eliminations."""
+    rows = {e: dict(r) for e, r in rows.items()}
+    col_index = {v: set() for v in rows}
+    for e, r in rows.items():
+        for v in r:
+            col_index[v].add(e)
+    steps = []
+    remaining = set(rows)
+    while remaining:
+        p = min(remaining, key=lambda e: (
+            (len(rows[e]) - 1) * (len(col_index[e]) - 1), e))
+        remaining.discard(p)
+        prow = rows[p]
+        piv = prow[p]
+        for v in prow:
+            col_index[v].discard(p)
+        mults = []
+        for e in col_index.pop(p):
+            r = rows[e]
+            f = r.pop(p) / piv
+            mults.append((e, f))
+            for v, c in prow.items():
+                if v != p:
+                    if v not in r:
+                        r[v] = 0.0
+                        col_index[v].add(e)
+                    r[v] -= f * c
+        steps.append((p, prow, mults))
+    return steps
+
+
+def convex_hull_reinsert(d):
+    """plane_graph.convex_hull as it once ran: a monotone chain that pops on
+    every turn that is not strictly left, then each point on a hull edge
+    re-inserted in order along that edge by a scan of all the points."""
+    from convexmorph.plane_graph import AllCollinear
+
+    pts = sorted(d.ints.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+    if len(pts) < 3:
+        raise AllCollinear("fewer than three vertices")
+    if all(_orient(pts[0][1], pts[1][1], p) == 0 for _, p in pts[2:]):
+        raise AllCollinear("all vertices collinear")
+
+    def chain(points):
+        out = []
+        for vid, p in points:
+            while len(out) >= 2 and _orient(out[-2][1], out[-1][1], p) <= 0:
+                out.pop()
+            out.append((vid, p))
+        return out
+
+    strict = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    on_hull = {vid for vid, _ in strict}
+    result = []
+    for i, (vid, p) in enumerate(strict):
+        q = strict[(i + 1) % len(strict)][1]
+        result.append(vid)
+        between = [(wid, r) for wid, r in pts if wid not in on_hull
+                   and _orient(p, q, r) == 0
+                   and (r[0] - p[0]) * (q[0] - r[0])
+                   + (r[1] - p[1]) * (q[1] - r[1]) > 0]
+        between.sort(key=lambda kv: (kv[1][0] - p[0]) * (q[0] - p[0])
+                     + (kv[1][1] - p[1]) * (q[1] - p[1]))
+        result.extend(w for w, _ in between)
+    return result

@@ -34,9 +34,9 @@ from convexmorph.plane_graph import (
     PreconditionViolated,
     ShearConstraints,
     _integer_view,
-    _shear_ok,
     build_plane_graph_from_points,
     choose_safe_shear,
+    convex_hull,
     integer_points,
     internal_reflex_angles,
     is_convex_outer,
@@ -73,6 +73,7 @@ from _oracles import (
     mirrored,
     seg_seg_dist_sq_fraction,
     shear_fraction,
+    shear_ok,
     snap_fraction,
     step_at,
     transposed,
@@ -442,7 +443,7 @@ def test_snap_shear_finds_a_dyadic_in_a_narrow_window():
     assert not dyadic(rat(lam))
     snapped = morph_engine._snap_shear(d, 0, lam, cons)
     assert dyadic(rat(snapped))
-    assert _shear_ok(g, integer_points(d.coords), 0, snapped, cons)
+    assert shear_ok(g, integer_points(d.coords), 0, snapped, cons)
 
 
 # Seed 3097 of the same recipe: its first morph_B after hull completion
@@ -598,7 +599,7 @@ def test_placement_failure_raises_a_typed_error(monkeypatch):
 def placed(d):
     """augment_buffers(d) and the shrink exponent it placed at."""
     paths = [morph_engine._pocket_descriptor(d.graph.outer_walk(), a, b)
-             for a, b in morph_engine._hull_gaps(d)]
+             for a, b in morph_engine._hull_gaps(d, convex_hull(d))]
     k = morph_engine._shrink_bits(
         d, paths, [morph_engine._buffer_geometry(d, p) for p in paths])
     return k, morph_engine.augment_buffers(d)
@@ -629,7 +630,7 @@ def test_buffer_shrink_is_the_ladders_rung(sheared, seed):
     else:
         d = pocket_instance(rng, rng.choice((10, 30)), rng.choice((6, 10)),
                             rng.randint(2, 3), sheared=False)
-    if morph_engine._hull_gaps(d):
+    if morph_engine._hull_gaps(d, convex_hull(d)):
         assert_ladder_rung(d)
 
 
@@ -652,6 +653,35 @@ def test_buffer_placement_is_built_once(monkeypatch):
                         counted)
     morph_engine.augment_buffers(bench_drawing("buffered", 1))
     assert len(built) == 1
+
+
+def test_each_shear_choice_reads_the_edges_once(monkeypatch):
+    # the constraints are read off the drawing once per choice, not once
+    # per candidate factor: on the bench's buffered drawings and on deep
+    # pockets, where calls pass the ladder and search the critical gaps
+    reads, per_call = [], []
+    edges = PlaneGraph.edges
+    choose = morph_engine.choose_safe_shear
+
+    def counted_edges(g):
+        if reads:
+            reads[-1] += 1
+        return edges(g)
+
+    def counted_choose(*args):
+        reads.append(0)
+        try:
+            return choose(*args)
+        finally:
+            per_call.append(reads.pop())
+
+    monkeypatch.setattr(PlaneGraph, "edges", counted_edges)
+    monkeypatch.setattr(morph_engine, "choose_safe_shear", counted_choose)
+    for i in range(2):
+        convexify(bench_drawing("buffered", i))
+    for seed in range(3000, 3005):
+        convexify(pocket_instance(random.Random(seed), 40, 30, passes=3))
+    assert per_call and max(per_call) <= 1
 
 
 def test_buffer_shrink_past_the_old_ladder():

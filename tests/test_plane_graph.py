@@ -34,8 +34,8 @@ from convexmorph.plane_graph import (
 )
 
 from convexmorph.monotone_augment import augment_y_monotone
-from convexmorph.morph_engine import _rotations_realized
-from convexmorph.plane_graph import integer_points, sort_ccw
+from convexmorph.morph_engine import _rotations_realized, _snap_shear
+from convexmorph.plane_graph import _SHEAR_LADDER, integer_points, sort_ccw
 
 from _oracles import (
     add_edge,
@@ -45,7 +45,10 @@ from _oracles import (
     brute_rotations_realized,
     brute_strictly_convex,
     choose_safe_shear_fraction,
+    choose_safe_shear_scan,
+    convex_hull_reinsert,
     mirrored,
+    snap_shear_scan,
     transposed,
 )
 from _instances import random_augment_instance, random_triangulation
@@ -413,6 +416,19 @@ def test_hull_matches_brute_boundary(coords):
     assert coords[hull[0]] == min(coords.values())
 
 
+@given(st.integers(3, 11), st.data())
+@settings(max_examples=150, deadline=None)
+def test_hull_matches_the_reinsertion_hull_on_grids(k, data):
+    # on a k x k grid many points lie on hull edges, in runs along one edge
+    cells = [(x, y) for x in range(k) for y in range(k)]
+    pts = data.draw(st.lists(st.sampled_from(cells), min_size=3,
+                             max_size=min(len(cells), 16), unique=True))
+    ids = range(len(pts))
+    g = PlaneGraph({v: () for v in ids}, (0, 1), check=False)
+    d = Drawing(g, dict(zip(ids, pts)))
+    assert _outcome(convex_hull, d) == _outcome(convex_hull_reinsert, d)
+
+
 # -- shears --------------------------------------------------------------------
 
 def test_shear_maps():
@@ -708,6 +724,28 @@ def test_strict_convexity_matches_fraction_oracle(coords, rng):
         d.coords, dart_walks(g), g.outer_face_index)
 
 
+@st.composite
+def triangle_drawings(draw):
+    """A triangle or a Delaunay triangulation on 4 to 7 points, every
+    vertex then put on a point of a 4 x 4 grid drawn at random: collinear,
+    clockwise and coinciding triangles among the faces."""
+    if draw(st.booleans()):
+        d = cycle_graph([(0, 0), (1, 0), (0, 1)])
+    else:
+        d = random_triangulation(
+            random.Random(draw(st.integers(0, 2 ** 32))), 4, 7, 10)
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return Drawing(d.graph, {v: draw(cell) for v in d.graph.rotation})
+
+
+@given(triangle_drawings())
+@settings(max_examples=150, deadline=None)
+def test_strict_convexity_of_triangles_matches_fraction_oracle(d):
+    g = d.graph
+    assert is_strictly_convex(d) == brute_strictly_convex(
+        d.coords, dart_walks(g), g.outer_face_index)
+
+
 def wound_wheel(k, turns):
     """The wheel on rim vertices 0..k-1 around hub k, embedded as a plane
     wheel, with rim vertex i drawn at angle 2 pi turns i / k: for turns > 1
@@ -792,6 +830,75 @@ def test_choose_safe_shear_matches_fraction_oracle(coords, rng, axis):
     assert _shear_or_none(d, axis, cons) == choose_safe_shear_fraction(
         d.graph, d.coords, axis, straddle and (straddle.face, straddle.pos),
         cons.keep_extreme)
+
+
+def _random_cons(g, rng):
+    """Shear constraints on g: an angle to straddle half the time, and up
+    to three pins on either axis."""
+    straddle = None
+    if rng.random() < 0.5:
+        face = rng.randrange(len(g.faces))
+        straddle = AngleRef(face, rng.randrange(len(g.faces[face])))
+    keep = tuple((rng.choice(sorted(g.rotation)),
+                  rng.choice(["left", "right", "bottom", "top"]))
+                 for _ in range(rng.choice((0, 1, 1, 2, 3))))
+    return ShearConstraints(make_straddle=straddle, keep_extreme=keep)
+
+
+@st.composite
+def ladder_blocked_cycles(draw):
+    """(cycle drawing, moving axis) where the ladder's every factor c is
+    the root of an edge, whose differences along the moving and the fixed
+    axis are -c times a random multiple and that multiple: no factor of
+    the ladder keeps every edge off the level, so choose_safe_shear
+    searches the critical gaps. A few free points close the cycle."""
+    axis = draw(st.sampled_from((0, 1)))
+    factors = draw(st.permutations(_SHEAR_LADDER))
+    scale = st.sampled_from((1, 2, 3, -1, -2, Fraction(1, 3),
+                             Fraction(-1, 2 ** 40 + 1)))
+    walk = [(Fraction(0), Fraction(0))]
+    for c in factors:
+        k = draw(scale)
+        m, f = walk[-1]
+        walk.append((m - c * k, f + k))
+    coord = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from((1, 1, 3, 2 ** 30 + 7)))
+    walk += draw(st.lists(st.tuples(coord, coord), max_size=3))
+    assume(len(set(walk)) == len(walk))
+    return cycle_graph([p if axis == 0 else p[::-1] for p in walk]), axis
+
+
+@given(st.one_of(ladder_blocked_cycles(),
+                 st.tuples(cycle_drawings, st.sampled_from((0, 1)))),
+       st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_choose_safe_shear_matches_the_scan(case, rng):
+    # the candidates in the old order, each sheared and tested in full;
+    # the snap tests each rung as shear_ok does
+    d, axis = case
+    cons = _random_cons(d.graph, rng)
+    lam = _shear_or_none(d, axis, cons)
+    assert lam == choose_safe_shear_scan(d, axis, cons)
+    if lam is not None:
+        assert _snap_shear(d, axis, lam, cons) == snap_shear_scan(
+            d, axis, lam, cons)
+
+
+def test_choose_safe_shear_past_a_blocked_ladder():
+    # edges level at 0, +-1, +-1/2, +-2, +-1/4 and +-4 along x; with no
+    # other constraint every gap passes, so the one below the least root
+    # is taken
+    walk = [(0, 0)]
+    for c in _SHEAR_LADDER:
+        m, f = walk[-1]
+        walk.append((m - c, f + 1))
+    d = cycle_graph(walk + [(1, 20)])
+    cons = ShearConstraints()
+    lam = choose_safe_shear(d, 0, cons)
+    assert lam == -5
+    assert lam == choose_safe_shear_scan(d, 0, cons)
+    s = shear(d, 0, lam)
+    assert all(s.ints[u][0] != s.ints[v][0] for u, v in s.graph.edges())
 
 
 def _outcome(f, *args):

@@ -38,10 +38,12 @@ from convexmorph import morph_engine, tutte_solver
 from convexmorph.morph_engine import _grid_bits
 
 from _instances import pocket_instance, random_augment_instance, random_triangulation
+from test_bench_outputs import DIGESTS, bench_drawing
 from _oracles import (
     chain_shape_kept,
     chain_slopes_fraction,
     consistent_with_y,
+    float_lu_scan,
     polygon_coords,
     redraw_preserving,
     solve_dense_fraction,
@@ -603,6 +605,39 @@ def test_rounded_solution_certifies_engine_systems(monkeypatch):
         rows, rhs, den = redraw_rows(d, boundary, axis)
         assert certified_answers(rows, rhs, den) == exact_answers(
             rows, columns(rhs, den))
+
+
+@given(st.integers(1, 30), st.floats(0.02, 0.6), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_float_lu_heap_pivots_match_the_scan(n, density, seed):
+    # sparse M-matrices on scattered ids, so the products tie often and
+    # the id breaks the tie: the same pivots, multipliers and rows
+    rng = random.Random(seed)
+    ids = rng.sample(range(200), n)
+    rows = {}
+    for e in ids:
+        row = {v: -rng.uniform(0.1, 1.0) for v in ids
+               if v != e and rng.random() < density}
+        row[e] = rng.uniform(0.1, 1.0) - sum(row.values())
+        rows[e] = row
+    assert tutte_solver._float_lu(rows) == float_lu_scan(rows)
+
+
+def test_float_lu_heap_pivots_match_the_scan_on_bench_systems(monkeypatch):
+    # every system convexify factors on the benchmark's twelve drawings
+    systems = []
+    real = tutte_solver._float_lu
+
+    def spy(rows):
+        systems.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(tutte_solver, "_float_lu", spy)
+    for workload, i in sorted(DIGESTS):
+        morph_engine.convexify(bench_drawing(workload, i))
+    assert len(systems) > 12
+    for rows in systems:
+        assert real(rows) == float_lu_scan(rows)
 
 
 def system_with_solution(rng, x):
