@@ -33,13 +33,17 @@ builds the sequence at the end.
 
 Every move redraws the drawing onto a strictly convex boundary polygon with
 the fixed axis kept (the Tutte variant of tutte_solver), then shears along
-the moving axis.  _redraw_move is that move under a step's pins, the
-(vertex, side) pairs it keeps unique extremes; _straddle_shear is the one
-straddle rule, the shear that ends morph_B and clears level edges before
-the convex-outer phase and the pockets.  A shear that moves nothing has
-factor 0 and SequenceBuilder.move drops the identity move, so only
-remove_buffer_vertex, whose target is an outer-face angle, tests whether to
-shear.  All arithmetic is exact.  To stop denominators from compounding
+the moving axis.  A move takes choices of pins, each a tuple of the
+(vertex, side) pairs it keeps unique extremes, and runs under the first
+choice that has a polygon; a move without pins passes ((),).  _redraw
+builds that polygon from the drawing it redraws, on its outer walk and
+from its fixed-axis coordinates, so the polygon is checked once, by its
+builder, and the certificate of the snapped redraw below decides the rest.
+_redraw_move is the whole move.  _straddle_shear is the one straddle rule,
+the shear that ends morph_B and clears level edges before the convex-outer
+phase and the pockets.  A shear that moves nothing has factor 0 and
+SequenceBuilder.move drops the identity move, so only remove_buffer_vertex,
+whose target is an outer-face angle, tests whether to shear.  All arithmetic is exact.  To stop denominators from compounding
 across alternating solves, no redraw and no shear factor is emitted
 exactly: the moving coordinate of each redraw, and each shear factor that
 is not a small rational, is snapped to the first grid of one dyadic ladder
@@ -73,6 +77,7 @@ from .plane_graph import (
     PreconditionViolated,
     ShearConstraints,
     _ShearSpace,
+    _area2,
     _cross,
     _integer_view,
     angle_status_points,
@@ -153,30 +158,6 @@ def _has_level_edge(d: Drawing, axis: int) -> bool:
     return any(pts[u][axis] == pts[v][axis] for u, v in d.graph.edges())
 
 
-def _default_polygon(d: Drawing, walk: Sequence[int], direction: Direction,
-                     pins: Tuple) -> BoundaryPolygon:
-    """The strictly convex polygon on the clockwise walk that keeps d's
-    coordinates on the fixed axis of direction and makes each pinned
-    (vertex, side) a unique extreme on the moving axis."""
-    kept = {v: p[direction.fixed_axis] for v, p in d.ints.items()}
-    if direction is Direction.HORIZONTAL:
-        return convex_polygon_for_y(walk, kept, pins, d.den)
-    return convex_polygon_for_x(walk, kept, pins, d.den)
-
-
-def _pinned_polygon(d: Drawing, walk: Sequence[int], direction: Direction,
-                    choices: Sequence[Tuple], note: str
-                    ) -> Tuple[BoundaryPolygon, Tuple]:
-    """_default_polygon and its pins for the first pins of choices that a
-    polygon can meet; PocketNotSeparated names note when none can."""
-    for pins in choices:
-        try:
-            return _default_polygon(d, walk, direction, pins), pins
-        except (WrongChain, ConstraintInfeasible):
-            continue
-    raise PocketNotSeparated(note, "no polygon meets any choice of pins")
-
-
 def _rotations_realized(d: Drawing) -> bool:
     """Every stored rotation equals the angular order around its vertex."""
     pts = d.ints
@@ -191,14 +172,6 @@ def _rotations_realized(d: Drawing) -> bool:
         if any(order[(shift + i) % k] != i for i in range(k)):
             return False
     return True
-
-
-def _outer_area2(d: Drawing) -> int:
-    """Twice the signed area of d's outer walk on the integer view (the
-    shoelace sum): negative when the walk is clockwise, as the outer face
-    of a planar drawing that realizes its rotations is."""
-    walk = [d.ints[v] for v in d.graph.outer_walk()]
-    return sum(_cross(p, q) for p, q in zip(walk, walk[1:] + walk[:1]))
 
 
 # -- coordinate maintenance ----------------------------------------------------
@@ -301,25 +274,44 @@ def _safe_shear(d: Drawing, axis: int, cons: ShearConstraints) -> Drawing:
     return shear(d, axis, _snap_shear(d, axis, lam, cons))
 
 
-def _redraw(d: Drawing, direction: Direction, poly: BoundaryPolygon,
-            pins: Tuple, note: str) -> Drawing:
-    """Redraw d onto poly keeping the fixed axis of the direction, snapped
-    by _compact; the drawing returned is strictly convex and keeps each
-    pinned (vertex, side) a unique extreme. A system RoundedSolution cannot
-    certify raises PostconditionFailed naming note and the reason."""
+def _redraw(d: Drawing, direction: Direction, choices: Sequence[Tuple],
+            note: str) -> Tuple[Drawing, Tuple]:
+    """Redraw d, keeping the fixed axis of the direction, onto the strictly
+    convex polygon on d's outer walk that keeps d's fixed-axis coordinates
+    and makes each pinned (vertex, side) a unique extreme on the moving
+    axis, for the first pins of choices that the polygon builder accepts;
+    then snap by _compact. Returns the drawing, strictly convex with the
+    pins kept, and the pins. PocketNotSeparated names note when no choice
+    has a polygon, PostconditionFailed when RoundedSolution cannot certify
+    the system, with the reason. The builders are the module globals
+    convex_polygon_for_y and convex_polygon_for_x, read per call, so a
+    rebound one (as perfbench/layers.py traces it) is the one used."""
+    fa = direction.fixed_axis
+    walk = d.graph.outer_walk()
+    kept = {v: p[fa] for v, p in d.ints.items()}
+    build = (convex_polygon_for_y if direction is Direction.HORIZONTAL
+             else convex_polygon_for_x)
+    for pins in choices:
+        try:
+            poly = build(walk, kept, pins, d.den)
+            break
+        except (WrongChain, ConstraintInfeasible):
+            continue
+    else:
+        raise PocketNotSeparated(note, "no polygon meets any choice of pins")
     try:
-        solution = RoundedSolution(*redraw_rows(d, poly, direction.fixed_axis))
-        return _compact(d, direction, poly, solution, pins, note)
+        solution = RoundedSolution(*redraw_rows(d, poly, fa))
+        return _compact(d, direction, poly, solution, pins, note), pins
     except _Uncertified as exc:
         raise PostconditionFailed(note, str(exc)) from None
 
 
 def _redraw_move(b: SequenceBuilder, direction: Direction,
-                 poly: BoundaryPolygon, pins: Tuple, note: str) -> None:
-    """One move from b.current, noted note: redraw onto poly under the
-    pins (see _redraw), then shear along the moving axis keeping the pins
-    and leaving no edge level on it."""
-    cur = _redraw(b.current, direction, poly, pins, note)
+                 choices: Sequence[Tuple], note: str) -> None:
+    """One move from b.current, noted note: redraw under the first pins of
+    choices that have a polygon (see _redraw), then shear along the moving
+    axis keeping those pins and leaving no edge level on it."""
+    cur, pins = _redraw(b.current, direction, choices, note)
     b.move(direction, _safe_shear(cur, direction.moving_axis,
                                   ShearConstraints(keep_extreme=pins)), note)
 
@@ -360,9 +352,8 @@ def morph_B(d: Drawing, direction: Direction) -> Tuple[Drawing, int]:
     _straddle_shear. augment_y_monotone raises PreconditionViolated on an
     edge level on the fixed axis."""
     g_aug = augment_y_monotone(d, direction.fixed_axis)
-    poly = _default_polygon(d, g_aug.outer_walk(), direction, ())
-    mid = _redraw(d.with_graph(g_aug), direction, poly, (),
-                  "level-preserving convex redraw")
+    mid, _ = _redraw(d.with_graph(g_aug), direction, ((),),
+                     "level-preserving convex redraw")
     return _straddle_shear(mid.with_graph(d.graph), direction.moving_axis)
 
 
@@ -437,20 +428,17 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
 
     # one vertical move: u becomes the unique top or bottom vertex, and the
     # shear keeps it there
-    note = "pocket corner to the top"
-    poly, pins = _pinned_polygon(d, outer, Direction.VERTICAL,
-                                 (((u, "top"),), ((u, "bottom"),)), note)
-    _redraw_move(b, Direction.VERTICAL, poly, pins, note)
+    _redraw_move(b, Direction.VERTICAL, (((u, "top"),), ((u, "bottom"),)),
+                 "pocket corner to the top")
 
     path = _pocket_path(g, u, v)
     if not _x_monotone(path, b.current):
         # one horizontal move: u and v become the unique leftmost and
         # rightmost vertices, so the pocket path must run monotonely
         note = "pocket corners to the sides"
-        poly, pins = _pinned_polygon(
-            b.current, outer, Direction.HORIZONTAL,
-            (((u, "left"), (v, "right")), ((u, "right"), (v, "left"))), note)
-        _redraw_move(b, Direction.HORIZONTAL, poly, pins, note)
+        _redraw_move(b, Direction.HORIZONTAL, (((u, "left"), (v, "right")),
+                                               ((u, "right"), (v, "left"))),
+                     note)
         if not _x_monotone(path, b.current):
             raise PocketNotSeparated(note, "pocket path still not monotone "
                                            "after separating its corners")
@@ -458,9 +446,7 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     # release the edge; the pocket path joins the hull on a fresh polygon
     d_minus = b.current.with_graph(g_minus)
     b.edit(d_minus, "release pocket edge")
-    poly = _default_polygon(d_minus, g_minus.outer_walk(),
-                            Direction.VERTICAL, ())
-    _redraw_move(b, Direction.VERTICAL, poly, (), "pocket path onto the hull")
+    _redraw_move(b, Direction.VERTICAL, ((),), "pocket path onto the hull")
 
 
 def _hull_gaps(d: Drawing, hull: Sequence[int]) -> list:
@@ -787,14 +773,7 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
             cons = ShearConstraints(make_straddle=ref)
             b.move(Direction.HORIZONTAL, _safe_shear(d2, 0, cons),
                    "expose the new corner")
-    cur = b.current
-    _redraw_move(b, direction,
-                 _default_polygon(cur, cur.graph.outer_walk(), direction, ()),
-                 (), "absorb the new corner")
-    if not is_strictly_convex(b.current):
-        raise PostconditionFailed(
-            "absorb the new corner",
-            "buffer removal did not restore strict convexity")
+    _redraw_move(b, direction, ((),), "absorb the new corner")
 
 
 # -- dispatch --------------------------------------------------------------------
@@ -812,7 +791,10 @@ def convexify(d: Drawing) -> MorphSequence:
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     if not convex and not _rotations_realized(d):
         raise NotPlanarInput("drawing does not realize its embedding")
-    if not convex and _outer_area2(d) >= 0:
+    # a planar drawing that realizes its rotations has a clockwise outer
+    # walk, or a zero sum when no face is bounded: a tree, which the
+    # connectivity gate turns away
+    if not convex and _area2(d.ints, g.outer_walk()) > 0:
         raise NotPlanarInput("outer dart names a bounded face")
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(

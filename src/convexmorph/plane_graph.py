@@ -10,8 +10,9 @@ named without the caller choosing a new dart.
 A PlaneGraph traces its faces once, on first use, and caches each face's
 darts (faces), the face of every dart, and each face's vertex walk, the
 tuple face_vertices returns on every call; with_outer shares all three.
-The per-face loops (is_strictly_convex, internal_reflex_angles, the
-connectivity gates) read these walks.
+The per-face loops (is_strictly_convex, internal_reflex_angles,
+validate_drawing, build_plane_graph_from_points, the connectivity gates)
+read these walks. _area2 is the one shoelace sum over a walk.
 
 Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
@@ -503,16 +504,40 @@ def internal_reflex_angles(d: Drawing) -> List[AngleRef]:
     return [AngleRef(fi, pos) for _, fi, pos in found]
 
 
+def _convex_walk(ints: Dict[int, Tuple[int, int]], walk: Sequence[int],
+                 turn: int) -> bool:
+    """Whether the closed walk over the integer points ints turns strictly
+    one way at every corner, left for turn 1 and right for turn -1, and
+    winds once. A walk whose turns are strict, one way and each below a
+    half turn changes half-plane (_half) twice per full turn, so it winds w
+    times when it changes 2w times. One pass carries the previous edge and
+    its half-plane; a zero edge, a straight angle and a spike all cross
+    to 0."""
+    ux, uy = ints[walk[-1]]
+    vx, vy = ints[walk[0]]
+    ax, ay = vx - ux, vy - uy
+    upper = ay > 0 or (ay == 0 and ax > 0)
+    changes = 0
+    for w in walk[1:] + walk[:1]:
+        wx, wy = ints[w]
+        bx, by = wx - vx, wy - vy
+        if (ax * by - ay * bx) * turn <= 0:
+            return False
+        b_upper = by > 0 or (by == 0 and bx > 0)
+        if b_upper is not upper:
+            changes += 1
+        vx, vy, ax, ay, upper = wx, wy, bx, by, b_upper
+    return changes == 2
+
+
 def is_strictly_convex(d: Drawing) -> bool:
     """Every inner face walk a strictly convex counterclockwise polygon and
     the outer walk a strictly convex clockwise one, each winding once: a
     certificate that d is planar and realizes its rotations (Floater 2003;
-    see the module docstring). A walk whose turns are strict, one way and
-    each below a half turn changes half-plane (_half) twice per full turn.
-    One pass per cached walk carries the previous edge and its half-plane;
-    a zero edge, a straight angle and a spike all cross to 0. A triangle's
-    three corners cross alike, to twice its signed area, and a triangle
-    that turns one way winds once, so one cross product decides it."""
+    see the module docstring). Each cached walk goes through _convex_walk,
+    except a triangle: its three corners cross alike, to twice its signed
+    area, and a triangle that turns one way winds once, so one cross
+    product decides it."""
     g = d.graph
     ints = d.ints
     outer = g.outer_face_index          # builds the walks
@@ -522,22 +547,7 @@ def is_strictly_convex(d: Drawing) -> bool:
             (ux, uy), (vx, vy), (wx, wy) = map(ints.__getitem__, walk)
             if ((vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)) * turn <= 0:
                 return False
-            continue
-        ux, uy = ints[walk[-1]]
-        vx, vy = ints[walk[0]]
-        ax, ay = vx - ux, vy - uy
-        upper = ay > 0 or (ay == 0 and ax > 0)
-        changes = 0
-        for w in walk[1:] + walk[:1]:
-            wx, wy = ints[w]
-            bx, by = wx - vx, wy - vy
-            if (ax * by - ay * bx) * turn <= 0:
-                return False
-            b_upper = by > 0 or (by == 0 and bx > 0)
-            if b_upper is not upper:
-                changes += 1
-            vx, vy, ax, ay, upper = wx, wy, bx, by, b_upper
-        if changes != 2:
+        elif not _convex_walk(ints, walk, turn):
             return False
     return True
 
@@ -867,18 +877,23 @@ def validate_drawing(d: Drawing):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     ints = d.ints
     outer = g.outer_face_index
-    for fi, walk_darts in enumerate(g.faces):
-        walk = [t[0] for t in walk_darts]
+    for fi in range(len(g.faces)):
+        walk = g.face_vertices(fi)
         if len(set(walk)) != len(walk):
             raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
-        pts = [ints[v] for v in walk]
-        area2 = sum(_cross(pts[i], pts[(i + 1) % len(pts)])
-                    for i in range(len(pts)))
-        s = sign_of(area2)
-        if fi == outer and s >= 0:
+        area2 = _area2(ints, walk)
+        if fi == outer and area2 >= 0:
             raise NotPlanarInput("outer face walk is not clockwise")
-        if fi != outer and s <= 0:
+        if fi != outer and area2 <= 0:
             raise NotPlanarInput(f"inner face {fi} walk is not counterclockwise")
+
+
+def _area2(pts: Dict[int, Tuple[int, int]], walk: Sequence[int]) -> int:
+    """Twice the signed area of the closed walk over the integer points pts
+    (the shoelace sum): positive when it runs counterclockwise. A walk that
+    repeats vertices sums the areas it winds around, with their signs."""
+    return sum(_cross(pts[u], pts[v])
+               for u, v in zip(walk, walk[1:] + walk[:1]))
 
 
 def _half(dv) -> int:
@@ -921,14 +936,10 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
     g = PlaneGraph(rotation, (some, rotation[some][0]))
     if len(g.faces) == 1:
         return g
-    # shoelace over the walk works with repeats; only the outer walk is negative
-    negative = []
-    for fi, walk_darts in enumerate(g.faces):
-        walk = [pts[t[0]] for t in walk_darts]
-        area2 = sum(_cross(walk[i], walk[(i + 1) % len(walk)])
-                    for i in range(len(walk)))
-        if sign_of(area2) < 0:
-            negative.append(fi)
+    # only the outer walk has a negative shoelace sum (_area2)
+    negative = [fi for fi in range(len(g.faces))
+                if _area2(pts, g.face_vertices(fi)) < 0]
     if len(negative) != 1:
         raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
-    return g.with_outer(g.faces[negative[0]][0])
+    walk = g.face_vertices(negative[0])
+    return g.with_outer((walk[0], walk[1]))

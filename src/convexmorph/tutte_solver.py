@@ -10,6 +10,13 @@ fixed axis on the drawing as it is, and the engine reads the solution
 through RoundedSolution, so no function here returns a whole redrawn
 drawing.
 
+The boundary polygon is checked once: convex_polygon_for_y (and through
+it convex_polygon_for_x) validates what it builds, and the engine builds
+it from the drawing it redraws, on that drawing's outer walk and fixed-axis
+coordinates, so redraw_rows takes it as given. BoundaryPolygon.validate
+and plane_graph.is_strictly_convex share one definition of a strictly
+convex walk that winds once, plane_graph._convex_walk.
+
 A redraw needs its solution only rounded to a dyadic grid (the engine
 emits no redraw exactly), so RoundedSolution answers those roundings and
 nothing else, without the exact solution: iterative refinement with a
@@ -39,8 +46,8 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
+    _convex_walk,
     _ratio,
-    orientation,
     rat,
     sign_of,
     unique_extreme,
@@ -106,31 +113,12 @@ class BoundaryPolygon:
         self.cycle, self.ints, self.den = tuple(cycle), ints, den
 
     def validate(self):
-        k = len(self.cycle)
-        if k < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        pts = [self.ints[v] for v in self.cycle]
-        minima = 0
-        for i in range(k):
-            p, c, n = pts[(i - 1) % k], pts[i], pts[(i + 1) % k]
-            if orientation(p, c, n) != -1:
-                raise ValueError(f"not strictly convex at {self.cycle[i]}")
-            key_p = (p[1], p[0])
-            key_c = (c[1], c[0])
-            key_n = (n[1], n[0])
-            if key_c < key_p and key_c < key_n:
-                minima += 1
-        # a locally convex closed walk winds once iff it has one lowest corner
-        if minima != 1:
-            raise ValueError("walk winds more than once")
-
-    def matches_outer_walk(self, g: PlaneGraph) -> bool:
-        walk = g.outer_walk()
-        k = len(walk)
-        if k != len(self.cycle) or set(walk) != set(self.cycle):
-            return False
-        shift = walk.index(self.cycle[0])
-        return all(self.cycle[i] == walk[(shift + i) % k] for i in range(k))
+        """Raise ValueError unless the cycle is a strictly convex clockwise
+        polygon winding once (plane_graph._convex_walk with turn -1; a walk
+        of one or two vertices has a zero edge or a spike)."""
+        if not _convex_walk(self.ints, self.cycle, -1):
+            raise ValueError("not a strictly convex clockwise polygon "
+                             "winding once")
 
 
 def weights_from_y(g: PlaneGraph, y: Dict[int, object]) -> WeightAssignment:
@@ -501,40 +489,28 @@ def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
     return rows, rhs
 
 
-def _check_pinned_system(g: PlaneGraph, boundary: BoundaryPolygon,
-                         internal):
-    """Raise ValueError unless boundary is a strictly convex polygon on the
-    outer walk of g and internal holds exactly the other vertices."""
-    boundary.validate()
-    if not boundary.matches_outer_walk(g):
-        raise ValueError("boundary cycle does not match the outer walk")
-    expected = set(g.rotation) - set(boundary.cycle)
-    if internal != expected:
-        raise ValueError("weights do not cover exactly the internal vertices")
-
-
 def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
     """Rows, moving-axis right-hand sides and the one denominator of those
     (boundary.den) of the system of a redraw of d onto boundary that keeps
     every coordinate on fixed_axis (0 for x, 1 for y; tutte_rows_from_y
-    with that axis as the heights), as RoundedSolution takes them, after
-    checking that boundary keeps those coordinates of its vertices and is
-    a strictly convex polygon on the outer walk. The heights are the
-    fixed-axis coordinates times the lcm of their denominators, d's integer
-    view divided by the gcd of d.den and all of them."""
-    ints, den = d.ints, d.den
-    bints, bden = boundary.ints, boundary.den
-    for v in boundary.cycle:
-        if bints[v][fixed_axis] * den != ints[v][fixed_axis] * bden:
-            raise PreconditionViolated(f"boundary moves {v} on the fixed axis")
-    ys = {v: p[fixed_axis] for v, p in ints.items()}
-    g = math.gcd(den, *ys.values())
+    with that axis as the heights), as RoundedSolution takes them. The
+    heights are the fixed-axis coordinates times the lcm of their
+    denominators, d's integer view divided by the gcd of d.den and all of
+    them.
+
+    boundary must be a strictly convex polygon on d's outer walk that keeps
+    the fixed-axis coordinates of its vertices, as morph_engine._redraw
+    builds it from d itself; nothing here checks it again, and the redraw's
+    end certificate (strict convexity of the snapped drawing) decides the
+    result."""
+    ys = {v: p[fixed_axis] for v, p in d.ints.items()}
+    g = math.gcd(d.den, *ys.values())
     if g > 1:
         ys = {v: y // g for v, y in ys.items()}
     rows, rhs = tutte_rows_from_y(
-        d.graph, ys, {v: p[1 - fixed_axis] for v, p in bints.items()})
-    _check_pinned_system(d.graph, boundary, set(rows))
-    return rows, rhs, bden
+        d.graph, ys,
+        {v: p[1 - fixed_axis] for v, p in boundary.ints.items()})
+    return rows, rhs, boundary.den
 
 
 # -- boundary polygon construction -------------------------------------------

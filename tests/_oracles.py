@@ -550,13 +550,49 @@ def tutte_rows(g, weights, boundary_coords):
     return rows, rhs
 
 
+def is_outer_walk(cycle, g) -> bool:
+    """Whether cycle is g's outer walk, up to where it starts."""
+    walk = g.outer_walk()
+    k = len(walk)
+    if k != len(cycle) or set(walk) != set(cycle):
+        return False
+    shift = walk.index(cycle[0])
+    return all(cycle[i] == walk[(shift + i) % k] for i in range(k))
+
+
+def lowest_corner_convex(cycle, pts) -> bool:
+    """BoundaryPolygon.validate as it was before it shared
+    plane_graph._convex_walk: at least 3 corners, every corner a strict
+    right turn, and exactly one corner lower, by (y, x), than both of its
+    neighbours (a locally convex closed walk winds once iff it has one
+    lowest corner)."""
+    k = len(cycle)
+    if k < 3:
+        return False
+    ps = [pts[v] for v in cycle]
+    minima = 0
+    for i in range(k):
+        p, c, n = ps[i - 1], ps[i], ps[(i + 1) % k]
+        if _orient(p, c, n) != -1:
+            return False
+        if (c[1], c[0]) < (p[1], p[0]) and (c[1], c[0]) < (n[1], n[0]):
+            minima += 1
+    return minima == 1
+
+
 def solve_tutte(g, boundary, weights):
     """The Drawing that solves the pinned barycentric system for both
-    coordinates, after the package's check of boundary and weights."""
+    coordinates, after checking that boundary is a strictly convex polygon
+    on g's outer walk and that the weights cover exactly the other
+    vertices (ValueError otherwise)."""
     from convexmorph.plane_graph import Drawing
-    from convexmorph.tutte_solver import _check_pinned_system, solve_rows
+    from convexmorph.tutte_solver import solve_rows
 
-    _check_pinned_system(g, boundary, weights.internal_vertices())
+    boundary.validate()
+    if not is_outer_walk(boundary.cycle, g):
+        raise ValueError("boundary cycle does not match the outer walk")
+    if weights.internal_vertices() != set(g.rotation) - set(boundary.cycle):
+        raise ValueError("weights do not cover exactly the internal vertices")
     sol = solve_rows(*tutte_rows(g, weights, polygon_coords(boundary)))
     coords = dict(polygon_coords(boundary))
     coords.update((u, (x, y)) for u, (x, y) in sol.items())

@@ -183,9 +183,7 @@ def check_augmentation(d, axis=1, redraw=True):
     if redraw:
         direction = Direction.HORIZONTAL if axis == 1 else Direction.VERTICAL
         aug = d.with_graph(new_g)
-        poly = morph_engine._default_polygon(aug, new_g.outer_walk(),
-                                             direction, ())
-        out = morph_engine._redraw(aug, direction, poly, (), "certificate")
+        out, _ = morph_engine._redraw(aug, direction, ((),), "certificate")
         assert is_strictly_convex(out)
         assert {v: p[axis] * d.den for v, p in out.ints.items()} \
             == {v: p[axis] * out.den for v, p in pts.items()}

@@ -134,6 +134,21 @@ def test_convexify_rejects_input_that_is_not_internally_3connected():
         convexify(hidden_component_drawing())
 
 
+@pytest.mark.parametrize("coords, edges", [
+    ({1: (0, 0), 2: (3, 1)}, [(1, 2)]),
+    ({1: (0, 0), 2: (3, 1), 3: (5, 4), 4: (6, 9)}, [(1, 2), (2, 3), (3, 4)]),
+    ({0: (0, 0), 1: (4, 1), 2: (-1, 3), 3: (-2, -3)},
+     [(0, 1), (0, 2), (0, 3)]),
+], ids=["edge", "path", "star"])
+def test_convexify_turns_trees_away_at_the_connectivity_gate(coords, edges):
+    # a planar drawing of a tree bounds no face: its one walk's shoelace
+    # sum is 0, which names no bounded face, so the connectivity gate
+    # answers
+    d = Drawing(build_plane_graph_from_points(coords, edges), coords)
+    with pytest.raises(NotInternallyThreeConnected):
+        convexify(d)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_convexify_returns_no_events_on_strictly_convex_input(seed):
     d = random_triangulation(random.Random(seed), 10, 40)
@@ -485,9 +500,11 @@ def test_failed_postcondition_raises_a_typed_error():
     # a pin no redraw can keep: 4 lies inside the triangle 1, 2, 3, so it
     # is never the unique leftmost vertex
     d, poly = one_vertex_triangle()
+    solution = tutte_solver.RoundedSolution(*tutte_solver.redraw_rows(
+        d, poly, 1))
     with pytest.raises(PostconditionFailed) as info:
-        morph_engine._redraw(d, Direction.HORIZONTAL, poly, ((4, "left"),),
-                             "a noted step")
+        morph_engine._compact(d, Direction.HORIZONTAL, poly, solution,
+                              ((4, "left"),), "a noted step")
     assert isinstance(info.value, ConvexifyError)
     assert isinstance(info.value, RuntimeError)
     assert info.value.layer == "a noted step"
@@ -510,8 +527,8 @@ def test_compact_skips_a_grid_without_a_certified_rounding(monkeypatch):
         return None if bits == 48 else rounded(self, bits)
 
     monkeypatch.setattr(tutte_solver.RoundedSolution, "rounded", none_at_48)
-    out = morph_engine._redraw(d, Direction.HORIZONTAL, poly, (),
-                               "a noted step")
+    out, _ = morph_engine._redraw(d, Direction.HORIZONTAL, ((),),
+                                  "a noted step")
     assert asked == [48, 64]
     assert (out.ints, out.den) == (want.ints, want.den)
     # on the 2^-64 grid, not on the 2^-48 one
@@ -532,10 +549,26 @@ def test_uncertified_system_raises_a_typed_error(monkeypatch):
 
     monkeypatch.setattr(morph_engine, "redraw_rows", negated)
     with pytest.raises(PostconditionFailed) as info:
-        morph_engine._redraw(d, Direction.HORIZONTAL, poly, (),
-                             "a noted step")
+        morph_engine._redraw(d, Direction.HORIZONTAL, ((),), "a noted step")
     assert info.value.layer == "a noted step"
     assert info.value.check == "not an M-matrix sign pattern"
+
+
+def test_redraw_takes_the_first_pins_that_have_a_polygon():
+    # 4 is inside the triangle, on neither chain of the outer walk, so no
+    # polygon pins it; 1 is the bottom vertex and can be the leftmost
+    d, _ = one_vertex_triangle()
+    out, pins = morph_engine._redraw(
+        d, Direction.HORIZONTAL, (((4, "left"),), ((1, "left"),)),
+        "a noted step")
+    assert pins == ((1, "left"),)
+    assert is_strictly_convex(out)
+    assert unique_extreme(out.ints, 1, "left")
+    with pytest.raises(PocketNotSeparated) as info:
+        morph_engine._redraw(d, Direction.HORIZONTAL, (((4, "left"),),),
+                             "a noted step")
+    assert info.value.layer == "a noted step"
+    assert info.value.check == "no polygon meets any choice of pins"
 
 
 def refuse(*args):

@@ -11,7 +11,9 @@ re-export in __init__.py is not a read.
 
 A module-level private function, class or constant (a name with one
 leading underscore) that no code there reads, outside its own definition,
-is dead: a helper a change left behind.
+is dead: a helper a change left behind. So is a name that a module of the
+package imports and never reads (a Name load, annotations included); the
+re-exports of __init__.py and the __future__ imports are exempt.
 """
 
 import ast
@@ -179,6 +181,33 @@ def test_every_public_definition_is_read_by_src_or_perfbench():
 def test_every_private_module_level_definition_is_read():
     defs = private_definitions()
     assert defs and unread(defs) == []
+
+
+def unused_imports():
+    """module: name for every name a package module imports and never
+    loads. An annotation is parsed as an expression whatever the
+    __future__ import, so the names it holds are loads too."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        imported, loaded = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                imported += [a.asname or a.name.split(".")[0]
+                             for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        out += [f"{path.name}: {name}" for name in imported
+                if name not in loaded]
+    return out
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []
 
 
 def test_shared_member_names_are_the_known_ones():

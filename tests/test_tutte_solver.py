@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convexmorph import (
@@ -44,6 +44,8 @@ from _oracles import (
     chain_slopes_fraction,
     consistent_with_y,
     float_lu_scan,
+    is_outer_walk,
+    lowest_corner_convex,
     polygon_coords,
     redraw_preserving,
     solve_dense_fraction,
@@ -417,15 +419,6 @@ def test_redraw_preserving_y_new_polygon():
             assert out.coords[v] == polygon_coords(poly)[v]
 
 
-def test_redraw_preserving_y_rejects_changed_heights():
-    d = k4_drawing()
-    poly = hull_polygon(d)
-    shifted = BoundaryPolygon(poly.cycle, {
-        v: (x, y + poly.den) for v, (x, y) in poly.ints.items()}, poly.den)
-    with pytest.raises(PreconditionViolated):
-        redraw_preserving(d, shifted, 1)
-
-
 def test_redraw_preserving_x_contract():
     rng = random.Random(8808)
     for _ in range(5):
@@ -760,16 +753,75 @@ def test_boundary_polygon_rejects_double_winding():
         BoundaryPolygon((1, 2, 3, 4, 5, 6), pts, 1).validate()
 
 
-def test_boundary_polygon_matches_outer_walk():
-    coords = {1: (0, 0), 2: (0, 2), 3: (2, 2), 4: (2, 0)}
-    g = build_plane_graph_from_points(coords,
-                                      {(1, 2), (2, 3), (3, 4), (4, 1)})
-    walk = g.outer_walk()
-    rotated = tuple(walk[2:] + walk[:2])
-    assert BoundaryPolygon(rotated, coords, 1).matches_outer_walk(g)
-    reflected = tuple(reversed(walk))
-    assert not BoundaryPolygon(reflected, coords, 1).matches_outer_walk(g)
-    assert not BoundaryPolygon((1, 2, 3), coords, 1).matches_outer_walk(g)
+# twelve lattice points on the circle of radius 5, counterclockwise from
+# (5, 0), doubled so that every chord's midpoint is a lattice point
+CIRCLE = [(2 * x, 2 * y) for x, y in (
+    (5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+    (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3))]
+
+
+@st.composite
+def integer_walks(draw):
+    """Closed walks of integer points: corners of CIRCLE in order, or any
+    grid points; either orientation, wound once or twice, with a chord
+    midpoint (a collinear corner) or a repeated point put in."""
+    if draw(st.booleans()):
+        pts = [CIRCLE[i] for i in sorted(draw(st.sets(
+            st.integers(0, len(CIRCLE) - 1), min_size=1, max_size=8)))]
+    else:
+        pts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=7))
+    if draw(st.booleans()):
+        pts.reverse()
+    pts = pts * draw(st.integers(1, 2))
+    extra = draw(st.sampled_from(("none", "collinear", "repeat")))
+    i = draw(st.integers(0, len(pts) - 1))
+    p, q = pts[i], pts[(i + 1) % len(pts)]
+    if extra == "collinear" and (p[0] + q[0]) % 2 == (p[1] + q[1]) % 2 == 0:
+        pts.insert(i + 1, ((p[0] + q[0]) // 2, (p[1] + q[1]) // 2))
+    elif extra == "repeat":
+        pts.insert(draw(st.integers(0, len(pts))), p)
+    return pts
+
+
+@settings(max_examples=600, deadline=None)
+@given(integer_walks())
+@example([(10, 0), (6, 8), (-8, 6), (-10, 0), (0, -10)][::-1] * 2)
+@example([(0, 0), (0, 2), (2, 2), (2, 0)])
+def test_validate_agrees_with_the_lowest_corner_oracle(pts):
+    # a strict one-way walk that winds w times changes half-plane 2w times
+    # and has w lowest corners, so the two tests of winding once agree
+    poly = BoundaryPolygon(tuple(range(len(pts))), dict(enumerate(pts)), 1)
+    try:
+        poly.validate()
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == lowest_corner_convex(poly.cycle, poly.ints)
+
+
+@pytest.mark.parametrize("workload",
+                         ["convex_outer", "three_connected", "buffered"])
+def test_one_polygon_validation_per_certified_solve(monkeypatch, workload):
+    # the builder validates each polygon, and nothing validates it again
+    counts = {"validate": 0, "solve": 0}
+    validate, init = BoundaryPolygon.validate, RoundedSolution.__init__
+
+    def counted_validate(self):
+        counts["validate"] += 1
+        validate(self)
+
+    def counted_init(self, *args):
+        counts["solve"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(BoundaryPolygon, "validate", counted_validate)
+    monkeypatch.setattr(RoundedSolution, "__init__", counted_init)
+    for w, i in sorted(DIGESTS):
+        if w == workload:
+            morph_engine.convexify(bench_drawing(w, i))
+    assert counts["solve"] > 0
+    assert counts["validate"] == counts["solve"]
 
 
 # -- convex_polygon_for_y ----------------------------------------------------
@@ -890,7 +942,7 @@ def test_polygon_for_y_random_cycles(data):
         assert_unique_pin(poly, v, side)
     ring = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
     g = build_plane_graph_from_points(polygon_coords(poly), ring)
-    assert poly.matches_outer_walk(g)
+    assert is_outer_walk(poly.cycle, g)
     assert is_strictly_convex(Drawing(g, polygon_coords(poly)))
 
 
