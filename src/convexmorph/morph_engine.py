@@ -79,7 +79,7 @@ from .plane_graph import (
     _ShearSpace,
     _area2,
     _cross,
-    _integer_view,
+    _dot,
     angle_status_points,
     build_plane_graph_from_points,
     choose_safe_shear,
@@ -520,9 +520,30 @@ def _seg_seg_dist_sq(a, b, c, d) -> Tuple[int, int]:
                       _pt_seg_dist_sq(c, a, b), _pt_seg_dist_sq(d, a, b)))
 
 
-def _sqrt_floor(q):
-    """A rational t with 0 < t <= sqrt(q), for a positive rational q."""
-    return rat(math.isqrt(int(q.numerator * q.denominator)), q.denominator)
+# significant bits of each buffer offset's length
+_OFFSET_BITS = 3
+
+
+def _dyadic_sqrt_floor(num: int, q: int) -> Tuple[int, int]:
+    """(m, j) with m * 2^-j the largest number of _OFFSET_BITS significant
+    bits not above sqrt(num / q), for positive ints num and q: 2^(B-1) <=
+    m < 2^B. With D = bitlen(num) - bitlen(q), log2 sqrt(num / q) lies in
+    ((D - 1)/2, (D + 1)/2), so j = B - ceil((D + 1)/2) puts the root times
+    2^j in (2^(B - 3/2), 2^B), and one more bit of j lifts it to at least
+    2^(B-1) if it fell short. The lower bits of m follow from the top, one
+    integer comparison each."""
+    top = 1 << (_OFFSET_BITS - 1)
+    j = _OFFSET_BITS - (num.bit_length() - q.bit_length() + 2) // 2
+    for j in (j, j + 1):
+        n, r = (num << 2 * j, q) if j >= 0 else (num, q << -2 * j)
+        if top * top * r <= n:
+            break
+    m, bit = top, top >> 1
+    while bit:
+        if (m + bit) * (m + bit) * r <= n:
+            m += bit
+        bit >>= 1
+    return m, j
 
 
 def _pocket_descriptor(outer: Tuple[int, ...],
@@ -538,25 +559,39 @@ def _pocket_descriptor(outer: Tuple[int, ...],
 
 
 def _buffer_geometry(d: Drawing, path: Tuple[int, ...]):
-    """One pocket's buffer vertices in spine order, each as a pair (base,
-    offset) of rational points: at shrink s the vertex is base + s * offset.
+    """One pocket's buffer vertices in spine order on the integer view, as
+    (J, spine): each spine entry is a pair (base, offset) of int points,
+    and at shrink s the vertex is (base + s * offset) / (d.den * 2^J).
     Apexes go off each interior path vertex toward the hull segment,
     midpoints lie between consecutive apexes, and the end midpoints on the
     segment.
+
+    Every offset is a dyadic length m * 2^-j of _OFFSET_BITS significant
+    bits times an int vector W on d.ints, the vertex moving by that over
+    d.den. An apex's W is v1 |v2|^2 + v2 |v1|^2 for its path edges v1, v2
+    on d.ints: the bisector u1/|u1|^2 + u2/|u2|^2 of the rational drawing
+    times a positive number, so the direction is the same and has no
+    denominator; a straight angle takes v2's perpendicular. Each length is
+    its bound rounded down (_dyadic_sqrt_floor): |offset| <= eps/4, eps the
+    pocket's least distance between non-adjacent segments, and on the end
+    midpoints also t_end <= 1/(2k+4) of the hull segment. Rounding down
+    only shortens an offset, so it keeps every bound that the exact length
+    obeys, and these bounds are all that the placement relies on. J is one
+    more than the largest j, since midpoints halve, and at least 4.
 
     Every base next to an interior path vertex P_i is P_i itself (its apex)
     or lies on a path edge at P_i (the midpoints, and the end midpoints,
     whose bases are the path's ends), which _shrink_bits relies on. In a
     one-vertex pocket the end offsets cancel in their midpoint m, and the
     apex is m + (s/8)(P_1 - m)."""
-    pts = [d.point(v) for v in path]
+    ip = [d.ints[v] for v in path]
     kk = len(path) - 2
-    e0, e1 = pts[0], pts[-1]
+    e0, e1 = ip[0], ip[-1]
     evec = (e1[0] - e0[0], e1[1] - e0[1])
-    elen_sq = evec[0] * evec[0] + evec[1] * evec[1]
+    # the squared bound on each length: t_end <= 1/(2k+4), and past one
+    # vertex t_end |evec| <= eps/4 and each apex's t |W| <= eps/4
+    dirs, bounds = [evec], [(1, (2 * kk + 4) ** 2)]
     if kk >= 2:
-        # the least distance on the integer view, scaled back once
-        ip = [d.ints[v] for v in path]
         cyc = ip + [ip[0]]
         segs = [(cyc[i], cyc[i + 1]) for i in range(len(ip))]
         n_seg = len(segs)
@@ -564,52 +599,51 @@ def _buffer_geometry(d: Drawing, path: Tuple[int, ...]):
             _seg_seg_dist_sq(*segs[i], *segs[j])
             for i in range(n_seg) for j in range(i + 2, n_seg)
             if not (i == 0 and j == n_seg - 1))
-        eps_sq = rat(num, den * d.den * d.den)
-        t_end = min(_sqrt_floor(eps_sq / (16 * elen_sq)),
-                    rat(1, 2 * kk + 4))
-    else:
-        t_end = rat(1, 2 * kk + 4)
-    first = (e0, (t_end * evec[0], t_end * evec[1]))
-    last = (e1, (-t_end * evec[0], -t_end * evec[1]))
+        bounds[0] = _min_pair((bounds[0], (num, 16 * den * _dot(evec, evec))))
+        for i in range(1, kk + 1):
+            pv = ip[i]
+            v1 = (ip[i - 1][0] - pv[0], ip[i - 1][1] - pv[1])
+            v2 = (ip[i + 1][0] - pv[0], ip[i + 1][1] - pv[1])
+            l1, l2 = _dot(v1, v1), _dot(v2, v2)
+            w = (v1[0] * l2 + v2[0] * l1, v1[1] * l2 + v2[1] * l1)
+            # the outer walk passes i+1 -> i -> i-1, keeping the pocket left
+            kind = angle_status_points(ip[i + 1], pv, ip[i - 1])
+            if kind is AngleKind.REFLEX:
+                w = (-w[0], -w[1])
+            elif kind is AngleKind.STRAIGHT:
+                w = (v2[1], -v2[0])
+            dirs.append(w)
+            bounds.append((num, 16 * den * _dot(w, w)))
+    lengths = [_dyadic_sqrt_floor(*b) for b in bounds]
 
+    scale = max(4, 1 + max(j for _, j in lengths))
+    offsets = [((m << (scale - j)) * w[0], (m << (scale - j)) * w[1])
+               for (m, j), w in zip(lengths, dirs)]
+    scaled = [(x << scale, y << scale) for x, y in ip]
+    end = offsets[0]
+    first = (scaled[0], end)
+    last = (scaled[-1], (-end[0], -end[1]))
     if kk == 1:
-        m = ((e0[0] + e1[0]) / 2, (e0[1] + e1[1]) / 2)
-        return [first, (m, ((pts[1][0] - m[0]) / 8, (pts[1][1] - m[1]) / 8)),
-                last]
+        mid = tuple((a + b) // 2 for a, b in zip(scaled[0], scaled[-1]))
+        pull = tuple((p - c) // 8 for p, c in zip(scaled[1], mid))
+        return scale, [first, (mid, pull), last]
 
-    apexes = []
-    for i in range(1, kk + 1):
-        pv = pts[i]
-        u1 = (pts[i - 1][0] - pv[0], pts[i - 1][1] - pv[1])
-        u2 = (pts[i + 1][0] - pv[0], pts[i + 1][1] - pv[1])
-        l1 = u1[0] * u1[0] + u1[1] * u1[1]
-        l2 = u2[0] * u2[0] + u2[1] * u2[1]
-        w = (u1[0] / l1 + u2[0] / l2, u1[1] / l1 + u2[1] / l2)
-        # the outer walk passes i+1 -> i -> i-1, keeping the pocket left
-        kind = angle_status_points(pts[i + 1], pv, pts[i - 1])
-        if kind is AngleKind.REFLEX:
-            w = (-w[0], -w[1])
-        elif kind is AngleKind.STRAIGHT:
-            w = (u2[1], -u2[0])
-        wlen_sq = w[0] * w[0] + w[1] * w[1]
-        t = _sqrt_floor(eps_sq / (16 * wlen_sq))
-        apexes.append((pv, (t * w[0], t * w[1])))
-
+    apexes = list(zip(scaled[1:-1], offsets[1:]))
     spine = [first]
     for (pa, da), (pb, db) in zip(apexes, apexes[1:]):
         spine.append((pa, da))
-        spine.append((((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2),
-                      ((da[0] + db[0]) / 2, (da[1] + db[1]) / 2)))
+        spine.append((((pa[0] + pb[0]) // 2, (pa[1] + pb[1]) // 2),
+                      ((da[0] + db[0]) // 2, (da[1] + db[1]) // 2)))
     spine.append(apexes[-1])
     spine.append(last)
-    return spine
+    return scale, spine
 
 
 def _shrink_bits(d: Drawing, paths, geometry) -> int:
     """The least k such that at shrink s = 2^-k every interior pocket
     vertex P_i sees its fan P_{i+1}, S_{2i}, S_{2i-1}, S_{2i-2}, P_{i-1}
     turn clockwise at each consecutive pair, S being the pocket's spine
-    placed by geometry (per path, _buffer_geometry's pairs).
+    placed by geometry (per path, _buffer_geometry's (J, spine)).
 
     Seen from P_i a fan member points along p + s * q, up to a factor that
     is positive for 0 < s <= 1: a path neighbour along its edge (q = 0), a
@@ -621,10 +655,16 @@ def _shrink_bits(d: Drawing, paths, geometry) -> int:
     q = 0 makes c2 = 0. Either way each pair asks a + b s < 0 (after
     dividing by s when c0 = 0), a half-line of s, and all pairs together an
     open interval (lo, hi). 2^-k is the largest power of two below hi;
-    PlacementFailure when it is not above lo."""
-    lo, hi = 0, None
-    for path, geo in zip(paths, geometry):
-        pts = [d.point(v) for v in path]
+    PlacementFailure when it is not above lo.
+
+    The spine's bases and dyadic offsets are ints over d.den * 2^J, so
+    each pocket's products are taken on ints, its path scaled by the same
+    2^J. One positive scale multiplies a and b alike, so each bound -a/b
+    is the rational drawing's; it is kept as a pair (numerator, positive
+    denominator) of ints."""
+    lo, hi = (0, 1), None
+    for path, (scale, geo) in zip(paths, geometry):
+        pts = [(x << scale, y << scale) for x, y in (d.ints[v] for v in path)]
         kk = len(path) - 2
         for i in range(1, kk + 1):
             p = pts[i]
@@ -638,30 +678,20 @@ def _shrink_bits(d: Drawing, paths, geometry) -> int:
                 c1 = _cross(u, dw) + _cross(du, w)
                 a, b = (c0, c1) if c0 else (c1, c2)
                 if b > 0:
-                    hi = -a / b if hi is None else min(hi, -a / b)
+                    if hi is None or -a * hi[1] < hi[0] * b:
+                        hi = (-a, b)
                 elif b < 0:
-                    lo = max(lo, -a / b)
+                    if a * lo[1] > lo[0] * -b:
+                        lo = (a, -b)
                 elif a >= 0:
-                    hi = 0
-    k = 0
-    if hi is not None and hi > lo:
-        k = (hi.denominator // hi.numerator).bit_length()
-    if (hi is not None and hi <= lo) or lo * (1 << k) >= 1:
+                    hi = (0, 1)
+    feasible = hi is None or hi[0] * lo[1] > lo[0] * hi[1]
+    k = (hi[1] // hi[0]).bit_length() if feasible and hi is not None else 0
+    if not feasible or lo[0] << k >= lo[1]:
         raise PlacementFailure(
             "insert buffer paths",
             "no shrink 2^-k turns every pocket fan clockwise")
     return k
-
-
-def _with_points(d: Drawing, extra: Dict[int, Tuple]):
-    """The integer view (ints, den) of d's points together with the
-    rational points extra of new vertices, over the lcm of both dens."""
-    e_ints, e_den = _integer_view(extra)
-    den = math.lcm(d.den, e_den)
-    up, e_up = den // d.den, den // e_den
-    ints = {v: (x * up, y * up) for v, (x, y) in d.ints.items()}
-    ints.update((v, (x * e_up, y * e_up)) for v, (x, y) in e_ints.items())
-    return ints, den
 
 
 def augment_buffers(d: Drawing
@@ -673,6 +703,13 @@ def augment_buffers(d: Drawing
     at which each pocket vertex's spokes fan out between its path edges
     (_shrink_bits); the placement is then built and checked once, and a
     check that fails raises PlacementFailure naming it.
+
+    Every buffer offset is a length of a few significant bits times an int
+    vector over d.den (_buffer_geometry). Each length is rounded down from
+    its bound, so every bound the placement needs still holds. The padded
+    drawing is then d's integer view times 2^(J + k) plus the buffer
+    points, J the largest of the pockets' scales, so its den is d.den
+    times a power of two, and the offsets add only their own few bits.
 
     Returns the padded drawing and, per hull gap, its buffer path: the 2k+1
     vertices shadowing the k interior vertices of the pocket path, in walk
@@ -692,17 +729,21 @@ def augment_buffers(d: Drawing
             raise PreconditionViolated("hull vertex inside a pocket path")
 
     geometry = [_buffer_geometry(d, path) for path in paths]
-    shrink = rat(1, 1 << _shrink_bits(d, paths, geometry))
+    k = _shrink_bits(d, paths, geometry)
+    top = max(scale for scale, _ in geometry)
+    ints = {v: (x << (top + k), y << (top + k))
+            for v, (x, y) in d.ints.items()}
     next_id = max(g.rotation) + 1
     spines = []
-    extra = {}
     edges = list(g.edges())
-    for path, geo in zip(paths, geometry):
+    for path, (scale, geo) in zip(paths, geometry):
         spine = tuple(range(next_id, next_id + len(geo)))
         next_id += len(geo)
         spines.append(spine)
-        extra.update((v, (b[0] + shrink * q[0], b[1] + shrink * q[1]))
-                     for v, (b, q) in zip(spine, geo))
+        up = top - scale
+        ints.update((v, (((b[0] << k) + q[0]) << up,
+                         ((b[1] << k) + q[1]) << up))
+                    for v, (b, q) in zip(spine, geo))
         chain = (path[0],) + spine + (path[-1],)
         edges.extend(zip(chain, chain[1:]))
         for i in range(1, len(path) - 1):
@@ -712,12 +753,11 @@ def augment_buffers(d: Drawing
     def fail(check):
         return PlacementFailure("insert buffer paths", check)
 
-    ints, den = _with_points(d, extra)
     try:
         g_new = build_plane_graph_from_points(ints, edges)
     except ValueError as exc:
         raise fail(f"placement is not a plane graph: {exc}") from exc
-    d_new = Drawing.from_ints(g_new, ints, den)
+    d_new = Drawing.from_ints(g_new, ints, d.den << (top + k))
     try:
         validate_drawing(d_new)
     except ValueError as exc:

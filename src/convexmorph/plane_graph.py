@@ -32,11 +32,10 @@ the rationals, and a rational it returns (a shear factor built from ratios
 of differences) is the same number. Shears and snaps act on the ints and
 the den directly, and reduce once. The integers cost no gcd per operation
 and no float enters any predicate. Fractions remain where a number is not
-a coordinate or is read one point at a time: shear factors are Fractions
-(shear takes them and choose_safe_shear returns them),
-morph_engine._buffer_geometry reads Drawing.point, and Drawing.coords
-builds them for a caller that asks. integer_points gives the same view of
-a plain coordinate dict.
+a coordinate: shear factors are Fractions (shear takes them and
+choose_safe_shear returns them), and Drawing.coords builds them for a
+caller that asks. integer_points gives the same view of a plain
+coordinate dict.
 
 A drawing of a connected plane graph whose inner face walks are strictly
 convex counterclockwise polygons and whose outer walk is a strictly convex
@@ -392,8 +391,8 @@ class Drawing:
     ints[v] / den. The form is canonical, gcd(den, every coordinate) == 1,
     so two drawings of one graph are equal exactly when their (ints, den)
     are. Drawing(graph, coords) takes ints, Fractions or floats (a float
-    enters as the number it denotes); coords and point build Fractions only
-    when asked.
+    enters as the number it denotes); coords builds Fractions only when
+    asked.
     """
 
     __slots__ = ("graph", "ints", "den")
@@ -423,10 +422,6 @@ class Drawing:
         den = self.den
         return {v: (Fraction(x, den), Fraction(y, den))
                 for v, (x, y) in self.ints.items()}
-
-    def point(self, v: int) -> Tuple[Fraction, Fraction]:
-        x, y = self.ints[v]
-        return (Fraction(x, self.den), Fraction(y, self.den))
 
     def with_graph(self, graph: PlaneGraph) -> "Drawing":
         """This drawing on graph, whose vertices are this drawing's or a

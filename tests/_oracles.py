@@ -8,6 +8,7 @@ pieces for tests to compare the package's own paths against.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -819,55 +820,76 @@ def chain_shape_kept(s, flip, rising) -> bool:
                for i, v in enumerate(s, start=1))
 
 
+def dyadic_sqrt_floor(x, bits):
+    """The largest m * 2^-j not above sqrt(x) with 2^(bits-1) <= m <
+    2^bits, for a positive Fraction x: the oracle of
+    morph_engine._dyadic_sqrt_floor. x is scaled by powers of 4 into
+    [4^(bits-1), 4^bits), and m is one isqrt of its floor."""
+    j = 0
+    while x * Fraction(4) ** j < 4 ** (bits - 1):
+        j += 1
+    while x * Fraction(4) ** j >= 4 ** bits:
+        j -= 1
+    return math.isqrt(math.floor(x * Fraction(4) ** j)) / Fraction(2) ** j
+
+
 def buffer_geometry_at(d, path, shrink):
-    """One pocket's buffer points at the given shrink, each offset scaled
-    as it is built: the oracle of morph_engine._buffer_geometry, whose
-    (base, offset) pairs give base + shrink * offset."""
+    """One pocket's buffer points at the given shrink, in Fractions: the
+    oracle of morph_engine._buffer_geometry, whose (J, spine) gives each
+    point as (base + shrink * offset) / (d.den * 2^J). Each offset is a
+    length t times a vector W on the integer view d.ints, over d.den: t is
+    the largest dyadic of morph_engine._OFFSET_BITS significant bits whose
+    offset stays within eps/4 (eps the pocket's least distance between
+    non-adjacent segments) and, at the end midpoints, within 1/(2k+4) of
+    the hull segment. An apex's W is v1 |v2|^2 + v2 |v1|^2 off its path
+    edges v1, v2, turned back at a reflex angle, and v2's perpendicular at
+    a straight one."""
     from convexmorph.morph_engine import (
-        _min_pair, _seg_seg_dist_sq, _sqrt_floor)
+        _OFFSET_BITS, _min_pair, _seg_seg_dist_sq)
     from convexmorph.plane_graph import AngleKind, angle_status_points
 
-    pts = [d.point(v) for v in path]
+    def floor(x):
+        return dyadic_sqrt_floor(x, _OFFSET_BITS)
+
+    def at(base, t, w):
+        return tuple((b + shrink * t * c) / d.den for b, c in zip(base, w))
+
+    ip = [d.ints[v] for v in path]
     kk = len(path) - 2
-    e0, e1 = pts[0], pts[-1]
+    e0, e1 = ip[0], ip[-1]
     evec = (e1[0] - e0[0], e1[1] - e0[1])
-    elen_sq = evec[0] * evec[0] + evec[1] * evec[1]
+    t_end = floor(Fraction(1, (2 * kk + 4) ** 2))
     if kk >= 2:
-        ip = [d.ints[v] for v in path]
         cyc = ip + [ip[0]]
         segs = [(cyc[i], cyc[i + 1]) for i in range(len(ip))]
         n_seg = len(segs)
-        num, den = _min_pair(
+        eps_sq = Fraction(*_min_pair(
             _seg_seg_dist_sq(*segs[i], *segs[j])
             for i in range(n_seg) for j in range(i + 2, n_seg)
-            if not (i == 0 and j == n_seg - 1))
-        eps_sq = Fraction(num, den * d.den * d.den)
-        t_end = min(_sqrt_floor(eps_sq / (16 * elen_sq)),
-                    Fraction(1, 2 * kk + 4)) * shrink
-    else:
-        t_end = Fraction(1, 2 * kk + 4) * shrink
-    first = (e0[0] + t_end * evec[0], e0[1] + t_end * evec[1])
-    last = (e1[0] - t_end * evec[0], e1[1] - t_end * evec[1])
+            if not (i == 0 and j == n_seg - 1)))
+        t_end = min(t_end, floor(
+            eps_sq / (16 * (evec[0] * evec[0] + evec[1] * evec[1]))))
+    first, last = at(e0, t_end, evec), at(e1, -t_end, evec)
     if kk == 1:
         m = ((first[0] + last[0]) / 2, (first[1] + last[1]) / 2)
-        pull = Fraction(1, 8) * shrink
-        return [first, (m[0] + pull * (pts[1][0] - m[0]),
-                        m[1] + pull * (pts[1][1] - m[1])), last]
+        p1 = (Fraction(ip[1][0], d.den), Fraction(ip[1][1], d.den))
+        return [first, (m[0] + shrink / 8 * (p1[0] - m[0]),
+                        m[1] + shrink / 8 * (p1[1] - m[1])), last]
     apexes = []
     for i in range(1, kk + 1):
-        pv = pts[i]
-        u1 = (pts[i - 1][0] - pv[0], pts[i - 1][1] - pv[1])
-        u2 = (pts[i + 1][0] - pv[0], pts[i + 1][1] - pv[1])
-        l1 = u1[0] * u1[0] + u1[1] * u1[1]
-        l2 = u2[0] * u2[0] + u2[1] * u2[1]
-        w = (u1[0] / l1 + u2[0] / l2, u1[1] / l1 + u2[1] / l2)
-        kind = angle_status_points(pts[i + 1], pv, pts[i - 1])
+        pv = ip[i]
+        v1 = (ip[i - 1][0] - pv[0], ip[i - 1][1] - pv[1])
+        v2 = (ip[i + 1][0] - pv[0], ip[i + 1][1] - pv[1])
+        l1 = v1[0] * v1[0] + v1[1] * v1[1]
+        l2 = v2[0] * v2[0] + v2[1] * v2[1]
+        w = (v1[0] * l2 + v2[0] * l1, v1[1] * l2 + v2[1] * l1)
+        kind = angle_status_points(ip[i + 1], pv, ip[i - 1])
         if kind is AngleKind.REFLEX:
             w = (-w[0], -w[1])
         elif kind is AngleKind.STRAIGHT:
-            w = (u2[1], -u2[0])
-        t = _sqrt_floor(eps_sq / (16 * (w[0] * w[0] + w[1] * w[1]))) * shrink
-        apexes.append((pv[0] + t * w[0], pv[1] + t * w[1]))
+            w = (v2[1], -v2[0])
+        t = floor(eps_sq / (16 * (w[0] * w[0] + w[1] * w[1])))
+        apexes.append(at(pv, t, w))
     spine = [first]
     for a, b in zip(apexes, apexes[1:]):
         spine += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
@@ -881,10 +903,10 @@ def buffer_shrink_ladder(d, rungs=12):
     morph_engine.augment_buffers; the first k that passes all of them.
     (k, padded drawing, spines), or None when no rung passes."""
     from convexmorph.connectivity import is_internally_3connected
-    from convexmorph.morph_engine import (
-        _hull_gaps, _pocket_descriptor, _with_points)
+    from convexmorph.morph_engine import _hull_gaps, _pocket_descriptor
     from convexmorph.plane_graph import (
-        Drawing, build_plane_graph_from_points, convex_hull, validate_drawing)
+        Drawing, build_plane_graph_from_points, convex_hull, integer_points,
+        validate_drawing)
 
     g = d.graph
     outer = g.outer_walk()
@@ -898,10 +920,10 @@ def buffer_shrink_ladder(d, rungs=12):
         spines.append(tuple(range(next_id, next_id + 2 * len(path) - 3)))
         next_id += 2 * len(path) - 3
     for k in range(rungs):
-        extra = {}
+        coords = d.coords
         edges = list(g.edges())
         for path, spine in zip(paths, spines):
-            extra.update(zip(spine, buffer_geometry_at(
+            coords.update(zip(spine, buffer_geometry_at(
                 d, path, Fraction(1, 1 << k))))
             chain = (path[0],) + spine + (path[-1],)
             edges.extend(zip(chain, chain[1:]))
@@ -909,9 +931,9 @@ def buffer_shrink_ladder(d, rungs=12):
                 edges.extend((path[i], spine[j])
                              for j in (2 * i - 2, 2 * i - 1, 2 * i))
         try:
-            ints, den = _with_points(d, extra)
-            g_new = build_plane_graph_from_points(ints, edges)
-            d_new = Drawing.from_ints(g_new, ints, den)
+            g_new = build_plane_graph_from_points(integer_points(coords),
+                                                  edges)
+            d_new = Drawing(g_new, coords)
             validate_drawing(d_new)
         except ValueError:
             continue

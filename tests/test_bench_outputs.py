@@ -29,9 +29,9 @@ DIGESTS = {
     ('already_convex', 3):
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ('buffered', 0):
-        "8ba1a9eb3bf97dd72de1fdd7a17b5641f33d8e7c5c696842bef71da52aa53462",
+        "1d4b1e61213163d7fbd10e2889905f0e2edb996a82d654941c47058651350cd9",
     ('buffered', 1):
-        "2cd7aad715d4c6af50087f3f0bc972ea856af426b258214ab651093cb0d1ded8",
+        "227b8541827e67f67c9f3c93dbceaebf909d85fc763f2c73519730714b369082",
     ('convex_outer', 0):
         "011c48a43c26623e386ccd3f4e3b5424213034586935428b12bf4849c18396f8",
     ('convex_outer', 1):
