@@ -44,17 +44,19 @@ the shear that ends morph_B and clears level edges before the convex-outer
 phase and the pockets.  A shear that moves nothing has factor 0 and
 SequenceBuilder.move drops the identity move, so only remove_buffer_vertex,
 whose target is an outer-face angle, tests whether to shear.  All arithmetic is exact.  To stop denominators from compounding
-across alternating solves, no redraw and no shear factor is emitted
-exactly: the moving coordinate of each redraw, and each shear factor that
-is not a small rational, is snapped to the first grid of one dyadic ladder
-(_grid_bits: 2^-48, 2^-64, 2^-96, ... for redraws, from 2^-24 for shears)
-that keeps the step valid.  A redraw's snap is accepted only when the
-snapped drawing is strictly convex, which certifies that it is planar and
-realizes the same embedding (see plane_graph), and keeps the step's pins,
-so it amounts to a slightly different but equally valid choice of the same
-move.  The snapped values come from tutte_solver.RoundedSolution, which
-certifies each rounding of the Tutte solution without computing that
-solution exactly, so every snap is the rounding of the exact solution.
+across alternating solves, no redraw is emitted exactly: the moving
+coordinate of each redraw is snapped to the first grid of a dyadic ladder
+(_grid_bits: 2^-48, 2^-64, 2^-96, ...) that keeps the step valid.  A shear
+factor that is not a small rational is the coarsest dyadic in the middle
+third of the first gap of safe factors (choose_safe_shear), so it needs no
+snap: every factor of that gap is safe.  A redraw's snap is accepted only
+when the snapped drawing is strictly convex, which certifies that it is
+planar and realizes the same embedding (see plane_graph), and keeps the
+step's pins, so it amounts to a slightly different but equally valid
+choice of the same move.  The snapped values come from
+tutte_solver.RoundedSolution, which certifies each rounding of the Tutte
+solution without computing that solution exactly, so every snap is the
+rounding of the exact solution.
 
 A check that fails on a drawing the pipeline made raises a ConvexifyError
 naming the step and the check.
@@ -76,7 +78,6 @@ from .plane_graph import (
     PlaneGraph,
     PreconditionViolated,
     ShearConstraints,
-    _ShearSpace,
     _area2,
     _cross,
     _dot,
@@ -88,7 +89,6 @@ from .plane_graph import (
     internal_reflex_angles,
     is_convex_outer,
     is_strictly_convex,
-    rat,
     shear,
     sort_ccw,
     straddles,
@@ -177,13 +177,12 @@ def _rotations_realized(d: Drawing) -> bool:
 # -- coordinate maintenance ----------------------------------------------------
 
 _MAX_GRID_BITS = 1 << 16
-_SNAP_LIMIT = 1 << 24
 
 
-def _grid_bits(first: int):
-    """The snap ladder from first (a power of two or three times one):
-    2^k and 3 * 2^(k-1) in turn, up to _MAX_GRID_BITS."""
-    bits = first
+def _grid_bits():
+    """The redraw snap ladder from 48: 2^k and 3 * 2^(k-1) in turn, up to
+    _MAX_GRID_BITS."""
+    bits = 48
     while bits <= _MAX_GRID_BITS:
         yield bits
         bits = bits * 4 // 3 if bits & (bits - 1) else bits * 3 // 2
@@ -229,7 +228,7 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
              solution: RoundedSolution, pins: Tuple, note: str) -> Drawing:
     """The redraw of d whose moving-axis coordinates are poly's (on the
     boundary) and solution's (the rest), snapped (_snapped) to the first
-    grid of _grid_bits(48) on which solution certifies its rounding and
+    grid of _grid_bits() on which solution certifies its rounding and
     whose drawing is strictly convex and keeps the pins. A strictly convex
     drawing, each face walk winding once, is planar and realizes its
     embedding (Floater 2003; see plane_graph), so a snap needs no segment
@@ -240,7 +239,7 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
     redraw fails a check or needs a grid finer than 2^-_MAX_GRID_BITS, and
     then PostconditionFailed names note."""
     ma = direction.moving_axis
-    for bits in _grid_bits(48):
+    for bits in _grid_bits():
         rounded = solution.rounded(bits)
         if rounded is None:
             continue
@@ -251,27 +250,8 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
         note, f"redraw failed its postcondition on every grid to 2^-{bits}")
 
 
-def _snap_shear(d: Drawing, axis: int, lam, cons: ShearConstraints):
-    """Replace an ugly exact shear factor by the first dyadic of the
-    _grid_bits(24) ladder that is safe too, each tested as
-    choose_safe_shear tests a candidate. The constraints are open in the
-    factor, so a fine enough grid holds one."""
-    if rat(lam).denominator <= _SNAP_LIMIT:
-        return lam
-    space = _ShearSpace(d.graph, d.ints, axis, cons)
-    for bits in _grid_bits(24):
-        scale = 1 << bits
-        num = round(lam * scale)
-        if space.ok(num, scale):
-            return rat(num, scale)
-    raise PostconditionFailed(
-        "_snap_shear",
-        f"no shear along axis {axis} on a grid to 2^-{bits} is safe")
-
-
 def _safe_shear(d: Drawing, axis: int, cons: ShearConstraints) -> Drawing:
-    lam = choose_safe_shear(d, axis, cons)
-    return shear(d, axis, _snap_shear(d, axis, lam, cons))
+    return shear(d, axis, choose_safe_shear(d, axis, cons))
 
 
 def _redraw(d: Drawing, direction: Direction, choices: Sequence[Tuple],

@@ -712,16 +712,23 @@ class _ShearSpace:
         return all(b * m + a * f for m, f in self.edges)
 
     def first_gap(self) -> Optional[Fraction]:
-        """The first of choose_safe_shear's critical candidates that
-        satisfies every condition, or None. The candidates are one factor
-        in each open gap between consecutive roots of all the pairs: the
-        least root less 1, the midpoint of two consecutive roots, the
-        greatest plus 1. No condition changes inside a gap, and an edge
-        fails at its root alone, so the first passing gap is the one that
-        starts at the lower end L of the feasible set: the span cut to
-        where the straddle's two signs differ, one open interval for each
-        way round. The gap runs from L to the next root, and from below
-        the least root when L is unbounded."""
+        """A factor in the first open gap between consecutive roots of all
+        the pairs that satisfies every condition, or None. No condition
+        changes inside a gap, and an edge fails at its root alone, so the
+        first passing gap is the one that starts at the lower end L of the
+        feasible set: the span cut to where the straddle's two signs
+        differ, one open interval for each way round. The gap runs from L
+        to the next root R, and from below the least root when L is
+        unbounded. The part of the feasible set that starts at L ends at a
+        root, so not below R, and no edge has its root inside the gap:
+        every point of the open gap satisfies every condition, and the
+        factor needs no test.
+
+        The factor is the coarsest dyadic in the middle third of (L, R)
+        (_coarsest_dyadic): its denominator is 2^k with k at most
+        log2(3 / (R - L)) + 1, and it stays a third of the gap away from
+        either root. A gap unbounded on one side takes the integer
+        ceil(L) + 1 or floor(R) - 1."""
         parts = [self.span]
         if self.straddle is not None:
             (m1, f1), (m2, f2) = self.straddle
@@ -745,22 +752,50 @@ class _ShearSpace:
             elif not m:
                 return None     # an edge with coinciding ends
         if nxt is None:
-            return None if low is None else Fraction(low[0] + low[1], low[1])
+            return None if low is None else Fraction(-(-low[0] // low[1]) + 1)
         if low is None:
-            return Fraction(nxt[0] - nxt[1], nxt[1])
-        return Fraction(low[0] * nxt[1] + nxt[0] * low[1],
-                        2 * low[1] * nxt[1])
+            return Fraction(nxt[0] // nxt[1] - 1)
+        (p, q), (r, s) = low, nxt
+        return _coarsest_dyadic((2 * p * s + r * q, 3 * q * s),
+                                (p * s + 2 * r * q, 3 * q * s))
+
+
+def _coarsest_dyadic(lo, hi) -> Fraction:
+    """The coarsest dyadic j/2^k strictly between lo < hi, rationals given
+    as int pairs (p, q) with q > 0: the least k >= 0 for which some j
+    fits, then the least |j|. The least j above lo on the grid 2^-k is
+    floor(lo * 2^k) + 1, and a grid that holds a point of the interval
+    holds it on every finer grid, so k is found by bisection, each test
+    one floor division. Past k = 0 the least grid holds one j only."""
+    (a, qa), (b, qb) = lo, hi
+    j, top = a // qa + 1, -(-b // qb) - 1
+    if j <= top:
+        return Fraction(j if j > 0 else top if top < 0 else 0)
+    width = b * qa - a * qb
+    # at k = 0 nothing fits; at k the interval is width * 2^k / (qa * qb)
+    # long, and longer than 1 from this k on
+    k0, k1 = 0, max(1, (qa * qb).bit_length() - width.bit_length() + 1)
+    while k1 - k0 > 1:
+        k = (k0 + k1) // 2
+        if ((a << k) // qa + 1) * qb < b << k:
+            k1 = k
+        else:
+            k0 = k
+    return Fraction((a << k1) // qa + 1, 1 << k1)
 
 
 def choose_safe_shear(d: Drawing, axis: int, cons: ShearConstraints):
     """Pick a factor for a shear along the moving axis (0 for x, 1 for y)
     satisfying the constraints.
 
-    Tries a ladder of small rationals, then one factor in each open gap
-    between consecutive critical factors, where some constraint changes
-    sign, in ascending order; the constraints are read off d once
-    (_ShearSpace), and each candidate tested without shearing d.
-    Deterministic; raises NoValidShear if nothing passes."""
+    Tries a ladder of small rationals, each tested without shearing d on
+    the constraints read off d once (_ShearSpace), then takes the first
+    open gap between consecutive critical factors, where some constraint
+    changes sign, whose factors all pass: its coarsest dyadic in the
+    middle third, or an integer next to its one root (first_gap). Any
+    point of that gap is safe, so the factor is emitted as it is, with no
+    test and no snap. Deterministic; raises NoValidShear if nothing
+    passes."""
     space = _ShearSpace(d.graph, d.ints, axis, cons)
     for lam in _SHEAR_LADDER:
         if space.ok(lam.numerator, lam.denominator):

@@ -375,11 +375,11 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
                                make_straddle=None, keep_extreme=()):
     """The shear choice in plain Fraction arithmetic: the critical factors
     -dm/df of every constrained pair, a fixed ladder of small factors, then
-    one factor below, between and above the critical ones; each candidate
-    shears every point and tests the constraints on the sheared
-    coordinates. Returns the first factor that passes, or None. axis is the
-    moving one (0 for x); g supplies edges() and face_vertices();
-    make_straddle is (face, pos)."""
+    one factor below, between and above the critical ones (gap_factors);
+    each candidate shears every point and tests the constraints on the
+    sheared coordinates. Returns the first factor that passes, or None.
+    axis is the moving one (0 for x); g supplies edges() and
+    face_vertices(); make_straddle is (face, pos)."""
     pts = {v: _f(p) for v, p in coords.items()}
     i_mov, i_fix = axis, 1 - axis
     pairs = list(g.edges())
@@ -397,10 +397,7 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
     one = Fraction(1)
     candidates = [Fraction(0), one, -one, one / 2, -one / 2, 2 * one,
                   -2 * one, one / 4, -one / 4, 4 * one, -4 * one]
-    if roots:
-        candidates += ([roots[0] - 1]
-                       + [(a + b) / 2 for a, b in zip(roots, roots[1:])]
-                       + [roots[-1] + 1])
+    candidates += gap_factors(roots)
 
     for lam in candidates:
         sheared = {v: ((x + lam * y, y) if axis == 0 else (x, y + lam * x))
@@ -1011,11 +1008,39 @@ def shear_ok(g, pts, axis, lam, cons) -> bool:
                for vtx, side in cons.keep_extreme)
 
 
+def coarsest_dyadic_fraction(lo, hi) -> Fraction:
+    """The coarsest dyadic strictly between the Fractions lo < hi: on the
+    grids 1, 1/2, 1/4, ... in turn, a point of the first grid that holds
+    one, on the integer grid the one nearest 0."""
+    first, last = math.floor(lo) + 1, math.ceil(hi) - 1
+    if first <= last:
+        return Fraction(0 if first <= 0 <= last
+                        else min(first, last, key=abs))
+    step = Fraction(1)
+    while True:
+        step /= 2
+        j = math.floor(lo / step) + 1
+        if j * step < hi:
+            return j * step
+
+
+def gap_factors(roots):
+    """One factor in each open gap around the sorted distinct roots, in
+    ascending order: the floor of the least less 1, the coarsest dyadic in
+    the middle third of each gap between consecutive roots, and the
+    ceiling of the greatest plus 1, each a Fraction."""
+    if not roots:
+        return
+    yield Fraction(math.floor(roots[0]) - 1)
+    for a, b in zip(roots, roots[1:]):
+        yield coarsest_dyadic_fraction((2 * a + b) / 3, (a + 2 * b) / 3)
+    yield Fraction(math.ceil(roots[-1]) + 1)
+
+
 def shear_candidates(g, pts, axis, cons):
     """choose_safe_shear's candidates in the order tried: its ladder of
-    small factors, then the least critical factor less 1, the midpoints of
-    consecutive critical factors and the greatest plus 1, each a Fraction,
-    sorted once."""
+    small factors, then one factor in each gap around the critical
+    factors, sorted once (gap_factors)."""
     from convexmorph.plane_graph import _SHEAR_LADDER
 
     yield from _SHEAR_LADDER
@@ -1040,12 +1065,7 @@ def shear_candidates(g, pts, axis, cons):
         for w in pts:
             if w != vtx:
                 root_of(vtx, w)
-    if roots:
-        rs = sorted(set(roots))
-        yield rs[0] - 1
-        for a, b in zip(rs, rs[1:]):
-            yield (a + b) / 2
-        yield rs[-1] + 1
+    yield from gap_factors(sorted(set(roots)))
 
 
 def choose_safe_shear_scan(d, axis, cons):
@@ -1054,20 +1074,6 @@ def choose_safe_shear_scan(d, axis, cons):
     for lam in shear_candidates(d.graph, d.ints, axis, cons):
         if shear_ok(d.graph, d.ints, axis, lam, cons):
             return lam
-    return None
-
-
-def snap_shear_scan(d, axis, lam, cons):
-    """morph_engine._snap_shear with each rung tested by shear_ok: the
-    first dyadic of the ladder from 2^-24 that is safe, or None."""
-    from convexmorph.morph_engine import _SNAP_LIMIT, _grid_bits
-
-    if Fraction(lam).denominator <= _SNAP_LIMIT:
-        return lam
-    for bits in _grid_bits(24):
-        cand = Fraction(round(lam * (1 << bits)), 1 << bits)
-        if shear_ok(d.graph, d.ints, axis, cand, cons):
-            return cand
     return None
 
 

@@ -29,9 +29,9 @@ DIGESTS = {
     ('already_convex', 3):
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ('buffered', 0):
-        "1d4b1e61213163d7fbd10e2889905f0e2edb996a82d654941c47058651350cd9",
+        "af2ff621075cfc33c8bb4e863fc5e304fa1723ededa04d98b6861cdc27492bf6",
     ('buffered', 1):
-        "227b8541827e67f67c9f3c93dbceaebf909d85fc763f2c73519730714b369082",
+        "199f7fb9849c4e81d8063beaa873818361f6539477cd71dd6bb28f26bfd0c728",
     ('convex_outer', 0):
         "011c48a43c26623e386ccd3f4e3b5424213034586935428b12bf4849c18396f8",
     ('convex_outer', 1):

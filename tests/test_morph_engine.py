@@ -438,28 +438,28 @@ def test_segment_distance_pairs_match_fraction_oracle(a, b, c, d):
 
 
 def test_grid_ladders_extend_the_old_ones():
-    # the old redraw and shear ladders are prefixes of the new ones, so a
-    # snap that an old grid accepted is unchanged
-    ladder = list(morph_engine._grid_bits(48))
+    # the old redraw ladder is a prefix of the new one, so a snap that an
+    # old grid accepted is unchanged
+    ladder = list(morph_engine._grid_bits())
     assert ladder[:8] == [48, 64, 96, 128, 192, 256, 384, 512]
     assert ladder[-1] == morph_engine._MAX_GRID_BITS == 1 << 16
-    assert list(morph_engine._grid_bits(24))[:5] == [24, 32, 48, 64, 96]
 
 
-def test_snap_shear_finds_a_dyadic_in_a_narrow_window():
+def test_choose_safe_shear_finds_a_coarse_dyadic_in_a_narrow_window():
     # keeping vertex 1 leftmost allows N/(3N+1) < lam < N/(3N-1), and edge
-    # 2-3 turns vertical at 1/3 inside that window: choose_safe_shear's
-    # midpoint has a 138-bit denominator, with about 2^-136 of room
+    # 2-3 turns vertical at 1/3 inside that window: the first gap, below
+    # 1/3, is about 2^-136 wide, and its middle third holds a dyadic of at
+    # most 140 bits (the old midpoint had a 138-bit odd denominator, which
+    # the old snap ladder took to 2^-192)
     n = 10 ** 40
     coords = {1: (0, 0), 2: (n, -(3 * n - 1)), 3: (-n, 3 * n + 1)}
     g = build_plane_graph_from_points(coords, [(1, 2), (2, 3), (3, 1)])
     d = Drawing(g, coords)
     cons = ShearConstraints(keep_extreme=((1, "left"),))
     lam = choose_safe_shear(d, 0, cons)
-    assert not dyadic(rat(lam))
-    snapped = morph_engine._snap_shear(d, 0, lam, cons)
-    assert dyadic(rat(snapped))
-    assert shear_ok(g, integer_points(d.coords), 0, snapped, cons)
+    assert Fraction(n, 3 * n + 1) < lam < Fraction(1, 3)
+    assert dyadic(lam) and lam.denominator <= 1 << 140
+    assert shear_ok(g, integer_points(d.coords), 0, lam, cons)
 
 
 # Seed 3097 of the same recipe: its first morph_B after hull completion
@@ -482,6 +482,19 @@ def test_convexify_deep_pocket_80(seed):
     seq = convexify(d)
     assert is_strictly_convex(seq.final)
     assert same_plane_graph(seq.final.graph, d.graph)
+
+
+# Seed 3045 at n = 80: with midpoint shear factors snapped onto a ladder
+# from 2^-24, its corner chains took the coordinates to 12,289 bits; with
+# each gap factor the coarsest dyadic in the gap's middle third they stay
+# at 221.
+def test_deep_pocket_3045_keeps_coordinates_short():
+    d = pocket_instance(random.Random(3045), 80, 30, passes=3)
+    seq = convexify(d)
+    assert is_strictly_convex(seq.final)
+    assert max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for e in (seq.initial, *(ev.end for ev in seq.events))
+               for p in e.coords.values() for c in p) <= 512
 
 
 def one_vertex_triangle():
@@ -865,7 +878,7 @@ def test_straddle_shear_keeps_an_angle_that_already_straddles():
 # n = 40 (the recipe above): the pinned outputs include long buffer-removal
 # runs, whose coordinates reach hundreds of bits
 DEEP_POCKETS_40 = (
-    "ddfff2db2502e1dcb2c98709e43ce21c088918d1c96f880aaed2585b68349f1a")
+    "2502c2a9442da9cb77f6b1cc16b7d8a502e1a2afe478ef9c4287f01ab7d844a5")
 
 
 def test_convexify_on_deep_pockets_unchanged():

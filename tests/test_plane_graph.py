@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from convexmorph.plane_graph import (
     PlaneGraph,
@@ -34,8 +34,9 @@ from convexmorph.plane_graph import (
 )
 
 from convexmorph.monotone_augment import augment_y_monotone
-from convexmorph.morph_engine import _rotations_realized, _snap_shear
-from convexmorph.plane_graph import _SHEAR_LADDER, integer_points, sort_ccw
+from convexmorph.morph_engine import _rotations_realized
+from convexmorph.plane_graph import (
+    _SHEAR_LADDER, _coarsest_dyadic, integer_points, sort_ccw)
 
 from _oracles import (
     add_edge,
@@ -48,7 +49,6 @@ from _oracles import (
     choose_safe_shear_scan,
     convex_hull_reinsert,
     mirrored,
-    snap_shear_scan,
     transposed,
 )
 from _instances import random_augment_instance, random_triangulation
@@ -873,15 +873,11 @@ def ladder_blocked_cycles(draw):
        st.randoms())
 @settings(max_examples=200, deadline=None)
 def test_choose_safe_shear_matches_the_scan(case, rng):
-    # the candidates in the old order, each sheared and tested in full;
-    # the snap tests each rung as shear_ok does
+    # the candidates in the old order, each sheared and tested in full
     d, axis = case
     cons = _random_cons(d.graph, rng)
-    lam = _shear_or_none(d, axis, cons)
-    assert lam == choose_safe_shear_scan(d, axis, cons)
-    if lam is not None:
-        assert _snap_shear(d, axis, lam, cons) == snap_shear_scan(
-            d, axis, lam, cons)
+    assert _shear_or_none(d, axis, cons) == choose_safe_shear_scan(
+        d, axis, cons)
 
 
 def test_choose_safe_shear_past_a_blocked_ladder():
@@ -899,6 +895,36 @@ def test_choose_safe_shear_past_a_blocked_ladder():
     assert lam == choose_safe_shear_scan(d, 0, cons)
     s = shear(d, 0, lam)
     assert all(s.ints[u][0] != s.ints[v][0] for u, v in s.graph.edges())
+
+
+interval_ends = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4),
+                          st.integers(1, 10 ** 4))
+interval_widths = st.builds(lambda a, q, t: Fraction(a, q << t),
+                            st.integers(1, 10 ** 4), st.integers(1, 10 ** 4),
+                            st.integers(0, 80))
+
+
+@given(interval_ends, interval_widths)
+@example(Fraction(0), Fraction(1))
+@example(Fraction(-1), Fraction(2))
+@example(Fraction(-3, 2), Fraction(1))
+@example(Fraction(1, 3), Fraction(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_coarsest_dyadic_is_the_coarsest_point_inside(lo, width):
+    # brute force on the next coarser grid: its every point from below lo
+    # to above hi lies outside; on the integer grid, the least |j| inside
+    hi = lo + width
+    x = _coarsest_dyadic((lo.numerator, lo.denominator),
+                         (hi.numerator, hi.denominator))
+    assert lo < x < hi
+    k = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << k
+    if k:
+        step = Fraction(1, 1 << (k - 1))
+        assert not any(lo < j * step < hi for j in range(
+            math.floor(lo / step), math.ceil(hi / step) + 1))
+    else:
+        assert x == min(range(math.floor(lo) + 1, math.ceil(hi)), key=abs)
 
 
 def _outcome(f, *args):

@@ -502,7 +502,7 @@ def test_integer_rows_errors_match_weights():
 
 
 # the first five grids of the engine's redraw ladder
-GRIDS = list(itertools.islice(_grid_bits(48), 5))
+GRIDS = list(itertools.islice(_grid_bits(), 5))
 
 
 def exact_answers(rows, rhs):
