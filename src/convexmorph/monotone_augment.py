@@ -73,17 +73,12 @@ from .plane_graph import (
     EmbeddingInvalid,
     PlaneGraph,
     PreconditionViolated,
+    _level_edge,
     orientation,
 )
 
 # sectors of a wedge, in rotation order from the face's outgoing dart
 _OUT_BRANCH, _REGION, _IN_BRANCH = 0, 1, 2
-
-
-def _check_no_level_edge(g: PlaneGraph, pts):
-    for u, v in g.edges():
-        if pts[u][1] == pts[v][1]:
-            raise PreconditionViolated(f"edge ({u},{v}) is level in height")
 
 
 def _reflex_minima(wp):
@@ -213,11 +208,14 @@ def augment_y_monotone(d: Drawing, axis: int = 1) -> PlaneGraph:
     drawing must be planar and its graph internally 3-connected, as
     convexify checks on its input; no edge may be level in the heights."""
     g = d.graph
+    level = _level_edge(d, axis)
+    if level:
+        u, v = level
+        raise PreconditionViolated(f"edge ({u},{v}) is level in height")
     if axis == 1:
         pts = d.ints
     else:
         pts = {v: (-y, x) for v, (x, y) in d.ints.items()}
-    _check_no_level_edge(g, pts)
     turned = {v: (-x, -y) for v, (x, y) in pts.items()}
 
     wedges: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}

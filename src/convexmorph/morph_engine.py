@@ -22,9 +22,12 @@ Layers, from primitive to general input:
  * augment_buffers / remove_buffer_vertex: for inputs where a hull edge
    cannot be added directly, pad each missing hull segment with a buffer
    path first; its apex vertices come back out later, two moves each.
- * convexify: check the input, then dispatch over the cases above. It is
-   the only input gate: each layer trusts that its caller established
-   planarity and connectivity, and checks only what its own step needs.
+ * convexify: check the input, then dispatch over the cases above. Its
+   input check is plane_graph.validate_drawing (planar, every rotation
+   realized, the outer dart on the unbounded face), which strictly convex
+   input skips, then the internal 3-connectivity gate. It is the only
+   input gate: each layer trusts that its caller established planarity
+   and connectivity, and checks only what its own step needs.
 
 convexify makes the one SequenceBuilder of a run and passes it down: every
 layer reads its drawing off b.current and appends its moves and graph edits
@@ -43,20 +46,21 @@ _redraw_move is the whole move.  _straddle_shear is the one straddle rule,
 the shear that ends morph_B and clears level edges before the convex-outer
 phase and the pockets.  A shear that moves nothing has factor 0 and
 SequenceBuilder.move drops the identity move, so only remove_buffer_vertex,
-whose target is an outer-face angle, tests whether to shear.  All arithmetic is exact.  To stop denominators from compounding
-across alternating solves, no redraw is emitted exactly: the moving
-coordinate of each redraw is snapped to the first grid of a dyadic ladder
-(_grid_bits: 2^-48, 2^-64, 2^-96, ...) that keeps the step valid.  A shear
-factor that is not a small rational is the coarsest dyadic in the middle
-third of the first gap of safe factors (choose_safe_shear), so it needs no
-snap: every factor of that gap is safe.  A redraw's snap is accepted only
-when the snapped drawing is strictly convex, which certifies that it is
-planar and realizes the same embedding (see plane_graph), and keeps the
-step's pins, so it amounts to a slightly different but equally valid
-choice of the same move.  The snapped values come from
-tutte_solver.RoundedSolution, which certifies each rounding of the Tutte
-solution without computing that solution exactly, so every snap is the
-rounding of the exact solution.
+whose target is an outer-face angle, tests whether to shear.
+
+All arithmetic is exact.  To stop denominators from compounding across
+alternating solves, no redraw is emitted exactly: the moving coordinate of
+each redraw is snapped to the first grid of a dyadic ladder (_grid_bits:
+2^-48, 2^-64, 2^-96, ...) that keeps the step valid.  A shear factor that
+is not a small rational is the coarsest dyadic in the middle third of the
+first gap of safe factors (choose_safe_shear), so it needs no snap: every
+factor of that gap is safe.  A redraw's snap is accepted only when the
+snapped drawing is strictly convex, which certifies that it is planar and
+realizes the same embedding (see plane_graph), and keeps the step's pins,
+so it amounts to a slightly different but equally valid choice of the same
+move.  The snapped values come from tutte_solver.RoundedSolution, which
+certifies each rounding of the Tutte solution without computing that
+solution exactly, so every snap is the rounding of the exact solution.
 
 A check that fails on a drawing the pipeline made raises a ConvexifyError
 naming the step and the check.
@@ -74,23 +78,20 @@ from .plane_graph import (
     AngleKind,
     AngleRef,
     Drawing,
-    NotPlanarInput,
     PlaneGraph,
     PreconditionViolated,
     ShearConstraints,
-    _area2,
     _cross,
     _dot,
+    _level_edge,
     angle_status_points,
     build_plane_graph_from_points,
     choose_safe_shear,
     convex_hull,
-    drawing_is_planar,
     internal_reflex_angles,
     is_convex_outer,
     is_strictly_convex,
     shear,
-    sort_ccw,
     straddles,
     unique_extreme,
     validate_drawing,
@@ -99,7 +100,6 @@ from .steps import Direction, MorphSequence, SequenceBuilder
 from .tutte_solver import (
     BoundaryPolygon,
     ConstraintInfeasible,
-    WrongChain,
     RoundedSolution,
     _Uncertified,
     convex_polygon_for_x,
@@ -146,32 +146,6 @@ class PlacementFailure(ConvexifyError):
 
 class GraphNotRestored(ConvexifyError):
     """The final drawing draws another graph than the input."""
-
-
-# -- small geometric helpers ---------------------------------------------------
-
-
-def _has_level_edge(d: Drawing, axis: int) -> bool:
-    """Has d an edge whose ends share their coordinate on axis (a
-    horizontal edge for axis 1, a vertical one for axis 0)?"""
-    pts = d.ints
-    return any(pts[u][axis] == pts[v][axis] for u, v in d.graph.edges())
-
-
-def _rotations_realized(d: Drawing) -> bool:
-    """Every stored rotation equals the angular order around its vertex."""
-    pts = d.ints
-    for v, nbrs in d.graph.rotation.items():
-        k = len(nbrs)
-        if k <= 2:
-            continue
-        pv = pts[v]
-        dirs = [(pts[w][0] - pv[0], pts[w][1] - pv[1]) for w in nbrs]
-        order = sort_ccw(dirs)
-        shift = order.index(0)
-        if any(order[(shift + i) % k] != i for i in range(k)):
-            return False
-    return True
 
 
 # -- coordinate maintenance ----------------------------------------------------
@@ -275,7 +249,7 @@ def _redraw(d: Drawing, direction: Direction, choices: Sequence[Tuple],
         try:
             poly = build(walk, kept, pins, d.den)
             break
-        except (WrongChain, ConstraintInfeasible):
+        except ConstraintInfeasible:
             continue
     else:
         raise PocketNotSeparated(note, "no polygon meets any choice of pins")
@@ -402,7 +376,7 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     k = len(outer)
     if not any({outer[i], outer[(i + 1) % k]} == {u, v} for i in range(k)):
         raise PreconditionViolated(f"edge {e} is not on the outer face")
-    if _has_level_edge(d, 0):
+    if _level_edge(d, 0):
         raise PreconditionViolated("drawing has a vertical edge")
     g_minus = g.remove_edge(u, v)
 
@@ -804,18 +778,11 @@ def convexify(d: Drawing) -> MorphSequence:
     from any planar drawing of an internally 3-connected plane graph to a
     strictly convex drawing; at most 3.5n+2 moves."""
     g = d.graph
-    # a strictly convex drawing is planar and realizes its embedding, so
-    # the sweep and the rotation check run only on other input
+    # a strictly convex drawing is planar, realizes its embedding and has
+    # a clockwise outer walk, so only other input runs the input check
     convex = is_strictly_convex(d)
-    if not convex and not drawing_is_planar(g, d.ints):
-        raise NotPlanarInput("edges cross, overlap, or vertices coincide")
-    if not convex and not _rotations_realized(d):
-        raise NotPlanarInput("drawing does not realize its embedding")
-    # a planar drawing that realizes its rotations has a clockwise outer
-    # walk, or a zero sum when no face is bounded: a tree, which the
-    # connectivity gate turns away
-    if not convex and _area2(d.ints, g.outer_walk()) > 0:
-        raise NotPlanarInput("outer dart names a bounded face")
+    if not convex:
+        validate_drawing(d)
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(
             "graph is not internally 3-connected")

@@ -11,8 +11,8 @@ A PlaneGraph traces its faces once, on first use, and caches each face's
 darts (faces), the face of every dart, and each face's vertex walk, the
 tuple face_vertices returns on every call; with_outer shares all three.
 The per-face loops (is_strictly_convex, internal_reflex_angles,
-validate_drawing, build_plane_graph_from_points, the connectivity gates)
-read these walks. _area2 is the one shoelace sum over a walk.
+build_plane_graph_from_points, the connectivity gates) read these walks.
+_area2 is the one shoelace sum over a walk.
 
 Convention: face walks keep the face interior on the LEFT of the walk
 direction, so inner faces come out counterclockwise and the outer face walk is
@@ -45,8 +45,9 @@ inner walks' winding numbers sum to 1 inside the outer polygon and 0
 outside, and each is 1 inside its own polygon only, so the inner faces
 tile the outer polygon (the degree argument of Floater, "One-to-one
 piecewise linear mappings over triangulations", Math. Comp. 2003).
-is_strictly_convex decides this, so where it holds the segment sweep of
-drawing_is_planar and a rotation check add nothing.
+is_strictly_convex decides this, so where it holds validate_drawing (the
+segment sweep of drawing_is_planar, the rotation check and the sign of the
+outer walk) adds nothing.
 """
 
 from __future__ import annotations
@@ -433,6 +434,14 @@ class Drawing:
 
     def __repr__(self):
         return f"Drawing(n={self.graph.n})"
+
+
+def _level_edge(d: Drawing, axis: int) -> Optional[Dart]:
+    """The first edge of d whose ends share their coordinate on axis (a
+    horizontal edge for axis 1, a vertical one for axis 0), or None."""
+    pts = d.ints
+    return next(((u, v) for u, v in d.graph.edges()
+                 if pts[u][axis] == pts[v][axis]), None)
 
 
 # -- angles ----------------------------------------------------------------
@@ -887,35 +896,34 @@ def segments_planar(segments: Sequence[Tuple[Tuple, Tuple, Tuple[int, int]]]) ->
 def drawing_is_planar(g: PlaneGraph, coords: Dict[int, Tuple]) -> bool:
     """Exact straight-line planarity: distinct vertices, no edge conflicts,
     no vertex on an edge. coords is a plain coordinate dict, such as a
-    drawing's ints."""
+    drawing's ints. A PlaneGraph is connected and has a dart, so every
+    vertex is the end of an edge."""
     pts = integer_points(coords)
     if len(set(pts.values())) != len(pts):
         return False
-    segments = [(pts[u], pts[v], (u, v)) for u, v in g.edges()]
-    # a vertex without edges enters as a point, which conflicts with any
-    # edge through it
-    segments += [(pts[v], pts[v], (v, v))
-                 for v, nbrs in g.rotation.items() if not nbrs]
-    return segments_planar(segments)
+    return segments_planar([(pts[u], pts[v], (u, v)) for u, v in g.edges()])
 
 
-def validate_drawing(d: Drawing):
-    """Raise NotPlanarInput or EmbeddingInvalid unless d is a valid planar
-    straight-line drawing matching its embedding and face orientations."""
+def validate_drawing(d: Drawing) -> None:
+    """The input check: raise NotPlanarInput unless d is a planar
+    straight-line drawing that realizes every rotation of its graph and
+    whose outer dart lies on the unbounded face. Face walks that repeat a
+    vertex pass; the connectivity gate that follows turns them away."""
     g = d.graph
-    if not drawing_is_planar(g, d.ints):
+    pts = d.ints
+    if not drawing_is_planar(g, pts):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
-    ints = d.ints
-    outer = g.outer_face_index
-    for fi in range(len(g.faces)):
-        walk = g.face_vertices(fi)
-        if len(set(walk)) != len(walk):
-            raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
-        area2 = _area2(ints, walk)
-        if fi == outer and area2 >= 0:
-            raise NotPlanarInput("outer face walk is not clockwise")
-        if fi != outer and area2 <= 0:
-            raise NotPlanarInput(f"inner face {fi} walk is not counterclockwise")
+    for v, nbrs in g.rotation.items():
+        if len(nbrs) > 2:
+            order = _ccw_order(pts, v, nbrs)
+            i = order.index(nbrs[0])
+            if order[i:] + order[:i] != nbrs:
+                raise NotPlanarInput("drawing does not realize its embedding")
+    # a planar drawing that realizes its rotations has a clockwise outer
+    # walk, or a zero sum when no face is bounded: a tree, which the
+    # connectivity gate turns away
+    if _area2(pts, g.outer_walk()) > 0:
+        raise NotPlanarInput("outer dart names a bounded face")
 
 
 def _area2(pts: Dict[int, Tuple[int, int]], walk: Sequence[int]) -> int:
@@ -932,19 +940,22 @@ def _half(dv) -> int:
     return 0 if dv[1] > 0 or (dv[1] == 0 and dv[0] > 0) else 1
 
 
-def sort_ccw(dirs: Sequence[Tuple]) -> List[int]:
-    """Indices of the direction vectors in counterclockwise angular order,
-    starting at the positive x axis."""
-    idx = list(range(len(dirs)))
+def _ccw_order(pts: Dict[int, Tuple[int, int]], v: int,
+               nbrs: Sequence[int]) -> Tuple[int, ...]:
+    """The neighbours nbrs of v in counterclockwise order of their
+    directions from v over the integer points pts, starting at the
+    positive x axis."""
+    pv = pts[v]
+    dirs = {w: _sub(pts[w], pv) for w in nbrs}
 
-    def cmp(i, j):
-        hi, hj = _half(dirs[i]), _half(dirs[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = sign_of(_cross(dirs[i], dirs[j]))
-        return -c
+    def cmp(a, b):
+        da, db = dirs[a], dirs[b]
+        ha, hb = _half(da), _half(db)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        return -sign_of(_cross(da, db))
 
-    return sorted(idx, key=functools.cmp_to_key(cmp))
+    return tuple(sorted(nbrs, key=functools.cmp_to_key(cmp)))
 
 
 def build_plane_graph_from_points(coords: Dict[int, Tuple],
@@ -957,11 +968,7 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
     for u, v in edge_list:
         adj[u].append(v)
         adj[v].append(u)
-    rotation = {}
-    for v, nbrs in adj.items():
-        dirs = [_sub(pts[w], pts[v]) for w in nbrs]
-        order = sort_ccw(dirs)
-        rotation[v] = tuple(nbrs[i] for i in order)
+    rotation = {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()}
     some = next(iter(rotation))
     g = PlaneGraph(rotation, (some, rotation[some][0]))
     if len(g.faces) == 1:

@@ -74,8 +74,9 @@ class ConstraintInfeasible(ValueError):
     """No polygon satisfies the requested pin constraints."""
 
 
-class WrongChain(ValueError):
-    """Pinned vertex sits on the chain that cannot contain that extreme."""
+class WrongChain(ConstraintInfeasible):
+    """Pinned vertex sits on the chain that cannot contain that extreme: no
+    polygon on this walk meets the pins."""
 
 
 @dataclass(frozen=True)

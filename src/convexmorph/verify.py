@@ -149,6 +149,18 @@ def check_convexity_increasing(seq: MorphSequence,
     their signs unless the apex meets a neighbour, which no step that
     check_unidirectional_planar accepts does."""
     g = graph_of_record if graph_of_record is not None else seq.initial.graph
+    if not seq.steps:
+        # the verdict reads angles at step ends only, so a sequence
+        # without a step passes; each drawing must still hold the graph
+        # of record
+        record = set().union(*map(g.face_vertices, g.inner_face_indices()))
+        for d in (seq.initial, *(ev.end for ev in seq.events)):
+            missing = record - d.ints.keys()
+            if missing:
+                raise PreconditionViolated(
+                    f"graph-of-record vertex {min(missing)} missing from "
+                    f"a drawing")
+        return True
     triples = _inner_angle_triples(g)
     settled = {tri for tri in triples if _convex_here(seq.initial, tri)}
     for ev in seq.events:

@@ -371,6 +371,14 @@ def brute_rotations_realized(coords: Dict[int, Tuple],
     return True
 
 
+def brute_area2(coords: Dict[int, Tuple], walk: Sequence[int]) -> Fraction:
+    """Twice the signed area of the closed walk (the shoelace sum):
+    positive when it runs counterclockwise."""
+    pts = [_f(coords[v]) for v in walk]
+    return sum(p[0] * q[1] - p[1] * q[0]
+               for p, q in zip(pts, pts[1:] + pts[:1]))
+
+
 def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
                                make_straddle=None, keep_extreme=()):
     """The shear choice in plain Fraction arithmetic: the critical factors
@@ -738,6 +746,29 @@ def check_planarity_sampled(step, samples=9) -> bool:
         if not drawing_is_planar(step.start.graph, d.coords):
             return False
     return True
+
+
+def validate_face_orientations(d):
+    """The face-orientation check plane_graph.validate_drawing made before
+    it became the input check of convexify: planarity, then every face walk
+    a simple cycle, the outer one clockwise and every inner one
+    counterclockwise. Raises NotPlanarInput or EmbeddingInvalid."""
+    from convexmorph.plane_graph import (
+        EmbeddingInvalid, NotPlanarInput, _area2, drawing_is_planar)
+
+    g = d.graph
+    if not drawing_is_planar(g, d.ints):
+        raise NotPlanarInput("edges cross, overlap, or vertices coincide")
+    outer = g.outer_face_index
+    for fi in range(len(g.faces)):
+        walk = g.face_vertices(fi)
+        if len(set(walk)) != len(walk):
+            raise EmbeddingInvalid(f"face {fi} walk is not a simple cycle")
+        area2 = _area2(d.ints, walk)
+        if fi == outer and area2 >= 0:
+            raise NotPlanarInput("outer face walk is not clockwise")
+        if fi != outer and area2 <= 0:
+            raise NotPlanarInput(f"inner face {fi} walk is not counterclockwise")
 
 
 def add_edge(g, u, v, u_pos, v_pos):

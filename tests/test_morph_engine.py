@@ -47,7 +47,7 @@ from convexmorph.plane_graph import (
     unique_extreme,
     validate_drawing,
 )
-from convexmorph.steps import Direction, MorphSequence, MorphStep
+from convexmorph.steps import Direction, GraphEdit, MorphSequence, MorphStep
 from convexmorph.tutte_solver import BoundaryPolygon, convex_polygon_for_y
 from convexmorph.verify import (
     check_convexity_increasing,
@@ -70,6 +70,7 @@ from _instances import (
 from _oracles import (
     brute_strictly_convex,
     buffer_shrink_ladder,
+    convexity_increasing_sampled,
     dyadic_sqrt_floor,
     mirrored,
     seg_seg_dist_sq_fraction,
@@ -78,6 +79,7 @@ from _oracles import (
     snap_fraction,
     step_at,
     transposed,
+    validate_face_orientations,
 )
 
 
@@ -598,7 +600,10 @@ def fail_check(check, mp, n):
         patch("build_plane_graph_from_points", refuse)
         return "placement is not a plane graph: refused"
     if check == "validate":
-        patch("validate_drawing", refuse)
+        # convexify's input check calls it too, on the n-vertex input
+        validate = morph_engine.validate_drawing
+        patch("validate_drawing",
+              lambda d: refuse() if d.graph.n > n else validate(d))
         return "placement fails validate_drawing: refused"
     if check == "3-connected":
         patch("is_internally_3connected", lambda g: False)
@@ -972,6 +977,51 @@ def test_step_end_verdicts_match_the_sweep(family, seed):
             d.graph, d.coords)
 
 
+def run_backwards(seq):
+    """seq from its final drawing back to its initial one: every step and
+    edit in reverse order, each from its end to its start."""
+    return MorphSequence(seq.final, tuple(
+        MorphStep(ev.direction, ev.end, ev.start)
+        if isinstance(ev, MorphStep) else GraphEdit(ev.end, ev.start)
+        for ev in reversed(seq.events)))
+
+
+def test_convexity_check_reads_no_angle_without_a_step(monkeypatch):
+    # a sequence without a step passes without reading an angle: the runs
+    # on the already_convex bench drawings, which have no event, and a run
+    # of graph edits alone; a vertex of the graph of record that a drawing
+    # lacks still raises. On the golden runs, forwards and backwards, the
+    # verdicts are the sampled oracle's
+    reads = []
+    convex_here = verify._convex_here
+
+    def spy(*args):
+        reads.append(args)
+        return convex_here(*args)
+
+    monkeypatch.setattr(verify, "_convex_here", spy)
+    for i in range(4):
+        d = bench_drawing("already_convex", i)
+        assert check_convexity_increasing(convexify(d), d.graph)
+    g = d.graph
+    less = d.with_graph(g.remove_edge(*g.outer_walk()[:2]))
+    assert check_convexity_increasing(
+        MorphSequence(d, (GraphEdit(d, less), GraphEdit(less, d))))
+    assert reads == []
+    w = g.outer_walk()[0]
+    without = d.with_graph(g.remove_vertex((w,)))
+    with pytest.raises(PreconditionViolated, match=f"vertex {w} missing"):
+        check_convexity_increasing(MorphSequence(without), g)
+    verdicts = []
+    for family, seed in sorted(GOLDEN):
+        d, seq = convexified(family, seed)
+        for run in (seq, run_backwards(seq)):
+            verdict = check_convexity_increasing(run, d.graph)
+            assert verdict == convexity_increasing_sampled(run, d.graph)
+            verdicts.append(verdict)
+    assert reads and True in verdicts and False in verdicts
+
+
 def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
     # every redraw of six runs, snapped to grids far coarser than
     # _compact's: the old acceptance (sweep, rotation check and strict
@@ -999,8 +1049,8 @@ def test_coarse_snaps_certified_by_strict_convexity(monkeypatch):
                         for v, side in pins)
             try:
                 validate_drawing(cand)
-                old = (morph_engine._rotations_realized(cand)
-                       and is_strictly_convex(cand) and extra)
+                validate_face_orientations(cand)
+                old = is_strictly_convex(cand) and extra
             except (NotPlanarInput, EmbeddingInvalid):
                 old = False
             new = is_strictly_convex(cand) and extra
@@ -1067,8 +1117,7 @@ def planarity_callers(monkeypatch, d):
         callers.append([f.name for f in traceback.extract_stack()[:-1]])
         return real(*args)
 
-    for mod in (plane_graph, morph_engine):
-        monkeypatch.setattr(mod, "drawing_is_planar", spy)
+    monkeypatch.setattr(plane_graph, "drawing_is_planar", spy)
     convexify(d)
     return callers
 
@@ -1076,9 +1125,11 @@ def planarity_callers(monkeypatch, d):
 @pytest.mark.parametrize("family", ["dent", "pockets"])
 def test_sweep_runs_only_at_the_input_gate_and_buffers(family, monkeypatch):
     callers = planarity_callers(monkeypatch, instance(family, 0))
-    # the input gate once, then only augment_buffers' placement checks
-    assert callers[0][-1] == "convexify"
-    assert all("augment_buffers" in names for names in callers[1:])
+    # the input check once, then only in augment_buffers' check of its
+    # placement: each a validate_drawing call
+    assert callers[0][-2:] == ["convexify", "validate_drawing"]
+    assert all(names[-2:] == ["augment_buffers", "validate_drawing"]
+               for names in callers[1:])
     assert (len(callers) > 1) == (family == "pockets")
     assert not any("_compact" in names for names in callers)
 

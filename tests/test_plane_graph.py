@@ -33,14 +33,15 @@ from convexmorph.plane_graph import (
     NotPlanarInput,
 )
 
+from convexmorph.connectivity import is_internally_3connected
 from convexmorph.monotone_augment import augment_y_monotone
-from convexmorph.morph_engine import _rotations_realized
 from convexmorph.plane_graph import (
-    _SHEAR_LADDER, _coarsest_dyadic, integer_points, sort_ccw)
+    _SHEAR_LADDER, _ccw_order, _coarsest_dyadic, integer_points)
 
 from _oracles import (
     add_edge,
     add_vertex,
+    brute_area2,
     brute_hull_boundary_ids,
     brute_planar,
     brute_rotations_realized,
@@ -50,6 +51,7 @@ from _oracles import (
     convex_hull_reinsert,
     mirrored,
     transposed,
+    validate_face_orientations,
 )
 from _instances import random_augment_instance, random_triangulation
 
@@ -518,16 +520,6 @@ def test_shear_preserves_angle_kinds(coords, lam):
 
 # -- planarity -------------------------------------------------------------
 
-def test_planarity_rejects_a_vertex_without_edges_on_an_edge():
-    # found by test_planarity_matches_brute_oracle: vertex 3 has no edge
-    # and lies on edge 1-2
-    g = PlaneGraph({1: (2,), 2: (1,), 3: ()}, (1, 2), check=False)
-    assert not drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 2)})
-    assert not drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 3)})
-    assert drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (0, 4)})
-    assert drawing_is_planar(g, {1: (0, 1), 2: (0, 3), 3: (1, 2)})
-
-
 def test_planarity_basic_conflicts():
     path = PlaneGraph({1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}, (1, 2),
                       check=False)
@@ -567,6 +559,9 @@ def test_planarity_matches_brute_oracle(coords, rng):
     rng.shuffle(pool)
     edges = pool[:7]
     eset = {tuple(sorted(e)) for e in edges}
+    # every vertex of a PlaneGraph is the end of an edge
+    ids = sorted({v for e in edges for v in e})
+    coords = {v: coords[v] for v in ids}
     rotation = {v: tuple(w for w in ids
                          if w != v and tuple(sorted((v, w))) in eset)
                 for v in ids}
@@ -698,7 +693,7 @@ def _star(coords, rng):
         for b in dirs[i + 1:]:
             if a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0:
                 return None
-    order = [spokes[i] for i in sort_ccw(dirs)]
+    order = list(_ccw_order(integer_points(coords), hub, spokes))
     shift = rng.randrange(len(order))
     order = order[shift:] + order[:shift]
     if rng.random() < 0.5:
@@ -810,16 +805,93 @@ def test_strict_convexity_certifies_planarity(d):
     # what the engine relies on to skip the segment sweep on every redraw
     if is_strictly_convex(d):
         validate_drawing(d)
-        assert _rotations_realized(d)
+        validate_face_orientations(d)
 
 
-@given(rational_point_sets(min_size=4), st.randoms())
-@settings(max_examples=60, deadline=None)
-def test_rotations_realized_matches_fraction_oracle(coords, rng):
-    d = _star(coords, rng)
-    assume(d is not None)
-    assert _rotations_realized(d) == brute_rotations_realized(
-        d.coords, d.graph.rotation)
+@st.composite
+def gate_drawings(draw):
+    """A star on rational_point_sets with its rotation scrambled (_star), a
+    cycle (_cycle_case) or a jittered triangulation; half the time with the
+    outer dart moved to a random face."""
+    rng = draw(st.randoms())
+    kind = draw(st.sampled_from(("star", "cycle", "triangulation")))
+    if kind == "star":
+        d = _star(draw(rational_point_sets(min_size=4)), rng)
+        assume(d is not None)
+    elif kind == "cycle":
+        d, _ = _cycle_case(draw(rational_point_sets()), rng)
+    else:
+        d = draw(jittered_triangulations())
+    if draw(st.booleans()):
+        faces = d.graph.faces
+        d = Drawing(d.graph.with_outer(rng.choice(faces)[0]), d.coords)
+    return d
+
+
+def _first_failed_check(d):
+    """By the Fraction oracles, the message of the first check of
+    validate_drawing that d fails (planarity, the rotations, the sign of
+    the outer walk), or None."""
+    g = d.graph
+    if not brute_planar(d.coords, g.edges()):
+        return "edges cross, overlap, or vertices coincide"
+    if not brute_rotations_realized(d.coords, g.rotation):
+        return "drawing does not realize its embedding"
+    if brute_area2(d.coords, g.outer_walk()) > 0:
+        return "outer dart names a bounded face"
+    return None
+
+
+@given(gate_drawings())
+@settings(max_examples=200, deadline=None)
+def test_validate_drawing_matches_fraction_oracles(d):
+    expected = _first_failed_check(d)
+    try:
+        validate_drawing(d)
+    except NotPlanarInput as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@st.composite
+def drawings_from_points(draw):
+    """A jittered triangulation (as jittered_triangulations) with about one
+    edge in five dropped, embedded again from its points by
+    build_plane_graph_from_points, as augment_buffers and
+    perfbench/make_instances.py embed the drawings they validate. Dropped
+    edges leave cut vertices, whose face walks repeat them."""
+    d = draw(jittered_triangulations())
+    edges = [e for e in d.graph.edges() if draw(st.integers(0, 4))]
+    assume({v for e in edges for v in e} == set(d.coords))
+    try:
+        g = build_plane_graph_from_points(d.coords, edges)
+    except EmbeddingInvalid:
+        assume(False)
+    return Drawing(g, d.coords)
+
+
+def _gate(validate, d):
+    """validate(d), then the connectivity gate both of its callers run."""
+    try:
+        validate(d)
+    except (NotPlanarInput, EmbeddingInvalid):
+        return False
+    return is_internally_3connected(d.graph)
+
+
+@given(drawings_from_points())
+@settings(max_examples=150, deadline=None)
+def test_validate_drawing_matches_face_orientations_on_built_drawings(d):
+    # where every face walk is simple, the input check and the old face
+    # check give one verdict; where a walk repeats a vertex, only the old
+    # check raises, and the connectivity gate turns the drawing away
+    g = d.graph
+    walks = [g.face_vertices(fi) for fi in range(len(g.faces))]
+    if all(len(set(w)) == len(w) for w in walks):
+        assert (_outcome(validate_drawing, d)
+                == _outcome(validate_face_orientations, d))
+    assert _gate(validate_drawing, d) == _gate(validate_face_orientations, d)
 
 
 @given(rational_point_sets(max_size=8), st.randoms(), st.sampled_from((0, 1)))
@@ -951,7 +1023,7 @@ def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
                 _outcome(convex_hull, d),
                 _shear_or_none(d, 0, cons),
                 _shear_or_none(d, 1, cons),
-                star is None or _rotations_realized(star))
+                star is None or _outcome(validate_drawing, star))
 
     def moved(d):
         return d and Drawing(d.graph, {v: (s * x + tx, s * y + ty)
