@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .connectivity import is_internally_3connected, three_connected
 from .monotone_augment import augment_y_monotone
@@ -80,7 +80,6 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
-    ShearConstraints,
     _cross,
     _dot,
     _level_edge,
@@ -224,8 +223,9 @@ def _compact(d: Drawing, direction: Direction, poly: BoundaryPolygon,
         note, f"redraw failed its postcondition on every grid to 2^-{bits}")
 
 
-def _safe_shear(d: Drawing, axis: int, cons: ShearConstraints) -> Drawing:
-    return shear(d, axis, choose_safe_shear(d, axis, cons))
+def _safe_shear(d: Drawing, axis: int, straddle: Optional[AngleRef] = None,
+                pins: Tuple = ()) -> Drawing:
+    return shear(d, axis, choose_safe_shear(d, axis, straddle, pins))
 
 
 def _redraw(d: Drawing, direction: Direction, choices: Sequence[Tuple],
@@ -235,9 +235,11 @@ def _redraw(d: Drawing, direction: Direction, choices: Sequence[Tuple],
     and makes each pinned (vertex, side) a unique extreme on the moving
     axis, for the first pins of choices that the polygon builder accepts;
     then snap by _compact. Returns the drawing, strictly convex with the
-    pins kept, and the pins. PocketNotSeparated names note when no choice
-    has a polygon, PostconditionFailed when RoundedSolution cannot certify
-    the system, with the reason. The builders are the module globals
+    pins kept, and the pins. Every failure of the builder is
+    ConstraintInfeasible, so PocketNotSeparated names note when no choice
+    has a polygon, an outer walk not monotone on the fixed axis included,
+    and PostconditionFailed when RoundedSolution cannot certify the system,
+    with the reason. The builders are the module globals
     convex_polygon_for_y and convex_polygon_for_x, read per call, so a
     rebound one (as perfbench/layers.py traces it) is the one used."""
     fa = direction.fixed_axis
@@ -266,8 +268,8 @@ def _redraw_move(b: SequenceBuilder, direction: Direction,
     choices that have a polygon (see _redraw), then shear along the moving
     axis keeping those pins and leaving no edge level on it."""
     cur, pins = _redraw(b.current, direction, choices, note)
-    b.move(direction, _safe_shear(cur, direction.moving_axis,
-                                  ShearConstraints(keep_extreme=pins)), note)
+    b.move(direction, _safe_shear(cur, direction.moving_axis, pins=pins),
+           note)
 
 
 def _straddle_shear(d: Drawing, axis: int) -> Tuple[Drawing, int]:
@@ -279,8 +281,7 @@ def _straddle_shear(d: Drawing, axis: int) -> Tuple[Drawing, int]:
     straddling = [ref for ref in reflex
                   if straddles(d.graph, d.ints, ref, axis)]
     target = (straddling or reflex or [None])[0]
-    return (_safe_shear(d, axis, ShearConstraints(make_straddle=target)),
-            len(reflex))
+    return _safe_shear(d, axis, target), len(reflex)
 
 
 # -- single one-axis moves -----------------------------------------------------
@@ -483,21 +484,17 @@ def _dyadic_sqrt_floor(num: int, q: int) -> Tuple[int, int]:
     bits not above sqrt(num / q), for positive ints num and q: 2^(B-1) <=
     m < 2^B. With D = bitlen(num) - bitlen(q), log2 sqrt(num / q) lies in
     ((D - 1)/2, (D + 1)/2), so j = B - ceil((D + 1)/2) puts the root times
-    2^j in (2^(B - 3/2), 2^B), and one more bit of j lifts it to at least
-    2^(B-1) if it fell short. The lower bits of m follow from the top, one
-    integer comparison each."""
+    2^j, sqrt(n / r) below, in (2^(B - 3/2), 2^B), and one more bit of j
+    lifts it to at least 2^(B-1) if it fell short. Then m is the floor of
+    sqrt(n / r), which is isqrt(floor(n / r)): an integer m has m^2 <= n / r
+    exactly when m^2 <= floor(n / r)."""
     top = 1 << (_OFFSET_BITS - 1)
     j = _OFFSET_BITS - (num.bit_length() - q.bit_length() + 2) // 2
     for j in (j, j + 1):
         n, r = (num << 2 * j, q) if j >= 0 else (num, q << -2 * j)
         if top * top * r <= n:
             break
-    m, bit = top, top >> 1
-    while bit:
-        if (m + bit) * (m + bit) * r <= n:
-            m += bit
-        bit >>= 1
-    return m, j
+    return math.isqrt(n // r), j
 
 
 def _pocket_descriptor(outer: Tuple[int, ...],
@@ -764,8 +761,7 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
     else:
         direction = Direction.VERTICAL
         if not straddles(g2, d2.ints, ref, 0):
-            cons = ShearConstraints(make_straddle=ref)
-            b.move(Direction.HORIZONTAL, _safe_shear(d2, 0, cons),
+            b.move(Direction.HORIZONTAL, _safe_shear(d2, 0, ref),
                    "expose the new corner")
     _redraw_move(b, direction, ((),), "absorb the new corner")
 

@@ -617,22 +617,6 @@ def shear(d: Drawing, axis: int, lam) -> Drawing:
     return Drawing.from_ints(d.graph, ints, d.den * b)
 
 
-@dataclass
-class ShearConstraints:
-    """Constraints for choose_safe_shear, on top of the one it always
-    keeps: afterwards no edge has its endpoints level on the moving axis
-    (after an x-shear no edge is vertical, after a y-shear none is
-    horizontal).
-
-    make_straddle: angle whose face neighbors must straddle its apex along
-        the moving axis afterwards (see straddles).
-    keep_extreme: list of (vertex, side) that must stay unique extremes,
-        side in {"left", "right", "top", "bottom"}.
-    """
-    make_straddle: Optional[AngleRef] = None
-    keep_extreme: Tuple = ()
-
-
 def _below(r, s) -> bool:
     """r < s for rationals given as int pairs (p, q), q > 0."""
     return r[0] * s[1] < s[0] * r[1]
@@ -658,11 +642,12 @@ def _cut(iv, m: int, f: int):
 
 class _ShearSpace:
     """The factors lam of a shear along the moving axis of the integer view
-    pts of a drawing of g that satisfy cons (see choose_safe_shear), read
-    off pts once. For lam = a/b with b > 0 the sheared moving coordinate
-    m + lam*f is taken times b, as b*m + a*f, so each condition is a sign
-    of b*m + a*f for a pair (m, f) of differences along the moving and the
-    fixed axis, linear in lam and changing sign only at its root -m/f:
+    pts of a drawing of g that satisfy the constraints straddle and pins
+    (see choose_safe_shear), read off pts once. For lam = a/b with b > 0
+    the sheared moving coordinate m + lam*f is taken times b, as
+    b*m + a*f, so each condition is a sign of b*m + a*f for a pair (m, f)
+    of differences along the moving and the fixed axis, linear in lam and
+    changing sign only at its root -m/f:
 
      * edges: each edge's pair, whose sign must not be 0 (an edge turns
        level at its root alone);
@@ -677,23 +662,22 @@ class _ShearSpace:
     __slots__ = ("edges", "straddle", "span", "pins")
 
     def __init__(self, g: PlaneGraph, pts: Dict[int, Tuple[int, int]],
-                 axis: int, cons: ShearConstraints):
+                 axis: int, straddle: Optional[AngleRef], pins: Tuple):
         ma, fa = axis, 1 - axis
         self.edges = [(pts[u][ma] - pts[v][ma], pts[u][fa] - pts[v][fa])
                       for u, v in g.edges()]
         self.straddle = None
-        if cons.make_straddle is not None:
-            ref = cons.make_straddle
-            walk = g.face_vertices(ref.face)
+        if straddle is not None:
+            walk = g.face_vertices(straddle.face)
             k = len(walk)
-            c = pts[walk[ref.pos % k]]
+            pos = straddle.pos
+            c = pts[walk[pos % k]]
             self.straddle = tuple(
                 (p[ma] - c[ma], p[fa] - c[fa])
-                for p in (pts[walk[(ref.pos - 1) % k]],
-                          pts[walk[(ref.pos + 1) % k]]))
+                for p in (pts[walk[(pos - 1) % k]], pts[walk[(pos + 1) % k]]))
         span = (None, None)
         self.pins = []
-        for vtx, side in cons.keep_extreme:
+        for vtx, side in pins:
             s = 1 if side in ("left", "bottom") else -1
             c = pts[vtx]
             pairs = [(s * (c[ma] - p[ma]), s * (c[fa] - p[fa]))
@@ -793,9 +777,17 @@ def _coarsest_dyadic(lo, hi) -> Fraction:
     return Fraction((a << k1) // qa + 1, 1 << k1)
 
 
-def choose_safe_shear(d: Drawing, axis: int, cons: ShearConstraints):
+def choose_safe_shear(d: Drawing, axis: int,
+                      straddle: Optional[AngleRef] = None, pins: Tuple = ()):
     """Pick a factor for a shear along the moving axis (0 for x, 1 for y)
-    satisfying the constraints.
+    after which no edge has its endpoints level on that axis (after an
+    x-shear no edge is vertical, after a y-shear none is horizontal), and
+    which meets the two optional constraints:
+
+    straddle: an angle whose face neighbors must straddle its apex along
+        the moving axis afterwards (see straddles);
+    pins: (vertex, side) pairs that must stay unique extremes, side in
+        {"left", "right", "top", "bottom"}.
 
     Tries a ladder of small rationals, each tested without shearing d on
     the constraints read off d once (_ShearSpace), then takes the first
@@ -805,7 +797,7 @@ def choose_safe_shear(d: Drawing, axis: int, cons: ShearConstraints):
     point of that gap is safe, so the factor is emitted as it is, with no
     test and no snap. Deterministic; raises NoValidShear if nothing
     passes."""
-    space = _ShearSpace(d.graph, d.ints, axis, cons)
+    space = _ShearSpace(d.graph, d.ints, axis, straddle, pins)
     for lam in _SHEAR_LADDER:
         if space.ok(lam.numerator, lam.denominator):
             return lam
@@ -969,7 +961,11 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
         adj[u].append(v)
         adj[v].append(u)
     rotation = {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()}
-    some = next(iter(rotation))
+    # any dart will do until the outer face is found: the first of a vertex
+    # with an edge, so that an edgeless vertex fails the connectivity check
+    some = next((v for v, nbrs in rotation.items() if nbrs), None)
+    if some is None:
+        raise EmbeddingInvalid("graph has no edge")
     g = PlaneGraph(rotation, (some, rotation[some][0]))
     if len(g.faces) == 1:
         return g

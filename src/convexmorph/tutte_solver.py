@@ -24,21 +24,27 @@ float LU against exact integer residuals, and a bound that an exact
 M-matrix certificate proves. An answer the bound cannot settle is not
 given, so every answer equals the rounding of the exact solution.
 
-solve_rows is the exact reference that convexify never calls: it is kept
-for the tests and for the traced bench layers until the exact solver
-leaves the package. It scales each equation once by the lcm of its
-denominators; sparse fraction-free elimination (in the manner of Bareiss
-1968) with Markowitz pivoting then keeps every row primitive by dividing
-out its gcd, and back-substitution forms one rational per unknown. Its
-solution is the unique exact one, so it equals what elimination over
-rationals gives, at a fraction of the cost of a gcd per entry update.
+A vertex with a neighbor at its own height, or with none above or below
+it, is PreconditionViolated, the message saying which; every way a
+boundary polygon cannot be built is ConstraintInfeasible, the one failure
+morph_engine._redraw moves past to its next choice of pins.
+
+solve_rows and weights_from_y (whose {(u, v): weight} dict the rows of
+tutte_rows_from_y scale) are the exact reference that convexify never
+calls: they are kept for the tests and for the traced bench layers until
+the exact solver leaves the package. solve_rows scales each equation
+once by the lcm of its denominators; sparse fraction-free elimination
+(in the manner of Bareiss 1968) with Markowitz pivoting then keeps every
+row primitive by dividing out its gcd, and back-substitution forms one
+rational per unknown. Its solution is the unique exact one, so it equals
+what elimination over rationals gives, at a fraction of the cost of a gcd
+per entry update.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,52 +60,15 @@ from .plane_graph import (
 )
 
 
-class NoNeighborAbove(ValueError):
-    """Internal vertex has no neighbor strictly above it."""
-
-
-class NoNeighborBelow(ValueError):
-    """Internal vertex has no neighbor strictly below it."""
-
-
 class SingularSystem(ArithmeticError):
     """Tutte system unsolvable; indicates an invariant violation upstream."""
 
 
-class NotYMonotoneCycle(ValueError):
-    """Cycle has no unique top/bottom or a non-monotone chain."""
-
-
 class ConstraintInfeasible(ValueError):
-    """No polygon satisfies the requested pin constraints."""
-
-
-class WrongChain(ConstraintInfeasible):
-    """Pinned vertex sits on the chain that cannot contain that extreme: no
-    polygon on this walk meets the pins."""
-
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Positive weights per directed edge (u, v) with internal u, unit row sums."""
-
-    weights: Dict[Tuple[int, int], object]
-
-    def __post_init__(self):
-        rows = {}
-        for (u, v), w in self.weights.items():
-            if sign_of(w) <= 0:
-                raise ValueError(f"weight for ({u},{v}) not positive")
-            rows.setdefault(u, []).append(w)
-        for u, ws in rows.items():
-            if sign_of(sum(ws) - 1) != 0:
-                raise ValueError(f"weights of {u} do not sum to 1")
-
-    def row(self, u: int) -> Dict[int, object]:
-        return {v: w for (x, v), w in self.weights.items() if x == u}
-
-    def internal_vertices(self):
-        return {u for (u, _) in self.weights}
+    """No strictly convex polygon on the walk keeps its heights and meets
+    the pins: the walk is not monotone in the heights (no unique bottom or
+    top, or a chain that does not rise strictly), a pin sits on the wrong
+    chain, or the pins contradict each other."""
 
 
 class BoundaryPolygon:
@@ -114,19 +83,23 @@ class BoundaryPolygon:
         self.cycle, self.ints, self.den = tuple(cycle), ints, den
 
     def validate(self):
-        """Raise ValueError unless the cycle is a strictly convex clockwise
-        polygon winding once (plane_graph._convex_walk with turn -1; a walk
-        of one or two vertices has a zero edge or a spike)."""
+        """Raise ConstraintInfeasible unless the cycle is a strictly convex
+        clockwise polygon winding once (plane_graph._convex_walk with turn
+        -1; a walk of one or two vertices has a zero edge or a spike)."""
         if not _convex_walk(self.ints, self.cycle, -1):
-            raise ValueError("not a strictly convex clockwise polygon "
-                             "winding once")
+            raise ConstraintInfeasible("not a strictly convex clockwise "
+                                       "polygon winding once")
 
 
-def weights_from_y(g: PlaneGraph, y: Dict[int, object]) -> WeightAssignment:
-    """Height-derived weights: t_u interpolates y_u between the averages of
-    the neighbors strictly above and strictly below, then each side splits
-    its share uniformly.  The resulting weighted neighbor average of y is
-    exactly y_u again, so a redraw keeps every height."""
+def weights_from_y(g: PlaneGraph, y: Dict[int, object]
+                   ) -> Dict[Tuple[int, int], object]:
+    """Height-derived weights, as {(u, v): weight} for each internal vertex
+    u and neighbor v: t_u interpolates y_u between the averages of the
+    neighbors strictly above and strictly below, then each side splits its
+    share uniformly. Every weight is positive and each u's weights sum to
+    1, and the weighted neighbor average of y is exactly y_u again, so a
+    redraw keeps every height. PreconditionViolated names a vertex with a
+    neighbor at its own height, or none above or none below it."""
     outer = set(g.outer_walk())
     weights = {}
     for u in g.rotation:
@@ -137,9 +110,9 @@ def weights_from_y(g: PlaneGraph, y: Dict[int, object]) -> WeightAssignment:
         if len(up) + len(down) != g.degree(u):
             raise PreconditionViolated(f"horizontal edge at {u}")
         if not up:
-            raise NoNeighborAbove(f"vertex {u}")
+            raise PreconditionViolated(f"no neighbor above {u}")
         if not down:
-            raise NoNeighborBelow(f"vertex {u}")
+            raise PreconditionViolated(f"no neighbor below {u}")
         y_plus = sum(y[v] for v in up) / len(up)
         y_minus = sum(y[v] for v in down) / len(down)
         t = (y[u] - y_minus) / (y_plus - y_minus)
@@ -147,7 +120,7 @@ def weights_from_y(g: PlaneGraph, y: Dict[int, object]) -> WeightAssignment:
             weights[(u, v)] = t / len(up)
         for v in down:
             weights[(u, v)] = (1 - t) / len(down)
-    return WeightAssignment(weights)
+    return weights
 
 
 # -- sparse exact linear solving --------------------------------------------
@@ -470,9 +443,9 @@ def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
         if len(up) + len(down) != len(nbrs):
             raise PreconditionViolated(f"horizontal edge at {u}")
         if not up:
-            raise NoNeighborAbove(f"vertex {u}")
+            raise PreconditionViolated(f"no neighbor above {u}")
         if not down:
-            raise NoNeighborBelow(f"vertex {u}")
+            raise PreconditionViolated(f"no neighbor below {u}")
         s_up = sum(ys[v] for v in up)
         s_down = sum(ys[v] for v in down)
         w_up = len(down) * yu - s_down
@@ -521,22 +494,23 @@ def _split_chains(cycle: Sequence[int], y: Dict[int, int]):
     """Split a clockwise outer cycle at its unique bottom and top vertex.
 
     Returns (left, right), both ordered bottom to top; the clockwise walk
-    ascends the left chain first."""
+    ascends the left chain first. ConstraintInfeasible when the bottom or
+    the top is not unique or a chain does not rise strictly."""
     k = len(cycle)
     bot = min(range(k), key=lambda i: (y[cycle[i]], i))
     top = max(range(k), key=lambda i: (y[cycle[i]], -i))
     for i in range(k):
         if i != bot and y[cycle[i]] == y[cycle[bot]]:
-            raise NotYMonotoneCycle("bottom vertex not unique")
+            raise ConstraintInfeasible("bottom vertex not unique")
         if i != top and y[cycle[i]] == y[cycle[top]]:
-            raise NotYMonotoneCycle("top vertex not unique")
+            raise ConstraintInfeasible("top vertex not unique")
     left = [cycle[(bot + i) % k] for i in range(((top - bot) % k) + 1)]
     right = [cycle[(top + i) % k] for i in range(((bot - top) % k) + 1)]
     right.reverse()
     for chain in (left, right):
         for a, b in zip(chain, chain[1:]):
             if y[b] <= y[a]:
-                raise NotYMonotoneCycle("chain not strictly increasing")
+                raise ConstraintInfeasible("chain not strictly increasing")
     return left, right
 
 
@@ -643,11 +617,11 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
             flips[side] = len(left) - 1 if side == "left" else len(right) - 1
         elif side == "left":
             if v not in left:
-                raise WrongChain(f"{v} is not on the left chain")
+                raise ConstraintInfeasible(f"{v} is not on the left chain")
             flips[side] = left.index(v)
         else:
             if v not in right:
-                raise WrongChain(f"{v} is not on the right chain")
+                raise ConstraintInfeasible(f"{v} is not on the right chain")
             flips[side] = right.index(v)
     if len(pins) == 2 and pins[0][0] == pins[1][0]:
         raise ConstraintInfeasible("same vertex pinned to both sides")
@@ -679,10 +653,7 @@ def convex_polygon_for_y(cycle: Sequence[int], y: Dict[int, int],
         acc += t[j - 1] * h[j - 1]
         ints[v] = (acc * sq, y[v] * sq * tq)
     poly = BoundaryPolygon(cycle, ints, sq * tq * den)
-    try:
-        poly.validate()
-    except ValueError as exc:
-        raise ConstraintInfeasible(f"pinned polygon: {exc}") from None
+    poly.validate()
     for v, side in pins:
         if not unique_extreme(ints, v, side):
             raise ConstraintInfeasible(f"{v} is not the unique {side}most")

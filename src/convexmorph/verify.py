@@ -117,10 +117,6 @@ def _inner_angle_triples(g: PlaneGraph) -> List[Tuple[int, int, int]]:
 
 def _convex_here(d: Drawing, triple: Tuple[int, int, int]) -> bool:
     pts = d.ints
-    for w in triple:
-        if w not in pts:
-            raise PreconditionViolated(
-                f"graph-of-record vertex {w} missing from a drawing")
     a, v, b = triple
     try:
         kind = angle_status_points(pts[a], pts[v], pts[b])
@@ -147,19 +143,21 @@ def check_convexity_increasing(seq: MorphSequence,
     keeps its fixed-axis coordinate between theirs, and on a level the
     differences of the moving coordinates are affine too, so they keep
     their signs unless the apex meets a neighbour, which no step that
-    check_unidirectional_planar accepts does."""
+    check_unidirectional_planar accepts does.
+
+    Every drawing of the sequence must hold each vertex of an inner face
+    of the graph of record; PreconditionViolated names the least one that
+    a drawing lacks."""
     g = graph_of_record if graph_of_record is not None else seq.initial.graph
+    record = set().union(*map(g.face_vertices, g.inner_face_indices()))
+    for d in (seq.initial, *(ev.end for ev in seq.events)):
+        missing = record - d.ints.keys()
+        if missing:
+            raise PreconditionViolated(
+                f"graph-of-record vertex {min(missing)} missing from "
+                f"a drawing")
     if not seq.steps:
-        # the verdict reads angles at step ends only, so a sequence
-        # without a step passes; each drawing must still hold the graph
-        # of record
-        record = set().union(*map(g.face_vertices, g.inner_face_indices()))
-        for d in (seq.initial, *(ev.end for ev in seq.events)):
-            missing = record - d.ints.keys()
-            if missing:
-                raise PreconditionViolated(
-                    f"graph-of-record vertex {min(missing)} missing from "
-                    f"a drawing")
+        # the verdict reads angles at step ends only
         return True
     triples = _inner_angle_triples(g)
     settled = {tri for tri in triples if _convex_here(seq.initial, tri)}

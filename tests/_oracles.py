@@ -380,24 +380,24 @@ def brute_area2(coords: Dict[int, Tuple], walk: Sequence[int]) -> Fraction:
 
 
 def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
-                               make_straddle=None, keep_extreme=()):
+                               straddle=None, pins=()):
     """The shear choice in plain Fraction arithmetic: the critical factors
     -dm/df of every constrained pair, a fixed ladder of small factors, then
     one factor below, between and above the critical ones (gap_factors);
     each candidate shears every point and tests the constraints on the
     sheared coordinates. Returns the first factor that passes, or None.
     axis is the moving one (0 for x); g supplies edges() and
-    face_vertices(); make_straddle is (face, pos)."""
+    face_vertices(); straddle is (face, pos)."""
     pts = {v: _f(p) for v, p in coords.items()}
     i_mov, i_fix = axis, 1 - axis
     pairs = list(g.edges())
-    if make_straddle is not None:
-        face, pos = make_straddle
+    if straddle is not None:
+        face, pos = straddle
         walk = g.face_vertices(face)
         k = len(walk)
         apex = walk[pos % k]
         pairs += [(walk[(pos - 1) % k], apex), (walk[(pos + 1) % k], apex)]
-    for vtx, _ in keep_extreme:
+    for vtx, _ in pins:
         pairs += [(vtx, w) for w in pts if w != vtx]
     roots = sorted({-(pts[u][i_mov] - pts[w][i_mov])
                     / (pts[u][i_fix] - pts[w][i_fix])
@@ -412,8 +412,8 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
                    for v, (x, y) in pts.items()}
         if any(sheared[u][i_mov] == sheared[w][i_mov] for u, w in g.edges()):
             continue
-        if make_straddle is not None:
-            face, pos = make_straddle
+        if straddle is not None:
+            face, pos = straddle
             walk = g.face_vertices(face)
             k = len(walk)
             a, v, b = (sheared[walk[(pos - 1) % k]][i_mov],
@@ -422,7 +422,7 @@ def choose_safe_shear_fraction(g, coords: Dict[int, Tuple], axis: int,
             if not (a < v < b or b < v < a):
                 continue
         ok = True
-        for vtx, side in keep_extreme:
+        for vtx, side in pins:
             i = 0 if side in ("left", "right") else 1
             low = side in ("left", "bottom")
             for w, p in sheared.items():
@@ -537,15 +537,16 @@ def polygon_coords(poly):
 
 def tutte_rows(g, weights, boundary_coords):
     """Rows and right-hand sides (x and y) of the pinned barycentric system
-    with the given WeightAssignment, unscaled."""
-    internal = weights.internal_vertices()
+    with the given weights, {(u, v): weight} for each internal u as
+    weights_from_y returns them, unscaled."""
+    internal = {u for u, _ in weights}
     rows = {}
     rhs = {}
     for u in internal:
         row = {u: Fraction(1)}
         bx = by = 0
         for v in g.rotation[u]:
-            w = weights.weights[(u, v)]
+            w = weights[(u, v)]
             if v in internal:
                 row[v] = row.get(v, 0) - w
             else:
@@ -589,15 +590,16 @@ def lowest_corner_convex(cycle, pts) -> bool:
 def solve_tutte(g, boundary, weights):
     """The Drawing that solves the pinned barycentric system for both
     coordinates, after checking that boundary is a strictly convex polygon
-    on g's outer walk and that the weights cover exactly the other
-    vertices (ValueError otherwise)."""
+    on g's outer walk and that the weights ({(u, v): weight}, as
+    weights_from_y returns them) cover exactly the other vertices
+    (ValueError otherwise)."""
     from convexmorph.plane_graph import Drawing
     from convexmorph.tutte_solver import solve_rows
 
     boundary.validate()
     if not is_outer_walk(boundary.cycle, g):
         raise ValueError("boundary cycle does not match the outer walk")
-    if weights.internal_vertices() != set(g.rotation) - set(boundary.cycle):
+    if {u for u, _ in weights} != set(g.rotation) - set(boundary.cycle):
         raise ValueError("weights do not cover exactly the internal vertices")
     sol = solve_rows(*tutte_rows(g, weights, polygon_coords(boundary)))
     coords = dict(polygon_coords(boundary))
@@ -672,7 +674,7 @@ def snap_fraction(d, ma, poly, rounded, bits):
 def consistent_with_y(weights, y) -> bool:
     """Does the weighted neighbour average reproduce every internal y?"""
     acc = {}
-    for (u, v), w in weights.weights.items():
+    for (u, v), w in weights.items():
         acc[u] = acc.get(u, 0) + w * y[v]
     return all(acc[u] == y[u] for u in acc)
 
@@ -1013,9 +1015,10 @@ def sweep_records_fraction(d, direction):
             [tuple(it[-1] for it in sorted(items)) for items in strip_items])
 
 
-def shear_ok(g, pts, axis, lam, cons) -> bool:
+def shear_ok(g, pts, axis, lam, straddle=None, pins=()) -> bool:
     """Does the shear by lam along the moving axis of the integer view pts
-    of a drawing of g satisfy cons? The whole drawing is sheared, with the
+    of a drawing of g satisfy choose_safe_shear's constraints straddle and
+    pins? The whole drawing is sheared, with the
     moving coordinate m + lam*f of lam = a/b taken times b, as b*m + a*f,
     and each constraint tested on the sheared points: the test
     choose_safe_shear once ran on each candidate."""
@@ -1032,11 +1035,9 @@ def shear_ok(g, pts, axis, lam, cons) -> bool:
     for u, v in g.edges():
         if sheared[u][axis] == sheared[v][axis]:
             return False
-    if cons.make_straddle is not None and not straddles(
-            g, sheared, cons.make_straddle, axis):
+    if straddle is not None and not straddles(g, sheared, straddle, axis):
         return False
-    return all(unique_extreme(sheared, vtx, side)
-               for vtx, side in cons.keep_extreme)
+    return all(unique_extreme(sheared, vtx, side) for vtx, side in pins)
 
 
 def coarsest_dyadic_fraction(lo, hi) -> Fraction:
@@ -1068,7 +1069,7 @@ def gap_factors(roots):
     yield Fraction(math.ceil(roots[-1]) + 1)
 
 
-def shear_candidates(g, pts, axis, cons):
+def shear_candidates(g, pts, axis, straddle=None, pins=()):
     """choose_safe_shear's candidates in the order tried: its ladder of
     small factors, then one factor in each gap around the critical
     factors, sorted once (gap_factors)."""
@@ -1085,25 +1086,24 @@ def shear_candidates(g, pts, axis, cons):
 
     for u, v in g.edges():
         root_of(u, v)
-    if cons.make_straddle is not None:
-        ref = cons.make_straddle
-        walk = g.face_vertices(ref.face)
+    if straddle is not None:
+        walk = g.face_vertices(straddle.face)
         k = len(walk)
-        vtx = walk[ref.pos % k]
-        for w in (walk[(ref.pos - 1) % k], walk[(ref.pos + 1) % k]):
+        vtx = walk[straddle.pos % k]
+        for w in (walk[(straddle.pos - 1) % k], walk[(straddle.pos + 1) % k]):
             root_of(w, vtx)
-    for vtx, _ in cons.keep_extreme:
+    for vtx, _ in pins:
         for w in pts:
             if w != vtx:
                 root_of(vtx, w)
     yield from gap_factors(sorted(set(roots)))
 
 
-def choose_safe_shear_scan(d, axis, cons):
+def choose_safe_shear_scan(d, axis, straddle=None, pins=()):
     """The first of shear_candidates that shear_ok accepts, or None: the
     scan that choose_safe_shear replaced."""
-    for lam in shear_candidates(d.graph, d.ints, axis, cons):
-        if shear_ok(d.graph, d.ints, axis, lam, cons):
+    for lam in shear_candidates(d.graph, d.ints, axis, straddle, pins):
+        if shear_ok(d.graph, d.ints, axis, lam, straddle, pins):
             return lam
     return None
 

@@ -32,7 +32,6 @@ from convexmorph.plane_graph import (
     NotPlanarInput,
     PlaneGraph,
     PreconditionViolated,
-    ShearConstraints,
     _integer_view,
     build_plane_graph_from_points,
     choose_safe_shear,
@@ -457,11 +456,11 @@ def test_choose_safe_shear_finds_a_coarse_dyadic_in_a_narrow_window():
     coords = {1: (0, 0), 2: (n, -(3 * n - 1)), 3: (-n, 3 * n + 1)}
     g = build_plane_graph_from_points(coords, [(1, 2), (2, 3), (3, 1)])
     d = Drawing(g, coords)
-    cons = ShearConstraints(keep_extreme=((1, "left"),))
-    lam = choose_safe_shear(d, 0, cons)
+    pins = ((1, "left"),)
+    lam = choose_safe_shear(d, 0, pins=pins)
     assert Fraction(n, 3 * n + 1) < lam < Fraction(1, 3)
     assert dyadic(lam) and lam.denominator <= 1 << 140
-    assert shear_ok(g, integer_points(d.coords), 0, lam, cons)
+    assert shear_ok(g, integer_points(d.coords), 0, lam, pins=pins)
 
 
 # Seed 3097 of the same recipe: its first morph_B after hull completion
@@ -584,6 +583,37 @@ def test_redraw_takes_the_first_pins_that_have_a_polygon():
         morph_engine._redraw(d, Direction.HORIZONTAL, (((4, "left"),),),
                              "a noted step")
     assert info.value.layer == "a noted step"
+    assert info.value.check == "no polygon meets any choice of pins"
+
+
+def test_float_input_runs_as_the_rationals_it_denotes():
+    # a pocket drawing scaled onto dyadic coordinates, given once as floats
+    # and once as the equal Fractions: one integer view, one run
+    d = pocket_instance(random.Random(3), 12, 20)
+    dyadic_coords = {v: (x * d.den / 8, y * d.den / 8)
+                     for v, (x, y) in d.coords.items()}
+    floats = {v: (float(x), float(y)) for v, (x, y) in dyadic_coords.items()}
+    assert all(Fraction(fx) == x and Fraction(fy) == y
+               for (fx, fy), (x, y) in zip(floats.values(),
+                                           dyadic_coords.values()))
+    from_floats = Drawing(d.graph, floats)
+    from_fractions = Drawing(d.graph, dyadic_coords)
+    assert from_floats.den == from_fractions.den == 8
+    assert from_floats.ints == from_fractions.ints
+    seq = convexify(from_fractions)
+    assert seq.events
+    assert event_digest(convexify(from_floats)) == event_digest(seq)
+
+
+def test_redraw_names_its_move_when_the_outer_walk_is_not_monotone():
+    # the square's bottom side is horizontal, so no polygon keeps y on its
+    # outer walk: the builder's failure is the move's typed error
+    coords = {1: (0, 0), 2: (4, 0), 3: (4, 4), 4: (0, 4), 5: (1, 2)}
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)]
+    d = Drawing(build_plane_graph_from_points(coords, edges), coords)
+    with pytest.raises(PocketNotSeparated) as info:
+        morph_engine._redraw(d, Direction.HORIZONTAL, ((),), "note")
+    assert info.value.layer == "note"
     assert info.value.check == "no polygon meets any choice of pins"
 
 
@@ -763,8 +793,8 @@ def test_buffer_shrink_past_the_old_ladder():
 @example(num=1, q=36)
 @example(num=1 << 300, q=1)
 def test_dyadic_sqrt_floor_is_the_top_bits_of_the_root(num, q):
-    # bit lengths and bit-by-bit comparisons give the oracle's isqrt answer,
-    # for roots far above 1 (negative j) as far below
+    # bit lengths and one isqrt of the scaled quotient give the oracle's
+    # answer, for roots far above 1 (negative j) as far below
     m, j = morph_engine._dyadic_sqrt_floor(num, q)
     assert Fraction(m) / Fraction(2) ** j == dyadic_sqrt_floor(
         Fraction(num, q), morph_engine._OFFSET_BITS)
@@ -874,7 +904,7 @@ def test_straddle_shear_keeps_an_angle_that_already_straddles():
     assert straddles(g, end.ints, second, 1)
     # a shear that made the first angle straddle would have unseated the
     # second: y + 2x takes 7 above 4
-    lam = choose_safe_shear(d, 1, ShearConstraints(make_straddle=first))
+    lam = choose_safe_shear(d, 1, straddle=first)
     forced = shear(d, 1, lam)
     assert lam == 2 and not straddles(g, forced.ints, second, 1)
 

@@ -20,7 +20,6 @@ from convexmorph.plane_graph import (
     convex_hull,
     shear,
     straddles,
-    ShearConstraints,
     choose_safe_shear,
     drawing_is_planar,
     segments_planar,
@@ -96,6 +95,12 @@ def test_rat_and_sign():
     assert sign_of(-2.5) == -1
 
 
+def test_rat_takes_a_float_as_the_rational_it_denotes():
+    assert rat(0.1) == Fraction(0.1) != Fraction(1, 10)
+    assert rat(0.375) == Fraction(3, 8)
+    assert rat(-2.5, 3) == Fraction(-5, 6)
+
+
 def test_orientation():
     assert orientation((0, 0), (1, 0), (0, 1)) == 1
     assert orientation((0, 0), (0, 1), (1, 0)) == -1
@@ -139,7 +144,7 @@ def test_face_walks_are_cached():
     # a vertex, and augmented: each face's walk is its darts' tails, built
     # once
     d = random_augment_instance(random.Random(5))
-    d = shear(d, 1, choose_safe_shear(d, 1, ShearConstraints()))
+    d = shear(d, 1, choose_safe_shear(d, 1))
     g = d.graph
     aug = augment_y_monotone(d)
     assert aug.m > g.m
@@ -171,6 +176,26 @@ def test_embedding_rejects_bad_rotations():
     rotation = {1: (2, 4, 3), 2: (3, 4, 1), 3: (1, 4, 2), 4: (3, 2, 1)}
     with pytest.raises(EmbeddingInvalid):
         PlaneGraph(rotation, (1, 3))
+
+
+def test_embedding_names_each_defect():
+    with pytest.raises(EmbeddingInvalid, match="empty graph"):
+        PlaneGraph({}, (1, 2))
+    with pytest.raises(EmbeddingInvalid, match="dangling neighbor 3 at 1"):
+        PlaneGraph({1: (2, 3), 2: (1,)}, (1, 2))
+    with pytest.raises(EmbeddingInvalid, match=r"outer dart \(1, 3\)"):
+        PlaneGraph({1: (2,), 2: (1,)}, (1, 3))
+    with pytest.raises(EmbeddingInvalid, match="do not match vertex set"):
+        Drawing(k4().graph, {1: (0, 0), 2: (4, 0), 3: (2, 4)})
+
+
+@pytest.mark.parametrize("edges", [[(2, 3)], [(1, 2)]])
+def test_built_graph_with_an_edgeless_vertex_is_not_connected(edges):
+    # whether or not the edgeless vertex comes first, the embedding names
+    # the defect, so a caller's except ValueError catches it
+    coords = {1: (0, 0), 2: (1, 0), 3: (2, 2)}
+    with pytest.raises(EmbeddingInvalid, match="graph is not connected"):
+        build_plane_graph_from_points(coords, edges)
 
 
 def test_edit_operations_roundtrip():
@@ -450,12 +475,12 @@ def test_shear_by_zero_is_the_drawing_itself():
 
 def test_choose_safe_shear_removes_verticals():
     d = cycle_graph([(0, 0), (2, 0), (2, 2), (0, 2)])
-    lam = choose_safe_shear(d, 0, ShearConstraints())
+    lam = choose_safe_shear(d, 0)
     s = shear(d, 0, lam)
     for u, v in s.graph.edges():
         assert sign_of(s.coords[u][0] - s.coords[v][0]) != 0
     # deterministic
-    assert lam == choose_safe_shear(d, 0, ShearConstraints())
+    assert lam == choose_safe_shear(d, 0)
 
 
 def test_choose_safe_shear_makes_straddle():
@@ -468,16 +493,14 @@ def test_choose_safe_shear_makes_straddle():
     ref = AngleRef(inner, pos)
     assert angle_statuses(d)[ref] is AngleKind.REFLEX
     assert not straddles(g, d.ints, ref, 0)
-    cons = ShearConstraints(make_straddle=ref)
-    lam = choose_safe_shear(d, 0, cons)
+    lam = choose_safe_shear(d, 0, straddle=ref)
     s = shear(d, 0, lam)
     assert straddles(s.graph, s.ints, ref, 0)
 
 
 def test_choose_safe_shear_keeps_extreme():
     d = cycle_graph([(0, 0), (4, 1), (3, 5)])
-    cons = ShearConstraints(keep_extreme=((0, "left"),))
-    lam = choose_safe_shear(d, 0, cons)
+    lam = choose_safe_shear(d, 0, pins=((0, "left"),))
     s = shear(d, 0, lam)
     assert all(sign_of(s.coords[0][0] - s.coords[v][0]) == -1 for v in (1, 2))
 
@@ -487,7 +510,7 @@ def test_choose_safe_shear_infeasible():
     g = PlaneGraph({1: (2,), 2: (1,)}, (1, 2), check=False)
     d = Drawing(g, {1: (0, 1), 2: (0, 2)})
     with pytest.raises(NoValidShear):
-        choose_safe_shear(d, 1, ShearConstraints(keep_extreme=((1, "top"),)))
+        choose_safe_shear(d, 1, pins=((1, "top"),))
 
 
 @given(point_sets(min_size=4, max_size=10),
@@ -661,7 +684,8 @@ def _strict_hull_order(coords):
 def _cycle_case(coords, rng):
     """A cycle through the points, in hull order (a convex polygon), through
     every second corner of an odd hull (a star polygon, which winds twice)
-    or shuffled, with random shear constraints on it."""
+    or shuffled, with random shear constraints on it: (drawing, straddle,
+    pins) as choose_safe_shear takes them."""
     order = _strict_hull_order(coords) or sorted(coords)
     k = len(order)
     if rng.random() < 0.5:
@@ -671,15 +695,14 @@ def _cycle_case(coords, rng):
         order = [order[2 * i % k] for i in range(k)]
     d = cycle_graph([coords[v] for v in order])
     g = d.graph
-    straddle = keep = None
+    straddle, pins = None, ()
     if rng.random() < 0.5:
         face = rng.randrange(len(g.faces))
         straddle = AngleRef(face, rng.randrange(len(g.faces[face])))
     if rng.random() < 0.5:
-        keep = ((rng.choice(sorted(g.rotation)),
+        pins = ((rng.choice(sorted(g.rotation)),
                  rng.choice(["left", "right", "bottom", "top"])),)
-    cons = ShearConstraints(make_straddle=straddle, keep_extreme=keep or ())
-    return d, cons
+    return d, straddle, pins
 
 
 def _star(coords, rng):
@@ -703,9 +726,9 @@ def _star(coords, rng):
     return Drawing(PlaneGraph(rotation, (hub, order[0]), check=False), coords)
 
 
-def _shear_or_none(d, axis, cons):
+def _shear_or_none(d, axis, straddle=None, pins=()):
     try:
-        return choose_safe_shear(d, axis, cons)
+        return choose_safe_shear(d, axis, straddle, pins)
     except NoValidShear:
         return None
 
@@ -713,7 +736,7 @@ def _shear_or_none(d, axis, cons):
 @given(rational_point_sets(), st.randoms())
 @settings(max_examples=60, deadline=None)
 def test_strict_convexity_matches_fraction_oracle(coords, rng):
-    d, _ = _cycle_case(coords, rng)
+    d = _cycle_case(coords, rng)[0]
     g = d.graph
     assert is_strictly_convex(d) == brute_strictly_convex(
         d.coords, dart_walks(g), g.outer_face_index)
@@ -819,7 +842,7 @@ def gate_drawings(draw):
         d = _star(draw(rational_point_sets(min_size=4)), rng)
         assume(d is not None)
     elif kind == "cycle":
-        d, _ = _cycle_case(draw(rational_point_sets()), rng)
+        d = _cycle_case(draw(rational_point_sets()), rng)[0]
     else:
         d = draw(jittered_triangulations())
     if draw(st.booleans()):
@@ -897,24 +920,24 @@ def test_validate_drawing_matches_face_orientations_on_built_drawings(d):
 @given(rational_point_sets(max_size=8), st.randoms(), st.sampled_from((0, 1)))
 @settings(max_examples=60, deadline=None)
 def test_choose_safe_shear_matches_fraction_oracle(coords, rng, axis):
-    d, cons = _cycle_case(coords, rng)
-    straddle = cons.make_straddle
-    assert _shear_or_none(d, axis, cons) == choose_safe_shear_fraction(
-        d.graph, d.coords, axis, straddle and (straddle.face, straddle.pos),
-        cons.keep_extreme)
+    d, straddle, pins = _cycle_case(coords, rng)
+    assert _shear_or_none(d, axis, straddle, pins) == (
+        choose_safe_shear_fraction(
+            d.graph, d.coords, axis,
+            straddle and (straddle.face, straddle.pos), pins))
 
 
 def _random_cons(g, rng):
-    """Shear constraints on g: an angle to straddle half the time, and up
-    to three pins on either axis."""
+    """Shear constraints on g, (straddle, pins): an angle to straddle half
+    the time, and up to three pins on either axis."""
     straddle = None
     if rng.random() < 0.5:
         face = rng.randrange(len(g.faces))
         straddle = AngleRef(face, rng.randrange(len(g.faces[face])))
-    keep = tuple((rng.choice(sorted(g.rotation)),
+    pins = tuple((rng.choice(sorted(g.rotation)),
                   rng.choice(["left", "right", "bottom", "top"]))
                  for _ in range(rng.choice((0, 1, 1, 2, 3))))
-    return ShearConstraints(make_straddle=straddle, keep_extreme=keep)
+    return straddle, pins
 
 
 @st.composite
@@ -947,9 +970,9 @@ def ladder_blocked_cycles(draw):
 def test_choose_safe_shear_matches_the_scan(case, rng):
     # the candidates in the old order, each sheared and tested in full
     d, axis = case
-    cons = _random_cons(d.graph, rng)
-    assert _shear_or_none(d, axis, cons) == choose_safe_shear_scan(
-        d, axis, cons)
+    straddle, pins = _random_cons(d.graph, rng)
+    assert _shear_or_none(d, axis, straddle, pins) == choose_safe_shear_scan(
+        d, axis, straddle, pins)
 
 
 def test_choose_safe_shear_past_a_blocked_ladder():
@@ -961,10 +984,9 @@ def test_choose_safe_shear_past_a_blocked_ladder():
         m, f = walk[-1]
         walk.append((m - c, f + 1))
     d = cycle_graph(walk + [(1, 20)])
-    cons = ShearConstraints()
-    lam = choose_safe_shear(d, 0, cons)
+    lam = choose_safe_shear(d, 0)
     assert lam == -5
-    assert lam == choose_safe_shear_scan(d, 0, cons)
+    assert lam == choose_safe_shear_scan(d, 0)
     s = shear(d, 0, lam)
     assert all(s.ints[u][0] != s.ints[v][0] for u, v in s.graph.edges())
 
@@ -1011,7 +1033,7 @@ def _outcome(f, *args):
 @settings(max_examples=40, deadline=None)
 def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
                                                           tx, ty):
-    d, cons = _cycle_case(coords, rng)
+    d, straddle, pins = _cycle_case(coords, rng)
     star = _star(coords, rng)
 
     def answers(d, star):
@@ -1021,8 +1043,8 @@ def test_predicates_invariant_under_scale_and_translation(coords, rng, s,
                 is_convex_outer(d),
                 _outcome(internal_reflex_angles, d),
                 _outcome(convex_hull, d),
-                _shear_or_none(d, 0, cons),
-                _shear_or_none(d, 1, cons),
+                _shear_or_none(d, 0, straddle, pins),
+                _shear_or_none(d, 1, straddle, pins),
                 star is None or _outcome(validate_drawing, star))
 
     def moved(d):
