@@ -22,12 +22,15 @@ Layers, from primitive to general input:
  * augment_buffers / remove_buffer_vertex: for inputs where a hull edge
    cannot be added directly, pad each missing hull segment with a buffer
    path first; its apex vertices come back out later, two moves each.
- * convexify: check the input, then dispatch over the cases above. Its
-   input check is plane_graph.validate_drawing (planar, every rotation
-   realized, the outer dart on the unbounded face), which strictly convex
-   input skips, then the internal 3-connectivity gate. It is the only
-   input gate: each layer trusts that its caller established planarity
-   and connectivity, and checks only what its own step needs.
+ * convexify: check the input, then dispatch over the cases above. A
+   strictly convex input is checked by plane_graph.is_strictly_convex
+   alone, one pass over its cached face walks: that certifies it planar
+   and internally 3-connected (see convexify), and it needs no move. Any
+   other input runs plane_graph.validate_drawing (planar, every rotation
+   realized, the outer dart on the unbounded face), then the internal
+   3-connectivity gate. convexify is the only input gate: each layer
+   trusts that its caller established planarity and connectivity, and
+   checks only what its own step needs.
 
 convexify makes the one SequenceBuilder of a run and passes it down: every
 layer reads its drawing off b.current and appends its moves and graph edits
@@ -772,19 +775,44 @@ def remove_buffer_vertex(b: SequenceBuilder, vb: int) -> None:
 def convexify(d: Drawing) -> MorphSequence:
     """Full pipeline: a convexity-increasing sequence of one-axis moves
     from any planar drawing of an internally 3-connected plane graph to a
-    strictly convex drawing; at most 3.5n+2 moves."""
+    strictly convex drawing; at most 3.5n+2 moves.
+
+    A strictly convex drawing is planar, realizes its embedding and has a
+    clockwise outer walk (plane_graph), so it skips validate_drawing. Its
+    graph is also internally 3-connected, the "only if" half of the
+    characterization of convex drawings (Thomassen 1980; Chiba, Yamanouchi
+    & Nishizeki 1984), so it skips the connectivity gate too and returns
+    with no move. Clause by clause against
+    connectivity.is_internally_3connected, on a drawing every walk of
+    which is strictly convex and winds once:
+
+     * a walk that turns strictly one way and winds once bounds a
+       strictly convex polygon, whose corners are distinct points; so the
+       outer walk repeats no vertex, and it has at least 3, since a walk
+       of two darts u->v->u folds back at both corners;
+     * an inner vertex v of degree 1 is a spike a->v->a of an inner face,
+       a corner that crosses to 0; one of degree 2, with neighbours a and
+       b, has the corners a->v->b and b->v->a, both on inner faces, whose
+       cross products are negatives of each other, so one is not a strict
+       left turn;
+     * an inner walk repeats no vertex, by the first clause;
+     * a diagonal uv of an inner face f (u, v not consecutive on its walk)
+       runs through f's open interior, as any chord of a strictly convex
+       polygon does. The drawing is planar and its faces are the regions
+       of their walks, so no edge runs through f: uv is not an edge. And
+       the open interiors of two faces are disjoint, so no second face
+       holds uv as a diagonal.
+
+    So NotInternallyThreeConnected is raised only on input that is not
+    strictly convex, after validate_drawing."""
     g = d.graph
-    # a strictly convex drawing is planar, realizes its embedding and has
-    # a clockwise outer walk, so only other input runs the input check
-    convex = is_strictly_convex(d)
-    if not convex:
-        validate_drawing(d)
+    b = SequenceBuilder(d)
+    if is_strictly_convex(d):
+        return b.build()
+    validate_drawing(d)
     if not is_internally_3connected(g):
         raise NotInternallyThreeConnected(
             "graph is not internally 3-connected")
-    b = SequenceBuilder(d)
-    if convex:
-        return b.build()
     if is_convex_outer(d):
         convexify_convex_outer(b)
     elif three_connected(g.adjacency()):

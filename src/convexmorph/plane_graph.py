@@ -538,20 +538,24 @@ def is_strictly_convex(d: Drawing) -> bool:
     """Every inner face walk a strictly convex counterclockwise polygon and
     the outer walk a strictly convex clockwise one, each winding once: a
     certificate that d is planar and realizes its rotations (Floater 2003;
-    see the module docstring). Each cached walk goes through _convex_walk,
+    see the module docstring), and that its graph is internally
+    3-connected (see morph_engine.convexify, which runs no other gate on
+    such a drawing). Each cached walk goes through _convex_walk,
     except a triangle: its three corners cross alike, to twice its signed
-    area, and a triangle that turns one way winds once, so one cross
-    product decides it."""
+    area, and a triangle that turns one way winds once, so one comparison
+    of the cross product's two halves decides it: w strictly left of u->v
+    for an inner face, strictly right of it for the outer one."""
     g = d.graph
     ints = d.ints
+    at = ints.__getitem__
     outer = g.outer_face_index          # builds the walks
     for fi, walk in enumerate(g._walks):
-        turn = -1 if fi == outer else 1
         if len(walk) == 3:
-            (ux, uy), (vx, vy), (wx, wy) = map(ints.__getitem__, walk)
-            if ((vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)) * turn <= 0:
+            (ux, uy), (vx, vy), (wx, wy) = map(at, walk)
+            p, q = (vx - ux) * (wy - uy), (vy - uy) * (wx - ux)
+            if p >= q if fi == outer else p <= q:
                 return False
-        elif not _convex_walk(ints, walk, turn):
+        elif not _convex_walk(ints, walk, -1 if fi == outer else 1):
             return False
     return True
 

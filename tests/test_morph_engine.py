@@ -1116,8 +1116,9 @@ def test_certified_snaps_match_the_fraction_oracle(monkeypatch):
 
 
 def test_strictly_convex_input_reads_only_cached_walks(monkeypatch):
-    # a strictly convex drawing passes both gates and returns: each gate
-    # runs once, and no face is traced again after the drawing is built
+    # a strictly convex drawing needs no gate but is_strictly_convex, which
+    # certifies both (see convexify): it runs once, the connectivity gate
+    # not at all, and no face is traced again after the drawing is built
     d = bench_drawing("already_convex", 0)
     calls = Counter()
 
@@ -1134,7 +1135,7 @@ def test_strictly_convex_input_reads_only_cached_walks(monkeypatch):
                         counted("_build_faces", PlaneGraph._build_faces))
     seq = convexify(d)
     assert seq.events == ()
-    assert calls == {"is_strictly_convex": 1, "is_internally_3connected": 1}
+    assert calls == {"is_strictly_convex": 1}
 
 
 def planarity_callers(monkeypatch, d):

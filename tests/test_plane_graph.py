@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from convexmorph.plane_graph import (
     PlaneGraph,
@@ -42,6 +42,7 @@ from _oracles import (
     add_vertex,
     brute_area2,
     brute_hull_boundary_ids,
+    brute_internally_3connected,
     brute_planar,
     brute_rotations_realized,
     brute_strictly_convex,
@@ -53,6 +54,7 @@ from _oracles import (
     validate_face_orientations,
 )
 from _instances import random_augment_instance, random_triangulation
+from test_bench_outputs import bench_drawing
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -778,13 +780,15 @@ def wound_wheel(k, turns):
     return Drawing(g, {**rim(turns), k: (0, 0)})
 
 
+PENTAGON = [(2, 0), (4, 2), (3, 4), (1, 4), (0, 2)]
+
+
 def test_strictly_convex_rejects_a_pentagram():
     # C5 through a convex pentagon's corners in the order 0, 2, 4, 1, 3,
     # and a wheel whose rim is drawn that way: every inner corner turns
     # left and every outer one right, but the walks wind twice, and
     # neither drawing is planar
-    pentagon = [(2, 0), (4, 2), (3, 4), (1, 4), (0, 2)]
-    star = cycle_graph([pentagon[2 * i % 5] for i in range(5)])
+    star = cycle_graph([PENTAGON[2 * i % 5] for i in range(5)])
     for d in (star, wound_wheel(5, 2)):
         g = d.graph
         outer = g.outer_face_index
@@ -794,7 +798,7 @@ def test_strictly_convex_rejects_a_pentagram():
         assert not drawing_is_planar(g, d.coords)
         assert not is_strictly_convex(d)
         assert not brute_strictly_convex(d.coords, dart_walks(g), outer)
-    assert is_strictly_convex(cycle_graph(pentagon))
+    assert is_strictly_convex(cycle_graph(PENTAGON))
     assert is_strictly_convex(wound_wheel(5, 1))
 
 
@@ -823,12 +827,24 @@ cycle_drawings = st.builds(lambda coords, rng: _cycle_case(coords, rng)[0],
 
 
 @given(st.one_of(cycle_drawings, jittered_triangulations()))
+@example(cycle_graph(PENTAGON))
+@example(wound_wheel(5, 1))
+@example(bench_drawing("already_convex", 0))
 @settings(max_examples=150, deadline=None)
 def test_strict_convexity_certifies_planarity(d):
-    # what the engine relies on to skip the segment sweep on every redraw
-    if is_strictly_convex(d):
+    # what the engine relies on to skip the segment sweep on every redraw,
+    # and convexify to skip both input gates on strictly convex input, as
+    # on the examples: the drawing gate passes, and the graph is internally
+    # 3-connected by the engine's test and by the definition;
+    # --hypothesis-show-statistics counts the strictly convex draws
+    convex = is_strictly_convex(d)
+    event(f"strictly convex: {convex}")
+    if convex:
         validate_drawing(d)
         validate_face_orientations(d)
+        g = d.graph
+        assert is_internally_3connected(g)
+        assert brute_internally_3connected(g.adjacency(), g.outer_walk())
 
 
 @st.composite
