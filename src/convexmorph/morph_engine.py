@@ -15,10 +15,13 @@ Layers, from primitive to general input:
  * convexify_convex_outer: alternate morph_B horizontally and vertically
    until strictly convex; each alternation retires at least one reflex
    angle.
- * pop_pocket: release one temporary hull edge, re-exposing the pocket
-   path behind it as a reflex chain of the hull, in at most three moves.
+ * pop_pocket: separate the pocket path behind one temporary hull edge
+   in at most two moves, then release the edge, re-exposing the path as a
+   reflex chain of the hull.
  * convexify_3connected: complete the hull with temporary edges, run the
-   convex-outer phase, then pop the pockets one by one.
+   convex-outer phase, then pop the pockets one by one. Each released
+   path goes onto the hull by the next pocket's first move, a vertical
+   redraw, and the last one by one vertical redraw after the last pocket.
  * augment_buffers / remove_buffer_vertex: for inputs where a hull edge
    cannot be added directly, pad each missing hull segment with a buffer
    path first; its apex vertices come back out later, two moves each.
@@ -368,11 +371,31 @@ def _x_monotone(path: Sequence[int], d: Drawing) -> bool:
     return all(a < b for a, b in steps) or all(a > b for a, b in steps)
 
 
-def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
-    """Remove outer edge e of b's strictly convex current drawing and hand
-    its pocket path back to the hull, keeping the drawing strictly convex
-    throughout; appends at most three moves to b. The graph without e must
-    be internally 3-connected."""
+_CORNER_TO_TOP = "pocket corner to the top"
+_ONTO_HULL = "pocket path onto the hull"
+
+
+def pop_pocket(b: SequenceBuilder, e: Tuple[int, int],
+               corner_note: str) -> None:
+    """Remove outer edge e from b's current drawing: at most two moves make
+    its pocket path monotone between its corners, then an edit releases e.
+    The graph without e must be internally 3-connected, and the drawing
+    strictly convex, or a released one that a vertical redraw onto the hull
+    (_ONTO_HULL) makes so. The first move, a vertical redraw, is noted
+    corner_note.
+
+    The redraw that puts the released path onto the hull is the caller's
+    (convexify_3connected): when another pocket follows, that pocket's
+    first move replaces it. A vertical redraw's output depends only on the
+    graph, its outer walk, the rational x-coordinates and the pins: the
+    polygon is built from those, redraw_rows normalises the heights,
+    RoundedSolution answers the rounding of the exact solution, and
+    _snapped returns the canonical drawing. The checks here (the outer-edge
+    test, _level_edge(d, 0), _pocket_path) read only the graph and x, which
+    the skipped redraw and its vertical shear keep. So the first move from
+    the released drawing ends where it ended from the redrawn one, the end
+    of the one vertical step SequenceBuilder.move merged the two into,
+    noted "_ONTO_HULL; _CORNER_TO_TOP": the events are the same."""
     d = b.current
     g = d.graph
     u, v = min(e), max(e)
@@ -387,7 +410,7 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
     # one vertical move: u becomes the unique top or bottom vertex, and the
     # shear keeps it there
     _redraw_move(b, Direction.VERTICAL, (((u, "top"),), ((u, "bottom"),)),
-                 "pocket corner to the top")
+                 corner_note)
 
     path = _pocket_path(g, u, v)
     if not _x_monotone(path, b.current):
@@ -401,10 +424,8 @@ def pop_pocket(b: SequenceBuilder, e: Tuple[int, int]) -> None:
             raise PocketNotSeparated(note, "pocket path still not monotone "
                                            "after separating its corners")
 
-    # release the edge; the pocket path joins the hull on a fresh polygon
-    d_minus = b.current.with_graph(g_minus)
-    b.edit(d_minus, "release pocket edge")
-    _redraw_move(b, Direction.VERTICAL, ((),), "pocket path onto the hull")
+    # release the edge; the caller puts the pocket path onto the hull
+    b.edit(b.current.with_graph(g_minus), "release pocket edge")
 
 
 def _hull_gaps(d: Drawing, hull: Sequence[int]) -> list:
@@ -421,7 +442,13 @@ def convexify_3connected(b: SequenceBuilder) -> None:
     edges, convexifying the completed drawing, then popping each temporary
     edge; at most 1.5n+2 moves. Removing any subset of the added edges must
     keep the graph internally 3-connected: so it does when the graph is
-    3-connected, and when augment_buffers padded its hull gaps."""
+    3-connected, and when augment_buffers padded its hull gaps.
+
+    One vertical redraw, _ONTO_HULL, puts the last released pocket path
+    onto the hull. Each earlier pocket's is the next pocket's first move:
+    that move, noted "_ONTO_HULL; _CORNER_TO_TOP", redraws from the same
+    graph, outer walk and x-coordinates, and so gives the one step that the
+    two redraws merged into (see pop_pocket)."""
     d = b.current
     missing = _hull_gaps(d, convex_hull(d))
     if not missing:
@@ -437,8 +464,11 @@ def convexify_3connected(b: SequenceBuilder) -> None:
     # drawing was already strictly convex and no move ran
     b.move(Direction.HORIZONTAL, _straddle_shear(b.current, 0)[0],
            "clear vertical edges")
+    note = _CORNER_TO_TOP
     for e in missing:
-        pop_pocket(b, e)
+        pop_pocket(b, e, note)
+        note = f"{_ONTO_HULL}; {_CORNER_TO_TOP}"
+    _redraw_move(b, Direction.VERTICAL, ((),), _ONTO_HULL)
 
 
 # -- buffer paths for incomplete hulls ------------------------------------------

@@ -540,24 +540,28 @@ def is_strictly_convex(d: Drawing) -> bool:
     certificate that d is planar and realizes its rotations (Floater 2003;
     see the module docstring), and that its graph is internally
     3-connected (see morph_engine.convexify, which runs no other gate on
-    such a drawing). Each cached walk goes through _convex_walk,
-    except a triangle: its three corners cross alike, to twice its signed
-    area, and a triangle that turns one way winds once, so one comparison
-    of the cross product's two halves decides it: w strictly left of u->v
-    for an inner face, strictly right of it for the outer one."""
+    such a drawing). An inner triangle u, v, w is decided by one
+    comparison of its cross product's two halves, w strictly left of
+    u->v: its three corners cross alike, to twice its signed area, and a
+    triangle that turns one way winds once. Every longer inner walk goes
+    through _convex_walk. The outer walk goes through it once, last,
+    turning right, even when it is a triangle: the loop passes over it by
+    identity, the cached walks being distinct tuples."""
     g = d.graph
     ints = d.ints
-    at = ints.__getitem__
-    outer = g.outer_face_index          # builds the walks
-    for fi, walk in enumerate(g._walks):
+    ow = g.outer_walk()                 # builds the walks
+    for walk in g._walks:
         if len(walk) == 3:
-            (ux, uy), (vx, vy), (wx, wy) = map(at, walk)
-            p, q = (vx - ux) * (wy - uy), (vy - uy) * (wx - ux)
-            if p >= q if fi == outer else p <= q:
+            u, v, w = walk
+            ux, uy = ints[u]
+            vx, vy = ints[v]
+            wx, wy = ints[w]
+            if ((vx - ux) * (wy - uy) <= (vy - uy) * (wx - ux)
+                    and walk is not ow):
                 return False
-        elif not _convex_walk(ints, walk, -1 if fi == outer else 1):
+        elif walk is not ow and not _convex_walk(ints, walk, 1):
             return False
-    return True
+    return _convex_walk(ints, ow, -1)
 
 
 def is_convex_outer(d: Drawing) -> bool:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from convexmorph import Drawing, build_plane_graph_from_points, convexify
+from convexmorph import (
+    Drawing, build_plane_graph_from_points, convexify, morph_engine)
 
 from _instances import event_digest
 
@@ -61,3 +62,27 @@ def bench_drawing(workload, i):
 def test_convexify_on_bench_drawings_unchanged(workload, i):
     seq = convexify(bench_drawing(workload, i))
     assert event_digest(seq) == DIGESTS[workload, i]
+
+
+# morph_engine._redraw calls per workload over the drawings of DIGESTS. A
+# pocket's closing vertical redraw is the next pocket's first move, so only
+# the last pocket of a run makes its own (see morph_engine.pop_pocket).
+REDRAWS = {"already_convex": 0, "convex_outer": 10, "three_connected": 10,
+           "buffered": 50}
+
+
+def test_redraws_on_bench_drawings(monkeypatch):
+    calls = []
+    redraw = morph_engine._redraw
+
+    def spy(*args):
+        calls.append(args)
+        return redraw(*args)
+
+    monkeypatch.setattr(morph_engine, "_redraw", spy)
+    counts = dict.fromkeys(REDRAWS, 0)
+    for workload, i in sorted(DIGESTS):
+        before = len(calls)
+        convexify(bench_drawing(workload, i))
+        counts[workload] += len(calls) - before
+    assert counts == REDRAWS

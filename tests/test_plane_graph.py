@@ -744,13 +744,16 @@ def test_strict_convexity_matches_fraction_oracle(coords, rng):
         d.coords, dart_walks(g), g.outer_face_index)
 
 
+UNIT_TRIANGLE = cycle_graph([(0, 0), (1, 0), (0, 1)])
+
+
 @st.composite
 def triangle_drawings(draw):
     """A triangle or a Delaunay triangulation on 4 to 7 points, every
     vertex then put on a point of a 4 x 4 grid drawn at random: collinear,
     clockwise and coinciding triangles among the faces."""
     if draw(st.booleans()):
-        d = cycle_graph([(0, 0), (1, 0), (0, 1)])
+        d = UNIT_TRIANGLE
     else:
         d = random_triangulation(
             random.Random(draw(st.integers(0, 2 ** 32))), 4, 7, 10)
@@ -758,7 +761,12 @@ def triangle_drawings(draw):
     return Drawing(d.graph, {v: draw(cell) for v in d.graph.rotation})
 
 
+# the one triangle, whose outer walk is a triangle too: as built (strictly
+# convex), mirrored (inner walk turning right, outer walk left) and flat
 @given(triangle_drawings())
+@example(UNIT_TRIANGLE)
+@example(Drawing(UNIT_TRIANGLE.graph, {0: (0, 0), 1: (-1, 0), 2: (0, 1)}))
+@example(Drawing(UNIT_TRIANGLE.graph, {0: (0, 0), 1: (1, 1), 2: (2, 2)}))
 @settings(max_examples=150, deadline=None)
 def test_strict_convexity_of_triangles_matches_fraction_oracle(d):
     g = d.graph
