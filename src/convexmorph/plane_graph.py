@@ -10,8 +10,8 @@ named without the caller choosing a new dart.
 A PlaneGraph traces its faces once, on first use, and caches each face's
 darts (faces), the face of every dart, and each face's vertex walk, the
 tuple face_vertices returns on every call; with_outer shares all three.
-The per-face loops (is_strictly_convex, internal_reflex_angles,
-build_plane_graph_from_points, the connectivity gates) read these walks.
+The per-face loops (is_strictly_convex, internal_reflex_angles, the
+connectivity gates) read these walks.
 _area2 is the one shoelace sum over a walk.
 
 Convention: face walks keep the face interior on the LEFT of the walk
@@ -52,7 +52,6 @@ outer walk) adds nothing.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -513,10 +512,10 @@ def _convex_walk(ints: Dict[int, Tuple[int, int]], walk: Sequence[int],
     """Whether the closed walk over the integer points ints turns strictly
     one way at every corner, left for turn 1 and right for turn -1, and
     winds once. A walk whose turns are strict, one way and each below a
-    half turn changes half-plane (_half) twice per full turn, so it winds w
-    times when it changes 2w times. One pass carries the previous edge and
-    its half-plane; a zero edge, a straight angle and a spike all cross
-    to 0."""
+    half turn changes half-plane (as _ccw_order splits directions) twice
+    per full turn, so it winds w times when it changes 2w times. One pass
+    carries the previous edge and its half-plane; a zero edge, a straight
+    angle and a spike all cross to 0."""
     ux, uy = ints[walk[-1]]
     vx, vy = ints[walk[0]]
     ax, ay = vx - ux, vy - uy
@@ -914,11 +913,8 @@ def validate_drawing(d: Drawing) -> None:
     if not drawing_is_planar(g, pts):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     for v, nbrs in g.rotation.items():
-        if len(nbrs) > 2:
-            order = _ccw_order(pts, v, nbrs)
-            i = order.index(nbrs[0])
-            if order[i:] + order[:i] != nbrs:
-                raise NotPlanarInput("drawing does not realize its embedding")
+        if len(nbrs) > 2 and not _realized(pts, v, nbrs):
+            raise NotPlanarInput("drawing does not realize its embedding")
     # a planar drawing that realizes its rotations has a clockwise outer
     # walk, or a zero sum when no face is bounded: a tree, which the
     # connectivity gate turns away
@@ -934,53 +930,99 @@ def _area2(pts: Dict[int, Tuple[int, int]], walk: Sequence[int]) -> int:
                for u, v in zip(walk, walk[1:] + walk[:1]))
 
 
-def _half(dv) -> int:
-    """0 for a direction at an angle in [0, pi) from the positive x axis,
-    1 for one in [pi, 2 pi)."""
-    return 0 if dv[1] > 0 or (dv[1] == 0 and dv[0] > 0) else 1
+def _realized(pts: Dict[int, Tuple[int, int]], v: int,
+              nbrs: Sequence[int]) -> bool:
+    """Whether the cyclic order nbrs is the counterclockwise order of the
+    directions from v over the integer points pts: walked once around, it
+    descends in the angular order of _ccw_order exactly once, and no two
+    consecutive neighbours share a direction. One pass, no sort: with one
+    descent and every other step a strict ascent, nbrs read from the
+    neighbour after the descent is strictly increasing, so no two
+    neighbours share a direction at all."""
+    vx, vy = pts[v]
+    x, y = pts[nbrs[-1]]
+    ax, ay = x - vx, y - vy
+    ah = not (ay > 0 or (ay == 0 and ax > 0))
+    descents = 0
+    for w in nbrs:
+        x, y = pts[w]
+        bx, by = x - vx, y - vy
+        bh = not (by > 0 or (by == 0 and bx > 0))
+        if ah is not bh:
+            descents += ah
+        else:
+            c = ax * by - ay * bx
+            if not c:
+                return False
+            descents += c < 0
+        ax, ay, ah = bx, by, bh
+    return descents == 1
 
 
 def _ccw_order(pts: Dict[int, Tuple[int, int]], v: int,
                nbrs: Sequence[int]) -> Tuple[int, ...]:
     """The neighbours nbrs of v in counterclockwise order of their
     directions from v over the integer points pts, starting at the
-    positive x axis."""
-    pv = pts[v]
-    dirs = {w: _sub(pts[w], pv) for w in nbrs}
+    positive x axis: half-plane first, 0 for an angle in [0, pi) (dy > 0,
+    or dy == 0 and dx > 0) and 1 for [pi, 2 pi), then b after a within a
+    half exactly when cross(a, b) > 0. Two directions of one half cross to
+    0 exactly when they are the same, since opposite ones lie in different
+    halves; neighbours in one direction keep their order in nbrs. An
+    insertion sort by inline cross products that scans from the end, so
+    nbrs in that order already, or with neighbours appended, costs about
+    one pass."""
+    vx, vy = pts[v]
+    keys = []           # (half, dx, dy) of order, in step with it
+    order = []
+    for w in nbrs:
+        x, y = pts[w]
+        dx, dy = x - vx, y - vy
+        h = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        i = len(order)
+        while i:
+            oh, ox, oy = keys[i - 1]
+            if oh < h or (oh == h and ox * dy >= oy * dx):
+                break
+            i -= 1
+        keys.insert(i, (h, dx, dy))
+        order.insert(i, w)
+    return tuple(order)
 
-    def cmp(a, b):
-        da, db = dirs[a], dirs[b]
-        ha, hb = _half(da), _half(db)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        return -sign_of(_cross(da, db))
 
-    return tuple(sorted(nbrs, key=functools.cmp_to_key(cmp)))
+def _outer_at_lowest(pts: Dict[int, Tuple[int, int]],
+                     rotation: Dict[int, Tuple[int, ...]]) -> PlaneGraph:
+    """The PlaneGraph of rotation, the angular orders (_ccw_order) of a
+    drawing over the integer points pts, whose outer face is the one at its
+    lowest-then-leftmost vertex L. Every other point lies above L or to its
+    right on its level, so L's neighbours all lie in half-plane 0, and the
+    face of the dart from L to its last neighbour turns through the angle
+    below L: the unbounded face of a planar drawing. Its outer dart is the
+    first dart of that face's traced walk. One shoelace sign check on that
+    walk raises EmbeddingInvalid when it does not run clockwise, unless the
+    graph has one face only (a tree, whose walk encloses nothing)."""
+    low = min(pts, key=lambda v: (pts[v][1], pts[v][0]))
+    if not rotation[low]:
+        raise EmbeddingInvalid(
+            "graph is not connected" if any(rotation.values())
+            else "graph has no edge")
+    g = PlaneGraph(rotation, (low, rotation[low][-1]))
+    walk = g.face_vertices(g.outer_face_index)
+    if len(g.faces) > 1 and _area2(pts, walk) >= 0:
+        raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
+    return g.with_outer((walk[0], walk[1]))
 
 
 def build_plane_graph_from_points(coords: Dict[int, Tuple],
                                   edge_list: Iterable[Tuple[int, int]]
                                   ) -> PlaneGraph:
-    """Embed a straight-line graph: rotations are angular orders, the outer
-    face is found by signed area."""
+    """Embed a straight-line graph: each rotation is the angular order of
+    the edges at its vertex from the positive x axis (_ccw_order), and the
+    outer face is the one at the lowest-then-leftmost vertex
+    (_outer_at_lowest), checked by one shoelace sum over its walk."""
     pts = integer_points(coords)
     adj = {v: [] for v in coords}
     for u, v in edge_list:
         adj[u].append(v)
         adj[v].append(u)
-    rotation = {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()}
-    # any dart will do until the outer face is found: the first of a vertex
-    # with an edge, so that an edgeless vertex fails the connectivity check
-    some = next((v for v, nbrs in rotation.items() if nbrs), None)
-    if some is None:
-        raise EmbeddingInvalid("graph has no edge")
-    g = PlaneGraph(rotation, (some, rotation[some][0]))
-    if len(g.faces) == 1:
-        return g
-    # only the outer walk has a negative shoelace sum (_area2)
-    negative = [fi for fi in range(len(g.faces))
-                if _area2(pts, g.face_vertices(fi)) < 0]
-    if len(negative) != 1:
-        raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
-    walk = g.face_vertices(negative[0])
-    return g.with_outer((walk[0], walk[1]))
+    return _outer_at_lowest(
+        pts, {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()})

@@ -24,6 +24,13 @@ float LU against exact integer residuals, and a bound that an exact
 M-matrix certificate proves. An answer the bound cannot settle is not
 given, so every answer equals the rounding of the exact solution.
 
+The system goes from redraw_rows to RoundedSolution indexed by position:
+the internal vertices in increasing order, each row a list of positions
+with its diagonal first and a parallel list of int coefficients. Only
+the answers are keyed by vertex. A Tutte system is structurally symmetric
+(internal neighbours hold each other), so _float_lu needs no column
+index, and refinement starts at X = 0, whose residual takes no sum.
+
 A vertex with a neighbor at its own height, or with none above or below
 it, is PreconditionViolated, the message saying which; every way a
 boundary polygon cannot be built is ConstraintInfeasible, the one failure
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -235,71 +243,70 @@ class _Uncertified(Exception):
     """The certified solve cannot answer; the reason names why."""
 
 
-def _float_lu(rows: Dict[int, Dict[int, float]]):
-    """Sparse LU of a float matrix with diagonal pivots in a min-fill order
-    (smallest Markowitz product, ties to the smallest id). Returns the
-    eliminations as (pivot, pivot row, [(row, multiplier)]). The pivots
-    come from a lazy heap of (product, id): an elimination changes the
-    product of the rows of its pivot row's columns and of the rows it
-    updates only, so those are pushed again, and an entry whose row is
-    gone or whose product has changed since is skipped."""
-    rows = {e: dict(r) for e, r in rows.items()}
-    col_index: Dict[int, set] = {v: set() for v in rows}
-    for e, r in rows.items():
-        for v in r:
-            col_index[v].add(e)
-
-    def product(e):
-        return (len(rows[e]) - 1) * (len(col_index[e]) - 1)
-
-    heap = [(product(e), e) for e in rows]
+def _float_lu(cols: List[List[int]], vals: List[List[float]]):
+    """Sparse LU with diagonal pivots of the float matrix whose row e
+    holds vals[e] at the positions cols[e], in a min-fill order. The
+    working copy is made structurally symmetric with explicit zeros (a
+    Tutte system is so already: internal neighbours u and v hold each
+    other), and elimination keeps it so. The rows that hold a pivot's
+    column are then the columns of its row, so no column index is kept,
+    and a row's Markowitz product is (its length - 1)^2, so the pivots come
+    from a lazy heap of (row length, position), ties to the least
+    position: an elimination changes the lengths of the rows of its pivot
+    row's columns only, so those are pushed again, and an entry whose row
+    is gone or whose length has changed since is skipped. Returns the
+    eliminations as (pivot, pivot entry, {position: entry} of the rest of
+    its row, [(row, multiplier)])."""
+    rows = [dict(zip(c, v)) for c, v in zip(cols, vals)]
+    for e, c in enumerate(cols):
+        for v in c:
+            rows[v].setdefault(e, 0.0)
+    heap = [(len(r), e) for e, r in enumerate(rows)]
     heapq.heapify(heap)
     steps = []
     while heap:
         key, p = heapq.heappop(heap)
-        if p not in col_index or key != product(p):
-            continue
         prow = rows[p]
-        piv = prow[p]
-        for v in prow:
-            col_index[v].discard(p)
+        if prow is None or key != len(prow):
+            continue
+        rows[p] = None
+        piv = prow.pop(p)
+        items = prow.items()
         mults = []
-        for e in col_index.pop(p):
+        for e in prow:
             r = rows[e]
             f = r.pop(p) / piv
             mults.append((e, f))
-            for v, c in prow.items():
-                if v != p:
-                    if v not in r:
-                        r[v] = 0.0
-                        col_index[v].add(e)
-                    r[v] -= f * c
-        steps.append((p, prow, mults))
-        for e in {*prow, *(u for u, _ in mults)} - {p}:
-            heapq.heappush(heap, (product(e), e))
+            for v, c in items:
+                r[v] = r.get(v, 0.0) - f * c
+            heapq.heappush(heap, (len(r), e))
+        steps.append((p, piv, prow, mults))
     return steps
 
 
-def _lu_solve(steps, rhs: Dict[int, float]) -> Dict[int, float]:
-    x = dict(rhs)
-    for p, _, mults in steps:
+def _lu_solve(steps, rhs: List[float]) -> List[float]:
+    x = list(rhs)
+    for p, _, _, mults in steps:
         xp = x[p]
         for e, f in mults:
             x[e] -= f * xp
-    for p, prow, _ in reversed(steps):
+    for p, piv, prow, _ in reversed(steps):
         s = x[p]
         for v, c in prow.items():
-            if v != p:
-                s -= c * x[v]
-        x[p] = s / prow[p]
+            s -= c * x[v]
+        x[p] = s / piv
     return x
 
 
 class RoundedSolution:
-    """The solution x of a square system rows * x = rhs / den (integer rows
-    and right-hand sides over one positive int den, as tutte_rows_from_y
-    builds them), answered only as the rounding to the dyadic grid each
-    query asks for, not exactly.
+    """The solution x of a square system A x = B / den, as redraw_rows
+    builds it (integer rows and right-hand sides over one positive int
+    den), answered only as the rounding to the dyadic grid each query asks
+    for, not exactly. The system is indexed by position: ids[e] is the
+    vertex of unknown e, row e holds the int coefficients coefs[e] at the
+    positions cols[e], its diagonal first, and rhs[e] is its right-hand
+    side. Every list is indexed by position, and only the answers are keyed
+    by vertex.
 
     Row e reads A_e x = B_e / d_e with B_e / d_e in lowest terms: a common
     factor would change neither the bound t below nor any refinement step,
@@ -311,70 +318,88 @@ class RoundedSolution:
         |x_u 2^k - X_u| <= t / m * V_u,  t = max_e |R_e| / (d_e A_ee),
                                          m = min_e (A V)_e / A_ee,
 
-    where R = B 2^k - d A X is the exact integer residual. X is improved by
+    where R = B 2^k - d A X is the exact integer residual; at X = 0, where
+    refinement starts, R is B 2^k and takes no sum. X is improved by
     iterative refinement against R (Wilkinson 1963; Moler 1967): one
     float LU of D^-1 A with diagonal pivots (a nonsingular M-matrix needs
-    no numerical pivoting), then X += round(LU^-1 (D^-1 R / d)). Every
-    certificate and bound is checked in integers, so a floating-point
-    mistake cannot give a wrong answer.
+    no numerical pivoting; _float_lu factors it on its symmetric pattern),
+    then X += round(LU^-1 (D^-1 R / d)). Every certificate and bound is
+    checked in integers, so a floating-point mistake cannot give a wrong
+    answer.
 
     An empty system answers {}. When the certificate fails, a float is not
     finite or refinement stalls, _Uncertified names the reason."""
 
-    def __init__(self, rows: Dict[int, Dict[int, int]],
-                 rhs: Dict[int, int], den: int):
-        a, b, d = rows, {}, {}
-        for e, r in a.items():
-            g = math.gcd(rhs[e], den)
-            b[e], d[e] = rhs[e] // g, den // g
-            if (r.get(e, 0) <= 0 or not r.keys() <= a.keys()
-                    or any(c >= 0 for v, c in r.items() if v != e)):
+    def __init__(self, ids: Sequence[int], cols: List[List[int]],
+                 coefs: List[List[int]], rhs: List[int], den: int):
+        b, d, n = [], [], len(ids)
+        for e, (c, a, r) in enumerate(zip(cols, coefs, rhs)):
+            g = math.gcd(r, den)
+            b.append(r // g)
+            d.append(den // g)
+            if (c[0] != e or a[0] <= 0 or any(x >= 0 for x in a[1:])
+                    or not all(0 <= f < n for f in c)):
                 raise _Uncertified("not an M-matrix sign pattern")
-        self._a, self._b, self._d = a, b, d
+        self._ids, self._cols, self._coefs = ids, cols, coefs
+        self._b, self._d = b, d
+        # d_e A_ee, the scale of row e's residual in t and in a correction
+        self._dd = [de * a[0] for de, a in zip(d, coefs)]
         self._k = 0
-        self._x = dict.fromkeys(a, 0)
-        if not a:
+        self._x = None                  # X = 0
+        if not ids:
             return
         try:
-            self._lu = _float_lu({e: {v: c / r[e] for v, c in r.items()}
-                                  for e, r in a.items()})
-            vf = _lu_solve(self._lu, dict.fromkeys(a, 1.0))
-            if not all(0 < x < math.inf for x in vf.values()):
+            self._lu = _float_lu(cols, [[x / a[0] for x in a] for a in coefs])
+            vf = _lu_solve(self._lu, [1.0] * n)
+            if not all(0 < x < math.inf for x in vf):
                 raise _Uncertified("no positive vector")
-            shift = 52 - math.frexp(max(vf.values()))[1]
-            vv = {e: math.ceil(math.ldexp(x, shift)) for e, x in vf.items()}
+            shift = 52 - math.frexp(max(vf))[1]
+            vv = [math.ceil(math.ldexp(x, shift)) for x in vf]
         except (ArithmeticError, ValueError):
             raise _Uncertified("float overflow") from None
-        av = {e: sum(c * vv[u] for u, c in r.items()) for e, r in a.items()}
-        if min(av.values()) <= 0:
+        av = [sum(map(operator.mul, a, map(vv.__getitem__, c)))
+              for c, a in zip(cols, coefs)]
+        if min(av) <= 0:
             raise _Uncertified("A V > 0 fails")
         self._v = vv
         # m = min_e (A V)_e / A_ee, picked by cross-multiplication
-        lo = None
-        for e in a:
-            if lo is None or av[e] * a[lo][lo] < av[lo] * a[e][e]:
+        lo = 0
+        for e in range(1, len(av)):
+            if av[e] * coefs[lo][0] < av[lo] * coefs[e][0]:
                 lo = e
-        self._m = Fraction(av[lo], a[lo][lo])
+        self._m = Fraction(av[lo], coefs[lo][0])
         # bits of t / m * max V when t is about 1, as after convergence
-        self._lead = (max(vv.values()) // self._m).bit_length() + 2
+        self._lead = (max(vv) // self._m).bit_length() + 2
+
+    def _residual(self, x: Optional[List[int]], k: int) -> List[int]:
+        """R = B 2^k - d A X, exactly, for X = x; x None stands for X = 0,
+        whose residual is B 2^k with no sum over its zeros."""
+        if x is None:
+            return [be << k for be in self._b]
+        get = x.__getitem__
+        return [(be << k) - de * sum(map(operator.mul, a, map(get, c)))
+                for be, de, c, a in zip(self._b, self._d, self._cols,
+                                        self._coefs)]
 
     def _refine(self, k: int):
         """Move X up to scale 2^k and refine it until the scaled residual t
         is below 4; sets _err = t / m, the bound on |x 2^k - X| per unit V."""
-        a, b, d = self._a, self._b, self._d
-        self._x = x = {u: xu << (k - self._k) for u, xu in self._x.items()}
-        self._k = k
+        if self._x is None:
+            x, res = [0] * len(self._ids), self._residual(None, k)
+        else:
+            x = [xu << (k - self._k) for xu in self._x]
+            res = self._residual(x, k)
+        self._x, self._k = x, k
+        dd = self._dd
         t = None
         while True:
-            res = {e: (b[e] << k) - d[e] * sum(c * x[v] for v, c in r.items())
-                   for e, r in a.items()}
             # t = max_e |R_e| / (d_e A_ee), as a pair picked by
             # cross-multiplication
             tn, td = 0, 1
-            for e in a:
-                rn, rd = abs(res[e]), d[e] * a[e][e]
-                if rn * td > tn * rd:
-                    tn, td = rn, rd
+            for re, q in zip(res, dd):
+                rn = abs(re)
+                if rn * td > tn * q:
+                    tn, td = rn, q
             if tn < 4 * td:
                 break
             # a working refinement gains far more than 8 bits a step
@@ -385,44 +410,50 @@ class RoundedSolution:
             # solve takes the residual over 2^sh, so none overflows
             sh = max(0, (tn // td).bit_length() + self._lead - 960)
             try:
-                corr = _lu_solve(self._lu, {
-                    e: res[e] / ((d[e] * a[e][e]) << sh) for e in a})
-                for u, c in corr.items():
+                corr = _lu_solve(self._lu,
+                                 [re / (q << sh) for re, q in zip(res, dd)])
+                for u, c in enumerate(corr):
                     x[u] += round(c) << sh
             except (ArithmeticError, ValueError):
                 raise _Uncertified("float overflow") from None
+            res = self._residual(x, k)
         self._err = Fraction(tn, td) / self._m
 
     def rounded(self, bits: int) -> Optional[Dict[int, int]]:
-        """round(x_u * 2^bits) for every u (Python's round: half to even),
-        refined at scale 2^(bits + lead + guard) if not finer already; None
-        when the bound there cannot keep every rounding off its tie. A tie
-        of one grid is a point of the next, far from that grid's ties, so
-        the next grid of a ladder answers."""
-        if not self._x:
+        """{vertex: round(x_u * 2^bits)} for every unknown u (Python's
+        round: half to even), refined at scale 2^(bits + lead + guard) if
+        not finer already; None when the bound there cannot keep every
+        rounding off its tie. A tie of one grid is a point of the next, far
+        from that grid's ties, so the next grid of a ladder answers."""
+        if not self._ids:
             return {}
         if bits + self._lead + _GUARD_BITS > self._k:
             self._refine(bits + self._lead + _GUARD_BITS)
         sh = self._k - bits
         half = 1 << (sh - 1)
         p, q = self._err.numerator, self._err.denominator
-        out = {}
-        for u, xu in self._x.items():
+        out = []
+        for xu, vu in zip(self._x, self._v):
             j = (xu + half) >> sh
             dist = min(xu - (j << sh) + half, (j << sh) + half - xu)
-            if not p * self._v[u] < dist * q:
+            if not p * vu < dist * q:
                 return None
-            out[u] = j
-        return out
+            out.append(j)
+        return dict(zip(self._ids, out))
 
 
 def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
                       bx: Dict[int, int]):
-    """Integer rows of the pinned system with weights_from_y's weights, and
-    their x right-hand sides, as ints over the scale of bx. ys holds every
-    height times one positive scale, as ints; bx maps each boundary vertex
-    to its x times one positive scale, bden, and the solution of the rows
-    with these right-hand sides is every internal x times bden.
+    """The pinned system with weights_from_y's weights, indexed by
+    position, as RoundedSolution takes it: (ids, cols, coefs, rhs). ys
+    holds every height times one positive scale, as ints; bx maps each
+    boundary vertex to its x times one positive scale, bden, and the
+    solution is every internal x times bden. ids lists the internal
+    vertices in increasing order, the unknown at position e being ids[e];
+    row e holds the int coefficients coefs[e] at the positions cols[e],
+    its diagonal first, and rhs[e] is its x right-hand side as an int over
+    the scale of bx. The rows are structurally symmetric: row e holds
+    position f exactly when ids[e] and ids[f] are neighbours.
 
     Let an internal vertex u have U neighbors above, with heights Y summing
     to Su, and D below, summing to Sd, and let delta = D*Su - U*Sd > 0. Its
@@ -431,46 +462,53 @@ def tutte_rows_from_y(g: PlaneGraph, ys: Dict[int, int],
         delta*x_u - sum_up (D*Y_u - Sd)*x_v - sum_down (Su - U*Y_u)*x_v
 
     is weights_from_y's row times delta, so the system has the same
-    solution, and solve_rows pivots in the same order on it."""
-    rows = {}
-    rhs = {}
-    for u, nbrs in g.rotation.items():
-        if u in bx:
-            continue
+    solution."""
+    ids = sorted(u for u in g.rotation if u not in bx)
+    pos = {u: e for e, u in enumerate(ids)}
+    cols, coefs, rhs = [], [], []
+    for e, u in enumerate(ids):
         yu = ys[u]
-        up = [v for v in nbrs if ys[v] > yu]
-        down = [v for v in nbrs if ys[v] < yu]
-        if len(up) + len(down) != len(nbrs):
-            raise PreconditionViolated(f"horizontal edge at {u}")
+        up, down = [], []
+        s_up = s_down = 0
+        for v in g.rotation[u]:
+            yv = ys[v]
+            if yv > yu:
+                up.append(v)
+                s_up += yv
+            elif yv < yu:
+                down.append(v)
+                s_down += yv
+            else:
+                raise PreconditionViolated(f"horizontal edge at {u}")
         if not up:
             raise PreconditionViolated(f"no neighbor above {u}")
         if not down:
             raise PreconditionViolated(f"no neighbor below {u}")
-        s_up = sum(ys[v] for v in up)
-        s_down = sum(ys[v] for v in down)
         w_up = len(down) * yu - s_down
         w_down = s_up - len(up) * yu
-        row = {u: len(down) * s_up - len(up) * s_down}
-        b = 0
+        c, a, b = [e], [len(down) * s_up - len(up) * s_down], 0
         for vs, w in ((up, w_up), (down, w_down)):
             for v in vs:
-                if v in bx:
+                f = pos.get(v)
+                if f is None:
                     b += w * bx[v]
                 else:
-                    row[v] = -w
-        rows[u] = row
-        rhs[u] = b
-    return rows, rhs
+                    c.append(f)
+                    a.append(-w)
+        cols.append(c)
+        coefs.append(a)
+        rhs.append(b)
+    return ids, cols, coefs, rhs
 
 
 def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
-    """Rows, moving-axis right-hand sides and the one denominator of those
-    (boundary.den) of the system of a redraw of d onto boundary that keeps
-    every coordinate on fixed_axis (0 for x, 1 for y; tutte_rows_from_y
-    with that axis as the heights), as RoundedSolution takes them. The
-    heights are the fixed-axis coordinates times the lcm of their
-    denominators, d's integer view divided by the gcd of d.den and all of
-    them.
+    """The system of a redraw of d onto boundary that keeps every
+    coordinate on fixed_axis (0 for x, 1 for y), as RoundedSolution takes
+    it: tutte_rows_from_y's (ids, cols, coefs, rhs) with that axis as the
+    heights, and the one denominator of the right-hand sides,
+    boundary.den. The heights are the fixed-axis coordinates times the lcm
+    of their denominators, d's integer view divided by the gcd of d.den
+    and all of them.
 
     boundary must be a strictly convex polygon on d's outer walk that keeps
     the fixed-axis coordinates of its vertices, as morph_engine._redraw
@@ -481,10 +519,10 @@ def redraw_rows(d: Drawing, boundary: BoundaryPolygon, fixed_axis: int):
     g = math.gcd(d.den, *ys.values())
     if g > 1:
         ys = {v: y // g for v, y in ys.items()}
-    rows, rhs = tutte_rows_from_y(
+    return (*tutte_rows_from_y(
         d.graph, ys,
-        {v: p[1 - fixed_axis] for v, p in boundary.ints.items()})
-    return rows, rhs, boundary.den
+        {v: p[1 - fixed_axis] for v, p in boundary.ints.items()}),
+        boundary.den)
 
 
 # -- boundary polygon construction -------------------------------------------

@@ -7,6 +7,7 @@ exact redraw, sampled planarity and rotation inserts, built from package
 pieces for tests to compare the package's own paths against.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -613,7 +614,8 @@ def redraw_preserving(d, boundary, fixed_axis):
     from convexmorph.plane_graph import Drawing
     from convexmorph.tutte_solver import redraw_rows, solve_rows
 
-    rows, rhs, den = redraw_rows(d, boundary, fixed_axis)
+    *system, den = redraw_rows(d, boundary, fixed_axis)
+    rows, rhs = vertex_system(*system)
     sol = solve_rows(rows, {u: [Fraction(b, den)] for u, b in rhs.items()})
     values = {v: p[1 - fixed_axis]
               for v, p in polygon_coords(boundary).items()}
@@ -1108,38 +1110,115 @@ def choose_safe_shear_scan(d, axis, straddle=None, pins=()):
     return None
 
 
-def float_lu_scan(rows):
+def position_system(rows, rhs):
+    """A square system keyed by vertex, {u: {v: a_uv}} and {u: b_u}, in the
+    form tutte_solver.RoundedSolution and _float_lu take: (ids, cols,
+    coefs, rhs), the unknown at position e being ids[e] (ids in increasing
+    order), row e holding coefs[e] at the positions cols[e] with its
+    diagonal first, and rhs[e] its right-hand side."""
+    ids = sorted(rows)
+    pos = {u: e for e, u in enumerate(ids)}
+    cols, coefs = [], []
+    for u in ids:
+        order = [u] + [v for v in rows[u] if v != u]
+        cols.append([pos[v] for v in order])
+        coefs.append([rows[u].get(v, 0) for v in order])
+    return ids, cols, coefs, [rhs[u] for u in ids]
+
+
+def vertex_system(ids, cols, coefs, rhs):
+    """The inverse of position_system: the rows {u: {v: a_uv}} and
+    right-hand sides {u: b_u} of a system indexed by position."""
+    return ({ids[e]: {ids[f]: a for f, a in zip(c, row)}
+             for e, (c, row) in enumerate(zip(cols, coefs))},
+            dict(zip(ids, rhs)))
+
+
+def float_lu_scan(cols, vals):
     """tutte_solver._float_lu picking each pivot by a scan of every
-    remaining row for the least (Markowitz product, id): the pivot order
-    the heap must reproduce, and the same eliminations."""
-    rows = {e: dict(r) for e, r in rows.items()}
-    col_index = {v: set() for v in rows}
-    for e, r in rows.items():
+    remaining row for the least (Markowitz product, position) on the same
+    structurally symmetric copy (explicit zeros added), with a column index
+    to count each column: the pivot order the heap must reproduce, and the
+    same eliminations, (pivot, pivot entry, rest of its row, multipliers
+    in increasing order of row)."""
+    rows = [dict(zip(c, v)) for c, v in zip(cols, vals)]
+    for e, c in enumerate(cols):
+        for v in c:
+            rows[v].setdefault(e, 0.0)
+    col_index = {v: set() for v in range(len(rows))}
+    for e, r in enumerate(rows):
         for v in r:
             col_index[v].add(e)
     steps = []
-    remaining = set(rows)
-    while remaining:
-        p = min(remaining, key=lambda e: (
+    while col_index:
+        p = min(col_index, key=lambda e: (
             (len(rows[e]) - 1) * (len(col_index[e]) - 1), e))
-        remaining.discard(p)
         prow = rows[p]
-        piv = prow[p]
         for v in prow:
             col_index[v].discard(p)
+        piv = prow.pop(p)
         mults = []
-        for e in col_index.pop(p):
+        for e in sorted(col_index.pop(p)):
             r = rows[e]
             f = r.pop(p) / piv
             mults.append((e, f))
             for v, c in prow.items():
-                if v != p:
-                    if v not in r:
-                        r[v] = 0.0
-                        col_index[v].add(e)
-                    r[v] -= f * c
-        steps.append((p, prow, mults))
+                if v not in r:
+                    r[v] = 0.0
+                    col_index[v].add(e)
+                r[v] -= f * c
+        steps.append((p, piv, prow, mults))
     return steps
+
+
+def ccw_order_sort(pts, v, nbrs):
+    """The neighbours nbrs of v in counterclockwise order of their
+    directions from v over the integer points pts, from the positive x
+    axis: a sort by comparison, half-plane first ([0, pi) before
+    [pi, 2 pi)) and then the sign of the cross product, stable for
+    neighbours in one direction. The reference for plane_graph._ccw_order
+    and _realized."""
+    def half(d):
+        return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+    dirs = {w: (pts[w][0] - pts[v][0], pts[w][1] - pts[v][1]) for w in nbrs}
+
+    def cmp(a, b):
+        da, db = dirs[a], dirs[b]
+        if half(da) != half(db):
+            return half(da) - half(db)
+        c = da[0] * db[1] - da[1] * db[0]
+        return (c < 0) - (c > 0)
+
+    return tuple(sorted(nbrs, key=functools.cmp_to_key(cmp)))
+
+
+def embed_by_area(coords, edge_list):
+    """plane_graph.build_plane_graph_from_points as it once ran: every
+    rotation sorted by ccw_order_sort, and the outer face the one face whose
+    shoelace sum is negative (EmbeddingInvalid unless exactly one is), its
+    outer dart the first dart of its traced walk."""
+    from convexmorph.plane_graph import (
+        EmbeddingInvalid, PlaneGraph, integer_points)
+
+    pts = integer_points(coords)
+    adj = {v: [] for v in coords}
+    for u, v in edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    rotation = {v: ccw_order_sort(pts, v, nbrs) for v, nbrs in adj.items()}
+    some = next((v for v, nbrs in rotation.items() if nbrs), None)
+    if some is None:
+        raise EmbeddingInvalid("graph has no edge")
+    g = PlaneGraph(rotation, (some, rotation[some][0]))
+    if len(g.faces) == 1:
+        return g
+    negative = [fi for fi in range(len(g.faces))
+                if brute_area2(pts, g.face_vertices(fi)) < 0]
+    if len(negative) != 1:
+        raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
+    walk = g.face_vertices(negative[0])
+    return g.with_outer((walk[0], walk[1]))
 
 
 def convex_hull_reinsert(d):

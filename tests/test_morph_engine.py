@@ -71,6 +71,7 @@ from _oracles import (
     buffer_shrink_ladder,
     convexity_increasing_sampled,
     dyadic_sqrt_floor,
+    embed_by_area,
     mirrored,
     seg_seg_dist_sq_fraction,
     shear_fraction,
@@ -205,6 +206,37 @@ def test_convexify_certified_on_hull_pocket_input(family, seed):
     assert check_step_bounds(seq, FAMILIES[family][2])
     assert is_strictly_convex(seq.final)
     assert same_plane_graph(seq.final.graph, d.graph)
+
+
+def assert_hull_completed_as_embedded(d):
+    """_complete_hull(d, gaps) is the graph build_plane_graph_from_points
+    and the area oracle embed from d's points, edges and hull gaps:
+    rotations and outer dart alike."""
+    gaps = morph_engine._hull_gaps(d, convex_hull(d))
+    g = morph_engine._complete_hull(d, gaps)
+    edges = d.graph.edges() + gaps
+    for h in (build_plane_graph_from_points(d.coords, edges),
+              embed_by_area(d.coords, edges)):
+        assert g.rotation == h.rotation
+        assert g.outer_dart == h.outer_dart
+    return gaps
+
+
+def test_hull_completion_on_bench_drawings():
+    gapped = [(w, i) for w, i in sorted(DIGESTS)
+              if assert_hull_completed_as_embedded(bench_drawing(w, i))]
+    assert {w for w, _ in gapped} == {"three_connected", "buffered"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), sheared=st.booleans())
+def test_hull_completion_on_dents_and_pockets(seed, sheared):
+    rng = random.Random(seed)
+    assert_hull_completed_as_embedded(
+        dent_instance(rng, rng.randint(6, 16), 12, sheared=sheared))
+    assert_hull_completed_as_embedded(
+        pocket_instance(rng, rng.randint(8, 20), 12, rng.randint(1, 3),
+                        sheared=sheared))
 
 
 @settings(max_examples=50, deadline=None)
@@ -558,9 +590,8 @@ def test_uncertified_system_raises_a_typed_error(monkeypatch):
     real = morph_engine.redraw_rows
 
     def negated(*args):
-        rows, rhs, den = real(*args)
-        return ({e: {v: -c if v == e else c for v, c in r.items()}
-                 for e, r in rows.items()}, rhs, den)
+        ids, cols, coefs, rhs, den = real(*args)
+        return ids, cols, [[-a[0], *a[1:]] for a in coefs], rhs, den
 
     monkeypatch.setattr(morph_engine, "redraw_rows", negated)
     with pytest.raises(PostconditionFailed) as info:

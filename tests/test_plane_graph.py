@@ -35,7 +35,7 @@ from convexmorph.plane_graph import (
 from convexmorph.connectivity import is_internally_3connected
 from convexmorph.monotone_augment import augment_y_monotone
 from convexmorph.plane_graph import (
-    _SHEAR_LADDER, _ccw_order, _coarsest_dyadic, integer_points)
+    _SHEAR_LADDER, _ccw_order, _coarsest_dyadic, _realized, integer_points)
 
 from _oracles import (
     add_edge,
@@ -46,15 +46,19 @@ from _oracles import (
     brute_planar,
     brute_rotations_realized,
     brute_strictly_convex,
+    ccw_order_sort,
     choose_safe_shear_fraction,
     choose_safe_shear_scan,
     convex_hull_reinsert,
+    embed_by_area,
     mirrored,
     transposed,
     validate_face_orientations,
 )
-from _instances import random_augment_instance, random_triangulation
-from test_bench_outputs import bench_drawing
+from _instances import (
+    dent_instance, pocket_instance, random_augment_instance,
+    random_triangulation)
+from test_bench_outputs import DIGESTS, bench_drawing
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -621,6 +625,121 @@ def test_build_plane_graph_path_single_face():
     g = build_plane_graph_from_points(coords, [(1, 2), (2, 3)])
     assert len(g.faces) == 1
     assert g.outer_face_index == 0
+
+
+@st.composite
+def spokes(draw):
+    """Integer points: a hub, 0, and spokes 1.. in a few directions, each
+    drawn at several signed lengths, so that spokes share a direction, lie
+    opposite one another and sit on the half-plane borders (the x axis)
+    often; with the spokes in a random order."""
+    base = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+        min_size=1, max_size=4))
+    arms = draw(st.lists(st.tuples(st.sampled_from(base),
+                                   st.integers(-3, 3).filter(bool)),
+                         min_size=1, max_size=9))
+    hx, hy = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+    pts = {0: (hx, hy)}
+    for w, ((dx, dy), k) in enumerate(arms, 1):
+        pts[w] = (hx + k * dx, hy + k * dy)
+    return pts, draw(st.permutations(range(1, len(arms) + 1)))
+
+
+@given(spokes())
+@settings(max_examples=300, deadline=None)
+@example(({0: (0, 0), 1: (1, 0), 2: (-1, 0), 3: (2, 0), 4: (0, -1)},
+          [3, 2, 4, 1]))
+def test_ccw_order_matches_the_comparison_sort(case):
+    pts, nbrs = case
+    assert _ccw_order(pts, 0, nbrs) == ccw_order_sort(pts, 0, nbrs)
+
+
+def _realized_by_sort(pts, v, nbrs):
+    """Whether nbrs is a cyclic shift of the sorted order and no two
+    neighbours of v share a direction."""
+    order = ccw_order_sort(pts, v, nbrs)
+    dirs = [(pts[w][0] - pts[v][0], pts[w][1] - pts[v][1]) for w in nbrs]
+    shared = any(a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0
+                 for i, a in enumerate(dirs) for b in dirs[i + 1:])
+    return not shared and any(order[i:] + order[:i] == tuple(nbrs)
+                              for i in range(len(order)))
+
+
+@given(spokes(), st.sampled_from(("sorted", "swapped", "reversed", "any")),
+       st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_realized_matches_the_comparison_sort(case, kind, rng):
+    # the rotation checked in one pass against a sort: the counterclockwise
+    # order from a random start, with two neighbours swapped, reversed, or
+    # in any order
+    pts, nbrs = case
+    assume(len(nbrs) >= 3)
+    if kind != "any":
+        order = list(ccw_order_sort(pts, 0, nbrs))
+        shift = rng.randrange(len(order))
+        nbrs = order[shift:] + order[:shift]
+        if kind == "swapped":
+            i, j = rng.sample(range(len(nbrs)), 2)
+            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+        elif kind == "reversed":
+            nbrs.reverse()
+    assert _realized(pts, 0, nbrs) == _realized_by_sort(pts, 0, nbrs)
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_validate_drawing_rejects_a_swapped_or_reversed_rotation(seed, swap):
+    # a valid drawing with one rotation of three or more neighbours changed:
+    # two of them swapped, or all reversed
+    rng = random.Random(seed)
+    d = random_triangulation(rng, 5, 12)
+    validate_drawing(d)
+    rot = dict(d.graph.rotation)
+    v = rng.choice(sorted(u for u, nbrs in rot.items() if len(nbrs) >= 3))
+    nbrs = list(rot[v])
+    if swap:
+        i, j = rng.sample(range(len(nbrs)), 2)
+        nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+    else:
+        nbrs.reverse()
+    rot[v] = tuple(nbrs)
+    bad = Drawing(PlaneGraph(rot, d.graph.outer_dart, check=False), d.coords)
+    with pytest.raises(NotPlanarInput,
+                       match="drawing does not realize its embedding"):
+        validate_drawing(bad)
+
+
+def _same_embedding(g, h):
+    return g.rotation == h.rotation and g.outer_dart == h.outer_dart
+
+
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(("triangulation", "dent", "pockets")), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_build_plane_graph_matches_the_area_oracle(seed, kind, sheared):
+    # the outer face at the lowest-then-leftmost vertex, checked by one
+    # shoelace sum, against the one face of negative shoelace sum; unsheared
+    # drawings keep level and upright edges, so the lowest level holds
+    # several vertices
+    rng = random.Random(seed)
+    if kind == "triangulation":
+        d = random_triangulation(rng, 4, 14)
+    elif kind == "dent":
+        d = dent_instance(rng, 10, 12, sheared=sheared)
+    else:
+        d = pocket_instance(rng, 12, 12, sheared=sheared)
+    edges = d.graph.edges()
+    assert _same_embedding(build_plane_graph_from_points(d.coords, edges),
+                           embed_by_area(d.coords, edges))
+
+
+@pytest.mark.parametrize("workload, i", sorted(DIGESTS))
+def test_build_plane_graph_matches_the_area_oracle_on_bench_drawings(
+        workload, i):
+    d = bench_drawing(workload, i)
+    edges = d.graph.edges()
+    assert _same_embedding(d.graph, embed_by_area(d.coords, edges))
 
 
 @given(point_sets(min_size=4, max_size=12))

@@ -42,11 +42,13 @@ from _oracles import (
     is_outer_walk,
     lowest_corner_convex,
     polygon_coords,
+    position_system,
     redraw_preserving,
     solve_dense_fraction,
     solve_tutte,
     transposed,
     tutte_rows,
+    vertex_system,
 )
 
 
@@ -453,7 +455,12 @@ def test_integer_rows_match_weight_rows(monkeypatch):
     assert {axis for _, _, axis in calls} == {0, 1}
     assert any(len(b.cycle) < len(d.graph.rotation) for d, b, _ in calls)
     for d, boundary, axis in calls:
-        rows, rhs, den = redraw_rows(d, boundary, axis)
+        ids, cols, coefs, b, den = redraw_rows(d, boundary, axis)
+        # positions over the internal vertices in increasing order, each
+        # row's diagonal first
+        assert ids == sorted(set(d.graph.rotation) - set(boundary.cycle))
+        assert all(c[0] == e for e, c in enumerate(cols))
+        rows, rhs = vertex_system(ids, cols, coefs, b)
         o_rows, o_rhs = weight_rows(d, boundary, axis)
         assert rows.keys() == o_rows.keys()
         for u, row in rows.items():
@@ -510,9 +517,15 @@ def over_one_den(rhs):
     return {e: int(b * den) for e, (b,) in rhs.items()}, den
 
 
+def certified(rows, rhs, den):
+    """RoundedSolution of rows * x = rhs / den, rows and rhs keyed by
+    vertex and given to it by position (position_system)."""
+    return RoundedSolution(*position_system(rows, rhs), den)
+
+
 def certified_answers(rows, rhs, den):
-    """The answers on GRIDS of RoundedSolution(rows, rhs, den)."""
-    sol = RoundedSolution(rows, rhs, den)
+    """The answers on GRIDS of certified(rows, rhs, den)."""
+    sol = certified(rows, rhs, den)
     return [sol.rounded(bits) for bits in GRIDS]
 
 
@@ -567,7 +580,7 @@ def test_rounded_solution_answers_far_finer_grids():
     ids = list(range(6))
     rows = z_matrix_rows(rng, ids)
     rhs = {e: [big_value(rng)] for e in ids}
-    sol = RoundedSolution(rows, *over_one_den(rhs))
+    sol = certified(rows, *over_one_den(rhs))
     x = {u: Fraction(v) for u, (v,) in solve_rows(rows, rhs).items()}
     for bits in (48, 4096, 65536):
         assert sol.rounded(bits) == {u: round(c * 2 ** bits)
@@ -580,16 +593,30 @@ def test_rounded_solution_certifies_engine_systems(monkeypatch):
     # redraw with every vertex on the boundary answers {})
     calls = engine_redraw_systems(monkeypatch)
     for d, boundary, axis in calls:
-        rows, rhs, den = redraw_rows(d, boundary, axis)
-        assert certified_answers(rows, rhs, den) == exact_answers(
+        *system, den = redraw_rows(d, boundary, axis)
+        sol = RoundedSolution(*system, den)
+        rows, rhs = vertex_system(*system)
+        assert [sol.rounded(bits) for bits in GRIDS] == exact_answers(
             rows, columns(rhs, den))
+
+
+def sorted_mults(steps):
+    """_float_lu's eliminations with each pivot's multipliers in
+    increasing order of row, as float_lu_scan lists them."""
+    return [(p, piv, prow, sorted(mults)) for p, piv, prow, mults in steps]
+
+
+def structurally_symmetric(cols):
+    """Whether row e holds position f exactly when row f holds e."""
+    return all(e in cols[f] for e, c in enumerate(cols) for f in c)
 
 
 @given(st.integers(1, 30), st.floats(0.02, 0.6), st.integers(0, 2 ** 32))
 @settings(max_examples=80, deadline=None)
 def test_float_lu_heap_pivots_match_the_scan(n, density, seed):
     # sparse M-matrices on scattered ids, so the products tie often and
-    # the id breaks the tie: the same pivots, multipliers and rows
+    # the position breaks the tie: the same pivots, multipliers and rows.
+    # The pattern is not symmetric; both factor its symmetric closure
     rng = random.Random(seed)
     ids = rng.sample(range(200), n)
     rows = {}
@@ -598,24 +625,28 @@ def test_float_lu_heap_pivots_match_the_scan(n, density, seed):
                if v != e and rng.random() < density}
         row[e] = rng.uniform(0.1, 1.0) - sum(row.values())
         rows[e] = row
-    assert tutte_solver._float_lu(rows) == float_lu_scan(rows)
+    _, cols, vals, _ = position_system(rows, dict.fromkeys(ids, 0))
+    assert sorted_mults(tutte_solver._float_lu(cols, vals)) == \
+        float_lu_scan(cols, vals)
 
 
 def test_float_lu_heap_pivots_match_the_scan_on_bench_systems(monkeypatch):
-    # every system convexify factors on the benchmark's twelve drawings
+    # every system convexify factors on the benchmark's twelve drawings,
+    # each structurally symmetric, as _float_lu's pivot keys assume
     systems = []
     real = tutte_solver._float_lu
 
-    def spy(rows):
-        systems.append(rows)
-        return real(rows)
+    def spy(cols, vals):
+        systems.append((cols, vals))
+        return real(cols, vals)
 
     monkeypatch.setattr(tutte_solver, "_float_lu", spy)
     for workload, i in sorted(DIGESTS):
         morph_engine.convexify(bench_drawing(workload, i))
     assert len(systems) > 12
-    for rows in systems:
-        assert real(rows) == float_lu_scan(rows)
+    for cols, vals in systems:
+        assert structurally_symmetric(cols)
+        assert sorted_mults(real(cols, vals)) == float_lu_scan(cols, vals)
 
 
 def system_with_solution(rng, x):
@@ -639,7 +670,7 @@ def test_rounded_solution_answers_none_on_a_tie():
     # no bound keeps a tie off itself, so the 2^-48 grid gets no answer;
     # the tie is a point of the 2^-64 grid, which gets the exact rounding
     rows, rhs = near_tie_system(4701, 0)
-    sol = RoundedSolution(rows, *over_one_den(rhs))
+    sol = certified(rows, *over_one_den(rhs))
     assert sol.rounded(48) is None
     want = exact_answers(rows, rhs)
     assert GRIDS[1] == 64
@@ -652,7 +683,7 @@ def test_rounded_solution_rounds_a_near_tie(side):
     # 2^-100 off the tie: the scale the 2^-48 grid asks for cannot tell the
     # value from its tie, and the 2^-64 grid rounds it onto the tie
     rows, rhs = near_tie_system(4702, side * Fraction(1, 2 ** 100))
-    sol = RoundedSolution(rows, *over_one_den(rhs))
+    sol = certified(rows, *over_one_den(rhs))
     assert sol.rounded(48) is None
     want = exact_answers(rows, rhs)
     assert want[0][0] == (12345 if side < 0 else 12346)
@@ -666,8 +697,26 @@ def test_rounded_solution_rejects_off_the_sign_pattern():
     rows, _ = system_with_solution(rng, x)
     rows[2][3] = 1
     with pytest.raises(_Uncertified, match="not an M-matrix sign pattern"):
-        RoundedSolution(rows, *over_one_den(rhs_for(rows, x)))
-    assert RoundedSolution({}, {}, 1).rounded(48) == {}
+        certified(rows, *over_one_den(rhs_for(rows, x)))
+    # a row that names a position past the last unknown
+    ids, cols, coefs, rhs = position_system({0: {0: 2, 1: -1}, 1: {1: 2}},
+                                            {0: 1, 1: 1})
+    cols[1].append(2)
+    coefs[1].append(-1)
+    with pytest.raises(_Uncertified, match="not an M-matrix sign pattern"):
+        RoundedSolution(ids, cols, coefs, rhs, 1)
+    assert RoundedSolution([], [], [], [], 1).rounded(48) == {}
+
+
+def test_residual_at_zero_is_the_general_sum():
+    # refinement starts at X = 0, whose residual B 2^k is taken without a
+    # sum; it equals the sum B 2^k - d A X over the zeros
+    rng = random.Random(4706)
+    x = {v: big_value(rng) * rng.choice((-1, 1)) for v in range(6)}
+    rows, rhs = system_with_solution(rng, x)
+    sol = certified(rows, *over_one_den(rhs))
+    for k in (0, 48, 300):
+        assert sol._residual(None, k) == sol._residual([0] * len(x), k)
 
 
 def coord_bits(coords):
