@@ -86,11 +86,9 @@ from .plane_graph import (
     Drawing,
     PlaneGraph,
     PreconditionViolated,
-    _ccw_order,
     _cross,
     _dot,
     _level_edge,
-    _outer_at_lowest,
     angle_status_points,
     build_plane_graph_from_points,
     choose_safe_shear,
@@ -439,31 +437,12 @@ def _hull_gaps(d: Drawing, hull: Sequence[int]) -> list:
                   key=lambda p: (min(p), max(p)))
 
 
-def _complete_hull(d: Drawing, missing: Sequence[Tuple[int, int]]
-                   ) -> PlaneGraph:
-    """d's graph with the hull gaps missing (_hull_gaps) as edges, without
-    embedding it again from the points: each gap edge (a, c) goes into the
-    rotations of a and c at its angular place (_ccw_order, about one pass
-    over a rotation already in order), and the outer face is the one at the
-    lowest-then-leftmost vertex (plane_graph._outer_at_lowest). Where d's
-    rotations start at the positive x axis, as build_plane_graph_from_points
-    builds them, this is the graph that function builds from d's points and
-    edges plus missing, rotations and outer dart alike."""
-    rot = dict(d.graph.rotation)
-    for a, c in missing:
-        rot[a] += (c,)
-        rot[c] += (a,)
-    for v in {v for e in missing for v in e}:
-        rot[v] = _ccw_order(d.ints, v, rot[v])
-    return _outer_at_lowest(d.ints, rot)
-
-
 def convexify_3connected(b: SequenceBuilder) -> None:
     """Convexify b's current drawing by completing the hull with temporary
-    edges (_complete_hull), convexifying the completed drawing, then popping
-    each temporary edge; at most 1.5n+2 moves. Removing any subset of the
-    added edges must keep the graph internally 3-connected: so it does when
-    the graph is 3-connected, and when augment_buffers padded its hull gaps.
+    edges, convexifying the completed drawing, then popping each temporary
+    edge; at most 1.5n+2 moves. Removing any subset of the added edges must
+    keep the graph internally 3-connected: so it does when the graph is
+    3-connected, and when augment_buffers padded its hull gaps.
 
     One vertical redraw, _ONTO_HULL, puts the last released pocket path
     onto the hull. Each earlier pocket's is the next pocket's first move:
@@ -476,7 +455,9 @@ def convexify_3connected(b: SequenceBuilder) -> None:
         convexify_convex_outer(b)
         return
 
-    b.edit(d.with_graph(_complete_hull(d, missing)), "complete hull")
+    g_full = build_plane_graph_from_points(
+        d.ints, list(d.graph.edges()) + missing)
+    b.edit(d.with_graph(g_full), "complete hull")
     convexify_convex_outer(b)
     # the drawing is strictly convex, so the shear is the identity, and b
     # drops it, unless an edge is vertical: possible only when the completed

@@ -913,8 +913,11 @@ def validate_drawing(d: Drawing) -> None:
     if not drawing_is_planar(g, pts):
         raise NotPlanarInput("edges cross, overlap, or vertices coincide")
     for v, nbrs in g.rotation.items():
-        if len(nbrs) > 2 and not _realized(pts, v, nbrs):
-            raise NotPlanarInput("drawing does not realize its embedding")
+        if len(nbrs) > 2:
+            order = _ccw_order(pts, v, nbrs)
+            i = order.index(nbrs[0])
+            if order[i:] + order[:i] != nbrs:
+                raise NotPlanarInput("drawing does not realize its embedding")
     # a planar drawing that realizes its rotations has a clockwise outer
     # walk, or a zero sum when no face is bounded: a tree, which the
     # connectivity gate turns away
@@ -928,35 +931,6 @@ def _area2(pts: Dict[int, Tuple[int, int]], walk: Sequence[int]) -> int:
     repeats vertices sums the areas it winds around, with their signs."""
     return sum(_cross(pts[u], pts[v])
                for u, v in zip(walk, walk[1:] + walk[:1]))
-
-
-def _realized(pts: Dict[int, Tuple[int, int]], v: int,
-              nbrs: Sequence[int]) -> bool:
-    """Whether the cyclic order nbrs is the counterclockwise order of the
-    directions from v over the integer points pts: walked once around, it
-    descends in the angular order of _ccw_order exactly once, and no two
-    consecutive neighbours share a direction. One pass, no sort: with one
-    descent and every other step a strict ascent, nbrs read from the
-    neighbour after the descent is strictly increasing, so no two
-    neighbours share a direction at all."""
-    vx, vy = pts[v]
-    x, y = pts[nbrs[-1]]
-    ax, ay = x - vx, y - vy
-    ah = not (ay > 0 or (ay == 0 and ax > 0))
-    descents = 0
-    for w in nbrs:
-        x, y = pts[w]
-        bx, by = x - vx, y - vy
-        bh = not (by > 0 or (by == 0 and bx > 0))
-        if ah is not bh:
-            descents += ah
-        else:
-            c = ax * by - ay * bx
-            if not c:
-                return False
-            descents += c < 0
-        ax, ay, ah = bx, by, bh
-    return descents == 1
 
 
 def _ccw_order(pts: Dict[int, Tuple[int, int]], v: int,
@@ -989,17 +963,25 @@ def _ccw_order(pts: Dict[int, Tuple[int, int]], v: int,
     return tuple(order)
 
 
-def _outer_at_lowest(pts: Dict[int, Tuple[int, int]],
-                     rotation: Dict[int, Tuple[int, ...]]) -> PlaneGraph:
-    """The PlaneGraph of rotation, the angular orders (_ccw_order) of a
-    drawing over the integer points pts, whose outer face is the one at its
-    lowest-then-leftmost vertex L. Every other point lies above L or to its
-    right on its level, so L's neighbours all lie in half-plane 0, and the
-    face of the dart from L to its last neighbour turns through the angle
-    below L: the unbounded face of a planar drawing. Its outer dart is the
-    first dart of that face's traced walk. One shoelace sign check on that
-    walk raises EmbeddingInvalid when it does not run clockwise, unless the
-    graph has one face only (a tree, whose walk encloses nothing)."""
+def build_plane_graph_from_points(coords: Dict[int, Tuple],
+                                  edge_list: Iterable[Tuple[int, int]]
+                                  ) -> PlaneGraph:
+    """Embed a straight-line graph: each rotation is the angular order of
+    the edges at its vertex from the positive x axis (_ccw_order), and the
+    outer face is the one at the lowest-then-leftmost vertex L. Every other
+    point lies above L or to its right on its level, so L's neighbours all
+    lie in half-plane 0, and the face of the dart from L to its last
+    neighbour turns through the angle below L: the unbounded face of a
+    planar drawing. The outer dart is the first dart of that face's traced
+    walk. One shoelace sign check on that walk raises EmbeddingInvalid when
+    it does not run clockwise, unless the graph has one face only (a tree,
+    whose walk encloses nothing)."""
+    pts = integer_points(coords)
+    adj = {v: [] for v in coords}
+    for u, v in edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    rotation = {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()}
     low = min(pts, key=lambda v: (pts[v][1], pts[v][0]))
     if not rotation[low]:
         raise EmbeddingInvalid(
@@ -1010,19 +992,3 @@ def _outer_at_lowest(pts: Dict[int, Tuple[int, int]],
     if len(g.faces) > 1 and _area2(pts, walk) >= 0:
         raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
     return g.with_outer((walk[0], walk[1]))
-
-
-def build_plane_graph_from_points(coords: Dict[int, Tuple],
-                                  edge_list: Iterable[Tuple[int, int]]
-                                  ) -> PlaneGraph:
-    """Embed a straight-line graph: each rotation is the angular order of
-    the edges at its vertex from the positive x axis (_ccw_order), and the
-    outer face is the one at the lowest-then-leftmost vertex
-    (_outer_at_lowest), checked by one shoelace sum over its walk."""
-    pts = integer_points(coords)
-    adj = {v: [] for v in coords}
-    for u, v in edge_list:
-        adj[u].append(v)
-        adj[v].append(u)
-    return _outer_at_lowest(
-        pts, {v: _ccw_order(pts, v, nbrs) for v, nbrs in adj.items()})

@@ -29,7 +29,7 @@ the internal vertices in increasing order, each row a list of positions
 with its diagonal first and a parallel list of int coefficients. Only
 the answers are keyed by vertex. A Tutte system is structurally symmetric
 (internal neighbours hold each other), so _float_lu needs no column
-index, and refinement starts at X = 0, whose residual takes no sum.
+index.
 
 A vertex with a neighbor at its own height, or with none above or below
 it, is PreconditionViolated, the message saying which; every way a
@@ -318,8 +318,7 @@ class RoundedSolution:
         |x_u 2^k - X_u| <= t / m * V_u,  t = max_e |R_e| / (d_e A_ee),
                                          m = min_e (A V)_e / A_ee,
 
-    where R = B 2^k - d A X is the exact integer residual; at X = 0, where
-    refinement starts, R is B 2^k and takes no sum. X is improved by
+    where R = B 2^k - d A X is the exact integer residual. X is improved by
     iterative refinement against R (Wilkinson 1963; Moler 1967): one
     float LU of D^-1 A with diagonal pivots (a nonsingular M-matrix needs
     no numerical pivoting; _float_lu factors it on its symmetric pattern),
@@ -338,14 +337,15 @@ class RoundedSolution:
             b.append(r // g)
             d.append(den // g)
             if (c[0] != e or a[0] <= 0 or any(x >= 0 for x in a[1:])
-                    or not all(0 <= f < n for f in c)):
+                    or not all(0 <= f < n for f in c)
+                    or len(set(c)) != len(c)):
                 raise _Uncertified("not an M-matrix sign pattern")
         self._ids, self._cols, self._coefs = ids, cols, coefs
         self._b, self._d = b, d
         # d_e A_ee, the scale of row e's residual in t and in a correction
         self._dd = [de * a[0] for de, a in zip(d, coefs)]
         self._k = 0
-        self._x = None                  # X = 0
+        self._x = [0] * n
         if not ids:
             return
         try:
@@ -371,11 +371,8 @@ class RoundedSolution:
         # bits of t / m * max V when t is about 1, as after convergence
         self._lead = (max(vv) // self._m).bit_length() + 2
 
-    def _residual(self, x: Optional[List[int]], k: int) -> List[int]:
-        """R = B 2^k - d A X, exactly, for X = x; x None stands for X = 0,
-        whose residual is B 2^k with no sum over its zeros."""
-        if x is None:
-            return [be << k for be in self._b]
+    def _residual(self, x: List[int], k: int) -> List[int]:
+        """R = B 2^k - d A X, exactly, for X = x."""
         get = x.__getitem__
         return [(be << k) - de * sum(map(operator.mul, a, map(get, c)))
                 for be, de, c, a in zip(self._b, self._d, self._cols,
@@ -384,11 +381,8 @@ class RoundedSolution:
     def _refine(self, k: int):
         """Move X up to scale 2^k and refine it until the scaled residual t
         is below 4; sets _err = t / m, the bound on |x 2^k - X| per unit V."""
-        if self._x is None:
-            x, res = [0] * len(self._ids), self._residual(None, k)
-        else:
-            x = [xu << (k - self._k) for xu in self._x]
-            res = self._residual(x, k)
+        x = [xu << (k - self._k) for xu in self._x]
+        res = self._residual(x, k)
         self._x, self._k = x, k
         dd = self._dd
         t = None

@@ -1176,8 +1176,7 @@ def ccw_order_sort(pts, v, nbrs):
     directions from v over the integer points pts, from the positive x
     axis: a sort by comparison, half-plane first ([0, pi) before
     [pi, 2 pi)) and then the sign of the cross product, stable for
-    neighbours in one direction. The reference for plane_graph._ccw_order
-    and _realized."""
+    neighbours in one direction. The reference for plane_graph._ccw_order."""
     def half(d):
         return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
 

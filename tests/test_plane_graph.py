@@ -34,8 +34,9 @@ from convexmorph.plane_graph import (
 
 from convexmorph.connectivity import is_internally_3connected
 from convexmorph.monotone_augment import augment_y_monotone
+from convexmorph.morph_engine import _hull_gaps
 from convexmorph.plane_graph import (
-    _SHEAR_LADDER, _ccw_order, _coarsest_dyadic, _realized, integer_points)
+    _SHEAR_LADDER, _ccw_order, _coarsest_dyadic, integer_points)
 
 from _oracles import (
     add_edge,
@@ -655,38 +656,6 @@ def test_ccw_order_matches_the_comparison_sort(case):
     assert _ccw_order(pts, 0, nbrs) == ccw_order_sort(pts, 0, nbrs)
 
 
-def _realized_by_sort(pts, v, nbrs):
-    """Whether nbrs is a cyclic shift of the sorted order and no two
-    neighbours of v share a direction."""
-    order = ccw_order_sort(pts, v, nbrs)
-    dirs = [(pts[w][0] - pts[v][0], pts[w][1] - pts[v][1]) for w in nbrs]
-    shared = any(a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] > 0
-                 for i, a in enumerate(dirs) for b in dirs[i + 1:])
-    return not shared and any(order[i:] + order[:i] == tuple(nbrs)
-                              for i in range(len(order)))
-
-
-@given(spokes(), st.sampled_from(("sorted", "swapped", "reversed", "any")),
-       st.randoms())
-@settings(max_examples=300, deadline=None)
-def test_realized_matches_the_comparison_sort(case, kind, rng):
-    # the rotation checked in one pass against a sort: the counterclockwise
-    # order from a random start, with two neighbours swapped, reversed, or
-    # in any order
-    pts, nbrs = case
-    assume(len(nbrs) >= 3)
-    if kind != "any":
-        order = list(ccw_order_sort(pts, 0, nbrs))
-        shift = rng.randrange(len(order))
-        nbrs = order[shift:] + order[:shift]
-        if kind == "swapped":
-            i, j = rng.sample(range(len(nbrs)), 2)
-            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
-        elif kind == "reversed":
-            nbrs.reverse()
-    assert _realized(pts, 0, nbrs) == _realized_by_sort(pts, 0, nbrs)
-
-
 @given(st.integers(0, 2 ** 32), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_validate_drawing_rejects_a_swapped_or_reversed_rotation(seed, swap):
@@ -710,8 +679,16 @@ def test_validate_drawing_rejects_a_swapped_or_reversed_rotation(seed, swap):
         validate_drawing(bad)
 
 
-def _same_embedding(g, h):
-    return g.rotation == h.rotation and g.outer_dart == h.outer_dart
+def assert_embeds_as_the_area_oracle(d):
+    """build_plane_graph_from_points on d's points gives the area oracle's
+    rotations and outer dart: on d's edges, and on them plus d's hull gaps,
+    as convexify_3connected completes the hull."""
+    edges = d.graph.edges()
+    for es in (edges, edges + _hull_gaps(d, convex_hull(d))):
+        g = build_plane_graph_from_points(d.coords, es)
+        h = embed_by_area(d.coords, es)
+        assert g.rotation == h.rotation
+        assert g.outer_dart == h.outer_dart
 
 
 @given(st.integers(0, 2 ** 32),
@@ -729,17 +706,13 @@ def test_build_plane_graph_matches_the_area_oracle(seed, kind, sheared):
         d = dent_instance(rng, 10, 12, sheared=sheared)
     else:
         d = pocket_instance(rng, 12, 12, sheared=sheared)
-    edges = d.graph.edges()
-    assert _same_embedding(build_plane_graph_from_points(d.coords, edges),
-                           embed_by_area(d.coords, edges))
+    assert_embeds_as_the_area_oracle(d)
 
 
 @pytest.mark.parametrize("workload, i", sorted(DIGESTS))
 def test_build_plane_graph_matches_the_area_oracle_on_bench_drawings(
         workload, i):
-    d = bench_drawing(workload, i)
-    edges = d.graph.edges()
-    assert _same_embedding(d.graph, embed_by_area(d.coords, edges))
+    assert_embeds_as_the_area_oracle(bench_drawing(workload, i))
 
 
 @given(point_sets(min_size=4, max_size=12))

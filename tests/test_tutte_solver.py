@@ -705,18 +705,17 @@ def test_rounded_solution_rejects_off_the_sign_pattern():
     coefs[1].append(-1)
     with pytest.raises(_Uncertified, match="not an M-matrix sign pattern"):
         RoundedSolution(ids, cols, coefs, rhs, 1)
+    # a row that names one position twice: its diagonal again, or an
+    # off-diagonal one, each with a sign that fits the pattern
+    for dup in (0, 1):
+        ids, cols, coefs, rhs = position_system(
+            {0: {0: 2, 1: -1}, 1: {0: -1, 1: 2}}, {0: 1, 1: 1})
+        cols[0].append(dup)
+        coefs[0].append(-1)
+        with pytest.raises(_Uncertified,
+                           match="not an M-matrix sign pattern"):
+            RoundedSolution(ids, cols, coefs, rhs, 1)
     assert RoundedSolution([], [], [], [], 1).rounded(48) == {}
-
-
-def test_residual_at_zero_is_the_general_sum():
-    # refinement starts at X = 0, whose residual B 2^k is taken without a
-    # sum; it equals the sum B 2^k - d A X over the zeros
-    rng = random.Random(4706)
-    x = {v: big_value(rng) * rng.choice((-1, 1)) for v in range(6)}
-    rows, rhs = system_with_solution(rng, x)
-    sol = certified(rows, *over_one_den(rhs))
-    for k in (0, 48, 300):
-        assert sol._residual(None, k) == sol._residual([0] * len(x), k)
 
 
 def coord_bits(coords):
