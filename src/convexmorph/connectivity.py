@@ -36,7 +36,7 @@ face, joined to every outer vertex. When the outer walk is a cycle, the apex
 triangulates the outer face: the faces of the apex graph are g's inner
 faces plus one triangle per outer edge. The triangles have no diagonals,
 and a diagonal of an inner face joins two vertices of g, an edge of the
-apex graph exactly when it is one of g, so the test reads g's cached inner
+apex graph exactly when it is one of g, so the test reads g's traced inner
 walks and g's rotation only. When the outer walk repeats a vertex c, a
 curve through the outer face and c meets the apex graph only at c and the
 apex and has vertices on both sides, so the answer is False.
@@ -86,7 +86,7 @@ def three_connected(adj: Dict[int, Sequence[int]]) -> bool:
         return False
     u = next(iter(adj))
     g = PlaneGraph(adj, (u, next(iter(adj[u]))))
-    return _no_small_cut(map(g.face_vertices, range(len(g.faces))), adj)
+    return _no_small_cut(g._walks, adj)
 
 
 def is_internally_3connected(g: PlaneGraph) -> bool:

@@ -18,22 +18,28 @@ Layers, from primitive to general input:
  * pop_pocket: separate the pocket path behind one temporary hull edge
    in at most two moves, then release the edge, re-exposing the path as a
    reflex chain of the hull.
- * convexify_3connected: complete the hull with temporary edges, run the
-   convex-outer phase, then pop the pockets one by one. Each released
-   path goes onto the hull by the next pocket's first move, a vertical
-   redraw, and the last one by one vertical redraw after the last pocket.
+ * convexify_3connected: complete the hull with temporary edges, one per
+   hull gap it is given, run the convex-outer phase, then pop the pockets
+   one by one. Each released path goes onto the hull by the next pocket's
+   first move, a vertical redraw, and the last one by one vertical redraw
+   after the last pocket.
  * augment_buffers / remove_buffer_vertex: for inputs where a hull edge
    cannot be added directly, pad each missing hull segment with a buffer
    path first; its apex vertices come back out later, two moves each.
+   The placement runs only validate_drawing's segment sweep: its graph is
+   embedded from its points, so its rotations and its outer walk's sign
+   hold by construction.
  * convexify: check the input, then dispatch over the cases above. A
    strictly convex input is checked by plane_graph.is_strictly_convex
-   alone, one pass over its cached face walks: that certifies it planar
-   and internally 3-connected (see convexify), and it needs no move. Any
-   other input runs plane_graph.validate_drawing (planar, every rotation
-   realized, the outer dart on the unbounded face), then the internal
-   3-connectivity gate. convexify is the only input gate: each layer
-   trusts that its caller established planarity and connectivity, and
-   checks only what its own step needs.
+   alone, one pass over the face walks its graph traced when it was made:
+   that certifies it planar and internally 3-connected (see convexify),
+   and it needs no move. Any other input runs plane_graph.validate_drawing
+   (planar, every rotation realized, the outer dart on the unbounded
+   face), then the internal 3-connectivity gate. convexify is the only
+   input gate: each layer trusts that its caller established planarity
+   and connectivity, and checks only what its own step needs. Past the
+   convex-outer branch, convexify computes the hull and its gaps once and
+   passes them on; the padded drawing's gaps are read off its spines.
 
 convexify makes the one SequenceBuilder of a run and passes it down: every
 layer reads its drawing off b.current and appends its moves and graph edits
@@ -93,6 +99,7 @@ from .plane_graph import (
     build_plane_graph_from_points,
     choose_safe_shear,
     convex_hull,
+    drawing_is_planar,
     internal_reflex_angles,
     is_convex_outer,
     is_strictly_convex,
@@ -437,12 +444,13 @@ def _hull_gaps(d: Drawing, hull: Sequence[int]) -> list:
                   key=lambda p: (min(p), max(p)))
 
 
-def convexify_3connected(b: SequenceBuilder) -> None:
+def convexify_3connected(b: SequenceBuilder, missing: list) -> None:
     """Convexify b's current drawing by completing the hull with temporary
-    edges, convexifying the completed drawing, then popping each temporary
-    edge; at most 1.5n+2 moves. Removing any subset of the added edges must
-    keep the graph internally 3-connected: so it does when the graph is
-    3-connected, and when augment_buffers padded its hull gaps.
+    edges, its hull gaps missing (_hull_gaps, at least one), convexifying
+    the completed drawing, then popping each temporary edge in the order
+    given; at most 1.5n+2 moves. Removing any subset of the added edges
+    must keep the graph internally 3-connected: so it does when the graph
+    is 3-connected, and when augment_buffers padded its hull gaps.
 
     One vertical redraw, _ONTO_HULL, puts the last released pocket path
     onto the hull. Each earlier pocket's is the next pocket's first move:
@@ -450,19 +458,15 @@ def convexify_3connected(b: SequenceBuilder) -> None:
     graph, outer walk and x-coordinates, and so gives the one step that the
     two redraws merged into (see pop_pocket)."""
     d = b.current
-    missing = _hull_gaps(d, convex_hull(d))
-    if not missing:
-        convexify_convex_outer(b)
-        return
-
     g_full = build_plane_graph_from_points(
         d.ints, list(d.graph.edges()) + missing)
     b.edit(d.with_graph(g_full), "complete hull")
     convexify_convex_outer(b)
-    # the drawing is strictly convex, so the shear is the identity, and b
-    # drops it, unless an edge is vertical: possible only when the completed
-    # drawing was already strictly convex and no move ran
-    b.move(Direction.HORIZONTAL, _straddle_shear(b.current, 0)[0],
+    # the drawing is strictly convex, so no reflex angle asks for a
+    # straddle, and the shear is the identity, which b drops, unless an
+    # edge is vertical: possible only when the completed drawing was
+    # already strictly convex and no move ran
+    b.move(Direction.HORIZONTAL, _safe_shear(b.current, 0),
            "clear vertical edges")
     note = _CORNER_TO_TOP
     for e in missing:
@@ -678,15 +682,23 @@ def _shrink_bits(d: Drawing, paths, geometry) -> int:
     return k
 
 
-def augment_buffers(d: Drawing
+def augment_buffers(d: Drawing, hull: Sequence[int],
+                    gaps: Sequence[Tuple[int, int]]
                     ) -> Tuple[Drawing, Tuple[Tuple[int, ...], ...]]:
     """Shadow each missing hull segment's pocket path with a buffer path
     plus spokes, so that the segment between the two new on-hull midpoints
     can be added, and later removed again, without ever touching internal
-    3-connectivity. Every offset is scaled by one shrink 2^-k, the largest
-    at which each pocket vertex's spokes fan out between its path edges
-    (_shrink_bits); the placement is then built and checked once, and a
-    check that fails raises PlacementFailure naming it.
+    3-connectivity. hull is convex_hull(d) and gaps its segments that are
+    not edges, _hull_gaps(d, hull), at least one. Every offset is scaled by
+    one shrink 2^-k, the largest at which each pocket vertex's spokes fan
+    out between its path edges (_shrink_bits); the placement is then built
+    and checked once, and a check that fails raises PlacementFailure
+    naming it.
+
+    build_plane_graph_from_points takes every rotation from the angular
+    order of the placed points and rejects an outer walk that is not
+    clockwise, so of validate_drawing only the segment sweep,
+    drawing_is_planar, can fail on the placement, and it alone runs.
 
     Every buffer offset is a length of a few significant bits times an int
     vector over d.den (_buffer_geometry). Each length is rounded down from
@@ -699,12 +711,11 @@ def augment_buffers(d: Drawing
     vertices shadowing the k interior vertices of the pocket path, in walk
     order. Its odd positions are the apex vertices (one per interior path
     vertex), its even positions the shared midpoints, whose first and last
-    lie on the hull segment itself."""
+    lie on the hull segment itself. The hull check confirms that the
+    padded hull is the old one plus those spine ends, so the padded
+    drawing's hull gaps are (spine[0], spine[-1]), one per spine, in the
+    order of the gaps."""
     g = d.graph
-    hull = convex_hull(d)
-    gaps = _hull_gaps(d, hull)
-    if not gaps:
-        return d, ()
     outer = g.outer_walk()
     paths = [_pocket_descriptor(outer, a, bb) for a, bb in gaps]
     hull_set = set(hull)
@@ -742,10 +753,8 @@ def augment_buffers(d: Drawing
     except ValueError as exc:
         raise fail(f"placement is not a plane graph: {exc}") from exc
     d_new = Drawing.from_ints(g_new, ints, d.den << (top + k))
-    try:
-        validate_drawing(d_new)
-    except ValueError as exc:
-        raise fail(f"placement fails validate_drawing: {exc}") from exc
+    if not drawing_is_planar(g_new, d_new.ints):
+        raise fail("placement fails drawing_is_planar")
     if not is_internally_3connected(g_new):
         raise fail("padded graph is not internally 3-connected")
     if set(convex_hull(d_new)) != hull_set.union(
@@ -834,7 +843,15 @@ def convexify(d: Drawing) -> MorphSequence:
        holds uv as a diagonal.
 
     So NotInternallyThreeConnected is raised only on input that is not
-    strictly convex, after validate_drawing."""
+    strictly convex, after validate_drawing.
+
+    A drawing that passed both gates and is not convex-outer has an outer
+    corner that turns left on its clockwise outer walk, a vertex off the
+    hull, so at least one hull segment is not an edge. convexify computes
+    the hull and those gaps once. The 3-connected branch completes them;
+    the buffer branch pads them (augment_buffers), and the padded
+    drawing's gaps are the spine ends (spine[0], spine[-1]), which
+    augment_buffers' hull check confirms, so no second hull is computed."""
     g = d.graph
     b = SequenceBuilder(d)
     if is_strictly_convex(d):
@@ -845,15 +862,18 @@ def convexify(d: Drawing) -> MorphSequence:
             "graph is not internally 3-connected")
     if is_convex_outer(d):
         convexify_convex_outer(b)
-    elif three_connected(g.adjacency()):
+        return b.build()
+    hull = convex_hull(d)
+    missing = _hull_gaps(d, hull)
+    if three_connected(g.adjacency()):
         # every graph between g and its completed hull is a supergraph of g
         # on the same vertices, so it is 3-connected as well
-        convexify_3connected(b)
+        convexify_3connected(b, missing)
     else:
         # pad each hull gap with a buffer path, and take it back out after
-        d_buf, spines = augment_buffers(d)
+        d_buf, spines = augment_buffers(d, hull, missing)
         b.edit(d_buf, "insert buffer paths")
-        convexify_3connected(b)
+        convexify_3connected(b, [(sp[0], sp[-1]) for sp in spines])
         for vb in sorted(w for sp in spines for w in sp[1::2]):
             remove_buffer_vertex(b, vb)
         g_final = b.current.graph.remove_vertex(

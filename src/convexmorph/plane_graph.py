@@ -7,11 +7,12 @@ Removing an edge or vertex that the outer dart runs along moves the dart to
 the first dart of the outer walk that survives, so the outer face stays
 named without the caller choosing a new dart.
 
-A PlaneGraph traces its faces once, on first use, and caches each face's
-darts (faces), the face of every dart, and each face's vertex walk, the
-tuple face_vertices returns on every call; with_outer shares all three.
-The per-face loops (is_strictly_convex, internal_reflex_angles, the
-connectivity gates) read these walks.
+A PlaneGraph traces its faces once, when it is made, into two tables: each
+face's vertex walk, the tuple face_vertices returns on every call, and the
+face of every dart. faces derives each face's darts from its walk.
+with_outer shares both tables and the rotation, so naming another outer
+face traces nothing. The per-face loops (is_strictly_convex,
+internal_reflex_angles, the connectivity gates) read these walks.
 _area2 is the one shoelace sum over a walk.
 
 Convention: face walks keep the face interior on the LEFT of the walk
@@ -189,17 +190,16 @@ class PlaneGraph:
     order; outer_dart is a dart (u, v) whose face walk is the outer face.
     """
 
-    __slots__ = ("rotation", "outer_dart", "_faces", "_dart_face", "_walks")
+    __slots__ = ("rotation", "outer_dart", "_walks", "_dart_face")
 
     def __init__(self, rotation: Dict[int, Sequence[int]], outer_dart: Dart,
                  check: bool = True):
         self.rotation = {v: tuple(nbrs) for v, nbrs in rotation.items()}
         self.outer_dart = (outer_dart[0], outer_dart[1])
-        self._faces = None
-        self._dart_face = None
-        self._walks = None
         if check:
             self._validate()
+        else:
+            self._build_faces()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -251,11 +251,11 @@ class PlaneGraph:
                     stack.append(w)
         if len(seen) != len(rot):
             raise EmbeddingInvalid("graph is not connected")
-        u, v = self.outer_dart
-        if u not in rot or v not in rot[u]:
+        self._build_faces()
+        if self.outer_dart not in self._dart_face:
             raise EmbeddingInvalid(f"outer dart {self.outer_dart} is not a dart")
         # Euler check certifies planarity of the rotation system
-        n, m, f = self.n, self.m, len(self.faces)
+        n, m, f = self.n, self.m, len(self._walks)
         if n - m + f != 2:
             raise EmbeddingInvalid(f"Euler check failed: n={n} m={m} f={f}")
 
@@ -270,7 +270,6 @@ class PlaneGraph:
             for u in nbrs:
                 succ[(u, v)] = (v, before)
                 before = u
-        faces = []
         walks = []
         dart_face = {}
         for start in sorted(self.rotation):
@@ -278,47 +277,37 @@ class PlaneGraph:
                 d = (start, w)
                 if d in dart_face:
                     continue
-                fi = len(faces)
-                darts = []
+                fi = len(walks)
                 walk = []
                 while d not in dart_face:
                     dart_face[d] = fi
-                    darts.append(d)
                     walk.append(d[0])
                     d = succ[d]
-                faces.append(tuple(darts))
                 walks.append(tuple(walk))
-        self._faces = faces
         self._walks = walks
         self._dart_face = dart_face
 
     @property
     def faces(self) -> List[Tuple[Dart, ...]]:
-        if self._faces is None:
-            self._build_faces()
-        return self._faces
+        """The darts of each face, in walk order: the pairs of consecutive
+        vertices of its walk, the last back to the first."""
+        return [tuple(zip(w, w[1:] + w[:1])) for w in self._walks]
 
     @property
     def outer_face_index(self) -> int:
-        if self._dart_face is None:
-            self._build_faces()
         return self._dart_face[self.outer_dart]
 
     def face_of_dart(self, d: Dart) -> int:
-        if self._dart_face is None:
-            self._build_faces()
         return self._dart_face[d]
 
     def face_vertices(self, idx: int) -> Tuple[int, ...]:
         """The vertices of face idx in walk order, the tails of its darts.
-        The tuple is the one _build_faces cached: every call returns it."""
-        if self._walks is None:
-            self._build_faces()
+        The tuple is the one _build_faces traced: every call returns it."""
         return self._walks[idx]
 
     def inner_face_indices(self) -> List[int]:
         out = self.outer_face_index
-        return [i for i in range(len(self.faces)) if i != out]
+        return [i for i in range(len(self._walks)) if i != out]
 
     def outer_walk(self) -> Tuple[int, ...]:
         return self.face_vertices(self.outer_face_index)
@@ -326,12 +315,15 @@ class PlaneGraph:
     # -- derived graphs ------------------------------------------------------
 
     def with_outer(self, dart: Dart) -> "PlaneGraph":
-        g = PlaneGraph(self.rotation, dart, check=False)
-        g._faces = self._faces
-        g._dart_face = self._dart_face
-        g._walks = self._walks
-        if g._dart_face is not None and dart not in g._dart_face:
+        """This graph with the outer face named by dart. The rotation and
+        both face tables are shared, not copied or traced again."""
+        dart = (dart[0], dart[1])
+        if dart not in self._dart_face:
             raise EmbeddingInvalid(f"{dart} is not a dart")
+        g = object.__new__(PlaneGraph)
+        g.rotation, g._walks, g._dart_face = (
+            self.rotation, self._walks, self._dart_face)
+        g.outer_dart = dart
         return g
 
     def remove_edge(self, u: int, v: int,
@@ -375,9 +367,6 @@ class PlaneGraph:
         return (isinstance(other, PlaneGraph)
                 and self.rotation == other.rotation
                 and self.outer_dart == other.outer_dart)
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.rotation.items())), self.outer_dart))
 
     def __repr__(self):
         return f"PlaneGraph(n={self.n}, m={self.m}, outer={self.outer_dart})"
@@ -545,10 +534,10 @@ def is_strictly_convex(d: Drawing) -> bool:
     triangle that turns one way winds once. Every longer inner walk goes
     through _convex_walk. The outer walk goes through it once, last,
     turning right, even when it is a triangle: the loop passes over it by
-    identity, the cached walks being distinct tuples."""
+    identity, the traced walks being distinct tuples."""
     g = d.graph
     ints = d.ints
-    ow = g.outer_walk()                 # builds the walks
+    ow = g.outer_walk()
     for walk in g._walks:
         if len(walk) == 3:
             u, v, w = walk
@@ -989,6 +978,6 @@ def build_plane_graph_from_points(coords: Dict[int, Tuple],
             else "graph has no edge")
     g = PlaneGraph(rotation, (low, rotation[low][-1]))
     walk = g.face_vertices(g.outer_face_index)
-    if len(g.faces) > 1 and _area2(pts, walk) >= 0:
+    if len(g._walks) > 1 and _area2(pts, walk) >= 0:
         raise EmbeddingInvalid("outer face is ambiguous; drawing is degenerate")
     return g.with_outer((walk[0], walk[1]))

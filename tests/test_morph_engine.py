@@ -633,6 +633,13 @@ def refuse(*args):
     raise EmbeddingInvalid("refused")
 
 
+def buffers(d):
+    """augment_buffers on d's hull and hull gaps, as convexify passes them."""
+    hull = convex_hull(d)
+    return morph_engine.augment_buffers(d, hull,
+                                        morph_engine._hull_gaps(d, hull))
+
+
 def fail_check(check, mp, n):
     """Make one check of augment_buffers fail, through the monkeypatch mp,
     on a drawing with n vertices (the placement has more), and return the
@@ -641,12 +648,11 @@ def fail_check(check, mp, n):
     if check == "build":
         patch("build_plane_graph_from_points", refuse)
         return "placement is not a plane graph: refused"
-    if check == "validate":
-        # convexify's input check calls it too, on the n-vertex input
-        validate = morph_engine.validate_drawing
-        patch("validate_drawing",
-              lambda d: refuse() if d.graph.n > n else validate(d))
-        return "placement fails validate_drawing: refused"
+    if check == "planar":
+        # only augment_buffers calls it through morph_engine; convexify's
+        # input check calls it through validate_drawing
+        patch("drawing_is_planar", lambda g, pts: False)
+        return "placement fails drawing_is_planar"
     if check == "3-connected":
         patch("is_internally_3connected", lambda g: False)
         return "padded graph is not internally 3-connected"
@@ -678,16 +684,16 @@ def test_placement_failure_raises_a_typed_error(monkeypatch):
     # a placement that fails one check: augment_buffers names the edit it
     # could not make and the check, and convexify lets the error through
     d = instance("pockets", 0)
-    for check in ("build", "validate", "3-connected", "hull", "outer walk",
+    for check in ("build", "planar", "3-connected", "hull", "outer walk",
                   "fan"):
         with monkeypatch.context() as mp:
             text = fail_check(check, mp, d.graph.n)
             with pytest.raises(PlacementFailure) as info:
-                morph_engine.augment_buffers(d)
+                buffers(d)
             assert info.value.layer == "insert buffer paths"
             assert info.value.check == text
     with monkeypatch.context() as mp:
-        text = fail_check("validate", mp, d.graph.n)
+        text = fail_check("planar", mp, d.graph.n)
         with pytest.raises(ConvexifyError) as info:
             convexify(d)
         assert (info.value.layer, info.value.check) == (
@@ -695,12 +701,17 @@ def test_placement_failure_raises_a_typed_error(monkeypatch):
 
 
 def placed(d):
-    """augment_buffers(d) and the shrink exponent it placed at."""
+    """augment_buffers(d) and the shrink exponent it placed at. The padded
+    drawing's hull gaps are its spine ends, as convexify passes them on
+    without computing its hull."""
     paths = [morph_engine._pocket_descriptor(d.graph.outer_walk(), a, b)
              for a, b in morph_engine._hull_gaps(d, convex_hull(d))]
     k = morph_engine._shrink_bits(
         d, paths, [morph_engine._buffer_geometry(d, p) for p in paths])
-    return k, morph_engine.augment_buffers(d)
+    d_buf, spines = buffers(d)
+    assert morph_engine._hull_gaps(d_buf, convex_hull(d_buf)) == [
+        (sp[0], sp[-1]) for sp in spines]
+    return k, (d_buf, spines)
 
 
 def assert_ladder_rung(d, rungs=12):
@@ -749,7 +760,7 @@ def test_buffer_placement_is_built_once(monkeypatch):
 
     monkeypatch.setattr(morph_engine, "build_plane_graph_from_points",
                         counted)
-    morph_engine.augment_buffers(bench_drawing("buffered", 1))
+    buffers(bench_drawing("buffered", 1))
     assert len(built) == 1
 
 
@@ -832,7 +843,7 @@ def test_buffer_placement_is_dyadic_over_the_input(kind, i):
     # every buffer offset is dyadic over the input's den: the padded
     # drawing's den is d.den * 2^J, with J at most 64
     d = buffer_case(kind, i)
-    d_buf, spines = morph_engine.augment_buffers(d)
+    d_buf, spines = buffers(d)
     assert spines
     scale, rest = divmod(d_buf.den, d.den)
     assert rest == 0 and scale & (scale - 1) == 0
@@ -1150,6 +1161,31 @@ def test_strictly_convex_input_reads_only_cached_walks(monkeypatch):
     assert calls == {"is_strictly_convex": 1}
 
 
+def test_each_graph_traces_its_faces_once(monkeypatch):
+    # every PlaneGraph traces its faces when it is made, and with_outer
+    # shares them: building a bench drawing makes one graph and names its
+    # outer face once, and a buffered run traces nothing twice
+    calls = Counter()
+
+    def counted(name, f):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    for name in ("__init__", "_build_faces", "with_outer"):
+        monkeypatch.setattr(PlaneGraph, name,
+                            counted(name, getattr(PlaneGraph, name)))
+    for workload, i in sorted(DIGESTS):
+        calls.clear()
+        d = bench_drawing(workload, i)
+        assert calls == {"__init__": 1, "_build_faces": 1, "with_outer": 1}
+    calls.clear()
+    convexify(d)
+    assert calls["_build_faces"] == calls["__init__"]
+    assert calls["with_outer"] > 0
+
+
 def planarity_callers(monkeypatch, d):
     """convexify(d), and for each drawing_is_planar call it made, the
     names of the calling frames, innermost last."""
@@ -1160,7 +1196,8 @@ def planarity_callers(monkeypatch, d):
         callers.append([f.name for f in traceback.extract_stack()[:-1]])
         return real(*args)
 
-    monkeypatch.setattr(plane_graph, "drawing_is_planar", spy)
+    for module in (plane_graph, morph_engine):
+        monkeypatch.setattr(module, "drawing_is_planar", spy)
     convexify(d)
     return callers
 
@@ -1168,10 +1205,10 @@ def planarity_callers(monkeypatch, d):
 @pytest.mark.parametrize("family", ["dent", "pockets"])
 def test_sweep_runs_only_at_the_input_gate_and_buffers(family, monkeypatch):
     callers = planarity_callers(monkeypatch, instance(family, 0))
-    # the input check once, then only in augment_buffers' check of its
-    # placement: each a validate_drawing call
+    # the input check once, through validate_drawing, then only in
+    # augment_buffers' check of its placement, directly
     assert callers[0][-2:] == ["convexify", "validate_drawing"]
-    assert all(names[-2:] == ["augment_buffers", "validate_drawing"]
+    assert all(names[-2:] == ["convexify", "augment_buffers"]
                for names in callers[1:])
     assert (len(callers) > 1) == (family == "pockets")
     assert not any("_compact" in names for names in callers)

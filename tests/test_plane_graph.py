@@ -170,6 +170,32 @@ def test_face_walks_are_cached():
                for i in range(len(g.faces)))
 
 
+@pytest.mark.parametrize("coords, edges", [
+    # a path: its one walk runs out and back
+    ({1: (0, 0), 2: (1, 0), 3: (2, 1)}, [(1, 2), (2, 3)]),
+    # two triangles sharing the cut vertex 1, which the outer walk repeats
+    ({1: (0, 0), 2: (2, -1), 3: (2, 1), 4: (-2, 1), 5: (-2, -1)},
+     [(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)]),
+])
+def test_faces_are_the_darts_of_walks_that_repeat_a_vertex(coords, edges):
+    # each face's darts join its walk's consecutive vertices, the dart
+    # after (u, v) leaves v towards the neighbour before u in v's rotation,
+    # and every dart is on exactly the face face_of_dart names
+    g = build_plane_graph_from_points(coords, edges)
+    walks = [g.face_vertices(fi) for fi in range(len(g.faces))]
+    assert any(len(set(w)) < len(w) for w in walks)
+    face = {}
+    for fi, (walk, darts) in enumerate(zip(walks, g.faces)):
+        assert darts == tuple(zip(walk, walk[1:] + walk[:1]))
+        for (u, v), (tail, w) in zip(darts, darts[1:] + darts[:1]):
+            nbrs = g.rotation[v]
+            assert tail == v and w == nbrs[nbrs.index(u) - 1]
+        for dart in darts:
+            assert dart not in face and g.face_of_dart(dart) == fi
+            face[dart] = fi
+    assert set(face) == {(u, v) for u in g.rotation for v in g.rotation[u]}
+
+
 def test_embedding_rejects_bad_rotations():
     with pytest.raises(EmbeddingInvalid):
         PlaneGraph({1: (2,), 2: ()}, (1, 2))  # asymmetric
